@@ -395,11 +395,6 @@ def plan_of(chain: TypeChain) -> AllocationPlan:
     )
 
 
-def chains_equal(a: TypeChain, b: TypeChain) -> bool:
-    """Syntactic equality: same constructor sequence with equal arguments."""
-    return a == b
-
-
 # --- building chains from parsed type expressions ---
 
 _BASE_NAMES = {"int": Int, "char": Char, "real": Real, "complex": Complex}

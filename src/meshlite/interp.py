@@ -14,6 +14,7 @@ dispatch for an assignment follows the resolved type attributes:
   replicated storage      each process writes its own replica
 """
 
+import functools
 import math
 import os
 
@@ -28,7 +29,7 @@ from .errors import (
     NotPowerOfTwo,
     RuntimeFault,
 )
-from .sched import PAUSE, Barrier, ChannelSlot, PendingTransfer, Scheduler
+from .sched import PAUSE, Barrier, ChannelSlot, Collective, PendingTransfer, Scheduler
 
 
 # --- FFT kernel ---
@@ -46,11 +47,7 @@ def fft_inplace(values: list, sins: list) -> None:
         raise NotPowerOfTwo(f"transform length {n} is not a power of two")
     if len(sins) * 2 != n:
         raise BadLength(f"need {n // 2} twiddle factors for length {n}, got {len(sins)}")
-    bits = n.bit_length() - 1
-    for i in range(n):
-        j = int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
-        if j > i:
-            values[i], values[j] = values[j], values[i]
+    values[:] = [values[j] for j in bit_reversal(n)]
     size = 2
     while size <= n:
         half = size // 2
@@ -63,6 +60,16 @@ def fft_inplace(values: list, sins: list) -> None:
                 values[base + j] = a + b
                 values[base + j + half] = a - b
         size *= 2
+
+
+@functools.lru_cache(maxsize=16)
+def bit_reversal(n: int) -> tuple:
+    """Index i's bits reversed over log2(n) bits, for every i < n."""
+    bits = n.bit_length() - 1
+    rev = [0] * n
+    for i in range(1, n):
+        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
+    return tuple(rev)
 
 
 def compute_sins(n: int) -> list:
@@ -528,39 +535,37 @@ class ProcessContext:
             raise self.fault(f"{value.name!r} is not an array", stmt)
         if self.proc_depth > 0:
             raise self.fault("array assignment is collective and cannot run inside proc", stmt)
-        yield from self.assign_arrays(dst_binding.array, src_binding.array)
+        yield from self.assign_arrays(dst_binding.array, src_binding.array, stmt)
 
-    def assign_arrays(self, dst, src):
-        """Collective redistribution: stage all reads, then apply writes."""
-        state = self.state
-        yield from state.barrier.wait()
+    def assign_arrays(self, dst, src, stmt=None):
+        """Collective redistribution, planned and copied once.
+
+        The last rank to reach the barrier plans the whole assignment,
+        copies it and records one block-transfer per contiguous run that
+        changes ranks, stamped by the source owner in plan order.
+        """
+        trace = self.state.trace
+
+        def redistribute():
+            plan = runtime.plan_redistribution(
+                src.descriptor, dst.descriptor, same_storage=_share_storage(dst, src))
+            runtime.copy_segments(plan, src, dst)
+            esize = dst.element_bytes()
+            for seg in plan:
+                if seg.local:
+                    continue
+                for length in seg.run_lengths():
+                    trace.record("block-transfer", src=seg.src_owner,
+                                 dst=seg.dst_owner, nbytes=length * esize,
+                                 tag=dst.name, initiator=seg.src_owner)
+
+        collective = Collective("assign", f"{dst.name} := {src.name}", stmt, (dst, src))
         try:
-            same = _share_storage(dst, src)
-            plan = runtime.plan_redistribution(src.descriptor, dst.descriptor,
-                                               same_storage=same)
+            yield from self.state.barrier.wait(self.rank, collective, redistribute)
+        except RuntimeFault:
+            raise
         except MeshError as exc:
-            raise self.fault(str(exc))
-        staged = []
-        for seg in plan:
-            if seg.identity or seg.src_owner != self.rank:
-                continue
-            if src.replicated:
-                buf = src.storage_for(self.rank)
-            else:
-                buf = src.blocks[seg.src_block].buffer
-            staged.append((seg, buf[seg.src_offset : seg.src_offset + seg.count]))
-        yield from state.barrier.wait()
-        for seg, payload in staged:
-            if dst.replicated:
-                buf = dst.storage_for(seg.dst_replica)
-            else:
-                buf = dst.blocks[seg.dst_block].buffer
-            buf[seg.dst_offset : seg.dst_offset + seg.count] = payload
-            if not seg.local:
-                state.trace.record("block-transfer", src=seg.src_owner,
-                                   dst=seg.dst_owner, nbytes=seg.nbytes,
-                                   tag=dst.name, initiator=seg.src_owner)
-        yield from state.barrier.wait()
+            raise self.fault(str(exc), stmt) from exc
 
     # --- control flow ---
 
@@ -602,10 +607,11 @@ class ProcessContext:
 
     def exec_sync(self, stmt):
         """Collective: all outstanding async transfers in scope complete."""
-        yield from self.state.barrier.wait()
+        collective = Collective("sync", f"sync {stmt.var}" if stmt.var else "sync", stmt)
+        yield from self.state.barrier.wait(self.rank, collective)
         if self.rank == 0:
             self.state.scheduler.drain_async(tag=stmt.var)
-        yield from self.state.barrier.wait()
+        yield from self.state.barrier.wait(self.rank, collective)
 
     # --- expressions ---
 
@@ -779,16 +785,27 @@ class ProcessContext:
             return
         full = self.state.path(path)
         d = array.descriptor
+        buf = array.blocks[0].buffer
+        # MSHD is row-major; a col array's buffer holds one column per line
+        transposed = d.ndim == 2 and d.ordering == "col"
         if write:
-            values = [array.logical_get(idx) for idx in runtime.iter_indices(d.shape)]
+            values = list(buf)
+            if transposed:
+                n0, n1 = d.shape
+                for j in range(n1):
+                    values[j::n1] = buf[j * n0 : (j + 1) * n0]
             mshd.write_mshd(full, d.elem, d.shape, values)
             return
         elem, shape, values = mshd.read_mshd(full)
         if elem != d.elem or tuple(shape) != d.shape:
             raise FormatError(
                 f"{path}: holds {elem}{tuple(shape)}, array is {d.elem}{d.shape}")
-        for idx, value in zip(runtime.iter_indices(d.shape), values):
-            array.logical_set(idx, value)
+        if transposed:
+            n0, n1 = d.shape
+            for j in range(n1):
+                buf[j * n0 : (j + 1) * n0] = values[j::n1]
+        else:
+            buf[:] = values
 
 
 def _arith(op, left, right):

@@ -155,16 +155,18 @@ class ArrayDescriptor:
         else:
             along = index[self.part_dim]
             free = index[1 - self.part_dim]
-        if self.partition is None:
-            return 0, along * self.line_len + free
-        p = self.partition[1]
-        q, r = divmod(self.part_extent, p)
-        if along < r * (q + 1):
-            k = along // (q + 1)
-        else:
-            k = r + (along - r * (q + 1)) // q
+        k = self.block_of(along)
         low, _ = self.bounds(k)
         return k, (along - low) * self.line_len + free
+
+    def block_of(self, along: int) -> int:
+        """Block holding index `along` of the partitioned dimension."""
+        if self.partition is None:
+            return 0
+        q, r = divmod(self.part_extent, self.partition[1])
+        if along < r * (q + 1):
+            return along // (q + 1)
+        return r + (along - r * (q + 1)) // q
 
 
 @dataclass
@@ -203,9 +205,6 @@ class DistributedArray:
         """Replica buffer for one rank of a replicated array."""
         return self.replicas[rank]
 
-    def local_blocks(self, rank) -> list:
-        return [b for b in self.blocks if b.owner == rank]
-
     def logical_get(self, index, rank=0):
         if self.replicated:
             d = self.descriptor
@@ -227,25 +226,8 @@ class DistributedArray:
         k, off = self.descriptor.locate(index)
         self.blocks[k].buffer[off] = value
 
-    def logical_items(self):
-        """Iterate (index, value) over the whole logical array."""
-        for index in iter_indices(self.descriptor.shape):
-            yield index, self.logical_get(index)
-
     def element_bytes(self):
         return ELEMENT_SIZES[self.descriptor.elem]
-
-
-def iter_indices(shape):
-    if len(shape) == 0:
-        yield ()
-    elif len(shape) == 1:
-        for i in range(shape[0]):
-            yield (i,)
-    else:
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                yield (i, j)
 
 
 def _dense_offset(descriptor, index):
@@ -325,7 +307,6 @@ class TraceEvent:
     bytes: int
     seq: int  # per-process sequence on the initiating process
     tag: str
-    local: bool = False
 
     @property
     def initiator(self) -> int:
@@ -347,12 +328,12 @@ class TraceLog:
         self.events = []
         self._seq = [0] * nprocs
 
-    def record(self, kind, src, dst, nbytes, tag, initiator=None, local=False):
+    def record(self, kind, src, dst, nbytes, tag, initiator=None):
         if initiator is None:
             initiator = dst if kind in ("onesided-get", "channel-recv") else src
         seq = self._seq[initiator]
         self._seq[initiator] += 1
-        ev = TraceEvent(kind, src, dst, nbytes, seq, tag, local)
+        ev = TraceEvent(kind, src, dst, nbytes, seq, tag)
         self.events.append(ev)
         return ev
 
@@ -375,7 +356,13 @@ class TraceLog:
 
 @dataclass(frozen=True)
 class Segment:
-    """One contiguous copy: src block/offset to dst block/offset."""
+    """A rectangle of elements copied from one block to another.
+
+    The rectangle has `lines` lines of `count // lines` elements, listed in
+    destination buffer order. On each side the elements of a line lie
+    `stride` apart and line t starts at `offset + t * line_stride`. A
+    contiguous run has one line and stride 1 on both sides.
+    """
 
     src_owner: int
     dst_owner: int
@@ -386,112 +373,162 @@ class Segment:
     count: int
     nbytes: int
     local: bool  # same owning rank
-    identity: bool  # same block and offsets of the same storage
+    identity: bool  # every element maps onto itself in shared storage
     dst_replica: Optional[int] = None  # set when dst is replicated
+    lines: int = 1
+    src_stride: int = 1
+    dst_stride: int = 1
+    src_line_stride: int = 0
+    dst_line_stride: int = 0
+
+    def run_lengths(self) -> list:
+        """Lengths of the maximal contiguous runs, in destination order.
+
+        A run continues while both offsets advance by one: inside a line
+        when both strides are 1, and from the last element of a line to
+        the first of the next when both line strides close the gap.
+        """
+        n = self.lines
+        w = self.count // n
+        within = w == 1 or (self.src_stride == 1 and self.dst_stride == 1)
+        across = (n > 1
+                  and self.src_line_stride - (w - 1) * self.src_stride == 1
+                  and self.dst_line_stride - (w - 1) * self.dst_stride == 1)
+        if within:
+            return [n * w] if across else [w] * n
+        if not across:
+            return [1] * (n * w)
+        return [1] * (w - 1) + ([2] + [1] * (w - 2)) * (n - 1) + [1]
+
+    def slices(self) -> list:
+        """(src_start, dst_start, length, src_step, dst_step), one per slice.
+
+        The rectangle is cut along whichever axis gives fewer slices.
+        """
+        n = self.lines
+        w = self.count // n
+        ss, ds = self.src_stride, self.dst_stride
+        sl, dl = self.src_line_stride, self.dst_line_stride
+        if n > w:
+            n, w, ss, ds, sl, dl = w, n, sl, dl, ss, ds
+        return [(self.src_offset + t * sl, self.dst_offset + t * dl, w, ss, ds)
+                for t in range(n)]
+
+
+def _as_2d(desc):
+    """(extents, part_dim, line_len) with 0D and 1D arrays seen as n x 1."""
+    if desc.ndim == 2:
+        return desc.shape, desc.part_dim, desc.line_len
+    return (desc.part_extent, 1), 0, 1
+
+
+def _targets(desc):
+    """(block_id, owner, replica, low, high) for every buffer of desc.
+
+    A replicated array has one dense ordering-major buffer per rank, laid
+    out like block 0 of the unpartitioned array; its owner is the rank.
+    """
+    if desc.replicated:
+        high = desc.part_extent - 1
+        return [(0, rank, rank, 0, high) for rank in range(desc.nprocs)]
+    return [(k, owner_of(desc.distribution, k, desc.nprocs), None) + desc.bounds(k)
+            for k in range(desc.block_count)]
 
 
 def plan_redistribution(src: ArrayDescriptor, dst: ArrayDescriptor, same_storage=False):
-    """Contiguous segments that make dst logically equal to src.
+    """Segments that make dst logically equal to src.
 
-    Runs are coalesced while both source and destination offsets advance
-    by one inside the same pair of blocks. Segments whose endpoints share
-    a rank are marked local; identical-and-local segments of the same
-    storage are marked identity so executors can skip them.
+    Every block is a rectangle in logical index space: its index range
+    along the partitioned dimension by the whole other dimension. Each
+    (dst block, src block) pair that overlaps gives one segment, in dst
+    block order and then src block order. Segments whose endpoints share a
+    rank are marked local; local segments mapping every element onto
+    itself in shared storage are marked identity so executors can skip
+    them. A replicated source is read from the replica co-located with
+    the destination.
     """
     if src.shape != dst.shape or src.elem != dst.elem:
         raise ShapeMismatch(
-            f"cannot assign {src.elem}{src.shape} from {dst.elem}{dst.shape}")
+            f"cannot assign {dst.elem}{dst.shape} from {src.elem}{src.shape}")
     esize = ELEMENT_SIZES[src.elem]
+    extents, dd, dline = _as_2d(dst)
+    _, sd, sline = _as_2d(src)
+    # destination order walks dd line by line; elements step along the other
+    # dimension, which the source lays out contiguously only when sd == dd
+    src_stride, src_line_stride = (1, sline) if sd == dd else (sline, 1)
+    src_blocks = None if src.replicated else _targets(src)
     segments = []
-
-    def emit(run, dst_block, dst_owner, dst_off, replica):
-        sb, so, count = run
-        s_owner = src_owner_of(sb, dst_owner)
-        same_block = same_storage and sb == dst_block and so == dst_off
-        segments.append(Segment(
-            src_owner=s_owner, dst_owner=dst_owner,
-            src_block=sb, src_offset=so,
-            dst_block=dst_block, dst_offset=dst_off,
-            count=count, nbytes=count * esize,
-            local=s_owner == dst_owner,
-            identity=same_block and s_owner == dst_owner,
-            dst_replica=replica,
-        ))
-
-    def src_owner_of(block_id, dst_owner):
-        if src.distribution[0] == "multiple":
-            # every rank holds a replica: read the co-located one
-            return dst_owner
-        return owner_of(src.distribution, block_id, src.nprocs)
-
-    def walk(dst_blocks):
-        for dst_block, dst_owner, replica, indices in dst_blocks:
-            run = None  # (src_block, src_offset_start, count)
-            run_dst_off = 0
-            next_dst_off = 0
-            for index in indices:
-                if src.distribution[0] == "multiple":
-                    sb, so = 0, _dense_offset(src, index) if src.ndim else 0
-                else:
-                    sb, so = src.locate(index)
-                if run is not None and sb == run[0] and so == run[1] + run[2]:
-                    run = (run[0], run[1], run[2] + 1)
-                else:
-                    if run is not None:
-                        emit(run, dst_block, dst_owner, run_dst_off, replica)
-                    run = (sb, so, 1)
-                    run_dst_off = next_dst_off
-                next_dst_off += 1
-            if run is not None:
-                emit(run, dst_block, dst_owner, run_dst_off, replica)
-
-    if dst.replicated:
-        targets = []
-        for rank in range(dst.nprocs):
-            targets.append((0, rank, rank, _buffer_order(dst)))
-        walk(targets)
-    else:
-        targets = []
-        for k in range(dst.block_count):
-            owner = owner_of(dst.distribution, k, dst.nprocs)
-            targets.append((k, owner, None, _block_order(dst, k)))
-        walk(targets)
+    for dst_block, dst_owner, replica, dlow, dhigh in _targets(dst):
+        box = [[0, extents[0] - 1], [0, extents[1] - 1]]
+        box[dd] = [dlow, dhigh]
+        lo, hi = box[sd]
+        if src_blocks is None:
+            overlapping = [(0, dst_owner, None, 0, extents[sd] - 1)]
+        else:
+            overlapping = src_blocks[src.block_of(lo) : src.block_of(hi) + 1]
+        for src_block, src_owner, _, slow, shigh in overlapping:
+            start = [box[0][0], box[1][0]]
+            end = [box[0][1], box[1][1]]
+            start[sd], end[sd] = max(lo, slow), min(hi, shigh)
+            segments.append(_segment(
+                src_owner, dst_owner, src_block, dst_block, replica,
+                (start[sd] - slow) * sline + start[1 - sd],
+                (start[dd] - dlow) * dline + start[1 - dd],
+                end[dd] - start[dd] + 1, end[1 - dd] - start[1 - dd] + 1,
+                src_stride, src_line_stride, 1, dline, esize, same_storage))
     return segments
 
 
-def _block_order(desc, block_id):
-    """Logical indices of one block in buffer order."""
-    low, high = desc.bounds(block_id)
-    if desc.ndim == 0:
-        yield ()
-        return
-    if desc.ndim == 1:
-        for i in range(low, high + 1):
-            yield (i,)
-        return
-    for along in range(low, high + 1):
-        for free in range(desc.line_len):
-            if desc.part_dim == 0:
-                yield (along, free)
-            else:
-                yield (free, along)
+def _segment(src_owner, dst_owner, src_block, dst_block, replica, src_offset,
+             dst_offset, lines, width, ss, sl, ds, dl, esize, same_storage):
+    """Segment in canonical form: a rectangle that is one contiguous run
+    becomes a single line, and a single column a single strided line."""
+    if width == 1:
+        lines, width, ss, ds = 1, lines, sl, dl
+    elif ss == ds == 1 and sl == dl == width:
+        lines, width = 1, lines * width
+    if width == 1:
+        ss = ds = 1
+    if lines == 1:
+        sl = dl = 0
+    local = src_owner == dst_owner
+    count = lines * width
+    return Segment(
+        src_owner=src_owner, dst_owner=dst_owner,
+        src_block=src_block, src_offset=src_offset,
+        dst_block=dst_block, dst_offset=dst_offset,
+        count=count, nbytes=count * esize, local=local,
+        identity=(same_storage and local and src_block == dst_block
+                  and src_offset == dst_offset and ss == ds and sl == dl),
+        dst_replica=replica, lines=lines,
+        src_stride=ss, dst_stride=ds,
+        src_line_stride=sl, dst_line_stride=dl,
+    )
 
 
-def _buffer_order(desc):
-    """Logical indices of a dense (replicated) buffer in storage order."""
-    if desc.ndim == 0:
-        yield ()
-    elif desc.ndim == 1:
-        for i in range(desc.shape[0]):
-            yield (i,)
-    elif desc.ordering == "row":
-        for i in range(desc.shape[0]):
-            for j in range(desc.shape[1]):
-                yield (i, j)
-    else:
-        for j in range(desc.shape[1]):
-            for i in range(desc.shape[0]):
-                yield (i, j)
+def copy_segments(segments, src: DistributedArray, dst: DistributedArray) -> None:
+    """Apply a plan with extended-slice copies, skipping identities.
+
+    Every payload is read before any is written, because views sharing
+    storage can overlap.
+    """
+    moves = []
+    for seg in segments:
+        if seg.identity:
+            continue
+        if src.replicated:
+            sbuf = src.storage_for(seg.src_owner)
+        else:
+            sbuf = src.blocks[seg.src_block].buffer
+        if dst.replicated:
+            dbuf = dst.storage_for(seg.dst_replica)
+        else:
+            dbuf = dst.blocks[seg.dst_block].buffer
+        for s, d, length, ss, ds in seg.slices():
+            moves.append((dbuf, slice(d, d + (length - 1) * ds + 1, ds),
+                          sbuf[s : s + (length - 1) * ss + 1 : ss]))
+    for buf, where, payload in moves:
+        buf[where] = payload
 
 
 def remote_bytes(segments) -> int:

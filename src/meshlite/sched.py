@@ -12,28 +12,83 @@ switch points and are all drained by an explicit sync.
 """
 
 import random
+from typing import NamedTuple
 
 from .errors import DeadlockError, RuntimeFault
 
 PAUSE = ("pause",)
 
 
+class Collective(NamedTuple):
+    """What a rank arrives at a barrier for.
+
+    `node` (the statement) and `operands` (the arrays) compare by
+    identity; `label` is how the collective is named in errors.
+    """
+
+    kind: str
+    label: str
+    node: object = None
+    operands: tuple = ()
+
+    def same_as(self, other) -> bool:
+        return (self.kind == other.kind and self.node is other.node
+                and len(self.operands) == len(other.operands)
+                and all(a is b for a, b in zip(self.operands, other.operands)))
+
+    def where(self) -> str:
+        line = getattr(self.node, "line", None)
+        if line is None:
+            return self.label
+        return f"{self.label} ({line}:{self.node.column})"
+
+
 class Barrier:
-    """Generation-counting barrier for all simulated processes."""
+    """Generation-counting barrier for all simulated processes.
+
+    Each arrival names its collective. The last rank to arrive checks
+    that every rank named the same one, runs the optional action on
+    behalf of all of them, and only then releases the others.
+    """
 
     def __init__(self, n):
         self.n = n
-        self.count = 0
+        self.arrivals = []  # (rank, Collective)
         self.generation = 0
 
-    def wait(self):
+    def wait(self, rank, collective, action=None):
         gen = self.generation
-        self.count += 1
-        if self.count == self.n:
-            self.count = 0
+        self.arrivals.append((rank, collective))
+        if len(self.arrivals) == self.n:
+            arrivals, self.arrivals = self.arrivals, []
+            _check_agreement(arrivals, rank, collective)
+            if action is not None:
+                action()
             self.generation += 1
             return
         yield ("wait", lambda: self.generation != gen)
+
+
+def _check_agreement(arrivals, rank, collective):
+    """Raise a located fault unless every arrival names one collective."""
+    groups = []  # (Collective, ranks) in order of first arrival
+    for r, c in arrivals:
+        for g, ranks in groups:
+            if g.same_as(c):
+                ranks.append(r)
+                break
+        else:
+            groups.append((c, [r]))
+    if len(groups) == 1:
+        return
+    sides = "; ".join(
+        f"rank{'s' if len(ranks) > 1 else ''} {', '.join(map(str, sorted(ranks)))} "
+        f"reached {c.where()}"
+        for c, ranks in groups)
+    node = collective.node
+    raise RuntimeFault(f"collective mismatch: {sides}", rank=rank,
+                       line=getattr(node, "line", None),
+                       column=getattr(node, "column", None))
 
 
 class ChannelSlot:

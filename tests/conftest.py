@@ -4,8 +4,22 @@ import pytest
 
 from meshlite import check_program, parse
 from meshlite.fixtures import corpus_source
+from meshlite.errors import ShapeMismatch
 from meshlite.interp import ProcessContext, RunState
-from meshlite.runtime import ArrayDescriptor, iter_indices, owner_of
+from meshlite.runtime import ELEMENT_SIZES, ArrayDescriptor, Segment, _dense_offset, owner_of
+
+
+def iter_indices(shape):
+    """Every logical index of an array, row-major."""
+    if len(shape) == 0:
+        yield ()
+    elif len(shape) == 1:
+        for i in range(shape[0]):
+            yield (i,)
+    else:
+        for i in range(shape[0]):
+            for j in range(shape[1]):
+                yield (i, j)
 
 
 def checked_corpus(name):
@@ -37,6 +51,130 @@ def brute_force_copy(dst, src):
     """Element-at-a-time logical copy; the redistribution oracle."""
     for idx in iter_indices(src.descriptor.shape):
         dst.logical_set(idx, src.logical_get(idx))
+
+
+def brute_force_plan(src, dst, same_storage=False):
+    """Element-at-a-time planner; the oracle for plan_redistribution.
+
+    Walks every destination buffer in storage order, locates each element
+    in the source and coalesces runs while both offsets advance by one
+    inside the same pair of blocks. Returns contiguous segments only.
+    """
+    if src.shape != dst.shape or src.elem != dst.elem:
+        raise ShapeMismatch(
+            f"cannot assign {dst.elem}{dst.shape} from {src.elem}{src.shape}")
+    esize = ELEMENT_SIZES[src.elem]
+    segments = []
+
+    def emit(run, dst_block, dst_owner, dst_off, replica):
+        sb, so, count = run
+        s_owner = src_owner_of(sb, dst_owner)
+        same_block = same_storage and sb == dst_block and so == dst_off
+        segments.append(Segment(
+            src_owner=s_owner, dst_owner=dst_owner,
+            src_block=sb, src_offset=so,
+            dst_block=dst_block, dst_offset=dst_off,
+            count=count, nbytes=count * esize,
+            local=s_owner == dst_owner,
+            identity=same_block and s_owner == dst_owner,
+            dst_replica=replica,
+        ))
+
+    def src_owner_of(block_id, dst_owner):
+        if src.replicated:
+            # every rank holds a replica: read the co-located one
+            return dst_owner
+        return owner_of(src.distribution, block_id, src.nprocs)
+
+    def walk(dst_blocks):
+        for dst_block, dst_owner, replica, indices in dst_blocks:
+            run = None  # (src_block, src_offset_start, count)
+            run_dst_off = 0
+            next_dst_off = 0
+            for index in indices:
+                if src.replicated:
+                    sb, so = 0, _dense_offset(src, index) if src.ndim else 0
+                else:
+                    sb, so = src.locate(index)
+                if run is not None and sb == run[0] and so == run[1] + run[2]:
+                    run = (run[0], run[1], run[2] + 1)
+                else:
+                    if run is not None:
+                        emit(run, dst_block, dst_owner, run_dst_off, replica)
+                    run = (sb, so, 1)
+                    run_dst_off = next_dst_off
+                next_dst_off += 1
+            if run is not None:
+                emit(run, dst_block, dst_owner, run_dst_off, replica)
+
+    if dst.replicated:
+        walk([(0, rank, rank, _buffer_order(dst)) for rank in range(dst.nprocs)])
+    else:
+        walk([(k, owner_of(dst.distribution, k, dst.nprocs), None, _block_order(dst, k))
+              for k in range(dst.block_count)])
+    return segments
+
+
+def _block_order(desc, block_id):
+    """Logical indices of one block in buffer order."""
+    low, high = desc.bounds(block_id)
+    if desc.ndim == 0:
+        yield ()
+        return
+    if desc.ndim == 1:
+        for i in range(low, high + 1):
+            yield (i,)
+        return
+    for along in range(low, high + 1):
+        for free in range(desc.line_len):
+            if desc.part_dim == 0:
+                yield (along, free)
+            else:
+                yield (free, along)
+
+
+def _buffer_order(desc):
+    """Logical indices of a dense (replicated) buffer in storage order."""
+    if desc.ndim == 0:
+        yield ()
+    elif desc.ndim == 1:
+        for i in range(desc.shape[0]):
+            yield (i,)
+    elif desc.ordering == "row":
+        for i in range(desc.shape[0]):
+            for j in range(desc.shape[1]):
+                yield (i, j)
+    else:
+        for j in range(desc.shape[1]):
+            for i in range(desc.shape[0]):
+                yield (i, j)
+
+
+def expand_runs(segment, same_storage=False):
+    """A strided segment as contiguous segments, walked element by element."""
+    n = segment.lines
+    w = segment.count // n
+    elements = [
+        (segment.src_offset + t * segment.src_line_stride + e * segment.src_stride,
+         segment.dst_offset + t * segment.dst_line_stride + e * segment.dst_stride)
+        for t in range(n) for e in range(w)
+    ]
+    runs = []
+    for s, d in elements:
+        if runs and s == runs[-1][0] + runs[-1][2] and d == runs[-1][1] + runs[-1][2]:
+            runs[-1][2] += 1
+        else:
+            runs.append([s, d, 1])
+    esize = segment.nbytes // segment.count
+    return [Segment(
+        src_owner=segment.src_owner, dst_owner=segment.dst_owner,
+        src_block=segment.src_block, src_offset=s,
+        dst_block=segment.dst_block, dst_offset=d,
+        count=count, nbytes=count * esize, local=segment.local,
+        identity=(same_storage and segment.local
+                  and segment.src_block == segment.dst_block and s == d),
+        dst_replica=segment.dst_replica,
+    ) for s, d, count in runs]
 
 
 def owner_changes_bytes(src_desc, dst_desc, esize):

@@ -9,7 +9,7 @@ from conftest import checked_corpus, make_descriptor
 from meshlite import check_program, parse, run
 from meshlite.errors import BadLength, NotPowerOfTwo
 from meshlite.fixtures import corpus_source, generate_image, oracle_dft1d, oracle_dft2d
-from meshlite.interp import compute_sins, fft_inplace
+from meshlite.interp import bit_reversal, compute_sins, fft_inplace
 from meshlite.mshd import read_mshd
 from meshlite.runtime import allocate
 
@@ -94,6 +94,16 @@ def test_fft_rejects_bad_lengths():
         fft_inplace([1j] * 3, compute_sins(4))
     with pytest.raises(BadLength):
         fft_inplace([1j] * 8, compute_sins(4))
+
+
+def test_cached_bit_reversal_matches_string_reversal():
+    n = 1
+    while n <= 4096:
+        bits = n.bit_length() - 1
+        expected = [int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
+                    for i in range(n)]
+        assert list(bit_reversal(n)) == expected
+        n *= 2
 
 
 def test_fft_is_deterministic():

@@ -322,3 +322,63 @@ def test_blocking_results_equal_across_schedules():
         traces.add(result.trace.render())
     assert len(values) == 1
     assert len(traces) == 1
+
+
+# --- collectives ---
+
+
+def test_rank_divergent_collectives_fault_with_both_locations():
+    src = """var j;
+var A : array[complex,6,4] :: allocated[row[] :: horizontal[3] :: single[evendist[]]];
+var B : array[complex,6,4] :: allocated[col[] :: horizontal[2] :: single[evendist[]]];
+for j from 0 to A.localblocks - 1 { B := A; };
+sync;
+"""
+    for seed in (0, 1, 7):
+        with pytest.raises(RuntimeFault) as err:
+            run_src(src, 2, seed=seed)
+        message = str(err.value)
+        assert "rank 0 reached B := A (4:37)" in message
+        assert "rank 1 reached sync (5:1)" in message
+        assert err.value.line is not None
+
+
+@pytest.mark.parametrize("alloc", ["", " :: allocated[row[] :: single[on[0]]]"])
+def test_array_shape_mismatch_is_located_with_destination_first(alloc):
+    src = f"""var n := 4;
+var m := 8;
+var A : array[complex,n,n]{alloc};
+var B : array[complex,m,m]{alloc};
+B := A;
+"""
+    with pytest.raises(RuntimeFault) as err:
+        run_src(src, 2)
+    assert err.value.reason == "cannot assign complex(8, 8) from complex(4, 4)"
+    assert (err.value.line, err.value.column) == (5, 1)
+
+
+@pytest.mark.parametrize("decl,shape", [
+    ("array[complex,3,5] :: allocated[row[] :: single[on[1]]]", (3, 5)),
+    ("array[complex,3,5] :: allocated[col[] :: single[on[1]]]", (3, 5)),
+    ("array[complex,7] :: allocated[single[on[1]]]", (7,)),
+])
+def test_readfile_writefile_round_trip(tmp_path, decl, shape):
+    from meshlite.mshd import read_mshd, write_mshd
+
+    count = 1
+    for d in shape:
+        count *= d
+    values = [complex(k, -2 * k) for k in range(count)]
+    write_mshd(tmp_path / "in.dat", "complex", shape, values)
+    src = f"""
+var X : {decl};
+proc 1 {{ readfile(X, "in.dat") }};
+proc 1 {{ writefile(X, "out.dat") }};
+"""
+    result = run_src(src, 2, workdir=str(tmp_path))
+    if len(shape) == 2:
+        rows = [values[i * shape[1] : (i + 1) * shape[1]] for i in range(shape[0])]
+        assert result.logical("X") == rows
+    else:
+        assert result.logical("X") == values
+    assert read_mshd(tmp_path / "out.dat") == ("complex", shape, values)

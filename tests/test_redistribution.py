@@ -6,14 +6,27 @@ import pytest
 
 from conftest import (
     brute_force_copy,
+    brute_force_plan,
     buffers_of,
+    checked_corpus,
+    expand_runs,
     fill_sequential,
+    iter_indices,
     make_descriptor,
     owner_changes_bytes,
     run_collective,
 )
-from meshlite.errors import ShapeMismatch
-from meshlite.runtime import allocate, plan_redistribution, remote_bytes
+from meshlite import ast, run
+from meshlite.errors import MeshError, ShapeMismatch
+from meshlite.fixtures import generate_image
+from meshlite.interp import _share_storage
+from meshlite.runtime import (
+    Segment,
+    allocate,
+    copy_segments,
+    plan_redistribution,
+    remote_bytes,
+)
 
 
 def assign(dst, src, nprocs, seed=0):
@@ -205,3 +218,212 @@ def test_execution_schedule_independent():
         assign(dst, src, nprocs, seed=seed)
         results.append(buffers_of(dst))
     assert results[0] == results[1] == results[2]
+
+
+# --- block-pair planner against the element-at-a-time oracle ---
+
+
+def random_layout(rng, shape, nprocs):
+    ordering = rng.choice(("row", "col")) if len(shape) == 2 else "row"
+    roll = rng.random()
+    if roll < 0.15:
+        return make_descriptor(shape, ordering=ordering, distribution=("multiple",),
+                               nprocs=nprocs)
+    if roll < 0.3:
+        return make_descriptor(shape, ordering=ordering,
+                               distribution=("on", rng.randrange(nprocs)), nprocs=nprocs)
+    partition = ("horizontal" if len(shape) < 2 else rng.choice(("horizontal", "vertical")),)
+    probe = make_descriptor(shape, ordering=ordering, partition=partition + (1,),
+                            distribution=("even",), nprocs=nprocs)
+    p = rng.randint(1, probe.part_extent)
+    dist = rng.choice((
+        ("even",),
+        ("arraydist", tuple(rng.randrange(nprocs) for _ in range(p))),
+        ("on", rng.randrange(nprocs)),
+    ))
+    return make_descriptor(shape, ordering=ordering, partition=partition + (p,),
+                           distribution=dist, nprocs=nprocs)
+
+
+def share_views(base):
+    """Every layout that can alias base's storage, base's own included."""
+    d = base.descriptor
+    views = []
+    for ordering in ("row", "col") if d.ndim == 2 else ("row",):
+        for kind in ("horizontal", "vertical"):
+            for p in range(1, max(d.shape) + 1):
+                try:
+                    desc = make_descriptor(d.shape, elem=d.elem, ordering=ordering,
+                                           partition=(kind, p),
+                                           distribution=d.distribution, nprocs=d.nprocs)
+                    views.append(allocate("V", desc, base=base))
+                except MeshError:
+                    pass
+    return views
+
+
+def random_pairs(count, seed):
+    """(src array, dst array) pairs, a third of them sharing storage."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        nprocs = rng.randint(1, 5)
+        if rng.random() < 0.25:
+            shape = (rng.randint(1, 12),)
+        else:
+            shape = (rng.choice((1, 2, 3, 5, 7, 8)), rng.choice((1, 2, 4, 6, 9)))
+        src = fill_sequential(allocate("S", random_layout(rng, shape, nprocs)))
+        if rng.random() < 0.33 and not src.replicated and src.descriptor.partition:
+            view = rng.choice(share_views(src))
+            pairs.append(rng.choice(((src, view), (view, src))))
+        else:
+            pairs.append((src, allocate("D", random_layout(rng, shape, nprocs))))
+    return pairs
+
+
+def destination_order(segment):
+    return (segment.dst_replica or 0, segment.dst_block, segment.dst_offset)
+
+
+def transfer_events(segments):
+    """(src, dst, bytes) of each remote run, grouped by initiating rank."""
+    events = {}
+    for seg in segments:
+        if not seg.local:
+            for run in expand_runs(seg):
+                events.setdefault(seg.src_owner, []).append(
+                    (seg.src_owner, seg.dst_owner, run.nbytes))
+    return events
+
+
+def logical_values(array):
+    return [array.logical_get(idx) for idx in iter_indices(array.descriptor.shape)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planner_agrees_with_brute_force_oracle(seed):
+    for src, dst in random_pairs(80, seed):
+        same = _share_storage(dst, src)
+        plan = plan_redistribution(src.descriptor, dst.descriptor, same_storage=same)
+        oracle = brute_force_plan(src.descriptor, dst.descriptor, same_storage=same)
+        context = f"src={src.descriptor} dst={dst.descriptor} same={same}"
+
+        runs = [run for seg in plan for run in expand_runs(seg, same)]
+        # the oracle walks destinations in storage order; the planner emits
+        # block pairs, whose runs interleave line by line when the two
+        # arrays partition different dimensions
+        assert oracle == sorted(oracle, key=destination_order)
+        assert sorted(runs, key=destination_order) == oracle, context
+        assert transfer_events(plan) == transfer_events(oracle), context
+        for seg in plan:
+            assert seg.run_lengths() == [r.count for r in expand_runs(seg)], context
+            assert not seg.identity or all(r.identity for r in expand_runs(seg, same))
+        assert remote_bytes(plan) == remote_bytes(oracle), context
+        if not src.replicated and not dst.replicated:
+            assert remote_bytes(plan) == owner_changes_bytes(
+                src.descriptor, dst.descriptor, src.element_bytes()), context
+
+        expected = logical_values(src)
+        copy_segments(plan, src, dst)
+        assert logical_values(dst) == expected, context
+
+
+def test_shape_mismatch_names_destination_first():
+    a = make_descriptor((4, 4), distribution=("on", 0))
+    b = make_descriptor((8, 8), distribution=("on", 0))
+    with pytest.raises(ShapeMismatch, match=r"cannot assign complex\(8, 8\) from complex\(4, 4\)"):
+        plan_redistribution(a, b)
+
+
+def test_mixed_partition_pair_is_one_strided_segment():
+    src = make_descriptor((6, 4), ordering="row", partition=("horizontal", 3),
+                          distribution=("even",), nprocs=3)
+    dst = make_descriptor((6, 4), ordering="col", partition=("horizontal", 2),
+                          distribution=("even",), nprocs=3)
+    plan = plan_redistribution(src, dst)
+    assert len(plan) == 3 * 2
+    first = plan[0]  # columns 0-1 of rows 0-1
+    assert (first.lines, first.count) == (2, 4)
+    assert (first.src_stride, first.src_line_stride) == (4, 1)
+    assert (first.dst_stride, first.dst_line_stride) == (1, 6)
+    assert first.run_lengths() == [1, 1, 1, 1]
+
+
+def test_run_lengths_merge_across_lines_and_single_columns():
+    column = make_descriptor((5, 1), ordering="row", partition=("horizontal", 5),
+                             distribution=("even",), nprocs=2)
+    whole = make_descriptor((5, 1), ordering="col", distribution=("on", 1), nprocs=2)
+    (seg,) = [s for s in plan_redistribution(whole, column) if s.dst_block == 0]
+    assert seg.run_lengths() == [1]
+    plan = plan_redistribution(column, whole)
+    assert [s.run_lengths() for s in plan] == [[1]] * 5
+    wide = make_descriptor((2, 5), ordering="col", partition=("horizontal", 5),
+                           distribution=("even",), nprocs=2)
+    rows = make_descriptor((2, 5), ordering="row", distribution=("on", 1), nprocs=2)
+    # each block is one column: a single strided line, one run per element
+    assert [(s.lines, s.dst_stride, s.run_lengths())
+            for s in plan_redistribution(wide, rows)] == [(1, 5, [1, 1])] * 5
+    line = make_descriptor((1, 6), ordering="col", partition=("horizontal", 3),
+                           distribution=("even",), nprocs=2)
+    flat = make_descriptor((1, 6), ordering="row", distribution=("on", 0), nprocs=2)
+    assert [s.run_lengths() for s in plan_redistribution(line, flat)] == [[2]] * 3
+
+
+def strided(lines, width, ss, sl, ds, dl):
+    return Segment(src_owner=0, dst_owner=1, src_block=0, src_offset=0,
+                   dst_block=0, dst_offset=0, count=lines * width,
+                   nbytes=16 * lines * width, local=False, identity=False,
+                   lines=lines, src_stride=ss, dst_stride=ds,
+                   src_line_stride=sl, dst_line_stride=dl)
+
+
+@pytest.mark.parametrize("seg", [
+    strided(3, 4, 1, 4, 1, 4),    # lines abut on both sides: one run
+    strided(3, 4, 1, 5, 1, 4),    # a gap between source lines
+    strided(3, 1, 1, 1, 1, 1),    # extent 1 across: the lines chain
+    strided(3, 1, 1, 2, 1, 1),
+    strided(2, 3, 7, 15, 1, 3),   # strided lines whose ends abut
+    strided(4, 2, 3, 4, 1, 2),
+    strided(2, 2, 2, 1, 1, 2),
+])
+def test_run_lengths_arithmetic_matches_element_walk(seg):
+    assert seg.run_lengths() == [r.count for r in expand_runs(seg)]
+
+
+# --- traces of the corpus transforms against the oracle plans ---
+
+
+def oracle_render(program, result):
+    """block-transfer lines from oracle plans of every top-level array :=."""
+    seq = {}
+    lines = []
+    for stmt in program.statements:
+        if not (isinstance(stmt, ast.Assign) and isinstance(stmt.target, ast.Name)
+                and isinstance(stmt.value, ast.Name)):
+            continue
+        dst, src = result.array(stmt.target.name), result.array(stmt.value.name)
+        for seg in brute_force_plan(src.descriptor, dst.descriptor,
+                                    same_storage=_share_storage(dst, src)):
+            if seg.local:
+                continue
+            n = seq.get(seg.src_owner, 0)
+            seq[seg.src_owner] = n + 1
+            lines.append((seg.src_owner, n, f"block-transfer\t{seg.src_owner}\t"
+                          f"{seg.dst_owner}\t{seg.nbytes}\t{n}\t{dst.name}"))
+    return "".join(text + "\n" for _, _, text in sorted(lines))
+
+
+@pytest.mark.parametrize("name,blocks_per_rank", [
+    ("fft2d.mesh", 2),
+    ("fft2d_arraydist.mesh", 1),
+])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_corpus_trace_equals_oracle_render(tmp_path, name, blocks_per_rank, n):
+    generate_image(n, 1, tmp_path / "image.dat")
+    checked = checked_corpus(name)
+    for nprocs in (1, 2, 3, 4, 16):
+        if nprocs * blocks_per_rank > n:
+            continue
+        result = run(checked, nprocs, workdir=str(tmp_path), overrides={"n": n})
+        assert result.trace.render() == oracle_render(checked.program, result), (
+            f"{name} n={n} P={nprocs}")
