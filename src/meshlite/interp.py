@@ -1,8 +1,11 @@
-"""SPMD interpretation: every simulated process walks the whole program.
+"""SPMD interpretation: every simulated process runs the whole program.
 
 Each process is a generator driven by the cooperative scheduler. Local
-work runs straight through; communication and collectives yield. The
-dispatch for an assignment follows the resolved type attributes:
+work runs straight through; communication and collectives yield. A run
+compiles the program once into closures (compiler.py); what they do not
+cover runs through the AST walk of ProcessContext, which is also the
+reference they are tested against. The dispatch for an assignment
+follows the resolved type attributes:
 
   local variable          plain per-process store
   single scalar           channel transfer when the (source, destination)
@@ -20,16 +23,17 @@ import os
 
 from . import ast, chains, mshd, runtime
 from .checker import CheckedProgram, check_program
+from .compiler import compile_program
 from .errors import (
     BadLength,
     ChannelMisuse,
     FormatError,
-    IndexOutOfBounds,
     MeshError,
     NotPowerOfTwo,
     RuntimeFault,
 )
 from .sched import PAUSE, Barrier, ChannelSlot, Collective, PendingTransfer, Scheduler
+from .values import Binding, BlockRef, LineSlice, arith, owned_blocks, row_of
 
 
 # --- FFT kernel ---
@@ -77,61 +81,6 @@ def compute_sins(n: int) -> list:
             for k in range(n // 2)]
 
 
-# --- value kinds beyond plain Python numbers ---
-
-
-class BlockRef:
-    def __init__(self, array, block):
-        self.array = array
-        self.block = block
-
-
-class LineSlice:
-    """One contiguous line of a block buffer."""
-
-    def __init__(self, array, block, line_index):
-        self.array = array
-        self.block = block
-        lines = block.high - block.low + 1
-        if not 0 <= line_index < lines:
-            raise IndexOutOfBounds(
-                f"line {line_index} outside block {block.block_id} of {array.name} "
-                f"({lines} lines)")
-        self.length = len(block.buffer) // lines
-        self.start = line_index * self.length
-
-    def __len__(self):
-        return self.length
-
-    def get(self, i):
-        if not 0 <= i < self.length:
-            raise IndexOutOfBounds(f"offset {i} outside line of length {self.length}")
-        return self.block.buffer[self.start + i]
-
-    def set(self, i, value):
-        if not 0 <= i < self.length:
-            raise IndexOutOfBounds(f"offset {i} outside line of length {self.length}")
-        self.block.buffer[self.start + i] = value
-
-    def values(self):
-        return self.block.buffer[self.start : self.start + self.length]
-
-    def store(self, values):
-        self.block.buffer[self.start : self.start + self.length] = values
-
-
-class Binding:
-    __slots__ = ("name", "kind", "value", "array", "plan", "read_only")
-
-    def __init__(self, name, kind, value=None, array=None, plan=None, read_only=False):
-        self.name = name
-        self.kind = kind  # "local" | "array"
-        self.value = value
-        self.array = array
-        self.plan = plan
-        self.read_only = read_only
-
-
 # --- shared run state ---
 
 
@@ -173,12 +122,11 @@ class RunResult:
         self.nprocs = state.nprocs
         self._arrays = {}
         self._locals = {}
-        top = contexts[0].scopes[0]
-        for name, binding in top.items():
+        for name, binding in contexts[0].env.items():
             if binding.kind == "array":
                 self._arrays[name] = binding.array
             else:
-                self._locals[name] = [c.scopes[0][name].value for c in contexts]
+                self._locals[name] = [c.env[name].value for c in contexts]
 
     def array(self, name) -> runtime.DistributedArray:
         return self._arrays[name]
@@ -206,24 +154,57 @@ class RunResult:
 
 
 class ProcessContext:
-    def __init__(self, rank, state, checked):
+    """One simulated process: its bindings and the statements it runs.
+
+    Bindings live in one flat dict, `env`, holding the innermost visible
+    binding of every name; a name bound inside a scope pushes the binding
+    it hides (or None) on `shadow`, and leaving the scope puts those back.
+    Scoping is dynamic: a function body sees its caller's names.
+
+    With `code` (compiler.compile_program) statements run as compiled
+    closures; without it, as the AST walk below, the reference the
+    compiled code is tested against and the path it falls back to for
+    forms it does not compile.
+    """
+
+    def __init__(self, rank, state, checked, code=None):
         self.rank = rank
         self.state = state
         self.checked = checked
-        self.scopes = [{}]
+        self.code = code  # id(statement) -> closure, or None
+        self.env = {}
+        self.shadow = []  # (name, hidden binding or None)
+        self.depth = 0  # scopes open above the top level
+        self.top_binds = 0  # top-level binds so far
         self.proc_depth = 0
         self.alloc_counts = {}
 
     # scope handling
 
     def lookup(self, name):
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
+        return self.env.get(name)
 
-    def bind(self, binding):
-        self.scopes[-1][binding.name] = binding
+    def bind(self, name, binding):
+        if self.depth:
+            self.shadow.append((name, self.env.get(name)))
+        else:
+            self.top_binds += 1
+        self.env[name] = binding
+
+    def enter(self):
+        """Open a scope; returns the mark `leave` restores to."""
+        self.depth += 1
+        return len(self.shadow)
+
+    def leave(self, mark):
+        env, shadow = self.env, self.shadow
+        while len(shadow) > mark:
+            name, hidden = shadow.pop()
+            if hidden is None:
+                del env[name]
+            else:
+                env[name] = hidden
+        self.depth -= 1
 
     def fault(self, message, node=None):
         return RuntimeFault(message, rank=self.rank,
@@ -233,6 +214,8 @@ class ProcessContext:
     # --- program walk ---
 
     def run_program(self):
+        snapshots = self.state.binding_snapshots[self.rank]
+        names, seen = None, -1
         for stmt in self.checked.program.statements:
             yield PAUSE
             try:
@@ -242,9 +225,21 @@ class ProcessContext:
             except MeshError as exc:
                 raise RuntimeFault(str(exc), rank=self.rank,
                                    line=stmt.line, column=stmt.column) from exc
-            self.state.binding_snapshots[self.rank].append(frozenset(self.scopes[0]))
+            if seen != self.top_binds:  # a new snapshot only when a name was bound
+                names, seen = frozenset(self.env), self.top_binds
+            snapshots.append(names)
 
     def exec_stmt(self, stmt):
+        """Run one statement; the caller drains the result with `yield from`.
+
+        Compiled, this is the statement's closure: a generator when the
+        statement can communicate, else () once it has run.
+        """
+        if self.code is not None:
+            return self.code[id(stmt)](self)
+        return self.walk_stmt(stmt)
+
+    def walk_stmt(self, stmt):
         if isinstance(stmt, ast.VarDecl):
             yield from self.exec_decl(stmt)
         elif isinstance(stmt, ast.Assign):
@@ -266,13 +261,13 @@ class ProcessContext:
 
     def exec_decl(self, stmt):
         if stmt.type_expr is None:
-            if stmt.name in self.state.overrides and len(self.scopes) == 1:
+            if stmt.name in self.state.overrides and self.depth == 0:
                 value = self.state.overrides[stmt.name]
             elif stmt.init is not None:
                 value = yield from self.eval(stmt.init)
             else:
                 value = 0
-            self.bind(Binding(stmt.name, "local", value=value))
+            self.bind(stmt.name, Binding(stmt.name, "local", value=value))
             return
 
         chain = chains.from_type_expr(stmt.type_expr, self.eval_extent)
@@ -286,7 +281,7 @@ class ProcessContext:
                 value = yield from self.eval(stmt.init)
             else:
                 value = runtime.ZEROES[chains._elem_kind(base)]
-            self.bind(Binding(stmt.name, "local", value=value, read_only=read_only))
+            self.bind(stmt.name, Binding(stmt.name, "local", value=value, read_only=read_only))
             return
 
         plan = chains.plan_of(chain)
@@ -307,7 +302,8 @@ class ProcessContext:
             self.state.arrays[key] = array
             self.state.declared.append((stmt.name, array, plan))
         array = self.state.arrays[key]
-        self.bind(Binding(stmt.name, "array", array=array, plan=plan, read_only=read_only))
+        self.bind(stmt.name,
+                  Binding(stmt.name, "array", array=array, plan=plan, read_only=read_only))
 
     def snapshot_dist(self, var, stmt):
         binding = self.lookup(var)
@@ -331,7 +327,7 @@ class ProcessContext:
         if isinstance(expr, ast.BinOp):
             left = self.eval_extent(expr.left)
             right = self.eval_extent(expr.right)
-            return _arith(expr.op, left, right)
+            return arith(expr.op, left, right)
         if isinstance(expr, ast.Call) and expr.func == "processes" and not expr.args:
             return self.state.nprocs
         raise self.fault("type arguments must be integer expressions over local variables", expr)
@@ -578,17 +574,14 @@ class ProcessContext:
         if existing is not None and existing.read_only:
             raise self.fault(f"loop variable {stmt.var!r} is read-only", stmt)
         for v in range(start, stop + 1):
+            mark = self.enter()
             if existing is not None and existing.kind == "local":
                 existing.value = v
-                self.scopes.append({})
             else:
-                self.scopes.append({})
-                self.bind(Binding(stmt.var, "local", value=v))
-            try:
-                for s in stmt.body:
-                    yield from self.exec_stmt(s)
-            finally:
-                self.scopes.pop()
+                self.bind(stmt.var, Binding(stmt.var, "local", value=v))
+            for s in stmt.body:
+                yield from self.exec_stmt(s)
+            self.leave(mark)
 
     def exec_proc(self, stmt):
         rank = yield from self.eval(stmt.rank)
@@ -596,14 +589,12 @@ class ProcessContext:
             raise self.fault(f"proc rank {rank} outside [0, {self.state.nprocs})", stmt)
         if rank != self.rank:
             return
-        self.scopes.append({})
+        mark = self.enter()
         self.proc_depth += 1
-        try:
-            for s in stmt.body:
-                yield from self.exec_stmt(s)
-        finally:
-            self.proc_depth -= 1
-            self.scopes.pop()
+        for s in stmt.body:
+            yield from self.exec_stmt(s)
+        self.proc_depth -= 1
+        self.leave(mark)
 
     def exec_sync(self, stmt):
         """Collective: all outstanding async transfers in scope complete."""
@@ -639,7 +630,7 @@ class ProcessContext:
             left = yield from self.eval(expr.left)
             right = yield from self.eval(expr.right)
             try:
-                return _arith(expr.op, left, right)
+                return arith(expr.op, left, right)
             except (TypeError, ZeroDivisionError) as exc:
                 raise self.fault(str(exc), expr)
         if isinstance(expr, ast.Index):
@@ -662,26 +653,37 @@ class ProcessContext:
                     if not 0 <= index < d.shape[0]:
                         raise self.fault(f"index {index} outside shape {d.shape}", expr)
                     return base.storage_for(self.rank)[index]
-                k, off = d.locate((index,))
-                block = base.blocks[k]
-                value = block.buffer[off]
-                if block.owner != self.rank:
-                    yield PAUSE
-                    self.state.trace.record("onesided-get", src=block.owner,
-                                            dst=self.rank, nbytes=base.element_bytes(),
-                                            tag=base.name)
-                return value
+                return (yield from self.read_element(base, index))
             if d.ndim == 2:
-                if d.partition is None:
-                    return LineSlice(base, base.block(0), index)
-                return BlockRef(base, base.block(index))
+                return row_of(base, index)
             raise self.fault("cannot index a scalar", expr)
         if isinstance(base, BlockRef):
-            block = base.block
-            return LineSlice(base.array, block, index)
+            return LineSlice(base.array, base.block, index)
         if isinstance(base, LineSlice):
-            return base.get(index)
+            return (yield from self.read_line(base, index))
         raise self.fault("value is not indexable", expr)
+
+    def read_element(self, array, index):
+        """Element of a non-replicated 1D array: a one-sided get when remote."""
+        k, off = array.descriptor.locate((index,))
+        block = array.blocks[k]
+        value = block.buffer[off]
+        if block.owner != self.rank:
+            yield PAUSE
+            self.state.trace.record("onesided-get", src=block.owner, dst=self.rank,
+                                    nbytes=array.element_bytes(), tag=array.name)
+        return value
+
+    def read_line(self, line, index):
+        """Element of a block line: a one-sided get when the block is remote."""
+        value = line.get(index)
+        owner = line.block.owner
+        if owner != self.rank:
+            yield PAUSE
+            array = line.array
+            self.state.trace.record("onesided-get", src=owner, dst=self.rank,
+                                    nbytes=array.element_bytes(), tag=array.name)
+        return value
 
     def eval_accessor(self, expr):
         if expr.which in ("low", "high"):
@@ -692,10 +694,7 @@ class ProcessContext:
         base = yield from self.eval(expr.base)
         if not isinstance(base, runtime.DistributedArray):
             raise self.fault(f".{expr.which} needs a distributed array", expr)
-        if base.replicated:
-            owned = [0]
-        else:
-            owned = [b.block_id for b in base.blocks if b.owner == self.rank]
+        owned = owned_blocks(base, self.rank)
         if expr.which == "localblocks":
             return len(owned)
         j = yield from self.eval(expr.arg)
@@ -729,19 +728,19 @@ class ProcessContext:
             if b is None:
                 raise self.fault(f"{arg.name!r} is not declared", expr)
             bindings.append(b)
-        frame = {}
+        mark = self.enter()
         for param, b in zip(fn.params, bindings):
-            frame[param.name] = b
-        self.scopes.append(frame)
-        try:
-            for s in fn.body:
-                yield from self.exec_stmt(s)
-        finally:
-            self.scopes.pop()
+            self.bind(param.name, b)
+        for s in fn.body:
+            yield from self.exec_stmt(s)
+        self.leave(mark)
         return None
 
     def builtin_compute_sin(self, expr):
         array = yield from self.eval(expr.args[0])
+        self.compute_sin(expr, array)
+
+    def compute_sin(self, expr, array):
         if not isinstance(array, runtime.DistributedArray) or not array.replicated \
                 or array.descriptor.ndim != 1 or array.descriptor.elem != "complex":
             raise self.fault("computeSin needs a replicated 1D complex array", expr)
@@ -754,6 +753,9 @@ class ProcessContext:
     def builtin_fft(self, expr):
         row = yield from self.eval(expr.args[0])
         sins = yield from self.eval(expr.args[1])
+        self.fft_line(expr, row, sins)
+
+    def fft_line(self, expr, row, sins):
         if not isinstance(row, LineSlice):
             raise self.fault("FFT needs a line like A[blockid][i]", expr)
         if not isinstance(sins, runtime.DistributedArray) or not sins.replicated:
@@ -808,34 +810,6 @@ class ProcessContext:
             buf[:] = values
 
 
-def _arith(op, left, right):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if isinstance(left, int) and isinstance(right, int):
-            if right == 0:
-                raise ZeroDivisionError("division by zero")
-            return left // right
-        return left / right
-    if op == "==":
-        return int(left == right)
-    if op == "!=":
-        return int(left != right)
-    if op == "<":
-        return int(left < right)
-    if op == "<=":
-        return int(left <= right)
-    if op == ">":
-        return int(left > right)
-    if op == ">=":
-        return int(left >= right)
-    raise TypeError(f"unknown operator {op!r}")
-
-
 def _share_storage(a, b):
     if a is b:
         return True
@@ -850,7 +824,8 @@ def run(program, nprocs, seed=0, workdir=None, overrides=None, layout_only=False
     """Execute a program on nprocs simulated processes.
 
     Accepts a parsed Program (checked here) or a CheckedProgram. Returns
-    the final logical state and the merged communication trace.
+    the final logical state and the merged communication trace. The
+    program is compiled once for this run, and every process shares it.
     """
     if nprocs < 1:
         raise RuntimeFault(f"process count {nprocs} must be at least 1")
@@ -860,7 +835,8 @@ def run(program, nprocs, seed=0, workdir=None, overrides=None, layout_only=False
         checked = check_program(program)
     state = RunState(nprocs, seed=seed, workdir=workdir,
                      layout_only=layout_only, overrides=overrides)
-    contexts = [ProcessContext(r, state, checked) for r in range(nprocs)]
+    code = compile_program(checked)
+    contexts = [ProcessContext(r, state, checked, code) for r in range(nprocs)]
     state.scheduler.run([c.run_program() for c in contexts])
     _verify_spmd(state, checked)
     return RunResult(state, contexts)

@@ -299,7 +299,7 @@ def allocate(name: str, descriptor: ArrayDescriptor, base: Optional[DistributedA
 # --- trace ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     kind: str  # onesided-get | onesided-put | channel-send | channel-recv | block-transfer
     src: int

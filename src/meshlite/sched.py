@@ -167,8 +167,6 @@ class Scheduler:
             except StopIteration:
                 proc["done"] = True
                 continue
-            except RuntimeFault:
-                raise
             if instr is not None and instr[0] == "wait":
                 proc["waiting"] = instr[1]
             if self.pending and self.rng.random() < self.async_progress:

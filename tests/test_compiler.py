@@ -1,0 +1,596 @@
+"""Compiled closures against the AST walk and against Python itself.
+
+`run` compiles the program once into closures; `run_walked` compiles
+nothing, so every statement goes through the generator AST walk, the
+reference. Random local-only programs
+must give both the same final locals, replicas and faults (message,
+rank, line and column) as a direct Python evaluation of the same
+statements.
+"""
+
+import random
+
+import pytest
+
+from conftest import checked_corpus
+from meshlite import check_program, interp, parse, run
+from meshlite.checker import CheckedProgram
+from meshlite.errors import RuntimeFault
+from meshlite.fixtures import generate_image
+from meshlite.compiler import compile_program
+from meshlite.interp import ProcessContext, RunState, _verify_spmd
+
+N = 4  # replicated array length
+OPS = ("+", "-", "*", "/") * 3 + ("==", "!=", "<", "<=", ">", ">=")
+
+
+def run_walked(checked, nprocs, **kwargs):
+    """`run` with nothing compiled: the AST walk runs every statement."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "compile_program", lambda checked: None)
+        return run(checked, nprocs, **kwargs)
+
+
+RUNS = (run, run_walked)
+
+
+class Fault(Exception):
+    """A fault of the Python model: message, line, column."""
+
+
+def _div(a, b, line, col):
+    if isinstance(a, int) and isinstance(b, int):
+        if b == 0:
+            raise Fault("division by zero", line, col)
+        return a // b
+    try:
+        return a / b
+    except ZeroDivisionError as exc:
+        raise Fault(str(exc), line, col) from None
+
+
+class ProgramGen:
+    """A random local-only program, as meshlite source and as Python.
+
+    Statements are tuples; expressions are ("int", v), ("real", v),
+    ("var", name), ("elem", array, index) and ("bin", op, left, right).
+    No call site shadows a name the function body uses, so Python
+    evaluates a call as the body with the arguments in place of the
+    parameters.
+    """
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.nprocs = self.rng.randint(1, 3)
+        self.counter = 0
+        self.locals = [f"v{k}" for k in range(self.rng.randint(2, 4))]
+        self.arrays = ["a", "b"]
+        self.function = None
+
+    def fresh(self, prefix):
+        self.counter += 1
+        return f"{prefix}{self.counter}"
+
+    # --- random IR ---
+
+    def expr(self, scope, depth=0):
+        rng = self.rng
+        if depth >= 3 or rng.random() < 0.3:
+            roll = rng.random()
+            if roll < 0.25:
+                return ("int", rng.randint(0, 9))
+            if roll < 0.35:
+                return ("real", rng.choice((0.5, 1.5, 2.25, 0.0)))
+            if roll < 0.75:
+                return ("var", rng.choice(scope["names"]))
+            return ("elem", rng.choice(scope["arrays"]), self.index(scope))
+        op = rng.choice(OPS)
+        left = self.expr(scope, depth + 1)
+        if op == "*":  # keep magnitudes small: multiply by a small literal
+            right = ("int", rng.randint(0, 3))
+        elif op == "/" and rng.random() < 0.6:
+            right = ("int", rng.randint(1, 5))
+        else:
+            right = self.expr(scope, depth + 1)
+        return ("bin", op, left, right)
+
+    def index(self, scope):
+        if scope["loops"] and self.rng.random() < 0.6:
+            return ("var", self.rng.choice(scope["loops"]))
+        return ("int", self.rng.randrange(N))
+
+    def body(self, scope, count, depth):
+        return [self.stmt(scope, depth) for _ in range(count)]
+
+    def stmt(self, scope, depth):
+        rng = self.rng
+        roll = rng.random()
+        inner = dict(scope, names=list(scope["names"]), loops=list(scope["loops"]))
+        if roll < 0.35:
+            return ("assign", rng.choice(scope["targets"]), self.expr(scope))
+        if roll < 0.55:
+            return ("store", rng.choice(scope["arrays"]), self.index(scope), self.expr(scope))
+        if roll < 0.65 and depth > 0:
+            name = self.fresh("t")
+            stmt = ("decl", name, self.expr(scope))
+            scope["names"].append(name)
+            return stmt
+        if roll < 0.8 and depth < 2:
+            var = rng.choice(["i", self.fresh("k")])
+            lo, hi = rng.randrange(N), rng.randrange(N)
+            inner["names"].append(var)
+            inner["loops"].append(var)
+            return ("for", var, lo, hi, self.body(inner, rng.randint(1, 3), depth + 1))
+        if roll < 0.9 and depth < 2:
+            return ("proc", rng.randrange(self.nprocs),
+                    self.body(inner, rng.randint(1, 2), depth + 1))
+        if self.function is not None:
+            return ("call", "w", rng.choice(self.arrays))
+        return ("assign", rng.choice(scope["targets"]), self.expr(scope))
+
+    def program(self):
+        rng = self.rng
+        top = {"names": self.locals + ["w", "c", "i"], "targets": self.locals + ["w"],
+               "arrays": self.arrays, "loops": []}
+        if rng.random() < 0.7:
+            # x and y are the parameters; the body also reads the caller's names
+            fscope = {"names": ["x"] + self.locals, "targets": ["x"], "arrays": ["y"],
+                      "loops": []}
+            self.function = [("assign", "x", self.expr(fscope)),
+                             ("store", "y", self.index(fscope), self.expr(fscope))]
+        return self.body(top, rng.randint(4, 10), 0)
+
+    # --- rendering ---
+
+    def render(self):
+        """(meshlite source, Python source defining model(rank))."""
+        stmts = self.program()
+        rng = self.rng
+        mesh, py = [], ["def model(rank):"]
+        for name in self.locals:
+            value = rng.choice((rng.randint(0, 9), 1.5))
+            mesh.append(f"var {name} := {value};")
+            py.append(f"    {name} = {value!r}")
+        mesh += [f"var {a} : array[Int,{N}];" for a in self.arrays]
+        mesh += ["var w : Int := 3;", "var c : Int :: const := 2;", "var i;"]
+        py += [f"    {a} = [0] * {N}" for a in self.arrays]
+        py += ["    w = 3", "    c = 2", "    i = 0"]
+        if self.function is not None:
+            self.function_line = len(mesh) + 1
+            line = f"function f(x : Int, y : array[Int,{N}]) {{ "
+            self.function_offsets = []
+            for stmt in self.function:
+                self.function_offsets.append(len(line))
+                line = self.mesh_stmt(stmt, line, self.function_line) + "; "
+            mesh.append(line + "};")
+        for stmt in stmts:
+            self.emit(stmt, mesh, py, 1)
+        names = self.locals + ["w", "c", "i"]
+        py.append(f"    return {{{', '.join(f'{n!r}: {n}' for n in names)}}}, "
+                  f"{{{', '.join(f'{a!r}: {a}' for a in self.arrays)}}}")
+        return "\n".join(mesh) + "\n", "\n".join(py) + "\n"
+
+    def emit(self, stmt, mesh, py, indent):
+        """Append stmt as one or more source lines and its Python lines."""
+        pad = "    " * indent
+        kind = stmt[0]
+        lineno = len(mesh) + 1
+        if kind in ("for", "proc"):
+            if kind == "for":
+                _, var, lo, hi, body = stmt
+                mesh.append(f"for {var} from {lo} to {hi} {{")
+                py.append(f"{pad}for {var} in range({lo}, {hi + 1}):")
+            else:
+                _, r, body = stmt
+                mesh.append(f"proc {r} {{")
+                py.append(f"{pad}if rank == {r}:")
+            py.append(f"{pad}    pass")
+            for s in body:
+                self.emit(s, mesh, py, indent + 1)
+            mesh.append("};")
+            return
+        if kind == "call":
+            # f(w, A): x is w and y is A, by reference
+            mesh.append(f"f(w, {stmt[2]});")
+            for s, offset in zip(self.function, self.function_offsets):
+                self.call_stmt(s, offset, py, pad, {"x": "w", "y": stmt[2]})
+            return
+        mesh.append(self.mesh_stmt(stmt, "", lineno, py, pad) + ";")
+
+    def mesh_stmt(self, stmt, line, lineno, py=None, pad=""):
+        """stmt appended to the source line; its Python goes to py if given."""
+        kind = stmt[0]
+        if kind == "assign":
+            head = f"{stmt[1]} := "
+        elif kind == "decl":
+            head = f"var {stmt[1]} := "
+        else:
+            head = None
+        if head is not None:
+            text, value = self.render_expr(stmt[2], lineno, len(line) + len(head) + 1, {})
+            if py is not None:
+                py.append(f"{pad}{stmt[1]} = {value}")
+            return line + head + text
+        _, array, index, expr = stmt
+        itext, ivalue = self.render_expr(index, lineno, len(line) + len(array) + 2, {})
+        head = f"{array}[{itext}] := "
+        text, value = self.render_expr(expr, lineno, len(line) + len(head) + 1, {})
+        if py is not None:
+            py.append(f"{pad}{array}[{ivalue}] = {value}")
+        return line + head + text
+
+    def call_stmt(self, stmt, offset, py, pad, rename):
+        """Python of one function-body statement with the arguments in place
+        of the parameters; offset is where it starts on the function's line."""
+        line = self.function_line
+        if stmt[0] == "assign":
+            head = f"{stmt[1]} := "
+            _, value = self.render_expr(stmt[2], line, offset + len(head) + 1, rename)
+            py.append(f"{pad}{rename[stmt[1]]} = {value}")
+            return
+        _, array, index, expr = stmt
+        itext, ivalue = self.render_expr(index, line, offset + len(array) + 2, rename)
+        head = f"{array}[{itext}] := "
+        _, value = self.render_expr(expr, line, offset + len(head) + 1, rename)
+        py.append(f"{pad}{rename[array]}[{ivalue}] = {value}")
+
+    def render_expr(self, e, lineno, col, rename):
+        """(meshlite text, Python text) of e, its text starting at column col."""
+        kind = e[0]
+        if kind in ("int", "real"):
+            return repr(e[1]), repr(e[1])
+        if kind == "var":
+            return e[1], rename.get(e[1], e[1])
+        if kind == "elem":
+            itext, ivalue = self.render_expr(e[2], lineno, col + len(e[1]) + 1, rename)
+            return f"{e[1]}[{itext}]", f"{rename.get(e[1], e[1])}[{ivalue}]"
+        _, op, left, right = e
+        ltext, lvalue = self.render_expr(left, lineno, col + 1, rename)
+        opcol = col + 1 + len(ltext) + 1
+        rtext, rvalue = self.render_expr(right, lineno, opcol + len(op) + 1, rename)
+        text = f"({ltext} {op} {rtext})"
+        if op == "/":
+            return text, f"_div({lvalue}, {rvalue}, {lineno}, {opcol})"
+        if op in ("+", "-", "*"):
+            return text, f"({lvalue} {op} {rvalue})"
+        return text, f"int({lvalue} {op} {rvalue})"
+
+
+def generate(seed):
+    """(process count, meshlite source, Python model) of one random program."""
+    gen = ProgramGen(seed)
+    mesh, py = gen.render()
+    namespace = {"_div": _div}
+    exec(py, namespace)  # noqa: S102 - the generator's own Python text
+    return gen.nprocs, mesh, namespace["model"]
+
+
+def outcome(checked, nprocs, run_path, seed=0):
+    """Final locals and replicas per rank, or the fault."""
+    try:
+        result = run_path(checked, nprocs, seed=seed)
+    except RuntimeFault as fault:
+        return ("fault", fault.reason, fault.rank, fault.line, fault.column)
+    names = [n for n in result.names() if n not in ("a", "b")]
+    return ("done",
+            [{n: result.local(n)[r] for n in names} for r in range(nprocs)],
+            [{a: list(result.array(a).replicas[r]) for a in ("a", "b")}
+             for r in range(nprocs)])
+
+
+def python_outcome(model, nprocs):
+    per_rank = []
+    for rank in range(nprocs):
+        try:
+            per_rank.append(model(rank))
+        except Fault as fault:
+            per_rank.append(("fault",) + fault.args)
+    return per_rank
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_compiled_matches_the_ast_walk_and_python(seed):
+    nprocs, source, model = generate(seed)
+    checked = check_program(parse(source))
+    for sched_seed in (0, 7919):
+        compiled = outcome(checked, nprocs, run, sched_seed)
+        assert compiled == outcome(checked, nprocs, run_walked, sched_seed), source
+    expected = python_outcome(model, nprocs)
+    if compiled[0] == "fault":
+        _, message, rank, line, column = compiled
+        assert expected[rank] == ("fault", message, line, column), source
+        return
+    assert all(e[0] != "fault" for e in expected), source
+    _, local, arrays = compiled
+    for rank, (want_local, want_arrays) in enumerate(expected):
+        assert local[rank] == want_local, source
+        assert arrays[rank] == want_arrays, source
+
+
+def test_generated_programs_cover_faults_and_every_construct():
+    kinds = {"fault": 0, "done": 0}
+    text = ""
+    for seed in range(150):
+        nprocs, source, _ = generate(seed)
+        kinds[outcome(check_program(parse(source)), nprocs, run)[0]] += 1
+        text += source
+    assert kinds["fault"] >= 10 and kinds["done"] >= 50
+    for construct in ("function f(", "f(w, ", "proc ", "for i ", "for k", "var t",
+                      " / ", " < ", " >= ", " != ", "a[", "1.5"):
+        assert construct in text, construct
+
+
+# --- faults keep their own node's position ---
+
+
+def test_equal_faulting_expressions_report_their_own_line():
+    source = """var z := 0;
+var y := 1;
+proc 0 { y := 1 / z };
+proc 1 { y := 1 / z };
+"""
+    checked = check_program(parse(source))
+    seen = set()
+    for seed in range(12):
+        for run_path in RUNS:
+            with pytest.raises(RuntimeFault) as info:
+                run_path(checked, 2, seed=seed)
+            fault = info.value
+            assert fault.reason == "division by zero"
+            assert (fault.line, fault.column) == ((3, 17) if fault.rank == 0 else (4, 17))
+            seen.add(fault.rank)
+    assert seen == {0, 1}
+
+
+def test_faults_inside_loops_keep_position_and_rank():
+    source = """var z := 2;
+var s := 0;
+for i from 0 to 3 {
+    s := s + 6 / (z - i)
+};
+"""
+    for run_path in RUNS:
+        with pytest.raises(RuntimeFault) as info:
+            run_path(check_program(parse(source)), 1)
+        assert str(info.value) == "rank 0: division by zero at 4:16"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("y := a[4];", "index 4 outside shape (4,) at 4:7"),
+    ("a[9] := 1;", "index 9 outside shape (4,) at 4:1"),
+    ("y := a[1.5];", "array index must be an integer at 4:7"),
+    ("y := A[1.5];", "array index must be an integer at 4:7"),
+    ("y := y[0];", "value is not indexable at 4:7"),
+    ("for k from 0 to 1.5 { };", "loop bounds must be integers at 4:1"),
+    ("proc 7 { };", "proc rank 7 outside [0, 2) at 4:1"),
+    ("y := A.localblockid[3];", "local block index 3 outside [0, 1) at 4:7"),
+    ("for k from 0 to 0 { var z := a; y := z };", "an array value cannot be stored into a scalar at 4:33"),
+    ("y := 1 + A;", "unsupported operand type(s) for +: 'int' and 'DistributedArray' at 4:8"),
+])
+def test_faults_match_the_ast_walk(body, message):
+    source = ("var a : array[Int,4];\n"
+              "var A : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+              f"var y;\n{body}\n")
+    checked = check_program(parse(source))
+    for run_path in RUNS:
+        with pytest.raises(RuntimeFault) as info:
+            run_path(checked, 2)
+        assert str(info.value).split(": ", 1)[1] == message
+
+
+# --- scoping of the flat environment ---
+
+
+def both(source, nprocs=1):
+    checked = check_program(parse(source))
+    results = [run_path(checked, nprocs) for run_path in RUNS]
+    for name in results[1].names():
+        if name not in results[1]._arrays:
+            assert results[0].local(name) == results[1].local(name), name
+    assert results[0].names() == results[1].names()
+    return results[0]
+
+
+def test_loop_body_declarations_vanish_after_the_loop():
+    result = both("""
+var t := 7;
+var s := 0;
+for k from 0 to 2 { var t := k * 10; var u := t; s := s + u };
+var u := 1;
+""")
+    assert result.local("t") == [7]
+    assert result.local("s") == [30]
+    assert result.local("u") == [1]
+    assert "k" not in result.names()
+
+
+def test_overrides_reach_only_top_level_declarations():
+    checked = check_program(parse(
+        "var n := 1;\nvar m := 0;\nfor k from 0 to 0 { var n := 2; m := n };\n"))
+    for run_path in RUNS:
+        result = run_path(checked, 1, overrides={"n": 5})
+        assert (result.local("n"), result.local("m")) == ([5], [2])
+
+
+def test_existing_local_loop_variable_keeps_its_last_value():
+    result = both("""
+var i := 99;
+var j := 5;
+var n := 0;
+for i from 0 to 3 { n := n + i };
+for j from 4 to 3 { n := n + 100 };
+""")
+    assert result.local("i") == [3]
+    assert result.local("j") == [5]  # empty range: untouched
+    assert result.local("n") == [6]
+
+
+def test_shadowing_inside_proc_and_function_frames():
+    result = both("""
+var x := 1;
+var y := 0;
+var w : Int := 5;
+function f(x : Int) { x := x + 1; y := y + 10 };
+proc 0 { var x := 2; y := x };
+proc 1 { y := x };
+f(w);
+""", nprocs=2)
+    assert result.local("x") == [1, 1]
+    assert result.local("y") == [12, 11]
+    assert result.local("w") == [6, 6]  # the parameter was w's binding
+
+
+def test_function_bodies_see_the_callers_names():
+    result = both("""
+var k := 1;
+var out := 0;
+function g() { out := out + k };
+g();
+for i from 0 to 1 { var k := 10; g() };
+proc 0 { var k := 100; g() };
+""")
+    assert result.local("out") == [121]
+
+
+def test_read_only_loop_variable_faults():
+    # the checker rejects this program, so run it unchecked
+    program = parse("var c : Int :: const := 1;\nfor c from 0 to 2 { };\n")
+    for run_path in RUNS:
+        with pytest.raises(RuntimeFault) as info:
+            run_path(CheckedProgram(program, {}, "<test>"), 1)
+        assert str(info.value) == "rank 0: loop variable 'c' is read-only at 2:1"
+
+
+# --- SPMD snapshots ---
+
+
+def test_snapshots_are_shared_until_a_top_level_bind():
+    checked = check_program(parse("var a := 1;\na := 2;\na := 3;\nvar b := 4;\n"))
+    state = RunState(2)
+    code = compile_program(checked)
+    contexts = [ProcessContext(r, state, checked, code) for r in range(2)]
+    state.scheduler.run([c.run_program() for c in contexts])
+    first, second, third, fourth = state.binding_snapshots[0]
+    assert first is second is third
+    assert first == {"a"} and fourth == {"a", "b"}
+    _verify_spmd(state, checked)
+
+
+def test_divergent_snapshot_still_raises():
+    checked = check_program(parse("var a := 1;\nvar b := 2;\n"))
+    state = RunState(2)
+    state.binding_snapshots = [[frozenset({"a"}), frozenset({"a", "b"})],
+                               [frozenset({"a"}), frozenset({"a"})]]
+    with pytest.raises(RuntimeFault) as info:
+        _verify_spmd(state, checked)
+    assert str(info.value) == (
+        "SPMD violation: processes disagree on bindings after statement 2")
+
+
+# --- communicating code ---
+
+
+def test_remote_line_element_read_is_a_onesided_get():
+    source = """
+var A : array[Int,4,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+var x;
+var y;
+proc 1 { A[1][0] := A[1][1] };
+proc 0 { x := A[1][0][2] };
+proc 0 { y := A[0][1][3] };
+"""
+    for run_path in RUNS:
+        result = run_path(check_program(parse(source)), 2)
+        (event,) = result.trace.events
+        assert (event.kind, event.src, event.dst, event.bytes, event.tag) == (
+            "onesided-get", 1, 0, 8, "A")
+        assert event.initiator == 0
+        assert result.local("x") == [0, 0]
+
+
+@pytest.mark.parametrize("name", ["fft2d.mesh", "fft2d_arraydist.mesh", "onesided.mesh",
+                                  "channel.mesh", "channel_async.mesh"])
+@pytest.mark.parametrize("nprocs", [1, 2, 4])
+def test_corpus_traces_match_the_ast_walk(tmp_path, name, nprocs):
+    generate_image(16, 1, tmp_path / "image.dat")
+    checked = checked_corpus(name)
+    for seed in (0, 7919):
+        texts = []
+        for run_path in RUNS:
+            try:
+                result = run_path(checked, nprocs, seed=seed, workdir=str(tmp_path))
+                out = tmp_path / "image.out.dat"
+                texts.append((result.trace.render(),
+                              out.read_bytes() if out.exists() else None))
+                if out.exists():
+                    out.unlink()
+            except RuntimeFault as fault:
+                texts.append(str(fault))
+        assert texts[0] == texts[1]
+
+
+def test_top_level_element_writes_store_on_the_owner():
+    source = """
+var X : array[Int,6] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+var v := 1;
+proc 0 { v := v + 10 };
+for i from 0 to 5 { X[i] := v };
+"""
+    for run_path in RUNS:
+        for seed in (0, 1, 2):
+            result = run_path(check_program(parse(source)), 2, seed=seed)
+            assert result.logical("X") == [11, 11, 11, 1, 1, 1]
+            assert result.trace.events == []
+
+
+def communicating_program(seed):
+    """Random one-sided reads and writes, channel-free, with and without sync."""
+    rng = random.Random(seed)
+    nprocs = rng.randint(2, 3)
+    lines = [
+        "var X : array[Int,6] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];",
+        "var L : array[Int,4,3] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];",
+        f"var s : Int :: allocated[single[on[{nprocs - 1}]]];",
+        "var v := 1;",
+        "var i;",
+    ]
+    reads = ["X[{k}]", "s", "L[{b}][{k3}][{k2}]", "L[{b}][0][i - i]", "X[i]", "v", "v"]
+    for _ in range(rng.randint(6, 12)):
+        roll = rng.random()
+        read = rng.choice(reads).format(k=rng.randrange(6), b=rng.randrange(2),
+                                        k3=rng.randrange(2), k2=rng.randrange(3))
+        if roll < 0.2:
+            lines.append(f"for i from 0 to 5 {{ X[i] := X[i] + {read} }};")
+        elif roll < 0.35:
+            lines.append(f"proc {rng.randrange(nprocs)} {{ X[{rng.randrange(6)}] := {read} + 1 }};")
+        elif roll < 0.5:
+            lines.append(f"proc {rng.randrange(nprocs)} {{ s := v + {read} }};")
+        elif roll < 0.6:
+            lines.append(f"proc {rng.randrange(nprocs)} {{ L[{rng.randrange(2)}][1] := L[0][0] }};")
+        elif roll < 0.65:
+            lines.append("sync;")
+        elif roll < 0.7:
+            lines.append(f"proc {rng.randrange(nprocs)} {{ v := v + 10 }};")
+        elif roll < 0.85:
+            lines.append(f"for i from 0 to 2 {{ v := v + {read} * 2 }};")
+        else:
+            lines.append(f"v := {read} - v;")
+    return nprocs, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_communicating_programs_match_the_ast_walk(seed):
+    """Same yields in the same places: equal traces and state under one schedule."""
+    nprocs, source = communicating_program(seed)
+    checked = check_program(parse(source))
+    for sched_seed in (0, 7919):
+        seen = []
+        for run_path in RUNS:
+            try:
+                result = run_path(checked, nprocs, seed=sched_seed)
+                seen.append((result.trace.render(), result.local("v"),
+                             result.logical("X"), result.logical("s"), result.logical("L")))
+            except RuntimeFault as fault:
+                seen.append(str(fault))
+        assert seen[0] == seen[1], source
+        assert not isinstance(seen[0], str), seen[0]
