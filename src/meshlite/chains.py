@@ -1,5 +1,7 @@
 """Type chains: constructor combination rules, attribute resolution and
-allocation planning.
+allocation planning. This is the only module that reads a chain: the
+checker, the compiler and the interpreter take what a declaration makes
+of its name from kind_of, and its plan rules from plan_problems.
 
 A chain is an ordered tuple of constructors. Attributes (mutability,
 ordering, partition, distribution, placement, commMode) are resolved with
@@ -281,7 +283,12 @@ def resolve_attribute(chain: TypeChain, attribute: str):
     documented default."""
     if attribute not in ATTRIBUTES:
         raise UnknownAttribute(f"unknown attribute {attribute!r}")
-    value = _DEFAULTS[attribute]
+    return _attributes(chain)[attribute]
+
+
+def _attributes(chain: TypeChain) -> dict:
+    """Every attribute's resolved value, in one pass over the chain."""
+    values = dict(_DEFAULTS)
     has_async = False
     for c in _flatten(chain):
         if isinstance(c, Async):
@@ -290,13 +297,59 @@ def resolve_attribute(chain: TypeChain, attribute: str):
         if contrib is None:
             continue
         attr, v = contrib
-        if attr == attribute:
-            value = v
-        if attribute == "placement" and attr == "distribution" and v[0] != "multiple":
-            value = v
-    if attribute == "commMode" and value[0] == "channel" and has_async:
-        value = (value[0], value[1], value[2], True)
-    return value
+        values[attr] = v
+        if attr == "distribution" and v[0] != "multiple":
+            values["placement"] = v
+    comm = values["commMode"]
+    if comm[0] == "channel" and has_async:
+        values["commMode"] = (comm[0], comm[1], comm[2], True)
+    return values
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What a declaration makes of its name, whatever its extents' values."""
+
+    elem: Optional[str] = None  # int | char | real | complex; None without a scalar base
+    ndim: int = 0  # 0 for a scalar, else the array's dimensions
+    distributed: bool = False  # owns PGAS storage: an array base or allocated[...]
+    replicated: bool = False  # distribution multiple: one copy per process
+    partitioned: bool = False
+    read_only: bool = False
+
+
+LOCAL = Kind()  # an untyped local
+
+_ELEM_KINDS = {Int: "int", Char: "char", Real: "real", Complex: "complex"}
+
+
+def kind_of(chain: TypeChain) -> Kind:
+    """The Kind of a formed chain; its arguments may be unevaluated."""
+    base = _base_of(chain)
+    ndim = 0
+    if isinstance(base, ArrayOf):
+        ndim, base = len(base.dims), _base_of(base.elem)
+    attrs = _attributes(chain)
+    return Kind(
+        elem=_ELEM_KINDS.get(type(base)),
+        ndim=ndim,
+        distributed=ndim > 0 or any(isinstance(c, Allocated) for c in chain),
+        replicated=attrs["distribution"][0] == "multiple",
+        partitioned=attrs["partition"] is not None,
+        read_only=attrs["mutability"] == "read-only",
+    )
+
+
+def references(chain: TypeChain) -> dict:
+    """The variables a chain names, in chain order: {"arraydist": d, "share": B},
+    each key present only if the chain has that constructor."""
+    named = {}
+    for c in _flatten(chain):
+        if isinstance(c, Single) and isinstance(c.placement, ArrayDist):
+            named["arraydist"] = c.placement.var
+        elif isinstance(c, Share):
+            named["share"] = c.var
+    return named
 
 
 @dataclass(frozen=True)
@@ -311,87 +364,64 @@ class AllocationPlan:
     read_only: bool
 
 
-def _elem_kind(base) -> str:
-    if isinstance(base, Int):
-        return "int"
-    if isinstance(base, Char):
-        return "char"
-    if isinstance(base, Real):
-        return "real"
-    return "complex"
+def plan_problems(chain: TypeChain) -> list:
+    """Every plan rule a formed chain breaks, whatever values its
+    unevaluated arguments take, in the order plan_of reports them."""
+    problems = []
+    base = _base_of(chain)
+    if base is None:
+        problems.append("chain has no base element type")
+    elif isinstance(base, ArrayOf):
+        if type(_base_of(base.elem)) not in _ELEM_KINDS:
+            problems.append("array element type must be a scalar base type")
+        if not 1 <= len(base.dims) <= 2:
+            problems.append("arrays are one- or two-dimensional")
+        if any(d is not None and d <= 0 for d in base.dims):
+            problems.append("array extents must be positive")
+    attrs = _attributes(chain)
+    distribution = attrs["distribution"]
+    if attrs["partition"] is not None:
+        if not any(isinstance(c, (Single, Multiple)) for c in _flatten(chain)):
+            problems.append("a partitioned array lacks a distribution")
+    elif distribution[0] in ("even", "arraydist"):
+        problems.append(f"{distribution[0]} distribution requires a partitioned array")
+    if "share" in references(chain) and distribution[0] == "multiple":
+        problems.append("a share view needs a single-copy allocation to alias")
+    return problems
 
 
 def plan_of(chain: TypeChain) -> AllocationPlan:
-    """Flatten a validated chain into an allocation plan.
+    """Flatten a formed chain into an allocation plan.
 
-    Requires every extent / rank argument to be a concrete integer.
+    Raises IncompletePlan with the first of plan_problems, or if an
+    extent, rank or count argument is not a concrete integer.
     """
+    problems = plan_problems(chain)
+    if problems:
+        raise IncompletePlan(problems[0])
     base = _base_of(chain)
-    if base is None:
-        raise IncompletePlan("chain has no base element type")
-
-    if isinstance(base, ArrayOf):
-        elem_base = _base_of(base.elem)
-        if elem_base is None or isinstance(elem_base, ArrayOf):
-            raise IncompletePlan("array element type must be a scalar base type")
-        elem = _elem_kind(elem_base)
-        if any(d is None for d in base.dims):
-            raise IncompletePlan("array extents are not fully evaluated")
-        if not 1 <= len(base.dims) <= 2:
-            raise IncompletePlan("arrays are one- or two-dimensional")
-        if any(d <= 0 for d in base.dims):
-            raise IncompletePlan("array extents must be positive")
-        shape = tuple(base.dims)
-    else:
-        elem = _elem_kind(base)
-        shape = ()
-
-    ordering = resolve_attribute(chain, "ordering")
-    partition = resolve_attribute(chain, "partition")
-    has_dist = any(
-        (c := _contribution(f)) is not None and c[0] == "distribution"
-        for f in _flatten(chain)
-    )
-    distribution = resolve_attribute(chain, "distribution")
-    comm = resolve_attribute(chain, "commMode")
-    comm = None if comm == ("one-sided",) else comm
-    read_only = resolve_attribute(chain, "mutability") == "read-only"
-
-    share_base = None
-    for c in _flatten(chain):
-        if isinstance(c, Share):
-            share_base = c.var
-
-    if partition is not None:
-        if partition[1] is None:
-            raise IncompletePlan("partition count is not evaluated")
-        if not has_dist:
-            raise IncompletePlan("a partitioned array lacks a distribution")
-        if distribution[0] == "multiple":
-            raise IncompletePlan("a partitioned array cannot be replicated")
-    else:
-        if distribution[0] in ("even", "arraydist"):
-            raise IncompletePlan(
-                f"{distribution[0]} distribution requires a partitioned array")
-        if shape == () and not has_dist:
-            # untyped / bare scalars replicate; explicit plans keep it too
-            pass
-    if share_base is not None and distribution[0] == "multiple":
-        raise IncompletePlan("a share view needs a single-copy allocation to alias")
+    shape = tuple(base.dims) if isinstance(base, ArrayOf) else ()
+    attrs = _attributes(chain)
+    partition, distribution = attrs["partition"], attrs["distribution"]
+    comm = None if attrs["commMode"] == ("one-sided",) else attrs["commMode"]
+    if None in shape:
+        raise IncompletePlan("array extents are not fully evaluated")
+    if partition is not None and partition[1] is None:
+        raise IncompletePlan("partition count is not evaluated")
     if distribution[0] == "on" and distribution[1] is None:
         raise IncompletePlan("placement rank is not evaluated")
     if comm is not None and (comm[1] is None or comm[2] is None):
         raise IncompletePlan("channel endpoints are not evaluated")
-
+    kind = kind_of(chain)
     return AllocationPlan(
-        elem=elem,
+        elem=kind.elem,
         shape=shape,
-        ordering=ordering,
+        ordering=attrs["ordering"],
         partition=partition,
         distribution=distribution,
-        share_base=share_base,
+        share_base=references(chain).get("share"),
         comm=comm,
-        read_only=read_only,
+        read_only=kind.read_only,
     )
 
 

@@ -37,12 +37,8 @@ class Diagnostic:
 class VarInfo:
     name: str
     type_expr: Optional[ast.TypeExpr]
-    chain: Optional[tuple]  # structural chain; extents may be None
     folded_type: Optional[ast.TypeExpr]
-    distributed: bool  # owns PGAS storage (allocated chain or array base)
-    read_only: bool
-    is_array: bool
-    elem: Optional[str]
+    kind: chains.Kind
 
 
 @dataclass
@@ -133,12 +129,11 @@ class Checker:
             self.check_expr(stmt.start)
             self.check_expr(stmt.stop)
             existing = self.lookup(stmt.var)
-            if existing is not None and existing.read_only:
+            if existing is not None and existing.kind.read_only:
                 self.report("ConstViolation", f"loop variable {stmt.var!r} is declared const", stmt)
             self.scopes.append({})
             if self.lookup(stmt.var) is None:
-                self.scopes[-1][stmt.var] = VarInfo(
-                    stmt.var, None, None, None, False, False, False, "int")
+                self.scopes[-1][stmt.var] = VarInfo(stmt.var, None, None, chains.LOCAL)
             for s in stmt.body:
                 self.check_stmt(s, in_proc)
             self.scopes.pop()
@@ -159,81 +154,45 @@ class Checker:
             raise TypeError(f"unhandled statement {stmt!r}")
 
     def check_decl(self, stmt: ast.VarDecl, in_proc):
-        chain = None
         folded = None
-        distributed = False
-        read_only = False
-        is_array = False
-        elem = None
+        kind = chains.LOCAL
         if stmt.type_expr is not None:
             folded = fold_type(stmt.type_expr)
             try:
                 chain = chains.from_type_expr(stmt.type_expr, static_eval)
             except MeshError as exc:
                 self.report("InvalidCombination", str(exc), stmt)
-            if chain is not None:
-                base = chains._base_of(chain)
-                is_array = isinstance(base, chains.ArrayOf)
-                has_alloc = any(isinstance(c, chains.Allocated) for c in chain)
-                distributed = is_array or has_alloc
-                read_only = chains.resolve_attribute(chain, "mutability") == "read-only"
-                if is_array:
-                    eb = chains._base_of(base.elem)
-                    elem = chains._elem_kind(eb) if eb is not None else None
-                elif base is not None:
-                    elem = chains._elem_kind(base)
-                self.check_plan_structure(chain, stmt)
+            else:
+                kind = chains.kind_of(chain)
+                for problem in chains.plan_problems(chain):
+                    self.report("IncompletePlan", problem, stmt)
                 self.check_chain_refs(chain, stmt)
-                if distributed and in_proc:
+                if kind.distributed and in_proc:
                     self.report(
                         "GuardedAllocation",
                         f"{stmt.name!r} allocates global storage inside a proc block; "
                         "allocation is collective", stmt)
         if stmt.init is not None:
             self.check_expr(stmt.init)
-            if distributed:
+            if kind.distributed:
                 self.report(
                     "InitializerUnsupported",
                     f"{stmt.name!r} owns global storage and cannot take an initializer", stmt)
-        self.declare(
-            VarInfo(stmt.name, stmt.type_expr, chain, folded,
-                    distributed, read_only, is_array, elem),
-            stmt)
-
-    def check_plan_structure(self, chain, node):
-        """Static slice of plan_of: partition/distribution completeness."""
-        partition = chains.resolve_attribute(chain, "partition")
-        has_dist = any(
-            chains._contribution(c) is not None and chains._contribution(c)[0] == "distribution"
-            for c in chains._flatten(chain))
-        distribution = chains.resolve_attribute(chain, "distribution")
-        if partition is not None and not has_dist:
-            self.report("IncompletePlan", "a partitioned array lacks a distribution", node)
-        elif partition is None and distribution[0] in ("even", "arraydist"):
-            self.report(
-                "IncompletePlan",
-                f"{distribution[0]} distribution requires a partitioned array", node)
-        if distribution[0] == "multiple" and any(
-                isinstance(c, chains.Share) for c in chains._flatten(chain)):
-            self.report("IncompletePlan",
-                        "a share view needs a single-copy allocation to alias", node)
+        self.declare(VarInfo(stmt.name, stmt.type_expr, folded, kind), stmt)
 
     def check_chain_refs(self, chain, node):
-        for c in chains._flatten(chain):
-            if isinstance(c, chains.Single) and isinstance(c.placement, chains.ArrayDist):
-                target = self.lookup(c.placement.var)
+        for role, var in chains.references(chain).items():
+            target = self.lookup(var)
+            if role == "arraydist":
                 if target is None:
                     self.report("ArrayDistTarget",
-                                f"distribution array {c.placement.var!r} is not declared", node)
-                elif not (target.is_array and target.elem == "int"):
-                    self.report("ArrayDistTarget",
-                                f"{c.placement.var!r} is not an integer array", node)
-            if isinstance(c, chains.Share):
-                target = self.lookup(c.var)
-                if target is None:
-                    self.report("ShareTarget", f"share base {c.var!r} is not declared", node)
-                elif not target.distributed or not target.is_array:
-                    self.report("ShareTarget", f"share base {c.var!r} is not a distributed array", node)
+                                f"distribution array {var!r} is not declared", node)
+                elif not (target.kind.ndim and target.kind.elem == "int"):
+                    self.report("ArrayDistTarget", f"{var!r} is not an integer array", node)
+            elif target is None:
+                self.report("ShareTarget", f"share base {var!r} is not declared", node)
+            elif not target.kind.ndim:
+                self.report("ShareTarget", f"share base {var!r} is not a distributed array", node)
 
     def check_assign(self, stmt: ast.Assign, in_proc):
         target = stmt.target
@@ -248,24 +207,21 @@ class Checker:
             self.report("UnknownVariable", f"assignment to undeclared {getattr(base, 'name', '?')!r}", stmt)
             self.check_expr(stmt.value)
             return
-        if info.read_only:
+        if info.kind.read_only:
             self.report("ConstViolation", f"{info.name!r} is declared const", stmt)
         self.check_expr(stmt.value)
-        if depth == 0 and info.is_array:
-            value = stmt.value
-            vinfo = self.lookup(value.name) if isinstance(value, ast.Name) else None
-            if vinfo is None or not vinfo.is_array:
+        vinfo = self.lookup(stmt.value.name) if isinstance(stmt.value, ast.Name) else None
+        if depth == 0 and info.kind.ndim:
+            if vinfo is None or not vinfo.kind.ndim:
                 self.report("ArrayAssignment",
                             f"{info.name!r} is an array; assign another array to it", stmt)
             elif in_proc:
                 self.report("GuardedCollective",
                             "array assignment is collective and cannot run inside a proc block",
                             stmt)
-        elif depth == 0 and not info.is_array:
-            vinfo = self.lookup(stmt.value.name) if isinstance(stmt.value, ast.Name) else None
-            if vinfo is not None and vinfo.is_array:
-                self.report("ArrayAssignment",
-                            f"cannot store array {stmt.value.name!r} into {info.name!r}", stmt)
+        elif depth == 0 and vinfo is not None and vinfo.kind.ndim:
+            self.report("ArrayAssignment",
+                        f"cannot store array {stmt.value.name!r} into {info.name!r}", stmt)
 
     def check_funcdef(self, stmt: ast.FuncDef):
         if stmt.name in self.functions or stmt.name in BUILTINS:
@@ -273,23 +229,12 @@ class Checker:
         self.functions[stmt.name] = stmt
         self.scopes.append({})
         for p in stmt.params:
-            folded = fold_type(p.type_expr)
+            kind = chains.LOCAL
             try:
-                chain = chains.from_type_expr(p.type_expr, static_eval)
+                kind = chains.kind_of(chains.from_type_expr(p.type_expr, static_eval))
             except MeshError as exc:
                 self.report("InvalidCombination", str(exc), p)
-                chain = None
-            is_array = False
-            elem = None
-            read_only = False
-            distributed = False
-            if chain is not None:
-                base = chains._base_of(chain)
-                is_array = isinstance(base, chains.ArrayOf)
-                distributed = is_array or any(isinstance(c, chains.Allocated) for c in chain)
-                read_only = chains.resolve_attribute(chain, "mutability") == "read-only"
-            self.scopes[-1][p.name] = VarInfo(
-                p.name, p.type_expr, chain, folded, distributed, read_only, is_array, elem)
+            self.scopes[-1][p.name] = VarInfo(p.name, p.type_expr, fold_type(p.type_expr), kind)
         for s in stmt.body:
             self.check_stmt(s, in_proc=False)
         self.scopes.pop()
@@ -318,7 +263,7 @@ class Checker:
             info = self.lookup(root.name) if isinstance(root, ast.Name) else None
             if info is None:
                 self.report("UnknownVariable", "accessor on an undeclared variable", expr)
-            elif not info.distributed:
+            elif not info.kind.distributed:
                 self.report("AccessorMisuse",
                             f"accessor .{expr.which} needs a distributed array", expr)
             if expr.arg is not None:

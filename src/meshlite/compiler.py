@@ -29,25 +29,11 @@ fix: names a function body takes from its caller (scoping is dynamic),
 and indexing a local's value.
 """
 
-from typing import NamedTuple
-
 from . import ast, chains
 from .checker import BUILTINS, static_eval
-from .errors import MeshError
 from .values import OPERATORS, Binding, LineSlice, owned_blocks, row_of
 
 
-class Slot(NamedTuple):
-    """What a name is bound to, as far as its declaration tells."""
-
-    array: bool = False
-    ndim: int = 0
-    replicated: bool = False
-    partitioned: bool = False
-    read_only: bool = False
-
-
-LOCAL = Slot()
 _SCALARS = (ast.BinOp, ast.IntLit, ast.RealLit, ast.StrLit)  # never array values
 
 
@@ -66,26 +52,6 @@ def compile_program(checked) -> dict:
     compiler.scopes, compiler.in_proc = [{}], False
     compiler.body(checked.program.statements)
     return compiler.code
-
-
-def slot_of(type_expr):
-    """Slot of a typed declaration, or None if its chain does not form."""
-    try:
-        chain = chains.from_type_expr(type_expr, static_eval)
-    except MeshError:
-        return None
-    base = chains._base_of(chain)
-    is_array = isinstance(base, chains.ArrayOf)
-    read_only = chains.resolve_attribute(chain, "mutability") == "read-only"
-    if not is_array and not any(isinstance(c, chains.Allocated) for c in chain):
-        return Slot(read_only=read_only)
-    return Slot(
-        array=True,
-        ndim=len(base.dims) if is_array else 0,
-        replicated=chains.resolve_attribute(chain, "distribution")[0] == "multiple",
-        partitioned=chains.resolve_attribute(chain, "partition") is not None,
-        read_only=read_only,
-    )
 
 
 def _walked_stmt(node):
@@ -145,13 +111,14 @@ class Compiler:
     def decl(self, node):
         name = node.name
         if node.type_expr is not None:
-            self.scopes[-1][name] = slot_of(node.type_expr)
+            chain = chains.from_type_expr(node.type_expr, static_eval)
+            self.scopes[-1][name] = chains.kind_of(chain)
             return _walked_stmt(node)
         if node.init is None:
             init, gen = None, False
         else:
             init, gen, _ = self.expr(node.init)
-        self.scopes[-1][name] = LOCAL
+        self.scopes[-1][name] = chains.LOCAL
         if gen:
             return _walked_stmt(node)
 
@@ -167,13 +134,13 @@ class Compiler:
     def assign(self, node):
         target = node.target
         if type(target) is ast.Name:
-            slot = self.lookup(target.name)
-            if slot is not None and not slot.array and not slot.read_only:
+            known = self.lookup(target.name)
+            if known is not None and not known.distributed and not known.read_only:
                 return self.store_local(node, target.name)
         elif type(target) is ast.Index and type(target.base) is ast.Name:
-            slot = self.lookup(target.base.name)
-            if slot is not None and slot.array and slot.ndim == 1 and not slot.read_only:
-                if slot.replicated:
+            known = self.lookup(target.base.name)
+            if known is not None and known.ndim == 1 and not known.read_only:
+                if known.replicated:
                     return self.store_element(node, target.base.name)
                 if self.in_proc is False:
                     return self.store_owned(node, target.base.name)
@@ -235,7 +202,7 @@ class Compiler:
         start, sgen, _ = self.expr(node.start)
         stop, tgen, _ = self.expr(node.stop)
         var = node.var
-        self.scopes.append({var: LOCAL})
+        self.scopes.append({var: chains.LOCAL})
         plain = self.body(node.body)
         self.scopes.pop()
         if sgen or tgen:
@@ -334,7 +301,7 @@ class Compiler:
 
     # --- expressions: each returns (closure, can communicate, shape) ---
     #
-    # shape is what the value is known to be: the Slot of an array of
+    # shape is what the value is known to be: the chains.Kind of an array of
     # one or two dimensions, "block" for A[b], "line" for a block line,
     # or None.
 
@@ -378,14 +345,14 @@ class Compiler:
 
     def name(self, node):
         name = node.name
-        slot = self.lookup(name)
-        if slot is None:
+        known = self.lookup(name)
+        if known is None:
             return _walked_expr(node)
-        if not slot.array:
+        if not known.distributed:
             return self.leaf(("local", name)), False, None
-        if slot.ndim:
-            return self.leaf(("array", name)), False, slot
-        if slot.replicated:
+        if known.ndim:
+            return self.leaf(("array", name)), False, known
+        if known.replicated:
             return self.leaf(("replica", name)), False, None
         return self.leaf(("single", name)), True, None
 
@@ -426,7 +393,7 @@ class Compiler:
             return line, False, "line"
         if shape == "line":
             return (lambda ctx: ctx.read_line(base(ctx), index(ctx))), True, None
-        if not isinstance(shape, Slot):
+        if not isinstance(shape, chains.Kind):
             return _walked_expr(node)
         name = node.base.name  # only a name has an array shape
 
@@ -462,7 +429,7 @@ class Compiler:
             return (lambda ctx: base(ctx).block.low), False, None
         if shape == "block" and which == "high":
             return (lambda ctx: base(ctx).block.high), False, None
-        if not isinstance(shape, Slot):
+        if not isinstance(shape, chains.Kind):
             return _walked_expr(node)
         if which == "localblocks":
             return (lambda ctx: len(owned_blocks(base(ctx), ctx.rank))), False, None

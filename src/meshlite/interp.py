@@ -271,17 +271,15 @@ class ProcessContext:
             return
 
         chain = chains.from_type_expr(stmt.type_expr, self.eval_extent)
-        base = chains._base_of(chain)
-        distributed = isinstance(base, chains.ArrayOf) or any(
-            isinstance(c, chains.Allocated) for c in chain)
-        read_only = chains.resolve_attribute(chain, "mutability") == "read-only"
+        kind = chains.kind_of(chain)
 
-        if not distributed:
+        if not kind.distributed:
             if stmt.init is not None:
                 value = yield from self.eval(stmt.init)
             else:
-                value = runtime.ZEROES[chains._elem_kind(base)]
-            self.bind(stmt.name, Binding(stmt.name, "local", value=value, read_only=read_only))
+                value = runtime.ZEROES[kind.elem]
+            self.bind(stmt.name,
+                      Binding(stmt.name, "local", value=value, read_only=kind.read_only))
             return
 
         plan = chains.plan_of(chain)
@@ -303,7 +301,7 @@ class ProcessContext:
             self.state.declared.append((stmt.name, array, plan))
         array = self.state.arrays[key]
         self.bind(stmt.name,
-                  Binding(stmt.name, "array", array=array, plan=plan, read_only=read_only))
+                  Binding(stmt.name, "array", array=array, plan=plan, read_only=kind.read_only))
 
     def snapshot_dist(self, var, stmt):
         binding = self.lookup(var)
@@ -553,7 +551,7 @@ class ProcessContext:
                 for length in seg.run_lengths():
                     trace.record("block-transfer", src=seg.src_owner,
                                  dst=seg.dst_owner, nbytes=length * esize,
-                                 tag=dst.name, initiator=seg.src_owner)
+                                 tag=dst.name)
 
         collective = Collective("assign", f"{dst.name} := {src.name}", stmt, (dst, src))
         try:

@@ -93,8 +93,13 @@ class Parser:
         while isinstance(e, ast.Index):
             e = e.base
             depth += 1
-        if not isinstance(e, ast.Name) or depth > 2:
+        if not isinstance(e, ast.Name):
             raise ParseError("invalid assignment target", expr.line, expr.column)
+        if depth > 2:
+            raise ParseError(
+                "A[b][i][k] := v is not supported: a block line is assigned whole; "
+                "assign a line of equal length instead (A[b][i] := line)",
+                expr.line, expr.column)
 
     def parse_var_decl(self) -> list:
         kw = self.expect("keyword", "var")

@@ -299,6 +299,10 @@ def allocate(name: str, descriptor: ArrayDescriptor, base: Optional[DistributedA
 # --- trace ---
 
 
+# A get or a receive is stamped by its destination, any other event by its source.
+STAMPED_BY_DST = ("onesided-get", "channel-recv")
+
+
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
     kind: str  # onesided-get | onesided-put | channel-send | channel-recv | block-transfer
@@ -311,9 +315,7 @@ class TraceEvent:
     @property
     def initiator(self) -> int:
         """Rank whose logical clock stamped this event."""
-        if self.kind in ("onesided-get", "channel-recv"):
-            return self.dst
-        return self.src
+        return self.dst if self.kind in STAMPED_BY_DST else self.src
 
 
 class TraceLog:
@@ -328,9 +330,8 @@ class TraceLog:
         self.events = []
         self._seq = [0] * nprocs
 
-    def record(self, kind, src, dst, nbytes, tag, initiator=None):
-        if initiator is None:
-            initiator = dst if kind in ("onesided-get", "channel-recv") else src
+    def record(self, kind, src, dst, nbytes, tag):
+        initiator = dst if kind in STAMPED_BY_DST else src
         seq = self._seq[initiator]
         self._seq[initiator] += 1
         ev = TraceEvent(kind, src, dst, nbytes, seq, tag)

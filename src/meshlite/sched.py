@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .errors import DeadlockError, RuntimeFault
 
 PAUSE = ("pause",)
+ASYNC_PROGRESS = 0.25  # chance that a step also delivers the oldest pending transfer
 
 
 class Collective(NamedTuple):
@@ -123,10 +124,9 @@ class PendingTransfer:
 
 
 class Scheduler:
-    def __init__(self, seed=0, async_progress=0.25):
+    def __init__(self, seed=0):
         self.rng = random.Random(seed)
         self.pending = []
-        self.async_progress = async_progress
 
     def post_async(self, transfer: PendingTransfer):
         self.pending.append(transfer)
@@ -169,5 +169,5 @@ class Scheduler:
                 continue
             if instr is not None and instr[0] == "wait":
                 proc["waiting"] = instr[1]
-            if self.pending and self.rng.random() < self.async_progress:
+            if self.pending and self.rng.random() < ASYNC_PROGRESS:
                 self.pending.pop(0).deliver()

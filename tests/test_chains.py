@@ -25,7 +25,9 @@ from meshlite.chains import (
     chain_of,
     combine,
     from_type_expr,
+    kind_of,
     plan_of,
+    plan_problems,
     resolve_attribute,
     validate_append,
 )
@@ -347,6 +349,35 @@ def test_plan_of_never_crashes_on_validated_chains():
             assert plan.distribution[0] in ("on", "even", "arraydist")
         produced += 1
     assert produced >= 200
+
+
+def test_plan_problems_and_kind_agree_with_plan_of():
+    """plan_problems lists what plan_of raises, and kind_of reads the chain as the plan does."""
+    rng = random.Random(31)
+    planned = refused = 0
+    for _ in range(1500):
+        chain = ()
+        try:
+            for c in random_sequence(rng):
+                chain = combine(chain, c)
+        except InvalidCombination:
+            continue
+        problems = plan_problems(chain)
+        try:
+            plan = plan_of(chain)
+        except IncompletePlan as exc:
+            assert problems and problems[0] == str(exc), chain
+            refused += 1
+            continue
+        assert problems == [], chain
+        kind = kind_of(chain)
+        assert kind.elem == plan.elem, chain
+        assert kind.ndim == len(plan.shape), chain
+        assert kind.replicated == (plan.distribution[0] == "multiple"), chain
+        assert kind.partitioned == (plan.partition is not None), chain
+        assert kind.read_only == plan.read_only, chain
+        planned += 1
+    assert planned >= 200 and refused >= 50
 
 
 def test_idempotent_validation():

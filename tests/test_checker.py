@@ -1,6 +1,6 @@
 import pytest
 
-from meshlite import check_program, parse
+from meshlite import check_program, parse, run
 from meshlite.errors import CheckError
 from meshlite.fixtures import CORPUS, corpus_source
 
@@ -112,11 +112,35 @@ def test_arraydist_target_must_be_integer_array():
         "var d : array[complex,2];\n"
         "var A : array[complex,4,4] :: allocated[horizontal[2] :: single[arraydist[d]]];")
     assert "ArrayDistTarget" in rules
+    # an integer-array parameter is a valid target, and the program runs
+    src = """
+var d : array[Int,2];
+d[0] := 1;
+d[1] := 0;
+function f(e : array[Int,2]) {
+    var A : array[Int,4,4] :: allocated[horizontal[2] :: single[arraydist[e]]];
+};
+f(d);
+"""
+    result = run(check_program(parse(src)), 2)
+    owners = {name: [b.owner for b in array.blocks] for name, array, _ in result.declared}
+    assert owners["A"] == [1, 0]
 
 
 def test_incomplete_plan_reported():
-    rules = rules_of("var A : array[complex,4,4] :: allocated[horizontal[2]];")
-    assert "IncompletePlan" in rules
+    cases = [
+        ("var A : array[complex,4,4] :: allocated[horizontal[2]];",
+         "a partitioned array lacks a distribution"),
+        ("var c : const;", "chain has no base element type"),
+        ("var x : allocated[single[on[0]]];", "chain has no base element type"),
+        ("var A : array[array[int,2],2];", "array element type must be a scalar base type"),
+        ("var A : array[int,0];", "array extents must be positive"),
+    ]
+    for decl, problem in cases:
+        (diag,) = diagnostics_of(f"var n := 1;\n  {decl}")
+        # a declaration is located at its name
+        assert (diag.rule, diag.message, diag.line, diag.column) == (
+            "IncompletePlan", problem, 2, 7), decl
 
 
 def test_array_assignment_needs_array_source():

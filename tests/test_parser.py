@@ -112,10 +112,12 @@ def test_assignment_targets():
 
 
 def test_invalid_lvalue_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="invalid assignment target"):
         parse("f(x) := 2;")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse("a[0][1][2] := 3;")
+    assert "A[b][i][k] := v is not supported" in str(err.value)
+    assert "A[b][i] := line" in str(err.value)
 
 
 def test_parse_error_reports_position_and_expectation():
