@@ -387,7 +387,34 @@ def plan_problems(chain: TypeChain) -> list:
         problems.append(f"{distribution[0]} distribution requires a partitioned array")
     if "share" in references(chain) and distribution[0] == "multiple":
         problems.append("a share view needs a single-copy allocation to alias")
+    if base is not None and not isinstance(base, ArrayOf) and not any(
+            isinstance(c, Allocated) for c in chain):
+        for c in chain:
+            if isinstance(c, (Single, Multiple)):
+                written = "single[...]" if isinstance(c, Single) else "multiple[]"
+                problems.append(f"{written} outside allocated[...] gives a scalar no "
+                                f"global storage; write allocated[{written}]")
+    partition = attrs["partition"]
+    count = partition[1] if partition is not None else None
+    if count is not None and isinstance(base, ArrayOf) and 1 <= len(base.dims) <= 2:
+        extent = base.dims[partitioned_dim(len(base.dims), attrs["ordering"], partition)]
+        if extent is not None and extent > 0:
+            if not 0 < count <= extent:
+                problems.append(f"cannot split extent {extent} into {count} blocks")
+        elif count <= 0:
+            problems.append(f"cannot split an array into {count} blocks")
     return problems
+
+
+def partitioned_dim(ndim: int, ordering: str, partition: Optional[tuple]) -> int:
+    """Dimension the blocks slice: the ordering's major dimension for
+    horizontal (and unpartitioned) layouts, the minor one for vertical."""
+    if ndim <= 1:
+        return 0
+    major = 0 if ordering == "row" else 1
+    if partition is not None and partition[0] == "vertical":
+        return 1 - major
+    return major
 
 
 def plan_of(chain: TypeChain) -> AllocationPlan:

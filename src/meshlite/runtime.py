@@ -17,9 +17,10 @@ block.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .chains import ELEMENT_SIZES, AllocationPlan
+from .chains import ELEMENT_SIZES, AllocationPlan, partitioned_dim
 from .errors import (
     BadDistribution,
     IndexOutOfBounds,
@@ -88,28 +89,33 @@ class ArrayDescriptor:
     def replicated(self) -> bool:
         return self.distribution[0] == "multiple"
 
-    @property
+    @cached_property
     def part_dim(self) -> int:
-        """Dimension the blocks slice; the ordering's major dimension for
-        horizontal (and unpartitioned) layouts, the minor one for vertical."""
-        if self.ndim <= 1:
-            return 0
-        major = 0 if self.ordering == "row" else 1
-        if self.partition is not None and self.partition[0] == "vertical":
-            return 1 - major
-        return major
+        return partitioned_dim(self.ndim, self.ordering, self.partition)
 
-    @property
+    @cached_property
     def part_extent(self) -> int:
         if self.ndim == 0:
             return 1
         return self.shape[self.part_dim]
 
-    @property
+    @cached_property
     def line_len(self) -> int:
         if self.ndim <= 1:
             return 1
         return self.shape[1 - self.part_dim]
+
+    @cached_property
+    def _geometry(self) -> tuple:
+        """(part_dim, line_len, wide, split, r, q), computed once.
+
+        With n indices in p blocks and q, r = divmod(n, p), blocks 0..r-1
+        hold `wide` = q + 1 indices and the first `split` = r * wide
+        indices; each later block holds q. An unpartitioned array is one
+        block.
+        """
+        q, r = divmod(self.part_extent, self.block_count)
+        return self.part_dim, self.line_len, q + 1, r * (q + 1), r, q
 
     @property
     def block_count(self) -> int:
@@ -142,31 +148,33 @@ class ArrayDescriptor:
 
     def locate(self, index: tuple) -> tuple:
         """(block_id, offset) of a logical index within block storage."""
-        if len(index) != self.ndim:
-            raise IndexOutOfBounds(f"index {index} into shape {self.shape}")
-        for i, d in zip(index, self.shape):
-            if not 0 <= i < d:
-                raise IndexOutOfBounds(f"index {index} outside shape {self.shape}")
-        if self.ndim == 0:
-            return 0, 0
-        if self.ndim == 1:
-            along = index[0]
-            free = 0
+        shape = self.shape
+        if len(index) != len(shape):
+            raise IndexOutOfBounds(f"index {index} into shape {shape}")
+        part_dim, line_len, wide, split, r, q = self._geometry
+        if len(shape) == 1:
+            along, free = index[0], 0
+            inside = 0 <= along < shape[0]
+        elif shape:
+            along, free = index[part_dim], index[1 - part_dim]
+            inside = 0 <= index[0] < shape[0] and 0 <= index[1] < shape[1]
         else:
-            along = index[self.part_dim]
-            free = index[1 - self.part_dim]
-        k = self.block_of(along)
-        low, _ = self.bounds(k)
-        return k, (along - low) * self.line_len + free
+            return 0, 0
+        if not inside:
+            raise IndexOutOfBounds(f"index {index} outside shape {shape}")
+        if along < split:
+            k, t = divmod(along, wide)
+        else:
+            k, t = divmod(along - split, q)
+            k += r
+        return k, t * line_len + free
 
     def block_of(self, along: int) -> int:
         """Block holding index `along` of the partitioned dimension."""
-        if self.partition is None:
-            return 0
-        q, r = divmod(self.part_extent, self.partition[1])
-        if along < r * (q + 1):
-            return along // (q + 1)
-        return r + (along - r * (q + 1)) // q
+        _, _, wide, split, r, q = self._geometry
+        if along < split:
+            return along // wide
+        return r + (along - split) // q
 
 
 @dataclass
@@ -303,7 +311,7 @@ def allocate(name: str, descriptor: ArrayDescriptor, base: Optional[DistributedA
 STAMPED_BY_DST = ("onesided-get", "channel-recv")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
     kind: str  # onesided-get | onesided-put | channel-send | channel-recv | block-transfer
     src: int
@@ -321,35 +329,36 @@ class TraceEvent:
 class TraceLog:
     """Per-rank sequenced event log with a canonical rendering.
 
-    Rendered lines are sorted by (initiating rank, sequence) so blocking
-    programs produce byte-identical traces under any schedule. Field
+    Each initiating rank keeps its own list, so an event's sequence number
+    is its place in that list and the canonical order, by (initiating
+    rank, sequence), is the lists one after another. Blocking programs
+    therefore produce byte-identical traces under any schedule. Field
     order: kind, src, dst, bytes, seq, tag, tab-separated.
     """
 
     def __init__(self, nprocs):
-        self.events = []
-        self._seq = [0] * nprocs
+        self._by_rank = [[] for _ in range(nprocs)]
 
     def record(self, kind, src, dst, nbytes, tag):
-        initiator = dst if kind in STAMPED_BY_DST else src
-        seq = self._seq[initiator]
-        self._seq[initiator] += 1
-        ev = TraceEvent(kind, src, dst, nbytes, seq, tag)
-        self.events.append(ev)
+        log = self._by_rank[dst if kind in STAMPED_BY_DST else src]
+        ev = TraceEvent(kind, src, dst, nbytes, len(log), tag)
+        log.append(ev)
         return ev
 
-    def sorted_events(self):
-        return sorted(self.events, key=lambda e: (e.initiator, e.seq))
+    @property
+    def events(self) -> list:
+        """Every event in canonical order."""
+        return [e for log in self._by_rank for e in log]
 
     def render(self) -> str:
         lines = [
             f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}"
-            for e in self.sorted_events()
+            for log in self._by_rank for e in log
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def count(self, kind) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
+        return sum(e.kind == kind for log in self._by_rank for e in log)
 
 
 # --- redistribution ---

@@ -146,28 +146,46 @@ class Scheduler:
 
         Raises the first process failure as-is and reports a deadlock if
         every unfinished process is blocked with nothing left to deliver.
+        The live processes stay in rank order; while none is blocked they
+        are the runnable list as they stand, otherwise every waiting
+        predicate is polled once per step, in rank order.
         """
-        procs = [{"rank": r, "gen": g, "waiting": None, "done": False}
-                 for r, g in enumerate(generators)]
-        while True:
-            live = [p for p in procs if not p["done"]]
-            if not live:
-                break
-            runnable = [p for p in live if p["waiting"] is None or p["waiting"]()]
-            if not runnable:
-                if self.pending:
-                    self.drain_async()
-                    continue
-                blocked = ", ".join(str(p["rank"]) for p in live)
-                raise DeadlockError(f"all processes blocked (ranks {blocked})")
-            proc = self.rng.choice(runnable)
-            proc["waiting"] = None
+        live = [_Process(r, g) for r, g in enumerate(generators)]
+        blocked = 0  # live processes holding a wait predicate
+        rng = self.rng
+        while live:
+            if blocked:
+                runnable = [p for p in live if p.waiting is None or p.waiting()]
+                if not runnable:
+                    if self.pending:
+                        self.drain_async()
+                        continue
+                    ranks = ", ".join(str(p.rank) for p in live)
+                    raise DeadlockError(f"all processes blocked (ranks {ranks})")
+            else:
+                runnable = live
+            proc = rng.choice(runnable)
+            if proc.waiting is not None:
+                proc.waiting = None
+                blocked -= 1
             try:
-                instr = next(proc["gen"])
+                instr = next(proc.gen)
             except StopIteration:
-                proc["done"] = True
+                live.remove(proc)
                 continue
             if instr is not None and instr[0] == "wait":
-                proc["waiting"] = instr[1]
-            if self.pending and self.rng.random() < ASYNC_PROGRESS:
+                proc.waiting = instr[1]
+                blocked += 1
+            if self.pending and rng.random() < ASYNC_PROGRESS:
                 self.pending.pop(0).deliver()
+
+
+class _Process:
+    """One process generator as Scheduler.run tracks it."""
+
+    __slots__ = ("rank", "gen", "waiting")
+
+    def __init__(self, rank, gen):
+        self.rank = rank
+        self.gen = gen
+        self.waiting = None  # predicate the process is blocked on

@@ -4,9 +4,10 @@ import pytest
 
 from meshlite import check_program, parse
 from meshlite.fixtures import corpus_source
-from meshlite.errors import ShapeMismatch
+from meshlite.errors import DeadlockError, ShapeMismatch
 from meshlite.interp import ProcessContext, RunState
 from meshlite.runtime import ELEMENT_SIZES, ArrayDescriptor, Segment, _dense_offset, owner_of
+from meshlite.sched import ASYNC_PROGRESS
 
 
 def iter_indices(shape):
@@ -188,6 +189,41 @@ def owner_changes_bytes(src_desc, dst_desc, esize):
         if so != do:
             total += esize
     return total
+
+
+def reference_schedule(scheduler, generators):
+    """Drive process generators as Scheduler.run does; the oracle for it.
+
+    Rebuilds the live and the runnable list on every step, polling every
+    waiting predicate in rank order, and draws from the scheduler's RNG
+    exactly where Scheduler.run must: one choice per step, and one
+    progress draw per step that did not finish a process while transfers
+    are pending.
+    """
+    procs = [{"rank": r, "gen": g, "waiting": None, "done": False}
+             for r, g in enumerate(generators)]
+    while True:
+        live = [p for p in procs if not p["done"]]
+        if not live:
+            break
+        runnable = [p for p in live if p["waiting"] is None or p["waiting"]()]
+        if not runnable:
+            if scheduler.pending:
+                scheduler.drain_async()
+                continue
+            blocked = ", ".join(str(p["rank"]) for p in live)
+            raise DeadlockError(f"all processes blocked (ranks {blocked})")
+        proc = scheduler.rng.choice(runnable)
+        proc["waiting"] = None
+        try:
+            instr = next(proc["gen"])
+        except StopIteration:
+            proc["done"] = True
+            continue
+        if instr is not None and instr[0] == "wait":
+            proc["waiting"] = instr[1]
+        if scheduler.pending and scheduler.rng.random() < ASYNC_PROGRESS:
+            scheduler.pending.pop(0).deliver()
 
 
 def run_collective(nprocs, make_gen, seed=0):

@@ -354,7 +354,7 @@ def test_plan_of_never_crashes_on_validated_chains():
 def test_plan_problems_and_kind_agree_with_plan_of():
     """plan_problems lists what plan_of raises, and kind_of reads the chain as the plan does."""
     rng = random.Random(31)
-    planned = refused = 0
+    planned = refused = split = 0
     for _ in range(1500):
         chain = ()
         try:
@@ -376,8 +376,41 @@ def test_plan_problems_and_kind_agree_with_plan_of():
         assert kind.replicated == (plan.distribution[0] == "multiple"), chain
         assert kind.partitioned == (plan.partition is not None), chain
         assert kind.read_only == plan.read_only, chain
+        if not kind.distributed:  # a local names no distribution it would ignore
+            assert not any(isinstance(c, (Single, Multiple)) for c in chain), chain
+        if plan.partition is not None:
+            extent = plan.shape[partitioned_extent_dim(plan)]
+            assert 0 < plan.partition[1] <= extent, chain
+            for parts in (0, extent + 1, -1):
+                bad = with_parts(chain, parts)
+                message = f"cannot split extent {extent} into {parts} blocks"
+                assert message in plan_problems(bad), bad
+                with pytest.raises(IncompletePlan):
+                    plan_of(bad)
+                split += 1
         planned += 1
-    assert planned >= 200 and refused >= 50
+    assert planned >= 200 and refused >= 50 and split >= 9
+
+
+def partitioned_extent_dim(plan):
+    """The documented storage model: partitions cut the ordering's major
+    dimension, or the minor one for vertical."""
+    if len(plan.shape) == 1:
+        return 0
+    major = 0 if plan.ordering == "row" else 1
+    return 1 - major if plan.partition[0] == "vertical" else major
+
+
+def with_parts(chain, parts):
+    """chain with its partition constructor splitting into `parts` blocks."""
+    out = []
+    for c in chain:
+        if isinstance(c, (Horizontal, Vertical)):
+            c = type(c)(parts)
+        elif isinstance(c, Allocated):
+            c = Allocated(with_parts(c.inner, parts))
+        out.append(c)
+    return tuple(out)
 
 
 def test_idempotent_validation():

@@ -135,6 +135,20 @@ def test_incomplete_plan_reported():
         ("var x : allocated[single[on[0]]];", "chain has no base element type"),
         ("var A : array[array[int,2],2];", "array element type must be a scalar base type"),
         ("var A : array[int,0];", "array extents must be positive"),
+        ("var A : array[int,4] :: allocated[horizontal[0] :: single[evendist[]]];",
+         "cannot split extent 4 into 0 blocks"),
+        ("var A : array[int,4] :: allocated[horizontal[8] :: single[evendist[]]];",
+         "cannot split extent 4 into 8 blocks"),
+        ("var A : array[int,4,6] :: allocated[col[] :: vertical[5] :: single[evendist[]]];",
+         "cannot split extent 4 into 5 blocks"),
+        ("var A : array[int,n] :: allocated[horizontal[0] :: single[evendist[]]];",
+         "cannot split an array into 0 blocks"),
+        ("var a : Int :: single[on[1]];",
+         "single[...] outside allocated[...] gives a scalar no global storage; "
+         "write allocated[single[...]]"),
+        ("var a : Int :: multiple[];",
+         "multiple[] outside allocated[...] gives a scalar no global storage; "
+         "write allocated[multiple[]]"),
     ]
     for decl, problem in cases:
         (diag,) = diagnostics_of(f"var n := 1;\n  {decl}")

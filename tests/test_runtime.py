@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import fill_sequential, make_descriptor
+from conftest import fill_sequential, iter_indices, make_descriptor
 from meshlite.chains import AllocationPlan
 from meshlite.errors import (
     BadDistribution,
@@ -11,6 +13,8 @@ from meshlite.errors import (
 )
 from meshlite.interp import RunState
 from meshlite.runtime import (
+    STAMPED_BY_DST,
+    ArrayDescriptor,
     TraceLog,
     allocate,
     descriptor_from_plan,
@@ -183,6 +187,118 @@ def test_locate_bounds_checking():
         arr.logical_set((-1,), 5)
 
 
+# --- locate ---
+
+
+def documented_part_dim(shape, ordering, partition):
+    """Partitions cut the ordering's major dimension, or the minor one for
+    vertical; a 1D array has only dimension 0."""
+    if len(shape) <= 1:
+        return 0
+    major = 0 if ordering == "row" else 1
+    return 1 - major if partition is not None and partition[0] == "vertical" else major
+
+
+def brute_force_locate(desc):
+    """{index: (block, offset)} for every index, block by block from
+    partition_bounds and the documented storage model."""
+    if not desc.shape:
+        return {(): (0, 0)}
+    ndim = len(desc.shape)
+    part_dim = documented_part_dim(desc.shape, desc.ordering, desc.partition)
+    line_len = 1 if ndim == 1 else desc.shape[1 - part_dim]
+    p = desc.partition[1] if desc.partition is not None else 1
+    table = {}
+    for k in range(p):
+        low, high = partition_bounds(desc.shape[part_dim], p, k)
+        for along in range(low, high + 1):
+            for free in range(line_len):
+                if ndim == 1:
+                    index = (along,)
+                else:
+                    index = (along, free) if part_dim == 0 else (free, along)
+                table[index] = (k, (along - low) * line_len + free)
+    return table
+
+
+def random_descriptor(rng):
+    """0D, 1D or 2D, row or col, partitioned either way or not at all, with
+    extents of 1 and splits that are uneven or one block per index."""
+    shape = tuple(rng.choice((1, 2, rng.randint(1, 13)))
+                  for _ in range(rng.choice((0, 1, 1, 2, 2, 2))))
+    ordering = rng.choice(("row", "col"))
+    nprocs = rng.randint(1, 5)
+    if not shape or rng.random() < 0.2:
+        return make_descriptor(shape, elem="int", ordering=ordering,
+                               distribution=("on", rng.randrange(nprocs)), nprocs=nprocs)
+    direction = rng.choice(("horizontal", "vertical"))
+    extent = shape[documented_part_dim(shape, ordering, (direction,))]
+    parts = rng.choice((1, extent, rng.randint(1, extent)))
+    return make_descriptor(shape, elem="int", ordering=ordering,
+                           partition=(direction, parts), distribution=("even",),
+                           nprocs=nprocs)
+
+
+def test_locate_matches_partition_bounds_on_random_descriptors():
+    rng = random.Random(4099)
+    seen = set()
+    for _ in range(400):
+        desc = random_descriptor(rng)
+        expected = brute_force_locate(desc)
+        assert {idx: desc.locate(idx) for idx in iter_indices(desc.shape)} == expected, desc
+        if desc.shape:
+            part_dim = desc.part_dim
+            for idx, (k, _) in expected.items():
+                assert desc.block_of(idx[part_dim]) == k, desc
+        p = desc.block_count
+        seen.add((len(desc.shape), desc.ordering,
+                  desc.partition[0] if desc.partition else None,
+                  "uneven" if desc.shape and desc.part_extent % p else "even",
+                  "one per index" if desc.shape and p == desc.part_extent else "",
+                  "extent 1" if 1 in desc.shape else ""))
+    kinds = {field for key in seen for field in key}
+    assert {0, 1, 2, "row", "col", "horizontal", "vertical", None, "uneven",
+            "one per index", "extent 1"} <= kinds
+
+
+def test_locate_rejects_bad_indices_with_their_messages():
+    rng = random.Random(613)
+    for _ in range(100):
+        desc = random_descriptor(rng)
+        shape = desc.shape
+        bad = []
+        for dim, extent in enumerate(shape):
+            for value in (-1, extent, extent + rng.randint(1, 5), -rng.randint(2, 9)):
+                index = list(next(iter_indices(shape)))
+                index[dim] = value
+                bad.append(tuple(index))
+        for index in bad:
+            with pytest.raises(IndexOutOfBounds) as err:
+                desc.locate(index)
+            assert str(err.value) == f"index {index} outside shape {shape}"
+        for arity in (len(shape) - 1, len(shape) + 1):
+            if arity < 0:
+                continue
+            index = (0,) * arity
+            with pytest.raises(IndexOutOfBounds) as err:
+                desc.locate(index)
+            assert str(err.value) == f"index {index} into shape {shape}"
+
+
+def test_cached_geometry_keeps_equality_and_hash():
+    fields = dict(shape=(9, 4), elem="int", ordering="col", partition=("vertical", 4),
+                  distribution=("even",), nprocs=3)
+    a, b = ArrayDescriptor(**fields), ArrayDescriptor(**fields)
+    a.locate((8, 3))
+    assert a == b and hash(a) == hash(b)
+    b.locate((0, 0))
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    other = ArrayDescriptor(**dict(fields, partition=("vertical", 3)))
+    other.locate((0, 0))
+    assert other != a
+
+
 # --- trace ---
 
 
@@ -205,6 +321,43 @@ def test_trace_render_is_tab_separated_and_sorted():
     lines = text.splitlines()
     assert lines[0].split("\t") == ["onesided-get", "1", "0", "16", "0", "b"]
     assert lines[1].split("\t") == ["channel-send", "2", "0", "8", "0", "a"]
+
+
+def sorted_render(records, nprocs):
+    """The rendering of a log kept in one list in record order: each event
+    numbered on its initiating rank, then all sorted by (initiator, seq)."""
+    seqs = [0] * nprocs
+    events = []
+    for kind, src, dst, nbytes, tag in records:
+        initiator = dst if kind in STAMPED_BY_DST else src
+        events.append((initiator, seqs[initiator], kind, src, dst, nbytes, tag))
+        seqs[initiator] += 1
+    events.sort(key=lambda e: (e[0], e[1]))
+    lines = [f"{kind}\t{src}\t{dst}\t{nbytes}\t{seq}\t{tag}"
+             for _, seq, kind, src, dst, nbytes, tag in events]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("nprocs", [1, 3, 64])
+def test_trace_render_matches_the_sorted_rendering(nprocs):
+    kinds = ("onesided-get", "onesided-put", "channel-send", "channel-recv",
+             "block-transfer")
+    rng = random.Random(nprocs)
+    for count in (0, 1, 7, 500):
+        log = TraceLog(nprocs)
+        records = [(rng.choice(kinds), rng.randrange(nprocs), rng.randrange(nprocs),
+                    rng.choice((1, 8, 16 * rng.randint(1, 64))), rng.choice("ABxy"))
+                   for _ in range(count)]
+        for kind, src, dst, nbytes, tag in records:
+            event = log.record(kind, src=src, dst=dst, nbytes=nbytes, tag=tag)
+            assert (event.kind, event.src, event.dst, event.bytes, event.tag) == (
+                kind, src, dst, nbytes, tag)
+        expected = sorted_render(records, nprocs)
+        assert log.render() == expected
+        assert [f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}"
+                for e in log.events] == expected.splitlines()
+        for kind in kinds:
+            assert log.count(kind) == sum(r[0] == kind for r in records)
 
 
 # --- channel misuse at the runtime surface ---
