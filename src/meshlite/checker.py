@@ -148,6 +148,9 @@ class Checker:
         elif isinstance(stmt, ast.Sync):
             if stmt.var is not None and self.lookup(stmt.var) is None:
                 self.report("UnknownVariable", f"sync target {stmt.var!r} is not declared", stmt)
+            if in_proc:
+                self.report("GuardedCollective",
+                            "sync is collective and cannot run inside a proc block", stmt)
         elif isinstance(stmt, ast.FuncDef):
             self.check_funcdef(stmt)
         else:

@@ -1,6 +1,6 @@
 """Tokenizer for meshlite source text."""
 
-from dataclasses import dataclass, field
+import re
 
 from .errors import LexError
 
@@ -11,19 +11,54 @@ OPERATORS = ["::", ":=", "<=", ">=", "==", "!=", ":", "+", "-", "*", "/", "<", "
 
 PUNCTUATION = {";", ",", "(", ")", "[", "]", "{", "}", "."}
 
+END = "end"
 
-@dataclass(frozen=True)
+
 class Token:
-    kind: str  # identifier | integer-literal | real-literal | string-literal | keyword | operator | punctuation | end
-    lexeme: str
-    line: int = field(compare=False)
-    column: int = field(compare=False)
+    """One token; equality compares kind and lexeme, not position."""
+
+    __slots__ = ("kind", "lexeme", "line", "column")
+
+    def __init__(self, kind, lexeme, line, column):
+        self.kind = kind  # identifier | integer-literal | real-literal | string-literal | keyword | operator | punctuation | end
+        self.lexeme = lexeme
+        self.line = line
+        self.column = column
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.lexeme == other.lexeme
+
+    def __hash__(self):
+        return hash((self.kind, self.lexeme))
 
     def __repr__(self):
         return f"Token({self.kind}, {self.lexeme!r}, {self.line}:{self.column})"
 
 
-END = "end"
+# Whitespace and comments that may precede a token. The quantifier is
+# possessive: backtracking into a comment would lex its text as tokens.
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*)*+"
+
+# Each token kind and its pattern, tried in this order; the number of the
+# group that matched indexes _KINDS. `\d` is exactly str.isdecimal() and
+# `\w` exactly str.isalnum() or '_'. An identifier's first character is
+# checked in tokenize, because `[^\W\d]` also admits numeric characters
+# such as '½' that str.isalpha() rejects. Any other character matches the
+# last pattern, so the scan never stops short of the end marker.
+_PATTERNS = (
+    ("punctuation", "[" + re.escape("".join(sorted(PUNCTUATION))) + "]"),
+    ("operator", "|".join(re.escape(op) for op in OPERATORS)),
+    ("identifier", r"[^\W\d]\w*"),
+    ("real-literal", r"\d+\.\d+"),
+    ("integer-literal", r"\d+"),
+    ("string-literal", r'"[^"\n]*"'),
+    (END, r"\Z"),
+    (None, r"(?s:.)"),
+)
+_TOKEN = re.compile(_SKIP + "(?:" + "|".join(f"({p})" for _, p in _PATTERNS) + ")")
+_KINDS = (None, *(kind for kind, _ in _PATTERNS))
 
 
 def tokenize(source: str) -> list[Token]:
@@ -33,74 +68,28 @@ def tokenize(source: str) -> list[Token]:
     offending position for any character outside the language.
     """
     tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "identifier"
-            tokens.append(Token(kind, word, start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                tokens.append(Token("real-literal", source[i:j], start_line, start_col))
-            else:
-                tokens.append(Token("integer-literal", source[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError("unterminated string literal", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", start_line, start_col)
-            tokens.append(Token("string-literal", source[i : j + 1], start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("operator", op, start_line, start_col))
-                advance(len(op))
-                break
-        else:
-            if ch in PUNCTUATION:
-                tokens.append(Token("punctuation", ch, start_line, start_col))
-                advance()
-            else:
-                raise LexError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token(END, "", line, col))
-    return tokens
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN.finditer(source):
+        group = m.lastindex
+        start = m.start(group)
+        if start != pos:
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, start) + 1
+        pos = m.end()
+        kind = _KINDS[group]
+        lexeme = source[start:pos]
+        column = start - line_start + 1
+        if kind == "identifier":
+            if lexeme in KEYWORDS:
+                kind = "keyword"
+            elif not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                raise LexError(f"unexpected character {lexeme[0]!r}", line, column)
+        elif kind is None:
+            if lexeme == '"':
+                raise LexError("unterminated string literal", line, column)
+            raise LexError(f"unexpected character {lexeme!r}", line, column)
+        tokens.append(Token(kind, lexeme, line, column))
+        if kind == END:
+            return tokens

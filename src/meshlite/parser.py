@@ -11,14 +11,16 @@ _COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # A second end token after the first lets peek(1) index past the
+        # end of input without a bounds check; advance never passes the first.
+        self.tokens = list(tokens)
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
 
     # --- token plumbing ---
 
     def peek(self, offset=0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -27,7 +29,7 @@ class Parser:
         return tok
 
     def check(self, kind, lexeme=None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
 
     def match(self, kind, lexeme=None) -> bool:
@@ -223,37 +225,46 @@ class Parser:
 
     def parse_comparison(self):
         left = self.parse_additive()
-        while self.peek().kind == "operator" and self.peek().lexeme in _COMPARISONS:
-            op = self.advance()
+        op = self.tokens[self.pos]
+        while op.kind == "operator" and op.lexeme in _COMPARISONS:
+            self.advance()
             right = self.parse_additive()
             left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
+            op = self.tokens[self.pos]
         return left
 
     def parse_additive(self):
         left = self.parse_multiplicative()
-        while self.peek().kind == "operator" and self.peek().lexeme in ("+", "-"):
-            op = self.advance()
+        op = self.tokens[self.pos]
+        while op.kind == "operator" and op.lexeme in ("+", "-"):
+            self.advance()
             right = self.parse_multiplicative()
             left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
+            op = self.tokens[self.pos]
         return left
 
     def parse_multiplicative(self):
         left = self.parse_postfix()
-        while self.peek().kind == "operator" and self.peek().lexeme in ("*", "/"):
-            op = self.advance()
+        op = self.tokens[self.pos]
+        while op.kind == "operator" and op.lexeme in ("*", "/"):
+            self.advance()
             right = self.parse_postfix()
             left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
+            op = self.tokens[self.pos]
         return left
 
     def parse_postfix(self):
         expr = self.parse_primary()
         while True:
-            if self.check("punctuation", "["):
-                tok = self.advance()
+            tok = self.tokens[self.pos]
+            if tok.kind != "punctuation":
+                return expr
+            if tok.lexeme == "[":
+                self.advance()
                 index = self.parse_expr()
                 self.expect("punctuation", "]")
                 expr = ast.Index(expr, index, line=tok.line, column=tok.column)
-            elif self.check("punctuation", "."):
+            elif tok.lexeme == ".":
                 dot = self.advance()
                 member = self.expect("identifier", what="accessor name")
                 if member.lexeme not in ACCESSORS:
@@ -272,7 +283,7 @@ class Parser:
                 return expr
 
     def parse_primary(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "integer-literal":
             self.advance()
             return ast.IntLit(int(tok.lexeme), line=tok.line, column=tok.column)
@@ -308,7 +319,5 @@ class Parser:
 def parse(source_or_tokens) -> ast.Program:
     """Parse source text or a token list into a Program."""
     if isinstance(source_or_tokens, str):
-        tokens = tokenize(source_or_tokens)
-    else:
-        tokens = list(source_or_tokens)
-    return Parser(tokens).parse_program()
+        source_or_tokens = tokenize(source_or_tokens)
+    return Parser(source_or_tokens).parse_program()

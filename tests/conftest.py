@@ -1,13 +1,109 @@
 """Shared helpers: corpus access, collective harness, brute-force oracles."""
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from meshlite import check_program, parse
 from meshlite.fixtures import corpus_source
-from meshlite.errors import DeadlockError, ShapeMismatch
+from meshlite.errors import DeadlockError, LexError, ShapeMismatch
 from meshlite.interp import ProcessContext, RunState
+from meshlite.lexer import END, KEYWORDS, OPERATORS, PUNCTUATION
 from meshlite.runtime import ELEMENT_SIZES, ArrayDescriptor, Segment, _dense_offset, owner_of
 from meshlite.sched import ASYNC_PROGRESS
+
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    kind: str  # identifier | integer-literal | real-literal | string-literal | keyword | operator | punctuation | end
+    lexeme: str
+    line: int = field(compare=False)
+    column: int = field(compare=False)
+
+    def __repr__(self):
+        return f"Token({self.kind}, {self.lexeme!r}, {self.line}:{self.column})"
+
+
+def reference_tokenize(source: str) -> list[ReferenceToken]:
+    """Character-at-a-time tokenizer; the oracle for lexer.tokenize.
+
+    The lexer before the master-pattern scan, unchanged except that digits
+    are str.isdecimal() characters (it used str.isdigit(), which admits
+    '²' and made the parser's int() call fail).
+    """
+    Token = ReferenceToken
+    tokens = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(source)
+
+    def advance(k=1):
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                advance()
+            continue
+        start_line, start_col = line, col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            kind = "keyword" if word in KEYWORDS else "identifier"
+            tokens.append(Token(kind, word, start_line, start_col))
+            advance(j - i)
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and source[j].isdecimal():
+                j += 1
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdecimal():
+                j += 1
+                while j < n and source[j].isdecimal():
+                    j += 1
+                tokens.append(Token("real-literal", source[i:j], start_line, start_col))
+            else:
+                tokens.append(Token("integer-literal", source[i:j], start_line, start_col))
+            advance(j - i)
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and source[j] != '"':
+                if source[j] == "\n":
+                    raise LexError("unterminated string literal", start_line, start_col)
+                j += 1
+            if j >= n:
+                raise LexError("unterminated string literal", start_line, start_col)
+            tokens.append(Token("string-literal", source[i : j + 1], start_line, start_col))
+            advance(j + 1 - i)
+            continue
+        for op in OPERATORS:
+            if source.startswith(op, i):
+                tokens.append(Token("operator", op, start_line, start_col))
+                advance(len(op))
+                break
+        else:
+            if ch in PUNCTUATION:
+                tokens.append(Token("punctuation", ch, start_line, start_col))
+                advance()
+            else:
+                raise LexError(f"unexpected character {ch!r}", start_line, start_col)
+    tokens.append(Token(END, "", line, col))
+    return tokens
 
 
 def iter_indices(shape):

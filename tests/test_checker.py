@@ -217,3 +217,14 @@ def test_diagnostic_rendering_format():
 def test_initializer_on_distributed_rejected():
     src = "var A : array[complex,4,4] :: allocated[row[] :: single[0]] := 3;"
     assert "InitializerUnsupported" in rules_of(src)
+
+
+def test_sync_inside_proc_rejected():
+    (diag,) = diagnostics_of("proc 0 { sync };")
+    assert (diag.rule, diag.line, diag.column) == ("GuardedCollective", 1, 10)
+    assert diag.message == "sync is collective and cannot run inside a proc block"
+    src = "var a;\nproc 1 {\n  a := 2;\n  for i from 0 to 1 { sync a }\n};"
+    assert [(d.rule, d.line, d.column) for d in diagnostics_of(src)] == [
+        ("GuardedCollective", 4, 23)]
+    # a call into a synchronising function stays a run-time matter
+    check_program(parse("function f() { sync; };\nproc 0 { f() };\nsync;"))

@@ -1,9 +1,12 @@
 import pytest
 
+from conftest import reference_tokenize
 from meshlite import ast, parse
 from meshlite.ast import format_program
-from meshlite.errors import ParseError
+from meshlite.errors import LexError, ParseError
 from meshlite.fixtures import CORPUS, corpus_source
+from meshlite.lexer import tokenize
+from meshlite.parser import Parser
 
 ONESIDED = corpus_source("onesided.mesh")
 
@@ -138,6 +141,14 @@ def test_arithmetic_precedence():
     assert stmt.value.right.op == "*"
 
 
+def test_binary_operators_associate_left():
+    (stmt,) = parse("x := a - b - c < d / e * f == g;").statements
+    eq = stmt.value
+    assert eq.op == "==" and eq.left.op == "<"
+    assert eq.left.left.op == "-" and eq.left.left.left.op == "-"
+    assert eq.left.right.op == "*" and eq.left.right.left.op == "/"
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_parses(name):
     program = parse(corpus_source(name))
@@ -151,3 +162,35 @@ def test_pretty_print_round_trip(name):
     reparsed = parse(printed)
     assert reparsed == program
     assert format_program(reparsed) == printed
+
+
+def parsed(tokens_of, source):
+    """The program, or the error's class, text and position."""
+    try:
+        return parse(tokens_of(source))
+    except (LexError, ParseError) as err:
+        return (type(err).__name__, str(err), err.line, err.column)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_every_truncated_corpus_prefix_fails_like_the_reference(name):
+    """Cut the program after each token: the same program or the same error."""
+    source = corpus_source(name)
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    ends = [line_starts[t.line - 1] + t.column - 1 + len(t.lexeme) for t in tokenize(source)[:-1]]
+    errors = 0
+    for end in ends:
+        prefix = source[:end]
+        got = parsed(tokenize, prefix)
+        assert got == parsed(reference_tokenize, prefix), prefix
+        errors += isinstance(got, tuple)
+    assert errors > len(ends) // 2
+
+
+def test_peek_past_the_end_of_input_reads_the_end_marker():
+    parser = Parser(tokenize("x"))
+    parser.advance()
+    assert parser.peek().kind == parser.peek(1).kind == "end"
+    with pytest.raises(ParseError) as err:
+        parse("var A : array[int, n")
+    assert str(err.value) == "1:21: expected ], got 'end of input'"
