@@ -1,40 +1,31 @@
 """Compile a checked program, once per run, into closures.
 
-Every statement and expression becomes a closure over the process
-context. Whether a node can communicate is decided here, once, from the
-declarations in scope, resolved the way the interpreter will resolve
-them at run time:
+Every statement and expression becomes one closure over the process
+context; that is how a program runs. A closure that must wait for
+another process returns a generator, which yields to the scheduler and
+returns the result; otherwise it returns the result itself, so local
+reads and stores, and loops and calls doing local work, build no
+generator. Callers drain a generator with `yield from`.
 
-  plain closure `f(ctx) -> value`   literals, locals, replicated data,
-                                    arithmetic over these, 2D block and
-                                    line references, `processes()`,
-                                    `FFT` and `computeSin`
-  generator closure                 a single scalar, an element of a
-                                    non-replicated 1D array, an element
-                                    of a line
-
-A generator closure still evaluates its plain subtrees as plain calls.
-A statement closure returns what `ProcessContext.exec_stmt` returns: a
-generator if the statement can communicate, else () once it has run. A
-loop or `proc` body made only of plain statements runs as a Python loop.
-
-Statements the compiler does not specialise compile to a call into the
-AST walk of interp.py, a generator that is always right: collectives,
-channel and one-sided scalar assignments, typed declarations, stores
-into replicated scalars and block lines, element writes to distributed
-arrays inside `proc`, and function definitions. So do calls of user
-functions, whose bodies are compiled on their own, and of `readfile`
-and `writefile`, and expressions whose kind the declarations do not
-fix: names a function body takes from its caller (scoping is dynamic),
-and indexing a local's value.
+Whether a node can wait is decided here, once, from the declarations in
+scope (the Mesham types decide it before the program runs). Scoping is
+dynamic, so a name a function body takes from its caller, or a
+parameter, has no kind here: its closure branches on the binding's kind
+when it runs. The rules that hold whatever the kind live in
+ProcessContext: who performs an access (`performs`), that collectives
+cannot run inside `proc`, and the one-sided and channel transfers.
 """
+
+from types import GeneratorType as Generator
 
 from . import ast, chains
 from .checker import BUILTINS, static_eval
-from .values import OPERATORS, Binding, LineSlice, owned_blocks, row_of
+from .runtime import ZEROES, DistributedArray
+from .values import OPERATORS, Binding, BlockRef, LineSlice, arith, owned_blocks, row_of
 
 
 _SCALARS = (ast.BinOp, ast.IntLit, ast.RealLit, ast.StrLit)  # never array values
+_CLASSES = ("local", "array", "replica", "single")
 
 
 def compile_program(checked) -> dict:
@@ -43,31 +34,170 @@ def compile_program(checked) -> dict:
     Returns {id(statement): closure}; AST nodes compare structurally, so
     the key is the node's identity.
     """
-    compiler = Compiler()
+    compiler = Compiler(checked.functions)
     for fn in checked.functions.values():
-        # a body runs in its caller's scope: free names and parameters
-        # stay unknown, and so does whether it runs inside `proc`
-        compiler.scopes, compiler.in_proc = [{}], None
-        compiler.body(fn.body)
-    compiler.scopes, compiler.in_proc = [{}], False
-    compiler.body(checked.program.statements)
+        compiler.scopes = [{}]  # a body's free names and parameters stay unknown
+        compiler.block(fn.body)
+    compiler.scopes = [{}]
+    compiler.block(checked.program.statements)
     return compiler.code
 
 
-def _walked_stmt(node):
-    return (lambda ctx: ctx.walk_stmt(node)), True
+def _class_of(binding):
+    """How a binding is read and stored: one of _CLASSES."""
+    if binding.kind == "local":
+        return "local"
+    array = binding.array
+    if array.descriptor.ndim:
+        return "array"
+    return "replica" if array.replicated else "single"
 
 
-def _walked_expr(node):
-    return (lambda ctx: ctx.eval(node)), True, None
+# --- composing closures that may wait ---
+
+
+def _fails(message, node):
+    def fail(ctx):
+        raise ctx.fault(message, node)
+    return fail
+
+
+def _then(part, then):
+    """Closure for then(ctx, value of part); part is (closure, may wait)."""
+    first, gen = part
+    if not gen:
+        return lambda ctx: then(ctx, first(ctx))
+
+    def run(ctx):
+        value = first(ctx)
+        if value.__class__ is Generator:
+            value = yield from value
+        result = then(ctx, value)
+        if result.__class__ is Generator:
+            result = yield from result
+        return result
+    return run
+
+
+def _both(part, other, apply):
+    """Closure for apply(ctx, value of part, value of other), in that order."""
+    second, gen = other
+    if not gen:
+        return _then(part, lambda ctx, a: apply(ctx, a, second(ctx)))
+    return _then(part, lambda ctx, a: _after(ctx, second(ctx), apply, a))
+
+
+def _after(ctx, result, then, *before):
+    """then(ctx, *before, result), once result has run if it is a generator."""
+    if result.__class__ is Generator:
+        return _resume(ctx, result, then, before)
+    return then(ctx, *before, result)
+
+
+def _resume(ctx, pending, then, before):
+    result = then(ctx, *before, (yield from pending))
+    if result.__class__ is Generator:
+        result = yield from result
+    return result
+
+
+def _leave(ctx, mark, _):
+    ctx.leave(mark)
+
+
+def _run(ctx, stmts):
+    """Run a statement list; a generator for the rest once one waits."""
+    exec_stmt = ctx.exec_stmt
+    for s in stmts:
+        result = exec_stmt(s)
+        if result.__class__ is Generator:
+            return _finish(ctx, result, _rest(stmts, s))
+
+
+def _rest(stmts, s):
+    """The statements after s in stmts."""
+    return stmts[[t is s for t in stmts].index(True) + 1:]
+
+
+def _finish(ctx, pending, rest):
+    yield from pending
+    for s in rest:
+        result = ctx.exec_stmt(s)
+        if result.__class__ is Generator:
+            yield from result
+
+
+def _iterate(ctx, values, binding, stmts, scoped):
+    """Run stmts for each of values, a fresh scope each time if scoped."""
+    exec_stmt = ctx.exec_stmt
+    for binding.value in values:
+        inner = ctx.enter() if scoped else None
+        for s in stmts:
+            result = exec_stmt(s)
+            if result.__class__ is Generator:
+                pending = _finish(ctx, result, _rest(stmts, s))
+                return _iterate_waiting(ctx, pending, values, binding, stmts, inner)
+        if scoped:
+            ctx.leave(inner)
+
+
+def _iterate_waiting(ctx, pending, values, binding, stmts, inner):
+    """Generator: _iterate on from the iteration that had to wait."""
+    yield from pending
+    if inner is not None:
+        ctx.leave(inner)
+    for binding.value in values:
+        inner = ctx.enter() if inner is not None else None
+        for s in stmts:
+            result = ctx.exec_stmt(s)
+            if result.__class__ is Generator:
+                yield from result
+        if inner is not None:
+            ctx.leave(inner)
+
+
+def _integer(ctx, node, i):
+    if not isinstance(i, int):
+        raise ctx.fault("array index must be an integer", node)
+    return i
+
+
+def _store(ctx, node, check, binding, block, offset, value):
+    """Store into one element of binding's array; may wait (a put when remote)."""
+    if check:
+        value = ctx.storable(value, node)
+    if block.owner != ctx.rank:
+        return ctx.store(binding, block, offset, value)
+    block.buffer[offset] = value
+
+
+def _index_value(ctx, node, base, i):
+    """base[i], whatever base turns out to be."""
+    if isinstance(base, DistributedArray):
+        shape = base.descriptor.shape
+        _integer(ctx, node, i)
+        if len(shape) == 1:
+            if base.replicated:
+                if not 0 <= i < shape[0]:
+                    raise ctx.fault(f"index {i} outside shape {shape}", node)
+                return base.replicas[ctx.rank][i]
+            return ctx.read_element(base, i)
+        if len(shape) == 2:
+            return row_of(base, i)
+        raise ctx.fault("cannot index a scalar", node)
+    if isinstance(base, BlockRef):
+        return LineSlice(base.array, base.block, i)
+    if isinstance(base, LineSlice):
+        return ctx.read_line(base, i)
+    raise ctx.fault("value is not indexable", node)
 
 
 class Compiler:
-    def __init__(self):
+    def __init__(self, functions):
         self.code = {}
         self.leaves = {}
         self.scopes = [{}]
-        self.in_proc = False  # None where it depends on the caller
+        self.functions = functions
 
     def lookup(self, name):
         for scope in reversed(self.scopes):
@@ -75,235 +205,277 @@ class Compiler:
                 return scope[name]
         return None
 
-    # --- statements: each returns (closure, can communicate) ---
+    # --- statements ---
 
-    def body(self, stmts):
-        """Compile a statement list; True if none can communicate."""
-        return not any([self.stmt(s) for s in stmts])
+    def block(self, stmts):
+        for s in stmts:
+            self.stmt(s)
+        return stmts
 
     def stmt(self, node):
         kind = type(node)
         if kind is ast.Assign:
-            fn, gen = self.assign(node)
+            fn = self.assign(node)
         elif kind is ast.VarDecl:
-            fn, gen = self.decl(node)
+            fn = self.decl(node)
         elif kind is ast.For:
-            fn, gen = self.loop(node)
+            fn = self.loop(node)
         elif kind is ast.ProcBlock:
-            fn, gen = self.proc(node)
+            fn = self.proc(node)
         elif kind is ast.ExprStmt:
-            fn, gen = self.expr_stmt(node)
+            fn = self.expr(node.expr)[0]
+        elif kind is ast.Sync:
+            fn = lambda ctx: ctx.sync(node)  # noqa: E731
+        elif kind is ast.FuncDef:
+            fn = lambda ctx: None  # noqa: E731  (registered by the checker)
         else:
-            fn, gen = _walked_stmt(node)
+            fn = _fails(f"unhandled statement {kind.__name__}", node)
         self.code[id(node)] = fn
-        return gen
-
-    def expr_stmt(self, node):
-        fn, gen, _ = self.expr(node.expr)
-        if gen:
-            return fn, True  # the expression's generator is the statement's
-
-        def run(ctx):
-            fn(ctx)
-            return ()
-        return run, False
 
     def decl(self, node):
-        name = node.name
-        if node.type_expr is not None:
-            chain = chains.from_type_expr(node.type_expr, static_eval)
-            self.scopes[-1][name] = chains.kind_of(chain)
-            return _walked_stmt(node)
-        if node.init is None:
-            init, gen = None, False
-        else:
-            init, gen, _ = self.expr(node.init)
-        self.scopes[-1][name] = chains.LOCAL
-        if gen:
-            return _walked_stmt(node)
+        name, type_expr = node.name, node.type_expr
+        init, gen = (None, False) if node.init is None else self.expr(node.init)
+        kind = chains.LOCAL
+        if type_expr is not None:
+            extents = {}  # type arguments, evaluated when the declaration runs
 
-        def run(ctx):
-            if ctx.depth == 0 and name in ctx.state.overrides:
-                value = ctx.state.overrides[name]
-            else:
-                value = 0 if init is None else init(ctx)
-            ctx.bind(name, Binding(name, "local", value=value))
-            return ()
-        return run, False
+            def collect(e):
+                extents[id(e)] = self.extent(e)
+                return static_eval(e)
+
+            kind = chains.kind_of(chains.from_type_expr(type_expr, collect))
+
+            def chain(ctx):
+                return chains.from_type_expr(type_expr, lambda e: extents[id(e)](ctx))
+        self.scopes[-1][name] = kind
+        if kind.distributed:
+            return lambda ctx: ctx.allocate(node, chain(ctx), kind.read_only)
+
+        def value(ctx):
+            if type_expr is not None:
+                chain(ctx)
+                if init is None:
+                    return ZEROES[kind.elem]
+            elif ctx.depth == 0 and name in ctx.state.overrides:
+                return ctx.state.overrides[name]
+            return 0 if init is None else init(ctx)
+
+        def bind(ctx, v):
+            ctx.bind(name, Binding(name, "local", value=v, read_only=kind.read_only))
+        return _then((value, gen), bind)
+
+    def extent(self, node):
+        """Closure for a type argument: an integer over process-local state."""
+        kind = type(node)
+        if kind is ast.IntLit:
+            return lambda ctx: node.value
+        if kind is ast.Name:
+            def local(ctx):
+                binding = ctx.env.get(node.name)
+                if binding is None or binding.kind != "local" or not isinstance(binding.value, int):
+                    raise ctx.fault(f"type argument {node.name!r} is not a local integer", node)
+                return binding.value
+            return local
+        if kind is ast.BinOp:
+            left, right = self.extent(node.left), self.extent(node.right)
+            return lambda ctx: arith(node.op, left(ctx), right(ctx))
+        if kind is ast.Call and node.func == "processes" and not node.args:
+            return lambda ctx: ctx.state.nprocs
+        return _fails("type arguments must be integer expressions over local variables", node)
+
+    # --- assignments ---
 
     def assign(self, node):
         target = node.target
         if type(target) is ast.Name:
-            known = self.lookup(target.name)
-            if known is not None and not known.distributed and not known.read_only:
-                return self.store_local(node, target.name)
-        elif type(target) is ast.Index and type(target.base) is ast.Name:
-            known = self.lookup(target.base.name)
-            if known is not None and known.ndim == 1 and not known.read_only:
-                if known.replicated:
-                    return self.store_element(node, target.base.name)
-                if self.in_proc is False:
-                    return self.store_owned(node, target.base.name)
-        return _walked_stmt(node)
+            return self.assign_name(node, target.name)
+        if type(target) is ast.Index:
+            base = target.base
+            if type(base) is ast.Name:
+                return self.assign_element(node, base.name)
+            if type(base) is ast.Index and type(base.base) is ast.Name:
+                return self.assign_line(node, base.base.name)
+        return _fails("invalid assignment target", node)
 
-    def store_local(self, node, name):
-        value, gen, _ = self.expr(node.value)
+    def assign_name(self, node, name):
+        (value, gen), known = self.expr(node.value), self.lookup(name)
         check = not isinstance(node.value, _SCALARS)
-        if gen:
-            def run(ctx):
-                v = yield from value(ctx)
-                ctx.env[name].value = ctx.storable(v, node) if check else v
-            return run, True
 
-        def run(ctx):
-            v = value(ctx)
+        def local(ctx, v):
             ctx.env[name].value = ctx.storable(v, node) if check else v
-            return ()
-        return run, False
 
-    def store_element(self, node, name):
-        """A[i] := v on a replicated 1D array: this rank's replica."""
-        index, igen, _ = self.expr(node.target.index)
-        value, vgen, _ = self.expr(node.value)
-        if igen or vgen:
-            return _walked_stmt(node)
-        check = not isinstance(node.value, _SCALARS)
+        if known is not None and not known.distributed and not known.read_only:
+            if gen:
+                return _then((value, gen), local)
+
+            def store(ctx):  # the commonest statement, as one call
+                v = value(ctx)
+                ctx.env[name].value = ctx.storable(v, node) if check else v
+            return store
+
+        def replica(ctx, v):
+            ctx.env[name].array.replicas[ctx.rank][0] = ctx.storable(v, node) if check else v
+
+        source = node.value.name if type(node.value) is ast.Name else None
+
+        def redistribute(ctx):
+            dst = ctx.env[name]
+            if source is None:
+                raise ctx.fault(f"{dst.name!r} is an array; assign another array", node)
+            src = ctx.env.get(source)
+            if src is None or src.kind != "array":
+                raise ctx.fault(f"{source!r} is not an array", node)
+            ctx.unguarded("array assignment", node)
+            return ctx.assign_arrays(dst.array, src.array, node)
+
+        def single(ctx):
+            """A single-copy scalar: over a matching channel, else one-sided."""
+            binding = ctx.env[name]
+            owner = binding.array.blocks[0].owner
+            src = ctx.env.get(source) if source is not None else None
+            if src is not None and _class_of(src) == "single":
+                src_owner = src.array.blocks[0].owner
+                comm = binding.plan.comm if binding.plan else None
+                if comm is not None and (comm[1], comm[2]) == (src_owner, owner) \
+                        and src_owner != owner:
+                    return ctx.channel_assign(node, binding, src, comm)
+                if ctx.performs(owner):
+                    return _after(ctx, ctx.read_remote_scalar(src), _store, node, False,
+                                  binding, binding.array.blocks[0], 0)
+            elif ctx.performs(owner):
+                return _after(ctx, value(ctx), _store, node, check,
+                              binding, binding.array.blocks[0], 0)
+
+        stores = {"local": _then((value, gen), local), "array": redistribute,
+                  "replica": _then((value, gen), replica), "single": single}
 
         def run(ctx):
+            binding = ctx.env.get(name)
+            if binding is None:
+                raise ctx.fault(f"{name!r} is not declared", node)
+            ctx.writable(binding, name, node)
+            return stores[_class_of(binding)](ctx)
+        return run
+
+    def assign_element(self, node, name):
+        """name[i] := value."""
+        (index, igen), (value, vgen) = self.expr(node.target.index), self.expr(node.value)
+        check = not isinstance(node.value, _SCALARS)
+
+        def replicated(ctx, i, v):
+            """This process's replica."""
             array = ctx.env[name].array
-            i = index(ctx)
-            v = value(ctx)
             shape = array.descriptor.shape
+            if len(shape) != 1:
+                raise ctx.fault("element assignment needs a one-dimensional array", node)
             if not 0 <= i < shape[0]:
                 raise ctx.fault(f"index {i} outside shape {shape}", node)
             array.replicas[ctx.rank][i] = ctx.storable(v, node) if check else v
-            return ()
-        return run, False
 
-    def store_owned(self, node, name):
-        """A[i] := v on a distributed 1D array outside proc: the owner stores."""
-        index, igen, _ = self.expr(node.target.index)
-        value, vgen, _ = self.expr(node.value)
-        if igen or vgen:
-            return _walked_stmt(node)
-        check = not isinstance(node.value, _SCALARS)
+        def located(ctx, i):
+            """Element i of a single-copy array, stored by whoever performs it."""
+            binding = ctx.env[name]
+            array = binding.array
+            if len(array.descriptor.shape) != 1:
+                raise ctx.fault("use A[block][line] to address rows of a 2D array", node)
+            k, off = array.descriptor.locate((i,))
+            block = array.blocks[k]
+            if ctx.performs(block.owner):
+                return _after(ctx, value(ctx), _store, node, check, binding, block, off)
+
+        replica = _both((index, igen), (value, vgen), replicated)
+        distributed = _then((index, igen), located)
+        known = self.lookup(name)
+        if known is not None and known.distributed and not known.read_only:
+            return replica if known.replicated else distributed
 
         def run(ctx):
-            array = ctx.env[name].array
-            k, off = array.descriptor.locate((index(ctx),))
-            block = array.blocks[k]
-            if ctx.rank == block.owner:
-                v = value(ctx)
-                block.buffer[off] = ctx.storable(v, node) if check else v
-            return ()
-        return run, False
+            binding = ctx.env.get(name)
+            if binding is None:
+                raise ctx.fault(f"{name!r} is not declared", node)
+            ctx.writable(binding, binding.name, node)
+            if binding.kind == "local":
+                raise ctx.fault(f"{binding.name!r} is not an array", node)
+            return (replica if binding.array.replicated else distributed)(ctx)
+        return run
+
+    def assign_line(self, node, name):
+        """A[block][line] := other line: whole-line copy."""
+        line, value = self.expr(node.target)[0], self.expr(node.value)[0]
+
+        def run(ctx):
+            binding = ctx.env.get(name)
+            if binding is None or binding.kind != "array":
+                raise ctx.fault("line assignment needs a distributed array", node)
+            ctx.writable(binding, binding.name, node)
+            dst = line(ctx)
+            if dst.__class__ is Generator:
+                dst = yield from dst
+            if not isinstance(dst, LineSlice):
+                raise ctx.fault("line assignment needs a partitioned array", node)
+            owner = dst.block.owner
+            if not ctx.performs(owner):
+                return
+            src = value(ctx)
+            if src.__class__ is Generator:
+                src = yield from src
+            if not isinstance(src, LineSlice) or len(src) != len(dst):
+                raise ctx.fault("line assignment needs an equal-length line", node)
+            array = binding.array
+            if src.block.owner != ctx.rank:
+                yield from ctx.fetch(None, src.block.owner, array, binding.name, len(src))
+            payload = src.values()
+            if owner != ctx.rank:
+                yield from ctx.put(owner, array, binding.name, len(payload))
+            dst.store(payload)
+        return run
+
+    # --- control flow ---
 
     def loop(self, node):
-        start, sgen, _ = self.expr(node.start)
-        stop, tgen, _ = self.expr(node.stop)
-        var = node.var
+        bounds, var = (self.expr(node.start), self.expr(node.stop)), node.var
         self.scopes.append({var: chains.LOCAL})
-        plain = self.body(node.body)
+        stmts = self.block(node.body)
         self.scopes.pop()
-        if sgen or tgen:
-            return _walked_stmt(node)
-        body = node.body
         # declarations in the body vanish at the end of every iteration
-        scoped = any(type(s) is ast.VarDecl for s in body)
+        scoped = any(type(s) is ast.VarDecl for s in stmts)
 
-        def begin(ctx):
-            """Bounds, the loop variable's binding, and the scope mark to leave."""
-            lo, hi = start(ctx), stop(ctx)
+        def run(ctx, lo, hi):
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise ctx.fault("loop bounds must be integers", node)
+            values = iter(range(lo, hi + 1))
             existing = ctx.env.get(var)
             if existing is not None and existing.read_only:
                 raise ctx.fault(f"loop variable {var!r} is read-only", node)
             if existing is not None and existing.kind == "local":
-                return range(lo, hi + 1), existing, None
+                return _iterate(ctx, values, existing, stmts, scoped)
             mark = ctx.enter()
             binding = Binding(var, "local")
             ctx.bind(var, binding)
-            return range(lo, hi + 1), binding, mark
-
-        if plain:
-            def run(ctx):
-                values, binding, mark = begin(ctx)
-                exec_stmt = ctx.exec_stmt
-                for v in values:
-                    binding.value = v
-                    if scoped:
-                        inner = ctx.enter()
-                    for s in body:
-                        exec_stmt(s)
-                    if scoped:
-                        ctx.leave(inner)
-                if mark is not None:
-                    ctx.leave(mark)
-                return ()
-            return run, False
-
-        def run(ctx):
-            values, binding, mark = begin(ctx)
-            exec_stmt = ctx.exec_stmt
-            for v in values:
-                binding.value = v
-                if scoped:
-                    inner = ctx.enter()
-                for s in body:
-                    yield from exec_stmt(s)
-                if scoped:
-                    ctx.leave(inner)
-            if mark is not None:
-                ctx.leave(mark)
-        return run, True
+            return _after(ctx, _iterate(ctx, values, binding, stmts, scoped), _leave, mark)
+        return _both(*bounds, run)
 
     def proc(self, node):
-        rank, rgen, _ = self.expr(node.rank)
+        rank = self.expr(node.rank)
         self.scopes.append({})
-        saved, self.in_proc = self.in_proc, True
-        plain = self.body(node.body)
-        self.in_proc = saved
+        stmts = self.block(node.body)
         self.scopes.pop()
-        if rgen:
-            return _walked_stmt(node)
-        body = node.body
 
-        def selected(ctx):
-            r = rank(ctx)
+        def run(ctx, r):
             nprocs = ctx.state.nprocs
             if not isinstance(r, int) or not 0 <= r < nprocs:
                 raise ctx.fault(f"proc rank {r} outside [0, {nprocs})", node)
-            return r == ctx.rank
-
-        if plain:
-            def run(ctx):
-                if selected(ctx):
-                    mark = ctx.enter()
-                    ctx.proc_depth += 1
-                    exec_stmt = ctx.exec_stmt
-                    for s in body:
-                        exec_stmt(s)
-                    ctx.proc_depth -= 1
-                    ctx.leave(mark)
-                return ()
-            return run, False
-
-        def run(ctx):
-            if selected(ctx):
+            if r == ctx.rank:
                 mark = ctx.enter()
                 ctx.proc_depth += 1
-                for s in body:
-                    yield from ctx.exec_stmt(s)
-                ctx.proc_depth -= 1
-                ctx.leave(mark)
-        return run, True
+                return _after(ctx, _run(ctx, stmts), left, mark)
 
-    # --- expressions: each returns (closure, can communicate, shape) ---
-    #
-    # shape is what the value is known to be: the chains.Kind of an array of
-    # one or two dimensions, "block" for A[b], "line" for a block line,
-    # or None.
+        def left(ctx, mark, _):
+            ctx.proc_depth -= 1
+            ctx.leave(mark)
+        return _then(rank, run)
+
+    # --- expressions: each is (closure, may wait) ---
 
     def expr(self, node):
         kind = type(node)
@@ -314,12 +486,12 @@ class Compiler:
         if kind is ast.Index:
             return self.index(node)
         if kind in (ast.IntLit, ast.RealLit, ast.StrLit):
-            return self.leaf(("const", type(node.value), node.value)), False, None
+            return self.leaf(("const", type(node.value), node.value)), False
         if kind is ast.Accessor:
             return self.accessor(node)
         if kind is ast.Call:
             return self.call(node)
-        return _walked_expr(node)
+        return _fails(f"unhandled expression {kind.__name__}", node), False
 
     def leaf(self, key):
         """Closure for a leaf that cannot fault, one per distinct leaf.
@@ -344,24 +516,21 @@ class Compiler:
         return fn
 
     def name(self, node):
-        name = node.name
-        known = self.lookup(name)
-        if known is None:
-            return _walked_expr(node)
-        if not known.distributed:
-            return self.leaf(("local", name)), False, None
-        if known.ndim:
-            return self.leaf(("array", name)), False, known
-        if known.replicated:
-            return self.leaf(("replica", name)), False, None
-        return self.leaf(("single", name)), True, None
+        name, known = node.name, self.lookup(node.name)
+        if known is not None and not (known.distributed and not known.ndim):
+            return self.leaf(("array" if known.distributed else "local", name)), False
+        leaves = {c: self.leaf((c, name)) for c in _CLASSES}
+
+        def run(ctx):
+            binding = ctx.env.get(name)
+            if binding is None:
+                raise ctx.fault(f"{name!r} is not declared", node)
+            return leaves[_class_of(binding)](ctx)
+        return run, True
 
     def binop(self, node):
-        op = OPERATORS.get(node.op)
-        if op is None:
-            return _walked_expr(node)
-        left, lgen, _ = self.expr(node.left)
-        right, rgen, _ = self.expr(node.right)
+        op = OPERATORS.get(node.op) or (lambda a, b: arith(node.op, a, b))
+        (left, lgen), (right, rgen) = self.expr(node.left), self.expr(node.right)
         if not (lgen or rgen):
             def run(ctx):
                 a = left(ctx)
@@ -370,95 +539,100 @@ class Compiler:
                     return op(a, b)
                 except (TypeError, ZeroDivisionError) as exc:
                     raise ctx.fault(str(exc), node)
-            return run, False, None
+            return run, False
 
-        def run(ctx):
-            a = (yield from left(ctx)) if lgen else left(ctx)
-            b = (yield from right(ctx)) if rgen else right(ctx)
+        def wait(ctx):
+            a = left(ctx)
+            if lgen and a.__class__ is Generator:
+                a = yield from a
+            b = right(ctx)
+            if rgen and b.__class__ is Generator:
+                b = yield from b
             try:
                 return op(a, b)
             except (TypeError, ZeroDivisionError) as exc:
                 raise ctx.fault(str(exc), node)
-        return run, True, None
+        return wait, True
 
     def index(self, node):
-        base, bgen, shape = self.expr(node.base)
-        index, igen, _ = self.expr(node.index)
-        if bgen or igen:
-            return _walked_expr(node)
-        if shape == "block":
-            def line(ctx):
-                ref = base(ctx)
-                return LineSlice(ref.array, ref.block, index(ctx))
-            return line, False, "line"
-        if shape == "line":
-            return (lambda ctx: ctx.read_line(base(ctx), index(ctx))), True, None
-        if not isinstance(shape, chains.Kind):
-            return _walked_expr(node)
-        name = node.base.name  # only a name has an array shape
-
-        def integer(ctx):
-            i = index(ctx)
-            if not isinstance(i, int):
-                raise ctx.fault("array index must be an integer", node)
-            return i
-
-        if shape.ndim == 2:
-            return (lambda ctx: row_of(ctx.env[name].array, integer(ctx))), False, (
-                "block" if shape.partitioned else "line")
-        if not shape.replicated:
-            return (lambda ctx: ctx.read_element(ctx.env[name].array, integer(ctx))), True, None
-
-        def element(ctx):
-            array = ctx.env[name].array
-            i = index(ctx)
-            if not isinstance(i, int):
-                raise ctx.fault("array index must be an integer", node)
-            shape = array.descriptor.shape
-            if not 0 <= i < shape[0]:
-                raise ctx.fault(f"index {i} outside shape {shape}", node)
-            return array.replicas[ctx.rank][i]
-        return element, False, None
+        base, (index, igen) = self.expr(node.base), self.expr(node.index)
+        name = node.base.name if type(node.base) is ast.Name else None
+        known = self.lookup(name) if name is not None else None
+        if known is not None and known.distributed and known.ndim == 1 and not igen:
+            # an element of a 1D array, read straight from the binding
+            if known.replicated:
+                def element(ctx):
+                    array = ctx.env[name].array
+                    i = index(ctx)
+                    if not isinstance(i, int):
+                        raise ctx.fault("array index must be an integer", node)
+                    shape = array.descriptor.shape
+                    if not 0 <= i < shape[0]:
+                        raise ctx.fault(f"index {i} outside shape {shape}", node)
+                    return array.replicas[ctx.rank][i]
+                return element, False
+            return (lambda ctx: ctx.read_element(
+                ctx.env[name].array, _integer(ctx, node, index(ctx)))), True
+        return _both(base, (index, igen), lambda ctx, b, i: _index_value(ctx, node, b, i)), True
 
     def accessor(self, node):
-        base, bgen, shape = self.expr(node.base)
-        which = node.which
-        if bgen:
-            return _walked_expr(node)
-        if shape == "block" and which == "low":
-            return (lambda ctx: base(ctx).block.low), False, None
-        if shape == "block" and which == "high":
-            return (lambda ctx: base(ctx).block.high), False, None
-        if not isinstance(shape, chains.Kind):
-            return _walked_expr(node)
-        if which == "localblocks":
-            return (lambda ctx: len(owned_blocks(base(ctx), ctx.rank))), False, None
-        if which != "localblockid":
-            return _walked_expr(node)
-        arg, agen, _ = self.expr(node.arg)
-        if agen:
-            return _walked_expr(node)
+        base, which = self.expr(node.base), node.which
+        arg, gen = (None, False) if node.arg is None else self.expr(node.arg)
 
-        def block_id(ctx):
-            owned = owned_blocks(base(ctx), ctx.rank)
-            j = arg(ctx)
+        def apply(ctx, value):
+            if which in ("low", "high"):
+                if not isinstance(value, BlockRef):
+                    raise ctx.fault(f".{which} needs a block reference like A[blockid]", node)
+                return value.block.low if which == "low" else value.block.high
+            if not isinstance(value, DistributedArray):
+                raise ctx.fault(f".{which} needs a distributed array", node)
+            owned = owned_blocks(value, ctx.rank)
+            if which == "localblocks":
+                return len(owned)
+            return _after(ctx, arg(ctx), block_id, owned)
+
+        def block_id(ctx, owned, j):
             if not isinstance(j, int) or not 0 <= j < len(owned):
                 raise ctx.fault(f"local block index {j} outside [0, {len(owned)})", node)
             return owned[j]
-        return block_id, False, None
+        return _then(base, apply), base[1] or gen
 
     def call(self, node):
         name, args = node.func, node.args
         if name == "processes":
-            return (lambda ctx: ctx.state.nprocs), False, None
-        if name in ("FFT", "computeSin") and len(args) == BUILTINS[name]:
-            parts = [self.expr(a) for a in args]
-            if any(gen for _, gen, _ in parts):
-                return _walked_expr(node)
-            if name == "FFT":
-                (row, _, _), (sins, _, _) = parts
-                return (lambda ctx: ctx.fft_line(node, row(ctx), sins(ctx))), False, None
-            (array, _, _), = parts
-            return (lambda ctx: ctx.compute_sin(node, array(ctx))), False, None
-        # user functions (their bodies are compiled) and file I/O
-        return _walked_expr(node)
+            return (lambda ctx: ctx.state.nprocs), False
+        if name not in BUILTINS:
+            return self.user_call(node), True
+        want = BUILTINS[name]
+        if len(args) < want:
+            return _fails(f"{name} takes {want} argument{'s' if want != 1 else ''}", node), False
+        parts = [self.expr(a) for a in args[:want]]
+        gen = any(g for _, g in parts)
+        if name == "computeSin":
+            return _then(parts[0], lambda ctx, array: ctx.compute_sin(node, array)), gen
+        if name == "FFT":
+            return _both(*parts, lambda ctx, row, sins: ctx.fft_line(node, row, sins)), gen
+        operands = _both(*parts, lambda ctx, array, path: (array, path))
+        write = name == "writefile"
+        return (lambda ctx: ctx.builtin_file(node, operands, write)), True
+
+    def user_call(self, node):
+        fn = self.functions.get(node.func)
+        if fn is None:
+            return _fails(f"unknown function {node.func!r}", node)
+        params = [p.name for p in fn.params]
+
+        def run(ctx):
+            bindings = []
+            for arg in node.args:
+                if type(arg) is not ast.Name:
+                    raise ctx.fault("function arguments must be variables", node)
+                b = ctx.env.get(arg.name)
+                if b is None:
+                    raise ctx.fault(f"{arg.name!r} is not declared", node)
+                bindings.append(b)
+            mark = ctx.enter()
+            for param, b in zip(params, bindings):
+                ctx.bind(param, b)
+            return _after(ctx, _run(ctx, fn.body), _leave, mark)
+        return run

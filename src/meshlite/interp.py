@@ -1,11 +1,11 @@
 """SPMD interpretation: every simulated process runs the whole program.
 
-Each process is a generator driven by the cooperative scheduler. Local
-work runs straight through; communication and collectives yield. A run
-compiles the program once into closures (compiler.py); what they do not
-cover runs through the AST walk of ProcessContext, which is also the
-reference they are tested against. The dispatch for an assignment
-follows the resolved type attributes:
+Each process is a generator driven by the cooperative scheduler. A run
+compiles the program once into closures (compiler.py), and every
+statement runs as its closure: local work runs straight through;
+communication and collectives yield. The closures share the rules and
+the data movement of ProcessContext below. The dispatch for an
+assignment follows the resolved type attributes:
 
   local variable          plain per-process store
   single scalar           channel transfer when the (source, destination)
@@ -20,8 +20,9 @@ follows the resolved type attributes:
 import functools
 import math
 import os
+from types import GeneratorType
 
-from . import ast, chains, mshd, runtime
+from . import chains, mshd, runtime
 from .checker import CheckedProgram, check_program
 from .compiler import compile_program
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     RuntimeFault,
 )
 from .sched import PAUSE, Barrier, ChannelSlot, Collective, PendingTransfer, Scheduler
-from .values import Binding, BlockRef, LineSlice, arith, owned_blocks, row_of
+from .values import Binding, BlockRef, LineSlice
 
 
 # --- FFT kernel ---
@@ -96,6 +97,7 @@ class RunState:
         self.arrays = {}  # (stmt id, instance) -> DistributedArray
         self.declared = []  # (name, DistributedArray, plan) in declaration order
         self.channels = {}
+        self.code = {}  # id(statement) -> closure, set by run
         self.binding_snapshots = [[] for _ in range(nprocs)]
 
     def channel_slot(self, array, src, dst):
@@ -154,24 +156,22 @@ class RunResult:
 
 
 class ProcessContext:
-    """One simulated process: its bindings and the statements it runs.
+    """One simulated process: its bindings, and what its compiled
+    statements share (compiler.py): the rules of access, one-sided and
+    channel transfers, collectives and builtins. A helper that may wait
+    returns a generator only when it must.
 
     Bindings live in one flat dict, `env`, holding the innermost visible
     binding of every name; a name bound inside a scope pushes the binding
     it hides (or None) on `shadow`, and leaving the scope puts those back.
     Scoping is dynamic: a function body sees its caller's names.
-
-    With `code` (compiler.compile_program) statements run as compiled
-    closures; without it, as the AST walk below, the reference the
-    compiled code is tested against and the path it falls back to for
-    forms it does not compile.
     """
 
-    def __init__(self, rank, state, checked, code=None):
+    def __init__(self, rank, state, checked):
         self.rank = rank
         self.state = state
         self.checked = checked
-        self.code = code  # id(statement) -> closure, or None
+        self.code = state.code  # id(statement) -> closure
         self.env = {}
         self.shadow = []  # (name, hidden binding or None)
         self.depth = 0  # scopes open above the top level
@@ -180,9 +180,6 @@ class ProcessContext:
         self.alloc_counts = {}
 
     # scope handling
-
-    def lookup(self, name):
-        return self.env.get(name)
 
     def bind(self, name, binding):
         if self.depth:
@@ -211,7 +208,7 @@ class ProcessContext:
                             line=getattr(node, "line", None),
                             column=getattr(node, "column", None))
 
-    # --- program walk ---
+    # --- program ---
 
     def run_program(self):
         snapshots = self.state.binding_snapshots[self.rank]
@@ -219,7 +216,9 @@ class ProcessContext:
         for stmt in self.checked.program.statements:
             yield PAUSE
             try:
-                yield from self.exec_stmt(stmt)
+                result = self.exec_stmt(stmt)
+                if result.__class__ is GeneratorType:
+                    yield from result
             except RuntimeFault:
                 raise
             except MeshError as exc:
@@ -230,58 +229,14 @@ class ProcessContext:
             snapshots.append(names)
 
     def exec_stmt(self, stmt):
-        """Run one statement; the caller drains the result with `yield from`.
-
-        Compiled, this is the statement's closure: a generator when the
-        statement can communicate, else () once it has run.
-        """
-        if self.code is not None:
-            return self.code[id(stmt)](self)
-        return self.walk_stmt(stmt)
-
-    def walk_stmt(self, stmt):
-        if isinstance(stmt, ast.VarDecl):
-            yield from self.exec_decl(stmt)
-        elif isinstance(stmt, ast.Assign):
-            yield from self.exec_assign(stmt)
-        elif isinstance(stmt, ast.For):
-            yield from self.exec_for(stmt)
-        elif isinstance(stmt, ast.ProcBlock):
-            yield from self.exec_proc(stmt)
-        elif isinstance(stmt, ast.ExprStmt):
-            yield from self.eval(stmt.expr)
-        elif isinstance(stmt, ast.Sync):
-            yield from self.exec_sync(stmt)
-        elif isinstance(stmt, ast.FuncDef):
-            pass  # registered by the checker
-        else:
-            raise self.fault(f"unhandled statement {type(stmt).__name__}", stmt)
+        """Run one statement; a generator for the caller to drain with
+        `yield from` when it must wait (any other result is ignored)."""
+        return self.code[id(stmt)](self)
 
     # --- declarations ---
 
-    def exec_decl(self, stmt):
-        if stmt.type_expr is None:
-            if stmt.name in self.state.overrides and self.depth == 0:
-                value = self.state.overrides[stmt.name]
-            elif stmt.init is not None:
-                value = yield from self.eval(stmt.init)
-            else:
-                value = 0
-            self.bind(stmt.name, Binding(stmt.name, "local", value=value))
-            return
-
-        chain = chains.from_type_expr(stmt.type_expr, self.eval_extent)
-        kind = chains.kind_of(chain)
-
-        if not kind.distributed:
-            if stmt.init is not None:
-                value = yield from self.eval(stmt.init)
-            else:
-                value = runtime.ZEROES[kind.elem]
-            self.bind(stmt.name,
-                      Binding(stmt.name, "local", value=value, read_only=kind.read_only))
-            return
-
+    def allocate(self, stmt, chain, read_only):
+        """Bind stmt's name to its array, allocated by the first process here."""
         plan = chains.plan_of(chain)
         key = (id(stmt), self.alloc_counts.get(id(stmt), 0))
         self.alloc_counts[id(stmt)] = key[1] + 1
@@ -291,7 +246,7 @@ class ProcessContext:
                 dist_map = self.snapshot_dist(plan.distribution[1], stmt)
             base_array = None
             if plan.share_base is not None:
-                base_binding = self.lookup(plan.share_base)
+                base_binding = self.env.get(plan.share_base)
                 if base_binding is None or base_binding.kind != "array":
                     raise self.fault(f"share base {plan.share_base!r} is not allocated", stmt)
                 base_array = base_binding.array
@@ -301,131 +256,81 @@ class ProcessContext:
             self.state.declared.append((stmt.name, array, plan))
         array = self.state.arrays[key]
         self.bind(stmt.name,
-                  Binding(stmt.name, "array", array=array, plan=plan, read_only=kind.read_only))
+                  Binding(stmt.name, "array", array=array, plan=plan, read_only=read_only))
 
     def snapshot_dist(self, var, stmt):
-        binding = self.lookup(var)
+        binding = self.env.get(var)
         if binding is None or binding.kind != "array" or not binding.array.replicated:
             raise self.fault(f"distribution array {var!r} must be a replicated integer array", stmt)
         return list(binding.array.storage_for(self.rank))
 
-    def eval_extent(self, expr):
-        """Declaration-time evaluation of type-chain arguments.
+    # --- rules of assignment ---
 
-        Only process-local integer state may appear: chain extents are
-        fixed when the declaration executes.
-        """
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.Name):
-            binding = self.lookup(expr.name)
-            if binding is None or binding.kind != "local" or not isinstance(binding.value, int):
-                raise self.fault(f"type argument {expr.name!r} is not a local integer", expr)
-            return binding.value
-        if isinstance(expr, ast.BinOp):
-            left = self.eval_extent(expr.left)
-            right = self.eval_extent(expr.right)
-            return arith(expr.op, left, right)
-        if isinstance(expr, ast.Call) and expr.func == "processes" and not expr.args:
-            return self.state.nprocs
-        raise self.fault("type arguments must be integer expressions over local variables", expr)
-
-    # --- assignment dispatch ---
-
-    def exec_assign(self, stmt):
-        target = stmt.target
-        if isinstance(target, ast.Name):
-            binding = self.lookup(target.name)
-            if binding is None:
-                raise self.fault(f"{target.name!r} is not declared", stmt)
-            if binding.read_only:
-                raise self.fault(f"{target.name!r} is read-only", stmt)
-            if binding.kind == "local":
-                value = yield from self.eval(stmt.value)
-                binding.value = self.storable(value, stmt)
-                return
-            array = binding.array
-            if array.descriptor.ndim == 0 and not array.replicated:
-                yield from self.assign_scalar(stmt, binding)
-                return
-            if array.replicated and array.descriptor.ndim == 0:
-                value = yield from self.eval(stmt.value)
-                array.storage_for(self.rank)[0] = self.storable(value, stmt)
-                return
-            yield from self.assign_whole_array(stmt, binding)
-            return
-        if isinstance(target, ast.Index) and isinstance(target.base, ast.Name):
-            yield from self.assign_element(stmt, target)
-            return
-        if (isinstance(target, ast.Index) and isinstance(target.base, ast.Index)
-                and isinstance(target.base.base, ast.Name)):
-            yield from self.assign_line(stmt, target)
-            return
-        raise self.fault("invalid assignment target", stmt)
-
-    def assign_scalar(self, stmt, binding):
-        """Single-copy scalar destination: channel, one-sided or local."""
-        array = binding.array
-        dst_owner = array.blocks[0].owner
-        comm = binding.plan.comm if binding.plan else None
-
-        src_binding = None
-        if isinstance(stmt.value, ast.Name):
-            cand = self.lookup(stmt.value.name)
-            if cand is not None and cand.kind == "array" and \
-                    cand.array.descriptor.ndim == 0 and not cand.array.replicated:
-                src_binding = cand
-
-        if src_binding is not None:
-            src_owner = src_binding.array.blocks[0].owner
-            if comm is not None and (comm[1], comm[2]) == (src_owner, dst_owner) \
-                    and src_owner != dst_owner:
-                yield from self.channel_assign(stmt, binding, src_binding, comm)
-                return
-            if self.proc_depth == 0:
-                # destination owner pulls the value; everybody else skips
-                if self.rank == dst_owner:
-                    value = yield from self.read_remote_scalar(src_binding)
-                    array.blocks[0].buffer[0] = value
-                return
-            value = yield from self.read_remote_scalar(src_binding)
-            yield from self.write_scalar(binding, value)
-            return
-
-        if self.proc_depth == 0:
-            if self.rank == dst_owner:
-                value = yield from self.eval(stmt.value)
-                array.blocks[0].buffer[0] = self.storable(value, stmt)
-            return
-        value = yield from self.eval(stmt.value)
-        yield from self.write_scalar(binding, self.storable(value, stmt))
+    def writable(self, binding, name, node):
+        if binding.read_only:
+            raise self.fault(f"{name!r} is read-only", node)
 
     def storable(self, value, node):
         if isinstance(value, (runtime.DistributedArray, BlockRef, LineSlice)):
             raise self.fault("an array value cannot be stored into a scalar", node)
         return value
 
-    def read_remote_scalar(self, binding):
-        array = binding.array
-        owner = array.blocks[0].owner
-        value = array.blocks[0].buffer[0]
-        if owner != self.rank:
-            yield PAUSE
-            self.state.trace.record("onesided-get", src=owner, dst=self.rank,
-                                    nbytes=array.element_bytes(), tag=binding.name)
+    def performs(self, owner):
+        """Whether this process accesses owner's single-copy data: outside
+        proc guards only the owner does, inside a guard the one running it."""
+        return self.proc_depth > 0 or self.rank == owner
+
+    def unguarded(self, what, node):
+        """Collectives need every process, so none may run inside proc."""
+        if self.proc_depth > 0:
+            raise self.fault(f"{what} is collective and cannot run inside proc", node)
+
+    # --- one-sided access ---
+
+    def fetch(self, value, owner, array, tag, count=1):
+        """Generator: value, read from owner's memory by one onesided-get."""
+        yield PAUSE
+        self.state.trace.record("onesided-get", src=owner, dst=self.rank,
+                                nbytes=count * array.element_bytes(), tag=tag)
         return value
 
-    def write_scalar(self, binding, value):
-        array = binding.array
-        owner = array.blocks[0].owner
-        if owner != self.rank:
-            yield PAUSE
-            self.state.trace.record("onesided-put", src=self.rank, dst=owner,
-                                    nbytes=array.element_bytes(), tag=binding.name)
-        array.blocks[0].buffer[0] = value
+    def put(self, owner, array, tag, count=1):
+        """Generator: one onesided-put to owner; the caller then stores."""
+        yield PAUSE
+        self.state.trace.record("onesided-put", src=self.rank, dst=owner,
+                                nbytes=count * array.element_bytes(), tag=tag)
+
+    def store(self, binding, block, offset, value):
+        """Generator: store one element, after a onesided-put when remote."""
+        if block.owner != self.rank:
+            yield from self.put(block.owner, binding.array, binding.name)
+        block.buffer[offset] = value
+
+    def read_remote_scalar(self, binding):
+        """A single scalar's value; may wait (a onesided-get when remote)."""
+        block = binding.array.blocks[0]
+        if block.owner == self.rank:
+            return block.buffer[0]
+        return self.fetch(block.buffer[0], block.owner, binding.array, binding.name)
+
+    def read_element(self, array, index):
+        """Element of a non-replicated 1D array; may wait (a onesided-get)."""
+        k, off = array.descriptor.locate((index,))
+        block = array.blocks[k]
+        if block.owner == self.rank:
+            return block.buffer[off]
+        return self.fetch(block.buffer[off], block.owner, array, array.name)
+
+    def read_line(self, line, index):
+        """Element of a block line; may wait (a onesided-get when remote)."""
+        value = line.get(index)
+        owner = line.block.owner
+        if owner == self.rank:
+            return value
+        return self.fetch(value, owner, line.array, line.array.name)
 
     def channel_assign(self, stmt, dst_binding, src_binding, comm):
-        """Point-to-point transfer over the declared link."""
+        """Generator: point-to-point transfer over the declared link."""
         _, csrc, cdst, is_async = comm
         array = dst_binding.array
         self.state.validate_channel(dst_binding.plan, csrc, cdst)
@@ -455,84 +360,10 @@ class ProcessContext:
                                     nbytes=nbytes, tag=dst_binding.name)
             array.blocks[0].buffer[0] = value
 
-    def assign_element(self, stmt, target):
-        binding = self.lookup(target.base.name)
-        if binding is None:
-            raise self.fault(f"{target.base.name!r} is not declared", stmt)
-        if binding.read_only:
-            raise self.fault(f"{binding.name!r} is read-only", stmt)
-        if binding.kind == "local":
-            raise self.fault(f"{binding.name!r} is not an array", stmt)
-        array = binding.array
-        index = yield from self.eval(target.index)
-        if array.replicated:
-            value = yield from self.eval(stmt.value)
-            if array.descriptor.ndim != 1:
-                raise self.fault("element assignment needs a one-dimensional array", stmt)
-            if not 0 <= index < array.descriptor.shape[0]:
-                raise self.fault(f"index {index} outside shape {array.descriptor.shape}", stmt)
-            array.storage_for(self.rank)[index] = self.storable(value, stmt)
-            return
-        if array.descriptor.ndim != 1:
-            raise self.fault("use A[block][line] to address rows of a 2D array", stmt)
-        k, off = array.descriptor.locate((index,))
-        owner = array.blocks[k].owner
-        if self.proc_depth == 0:
-            if self.rank == owner:
-                value = yield from self.eval(stmt.value)
-                array.blocks[k].buffer[off] = self.storable(value, stmt)
-            return
-        value = yield from self.eval(stmt.value)
-        self.storable(value, stmt)
-        if owner != self.rank:
-            yield PAUSE
-            self.state.trace.record("onesided-put", src=self.rank, dst=owner,
-                                    nbytes=array.element_bytes(), tag=binding.name)
-        array.blocks[k].buffer[off] = value
-
-    def assign_line(self, stmt, target):
-        """A[block][line] := other line: whole-line copy."""
-        binding = self.lookup(target.base.base.name)
-        if binding is None or binding.kind != "array":
-            raise self.fault("line assignment needs a distributed array", stmt)
-        if binding.read_only:
-            raise self.fault(f"{binding.name!r} is read-only", stmt)
-        dst = yield from self.eval(target)
-        if not isinstance(dst, LineSlice):
-            raise self.fault("line assignment needs a partitioned array", stmt)
-        owner = dst.block.owner
-        if self.proc_depth == 0 and self.rank != owner:
-            return
-        value = yield from self.eval(stmt.value)
-        if not isinstance(value, LineSlice) or len(value) != len(dst):
-            raise self.fault("line assignment needs an equal-length line", stmt)
-        src_owner = value.block.owner
-        if src_owner != self.rank:
-            yield PAUSE
-            self.state.trace.record(
-                "onesided-get", src=src_owner, dst=self.rank,
-                nbytes=len(value) * binding.array.element_bytes(), tag=binding.name)
-        payload = value.values()
-        if owner != self.rank:
-            yield PAUSE
-            self.state.trace.record(
-                "onesided-put", src=self.rank, dst=owner,
-                nbytes=len(payload) * binding.array.element_bytes(), tag=binding.name)
-        dst.store(payload)
-
-    def assign_whole_array(self, stmt, dst_binding):
-        value = stmt.value
-        if not isinstance(value, ast.Name):
-            raise self.fault(f"{dst_binding.name!r} is an array; assign another array", stmt)
-        src_binding = self.lookup(value.name)
-        if src_binding is None or src_binding.kind != "array":
-            raise self.fault(f"{value.name!r} is not an array", stmt)
-        if self.proc_depth > 0:
-            raise self.fault("array assignment is collective and cannot run inside proc", stmt)
-        yield from self.assign_arrays(dst_binding.array, src_binding.array, stmt)
+    # --- collectives ---
 
     def assign_arrays(self, dst, src, stmt=None):
-        """Collective redistribution, planned and copied once.
+        """Generator: collective redistribution, planned and copied once.
 
         The last rank to reach the barrier plans the whole assignment,
         copies it and records one block-transfer per contiguous run that
@@ -561,182 +392,16 @@ class ProcessContext:
         except MeshError as exc:
             raise self.fault(str(exc), stmt) from exc
 
-    # --- control flow ---
-
-    def exec_for(self, stmt):
-        start = yield from self.eval(stmt.start)
-        stop = yield from self.eval(stmt.stop)
-        if not isinstance(start, int) or not isinstance(stop, int):
-            raise self.fault("loop bounds must be integers", stmt)
-        existing = self.lookup(stmt.var)
-        if existing is not None and existing.read_only:
-            raise self.fault(f"loop variable {stmt.var!r} is read-only", stmt)
-        for v in range(start, stop + 1):
-            mark = self.enter()
-            if existing is not None and existing.kind == "local":
-                existing.value = v
-            else:
-                self.bind(stmt.var, Binding(stmt.var, "local", value=v))
-            for s in stmt.body:
-                yield from self.exec_stmt(s)
-            self.leave(mark)
-
-    def exec_proc(self, stmt):
-        rank = yield from self.eval(stmt.rank)
-        if not isinstance(rank, int) or not 0 <= rank < self.state.nprocs:
-            raise self.fault(f"proc rank {rank} outside [0, {self.state.nprocs})", stmt)
-        if rank != self.rank:
-            return
-        mark = self.enter()
-        self.proc_depth += 1
-        for s in stmt.body:
-            yield from self.exec_stmt(s)
-        self.proc_depth -= 1
-        self.leave(mark)
-
-    def exec_sync(self, stmt):
-        """Collective: all outstanding async transfers in scope complete."""
+    def sync(self, stmt):
+        """Generator: collective; all outstanding async transfers in scope complete."""
+        self.unguarded("sync", stmt)
         collective = Collective("sync", f"sync {stmt.var}" if stmt.var else "sync", stmt)
         yield from self.state.barrier.wait(self.rank, collective)
         if self.rank == 0:
             self.state.scheduler.drain_async(tag=stmt.var)
         yield from self.state.barrier.wait(self.rank, collective)
 
-    # --- expressions ---
-
-    def eval(self, expr):
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.RealLit):
-            return expr.value
-        if isinstance(expr, ast.StrLit):
-            return expr.value
-        if isinstance(expr, ast.Name):
-            binding = self.lookup(expr.name)
-            if binding is None:
-                raise self.fault(f"{expr.name!r} is not declared", expr)
-            if binding.kind == "local":
-                return binding.value
-            array = binding.array
-            if array.descriptor.ndim == 0:
-                if array.replicated:
-                    return array.storage_for(self.rank)[0]
-                value = yield from self.read_remote_scalar(binding)
-                return value
-            return array
-        if isinstance(expr, ast.BinOp):
-            left = yield from self.eval(expr.left)
-            right = yield from self.eval(expr.right)
-            try:
-                return arith(expr.op, left, right)
-            except (TypeError, ZeroDivisionError) as exc:
-                raise self.fault(str(exc), expr)
-        if isinstance(expr, ast.Index):
-            return (yield from self.eval_index(expr))
-        if isinstance(expr, ast.Accessor):
-            return (yield from self.eval_accessor(expr))
-        if isinstance(expr, ast.Call):
-            return (yield from self.eval_call(expr))
-        raise self.fault(f"unhandled expression {type(expr).__name__}", expr)
-
-    def eval_index(self, expr):
-        base = yield from self.eval(expr.base)
-        index = yield from self.eval(expr.index)
-        if isinstance(base, runtime.DistributedArray):
-            d = base.descriptor
-            if not isinstance(index, int):
-                raise self.fault("array index must be an integer", expr)
-            if d.ndim == 1:
-                if base.replicated:
-                    if not 0 <= index < d.shape[0]:
-                        raise self.fault(f"index {index} outside shape {d.shape}", expr)
-                    return base.storage_for(self.rank)[index]
-                return (yield from self.read_element(base, index))
-            if d.ndim == 2:
-                return row_of(base, index)
-            raise self.fault("cannot index a scalar", expr)
-        if isinstance(base, BlockRef):
-            return LineSlice(base.array, base.block, index)
-        if isinstance(base, LineSlice):
-            return (yield from self.read_line(base, index))
-        raise self.fault("value is not indexable", expr)
-
-    def read_element(self, array, index):
-        """Element of a non-replicated 1D array: a one-sided get when remote."""
-        k, off = array.descriptor.locate((index,))
-        block = array.blocks[k]
-        value = block.buffer[off]
-        if block.owner != self.rank:
-            yield PAUSE
-            self.state.trace.record("onesided-get", src=block.owner, dst=self.rank,
-                                    nbytes=array.element_bytes(), tag=array.name)
-        return value
-
-    def read_line(self, line, index):
-        """Element of a block line: a one-sided get when the block is remote."""
-        value = line.get(index)
-        owner = line.block.owner
-        if owner != self.rank:
-            yield PAUSE
-            array = line.array
-            self.state.trace.record("onesided-get", src=owner, dst=self.rank,
-                                    nbytes=array.element_bytes(), tag=array.name)
-        return value
-
-    def eval_accessor(self, expr):
-        if expr.which in ("low", "high"):
-            ref = yield from self.eval(expr.base)
-            if not isinstance(ref, BlockRef):
-                raise self.fault(f".{expr.which} needs a block reference like A[blockid]", expr)
-            return ref.block.low if expr.which == "low" else ref.block.high
-        base = yield from self.eval(expr.base)
-        if not isinstance(base, runtime.DistributedArray):
-            raise self.fault(f".{expr.which} needs a distributed array", expr)
-        owned = owned_blocks(base, self.rank)
-        if expr.which == "localblocks":
-            return len(owned)
-        j = yield from self.eval(expr.arg)
-        if not isinstance(j, int) or not 0 <= j < len(owned):
-            raise self.fault(f"local block index {j} outside [0, {len(owned)})", expr)
-        return owned[j]
-
-    # --- calls ---
-
-    def eval_call(self, expr):
-        name = expr.func
-        if name == "processes":
-            return self.state.nprocs
-        if name == "computeSin":
-            yield from self.builtin_compute_sin(expr)
-            return None
-        if name == "FFT":
-            yield from self.builtin_fft(expr)
-            return None
-        if name in ("readfile", "writefile"):
-            yield from self.builtin_file(expr, write=name == "writefile")
-            return None
-        fn = self.checked.functions.get(name)
-        if fn is None:
-            raise self.fault(f"unknown function {name!r}", expr)
-        bindings = []
-        for arg in expr.args:
-            if not isinstance(arg, ast.Name):
-                raise self.fault("function arguments must be variables", expr)
-            b = self.lookup(arg.name)
-            if b is None:
-                raise self.fault(f"{arg.name!r} is not declared", expr)
-            bindings.append(b)
-        mark = self.enter()
-        for param, b in zip(fn.params, bindings):
-            self.bind(param.name, b)
-        for s in fn.body:
-            yield from self.exec_stmt(s)
-        self.leave(mark)
-        return None
-
-    def builtin_compute_sin(self, expr):
-        array = yield from self.eval(expr.args[0])
-        self.compute_sin(expr, array)
+    # --- builtins ---
 
     def compute_sin(self, expr, array):
         if not isinstance(array, runtime.DistributedArray) or not array.replicated \
@@ -747,11 +412,6 @@ class ProcessContext:
         if m < 1 or n & (n - 1):
             raise BadLength(f"twiddle array length {m} is not half a power of two")
         array.storage_for(self.rank)[:] = compute_sins(n)
-
-    def builtin_fft(self, expr):
-        row = yield from self.eval(expr.args[0])
-        sins = yield from self.eval(expr.args[1])
-        self.fft_line(expr, row, sins)
 
     def fft_line(self, expr, row, sins):
         if not isinstance(row, LineSlice):
@@ -768,9 +428,12 @@ class ProcessContext:
         fft_inplace(values, sins.storage_for(self.rank))
         row.store(values)
 
-    def builtin_file(self, expr, write):
-        array = yield from self.eval(expr.args[0])
-        path = yield from self.eval(expr.args[1])
+    def builtin_file(self, expr, operands, write):
+        """Generator: readfile or writefile of what operands(ctx) gives."""
+        values = operands(self)
+        if values.__class__ is GeneratorType:
+            values = yield from values
+        array, path = values
         if not isinstance(array, runtime.DistributedArray) or array.replicated:
             raise self.fault("file transfer needs a singly-allocated array", expr)
         if array.descriptor.partition is not None:
@@ -833,8 +496,8 @@ def run(program, nprocs, seed=0, workdir=None, overrides=None, layout_only=False
         checked = check_program(program)
     state = RunState(nprocs, seed=seed, workdir=workdir,
                      layout_only=layout_only, overrides=overrides)
-    code = compile_program(checked)
-    contexts = [ProcessContext(r, state, checked, code) for r in range(nprocs)]
+    state.code = compile_program(checked)
+    contexts = [ProcessContext(r, state, checked) for r in range(nprocs)]
     state.scheduler.run([c.run_program() for c in contexts])
     _verify_spmd(state, checked)
     return RunResult(state, contexts)

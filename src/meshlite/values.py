@@ -1,6 +1,6 @@
 """Run-time values beyond plain numbers, and the binary operators.
 
-Shared by the AST walk in interp.py and the closures of compiler.py.
+Shared by the closures of compiler.py and the process context of interp.py.
 """
 
 import operator

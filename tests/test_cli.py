@@ -54,6 +54,15 @@ def test_run_reports_rank_bound_fault(workdir, capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("procs", ["1", "2"])
+@pytest.mark.parametrize("trailing", ["", "sync;\n"])
+def test_run_reports_sync_reached_inside_proc_at_the_sync(workdir, capsys, procs, trailing):
+    (workdir / "guarded.mesh").write_text(f"function f() {{ sync; }};\nproc 0 {{ f() }};\n{trailing}")
+    assert main(["run", "guarded.mesh", "--procs", procs]) == 1
+    assert capsys.readouterr().err == (
+        "error: rank 0: sync is collective and cannot run inside proc at 1:16\n")
+
+
 def test_run_onesided_trace_has_exactly_one_event(workdir):
     assert main(["run", "onesided.mesh", "--procs", "3", "--trace", "one.log"]) == 0
     lines = (workdir / "one.log").read_text().splitlines()

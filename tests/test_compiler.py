@@ -1,19 +1,19 @@
 """Compiled closures against the AST walk and against Python itself.
 
-`run` compiles the program once into closures; `run_walked` compiles
-nothing, so every statement goes through the generator AST walk, the
-reference. Random local-only programs
-must give both the same final locals, replicas and faults (message,
-rank, line and column) as a direct Python evaluation of the same
-statements.
+`run` runs the program as compiled closures; `run_walked` runs it
+through the generator AST walk of `ast_walk.py`, the reference. Random
+local-only programs must give both the same final locals, replicas and
+faults (message, rank, line and column) as a direct Python evaluation of
+the same statements.
 """
 
 import random
 
 import pytest
 
+import ast_walk
 from conftest import checked_corpus
-from meshlite import check_program, interp, parse, run
+from meshlite import check_program, parse, run
 from meshlite.checker import CheckedProgram
 from meshlite.errors import RuntimeFault
 from meshlite.fixtures import generate_image
@@ -25,9 +25,9 @@ OPS = ("+", "-", "*", "/") * 3 + ("==", "!=", "<", "<=", ">", ">=")
 
 
 def run_walked(checked, nprocs, **kwargs):
-    """`run` with nothing compiled: the AST walk runs every statement."""
+    """`run` with the AST walk running every statement."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(interp, "compile_program", lambda checked: None)
+        ast_walk.install(patch)
         return run(checked, nprocs, **kwargs)
 
 
@@ -366,6 +366,20 @@ for i from 0 to 3 {
     ("y := A.localblockid[3];", "local block index 3 outside [0, 1) at 4:7"),
     ("for k from 0 to 0 { var z := a; y := z };", "an array value cannot be stored into a scalar at 4:33"),
     ("y := 1 + A;", "unsupported operand type(s) for +: 'int' and 'DistributedArray' at 4:8"),
+    # names a function body takes from its caller
+    ("function g() { sync }; proc 0 { g() };",
+     "sync is collective and cannot run inside proc at 4:16"),
+    ("function g() { A := a }; proc 1 { g() };",
+     "array assignment is collective and cannot run inside proc at 4:16"),
+    ("function g() { a[7] := 1 }; g();", "index 7 outside shape (4,) at 4:16"),
+    ("function g() { y := y[0] }; g();", "value is not indexable at 4:22"),
+    ("function g(z : array[Int,4]) { z[9] := z[1] }; g(a);", "index 9 outside shape (4,) at 4:32"),
+    ("function g() { y := A.localblockid[3] }; g();", "local block index 3 outside [0, 1) at 4:22"),
+    ("function g() { for k from 0 to 1.5 { } }; g();", "loop bounds must be integers at 4:16"),
+    ("function g() { A[1] := A }; g();", "an array value cannot be stored into a scalar at 4:16"),
+    ("function g() { y := A[5] }; proc 1 { g() };", "index (5,) outside shape (4,) at 4:29"),
+    ("for k from 0 to 0 { var z := 1; function g() { y := z }; }; g();",
+     "'z' is not declared at 4:53"),
 ])
 def test_faults_match_the_ast_walk(body, message):
     source = ("var a : array[Int,4];\n"
@@ -467,8 +481,8 @@ def test_read_only_loop_variable_faults():
 def test_snapshots_are_shared_until_a_top_level_bind():
     checked = check_program(parse("var a := 1;\na := 2;\na := 3;\nvar b := 4;\n"))
     state = RunState(2)
-    code = compile_program(checked)
-    contexts = [ProcessContext(r, state, checked, code) for r in range(2)]
+    state.code = compile_program(checked)
+    contexts = [ProcessContext(r, state, checked) for r in range(2)]
     state.scheduler.run([c.run_program() for c in contexts])
     first, second, third, fourth = state.binding_snapshots[0]
     assert first is second is third
@@ -543,54 +557,134 @@ for i from 0 to 5 { X[i] := v };
             assert result.trace.events == []
 
 
-def communicating_program(seed):
-    """Random one-sided reads and writes, channel-free, with and without sync."""
-    rng = random.Random(seed)
-    nprocs = rng.randint(2, 3)
+ROW = "allocated[row[] :: horizontal[2] :: single[evendist[]]]"
+
+
+def communicating_program(seed, nprocs):
+    """Random one-sided reads and writes, channels, collectives and calls.
+
+    Function bodies take single scalars, some linked by a blocking or an
+    `async` channel, 1D and 2D arrays and locals from their caller, as free
+    names or as parameters, and read, assign and redistribute them. A call
+    that communicates through a channel or a collective runs at the top
+    level; the others also run inside `proc`.
+    """
+    rng = random.Random(seed * 10 + nprocs)
+    last = nprocs - 1
     lines = [
-        "var X : array[Int,6] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];",
-        "var L : array[Int,4,3] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];",
-        f"var s : Int :: allocated[single[on[{nprocs - 1}]]];",
+        f"var X : array[Int,6] :: {ROW};",
+        "var Y : array[Int,6] :: allocated[row[] :: horizontal[3] :: single[evendist[]]];",
+        f"var L : array[Int,4,3] :: {ROW};",
+        "var M : array[Int,4,3] :: allocated[col[] :: horizontal[2] :: single[evendist[]]];",
+        "var F : array[Int,4] :: allocated[single[on[0]]];",
+        "var R : array[Int,3];",
+        "var z : Int :: allocated[multiple[]];",
+        f"var s : Int :: allocated[single[on[{last}]]];",
+        "var q : Int :: allocated[single[on[0]]];",
+        f"var c : Int :: allocated[single[on[{last}]]] :: channel[0,{last}];",
+        f"var a : Int :: allocated[single[on[{last}]]] :: channel[0,{last}] :: async;",
         "var v := 1;",
+        "var w : Int := 2;",
         "var i;",
     ]
-    reads = ["X[{k}]", "s", "L[{b}][{k3}][{k2}]", "L[{b}][0][i - i]", "X[i]", "v", "v"]
+    reads = ["X[{k}]", "s", "L[{b}][{k3}][{k2}]", "L[{b}][0][i - i]", "X[i]", "v", "v", "q", "c",
+             "z", "R[{k2}]"]
+
+    def read():
+        return rng.choice(reads).format(k=rng.randrange(6), b=rng.randrange(2),
+                                        k3=rng.randrange(2), k2=rng.randrange(3))
+
+    calls = {  # call: (definition, may run inside proc)
+        "fs()": (f"function fs() {{ s := {read()} + 1 }};", True),
+        "fq()": (f"function fq() {{ proc {rng.randrange(nprocs)} {{ q := v + {read()} }} }};", True),
+        "fe()": (f"function fe() {{ X[{rng.randrange(6)}] := {read()} }};", True),
+        "fr()": (f"function fr() {{ for i from 0 to 2 {{ X[i] := X[i] + {read()} }} }};", True),
+        "fl()": ("function fl() { L[1][0] := L[0][1] };", True),
+        "fz()": (f"function fz() {{ z := z + {read()}; R[{rng.randrange(3)}] := z + {read()} }};",
+                 True),
+        "fw(w)": (f"function fw(z : Int) {{ z := z + {read()}; v := z }};", True),
+        "fy()": ("function fy() { s := z; q := v; v := c };", True),
+        "fp(X)": (f"function fp(A : array[Int,6] :: {ROW}) "
+                  f"{{ A[{rng.randrange(6)}] := A[{rng.randrange(6)}] + v }};", True),
+        "fc()": ("function fc() { c := q };", False),
+        "fa()": ("function fa() { a := q };", False),
+        "fx(Y)": ("function fx(B : array[Int,6] :: allocated[row[] :: horizontal[3] :: "
+                  "single[evendist[]]]) { X := B; B := X };", False),
+        "fm()": ("function fm() { M := L; L := M };", False),
+    }
+    lines += [definition for definition, _ in calls.values()]
+    lines.append('function fio() { writefile(F, "io.dat"); F[1] := F[0] + v; readfile(F, "io.dat") };')
     for _ in range(rng.randint(6, 12)):
         roll = rng.random()
-        read = rng.choice(reads).format(k=rng.randrange(6), b=rng.randrange(2),
-                                        k3=rng.randrange(2), k2=rng.randrange(3))
-        if roll < 0.2:
-            lines.append(f"for i from 0 to 5 {{ X[i] := X[i] + {read} }};")
+        r = rng.randrange(nprocs)
+        if roll < 0.1:
+            lines.append(f"for i from 0 to 5 {{ X[i] := X[i] + {read()} }};")
+        elif roll < 0.2:
+            lines.append(f"proc {r} {{ X[{rng.randrange(6)}] := {read()} + 1 }};")
+        elif roll < 0.3:
+            lines.append(f"proc {r} {{ s := v + {read()} }};")
         elif roll < 0.35:
-            lines.append(f"proc {rng.randrange(nprocs)} {{ X[{rng.randrange(6)}] := {read} + 1 }};")
+            lines.append(f"proc {r} {{ L[{rng.randrange(2)}][1] := L[0][0] }};")
+        elif roll < 0.4:
+            lines.append(rng.choice(["sync;", "sync a;"]))
+        elif roll < 0.45:
+            lines.append(f"proc {r} {{ v := v + 10 }};")
         elif roll < 0.5:
-            lines.append(f"proc {rng.randrange(nprocs)} {{ s := v + {read} }};")
+            lines.append(f"for i from 0 to 2 {{ v := v + {read()} * 2 }};")
+        elif roll < 0.55:
+            lines.append(f"v := {read()} - v;")
         elif roll < 0.6:
-            lines.append(f"proc {rng.randrange(nprocs)} {{ L[{rng.randrange(2)}][1] := L[0][0] }};")
+            lines.append(f"F[{rng.randrange(4)}] := {read()};")
         elif roll < 0.65:
-            lines.append("sync;")
-        elif roll < 0.7:
-            lines.append(f"proc {rng.randrange(nprocs)} {{ v := v + 10 }};")
-        elif roll < 0.85:
-            lines.append(f"for i from 0 to 2 {{ v := v + {read} * 2 }};")
+            lines.append("proc 0 { fio() };")
         else:
-            lines.append(f"v := {read} - v;")
-    return nprocs, "\n".join(lines) + "\n"
+            call = rng.choice(list(calls))
+            if calls[call][1] and rng.random() < 0.5:
+                lines.append(f"proc {r} {{ {call} }};")
+            else:
+                lines.append(f"{call};")
+    return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_communicating_programs_match_the_ast_walk(seed):
+def communicating_outcome(checked, nprocs, run_path, sched_seed, workdir):
+    """Trace, locals, arrays and scalars, and the file written, or the fault."""
+    out = workdir / "io.dat"
+    try:
+        result = run_path(checked, nprocs, seed=sched_seed, workdir=str(workdir))
+        return (result.trace.render(), result.local("v"), result.local("w"),
+                [result.logical(n) for n in "XYLMFsqca"],
+                [result.array(n).replicas for n in "Rz"],
+                out.read_bytes() if out.exists() else None)
+    except RuntimeFault as fault:
+        return str(fault)
+    finally:
+        if out.exists():
+            out.unlink()
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_communicating_programs_match_the_ast_walk(tmp_path, seed):
     """Same yields in the same places: equal traces and state under one schedule."""
-    nprocs, source = communicating_program(seed)
-    checked = check_program(parse(source))
-    for sched_seed in (0, 7919):
-        seen = []
-        for run_path in RUNS:
-            try:
-                result = run_path(checked, nprocs, seed=sched_seed)
-                seen.append((result.trace.render(), result.local("v"),
-                             result.logical("X"), result.logical("s"), result.logical("L")))
-            except RuntimeFault as fault:
-                seen.append(str(fault))
-        assert seen[0] == seen[1], source
-        assert not isinstance(seen[0], str), seen[0]
+    for nprocs in (1, 2, 3, 4):
+        source = communicating_program(seed, nprocs)
+        checked = check_program(parse(source))
+        for sched_seed in (0, 7919):
+            seen = [communicating_outcome(checked, nprocs, run_path, sched_seed, tmp_path)
+                    for run_path in RUNS]
+            assert seen[0] == seen[1], source
+            assert not isinstance(seen[0], str), seen[0]
+
+
+def test_communicating_programs_cover_every_form(tmp_path):
+    """The generated programs reach every kind of event from function bodies."""
+    kinds, statements = set(), ""
+    for seed in range(60):
+        source = communicating_program(seed, 3)
+        result = run(check_program(parse(source)), 3, workdir=str(tmp_path))
+        kinds |= {line.split("\t")[0] for line in result.trace.render().splitlines()}
+        statements += source.split("function fio()")[1]
+    assert kinds == {"onesided-get", "onesided-put", "channel-send", "channel-recv",
+                     "block-transfer"}
+    for call in ("fs()", "fq()", "fe()", "fr()", "fl()", "fz()", "fw(w)", "fy()", "fp(X)",
+                 "fc()", "fa()", "fx(Y)", "fm()", "proc 0 { fio() }", "{ fs() }", "sync a;"):
+        assert call in statements, call

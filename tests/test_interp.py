@@ -343,6 +343,17 @@ sync;
         assert err.value.line is not None
 
 
+@pytest.mark.parametrize("trailing", ["", "sync;\n"])
+@pytest.mark.parametrize("nprocs", [1, 2])
+@pytest.mark.parametrize("sync", ["sync", "sync a"])
+def test_sync_reached_inside_proc_through_a_call_faults_at_the_sync(sync, nprocs, trailing):
+    src = f"var a;\nfunction f() {{ {sync}; }};\nproc 0 {{ f() }};\n{trailing}"
+    for seed in (0, 1, 7):
+        with pytest.raises(RuntimeFault) as err:
+            run_src(src, nprocs, seed=seed)
+        assert str(err.value) == "rank 0: sync is collective and cannot run inside proc at 2:16"
+
+
 @pytest.mark.parametrize("alloc", ["", " :: allocated[row[] :: single[on[0]]]"])
 def test_array_shape_mismatch_is_located_with_destination_first(alloc):
     src = f"""var n := 4;

@@ -63,7 +63,7 @@ PROGRAMS = {
     "async-then-deadlock": ASYNC_THEN_DEADLOCK,
     "async-syncs": ASYNC_SYNCS,
     "half-guarded": HALF_GUARDED,
-    **{f"communicating-{seed}": communicating_program(seed)[1] for seed in range(4)},
+    **{f"communicating-{seed}": communicating_program(seed, 2) for seed in range(4)},
 }
 
 
