@@ -74,10 +74,6 @@ class IndexOutOfBounds(MeshError):
     pass
 
 
-class ChannelMisuse(MeshError):
-    pass
-
-
 class DeadlockError(MeshError):
     pass
 

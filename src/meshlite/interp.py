@@ -27,7 +27,6 @@ from .checker import CheckedProgram, check_program
 from .compiler import compile_program
 from .errors import (
     BadLength,
-    ChannelMisuse,
     FormatError,
     MeshError,
     NotPowerOfTwo,
@@ -105,13 +104,6 @@ class RunState:
         if key not in self.channels:
             self.channels[key] = ChannelSlot()
         return self.channels[key]
-
-    def validate_channel(self, plan, src, dst):
-        comm = plan.comm if plan is not None else None
-        if comm is None or (comm[1], comm[2]) != (src, dst):
-            declared = f"{comm[1]}->{comm[2]}" if comm else "none"
-            raise ChannelMisuse(
-                f"channel transfer {src}->{dst} does not match the declared link ({declared})")
 
     def path(self, name):
         return name if os.path.isabs(name) else os.path.join(self.workdir, name)
@@ -333,7 +325,6 @@ class ProcessContext:
         """Generator: point-to-point transfer over the declared link."""
         _, csrc, cdst, is_async = comm
         array = dst_binding.array
-        self.state.validate_channel(dst_binding.plan, csrc, cdst)
         nbytes = array.element_bytes()
         slot = self.state.channel_slot(array, csrc, cdst)
         if self.rank == csrc:
@@ -366,8 +357,9 @@ class ProcessContext:
         """Generator: collective redistribution, planned and copied once.
 
         The last rank to reach the barrier plans the whole assignment,
-        copies it and records one block-transfer per contiguous run that
-        changes ranks, stamped by the source owner in plan order.
+        copies it and records it as one batch of block-transfers per
+        segment that changes ranks, stamped by the source owner in plan
+        order: one event per contiguous run.
         """
         trace = self.state.trace
 
@@ -375,14 +367,7 @@ class ProcessContext:
             plan = runtime.plan_redistribution(
                 src.descriptor, dst.descriptor, same_storage=_share_storage(dst, src))
             runtime.copy_segments(plan, src, dst)
-            esize = dst.element_bytes()
-            for seg in plan:
-                if seg.local:
-                    continue
-                for length in seg.run_lengths():
-                    trace.record("block-transfer", src=seg.src_owner,
-                                 dst=seg.dst_owner, nbytes=length * esize,
-                                 tag=dst.name)
+            trace.record_plan(plan, dst.element_bytes(), dst.name)
 
         collective = Collective("assign", f"{dst.name} := {src.name}", stmt, (dst, src))
         try:

@@ -326,39 +326,110 @@ class TraceEvent:
         return self.dst if self.kind in STAMPED_BY_DST else self.src
 
 
+@dataclass(slots=True)
+class TraceBatch:
+    """One collective segment's block-transfers from src to dst.
+
+    `runs` holds (length, repeat) pairs in destination order: `repeat`
+    consecutive runs of `length` elements each, one event per run, with
+    sequence numbers counting up from `seq` on the source rank.
+    """
+
+    src: int
+    dst: int
+    esize: int
+    seq: int
+    tag: str
+    runs: list
+    kind = "block-transfer"
+
+    @property
+    def size(self) -> int:
+        """Number of events in the batch."""
+        return sum(repeat for _, repeat in self.runs)
+
+    def events(self) -> list:
+        """The batch as one TraceEvent per run."""
+        seq, out = self.seq, []
+        for length, repeat in self.runs:
+            out += [TraceEvent(self.kind, self.src, self.dst,
+                               length * self.esize, s, self.tag)
+                    for s in range(seq, seq + repeat)]
+            seq += repeat
+        return out
+
+    def render(self) -> str:
+        """The batch's lines, each ending in a newline."""
+        seq, parts = self.seq, []
+        head = f"{self.kind}\t{self.src}\t{self.dst}\t"
+        tail = f"\t{self.tag}\n"
+        for length, repeat in self.runs:
+            prefix = f"{head}{length * self.esize}\t"
+            parts += (prefix, (tail + prefix).join(map(str, range(seq, seq + repeat))), tail)
+            seq += repeat
+        return "".join(parts)
+
+
 class TraceLog:
     """Per-rank sequenced event log with a canonical rendering.
 
-    Each initiating rank keeps its own list, so an event's sequence number
-    is its place in that list and the canonical order, by (initiating
-    rank, sequence), is the lists one after another. Blocking programs
-    therefore produce byte-identical traces under any schedule. Field
-    order: kind, src, dst, bytes, seq, tag, tab-separated.
+    Each initiating rank keeps its own list of entries, single events and
+    batches of a collective's block-transfers, and its own sequence
+    counter, so the canonical order, by (initiating rank, sequence), is
+    the lists one after another. Blocking programs therefore produce
+    byte-identical traces under any schedule. Field order: kind, src, dst,
+    bytes, seq, tag, tab-separated.
     """
 
     def __init__(self, nprocs):
         self._by_rank = [[] for _ in range(nprocs)]
+        self._next = [0] * nprocs  # next sequence number per rank
 
     def record(self, kind, src, dst, nbytes, tag):
-        log = self._by_rank[dst if kind in STAMPED_BY_DST else src]
-        ev = TraceEvent(kind, src, dst, nbytes, len(log), tag)
-        log.append(ev)
+        rank = dst if kind in STAMPED_BY_DST else src
+        seq = self._next[rank]
+        self._next[rank] = seq + 1
+        ev = TraceEvent(kind, src, dst, nbytes, seq, tag)
+        self._by_rank[rank].append(ev)
         return ev
+
+    def record_plan(self, plan, esize, tag):
+        """One batch per non-local segment of a collective's plan, stamped
+        by the source owner in plan order."""
+        by_rank, next_seq = self._by_rank, self._next
+        for seg in plan:
+            if seg.local:
+                continue
+            rank = seg.src_owner
+            batch = TraceBatch(rank, seg.dst_owner, esize, next_seq[rank], tag, seg.runs())
+            next_seq[rank] += batch.size
+            by_rank[rank].append(batch)
 
     @property
     def events(self) -> list:
-        """Every event in canonical order."""
-        return [e for log in self._by_rank for e in log]
+        """Every event in canonical order, batches expanded."""
+        out = []
+        for log in self._by_rank:
+            for entry in log:
+                if entry.__class__ is TraceBatch:
+                    out += entry.events()
+                else:
+                    out.append(entry)
+        return out
 
     def render(self) -> str:
-        lines = [
-            f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}"
-            for log in self._by_rank for e in log
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        parts = []
+        for log in self._by_rank:
+            for e in log:
+                if e.__class__ is TraceBatch:
+                    parts.append(e.render())
+                else:
+                    parts.append(f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}\n")
+        return "".join(parts)
 
     def count(self, kind) -> int:
-        return sum(e.kind == kind for log in self._by_rank for e in log)
+        return sum(e.size if e.__class__ is TraceBatch else 1
+                   for log in self._by_rank for e in log if e.kind == kind)
 
 
 # --- redistribution ---
@@ -391,8 +462,9 @@ class Segment:
     src_line_stride: int = 0
     dst_line_stride: int = 0
 
-    def run_lengths(self) -> list:
-        """Lengths of the maximal contiguous runs, in destination order.
+    def runs(self) -> list:
+        """Maximal contiguous runs as (length, repeat) pairs, in destination
+        order: O(lines) pairs at most, whatever the element count.
 
         A run continues while both offsets advance by one: inside a line
         when both strides are 1, and from the last element of a line to
@@ -405,10 +477,13 @@ class Segment:
                   and self.src_line_stride - (w - 1) * self.src_stride == 1
                   and self.dst_line_stride - (w - 1) * self.dst_stride == 1)
         if within:
-            return [n * w] if across else [w] * n
+            return [(n * w, 1)] if across else [(w, n)]
         if not across:
-            return [1] * (n * w)
-        return [1] * (w - 1) + ([2] + [1] * (w - 2)) * (n - 1) + [1]
+            return [(1, n * w)]
+        # each line's last element joins the next line's first
+        if w == 2:
+            return [(1, 1), (2, n - 1), (1, 1)]
+        return [(1, w - 1)] + [(2, 1), (1, w - 2)] * (n - 1) + [(1, 1)]
 
     def slices(self) -> list:
         """(src_start, dst_start, length, src_step, dst_step), one per slice.

@@ -9,7 +9,16 @@ from meshlite.fixtures import corpus_source
 from meshlite.errors import DeadlockError, LexError, ShapeMismatch
 from meshlite.interp import ProcessContext, RunState
 from meshlite.lexer import END, KEYWORDS, OPERATORS, PUNCTUATION
-from meshlite.runtime import ELEMENT_SIZES, ArrayDescriptor, Segment, _dense_offset, owner_of
+from meshlite.runtime import (
+    ELEMENT_SIZES,
+    STAMPED_BY_DST,
+    ArrayDescriptor,
+    Segment,
+    TraceEvent,
+    TraceLog,
+    _dense_offset,
+    owner_of,
+)
 from meshlite.sched import ASYNC_PROGRESS
 
 
@@ -247,6 +256,11 @@ def _buffer_order(desc):
                 yield (i, j)
 
 
+def run_lengths(segment):
+    """Lengths of a segment's maximal contiguous runs, from its grouped runs."""
+    return [length for length, repeat in segment.runs() for _ in range(repeat)]
+
+
 def expand_runs(segment, same_storage=False):
     """A strided segment as contiguous segments, walked element by element."""
     n = segment.lines
@@ -272,6 +286,77 @@ def expand_runs(segment, same_storage=False):
                   and segment.src_block == segment.dst_block and s == d),
         dst_replica=segment.dst_replica,
     ) for s, d, count in runs]
+
+
+TRACE_KINDS = ("onesided-get", "onesided-put", "channel-send", "channel-recv",
+               "block-transfer")
+
+
+class ReferenceTraceLog:
+    """One TraceEvent per event, numbered by its place in its rank's list;
+    the oracle for TraceLog's batches.
+
+    The trace log before collectives were recorded as batches, unchanged
+    except that `record_plan` replays the per-run loop the collective ran,
+    with run lengths from the element walk `expand_runs`.
+    """
+
+    def __init__(self, nprocs):
+        self._by_rank = [[] for _ in range(nprocs)]
+
+    def record(self, kind, src, dst, nbytes, tag):
+        log = self._by_rank[dst if kind in STAMPED_BY_DST else src]
+        ev = TraceEvent(kind, src, dst, nbytes, len(log), tag)
+        log.append(ev)
+        return ev
+
+    def record_plan(self, plan, esize, tag):
+        for seg in plan:
+            if seg.local:
+                continue
+            for run in expand_runs(seg):
+                self.record("block-transfer", src=seg.src_owner, dst=seg.dst_owner,
+                            nbytes=run.count * esize, tag=tag)
+
+    @property
+    def events(self) -> list:
+        return [e for log in self._by_rank for e in log]
+
+    def render(self) -> str:
+        lines = [
+            f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}"
+            for log in self._by_rank for e in log
+        ]
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    def count(self, kind) -> int:
+        return sum(e.kind == kind for log in self._by_rank for e in log)
+
+
+class TeeTraceLog(TraceLog):
+    """A TraceLog that also records everything into a ReferenceTraceLog."""
+
+    def __init__(self, nprocs):
+        super().__init__(nprocs)
+        self.reference = ReferenceTraceLog(nprocs)
+
+    def record(self, kind, src, dst, nbytes, tag):
+        expected = self.reference.record(kind, src, dst, nbytes, tag)
+        event = super().record(kind, src, dst, nbytes, tag)
+        assert event == expected
+        return event
+
+    def record_plan(self, plan, esize, tag):
+        self.reference.record_plan(plan, esize, tag)
+        super().record_plan(plan, esize, tag)
+
+
+def assert_trace_matches_reference(log, reference, context=""):
+    """render(), events and count(kind) agree with the per-event oracle."""
+    assert log.render() == reference.render(), context
+    assert log.events == reference.events, context
+    for kind in TRACE_KINDS:
+        assert log.count(kind) == reference.count(kind), (context, kind)
 
 
 def owner_changes_bytes(src_desc, dst_desc, esize):

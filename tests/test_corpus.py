@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import checked_corpus
-from meshlite import check_program, parse, run
+from conftest import TeeTraceLog, assert_trace_matches_reference, checked_corpus
+from meshlite import check_program, parse, run, runtime
 from meshlite.fixtures import CORPUS, corpus_source, generate_image, oracle_dft2d
 from meshlite.mshd import read_mshd
 
@@ -94,3 +94,20 @@ proc 0 { writefile(S, "image.out.dat") };
     generate_image(16, 9, tmp_path / "image.dat")
     run(check_program(parse(src)), 4, workdir=str(tmp_path))
     assert (tmp_path / "image.dat").read_bytes() == (tmp_path / "image.out.dat").read_bytes()
+
+
+# every process count in {1, 2, 3, 4, 16} at which each program runs, n=16
+LEGAL_PROCS = [(name, p) for name in RANKED_PROGRAMS for p in (3, 4, 16)] + [
+    ("fft2d.mesh", p) for p in (1, 2, 3, 4)] + [
+    ("fft2d_arraydist.mesh", p) for p in (1, 2, 3, 4, 16)]
+
+
+@pytest.mark.parametrize("name,nprocs", LEGAL_PROCS)
+def test_trace_matches_per_event_oracle(tmp_path, monkeypatch, name, nprocs):
+    """Batched collectives render, expand and count as one event per run."""
+    monkeypatch.setattr(runtime, "TraceLog", TeeTraceLog)
+    generate_image(16, 1, tmp_path / "image.dat")
+    for seed in (0, 7919):
+        result = run(checked_corpus(name), nprocs, seed=seed, workdir=str(tmp_path))
+        assert_trace_matches_reference(result.trace, result.trace.reference,
+                                       f"{name} P={nprocs} seed={seed}")

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from conftest import (
+    ReferenceTraceLog,
+    assert_trace_matches_reference,
     brute_force_copy,
     brute_force_plan,
     buffers_of,
@@ -15,6 +17,7 @@ from conftest import (
     make_descriptor,
     owner_changes_bytes,
     run_collective,
+    run_lengths,
 )
 from meshlite import ast, run
 from meshlite.errors import MeshError, ShapeMismatch
@@ -22,6 +25,7 @@ from meshlite.fixtures import generate_image
 from meshlite.interp import _share_storage
 from meshlite.runtime import (
     Segment,
+    TraceLog,
     allocate,
     copy_segments,
     plan_redistribution,
@@ -316,7 +320,7 @@ def test_planner_agrees_with_brute_force_oracle(seed):
         assert sorted(runs, key=destination_order) == oracle, context
         assert transfer_events(plan) == transfer_events(oracle), context
         for seg in plan:
-            assert seg.run_lengths() == [r.count for r in expand_runs(seg)], context
+            assert_runs_expand_to_the_element_walk(seg, context)
             assert not seg.identity or all(r.identity for r in expand_runs(seg, same))
         assert remote_bytes(plan) == remote_bytes(oracle), context
         if not src.replicated and not dst.replicated:
@@ -346,7 +350,7 @@ def test_mixed_partition_pair_is_one_strided_segment():
     assert (first.lines, first.count) == (2, 4)
     assert (first.src_stride, first.src_line_stride) == (4, 1)
     assert (first.dst_stride, first.dst_line_stride) == (1, 6)
-    assert first.run_lengths() == [1, 1, 1, 1]
+    assert run_lengths(first) == [1, 1, 1, 1]
 
 
 def test_run_lengths_merge_across_lines_and_single_columns():
@@ -354,19 +358,19 @@ def test_run_lengths_merge_across_lines_and_single_columns():
                              distribution=("even",), nprocs=2)
     whole = make_descriptor((5, 1), ordering="col", distribution=("on", 1), nprocs=2)
     (seg,) = [s for s in plan_redistribution(whole, column) if s.dst_block == 0]
-    assert seg.run_lengths() == [1]
+    assert run_lengths(seg) == [1]
     plan = plan_redistribution(column, whole)
-    assert [s.run_lengths() for s in plan] == [[1]] * 5
+    assert [run_lengths(s) for s in plan] == [[1]] * 5
     wide = make_descriptor((2, 5), ordering="col", partition=("horizontal", 5),
                            distribution=("even",), nprocs=2)
     rows = make_descriptor((2, 5), ordering="row", distribution=("on", 1), nprocs=2)
     # each block is one column: a single strided line, one run per element
-    assert [(s.lines, s.dst_stride, s.run_lengths())
+    assert [(s.lines, s.dst_stride, run_lengths(s))
             for s in plan_redistribution(wide, rows)] == [(1, 5, [1, 1])] * 5
     line = make_descriptor((1, 6), ordering="col", partition=("horizontal", 3),
                            distribution=("even",), nprocs=2)
     flat = make_descriptor((1, 6), ordering="row", distribution=("on", 0), nprocs=2)
-    assert [s.run_lengths() for s in plan_redistribution(line, flat)] == [[2]] * 3
+    assert [run_lengths(s) for s in plan_redistribution(line, flat)] == [[2]] * 3
 
 
 def strided(lines, width, ss, sl, ds, dl):
@@ -387,7 +391,45 @@ def strided(lines, width, ss, sl, ds, dl):
     strided(2, 2, 2, 1, 1, 2),
 ])
 def test_run_lengths_arithmetic_matches_element_walk(seg):
-    assert seg.run_lengths() == [r.count for r in expand_runs(seg)]
+    assert_runs_expand_to_the_element_walk(seg)
+
+
+def assert_runs_expand_to_the_element_walk(seg, context=""):
+    """runs() is O(lines) (length, repeat) pairs that expand to the runs
+    the element walk finds."""
+    runs = seg.runs()
+    assert all(length > 0 and repeat > 0 for length, repeat in runs), context
+    assert len(runs) <= 2 * seg.lines + 1, context
+    assert run_lengths(seg) == [r.count for r in expand_runs(seg)], context
+
+
+@pytest.mark.parametrize("lines,width", [(2, 2), (2, 3), (5, 2), (5, 4), (7, 9)])
+def test_runs_group_the_across_line_case(lines, width):
+    """Each line's last element abuts the next line's first on both sides."""
+    seg = strided(lines, width, lines, (width - 1) * lines + 1, 1, width)
+    expected = [1] * (width - 1) + ([2] + [1] * (width - 2)) * (lines - 1) + [1]
+    assert run_lengths(seg) == expected
+    assert_runs_expand_to_the_element_walk(seg)
+    # the planner's own segments group into one (length, repeat) pair, so
+    # this is where a batch of several pairs is rendered
+    log, reference = TraceLog(2), ReferenceTraceLog(2)
+    for trace in (log, reference):
+        trace.record_plan([seg, seg], 16, "D")
+    assert_trace_matches_reference(log, reference)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_trace_matches_per_event_oracle(seed):
+    """Plans recorded as batches, one log after another, against one
+    TraceEvent per run: seq keeps counting across batches of a rank."""
+    log, reference = TraceLog(5), ReferenceTraceLog(5)
+    for src, dst in random_pairs(80, seed):
+        same = _share_storage(dst, src)
+        plan = plan_redistribution(src.descriptor, dst.descriptor, same_storage=same)
+        context = f"src={src.descriptor} dst={dst.descriptor} same={same}"
+        log.record_plan(plan, src.element_bytes(), dst.name)
+        reference.record_plan(plan, src.element_bytes(), dst.name)
+        assert_trace_matches_reference(log, reference, context)
 
 
 # --- traces of the corpus transforms against the oracle plans ---

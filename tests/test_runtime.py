@@ -2,16 +2,21 @@ import random
 
 import pytest
 
-from conftest import fill_sequential, iter_indices, make_descriptor
-from meshlite.chains import AllocationPlan
+from conftest import (
+    TRACE_KINDS,
+    TeeTraceLog,
+    assert_trace_matches_reference,
+    fill_sequential,
+    iter_indices,
+    make_descriptor,
+)
+from meshlite.chains import AllocationPlan, partitioned_dim
 from meshlite.errors import (
     BadDistribution,
-    ChannelMisuse,
     IndexOutOfBounds,
     InvalidPartition,
     ShareFootprintMismatch,
 )
-from meshlite.interp import RunState
 from meshlite.runtime import (
     STAMPED_BY_DST,
     ArrayDescriptor,
@@ -20,6 +25,7 @@ from meshlite.runtime import (
     descriptor_from_plan,
     owner_of,
     partition_bounds,
+    plan_redistribution,
 )
 
 
@@ -360,19 +366,37 @@ def test_trace_render_matches_the_sorted_rendering(nprocs):
             assert log.count(kind) == sum(r[0] == kind for r in records)
 
 
-# --- channel misuse at the runtime surface ---
+def random_plan(rng, nprocs):
+    """A redistribution plan between two random evendist 2D layouts."""
+    shape = (rng.randint(1, 9), rng.randint(1, 9))
+    sides = []
+    for _ in range(2):
+        ordering = rng.choice(("row", "col"))
+        kind = rng.choice(("horizontal", "vertical"))
+        extent = shape[partitioned_dim(2, ordering, (kind, 1))]
+        sides.append(make_descriptor(shape, ordering=ordering,
+                                     partition=(kind, rng.randint(1, extent)),
+                                     distribution=("even",), nprocs=nprocs))
+    return plan_redistribution(*sides)
 
 
-def test_channel_misuse_for_undeclared_pair():
-    state = RunState(3)
-    plan = AllocationPlan(elem="int", shape=(), ordering="row", partition=None,
-                          distribution=("on", 0), share_base=None,
-                          comm=("channel", 2, 0, False), read_only=False)
-    state.validate_channel(plan, 2, 0)
-    with pytest.raises(ChannelMisuse):
-        state.validate_channel(plan, 1, 0)
-    with pytest.raises(ChannelMisuse):
-        state.validate_channel(
-            AllocationPlan(elem="int", shape=(), ordering="row", partition=None,
-                           distribution=("on", 0), share_base=None, comm=None,
-                           read_only=False), 2, 0)
+@pytest.mark.parametrize("nprocs", [2, 3, 5])
+def test_batches_interleave_with_single_events(nprocs):
+    """Single events and collective batches on the same ranks, in any
+    order, number and render as the per-event log does."""
+    rng = random.Random(nprocs)
+    log = TeeTraceLog(nprocs)
+    singles = 0
+    for step in range(300):
+        if rng.random() < 0.1:
+            log.record_plan(random_plan(rng, nprocs), rng.choice((1, 8, 16)),
+                            rng.choice("ABxy"))
+        else:
+            kind = rng.choice(TRACE_KINDS)
+            singles += kind == "block-transfer"
+            log.record(kind, src=rng.randrange(nprocs), dst=rng.randrange(nprocs),
+                       nbytes=rng.choice((1, 8, 16)), tag=rng.choice("ABxy"))
+        if step % 50 == 0:
+            assert_trace_matches_reference(log, log.reference, f"step {step}")
+    assert_trace_matches_reference(log, log.reference)
+    assert log.count("block-transfer") > singles  # some batches were not empty
