@@ -23,7 +23,7 @@ Integer arguments may be None while a program is only being validated
 structurally; plan_of requires concrete values.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import IncompletePlan, InvalidCombination, UnknownAttribute
@@ -418,43 +418,40 @@ def partitioned_dim(ndim: int, ordering: str, partition: Optional[tuple]) -> int
 
 
 def plan_of(chain: TypeChain) -> AllocationPlan:
-    """Flatten a formed chain into an allocation plan.
+    """Flatten a formed chain, its arguments evaluated, into an
+    allocation plan.
 
-    Raises IncompletePlan with the first of plan_problems, or if an
-    extent, rank or count argument is not a concrete integer.
+    Raises IncompletePlan with the first of plan_problems.
     """
     problems = plan_problems(chain)
     if problems:
         raise IncompletePlan(problems[0])
-    base = _base_of(chain)
-    shape = tuple(base.dims) if isinstance(base, ArrayOf) else ()
+    base, shape = _base_of(chain), ()
+    if isinstance(base, ArrayOf):
+        base, shape = _base_of(base.elem), tuple(base.dims)
     attrs = _attributes(chain)
-    partition, distribution = attrs["partition"], attrs["distribution"]
-    comm = None if attrs["commMode"] == ("one-sided",) else attrs["commMode"]
-    if None in shape:
-        raise IncompletePlan("array extents are not fully evaluated")
-    if partition is not None and partition[1] is None:
-        raise IncompletePlan("partition count is not evaluated")
-    if distribution[0] == "on" and distribution[1] is None:
-        raise IncompletePlan("placement rank is not evaluated")
-    if comm is not None and (comm[1] is None or comm[2] is None):
-        raise IncompletePlan("channel endpoints are not evaluated")
-    kind = kind_of(chain)
     return AllocationPlan(
-        elem=kind.elem,
+        elem=_ELEM_KINDS[type(base)],
         shape=shape,
         ordering=attrs["ordering"],
-        partition=partition,
-        distribution=distribution,
+        partition=attrs["partition"],
+        distribution=attrs["distribution"],
         share_base=references(chain).get("share"),
-        comm=comm,
-        read_only=kind.read_only,
+        comm=None if attrs["commMode"] == ("one-sided",) else attrs["commMode"],
+        read_only=attrs["mutability"] == "read-only",
     )
 
 
 # --- building chains from parsed type expressions ---
 
-_BASE_NAMES = {"int": Int, "char": Char, "real": Real, "complex": Complex}
+# Constructors by name: those taking no arguments, those taking one
+# integer per field, and those taking the name of a variable.
+_NO_ARGS = {c.__name__.lower(): c for c in (
+    Int, Char, Real, Complex, Const, Multiple, Row, Col, EvenDist, Async)}
+_INT_ARGS = {c.__name__.lower(): c for c in (On, Horizontal, Vertical, Channel)}
+_NAME_ARGS = {"arraydist": (ArrayDist, "an integer array"), "share": (Share, "a base array")}
+_ARITY = {"allocated": 1, "single": 1, **dict.fromkeys(_NAME_ARGS, 1),
+          **{name: len(fields(c)) for name, c in _INT_ARGS.items()}}
 
 
 def from_type_expr(texpr, evaluate) -> TypeChain:
@@ -465,104 +462,53 @@ def from_type_expr(texpr, evaluate) -> TypeChain:
     """
     from . import ast as _ast  # local import: chains stays usable standalone
 
-    def expr_name(e):
-        return e.name if isinstance(e, _ast.Name) else None
-
     def build(te):
         chain = ()
         for app in te.apps:
             chain = combine(chain, ctor_of(app))
         return chain
 
-    def need_args(app, n):
-        if len(app.args) != n:
-            raise InvalidCombination(
-                f"{app.ctor} takes {n} argument{'s' if n != 1 else ''}, got {len(app.args)}")
-
-    def no_args(app):
-        if app.args:
-            raise InvalidCombination(f"{app.ctor} takes no arguments")
-
     def as_chain_arg(arg):
         if isinstance(arg, _ast.TypeExpr):
             return build(arg)
-        name = expr_name(arg)
-        if name is not None:
-            return build(_ast.TypeExpr((_ast.TypeApp(name, (), False),)))
+        if isinstance(arg, _ast.Name):
+            return build(_ast.TypeExpr((_ast.TypeApp(arg.name, (), False),)))
         raise InvalidCombination("expected a type argument")
 
     def ctor_of(app):
-        name = app.ctor
+        name, args = app.ctor, app.args
         lname = name.lower()
-        if lname in _BASE_NAMES:
-            no_args(app)
-            return _BASE_NAMES[lname]()
+        if lname in _NO_ARGS:
+            if args:
+                raise InvalidCombination(f"{name} takes no arguments")
+            return _NO_ARGS[lname]()
         if lname == "array":
-            if len(app.args) < 2 or len(app.args) > 3:
+            if not 2 <= len(args) <= 3:
                 raise InvalidCombination("array takes an element type and 1 or 2 extents")
-            elem = as_chain_arg(app.args[0])
-            dims = tuple(evaluate(a) for a in app.args[1:])
-            return ArrayOf(elem, dims)
-        if lname == "const":
-            no_args(app)
-            return Const()
+            return ArrayOf(as_chain_arg(args[0]), tuple(evaluate(a) for a in args[1:]))
+        if lname == "single" and not args:
+            return Single(None)
+        if lname not in _ARITY:
+            raise InvalidCombination(f"unknown type constructor {name!r}")
+        n = _ARITY[lname]
+        if len(args) != n:
+            raise InvalidCombination(
+                f"{name} takes {n} argument{'s' if n != 1 else ''}, got {len(args)}")
+        if lname in _INT_ARGS:
+            return _INT_ARGS[lname](*map(evaluate, args))
+        if lname in _NAME_ARGS:
+            cls, what = _NAME_ARGS[lname]
+            if not isinstance(args[0], _ast.Name):
+                raise InvalidCombination(f"{lname} takes the name of {what}")
+            return cls(args[0].name)
         if lname == "allocated":
-            need_args(app, 1)
-            return Allocated(as_chain_arg(app.args[0]))
-        if lname == "single":
-            if not app.args:
-                return Single(None)
-            need_args(app, 1)
-            arg = app.args[0]
-            if isinstance(arg, _ast.TypeExpr):
-                if len(arg.apps) != 1:
-                    raise InvalidCombination(
-                        "single takes a rank, on[...], evendist[] or arraydist[...]")
-                inner = ctor_of(arg.apps[0])
-                if not isinstance(inner, PLACEMENT_CTORS):
-                    raise InvalidCombination(
-                        "single takes a rank, on[...], evendist[] or arraydist[...]")
-                return Single(inner)
+            return Allocated(as_chain_arg(args[0]))
+        arg = args[0]  # single's placement
+        if not isinstance(arg, _ast.TypeExpr):
             return Single(On(evaluate(arg)))
-        if lname == "multiple":
-            no_args(app)
-            return Multiple()
-        if lname == "on":
-            need_args(app, 1)
-            return On(evaluate(app.args[0]))
-        if lname == "row":
-            no_args(app)
-            return Row()
-        if lname == "col":
-            no_args(app)
-            return Col()
-        if lname == "horizontal":
-            need_args(app, 1)
-            return Horizontal(evaluate(app.args[0]))
-        if lname == "vertical":
-            need_args(app, 1)
-            return Vertical(evaluate(app.args[0]))
-        if lname == "evendist":
-            no_args(app)
-            return EvenDist()
-        if lname == "arraydist":
-            need_args(app, 1)
-            var = expr_name(app.args[0])
-            if var is None:
-                raise InvalidCombination("arraydist takes the name of an integer array")
-            return ArrayDist(var)
-        if lname == "share":
-            need_args(app, 1)
-            var = expr_name(app.args[0])
-            if var is None:
-                raise InvalidCombination("share takes the name of a base array")
-            return Share(var)
-        if lname == "channel":
-            need_args(app, 2)
-            return Channel(evaluate(app.args[0]), evaluate(app.args[1]))
-        if lname == "async":
-            no_args(app)
-            return Async()
-        raise InvalidCombination(f"unknown type constructor {name!r}")
+        inner = ctor_of(arg.apps[0]) if len(arg.apps) == 1 else None
+        if not isinstance(inner, PLACEMENT_CTORS):
+            raise InvalidCombination("single takes a rank, on[...], evendist[] or arraydist[...]")
+        return Single(inner)
 
     return build(texpr)

@@ -93,7 +93,7 @@ def cmd_dump_dist(args):
     except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for name, array, plan in result.declared:
+    for name, array in result.declared:
         d = array.descriptor
         shape = "x".join(str(s) for s in d.shape) if d.shape else "scalar"
         part = "none" if d.partition is None else f"{d.partition[0]}[{d.partition[1]}]"

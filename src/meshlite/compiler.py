@@ -244,21 +244,21 @@ class Compiler:
                 return static_eval(e)
 
             kind = chains.kind_of(chains.from_type_expr(type_expr, collect))
-
-            def chain(ctx):
-                return chains.from_type_expr(type_expr, lambda e: extents[id(e)](ctx))
         self.scopes[-1][name] = kind
         if kind.distributed:
-            return lambda ctx: ctx.allocate(node, chain(ctx), kind.read_only)
+            def allocate(ctx):
+                chain = chains.from_type_expr(type_expr, lambda e: extents[id(e)](ctx))
+                return ctx.allocate(node, chain, kind.read_only)
+            return allocate
+
+        # a typed local's chain has no arguments to evaluate: the checker
+        # rejects every constructor taking one outside an array or allocated[...]
+        zero = 0 if type_expr is None else ZEROES[kind.elem]
 
         def value(ctx):
-            if type_expr is not None:
-                chain(ctx)
-                if init is None:
-                    return ZEROES[kind.elem]
-            elif ctx.depth == 0 and name in ctx.state.overrides:
+            if type_expr is None and ctx.depth == 0 and name in ctx.state.overrides:
                 return ctx.state.overrides[name]
-            return 0 if init is None else init(ctx)
+            return zero if init is None else init(ctx)
 
         def bind(ctx, v):
             ctx.bind(name, Binding(name, "local", value=v, read_only=kind.read_only))
@@ -335,7 +335,7 @@ class Compiler:
             src = ctx.env.get(source) if source is not None else None
             if src is not None and _class_of(src) == "single":
                 src_owner = src.array.blocks[0].owner
-                comm = binding.plan.comm if binding.plan else None
+                comm = binding.comm
                 if comm is not None and (comm[1], comm[2]) == (src_owner, owner) \
                         and src_owner != owner:
                     return ctx.channel_assign(node, binding, src, comm)

@@ -93,8 +93,7 @@ class RunState:
         self.workdir = workdir or os.getcwd()
         self.layout_only = layout_only
         self.overrides = overrides or {}
-        self.arrays = {}  # (stmt id, instance) -> DistributedArray
-        self.declared = []  # (name, DistributedArray, plan) in declaration order
+        self.arrays = {}  # (stmt id, instance) -> DistributedArray, in declaration order
         self.channels = {}
         self.code = {}  # id(statement) -> closure, set by run
         self.binding_snapshots = [[] for _ in range(nprocs)]
@@ -112,7 +111,7 @@ class RunState:
 class RunResult:
     def __init__(self, state, contexts):
         self.trace = state.trace
-        self.declared = list(state.declared)
+        self.declared = [(array.name, array) for array in state.arrays.values()]
         self.nprocs = state.nprocs
         self._arrays = {}
         self._locals = {}
@@ -243,12 +242,9 @@ class ProcessContext:
                     raise self.fault(f"share base {plan.share_base!r} is not allocated", stmt)
                 base_array = base_binding.array
             descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
-            array = runtime.allocate(stmt.name, descriptor, base=base_array)
-            self.state.arrays[key] = array
-            self.state.declared.append((stmt.name, array, plan))
-        array = self.state.arrays[key]
-        self.bind(stmt.name,
-                  Binding(stmt.name, "array", array=array, plan=plan, read_only=read_only))
+            self.state.arrays[key] = runtime.allocate(stmt.name, descriptor, base=base_array)
+        self.bind(stmt.name, Binding(stmt.name, "array", array=self.state.arrays[key],
+                                     comm=plan.comm, read_only=read_only))
 
     def snapshot_dist(self, var, stmt):
         binding = self.env.get(var)

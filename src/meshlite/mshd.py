@@ -22,6 +22,15 @@ MAGIC = b"MSHD"
 KIND_CODES = {"int": 0, "char": 1, "real": 2, "complex": 3}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
+# kind: (struct code of one number, numbers per element, the element's
+#        value from any value or from its numbers)
+CODECS = {
+    "int": ("q", 1, int),
+    "char": ("B", 1, lambda v: int(v) & 0xFF),
+    "real": ("d", 1, float),
+    "complex": ("d", 2, complex),
+}
+
 
 def write_mshd(path, elem: str, shape: tuple, values) -> None:
     """Write values (row-major order) as an MSHD file."""
@@ -31,24 +40,12 @@ def write_mshd(path, elem: str, shape: tuple, values) -> None:
     values = list(values)
     if len(values) != count:
         raise FormatError(f"{len(values)} values for shape {shape}")
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<BB", KIND_CODES[elem], len(shape))
-    for d in shape:
-        out += struct.pack("<Q", d)
-    if elem == "complex":
-        for v in values:
-            v = complex(v)
-            out += struct.pack("<dd", v.real, v.imag)
-    elif elem == "real":
-        for v in values:
-            out += struct.pack("<d", float(v))
-    elif elem == "int":
-        for v in values:
-            out += struct.pack("<q", int(v))
-    else:  # char
-        for v in values:
-            out += struct.pack("<B", int(v) & 0xFF)
+    code, per, convert = CODECS[elem]
+    values = list(map(convert, values))
+    if per == 2:
+        values = [x for v in values for x in (v.real, v.imag)]
+    out = struct.pack(f"<4sBB{len(shape)}Q{len(values)}{code}",
+                      MAGIC, KIND_CODES[elem], len(shape), *shape, *values)
     try:
         with open(path, "wb") as fh:
             fh.write(out)
@@ -69,42 +66,16 @@ def read_mshd(path):
     if code not in KIND_NAMES:
         raise FormatError(f"{path}: unknown element kind {code}")
     elem = KIND_NAMES[code]
-    pos = 6
-    shape = []
-    for _ in range(ndim):
-        if pos + 8 > len(data):
-            raise FormatError(f"{path}: truncated header")
-        (d,) = struct.unpack_from("<Q", data, pos)
-        shape.append(d)
-        pos += 8
+    pos = 6 + 8 * ndim
+    if pos > len(data):
+        raise FormatError(f"{path}: truncated header")
+    shape = struct.unpack_from(f"<{ndim}Q", data, 6)
     count = 1
     for d in shape:
         count *= d
-    values = []
-    if elem == "complex":
-        need = pos + 16 * count
-        if len(data) != need:
-            raise FormatError(f"{path}: payload size mismatch")
-        for i in range(count):
-            re, im = struct.unpack_from("<dd", data, pos + 16 * i)
-            values.append(complex(re, im))
-    elif elem == "real":
-        need = pos + 8 * count
-        if len(data) != need:
-            raise FormatError(f"{path}: payload size mismatch")
-        for i in range(count):
-            (v,) = struct.unpack_from("<d", data, pos + 8 * i)
-            values.append(v)
-    elif elem == "int":
-        need = pos + 8 * count
-        if len(data) != need:
-            raise FormatError(f"{path}: payload size mismatch")
-        for i in range(count):
-            (v,) = struct.unpack_from("<q", data, pos + 8 * i)
-            values.append(v)
-    else:
-        need = pos + count
-        if len(data) != need:
-            raise FormatError(f"{path}: payload size mismatch")
-        values = list(data[pos:need])
-    return elem, tuple(shape), values
+    code, per, convert = CODECS[elem]
+    element = struct.Struct(f"<{per}{code}")
+    # sized arithmetically: a declared count can be too large for any format
+    if len(data) != pos + count * element.size:
+        raise FormatError(f"{path}: payload size mismatch")
+    return elem, shape, [convert(*v) for v in element.iter_unpack(memoryview(data)[pos:])]

@@ -134,18 +134,6 @@ class ArrayDescriptor:
             total *= d
         return total
 
-    def validate(self) -> None:
-        if self.partition is not None:
-            p = self.partition[1]
-            if p > self.part_extent or p <= 0:
-                raise InvalidPartition(
-                    f"cannot split extent {self.part_extent} into {p} blocks")
-            if self.replicated:
-                raise BadDistribution("a partitioned array cannot be replicated")
-        if not self.replicated:
-            for k in range(self.block_count):
-                owner_of(self.distribution, k, self.nprocs)
-
     def locate(self, index: tuple) -> tuple:
         """(block_id, offset) of a logical index within block storage."""
         shape = self.shape
@@ -248,58 +236,49 @@ def _dense_offset(descriptor, index):
 
 
 def descriptor_from_plan(plan: AllocationPlan, nprocs: int, dist_map=None) -> ArrayDescriptor:
+    """The descriptor of a plan; an arraydist plan takes its map's values."""
     dist = plan.distribution
     if dist[0] == "arraydist":
-        if dist_map is None:
-            raise BadDistribution(f"no values for distribution array {dist[1]!r}")
         dist = ("arraydist", tuple(int(v) for v in dist_map))
-    desc = ArrayDescriptor(
-        shape=plan.shape,
-        elem=plan.elem,
-        ordering=plan.ordering,
-        partition=plan.partition,
-        distribution=dist,
-        nprocs=nprocs,
-    )
-    desc.validate()
-    if desc.partition is not None and dist[0] == "arraydist" and len(dist[1]) != desc.block_count:
-        raise BadDistribution(
-            f"distribution array has {len(dist[1])} entries for {desc.block_count} blocks")
-    return desc
+    return ArrayDescriptor(shape=plan.shape, elem=plan.elem, ordering=plan.ordering,
+                           partition=plan.partition, distribution=dist, nprocs=nprocs)
 
 
 def allocate(name: str, descriptor: ArrayDescriptor, base: Optional[DistributedArray] = None) -> DistributedArray:
     """Create storage for a descriptor; with base, alias its blocks.
 
-    Aliased views add no element storage: block k of the view IS block k
-    of the base. Buffer lengths must match block for block.
+    The split, then every block's owner, then the length of an arraydist
+    map are checked before any storage is made. Aliased views add no
+    element storage: block k of the view IS block k of the base. Buffer
+    lengths must match block for block.
     """
-    descriptor.validate()
     zero = ZEROES[descriptor.elem]
     if descriptor.replicated:
         count = descriptor.element_count()
         replicas = [[zero] * count for _ in range(descriptor.nprocs)]
         return DistributedArray(name, descriptor, replicas=replicas)
 
+    dist, count = descriptor.distribution, descriptor.block_count
+    bounds = [descriptor.bounds(k) for k in range(count)]
+    owners = [owner_of(dist, k, descriptor.nprocs) for k in range(count)]
+    if dist[0] == "arraydist" and len(dist[1]) != count:
+        raise BadDistribution(f"distribution array has {len(dist[1])} entries for {count} blocks")
+    if base is not None and (base.replicated or len(base.blocks) != count):
+        raise ShareFootprintMismatch(f"{name} and its base have different block structure")
     blocks = []
-    for k in range(descriptor.block_count):
-        low, high = descriptor.bounds(k)
-        owner = owner_of(descriptor.distribution, k, descriptor.nprocs)
+    for k, ((low, high), owner) in enumerate(zip(bounds, owners)):
         length = (high - low + 1) * descriptor.line_len
-        if base is not None:
-            if base.replicated or len(base.blocks) != descriptor.block_count:
-                raise ShareFootprintMismatch(
-                    f"{name} and its base have different block structure")
-            src = base.blocks[k]
-            if len(src.buffer) != length:
-                raise ShareFootprintMismatch(
-                    f"block {k}: view needs {length} elements, base holds {len(src.buffer)}")
-            if src.owner != owner:
-                raise ShareFootprintMismatch(
-                    f"block {k}: view owner {owner} differs from base owner {src.owner}")
-            blocks.append(Block(k, owner, low, high, src.buffer))
-        else:
+        if base is None:
             blocks.append(Block(k, owner, low, high, [zero] * length))
+            continue
+        src = base.blocks[k]
+        if len(src.buffer) != length:
+            raise ShareFootprintMismatch(
+                f"block {k}: view needs {length} elements, base holds {len(src.buffer)}")
+        if src.owner != owner:
+            raise ShareFootprintMismatch(
+                f"block {k}: view owner {owner} differs from base owner {src.owner}")
+        blocks.append(Block(k, owner, low, high, src.buffer))
     return DistributedArray(name, descriptor, blocks=blocks,
                             alias_of=base.name if base is not None else None)
 
@@ -463,27 +442,19 @@ class Segment:
     dst_line_stride: int = 0
 
     def runs(self) -> list:
-        """Maximal contiguous runs as (length, repeat) pairs, in destination
-        order: O(lines) pairs at most, whatever the element count.
+        """Maximal contiguous runs as one (length, repeat) pair, in
+        destination order: whole lines when both strides are 1, else
+        single elements.
 
-        A run continues while both offsets advance by one: inside a line
-        when both strides are 1, and from the last element of a line to
-        the first of the next when both line strides close the gap.
+        Holds for the segments plan_redistribution makes: lines abutting on
+        both sides are merged into one line, and a line strided on either
+        side never ends next to where the next one starts.
         """
         n = self.lines
         w = self.count // n
-        within = w == 1 or (self.src_stride == 1 and self.dst_stride == 1)
-        across = (n > 1
-                  and self.src_line_stride - (w - 1) * self.src_stride == 1
-                  and self.dst_line_stride - (w - 1) * self.dst_stride == 1)
-        if within:
-            return [(n * w, 1)] if across else [(w, n)]
-        if not across:
-            return [(1, n * w)]
-        # each line's last element joins the next line's first
-        if w == 2:
-            return [(1, 1), (2, n - 1), (1, 1)]
-        return [(1, w - 1)] + [(2, 1), (1, w - 2)] * (n - 1) + [(1, 1)]
+        if w == 1 or (self.src_stride == 1 and self.dst_stride == 1):
+            return [(w, n)]
+        return [(1, n * w)]
 
     def slices(self) -> list:
         """(src_start, dst_start, length, src_step, dst_step), one per slice.

@@ -44,14 +44,14 @@ class LineSlice:
 
 
 class Binding:
-    __slots__ = ("name", "kind", "value", "array", "plan", "read_only")
+    __slots__ = ("name", "kind", "value", "array", "comm", "read_only")
 
-    def __init__(self, name, kind, value=None, array=None, plan=None, read_only=False):
+    def __init__(self, name, kind, value=None, array=None, comm=None, read_only=False):
         self.name = name
         self.kind = kind  # "local" | "array"
         self.value = value
         self.array = array
-        self.plan = plan
+        self.comm = comm  # ("channel", src, dst, is_async) or None for one-sided
         self.read_only = read_only
 
 

@@ -126,7 +126,7 @@ class WalkingContext(interp.ProcessContext):
         """Single-copy scalar destination: channel, one-sided or local."""
         array = binding.array
         dst_owner = array.blocks[0].owner
-        comm = binding.plan.comm if binding.plan else None
+        comm = binding.comm
 
         src_binding = None
         if isinstance(stmt.value, ast.Name):

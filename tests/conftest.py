@@ -134,11 +134,9 @@ def checked_corpus(name):
 
 def make_descriptor(shape, elem="complex", ordering="row", partition=None,
                     distribution=("on", 0), nprocs=2):
-    d = ArrayDescriptor(shape=shape, elem=elem, ordering=ordering,
-                        partition=partition, distribution=distribution,
-                        nprocs=nprocs)
-    d.validate()
-    return d
+    return ArrayDescriptor(shape=shape, elem=elem, ordering=ordering,
+                           partition=partition, distribution=distribution,
+                           nprocs=nprocs)
 
 
 def fill_sequential(array):

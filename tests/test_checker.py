@@ -123,7 +123,7 @@ function f(e : array[Int,2]) {
 f(d);
 """
     result = run(check_program(parse(src)), 2)
-    owners = {name: [b.owner for b in array.blocks] for name, array, _ in result.declared}
+    owners = {name: [b.owner for b in array.blocks] for name, array in result.declared}
     assert owners["A"] == [1, 0]
 
 
@@ -228,3 +228,55 @@ def test_sync_inside_proc_rejected():
         ("GuardedCollective", 4, 23)]
     # a call into a synchronising function stays a run-time matter
     check_program(parse("function f() { sync; };\nproc 0 { f() };\nsync;"))
+
+
+# Every error from_type_expr can raise, with its first-error order:
+# arity before argument kind, the constructor named as written.
+TYPE_EXPR_ERRORS = [
+    ("Int[3]", "Int takes no arguments"),
+    ("Real[1]", "Real takes no arguments"),
+    ("complex[1, 2]", "complex takes no arguments"),
+    ("Int :: const[1]", "const takes no arguments"),
+    ("Int :: allocated[multiple[2]]", "multiple takes no arguments"),
+    ("array[Int,4] :: allocated[row[1] :: single[0]]", "row takes no arguments"),
+    ("array[Int,4] :: allocated[Col[1] :: single[0]]", "Col takes no arguments"),
+    ("array[Int,4] :: allocated[horizontal[2] :: single[evendist[1]]]",
+     "evendist takes no arguments"),
+    ("Int :: allocated[single[0]] :: async[1]", "async takes no arguments"),
+    ("array[Int]", "array takes an element type and 1 or 2 extents"),
+    ("array[Int,1,2,3]", "array takes an element type and 1 or 2 extents"),
+    ("array[4,4]", "expected a type argument"),
+    ("array[Int,4] :: allocated[3]", "expected a type argument"),
+    ("Int :: allocated", "allocated takes 1 argument, got 0"),
+    ("Int :: allocated[]", "allocated takes 1 argument, got 0"),
+    ("Int :: allocated[3, 4]", "allocated takes 1 argument, got 2"),
+    ("Int :: allocated[single[0, 1]]", "single takes 1 argument, got 2"),
+    ("Int :: allocated[single[row[], 1]]", "single takes 1 argument, got 2"),
+    ("Int :: allocated[single[on[0] :: evendist[]]]",
+     "single takes a rank, on[...], evendist[] or arraydist[...]"),
+    ("Int :: allocated[single[row[]]]",
+     "single takes a rank, on[...], evendist[] or arraydist[...]"),
+    ("Int :: allocated[single[on[]]]", "on takes 1 argument, got 0"),
+    ("Int :: allocated[single[on[0,1]]]", "on takes 1 argument, got 2"),
+    ("array[Int,4] :: allocated[horizontal :: single[0]]", "horizontal takes 1 argument, got 0"),
+    ("array[Int,4] :: allocated[Vertical[1,2] :: single[0]]", "Vertical takes 1 argument, got 2"),
+    ("Int :: allocated[single[0]] :: channel[1]", "channel takes 2 arguments, got 1"),
+    ("Int :: allocated[single[0]] :: channel[0,1,2]", "channel takes 2 arguments, got 3"),
+    ("array[Int,4] :: allocated[horizontal[2] :: single[arraydist[3]]]",
+     "arraydist takes the name of an integer array"),
+    ("array[Int,4] :: allocated[horizontal[2] :: single[arraydist[3, 4]]]",
+     "arraydist takes 1 argument, got 2"),
+    ("array[Int,4] :: allocated[single[0]] :: share", "share takes 1 argument, got 0"),
+    ("array[Int,4] :: allocated[single[0]] :: share[1]", "share takes the name of a base array"),
+    ("array[Int,4] :: allocated[single[0]] :: Share[d, d]", "Share takes 1 argument, got 2"),
+    ("Int :: frob[]", "unknown type constructor 'frob'"),
+    ("Frob", "unknown type constructor 'Frob'"),
+    ("Int[1] :: frob", "Int takes no arguments"),
+]
+
+
+@pytest.mark.parametrize("decl, message", TYPE_EXPR_ERRORS)
+def test_type_expression_errors_are_located_at_the_name(decl, message):
+    src = f"var d : array[Int,2] :: allocated[multiple[]];\n  var x : {decl};"
+    (diag,) = diagnostics_of(src, name="prog.mesh")
+    assert str(diag) == f"prog.mesh:2:7: InvalidCombination: {message}"

@@ -393,3 +393,44 @@ proc 1 {{ writefile(X, "out.dat") }};
     else:
         assert result.logical("X") == values
     assert read_mshd(tmp_path / "out.dat") == ("complex", shape, values)
+
+
+# Every allocation fault a checked program can reach, with its rank and
+# location; when a map is both too long and maps a block off the ranks,
+# the rank is reported.
+ALLOCATION_FAULTS = [
+    ("var d : array[Int,1] :: allocated[multiple[]];\n"
+     "var A : array[Int,4] :: allocated[horizontal[2] :: single[arraydist[d]]];", 2,
+     "rank 1: distribution array has no entry for block 1 at 2:5"),
+    ("var d : array[Int,3] :: allocated[multiple[]];\n"
+     "var A : array[Int,4] :: allocated[horizontal[2] :: single[arraydist[d]]];", 2,
+     "rank 1: distribution array has 3 entries for 2 blocks at 2:5"),
+    ("var d : array[Int,2] :: allocated[multiple[]];\nd[1] := 5;\n"
+     "var A : array[Int,4] :: allocated[horizontal[2] :: single[arraydist[d]]];", 2,
+     "rank 1: distribution array maps block 1 to rank 5, outside [0, 2) at 3:5"),
+    ("var d : array[Int,3] :: allocated[multiple[]];\nd[1] := 5;\n"
+     "var A : array[Int,4] :: allocated[horizontal[2] :: single[arraydist[d]]];", 2,
+     "rank 1: distribution array maps block 1 to rank 5, outside [0, 2) at 3:5"),
+    ("var r := 5;\nvar a : Int :: allocated[single[on[r]]];", 2,
+     "rank 1: placement rank 5 outside [0, 2) at 2:5"),
+    ("var a : array[Int,4] :: allocated[single[3]];", 3,
+     "rank 1: placement rank 3 outside [0, 3) at 1:5"),
+    ("var n := 0;\nvar A : array[Int,4,n] :: allocated[single[on[0]]];", 2,
+     "rank 1: array extents must be positive at 2:5"),
+    ("var p := 5;\nvar A : array[Int,4] :: allocated[horizontal[p] :: single[evendist[]]];", 2,
+     "rank 1: cannot split extent 4 into 5 blocks at 2:5"),
+]
+
+
+@pytest.mark.parametrize("src, nprocs, message", ALLOCATION_FAULTS)
+def test_allocation_faults_keep_text_rank_and_location(src, nprocs, message):
+    with pytest.raises(RuntimeFault) as err:
+        run_src(src, nprocs)
+    assert str(err.value) == message
+
+
+def test_fft2d_at_sixteen_ranks_cannot_split_its_blocks():
+    """p = 2P blocks of an extent-16 array: the split fails where A is declared."""
+    with pytest.raises(RuntimeFault) as err:
+        run(checked_corpus("fft2d.mesh"), 16)
+    assert str(err.value) == "rank 10: cannot split extent 16 into 32 blocks at 7:5"

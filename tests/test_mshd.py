@@ -1,3 +1,6 @@
+import math
+import struct
+
 import pytest
 
 from meshlite.errors import FormatError, IoError, NotPowerOfTwo
@@ -29,11 +32,10 @@ def test_other_element_kinds_round_trip(tmp_path, elem, values):
     assert got_elem == elem and shape == (4,) and back == values
 
 
-def test_header_layout():
-    import struct
-    path = "/tmp/mshd_header_check.dat"
+def test_header_layout(tmp_path):
+    path = tmp_path / "header.dat"
     write_mshd(path, "complex", (2, 3), [0j] * 6)
-    data = open(path, "rb").read()
+    data = path.read_bytes()
     assert data[:4] == b"MSHD"
     assert data[4] == 3  # complex code
     assert data[5] == 2  # two dimensions
@@ -55,6 +57,48 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(FormatError):
         read_mshd(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"MSHD\x03\x02" + bytes(8),  # two extents declared, one present
+    b"MSHD\x03\x02" + struct.pack("<QQ", 2**62, 2**62) + bytes(16),  # count too large to pack
+    b"MSHD\x07\x00",  # unknown element kind
+])
+def test_malformed_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.dat"
+    path.write_bytes(header)
+    with pytest.raises(FormatError):
+        read_mshd(path)
+
+
+def packed_element_by_element(elem, shape, values):
+    """MSHD bytes packed one element at a time: the reference for the codec."""
+    out = b"MSHD" + struct.pack("<BB", ("int", "char", "real", "complex").index(elem), len(shape))
+    out += b"".join(struct.pack("<Q", d) for d in shape)
+    for v in values:
+        if elem == "complex":
+            out += struct.pack("<dd", complex(v).real, complex(v).imag)
+        elif elem == "real":
+            out += struct.pack("<d", float(v))
+        elif elem == "int":
+            out += struct.pack("<q", int(v))
+        else:
+            out += struct.pack("<B", int(v) & 0xFF)
+    return out
+
+
+@pytest.mark.parametrize("elem,values", [
+    ("complex", [complex(-0.0, 0.0), complex(math.inf, -math.inf), 3, 2.5, 1e-310 - 7j]),
+    ("real", [-0.0, math.inf, 7, 1e-310, 2.5]),
+    ("int", [-(2**63), 2**63 - 1, 2.9, -2.9, 0]),
+    ("char", [0, 255, 256, -1, 65.7]),
+])
+def test_codec_matches_element_by_element_packing(tmp_path, elem, values):
+    path = tmp_path / "m.dat"
+    write_mshd(path, elem, (5,), values)
+    assert path.read_bytes() == packed_element_by_element(elem, (5,), values)
+    _, _, back = read_mshd(path)
+    assert packed_element_by_element(elem, (5,), back) == path.read_bytes()
 
 
 def test_missing_file_is_io_error(tmp_path):

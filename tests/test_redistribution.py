@@ -1,5 +1,6 @@
 """Redistribution planning and execution against a brute-force oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from meshlite.fixtures import generate_image
 from meshlite.interp import _share_storage
 from meshlite.runtime import (
     Segment,
+    TraceBatch,
     TraceLog,
     allocate,
     copy_segments,
@@ -381,17 +383,30 @@ def strided(lines, width, ss, sl, ds, dl):
                    src_line_stride=sl, dst_line_stride=dl)
 
 
+# Segments in the planner's canonical form: lines that would abut on both
+# sides are one line, and a strided source steps by one between lines.
 @pytest.mark.parametrize("seg", [
-    strided(3, 4, 1, 4, 1, 4),    # lines abut on both sides: one run
+    strided(1, 12, 1, 0, 1, 0),   # one contiguous run
     strided(3, 4, 1, 5, 1, 4),    # a gap between source lines
-    strided(3, 1, 1, 1, 1, 1),    # extent 1 across: the lines chain
+    strided(1, 3, 4, 0, 1, 0),    # a single column: one strided line
     strided(3, 1, 1, 2, 1, 1),
-    strided(2, 3, 7, 15, 1, 3),   # strided lines whose ends abut
-    strided(4, 2, 3, 4, 1, 2),
+    strided(2, 3, 7, 1, 1, 3),    # a transpose: every element its own run
+    strided(4, 2, 3, 1, 1, 2),
     strided(2, 2, 2, 1, 1, 2),
 ])
 def test_run_lengths_arithmetic_matches_element_walk(seg):
     assert_runs_expand_to_the_element_walk(seg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_planner_segment_is_one_run_pair(seed):
+    """The premise of Segment.runs: no planner segment has lines that
+    continue one another, so its runs are whole lines or single elements."""
+    for src, dst in random_pairs(80, seed):
+        same = _share_storage(dst, src)
+        for seg in plan_redistribution(src.descriptor, dst.descriptor, same_storage=same):
+            assert len(seg.runs()) == 1, seg
+            assert_runs_expand_to_the_element_walk(seg)
 
 
 def assert_runs_expand_to_the_element_walk(seg, context=""):
@@ -405,17 +420,18 @@ def assert_runs_expand_to_the_element_walk(seg, context=""):
 
 @pytest.mark.parametrize("lines,width", [(2, 2), (2, 3), (5, 2), (5, 4), (7, 9)])
 def test_runs_group_the_across_line_case(lines, width):
-    """Each line's last element abuts the next line's first on both sides."""
-    seg = strided(lines, width, lines, (width - 1) * lines + 1, 1, width)
-    expected = [1] * (width - 1) + ([2] + [1] * (width - 2)) * (lines - 1) + [1]
-    assert run_lengths(seg) == expected
-    assert_runs_expand_to_the_element_walk(seg)
-    # the planner's own segments group into one (length, repeat) pair, so
-    # this is where a batch of several pairs is rendered
-    log, reference = TraceLog(2), ReferenceTraceLog(2)
-    for trace in (log, reference):
-        trace.record_plan([seg, seg], 16, "D")
-    assert_trace_matches_reference(log, reference)
+    """A batch of several (length, repeat) pairs expands and renders one
+    event per run. The runs are those of strided lines whose ends abut, a
+    rectangle the planner never emits, so this is where such a batch is
+    rendered."""
+    lengths = [1] * (width - 1) + ([2] + [1] * (width - 2)) * (lines - 1) + [1]
+    pairs = [(length, len(list(group))) for length, group in itertools.groupby(lengths)]
+    batch = TraceBatch(0, 1, 16, 5, "D", pairs)
+    assert batch.size == len(lengths)
+    expected = [f"block-transfer\t0\t1\t{16 * n}\t{5 + i}\tD\n" for i, n in enumerate(lengths)]
+    assert [f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}\n"
+            for e in batch.events()] == expected
+    assert batch.render() == "".join(expected)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -161,12 +161,29 @@ def test_share_owner_mismatch_rejected():
         allocate("C", shifted, base=base)
 
 
-def test_descriptor_from_plan_validates_rank():
+def test_allocate_validates_the_placement_rank():
     plan = AllocationPlan(elem="int", shape=(), ordering="row", partition=None,
                           distribution=("on", 2), share_base=None, comm=None,
                           read_only=False)
-    with pytest.raises(BadDistribution):
-        descriptor_from_plan(plan, nprocs=2)
+    descriptor = descriptor_from_plan(plan, nprocs=2)
+    with pytest.raises(BadDistribution, match=r"placement rank 2 outside \[0, 2\)"):
+        allocate("a", descriptor)
+
+
+def test_allocate_checks_the_split_then_every_owner_then_the_map_length():
+    def arraydist(parts, ranks):
+        return make_descriptor((4,), elem="int", partition=("horizontal", parts),
+                               distribution=("arraydist", ranks), nprocs=2)
+
+    with pytest.raises(InvalidPartition, match="cannot split 4 indices into 5 blocks"):
+        allocate("A", arraydist(5, (7,)))
+    with pytest.raises(BadDistribution, match="has no entry for block 1"):
+        allocate("A", arraydist(2, (0,)))
+    with pytest.raises(BadDistribution, match="maps block 1 to rank 5"):
+        allocate("A", arraydist(2, (0, 5, 0)))
+    with pytest.raises(BadDistribution, match="has 3 entries for 2 blocks"):
+        allocate("A", arraydist(2, (0, 1, 0)))
+    assert [b.owner for b in allocate("A", arraydist(2, (1, 0))).blocks] == [1, 0]
 
 
 def test_logical_roundtrip_row_and_col():
