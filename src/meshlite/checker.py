@@ -161,8 +161,12 @@ class Checker:
         kind = chains.LOCAL
         if stmt.type_expr is not None:
             folded = fold_type(stmt.type_expr)
+
+            def evaluate(arg):
+                self.check_expr(arg)
+                return static_eval(arg)
             try:
-                chain = chains.from_type_expr(stmt.type_expr, static_eval)
+                chain = chains.from_type_expr(stmt.type_expr, evaluate)
             except MeshError as exc:
                 self.report("InvalidCombination", str(exc), stmt)
             else:

@@ -162,6 +162,13 @@ def _integer(ctx, node, i):
     return i
 
 
+def _element(ctx, node, shape, i):
+    """i as an index into a replicated 1D array: an integer, in range."""
+    if not 0 <= _integer(ctx, node, i) < shape[0]:
+        raise ctx.fault(f"index {i} outside shape {shape}", node)
+    return i
+
+
 def _store(ctx, node, check, binding, block, offset, value):
     """Store into one element of binding's array; may wait (a put when remote)."""
     if check:
@@ -173,23 +180,21 @@ def _store(ctx, node, check, binding, block, offset, value):
 
 def _index_value(ctx, node, base, i):
     """base[i], whatever base turns out to be."""
-    if isinstance(base, DistributedArray):
-        shape = base.descriptor.shape
-        _integer(ctx, node, i)
-        if len(shape) == 1:
-            if base.replicated:
-                if not 0 <= i < shape[0]:
-                    raise ctx.fault(f"index {i} outside shape {shape}", node)
-                return base.replicas[ctx.rank][i]
-            return ctx.read_element(base, i)
-        if len(shape) == 2:
-            return row_of(base, i)
-        raise ctx.fault("cannot index a scalar", node)
+    if not isinstance(base, (DistributedArray, BlockRef, LineSlice)):
+        raise ctx.fault("value is not indexable", node)
+    _integer(ctx, node, i)
     if isinstance(base, BlockRef):
         return LineSlice(base.array, base.block, i)
     if isinstance(base, LineSlice):
         return ctx.read_line(base, i)
-    raise ctx.fault("value is not indexable", node)
+    shape = base.descriptor.shape
+    if len(shape) == 1:
+        if base.replicated:
+            return base.replicas[ctx.rank][_element(ctx, node, shape, i)]
+        return ctx.read_element(base, i)
+    if len(shape) == 2:
+        return row_of(base, i)
+    raise ctx.fault("cannot index a scalar", node)
 
 
 class Compiler:
@@ -278,7 +283,13 @@ class Compiler:
             return local
         if kind is ast.BinOp:
             left, right = self.extent(node.left), self.extent(node.right)
-            return lambda ctx: arith(node.op, left(ctx), right(ctx))
+
+            def binop(ctx):
+                try:
+                    return arith(node.op, left(ctx), right(ctx))
+                except ZeroDivisionError as exc:
+                    raise ctx.fault(str(exc), node)
+            return binop
         if kind is ast.Call and node.func == "processes" and not node.args:
             return lambda ctx: ctx.state.nprocs
         return _fails("type arguments must be integer expressions over local variables", node)
@@ -368,9 +379,8 @@ class Compiler:
             shape = array.descriptor.shape
             if len(shape) != 1:
                 raise ctx.fault("element assignment needs a one-dimensional array", node)
-            if not 0 <= i < shape[0]:
-                raise ctx.fault(f"index {i} outside shape {shape}", node)
-            array.replicas[ctx.rank][i] = ctx.storable(v, node) if check else v
+            array.replicas[ctx.rank][_element(ctx, node, shape, i)] = (
+                ctx.storable(v, node) if check else v)
 
         def located(ctx, i):
             """Element i of a single-copy array, stored by whoever performs it."""
@@ -378,7 +388,7 @@ class Compiler:
             array = binding.array
             if len(array.descriptor.shape) != 1:
                 raise ctx.fault("use A[block][line] to address rows of a 2D array", node)
-            k, off = array.descriptor.locate((i,))
+            k, off = array.descriptor.locate((_integer(ctx, node, i),))
             block = array.blocks[k]
             if ctx.performs(block.owner):
                 return _after(ctx, value(ctx), _store, node, check, binding, block, off)
@@ -562,13 +572,12 @@ class Compiler:
             # an element of a 1D array, read straight from the binding
             if known.replicated:
                 def element(ctx):
-                    array = ctx.env[name].array
-                    i = index(ctx)
-                    if not isinstance(i, int):
-                        raise ctx.fault("array index must be an integer", node)
+                    array, i = ctx.env[name].array, index(ctx)
                     shape = array.descriptor.shape
-                    if not 0 <= i < shape[0]:
-                        raise ctx.fault(f"index {i} outside shape {shape}", node)
+                    # _element's rule, inline on the commonest read: a call
+                    # here costs interp-local-p4 about 3% of its run
+                    if i.__class__ is not int or not 0 <= i < shape[0]:
+                        _element(ctx, node, shape, i)
                     return array.replicas[ctx.rank][i]
                 return element, False
             return (lambda ctx: ctx.read_element(

@@ -353,9 +353,9 @@ class ProcessContext:
         """Generator: collective redistribution, planned and copied once.
 
         The last rank to reach the barrier plans the whole assignment,
-        copies it and records it as one batch of block-transfers per
-        segment that changes ranks, stamped by the source owner in plan
-        order: one event per contiguous run.
+        copies it and records one run of block-transfers per segment that
+        changes ranks, stamped by the source owner in plan order: one event
+        per contiguous run.
         """
         trace = self.state.trace
 

@@ -292,12 +292,16 @@ STAMPED_BY_DST = ("onesided-get", "channel-recv")
 
 @dataclass(slots=True)
 class TraceEvent:
+    """One trace record: `repeat` events that differ only in `seq`, which
+    counts up from `seq` on the initiating process."""
+
     kind: str  # onesided-get | onesided-put | channel-send | channel-recv | block-transfer
     src: int
     dst: int
     bytes: int
     seq: int  # per-process sequence on the initiating process
     tag: str
+    repeat: int = 1
 
     @property
     def initiator(self) -> int:
@@ -305,59 +309,14 @@ class TraceEvent:
         return self.dst if self.kind in STAMPED_BY_DST else self.src
 
 
-@dataclass(slots=True)
-class TraceBatch:
-    """One collective segment's block-transfers from src to dst.
-
-    `runs` holds (length, repeat) pairs in destination order: `repeat`
-    consecutive runs of `length` elements each, one event per run, with
-    sequence numbers counting up from `seq` on the source rank.
-    """
-
-    src: int
-    dst: int
-    esize: int
-    seq: int
-    tag: str
-    runs: list
-    kind = "block-transfer"
-
-    @property
-    def size(self) -> int:
-        """Number of events in the batch."""
-        return sum(repeat for _, repeat in self.runs)
-
-    def events(self) -> list:
-        """The batch as one TraceEvent per run."""
-        seq, out = self.seq, []
-        for length, repeat in self.runs:
-            out += [TraceEvent(self.kind, self.src, self.dst,
-                               length * self.esize, s, self.tag)
-                    for s in range(seq, seq + repeat)]
-            seq += repeat
-        return out
-
-    def render(self) -> str:
-        """The batch's lines, each ending in a newline."""
-        seq, parts = self.seq, []
-        head = f"{self.kind}\t{self.src}\t{self.dst}\t"
-        tail = f"\t{self.tag}\n"
-        for length, repeat in self.runs:
-            prefix = f"{head}{length * self.esize}\t"
-            parts += (prefix, (tail + prefix).join(map(str, range(seq, seq + repeat))), tail)
-            seq += repeat
-        return "".join(parts)
-
-
 class TraceLog:
     """Per-rank sequenced event log with a canonical rendering.
 
-    Each initiating rank keeps its own list of entries, single events and
-    batches of a collective's block-transfers, and its own sequence
-    counter, so the canonical order, by (initiating rank, sequence), is
-    the lists one after another. Blocking programs therefore produce
-    byte-identical traces under any schedule. Field order: kind, src, dst,
-    bytes, seq, tag, tab-separated.
+    Each initiating rank keeps its own list of records, and its own
+    sequence counter, so the canonical order, by (initiating rank,
+    sequence), is the lists one after another. Blocking programs therefore
+    produce byte-identical traces under any schedule. Field order: kind,
+    src, dst, bytes, seq, tag, tab-separated.
     """
 
     def __init__(self, nprocs):
@@ -373,42 +332,45 @@ class TraceLog:
         return ev
 
     def record_plan(self, plan, esize, tag):
-        """One batch per non-local segment of a collective's plan, stamped
-        by the source owner in plan order."""
+        """One record per non-local segment of a collective's plan, a run
+        of `repeat` block-transfers stamped by the source owner, in plan order."""
         by_rank, next_seq = self._by_rank, self._next
         for seg in plan:
             if seg.local:
                 continue
             rank = seg.src_owner
-            batch = TraceBatch(rank, seg.dst_owner, esize, next_seq[rank], tag, seg.runs())
-            next_seq[rank] += batch.size
-            by_rank[rank].append(batch)
+            length, repeat = seg.runs()
+            by_rank[rank].append(TraceEvent("block-transfer", rank, seg.dst_owner,
+                                            length * esize, next_seq[rank], tag, repeat))
+            next_seq[rank] += repeat
 
     @property
     def events(self) -> list:
-        """Every event in canonical order, batches expanded."""
+        """Every event in canonical order, runs expanded."""
         out = []
         for log in self._by_rank:
-            for entry in log:
-                if entry.__class__ is TraceBatch:
-                    out += entry.events()
+            for e in log:
+                if e.repeat == 1:
+                    out.append(e)
                 else:
-                    out.append(entry)
+                    out += [TraceEvent(e.kind, e.src, e.dst, e.bytes, s, e.tag)
+                            for s in range(e.seq, e.seq + e.repeat)]
         return out
 
     def render(self) -> str:
         parts = []
         for log in self._by_rank:
             for e in log:
-                if e.__class__ is TraceBatch:
-                    parts.append(e.render())
-                else:
+                if e.repeat == 1:
                     parts.append(f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}\n")
+                else:
+                    head, tail = f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t", f"\t{e.tag}\n"
+                    seqs = map(str, range(e.seq, e.seq + e.repeat))
+                    parts += (head, (tail + head).join(seqs), tail)
         return "".join(parts)
 
     def count(self, kind) -> int:
-        return sum(e.size if e.__class__ is TraceBatch else 1
-                   for log in self._by_rank for e in log if e.kind == kind)
+        return sum(e.repeat for log in self._by_rank for e in log if e.kind == kind)
 
 
 # --- redistribution ---
@@ -441,7 +403,7 @@ class Segment:
     src_line_stride: int = 0
     dst_line_stride: int = 0
 
-    def runs(self) -> list:
+    def runs(self) -> tuple:
         """Maximal contiguous runs as one (length, repeat) pair, in
         destination order: whole lines when both strides are 1, else
         single elements.
@@ -453,8 +415,8 @@ class Segment:
         n = self.lines
         w = self.count // n
         if w == 1 or (self.src_stride == 1 and self.dst_stride == 1):
-            return [(w, n)]
-        return [(1, n * w)]
+            return w, n
+        return 1, n * w
 
     def slices(self) -> list:
         """(src_start, dst_start, length, src_step, dst_step), one per slice.

@@ -84,7 +84,10 @@ class WalkingContext(interp.ProcessContext):
         if isinstance(expr, ast.BinOp):
             left = self.eval_extent(expr.left)
             right = self.eval_extent(expr.right)
-            return arith(expr.op, left, right)
+            try:
+                return arith(expr.op, left, right)
+            except ZeroDivisionError as exc:
+                raise self.fault(str(exc), expr)
         if isinstance(expr, ast.Call) and expr.func == "processes" and not expr.args:
             return self.state.nprocs
         raise self.fault("type arguments must be integer expressions over local variables", expr)
@@ -197,12 +200,16 @@ class WalkingContext(interp.ProcessContext):
             value = yield from self.eval(stmt.value)
             if array.descriptor.ndim != 1:
                 raise self.fault("element assignment needs a one-dimensional array", stmt)
+            if not isinstance(index, int):
+                raise self.fault("array index must be an integer", stmt)
             if not 0 <= index < array.descriptor.shape[0]:
                 raise self.fault(f"index {index} outside shape {array.descriptor.shape}", stmt)
             array.storage_for(self.rank)[index] = self.check_storable(value, stmt)
             return
         if array.descriptor.ndim != 1:
             raise self.fault("use A[block][line] to address rows of a 2D array", stmt)
+        if not isinstance(index, int):
+            raise self.fault("array index must be an integer", stmt)
         k, off = array.descriptor.locate((index,))
         owner = array.blocks[k].owner
         if self.proc_depth == 0:
@@ -345,11 +352,13 @@ class WalkingContext(interp.ProcessContext):
             if d.ndim == 2:
                 return row_of(base, index)
             raise self.fault("cannot index a scalar", expr)
+        if not isinstance(base, (BlockRef, LineSlice)):
+            raise self.fault("value is not indexable", expr)
+        if not isinstance(index, int):
+            raise self.fault("array index must be an integer", expr)
         if isinstance(base, BlockRef):
             return LineSlice(base.array, base.block, index)
-        if isinstance(base, LineSlice):
-            return (yield from self.get_line_element(base, index))
-        raise self.fault("value is not indexable", expr)
+        return (yield from self.get_line_element(base, index))
 
     def get_element(self, array, index):
         """Element of a non-replicated 1D array: a one-sided get when remote."""

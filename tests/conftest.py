@@ -255,8 +255,9 @@ def _buffer_order(desc):
 
 
 def run_lengths(segment):
-    """Lengths of a segment's maximal contiguous runs, from its grouped runs."""
-    return [length for length, repeat in segment.runs() for _ in range(repeat)]
+    """Lengths of a segment's maximal contiguous runs, from its (length, repeat) pair."""
+    length, repeat = segment.runs()
+    return [length] * repeat
 
 
 def expand_runs(segment, same_storage=False):

@@ -36,6 +36,19 @@ def test_undeclared_variable_use():
     assert rules.count("UnknownVariable") == 2
 
 
+@pytest.mark.parametrize("src,column,name", [
+    ("var A : array[Int,q] :: allocated[single[on[0]]];", 19, "q"),
+    ("var x : Int :: allocated[single[on]];", 33, "on"),
+    ("var A : array[Int,4,2*m] :: allocated[multiple[]];", 23, "m"),
+    ("var p := 2;\nvar A : array[Int,4] :: allocated[row[] :: horizontal[p + r] "
+     ":: single[evendist[]]];", 59, "r"),
+])
+def test_undeclared_names_in_type_arguments(src, column, name):
+    (diag,) = diagnostics_of(src)
+    assert (diag.rule, diag.column, diag.message) == (
+        "UnknownVariable", column, f"{name!r} is not declared")
+
+
 def test_undeclared_sync_target():
     rules = rules_of("sync q;")
     assert "UnknownVariable" in rules

@@ -36,6 +36,23 @@ def test_parse_error_exits_one(workdir):
     assert main(["typecheck", "broken.mesh"]) == 1
 
 
+@pytest.mark.parametrize("source,expected", [
+    ("var d : array[Int,4] :: allocated[multiple[]];\nd[1.5] := 2;\n",
+     "error: rank 1: array index must be an integer at 2:1\n"),
+    ("var d : array[Int,4/0] :: allocated[multiple[]];\n",
+     "error: rank 1: division by zero at 1:20\n"),
+    ("var A : array[Int,q] :: allocated[single[on[0]]];\n",
+     "bad.mesh:1:19: UnknownVariable: 'q' is not declared\n"),
+    ("var x : Int :: allocated[single[on]];\n",
+     "bad.mesh:1:33: UnknownVariable: 'on' is not declared\n"),
+])
+def test_run_reports_bad_indices_and_type_arguments_at_their_source(
+        workdir, capsys, source, expected):
+    (workdir / "bad.mesh").write_text(source)
+    assert main(["run", "bad.mesh", "--procs", "2"]) == 1
+    assert capsys.readouterr().err == expected
+
+
 def test_run_writes_output_and_trace(workdir):
     assert main(["run", "fft2d.mesh", "--procs", "4", "--trace", "t.log"]) == 0
     assert (workdir / "image.out.dat").exists()

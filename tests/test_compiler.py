@@ -12,8 +12,8 @@ import random
 import pytest
 
 import ast_walk
-from conftest import checked_corpus
-from meshlite import check_program, parse, run
+from conftest import TeeTraceLog, assert_trace_matches_reference, checked_corpus
+from meshlite import check_program, parse, run, runtime
 from meshlite.checker import CheckedProgram
 from meshlite.errors import RuntimeFault
 from meshlite.fixtures import generate_image
@@ -392,6 +392,38 @@ def test_faults_match_the_ast_walk(body, message):
         assert str(info.value).split(": ", 1)[1] == message
 
 
+ROWS = "var A : array[Int,4,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+
+
+@pytest.mark.parametrize("source,message", [
+    ("var d : array[Int,4] :: allocated[multiple[]];\nd[1.5] := 2;",
+     "array index must be an integer at 2:1"),
+    ("var d : array[Int,4] :: allocated[single[on[0]]];\nd[1.5] := 2;",
+     "array index must be an integer at 2:1"),
+    ("var d : array[Int,4] :: allocated[single[on[1]]];\nvar x := d[0.5];",
+     "array index must be an integer at 2:11"),
+    (ROWS + "var x := A[0][1.5];", "array index must be an integer at 2:14"),
+    (ROWS + "var x := A[0][1][2.5];", "array index must be an integer at 2:17"),
+    (ROWS + "A[0][0.5] := A[1][0];", "array index must be an integer at 2:5"),
+    ("var S : array[Int,4,4] :: allocated[row[] :: single[0]];\nvar x := S[0][2.5];",
+     "array index must be an integer at 2:14"),
+    ("var d : array[Int,4/0] :: allocated[multiple[]];", "division by zero at 1:20"),
+    ("var k := 0;\nvar d : array[Int,4,8/k] :: allocated[multiple[]];",
+     "division by zero at 2:22"),
+])
+def test_bad_indices_fault_at_their_source(source, message):
+    """A non-integer index or a zero divisor in a type argument is a fault
+    located on its rank, the same through the compiled code and the AST walk."""
+    checked = check_program(parse(source + "\n"))
+    faults = []
+    for run_path in RUNS:
+        with pytest.raises(RuntimeFault) as info:
+            run_path(checked, 2)
+        faults.append(str(info.value))
+    assert faults[0] == faults[1]
+    assert faults[0].split(": ", 1)[1] == message
+
+
 # --- scoping of the flat environment ---
 
 
@@ -675,16 +707,30 @@ def test_communicating_programs_match_the_ast_walk(tmp_path, seed):
             assert not isinstance(seen[0], str), seen[0]
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_communicating_trace_matches_per_event_oracle(tmp_path, monkeypatch, seed):
+    """One-sided and channel events and the run records of `X := B` and
+    `M := L`, mixed on the same ranks, against one TraceEvent per event."""
+    monkeypatch.setattr(runtime, "TraceLog", TeeTraceLog)
+    for nprocs in (1, 2, 3, 4):
+        result = run(check_program(parse(communicating_program(seed, nprocs))), nprocs,
+                     workdir=str(tmp_path))
+        assert_trace_matches_reference(result.trace, result.trace.reference,
+                                       f"seed={seed} P={nprocs}")
+
+
 def test_communicating_programs_cover_every_form(tmp_path):
     """The generated programs reach every kind of event from function bodies."""
-    kinds, statements = set(), ""
+    kinds, statements, mixed = set(), "", 0
     for seed in range(60):
         source = communicating_program(seed, 3)
         result = run(check_program(parse(source)), 3, workdir=str(tmp_path))
         kinds |= {line.split("\t")[0] for line in result.trace.render().splitlines()}
+        mixed += sum(len({e.repeat > 1 for e in log}) == 2 for log in result.trace._by_rank)
         statements += source.split("function fio()")[1]
     assert kinds == {"onesided-get", "onesided-put", "channel-send", "channel-recv",
                      "block-transfer"}
+    assert mixed, "no rank's log holds both single and run records"
     for call in ("fs()", "fq()", "fe()", "fr()", "fl()", "fz()", "fw(w)", "fy()", "fp(X)",
                  "fc()", "fa()", "fx(Y)", "fm()", "proc 0 { fio() }", "{ fs() }", "sync a;"):
         assert call in statements, call

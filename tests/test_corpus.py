@@ -104,7 +104,7 @@ LEGAL_PROCS = [(name, p) for name in RANKED_PROGRAMS for p in (3, 4, 16)] + [
 
 @pytest.mark.parametrize("name,nprocs", LEGAL_PROCS)
 def test_trace_matches_per_event_oracle(tmp_path, monkeypatch, name, nprocs):
-    """Batched collectives render, expand and count as one event per run."""
+    """Collectives' run records render, expand and count as one event per run."""
     monkeypatch.setattr(runtime, "TraceLog", TeeTraceLog)
     generate_image(16, 1, tmp_path / "image.dat")
     for seed in (0, 7919):

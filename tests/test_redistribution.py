@@ -1,6 +1,5 @@
 """Redistribution planning and execution against a brute-force oracle."""
 
-import itertools
 import random
 
 import pytest
@@ -26,7 +25,6 @@ from meshlite.fixtures import generate_image
 from meshlite.interp import _share_storage
 from meshlite.runtime import (
     Segment,
-    TraceBatch,
     TraceLog,
     allocate,
     copy_segments,
@@ -405,39 +403,21 @@ def test_every_planner_segment_is_one_run_pair(seed):
     for src, dst in random_pairs(80, seed):
         same = _share_storage(dst, src)
         for seg in plan_redistribution(src.descriptor, dst.descriptor, same_storage=same):
-            assert len(seg.runs()) == 1, seg
-            assert_runs_expand_to_the_element_walk(seg)
+            assert_runs_expand_to_the_element_walk(seg, seg)
 
 
 def assert_runs_expand_to_the_element_walk(seg, context=""):
-    """runs() is O(lines) (length, repeat) pairs that expand to the runs
-    the element walk finds."""
-    runs = seg.runs()
-    assert all(length > 0 and repeat > 0 for length, repeat in runs), context
-    assert len(runs) <= 2 * seg.lines + 1, context
+    """runs() is one (length, repeat) pair that covers the segment and
+    expands to the runs the element walk finds."""
+    length, repeat = seg.runs()
+    assert length > 0 and repeat > 0 and length * repeat == seg.count, context
     assert run_lengths(seg) == [r.count for r in expand_runs(seg)], context
-
-
-@pytest.mark.parametrize("lines,width", [(2, 2), (2, 3), (5, 2), (5, 4), (7, 9)])
-def test_runs_group_the_across_line_case(lines, width):
-    """A batch of several (length, repeat) pairs expands and renders one
-    event per run. The runs are those of strided lines whose ends abut, a
-    rectangle the planner never emits, so this is where such a batch is
-    rendered."""
-    lengths = [1] * (width - 1) + ([2] + [1] * (width - 2)) * (lines - 1) + [1]
-    pairs = [(length, len(list(group))) for length, group in itertools.groupby(lengths)]
-    batch = TraceBatch(0, 1, 16, 5, "D", pairs)
-    assert batch.size == len(lengths)
-    expected = [f"block-transfer\t0\t1\t{16 * n}\t{5 + i}\tD\n" for i, n in enumerate(lengths)]
-    assert [f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}\n"
-            for e in batch.events()] == expected
-    assert batch.render() == "".join(expected)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_trace_matches_per_event_oracle(seed):
-    """Plans recorded as batches, one log after another, against one
-    TraceEvent per run: seq keeps counting across batches of a rank."""
+    """Plans recorded as run records, one log after another, against one
+    TraceEvent per run: seq keeps counting across the records of a rank."""
     log, reference = TraceLog(5), ReferenceTraceLog(5)
     for src, dst in random_pairs(80, seed):
         same = _share_storage(dst, src)

@@ -399,7 +399,7 @@ def random_plan(rng, nprocs):
 
 @pytest.mark.parametrize("nprocs", [2, 3, 5])
 def test_batches_interleave_with_single_events(nprocs):
-    """Single events and collective batches on the same ranks, in any
+    """Single events and collective run records on the same ranks, in any
     order, number and render as the per-event log does."""
     rng = random.Random(nprocs)
     log = TeeTraceLog(nprocs)
@@ -416,4 +416,4 @@ def test_batches_interleave_with_single_events(nprocs):
         if step % 50 == 0:
             assert_trace_matches_reference(log, log.reference, f"step {step}")
     assert_trace_matches_reference(log, log.reference)
-    assert log.count("block-transfer") > singles  # some batches were not empty
+    assert log.count("block-transfer") > singles  # some runs were not empty
