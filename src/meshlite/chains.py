@@ -385,6 +385,10 @@ def plan_problems(chain: TypeChain) -> list:
             problems.append("a partitioned array lacks a distribution")
     elif distribution[0] in ("even", "arraydist"):
         problems.append(f"{distribution[0]} distribution requires a partitioned array")
+    if distribution[0] == "on" and distribution[1] is not None and distribution[1] < 0:
+        problems.append(f"placement rank {distribution[1]} is negative")
+    problems.extend(f"channel endpoint {end} is negative"
+                    for end in attrs["commMode"][1:3] if end is not None and end < 0)
     if "share" in references(chain) and distribution[0] == "multiple":
         problems.append("a share view needs a single-copy allocation to alias")
     if base is not None and not isinstance(base, ArrayOf) and not any(

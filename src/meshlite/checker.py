@@ -1,9 +1,10 @@
 """Static checking: name resolution, chain validation, call signatures.
 
 Diagnostics render as `file:line:col: RULE: message`, one per line.
-Extent expressions inside type chains are evaluated at declaration time
-by the interpreter; here they are folded where constant and validated
-structurally otherwise.
+Type arguments are read by one walk, `type_argument`, shared with the
+compiler: a constant argument is checked here against every allocation
+rule, an argument over local integers is evaluated when its declaration
+runs, and any other argument is a diagnostic at the offending node.
 """
 
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ from typing import Optional
 
 from . import ast, chains
 from .errors import CheckError, MeshError
+from .values import arith
 
 BUILTINS = {
     "processes": 0,
@@ -37,7 +39,6 @@ class Diagnostic:
 class VarInfo:
     name: str
     type_expr: Optional[ast.TypeExpr]
-    folded_type: Optional[ast.TypeExpr]
     kind: chains.Kind
 
 
@@ -48,40 +49,66 @@ class CheckedProgram:
     source_name: str
 
 
-def fold(expr):
-    """Constant-fold integer arithmetic; leaves everything else intact."""
-    if isinstance(expr, ast.BinOp):
-        left = fold(expr.left)
-        right = fold(expr.right)
-        if isinstance(left, ast.IntLit) and isinstance(right, ast.IntLit):
-            a, b = left.value, right.value
-            if expr.op == "+":
-                return ast.IntLit(a + b)
-            if expr.op == "-":
-                return ast.IntLit(a - b)
-            if expr.op == "*":
-                return ast.IntLit(a * b)
-            if expr.op == "/" and b != 0:
-                return ast.IntLit(a // b)
-        return ast.BinOp(expr.op, left, right, line=expr.line, column=expr.column)
-    if isinstance(expr, ast.Index):
-        return ast.Index(fold(expr.base), fold(expr.index), line=expr.line, column=expr.column)
-    if isinstance(expr, ast.Call):
-        return ast.Call(expr.func, tuple(fold(a) for a in expr.args), line=expr.line, column=expr.column)
-    return expr
+def type_argument(expr, kind_of, report):
+    """Read a type argument: its value if constant, else a closure ctx -> int
+    over process-local integers and `processes()`.
+
+    `kind_of(name)` is a name's declared chains.Kind, None if undeclared. An
+    argument that no values make an integer is what `report(rule, message,
+    node)` returns for the node at fault, or None if that returns None.
+    """
+    kind = type(expr)
+    if kind is ast.IntLit:
+        return expr.value
+    if kind is ast.Call and expr.func == "processes" and not expr.args:
+        return lambda ctx: ctx.state.nprocs
+    if kind is ast.Name:
+        name, known = expr.name, kind_of(expr.name)
+        if known is None:
+            return report("UnknownVariable", f"{name!r} is not declared", expr)
+        message = f"type argument {name!r} is not a local integer"
+        if known.distributed or known.elem in ("real", "complex"):
+            return report("TypeArgument", message, expr)
+
+        def local(ctx):
+            binding = ctx.env.get(name)
+            if binding is None or binding.kind != "local" or not isinstance(binding.value, int):
+                raise ctx.fault(message, expr)
+            return binding.value
+        return local
+    if kind is not ast.BinOp:
+        return report("TypeArgument",
+                      "type arguments must be integer expressions over local variables", expr)
+    left, right = (type_argument(e, kind_of, report) for e in (expr.left, expr.right))
+    if left is None or right is None:
+        return None
+    if left.__class__ is int and right.__class__ is int:
+        try:
+            return arith(expr.op, left, right)
+        except ZeroDivisionError as exc:
+            return report("TypeArgument", str(exc), expr)
+
+    def binop(ctx):
+        try:
+            return arith(expr.op, evaluated(left, ctx), evaluated(right, ctx))
+        except ZeroDivisionError as exc:
+            raise ctx.fault(str(exc), expr)
+    return binop
 
 
-def fold_type(texpr: ast.TypeExpr) -> ast.TypeExpr:
-    apps = []
-    for app in texpr.apps:
-        args = tuple(fold_type(a) if isinstance(a, ast.TypeExpr) else fold(a) for a in app.args)
-        apps.append(ast.TypeApp(app.ctor, args, app.has_args, line=app.line, column=app.column))
-    return ast.TypeExpr(tuple(apps), line=texpr.line, column=texpr.column)
+def evaluated(arg, ctx):
+    """A type argument's value when its declaration runs."""
+    return arg if arg.__class__ is int else arg(ctx)
 
 
-def static_eval(expr) -> Optional[int]:
-    e = fold(expr)
-    return e.value if isinstance(e, ast.IntLit) else None
+def fold_type(texpr: ast.TypeExpr) -> list:
+    """The form call sites compare: each constant argument as its value."""
+    def normal(arg):
+        if isinstance(arg, ast.TypeExpr):
+            return fold_type(arg)
+        value = type_argument(arg, lambda name: chains.LOCAL, lambda *fault: None)
+        return value if value.__class__ is int else arg
+    return [(app.ctor, app.has_args, list(map(normal, app.args))) for app in texpr.apps]
 
 
 class Checker:
@@ -133,7 +160,7 @@ class Checker:
                 self.report("ConstViolation", f"loop variable {stmt.var!r} is declared const", stmt)
             self.scopes.append({})
             if self.lookup(stmt.var) is None:
-                self.scopes[-1][stmt.var] = VarInfo(stmt.var, None, None, chains.LOCAL)
+                self.scopes[-1][stmt.var] = VarInfo(stmt.var, None, chains.LOCAL)
             for s in stmt.body:
                 self.check_stmt(s, in_proc)
             self.scopes.pop()
@@ -157,37 +184,33 @@ class Checker:
             raise TypeError(f"unhandled statement {stmt!r}")
 
     def check_decl(self, stmt: ast.VarDecl, in_proc):
-        folded = None
-        kind = chains.LOCAL
-        if stmt.type_expr is not None:
-            folded = fold_type(stmt.type_expr)
-
-            def evaluate(arg):
-                self.check_expr(arg)
-                return static_eval(arg)
-            try:
-                chain = chains.from_type_expr(stmt.type_expr, evaluate)
-            except MeshError as exc:
-                self.report("InvalidCombination", str(exc), stmt)
-            else:
-                kind = chains.kind_of(chain)
-                for problem in chains.plan_problems(chain):
-                    self.report("IncompletePlan", problem, stmt)
-                self.check_chain_refs(chain, stmt)
-                if kind.distributed and in_proc:
-                    self.report(
-                        "GuardedAllocation",
-                        f"{stmt.name!r} allocates global storage inside a proc block; "
-                        "allocation is collective", stmt)
+        kind = chains.LOCAL if stmt.type_expr is None else self.check_chain(stmt.type_expr, stmt)
+        if kind.distributed and in_proc:
+            self.report(
+                "GuardedAllocation",
+                f"{stmt.name!r} allocates global storage inside a proc block; "
+                "allocation is collective", stmt)
         if stmt.init is not None:
             self.check_expr(stmt.init)
             if kind.distributed:
                 self.report(
                     "InitializerUnsupported",
                     f"{stmt.name!r} owns global storage and cannot take an initializer", stmt)
-        self.declare(VarInfo(stmt.name, stmt.type_expr, folded, kind), stmt)
+        self.declare(VarInfo(stmt.name, stmt.type_expr, kind), stmt)
 
-    def check_chain_refs(self, chain, node):
+    def check_chain(self, type_expr, node):
+        """The Kind of a declared or formal name; reports each rule its chain breaks."""
+        def evaluate(arg):
+            value = type_argument(arg, lambda name: getattr(self.lookup(name), "kind", None),
+                                  self.report)
+            return value if value.__class__ is int else None
+        try:
+            chain = chains.from_type_expr(type_expr, evaluate)
+        except MeshError as exc:
+            self.report("InvalidCombination", str(exc), node)
+            return chains.LOCAL
+        for problem in chains.plan_problems(chain):
+            self.report("IncompletePlan", problem, node)
         for role, var in chains.references(chain).items():
             target = self.lookup(var)
             if role == "arraydist":
@@ -200,6 +223,7 @@ class Checker:
                 self.report("ShareTarget", f"share base {var!r} is not declared", node)
             elif not target.kind.ndim:
                 self.report("ShareTarget", f"share base {var!r} is not a distributed array", node)
+        return chains.kind_of(chain)
 
     def check_assign(self, stmt: ast.Assign, in_proc):
         target = stmt.target
@@ -236,12 +260,7 @@ class Checker:
         self.functions[stmt.name] = stmt
         self.scopes.append({})
         for p in stmt.params:
-            kind = chains.LOCAL
-            try:
-                kind = chains.kind_of(chains.from_type_expr(p.type_expr, static_eval))
-            except MeshError as exc:
-                self.report("InvalidCombination", str(exc), p)
-            self.scopes[-1][p.name] = VarInfo(p.name, p.type_expr, fold_type(p.type_expr), kind)
+            self.scopes[-1][p.name] = VarInfo(p.name, p.type_expr, self.check_chain(p.type_expr, p))
         for s in stmt.body:
             self.check_stmt(s, in_proc=False)
         self.scopes.pop()
@@ -308,9 +327,7 @@ class Checker:
             info = self.lookup(arg.name)
             if info is None:
                 continue
-            formal = fold_type(param.type_expr)
-            actual = info.folded_type
-            if actual is None or actual != formal:
+            if info.type_expr is None or fold_type(info.type_expr) != fold_type(param.type_expr):
                 self.report(
                     "ArgumentChainMismatch",
                     f"argument {arg.name!r} has chain "

@@ -19,7 +19,7 @@ cannot run inside `proc`, and the one-sided and channel transfers.
 from types import GeneratorType as Generator
 
 from . import ast, chains
-from .checker import BUILTINS, static_eval
+from .checker import BUILTINS, evaluated, type_argument
 from .runtime import ZEROES, DistributedArray
 from .values import OPERATORS, Binding, BlockRef, LineSlice, arith, owned_blocks, row_of
 
@@ -242,17 +242,17 @@ class Compiler:
         init, gen = (None, False) if node.init is None else self.expr(node.init)
         kind = chains.LOCAL
         if type_expr is not None:
-            extents = {}  # type arguments, evaluated when the declaration runs
+            args = {}  # each type argument: its value, or a closure run with the declaration
 
-            def collect(e):
-                extents[id(e)] = self.extent(e)
-                return static_eval(e)
+            def read(e):  # names are checked as the declaration runs: scoping is dynamic
+                args[id(e)] = type_argument(
+                    e, lambda name: chains.LOCAL, lambda rule, message, at: _fails(message, at))
 
-            kind = chains.kind_of(chains.from_type_expr(type_expr, collect))
+            kind = chains.kind_of(chains.from_type_expr(type_expr, read))  # whatever the values
         self.scopes[-1][name] = kind
         if kind.distributed:
             def allocate(ctx):
-                chain = chains.from_type_expr(type_expr, lambda e: extents[id(e)](ctx))
+                chain = chains.from_type_expr(type_expr, lambda e: evaluated(args[id(e)], ctx))
                 return ctx.allocate(node, chain, kind.read_only)
             return allocate
 
@@ -268,31 +268,6 @@ class Compiler:
         def bind(ctx, v):
             ctx.bind(name, Binding(name, "local", value=v, read_only=kind.read_only))
         return _then((value, gen), bind)
-
-    def extent(self, node):
-        """Closure for a type argument: an integer over process-local state."""
-        kind = type(node)
-        if kind is ast.IntLit:
-            return lambda ctx: node.value
-        if kind is ast.Name:
-            def local(ctx):
-                binding = ctx.env.get(node.name)
-                if binding is None or binding.kind != "local" or not isinstance(binding.value, int):
-                    raise ctx.fault(f"type argument {node.name!r} is not a local integer", node)
-                return binding.value
-            return local
-        if kind is ast.BinOp:
-            left, right = self.extent(node.left), self.extent(node.right)
-
-            def binop(ctx):
-                try:
-                    return arith(node.op, left(ctx), right(ctx))
-                except ZeroDivisionError as exc:
-                    raise ctx.fault(str(exc), node)
-            return binop
-        if kind is ast.Call and node.func == "processes" and not node.args:
-            return lambda ctx: ctx.state.nprocs
-        return _fails("type arguments must be integer expressions over local variables", node)
 
     # --- assignments ---
 

@@ -229,6 +229,9 @@ class ProcessContext:
     def allocate(self, stmt, chain, read_only):
         """Bind stmt's name to its array, allocated by the first process here."""
         plan = chains.plan_of(chain)
+        for end in plan.comm[1:3] if plan.comm is not None else ():
+            if not 0 <= end < self.state.nprocs:
+                raise self.fault(f"channel endpoint {end} outside [0, {self.state.nprocs})", stmt)
         key = (id(stmt), self.alloc_counts.get(id(stmt), 0))
         self.alloc_counts[id(stmt)] = key[1] + 1
         if key not in self.state.arrays:

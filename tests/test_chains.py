@@ -4,6 +4,7 @@ import pytest
 
 from meshlite import parse
 from meshlite.chains import (
+    LOCAL,
     Allocated,
     ArrayOf,
     Async,
@@ -31,14 +32,20 @@ from meshlite.chains import (
     resolve_attribute,
     validate_append,
 )
-from meshlite.checker import static_eval
+from meshlite.checker import type_argument
 from meshlite.errors import IncompletePlan, InvalidCombination, MeshError, UnknownAttribute
+
+
+def constant(arg):
+    """A type argument's value if it is constant, else None."""
+    value = type_argument(arg, lambda name: LOCAL, lambda *fault: None)
+    return value if isinstance(value, int) else None
 
 
 def chain_from_source(src):
     """Build a chain from declaration syntax, folding constant arguments."""
     (decl,) = parse(f"var x : {src};").statements
-    return from_type_expr(decl.type_expr, static_eval)
+    return from_type_expr(decl.type_expr, constant)
 
 
 # --- combine ---

@@ -39,8 +39,8 @@ def test_parse_error_exits_one(workdir):
 @pytest.mark.parametrize("source,expected", [
     ("var d : array[Int,4] :: allocated[multiple[]];\nd[1.5] := 2;\n",
      "error: rank 1: array index must be an integer at 2:1\n"),
-    ("var d : array[Int,4/0] :: allocated[multiple[]];\n",
-     "error: rank 1: division by zero at 1:20\n"),
+    ("var z := 0;\nvar d : array[Int,4/z] :: allocated[multiple[]];\n",
+     "error: rank 1: division by zero at 2:20\n"),
     ("var A : array[Int,q] :: allocated[single[on[0]]];\n",
      "bad.mesh:1:19: UnknownVariable: 'q' is not declared\n"),
     ("var x : Int :: allocated[single[on]];\n",

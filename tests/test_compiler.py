@@ -15,7 +15,7 @@ import ast_walk
 from conftest import TeeTraceLog, assert_trace_matches_reference, checked_corpus
 from meshlite import check_program, parse, run, runtime
 from meshlite.checker import CheckedProgram
-from meshlite.errors import RuntimeFault
+from meshlite.errors import CheckError, RuntimeFault
 from meshlite.fixtures import generate_image
 from meshlite.compiler import compile_program
 from meshlite.interp import ProcessContext, RunState, _verify_spmd
@@ -407,7 +407,7 @@ ROWS = "var A : array[Int,4,4] :: allocated[row[] :: horizontal[2] :: single[eve
     (ROWS + "A[0][0.5] := A[1][0];", "array index must be an integer at 2:5"),
     ("var S : array[Int,4,4] :: allocated[row[] :: single[0]];\nvar x := S[0][2.5];",
      "array index must be an integer at 2:14"),
-    ("var d : array[Int,4/0] :: allocated[multiple[]];", "division by zero at 1:20"),
+    ("var z := 0;\nvar d : array[Int,4/z] :: allocated[multiple[]];", "division by zero at 2:20"),
     ("var k := 0;\nvar d : array[Int,4,8/k] :: allocated[multiple[]];",
      "division by zero at 2:22"),
 ])
@@ -422,6 +422,72 @@ def test_bad_indices_fault_at_their_source(source, message):
         faults.append(str(info.value))
     assert faults[0] == faults[1]
     assert faults[0].split(": ", 1)[1] == message
+
+
+# Every form a type argument takes: its source; its `typecheck` diagnostics,
+# or None when it passes; and, when it passes, its fault at P=2 or the shape
+# of its last declared array, the same compiled and walked. Only values the
+# run alone knows (a local's value, the process count) fault at run time.
+TYPE_ARGUMENTS = [
+    ("var d : array[Int,4/0] :: allocated[multiple[]];",
+     "1:20: TypeArgument: division by zero", None),
+    ("var B : array[Int,4];\nvar A : array[Int,B] :: allocated[multiple[]];",
+     "2:19: TypeArgument: type argument 'B' is not a local integer", None),
+    ("var n : Real;\nvar A : array[Int,n] :: allocated[multiple[]];",
+     "2:19: TypeArgument: type argument 'n' is not a local integer", None),
+    ("var A : array[Int,2.5] :: allocated[multiple[]];",
+     "1:19: TypeArgument: type arguments must be integer expressions over local variables", None),
+    ('var A : array[Int,"x"] :: allocated[multiple[]];',
+     "1:19: TypeArgument: type arguments must be integer expressions over local variables", None),
+    ("var A : array[Int,computeSin(1)] :: allocated[multiple[]];",
+     "1:19: TypeArgument: type arguments must be integer expressions over local variables", None),
+    ("var A : array[Int,4] :: allocated[multiple[]];\n"
+     "var C : array[Int,A[0]] :: allocated[multiple[]];",
+     "2:19: TypeArgument: type arguments must be integer expressions over local variables", None),
+    ("function f(X : array[Int,q] :: allocated[multiple[]]) { };",
+     "1:26: UnknownVariable: 'q' is not declared", None),
+    ("function f(X : array[Int,0-4] :: allocated[multiple[]]) { };",
+     "1:12: IncompletePlan: array extents must be positive", None),
+    ("function f(X : array[Int,4] :: allocated[single[arraydist[zz]]]) { };",
+     "1:12: IncompletePlan: arraydist distribution requires a partitioned array\n"
+     "1:12: ArrayDistTarget: distribution array 'zz' is not declared", None),
+    ("var a : Int :: allocated[single[on[0-1]]];",
+     "1:5: IncompletePlan: placement rank -1 is negative", None),
+    ("var c : Int :: allocated[single[on[1]]] :: channel[0-1,1];",
+     "1:5: IncompletePlan: channel endpoint -1 is negative", None),
+    ("var c : Int :: allocated[single[on[1]]] :: channel[0,5];",
+     None, "channel endpoint 5 outside [0, 2) at 1:5"),
+    ("var a : Int :: allocated[single[on[processes()]]];",
+     None, "placement rank 2 outside [0, 2) at 1:5"),
+    ("var d : array[Int,4/(processes() - 2)] :: allocated[multiple[]];",
+     None, "division by zero at 1:20"),
+    ("var n := 2.5;\nvar A : array[Int,n] :: allocated[multiple[]];",
+     None, "type argument 'n' is not a local integer at 2:19"),
+    ("var A : array[Int,processes()] :: allocated[multiple[]];", None, (2,)),
+    ("var n := 8;\nvar A : array[Int,n] :: allocated[multiple[]];", None, (8,)),
+    ("var n := 8;\nvar A : array[Int,4,n/2] :: allocated[multiple[]];", None, (4, 4)),
+    ("var A : array[Int,4] :: allocated[multiple[]];\n"
+     "function f(X : array[Int,2+2] :: allocated[multiple[]]) { };\nf(A);", None, (4,)),
+]
+
+
+@pytest.mark.parametrize("source,diagnostics,outcome", TYPE_ARGUMENTS)
+def test_type_arguments_fail_at_check_time_unless_only_the_run_knows(
+        source, diagnostics, outcome):
+    program = parse(source + "\n")
+    if diagnostics is not None:
+        with pytest.raises(CheckError) as info:
+            check_program(program, "t.mesh")
+        assert str(info.value) == "\n".join(f"t.mesh:{d}" for d in diagnostics.split("\n"))
+        return
+    checked = check_program(program, "t.mesh")
+    for run_path in RUNS:
+        if isinstance(outcome, str):
+            with pytest.raises(RuntimeFault) as info:
+                run_path(checked, 2)
+            assert str(info.value).split(": ", 1)[1] == outcome
+        else:
+            assert run_path(checked, 2).declared[-1][1].descriptor.shape == outcome
 
 
 # --- scoping of the flat environment ---
