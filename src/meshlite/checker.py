@@ -303,18 +303,22 @@ class Checker:
     def check_call(self, expr: ast.Call, statement):
         for a in expr.args:
             self.check_expr(a)
+        fn = None
         if expr.func in BUILTINS:
             want = BUILTINS[expr.func]
             if len(expr.args) != want:
                 self.report("BuiltinArity",
                             f"{expr.func} takes {want} argument{'s' if want != 1 else ''}", expr)
-            return
-        fn = self.functions.get(expr.func)
-        if fn is None:
-            self.report("UnknownFunction", f"{expr.func!r} is not a builtin or defined function", expr)
-            return
-        if not statement:
+        else:
+            fn = self.functions.get(expr.func)
+            if fn is None:
+                self.report("UnknownFunction",
+                            f"{expr.func!r} is not a builtin or defined function", expr)
+                return
+        if not statement and expr.func != "processes":
             self.report("NoValue", f"function {expr.func!r} has no result and cannot be used in an expression", expr)
+        if fn is None:
+            return
         if len(expr.args) != len(fn.params):
             self.report("CallArity",
                         f"{expr.func} takes {len(fn.params)} arguments, got {len(expr.args)}", expr)

@@ -1,18 +1,21 @@
 """Compile a checked program, once per run, into closures.
 
 Every statement and expression becomes one closure over the process
-context; that is how a program runs. A closure that must wait for
-another process returns a generator, which yields to the scheduler and
-returns the result; otherwise it returns the result itself, so local
-reads and stores, and loops and calls doing local work, build no
-generator. Callers drain a generator with `yield from`.
+context; that is how a program runs. An expression's closure returns its
+value: a one-sided get records its event and completes where it is made,
+so no expression waits. Only statements wait for another process (puts,
+channel transfers, collectives, and calls, which the checker allows only
+as statements); a statement's closure returns a generator then, which
+yields to the scheduler, and otherwise runs straight through, so loops
+and calls doing local work build no generator. Callers drain a generator
+with `yield from`.
 
-Whether a node can wait is decided here, once, from the declarations in
-scope (the Mesham types decide it before the program runs). Scoping is
-dynamic, so a name a function body takes from its caller, or a
-parameter, has no kind here: its closure branches on the binding's kind
-when it runs. The rules that hold whatever the kind live in
-ProcessContext: who performs an access (`performs`), that collectives
+What a name reads and how a store communicates are decided here, once,
+from the declarations in scope (the Mesham types decide it before the
+program runs). Scoping is dynamic, so a name a function body takes from
+its caller, or a parameter, has no kind here: its closure branches on the
+binding's kind when it runs. The rules that hold whatever the kind live
+in ProcessContext: who performs an access (`performs`), that collectives
 cannot run inside `proc`, and the one-sided and channel transfers.
 """
 
@@ -53,7 +56,7 @@ def _class_of(binding):
     return "replica" if array.replicated else "single"
 
 
-# --- composing closures that may wait ---
+# --- composing statements that may wait ---
 
 
 def _fails(message, node):
@@ -62,47 +65,16 @@ def _fails(message, node):
     return fail
 
 
-def _then(part, then):
-    """Closure for then(ctx, value of part); part is (closure, may wait)."""
-    first, gen = part
-    if not gen:
-        return lambda ctx: then(ctx, first(ctx))
-
-    def run(ctx):
-        value = first(ctx)
-        if value.__class__ is Generator:
-            value = yield from value
-        result = then(ctx, value)
-        if result.__class__ is Generator:
-            result = yield from result
-        return result
-    return run
-
-
-def _both(part, other, apply):
-    """Closure for apply(ctx, value of part, value of other), in that order."""
-    second, gen = other
-    if not gen:
-        return _then(part, lambda ctx, a: apply(ctx, a, second(ctx)))
-    return _then(part, lambda ctx, a: _after(ctx, second(ctx), apply, a))
-
-
-def _after(ctx, result, then, *before):
-    """then(ctx, *before, result), once result has run if it is a generator."""
+def _after(result, then, *args):
+    """then(*args) once result has run: a generator when result is one."""
     if result.__class__ is Generator:
-        return _resume(ctx, result, then, before)
-    return then(ctx, *before, result)
+        return _resume(result, then, args)
+    then(*args)
 
 
-def _resume(ctx, pending, then, before):
-    result = then(ctx, *before, (yield from pending))
-    if result.__class__ is Generator:
-        result = yield from result
-    return result
-
-
-def _leave(ctx, mark, _):
-    ctx.leave(mark)
+def _resume(pending, then, args):
+    yield from pending
+    then(*args)
 
 
 def _run(ctx, stmts):
@@ -228,7 +200,7 @@ class Compiler:
         elif kind is ast.ProcBlock:
             fn = self.proc(node)
         elif kind is ast.ExprStmt:
-            fn = self.expr(node.expr)[0]
+            fn = self.call(node.expr) if type(node.expr) is ast.Call else self.expr(node.expr)
         elif kind is ast.Sync:
             fn = lambda ctx: ctx.sync(node)  # noqa: E731
         elif kind is ast.FuncDef:
@@ -239,7 +211,7 @@ class Compiler:
 
     def decl(self, node):
         name, type_expr = node.name, node.type_expr
-        init, gen = (None, False) if node.init is None else self.expr(node.init)
+        init = None if node.init is None else self.expr(node.init)
         kind = chains.LOCAL
         if type_expr is not None:
             args = {}  # each type argument: its value, or a closure run with the declaration
@@ -260,14 +232,13 @@ class Compiler:
         # rejects every constructor taking one outside an array or allocated[...]
         zero = 0 if type_expr is None else ZEROES[kind.elem]
 
-        def value(ctx):
+        def bind(ctx):
             if type_expr is None and ctx.depth == 0 and name in ctx.state.overrides:
-                return ctx.state.overrides[name]
-            return zero if init is None else init(ctx)
-
-        def bind(ctx, v):
-            ctx.bind(name, Binding(name, "local", value=v, read_only=kind.read_only))
-        return _then((value, gen), bind)
+                value = ctx.state.overrides[name]
+            else:
+                value = zero if init is None else init(ctx)
+            ctx.bind(name, Binding(name, "local", value=value, read_only=kind.read_only))
+        return bind
 
     # --- assignments ---
 
@@ -284,22 +255,18 @@ class Compiler:
         return _fails("invalid assignment target", node)
 
     def assign_name(self, node, name):
-        (value, gen), known = self.expr(node.value), self.lookup(name)
+        value, known = self.expr(node.value), self.lookup(name)
         check = not isinstance(node.value, _SCALARS)
 
-        def local(ctx, v):
+        def local(ctx):  # the commonest statement, as one call
+            v = value(ctx)
             ctx.env[name].value = ctx.storable(v, node) if check else v
 
         if known is not None and not known.distributed and not known.read_only:
-            if gen:
-                return _then((value, gen), local)
+            return local
 
-            def store(ctx):  # the commonest statement, as one call
-                v = value(ctx)
-                ctx.env[name].value = ctx.storable(v, node) if check else v
-            return store
-
-        def replica(ctx, v):
+        def replica(ctx):
+            v = value(ctx)
             ctx.env[name].array.replicas[ctx.rank][0] = ctx.storable(v, node) if check else v
 
         source = node.value.name if type(node.value) is ast.Name else None
@@ -326,14 +293,12 @@ class Compiler:
                         and src_owner != owner:
                     return ctx.channel_assign(node, binding, src, comm)
                 if ctx.performs(owner):
-                    return _after(ctx, ctx.read_remote_scalar(src), _store, node, False,
-                                  binding, binding.array.blocks[0], 0)
+                    return _store(ctx, node, False, binding, binding.array.blocks[0], 0,
+                                  ctx.read_remote_scalar(src))
             elif ctx.performs(owner):
-                return _after(ctx, value(ctx), _store, node, check,
-                              binding, binding.array.blocks[0], 0)
+                return _store(ctx, node, check, binding, binding.array.blocks[0], 0, value(ctx))
 
-        stores = {"local": _then((value, gen), local), "array": redistribute,
-                  "replica": _then((value, gen), replica), "single": single}
+        stores = {"local": local, "array": redistribute, "replica": replica, "single": single}
 
         def run(ctx):
             binding = ctx.env.get(name)
@@ -345,11 +310,12 @@ class Compiler:
 
     def assign_element(self, node, name):
         """name[i] := value."""
-        (index, igen), (value, vgen) = self.expr(node.target.index), self.expr(node.value)
+        index, value = self.expr(node.target.index), self.expr(node.value)
         check = not isinstance(node.value, _SCALARS)
 
-        def replicated(ctx, i, v):
+        def replica(ctx):
             """This process's replica."""
+            i, v = index(ctx), value(ctx)
             array = ctx.env[name].array
             shape = array.descriptor.shape
             if len(shape) != 1:
@@ -357,8 +323,9 @@ class Compiler:
             array.replicas[ctx.rank][_element(ctx, node, shape, i)] = (
                 ctx.storable(v, node) if check else v)
 
-        def located(ctx, i):
+        def distributed(ctx):
             """Element i of a single-copy array, stored by whoever performs it."""
+            i = index(ctx)
             binding = ctx.env[name]
             array = binding.array
             if len(array.descriptor.shape) != 1:
@@ -366,10 +333,8 @@ class Compiler:
             k, off = array.descriptor.locate((_integer(ctx, node, i),))
             block = array.blocks[k]
             if ctx.performs(block.owner):
-                return _after(ctx, value(ctx), _store, node, check, binding, block, off)
+                return _store(ctx, node, check, binding, block, off, value(ctx))
 
-        replica = _both((index, igen), (value, vgen), replicated)
-        distributed = _then((index, igen), located)
         known = self.lookup(name)
         if known is not None and known.distributed and not known.read_only:
             return replica if known.replicated else distributed
@@ -386,7 +351,7 @@ class Compiler:
 
     def assign_line(self, node, name):
         """A[block][line] := other line: whole-line copy."""
-        line, value = self.expr(node.target)[0], self.expr(node.value)[0]
+        line, value = self.expr(node.target), self.expr(node.value)
 
         def run(ctx):
             binding = ctx.env.get(name)
@@ -394,21 +359,17 @@ class Compiler:
                 raise ctx.fault("line assignment needs a distributed array", node)
             ctx.writable(binding, binding.name, node)
             dst = line(ctx)
-            if dst.__class__ is Generator:
-                dst = yield from dst
             if not isinstance(dst, LineSlice):
                 raise ctx.fault("line assignment needs a partitioned array", node)
             owner = dst.block.owner
             if not ctx.performs(owner):
                 return
             src = value(ctx)
-            if src.__class__ is Generator:
-                src = yield from src
             if not isinstance(src, LineSlice) or len(src) != len(dst):
                 raise ctx.fault("line assignment needs an equal-length line", node)
             array = binding.array
             if src.block.owner != ctx.rank:
-                yield from ctx.fetch(None, src.block.owner, array, binding.name, len(src))
+                ctx.fetch(src.block.owner, array, binding.name, len(src))
             payload = src.values()
             if owner != ctx.rank:
                 yield from ctx.put(owner, array, binding.name, len(payload))
@@ -418,14 +379,15 @@ class Compiler:
     # --- control flow ---
 
     def loop(self, node):
-        bounds, var = (self.expr(node.start), self.expr(node.stop)), node.var
+        start, stop, var = self.expr(node.start), self.expr(node.stop), node.var
         self.scopes.append({var: chains.LOCAL})
         stmts = self.block(node.body)
         self.scopes.pop()
         # declarations in the body vanish at the end of every iteration
         scoped = any(type(s) is ast.VarDecl for s in stmts)
 
-        def run(ctx, lo, hi):
+        def run(ctx):
+            lo, hi = start(ctx), stop(ctx)
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise ctx.fault("loop bounds must be integers", node)
             values = iter(range(lo, hi + 1))
@@ -437,8 +399,8 @@ class Compiler:
             mark = ctx.enter()
             binding = Binding(var, "local")
             ctx.bind(var, binding)
-            return _after(ctx, _iterate(ctx, values, binding, stmts, scoped), _leave, mark)
-        return _both(*bounds, run)
+            return _after(_iterate(ctx, values, binding, stmts, scoped), ctx.leave, mark)
+        return run
 
     def proc(self, node):
         rank = self.expr(node.rank)
@@ -446,21 +408,21 @@ class Compiler:
         stmts = self.block(node.body)
         self.scopes.pop()
 
-        def run(ctx, r):
-            nprocs = ctx.state.nprocs
+        def run(ctx):
+            r, nprocs = rank(ctx), ctx.state.nprocs
             if not isinstance(r, int) or not 0 <= r < nprocs:
                 raise ctx.fault(f"proc rank {r} outside [0, {nprocs})", node)
             if r == ctx.rank:
                 mark = ctx.enter()
                 ctx.proc_depth += 1
-                return _after(ctx, _run(ctx, stmts), left, mark)
+                return _after(_run(ctx, stmts), left, ctx, mark)
 
-        def left(ctx, mark, _):
+        def left(ctx, mark):
             ctx.proc_depth -= 1
             ctx.leave(mark)
-        return _then(rank, run)
+        return run
 
-    # --- expressions: each is (closure, may wait) ---
+    # --- expressions: each is one closure returning the value ---
 
     def expr(self, node):
         kind = type(node)
@@ -471,12 +433,12 @@ class Compiler:
         if kind is ast.Index:
             return self.index(node)
         if kind in (ast.IntLit, ast.RealLit, ast.StrLit):
-            return self.leaf(("const", type(node.value), node.value)), False
+            return self.leaf(("const", type(node.value), node.value))
         if kind is ast.Accessor:
             return self.accessor(node)
-        if kind is ast.Call:
-            return self.call(node)
-        return _fails(f"unhandled expression {kind.__name__}", node), False
+        if kind is ast.Call and node.func == "processes":  # the checker allows no other call here
+            return lambda ctx: ctx.state.nprocs
+        return _fails(f"unhandled expression {kind.__name__}", node)
 
     def leaf(self, key):
         """Closure for a leaf that cannot fault, one per distinct leaf.
@@ -503,7 +465,7 @@ class Compiler:
     def name(self, node):
         name, known = node.name, self.lookup(node.name)
         if known is not None and not (known.distributed and not known.ndim):
-            return self.leaf(("array" if known.distributed else "local", name)), False
+            return self.leaf(("array" if known.distributed else "local", name))
         leaves = {c: self.leaf((c, name)) for c in _CLASSES}
 
         def run(ctx):
@@ -511,39 +473,26 @@ class Compiler:
             if binding is None:
                 raise ctx.fault(f"{name!r} is not declared", node)
             return leaves[_class_of(binding)](ctx)
-        return run, True
+        return run
 
     def binop(self, node):
         op = OPERATORS.get(node.op) or (lambda a, b: arith(node.op, a, b))
-        (left, lgen), (right, rgen) = self.expr(node.left), self.expr(node.right)
-        if not (lgen or rgen):
-            def run(ctx):
-                a = left(ctx)
-                b = right(ctx)
-                try:
-                    return op(a, b)
-                except (TypeError, ZeroDivisionError) as exc:
-                    raise ctx.fault(str(exc), node)
-            return run, False
+        left, right = self.expr(node.left), self.expr(node.right)
 
-        def wait(ctx):
+        def run(ctx):
             a = left(ctx)
-            if lgen and a.__class__ is Generator:
-                a = yield from a
             b = right(ctx)
-            if rgen and b.__class__ is Generator:
-                b = yield from b
             try:
                 return op(a, b)
             except (TypeError, ZeroDivisionError) as exc:
                 raise ctx.fault(str(exc), node)
-        return wait, True
+        return run
 
     def index(self, node):
-        base, (index, igen) = self.expr(node.base), self.expr(node.index)
+        base, index = self.expr(node.base), self.expr(node.index)
         name = node.base.name if type(node.base) is ast.Name else None
         known = self.lookup(name) if name is not None else None
-        if known is not None and known.distributed and known.ndim == 1 and not igen:
+        if known is not None and known.distributed and known.ndim == 1:
             # an element of a 1D array, read straight from the binding
             if known.replicated:
                 def element(ctx):
@@ -554,16 +503,17 @@ class Compiler:
                     if i.__class__ is not int or not 0 <= i < shape[0]:
                         _element(ctx, node, shape, i)
                     return array.replicas[ctx.rank][i]
-                return element, False
-            return (lambda ctx: ctx.read_element(
-                ctx.env[name].array, _integer(ctx, node, index(ctx)))), True
-        return _both(base, (index, igen), lambda ctx, b, i: _index_value(ctx, node, b, i)), True
+                return element
+            return lambda ctx: ctx.read_element(
+                ctx.env[name].array, _integer(ctx, node, index(ctx)))
+        return lambda ctx: _index_value(ctx, node, base(ctx), index(ctx))
 
     def accessor(self, node):
         base, which = self.expr(node.base), node.which
-        arg, gen = (None, False) if node.arg is None else self.expr(node.arg)
+        arg = None if node.arg is None else self.expr(node.arg)
 
-        def apply(ctx, value):
+        def run(ctx):
+            value = base(ctx)
             if which in ("low", "high"):
                 if not isinstance(value, BlockRef):
                     raise ctx.fault(f".{which} needs a block reference like A[blockid]", node)
@@ -573,32 +523,32 @@ class Compiler:
             owned = owned_blocks(value, ctx.rank)
             if which == "localblocks":
                 return len(owned)
-            return _after(ctx, arg(ctx), block_id, owned)
-
-        def block_id(ctx, owned, j):
+            j = arg(ctx)
             if not isinstance(j, int) or not 0 <= j < len(owned):
                 raise ctx.fault(f"local block index {j} outside [0, {len(owned)})", node)
             return owned[j]
-        return _then(base, apply), base[1] or gen
+        return run
+
+    # --- call statements: a user function or a file builtin may wait ---
 
     def call(self, node):
         name, args = node.func, node.args
         if name == "processes":
-            return (lambda ctx: ctx.state.nprocs), False
+            return self.expr(node)
         if name not in BUILTINS:
-            return self.user_call(node), True
+            return self.user_call(node)
         want = BUILTINS[name]
         if len(args) < want:
-            return _fails(f"{name} takes {want} argument{'s' if want != 1 else ''}", node), False
+            return _fails(f"{name} takes {want} argument{'s' if want != 1 else ''}", node)
         parts = [self.expr(a) for a in args[:want]]
-        gen = any(g for _, g in parts)
         if name == "computeSin":
-            return _then(parts[0], lambda ctx, array: ctx.compute_sin(node, array)), gen
+            array = parts[0]
+            return lambda ctx: ctx.compute_sin(node, array(ctx))
         if name == "FFT":
-            return _both(*parts, lambda ctx, row, sins: ctx.fft_line(node, row, sins)), gen
-        operands = _both(*parts, lambda ctx, array, path: (array, path))
-        write = name == "writefile"
-        return (lambda ctx: ctx.builtin_file(node, operands, write)), True
+            row, sins = parts
+            return lambda ctx: ctx.fft_line(node, row(ctx), sins(ctx))
+        (array, path), write = parts, name == "writefile"
+        return lambda ctx: ctx.builtin_file(node, array(ctx), path(ctx), write)
 
     def user_call(self, node):
         fn = self.functions.get(node.func)
@@ -618,5 +568,5 @@ class Compiler:
             mark = ctx.enter()
             for param, b in zip(params, bindings):
                 ctx.bind(param, b)
-            return _after(ctx, _run(ctx, fn.body), _leave, mark)
+            return _after(_run(ctx, fn.body), ctx.leave, mark)
         return run

@@ -2,10 +2,10 @@
 
 Each process is a generator driven by the cooperative scheduler. A run
 compiles the program once into closures (compiler.py), and every
-statement runs as its closure: local work runs straight through;
-communication and collectives yield. The closures share the rules and
-the data movement of ProcessContext below. The dispatch for an
-assignment follows the resolved type attributes:
+statement runs as its closure: local work and one-sided gets run
+straight through; puts, channel transfers and collectives yield. The
+closures share the rules and the data movement of ProcessContext below.
+The dispatch for an assignment follows the resolved type attributes:
 
   local variable          plain per-process store
   single scalar           channel transfer when the (source, destination)
@@ -149,8 +149,9 @@ class RunResult:
 class ProcessContext:
     """One simulated process: its bindings, and what its compiled
     statements share (compiler.py): the rules of access, one-sided and
-    channel transfers, collectives and builtins. A helper that may wait
-    returns a generator only when it must.
+    channel transfers, collectives and builtins. Reads return their value
+    at once, a one-sided get included; a helper that waits (a put, a
+    channel transfer, a collective) is a generator.
 
     Bindings live in one flat dict, `env`, holding the innermost visible
     binding of every name; a name bound inside a scope pushes the binding
@@ -227,27 +228,40 @@ class ProcessContext:
     # --- declarations ---
 
     def allocate(self, stmt, chain, read_only):
-        """Bind stmt's name to its array, allocated by the first process here."""
+        """Generator: bind stmt's name to its array. Allocation is
+        collective: the first process here allocates, a later one that
+        evaluates another layout faults, and none goes on until all have
+        arrived."""
+        self.unguarded("allocation", stmt)
         plan = chains.plan_of(chain)
         for end in plan.comm[1:3] if plan.comm is not None else ():
             if not 0 <= end < self.state.nprocs:
                 raise self.fault(f"channel endpoint {end} outside [0, {self.state.nprocs})", stmt)
         key = (id(stmt), self.alloc_counts.get(id(stmt), 0))
         self.alloc_counts[id(stmt)] = key[1] + 1
-        if key not in self.state.arrays:
-            dist_map = None
-            if plan.distribution[0] == "arraydist":
-                dist_map = self.snapshot_dist(plan.distribution[1], stmt)
+        dist_map = None
+        if plan.distribution[0] == "arraydist":
+            dist_map = self.snapshot_dist(plan.distribution[1], stmt)
+        descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
+        array = self.state.arrays.get(key)
+        if array is not None:
+            for field in ("shape", "elem", "ordering", "partition", "distribution"):
+                mine, allocated = getattr(descriptor, field), getattr(array.descriptor, field)
+                if mine != allocated:
+                    raise self.fault(f"SPMD divergence: {stmt.name!r} has {field} {mine} here, "
+                                     f"but {allocated} where it was allocated", stmt)
+        else:
             base_array = None
             if plan.share_base is not None:
                 base_binding = self.env.get(plan.share_base)
                 if base_binding is None or base_binding.kind != "array":
                     raise self.fault(f"share base {plan.share_base!r} is not allocated", stmt)
                 base_array = base_binding.array
-            descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
-            self.state.arrays[key] = runtime.allocate(stmt.name, descriptor, base=base_array)
-        self.bind(stmt.name, Binding(stmt.name, "array", array=self.state.arrays[key],
+            array = self.state.arrays[key] = runtime.allocate(stmt.name, descriptor, base=base_array)
+        self.bind(stmt.name, Binding(stmt.name, "array", array=array,
                                      comm=plan.comm, read_only=read_only))
+        yield from self.state.barrier.wait(
+            self.rank, Collective("allocate", f"var {stmt.name}", stmt))
 
     def snapshot_dist(self, var, stmt):
         binding = self.env.get(var)
@@ -278,12 +292,11 @@ class ProcessContext:
 
     # --- one-sided access ---
 
-    def fetch(self, value, owner, array, tag, count=1):
-        """Generator: value, read from owner's memory by one onesided-get."""
-        yield PAUSE
+    def fetch(self, owner, array, tag, count=1):
+        """Record one onesided-get from owner's memory. A get completes
+        where it is made: it is not a switch point."""
         self.state.trace.record("onesided-get", src=owner, dst=self.rank,
                                 nbytes=count * array.element_bytes(), tag=tag)
-        return value
 
     def put(self, owner, array, tag, count=1):
         """Generator: one onesided-put to owner; the caller then stores."""
@@ -298,27 +311,26 @@ class ProcessContext:
         block.buffer[offset] = value
 
     def read_remote_scalar(self, binding):
-        """A single scalar's value; may wait (a onesided-get when remote)."""
+        """A single scalar's value, by a onesided-get when remote."""
         block = binding.array.blocks[0]
-        if block.owner == self.rank:
-            return block.buffer[0]
-        return self.fetch(block.buffer[0], block.owner, binding.array, binding.name)
+        if block.owner != self.rank:
+            self.fetch(block.owner, binding.array, binding.name)
+        return block.buffer[0]
 
     def read_element(self, array, index):
-        """Element of a non-replicated 1D array; may wait (a onesided-get)."""
+        """Element of a non-replicated 1D array, by a onesided-get when remote."""
         k, off = array.descriptor.locate((index,))
         block = array.blocks[k]
-        if block.owner == self.rank:
-            return block.buffer[off]
-        return self.fetch(block.buffer[off], block.owner, array, array.name)
+        if block.owner != self.rank:
+            self.fetch(block.owner, array, array.name)
+        return block.buffer[off]
 
     def read_line(self, line, index):
-        """Element of a block line; may wait (a onesided-get when remote)."""
+        """Element of a block line, by a onesided-get when remote."""
         value = line.get(index)
-        owner = line.block.owner
-        if owner == self.rank:
-            return value
-        return self.fetch(value, owner, line.array, line.array.name)
+        if line.block.owner != self.rank:
+            self.fetch(line.block.owner, line.array, line.array.name)
+        return value
 
     def channel_assign(self, stmt, dst_binding, src_binding, comm):
         """Generator: point-to-point transfer over the declared link."""
@@ -412,12 +424,11 @@ class ProcessContext:
         fft_inplace(values, sins.storage_for(self.rank))
         row.store(values)
 
-    def builtin_file(self, expr, operands, write):
-        """Generator: readfile or writefile of what operands(ctx) gives."""
-        values = operands(self)
-        if values.__class__ is GeneratorType:
-            values = yield from values
-        array, path = values
+    def builtin_file(self, expr, array, path, write):
+        """Generator: readfile or writefile of array at path. It never
+        waits, but runs as a generator drained by its call statement, as
+        a collective does, so that a traced run times it the same way."""
+        yield from ()
         if not isinstance(array, runtime.DistributedArray) or array.replicated:
             raise self.fault("file transfer needs a singly-allocated array", expr)
         if array.descriptor.partition is not None:

@@ -312,37 +312,40 @@ class TraceEvent:
 class TraceLog:
     """Per-rank sequenced event log with a canonical rendering.
 
-    Each initiating rank keeps its own list of records, and its own
-    sequence counter, so the canonical order, by (initiating rank,
-    sequence), is the lists one after another. Blocking programs therefore
-    produce byte-identical traces under any schedule. Field order: kind,
-    src, dst, bytes, seq, tag, tab-separated.
+    Each initiating rank keeps its own list of records, numbered in order,
+    so the canonical order, by (initiating rank, sequence), is the lists
+    one after another. Blocking programs therefore produce byte-identical
+    traces under any schedule. Field order: kind, src, dst, bytes, seq,
+    tag, tab-separated.
     """
 
     def __init__(self, nprocs):
         self._by_rank = [[] for _ in range(nprocs)]
-        self._next = [0] * nprocs  # next sequence number per rank
 
-    def record(self, kind, src, dst, nbytes, tag):
-        rank = dst if kind in STAMPED_BY_DST else src
-        seq = self._next[rank]
-        self._next[rank] = seq + 1
-        ev = TraceEvent(kind, src, dst, nbytes, seq, tag)
-        self._by_rank[rank].append(ev)
+    def record(self, kind, src, dst, nbytes, tag, repeat=1):
+        """Log `repeat` events on the initiating rank and return their
+        record: the rank's last record, extended, when only seq differs."""
+        log = self._by_rank[dst if kind in STAMPED_BY_DST else src]
+        seq = 0
+        if log:
+            last = log[-1]
+            if last.kind == kind and last.src == src and last.dst == dst \
+                    and last.bytes == nbytes and last.tag == tag:
+                last.repeat += repeat
+                return last
+            seq = last.seq + last.repeat
+        ev = TraceEvent(kind, src, dst, nbytes, seq, tag, repeat)
+        log.append(ev)
         return ev
 
     def record_plan(self, plan, esize, tag):
-        """One record per non-local segment of a collective's plan, a run
-        of `repeat` block-transfers stamped by the source owner, in plan order."""
-        by_rank, next_seq = self._by_rank, self._next
+        """Each non-local segment of a collective's plan as its run of
+        block-transfers, stamped by the source owner, in plan order."""
         for seg in plan:
-            if seg.local:
-                continue
-            rank = seg.src_owner
-            length, repeat = seg.runs()
-            by_rank[rank].append(TraceEvent("block-transfer", rank, seg.dst_owner,
-                                            length * esize, next_seq[rank], tag, repeat))
-            next_seq[rank] += repeat
+            if not seg.local:
+                length, repeat = seg.runs()
+                self.record("block-transfer", seg.src_owner, seg.dst_owner, length * esize,
+                            tag, repeat)
 
     @property
     def events(self) -> list:

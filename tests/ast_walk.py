@@ -70,7 +70,7 @@ class WalkingContext(interp.ProcessContext):
             self.bind(stmt.name,
                       Binding(stmt.name, "local", value=value, read_only=kind.read_only))
             return
-        self.allocate(stmt, chain, kind.read_only)
+        yield from self.allocate(stmt, chain, kind.read_only)
 
     def eval_extent(self, expr):
         """Declaration-time evaluation of type-chain arguments."""
@@ -147,11 +147,9 @@ class WalkingContext(interp.ProcessContext):
             if self.proc_depth == 0:
                 # destination owner pulls the value; everybody else skips
                 if self.rank == dst_owner:
-                    value = yield from self.get_scalar(src_binding)
-                    array.blocks[0].buffer[0] = value
+                    array.blocks[0].buffer[0] = self.get_scalar(src_binding)
                 return
-            value = yield from self.get_scalar(src_binding)
-            yield from self.put_scalar(binding, value)
+            yield from self.put_scalar(binding, self.get_scalar(src_binding))
             return
 
         if self.proc_depth == 0:
@@ -168,11 +166,12 @@ class WalkingContext(interp.ProcessContext):
         return value
 
     def get_scalar(self, binding):
+        """A single scalar's value: a one-sided get when remote, which is
+        not a switch point."""
         array = binding.array
         owner = array.blocks[0].owner
         value = array.blocks[0].buffer[0]
         if owner != self.rank:
-            yield PAUSE
             self.state.trace.record("onesided-get", src=owner, dst=self.rank,
                                     nbytes=array.element_bytes(), tag=binding.name)
         return value
@@ -243,7 +242,6 @@ class WalkingContext(interp.ProcessContext):
             raise self.fault("line assignment needs an equal-length line", stmt)
         src_owner = value.block.owner
         if src_owner != self.rank:
-            yield PAUSE
             self.state.trace.record(
                 "onesided-get", src=src_owner, dst=self.rank,
                 nbytes=len(value) * binding.array.element_bytes(), tag=binding.name)
@@ -318,8 +316,7 @@ class WalkingContext(interp.ProcessContext):
             if array.descriptor.ndim == 0:
                 if array.replicated:
                     return array.storage_for(self.rank)[0]
-                value = yield from self.get_scalar(binding)
-                return value
+                return self.get_scalar(binding)
             return array
         if isinstance(expr, ast.BinOp):
             left = yield from self.eval(expr.left)
@@ -348,7 +345,7 @@ class WalkingContext(interp.ProcessContext):
                     if not 0 <= index < d.shape[0]:
                         raise self.fault(f"index {index} outside shape {d.shape}", expr)
                     return base.storage_for(self.rank)[index]
-                return (yield from self.get_element(base, index))
+                return self.get_element(base, index)
             if d.ndim == 2:
                 return row_of(base, index)
             raise self.fault("cannot index a scalar", expr)
@@ -358,7 +355,7 @@ class WalkingContext(interp.ProcessContext):
             raise self.fault("array index must be an integer", expr)
         if isinstance(base, BlockRef):
             return LineSlice(base.array, base.block, index)
-        return (yield from self.get_line_element(base, index))
+        return self.get_line_element(base, index)
 
     def get_element(self, array, index):
         """Element of a non-replicated 1D array: a one-sided get when remote."""
@@ -366,7 +363,6 @@ class WalkingContext(interp.ProcessContext):
         block = array.blocks[k]
         value = block.buffer[off]
         if block.owner != self.rank:
-            yield PAUSE
             self.state.trace.record("onesided-get", src=block.owner, dst=self.rank,
                                     nbytes=array.element_bytes(), tag=array.name)
         return value
@@ -376,7 +372,6 @@ class WalkingContext(interp.ProcessContext):
         value = line.get(index)
         owner = line.block.owner
         if owner != self.rank:
-            yield PAUSE
             array = line.array
             self.state.trace.record("onesided-get", src=owner, dst=self.rank,
                                     nbytes=array.element_bytes(), tag=array.name)
@@ -415,11 +410,9 @@ class WalkingContext(interp.ProcessContext):
             self.fft_line(expr, row, sins)
             return None
         if name in ("readfile", "writefile"):
-            def operands(ctx):
-                array = yield from ctx.eval(expr.args[0])
-                path = yield from ctx.eval(expr.args[1])
-                return array, path
-            yield from self.builtin_file(expr, operands, write=name == "writefile")
+            array = yield from self.eval(expr.args[0])
+            path = yield from self.eval(expr.args[1])
+            yield from self.builtin_file(expr, array, path, write=name == "writefile")
             return None
         fn = self.checked.functions.get(name)
         if fn is None:

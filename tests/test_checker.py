@@ -205,13 +205,22 @@ def test_builtin_arity():
     assert "BuiltinArity" in rules_of("var x := processes(3);")
 
 
-def test_user_function_has_no_value():
-    src = """
-function f(X : Int) { };
+@pytest.mark.parametrize("call", [
+    "f(q)", 'writefile(F, "f.dat")', 'readfile(F, "f.dat") + 1', "computeSin(S)",
+    "FFT(A[0][0], S)",
+])
+def test_user_function_has_no_value(call):
+    """Only processes() gives a value; any other call is a statement."""
+    src = f"""
+function f(X : Int) {{ }};
 var q : Int;
-var y := f(q);
+var F : array[Int,4] :: allocated[single[on[0]]];
+var S : array[Complex,2] :: allocated[multiple[]];
+var A : array[Complex,4,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+var y := {call};
 """
-    assert "NoValue" in rules_of(src)
+    diagnostics = diagnostics_of(src)
+    assert [(d.rule, d.line, d.column) for d in diagnostics] == [("NoValue", 7, 10)]
 
 
 def test_redeclaration_in_same_scope():

@@ -80,6 +80,20 @@ def test_run_reports_sync_reached_inside_proc_at_the_sync(workdir, capsys, procs
         "error: rank 0: sync is collective and cannot run inside proc at 1:16\n")
 
 
+def test_run_reports_rank_divergent_extents_at_the_declaration(workdir, capsys):
+    """Ranks that evaluate one declaration's extent differently fault there,
+    whichever rank allocates first, under every schedule."""
+    (workdir / "divergent.mesh").write_text(
+        "var n := 4;\nproc 1 { n := 8 };\nvar A : array[Int,n] :: allocated[multiple[]];\n"
+        "proc 0 { A[7] := 1 };\n")
+    for seed in range(8):
+        args = ["run", "divergent.mesh", "--procs", "2", "--scheduler-seed", str(seed)]
+        assert main(args) == 1, seed
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: rank ([01]): SPMD divergence: 'A' has shape \((4|8),\) "
+                            r"here, but \((4|8),\) where it was allocated at 3:5\n", err), err
+
+
 def test_run_onesided_trace_has_exactly_one_event(workdir):
     assert main(["run", "onesided.mesh", "--procs", "3", "--trace", "one.log"]) == 0
     lines = (workdir / "one.log").read_text().splitlines()

@@ -8,12 +8,13 @@ the same statements.
 """
 
 import random
+from types import GeneratorType
 
 import pytest
 
 import ast_walk
 from conftest import TeeTraceLog, assert_trace_matches_reference, checked_corpus
-from meshlite import check_program, parse, run, runtime
+from meshlite import check_program, compiler, parse, run, runtime
 from meshlite.checker import CheckedProgram
 from meshlite.errors import CheckError, RuntimeFault
 from meshlite.fixtures import generate_image
@@ -371,6 +372,8 @@ for i from 0 to 3 {
      "sync is collective and cannot run inside proc at 4:16"),
     ("function g() { A := a }; proc 1 { g() };",
      "array assignment is collective and cannot run inside proc at 4:16"),
+    ("function g() { var B : array[Int,4] :: allocated[multiple[]] }; proc 1 { g() };",
+     "allocation is collective and cannot run inside proc at 4:20"),
     ("function g() { a[7] := 1 }; g();", "index 7 outside shape (4,) at 4:16"),
     ("function g() { y := y[0] }; g();", "value is not indexable at 4:22"),
     ("function g(z : array[Int,4]) { z[9] := z[1] }; g(a);", "index 9 outside shape (4,) at 4:32"),
@@ -618,6 +621,39 @@ proc 0 { y := A[0][1][3] };
             "onesided-get", 1, 0, 8, "A")
         assert event.initiator == 0
         assert result.local("x") == [0, 0]
+
+
+def test_racy_put_and_get_show_both_outcomes():
+    """A get is not a switch point, yet an unsynchronised put by rank 1 and
+    a get by rank 2 of one single scalar still race: across seeds the get
+    sees either value, and both run paths replay the same one per seed."""
+    checked = check_program(parse("var s : Int :: allocated[single[on[0]]];\nvar x;\n"
+                                  "proc 1 { s := 5 };\nproc 2 { x := s };\n"))
+    seen = [[run_path(checked, 3, seed=seed).local("x")[2] for seed in range(32)]
+            for run_path in RUNS]
+    assert seen[0] == seen[1]
+    assert set(seen[0]) == {0, 5}
+
+
+def test_no_expression_closure_returns_a_generator(tmp_path, monkeypatch):
+    """Only statements wait: every compiled expression returns its value."""
+    compile_expr = compiler.Compiler.expr
+
+    def checked_expr(self, node):
+        fn = compile_expr(self, node)
+
+        def value(ctx):
+            result = fn(ctx)
+            assert result.__class__ is not GeneratorType, node
+            return result
+        return value
+
+    monkeypatch.setattr(compiler.Compiler, "expr", checked_expr)
+    generate_image(16, 1, tmp_path / "image.dat")
+    for name in ("fft2d.mesh", "onesided.mesh", "channel.mesh"):
+        run(checked_corpus(name), 4, workdir=str(tmp_path))
+    for seed in range(10):
+        run(check_program(parse(communicating_program(seed, 3))), 3, workdir=str(tmp_path))
 
 
 @pytest.mark.parametrize("name", ["fft2d.mesh", "fft2d_arraydist.mesh", "onesided.mesh",

@@ -419,6 +419,10 @@ ALLOCATION_FAULTS = [
      "rank 1: array extents must be positive at 2:5"),
     ("var p := 5;\nvar A : array[Int,4] :: allocated[horizontal[p] :: single[evendist[]]];", 2,
      "rank 1: cannot split extent 4 into 5 blocks at 2:5"),
+    ("var d : array[Int,2] :: allocated[multiple[]];\nproc 1 { d[0] := 1 };\n"
+     "var A : array[Int,4] :: allocated[horizontal[2] :: single[arraydist[d]]];", 2,
+     "rank 0: SPMD divergence: 'A' has distribution ('arraydist', (0, 0)) here, "
+     "but ('arraydist', (1, 0)) where it was allocated at 3:5"),
 ]
 
 
@@ -433,4 +437,4 @@ def test_fft2d_at_sixteen_ranks_cannot_split_its_blocks():
     """p = 2P blocks of an extent-16 array: the split fails where A is declared."""
     with pytest.raises(RuntimeFault) as err:
         run(checked_corpus("fft2d.mesh"), 16)
-    assert str(err.value) == "rank 10: cannot split extent 16 into 32 blocks at 7:5"
+    assert str(err.value) == "rank 11: cannot split extent 16 into 32 blocks at 7:5"

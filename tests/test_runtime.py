@@ -336,6 +336,19 @@ def test_trace_sequences_per_initiating_process():
     assert events[2].initiator == 2 and events[2].seq == 0
 
 
+def test_events_differing_only_in_seq_extend_one_record():
+    log = TraceLog(2)
+    for _ in range(3):
+        log.record("onesided-get", src=1, dst=0, nbytes=8, tag="a")
+    log.record("onesided-put", src=0, dst=1, nbytes=8, tag="a")
+    last = log.record("onesided-get", src=1, dst=0, nbytes=8, tag="a", repeat=2)
+    assert [(e.kind, e.seq, e.repeat) for e in log._by_rank[0]] == [
+        ("onesided-get", 0, 3), ("onesided-put", 3, 1), ("onesided-get", 4, 2)]
+    assert last is log._by_rank[0][-1] and last.bytes == 8
+    assert [e.seq for e in log.events] == [0, 1, 2, 3, 4, 5]
+    assert log.count("onesided-get") == 5
+
+
 def test_trace_render_is_tab_separated_and_sorted():
     log = TraceLog(3)
     log.record("channel-send", src=2, dst=0, nbytes=8, tag="a")
