@@ -6,9 +6,14 @@ value: a one-sided get records its event and completes where it is made,
 so no expression waits. Only statements wait for another process (puts,
 channel transfers, collectives, and calls, which the checker allows only
 as statements); a statement's closure returns a generator then, which
-yields to the scheduler, and otherwise runs straight through, so loops
-and calls doing local work build no generator. Callers drain a generator
-with `yield from`.
+yields to the scheduler, and otherwise runs straight through. Callers
+drain a generator with `yield from`.
+
+A loop, a `proc` body and a function call are each one generator over
+their statements, which `_drive` runs at once up to its first wait. The
+closure returns None when the statements never waited, so loops and
+calls doing local work hand their caller no generator; otherwise it
+returns a generator that yields that wait and then the rest.
 
 What a name reads and how a store communicates are decided here, once,
 from the declarations in scope (the Mesham types decide it before the
@@ -56,7 +61,10 @@ def _class_of(binding):
     return "replica" if array.replicated else "single"
 
 
-# --- composing statements that may wait ---
+# --- statements that may wait ---
+
+
+_DONE = object()
 
 
 def _fails(message, node):
@@ -65,67 +73,17 @@ def _fails(message, node):
     return fail
 
 
-def _after(result, then, *args):
-    """then(*args) once result has run: a generator when result is one."""
-    if result.__class__ is Generator:
-        return _resume(result, then, args)
-    then(*args)
+def _drive(gen):
+    """Run gen up to its first wait: None when it finished without one,
+    else a generator that yields that wait and then the rest of gen."""
+    first = next(gen, _DONE)
+    if first is not _DONE:
+        return _resume(first, gen)
 
 
-def _resume(pending, then, args):
-    yield from pending
-    then(*args)
-
-
-def _run(ctx, stmts):
-    """Run a statement list; a generator for the rest once one waits."""
-    exec_stmt = ctx.exec_stmt
-    for s in stmts:
-        result = exec_stmt(s)
-        if result.__class__ is Generator:
-            return _finish(ctx, result, _rest(stmts, s))
-
-
-def _rest(stmts, s):
-    """The statements after s in stmts."""
-    return stmts[[t is s for t in stmts].index(True) + 1:]
-
-
-def _finish(ctx, pending, rest):
-    yield from pending
-    for s in rest:
-        result = ctx.exec_stmt(s)
-        if result.__class__ is Generator:
-            yield from result
-
-
-def _iterate(ctx, values, binding, stmts, scoped):
-    """Run stmts for each of values, a fresh scope each time if scoped."""
-    exec_stmt = ctx.exec_stmt
-    for binding.value in values:
-        inner = ctx.enter() if scoped else None
-        for s in stmts:
-            result = exec_stmt(s)
-            if result.__class__ is Generator:
-                pending = _finish(ctx, result, _rest(stmts, s))
-                return _iterate_waiting(ctx, pending, values, binding, stmts, inner)
-        if scoped:
-            ctx.leave(inner)
-
-
-def _iterate_waiting(ctx, pending, values, binding, stmts, inner):
-    """Generator: _iterate on from the iteration that had to wait."""
-    yield from pending
-    if inner is not None:
-        ctx.leave(inner)
-    for binding.value in values:
-        inner = ctx.enter() if inner is not None else None
-        for s in stmts:
-            result = ctx.exec_stmt(s)
-            if result.__class__ is Generator:
-                yield from result
-        if inner is not None:
-            ctx.leave(inner)
+def _resume(first, gen):
+    yield first
+    yield from gen
 
 
 def _integer(ctx, node, i):
@@ -386,21 +344,31 @@ class Compiler:
         # declarations in the body vanish at the end of every iteration
         scoped = any(type(s) is ast.VarDecl for s in stmts)
 
-        def run(ctx):
+        def iterate(ctx):
             lo, hi = start(ctx), stop(ctx)
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise ctx.fault("loop bounds must be integers", node)
-            values = iter(range(lo, hi + 1))
-            existing = ctx.env.get(var)
-            if existing is not None and existing.read_only:
+            binding = ctx.env.get(var)
+            if binding is not None and binding.read_only:
                 raise ctx.fault(f"loop variable {var!r} is read-only", node)
-            if existing is not None and existing.kind == "local":
-                return _iterate(ctx, values, existing, stmts, scoped)
-            mark = ctx.enter()
-            binding = Binding(var, "local")
-            ctx.bind(var, binding)
-            return _after(_iterate(ctx, values, binding, stmts, scoped), ctx.leave, mark)
-        return run
+            fresh = binding is None or binding.kind != "local"
+            if fresh:
+                mark = ctx.enter()
+                binding = Binding(var, "local")
+                ctx.bind(var, binding)
+            exec_stmt = ctx.exec_stmt
+            for binding.value in range(lo, hi + 1):
+                if scoped:
+                    inner = ctx.enter()
+                for s in stmts:
+                    result = exec_stmt(s)
+                    if result.__class__ is Generator:
+                        yield from result
+                if scoped:
+                    ctx.leave(inner)
+            if fresh:
+                ctx.leave(mark)
+        return lambda ctx: _drive(iterate(ctx))
 
     def proc(self, node):
         rank = self.expr(node.rank)
@@ -408,18 +376,23 @@ class Compiler:
         stmts = self.block(node.body)
         self.scopes.pop()
 
-        def run(ctx):
+        def guarded(ctx):
+            mark = ctx.enter()
+            ctx.proc_depth += 1
+            exec_stmt = ctx.exec_stmt
+            for s in stmts:
+                result = exec_stmt(s)
+                if result.__class__ is Generator:
+                    yield from result
+            ctx.proc_depth -= 1
+            ctx.leave(mark)
+
+        def run(ctx):  # other ranks skip the body without building a generator
             r, nprocs = rank(ctx), ctx.state.nprocs
             if not isinstance(r, int) or not 0 <= r < nprocs:
                 raise ctx.fault(f"proc rank {r} outside [0, {nprocs})", node)
             if r == ctx.rank:
-                mark = ctx.enter()
-                ctx.proc_depth += 1
-                return _after(_run(ctx, stmts), left, ctx, mark)
-
-        def left(ctx, mark):
-            ctx.proc_depth -= 1
-            ctx.leave(mark)
+                return _drive(guarded(ctx))
         return run
 
     # --- expressions: each is one closure returning the value ---
@@ -554,9 +527,9 @@ class Compiler:
         fn = self.functions.get(node.func)
         if fn is None:
             return _fails(f"unknown function {node.func!r}", node)
-        params = [p.name for p in fn.params]
+        params, body = [p.name for p in fn.params], fn.body
 
-        def run(ctx):
+        def call(ctx):
             bindings = []
             for arg in node.args:
                 if type(arg) is not ast.Name:
@@ -568,5 +541,10 @@ class Compiler:
             mark = ctx.enter()
             for param, b in zip(params, bindings):
                 ctx.bind(param, b)
-            return _after(_run(ctx, fn.body), ctx.leave, mark)
-        return run
+            exec_stmt = ctx.exec_stmt
+            for s in body:
+                result = exec_stmt(s)
+                if result.__class__ is Generator:
+                    yield from result
+            ctx.leave(mark)
+        return lambda ctx: _drive(call(ctx))

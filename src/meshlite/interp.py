@@ -96,7 +96,6 @@ class RunState:
         self.arrays = {}  # (stmt id, instance) -> DistributedArray, in declaration order
         self.channels = {}
         self.code = {}  # id(statement) -> closure, set by run
-        self.binding_snapshots = [[] for _ in range(nprocs)]
 
     def channel_slot(self, array, src, dst):
         key = (id(array), src, dst)
@@ -167,7 +166,7 @@ class ProcessContext:
         self.env = {}
         self.shadow = []  # (name, hidden binding or None)
         self.depth = 0  # scopes open above the top level
-        self.top_binds = 0  # top-level binds so far
+        self.stmt = None  # the statement started last: the innermost running
         self.proc_depth = 0
         self.alloc_counts = {}
 
@@ -176,8 +175,6 @@ class ProcessContext:
     def bind(self, name, binding):
         if self.depth:
             self.shadow.append((name, self.env.get(name)))
-        else:
-            self.top_binds += 1
         self.env[name] = binding
 
     def enter(self):
@@ -203,8 +200,8 @@ class ProcessContext:
     # --- program ---
 
     def run_program(self):
-        snapshots = self.state.binding_snapshots[self.rank]
-        names, seen = None, -1
+        """Generator: run the top-level statements. A fault that no rule
+        located is located at the innermost statement running."""
         for stmt in self.checked.program.statements:
             yield PAUSE
             try:
@@ -214,15 +211,14 @@ class ProcessContext:
             except RuntimeFault:
                 raise
             except MeshError as exc:
-                raise RuntimeFault(str(exc), rank=self.rank,
-                                   line=stmt.line, column=stmt.column) from exc
-            if seen != self.top_binds:  # a new snapshot only when a name was bound
-                names, seen = frozenset(self.env), self.top_binds
-            snapshots.append(names)
+                raise self.fault(str(exc), self.stmt) from exc
+            except RecursionError as exc:
+                raise self.fault("calls nest too deeply", self.stmt) from exc
 
     def exec_stmt(self, stmt):
         """Run one statement; a generator for the caller to drain with
         `yield from` when it must wait (any other result is ignored)."""
+        self.stmt = stmt
         return self.code[id(stmt)](self)
 
     # --- declarations ---
@@ -381,12 +377,7 @@ class ProcessContext:
             trace.record_plan(plan, dst.element_bytes(), dst.name)
 
         collective = Collective("assign", f"{dst.name} := {src.name}", stmt, (dst, src))
-        try:
-            yield from self.state.barrier.wait(self.rank, collective, redistribute)
-        except RuntimeFault:
-            raise
-        except MeshError as exc:
-            raise self.fault(str(exc), stmt) from exc
+        yield from self.state.barrier.wait(self.rank, collective, redistribute)
 
     def sync(self, stmt):
         """Generator: collective; all outstanding async transfers in scope complete."""
@@ -494,15 +485,5 @@ def run(program, nprocs, seed=0, workdir=None, overrides=None, layout_only=False
     state.code = compile_program(checked)
     contexts = [ProcessContext(r, state, checked) for r in range(nprocs)]
     state.scheduler.run([c.run_program() for c in contexts])
-    _verify_spmd(state, checked)
     return RunResult(state, contexts)
 
-
-def _verify_spmd(state, checked):
-    """All processes bind the same names after every top-level statement."""
-    snaps = state.binding_snapshots
-    for i in range(len(checked.program.statements)):
-        sets = {s[i] for s in snaps}
-        if len(sets) > 1:
-            raise RuntimeFault(
-                f"SPMD violation: processes disagree on bindings after statement {i + 1}")

@@ -23,6 +23,7 @@ def install(patch):
 
 class WalkingContext(interp.ProcessContext):
     def exec_stmt(self, stmt):
+        self.stmt = stmt
         return self.walk_stmt(stmt)
 
     def lookup(self, name):

@@ -80,6 +80,14 @@ def test_run_reports_sync_reached_inside_proc_at_the_sync(workdir, capsys, procs
         "error: rank 0: sync is collective and cannot run inside proc at 1:16\n")
 
 
+@pytest.mark.parametrize("seed,rank", [("0", 1), ("3", 0)])
+def test_run_reports_unbounded_recursion_without_a_traceback(workdir, capsys, seed, rank):
+    (workdir / "recursive.mesh").write_text("function f() { f() };\nf();\n")
+    args = ["run", "recursive.mesh", "--procs", "2", "--scheduler-seed", seed]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: rank {rank}: calls nest too deeply at 1:16\n"
+
+
 def test_run_reports_rank_divergent_extents_at_the_declaration(workdir, capsys):
     """Ranks that evaluate one declaration's extent differently fault there,
     whichever rank allocates first, under every schedule."""

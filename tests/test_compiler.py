@@ -18,8 +18,7 @@ from meshlite import check_program, compiler, parse, run, runtime
 from meshlite.checker import CheckedProgram
 from meshlite.errors import CheckError, RuntimeFault
 from meshlite.fixtures import generate_image
-from meshlite.compiler import compile_program
-from meshlite.interp import ProcessContext, RunState, _verify_spmd
+from meshlite.interp import ProcessContext
 
 N = 4  # replicated array length
 OPS = ("+", "-", "*", "/") * 3 + ("==", "!=", "<", "<=", ">", ">=")
@@ -380,7 +379,11 @@ for i from 0 to 3 {
     ("function g() { y := A.localblockid[3] }; g();", "local block index 3 outside [0, 1) at 4:22"),
     ("function g() { for k from 0 to 1.5 { } }; g();", "loop bounds must be integers at 4:16"),
     ("function g() { A[1] := A }; g();", "an array value cannot be stored into a scalar at 4:16"),
-    ("function g() { y := A[5] }; proc 1 { g() };", "index (5,) outside shape (4,) at 4:29"),
+    # a fault no rule locates names the innermost statement running
+    ("function g() { y := A[5] }; proc 1 { g() };", "index (5,) outside shape (4,) at 4:16"),
+    ("for k from 0 to 1 { y := 1; y := A[5] };", "index (5,) outside shape (4,) at 4:29"),
+    ("proc 0 { y := 1; y := A[5] };", "index (5,) outside shape (4,) at 4:18"),
+    ("function f() { f() }; f();", "calls nest too deeply at 4:16"),
     ("for k from 0 to 0 { var z := 1; function g() { y := z }; }; g();",
      "'z' is not declared at 4:53"),
 ])
@@ -576,30 +579,32 @@ def test_read_only_loop_variable_faults():
         assert str(info.value) == "rank 0: loop variable 'c' is read-only at 2:1"
 
 
-# --- SPMD snapshots ---
+def test_bounded_recursion_runs():
+    result = both("var n := 5;\n"
+                  "function f() { for i from 1 to n { n := n - 1; f() } };\n"
+                  "f();\n")
+    n = 5
+
+    def f():
+        nonlocal n
+        for _ in range(1, n + 1):
+            n -= 1
+            f()
+
+    f()
+    assert result.local("n") == [n]
 
 
-def test_snapshots_are_shared_until_a_top_level_bind():
-    checked = check_program(parse("var a := 1;\na := 2;\na := 3;\nvar b := 4;\n"))
-    state = RunState(2)
-    state.code = compile_program(checked)
-    contexts = [ProcessContext(r, state, checked) for r in range(2)]
-    state.scheduler.run([c.run_program() for c in contexts])
-    first, second, third, fourth = state.binding_snapshots[0]
-    assert first is second is third
-    assert first == {"a"} and fourth == {"a", "b"}
-    _verify_spmd(state, checked)
-
-
-def test_divergent_snapshot_still_raises():
-    checked = check_program(parse("var a := 1;\nvar b := 2;\n"))
-    state = RunState(2)
-    state.binding_snapshots = [[frozenset({"a"}), frozenset({"a", "b"})],
-                               [frozenset({"a"}), frozenset({"a"})]]
-    with pytest.raises(RuntimeFault) as info:
-        _verify_spmd(state, checked)
-    assert str(info.value) == (
-        "SPMD violation: processes disagree on bindings after statement 2")
+def test_unbounded_recursion_faults_alike_on_both_run_paths():
+    checked = check_program(parse("function f() { f() };\nf();\n"))
+    for seed in (0, 3):
+        faults = []
+        for run_path in RUNS:
+            with pytest.raises(RuntimeFault) as info:
+                run_path(checked, 2, seed=seed)
+            faults.append(str(info.value))
+        assert faults[0] == faults[1]
+        assert faults[0].endswith(": calls nest too deeply at 1:16")
 
 
 # --- communicating code ---
@@ -654,6 +659,48 @@ def test_no_expression_closure_returns_a_generator(tmp_path, monkeypatch):
         run(checked_corpus(name), 4, workdir=str(tmp_path))
     for seed in range(10):
         run(check_program(parse(communicating_program(seed, 3))), 3, workdir=str(tmp_path))
+
+
+def test_local_compound_statements_build_no_generator(monkeypatch):
+    """Loops, `proc` bodies and calls doing local work return None."""
+    exec_stmt, kinds = ProcessContext.exec_stmt, set()
+
+    def checked_stmt(self, stmt):
+        result = exec_stmt(self, stmt)
+        assert result is None, stmt
+        kinds.add(type(stmt).__name__)
+        return result
+
+    monkeypatch.setattr(ProcessContext, "exec_stmt", checked_stmt)
+    checked = check_program(parse("""var s : Int := 0;
+var t : Int := 1;
+function g(x : Int) { for k from 0 to 2 { x := x + k } };
+function h() { g(t); proc 0 { s := s + t } };
+for i from 0 to 2 { for j from 0 to i { var u := j; s := s + u; h() }; proc 1 { g(s) } };
+proc 2 { for i from 1 to 2 { h() } };
+"""))
+    result = run(checked, 3)
+    assert kinds == {"VarDecl", "FuncDef", "For", "ProcBlock", "ExprStmt", "Assign"}
+    assert result.local("s") == run_walked(checked, 3).local("s")
+
+
+@pytest.mark.parametrize("source", [
+    "var t := 0;\nfor i from 1 to 3000 { sync; t := t + 1 };\n",
+    """var t := 0;
+var s : Int :: allocated[single[on[2]]];
+function inner() { sync; t := t + 1; proc 0 { s := t } };
+function outer() { inner(); t := t + 10 };
+for i from 1 to 5 { outer() };
+""",
+])
+def test_waiting_compound_statements_match_the_ast_walk(source):
+    """A loop or call whose statements wait replays the AST walk's
+    schedule, without a generator chain that grows with each wait."""
+    checked = check_program(parse(source))
+    for seed in (0, 7919):
+        seen = [run_path(checked, 3, seed=seed) for run_path in RUNS]
+        assert seen[0].trace.render() == seen[1].trace.render()
+        assert seen[0].local("t") == seen[1].local("t")
 
 
 @pytest.mark.parametrize("name", ["fft2d.mesh", "fft2d_arraydist.mesh", "onesided.mesh",
