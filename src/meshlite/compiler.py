@@ -172,7 +172,9 @@ class Compiler:
         init = None if node.init is None else self.expr(node.init)
         kind = chains.LOCAL
         if type_expr is not None:
-            args = {}  # each type argument: its value, or a closure run with the declaration
+            # each type argument, in the order the chain reads them: its
+            # value, or a closure run with the declaration
+            args = {}
 
             def read(e):  # names are checked as the declaration runs: scoping is dynamic
                 args[id(e)] = type_argument(
@@ -181,9 +183,15 @@ class Compiler:
             kind = chains.kind_of(chains.from_type_expr(type_expr, read))  # whatever the values
         self.scopes[-1][name] = kind
         if kind.distributed:
+            def chain(values):
+                known = dict(zip(args, values))
+                return chains.from_type_expr(type_expr, lambda e: known[id(e)])
+
             def allocate(ctx):
-                chain = chains.from_type_expr(type_expr, lambda e: evaluated(args[id(e)], ctx))
-                return ctx.allocate(node, chain, kind.read_only)
+                # every argument in the order the chain reads them, so each
+                # fault comes where building the chain would raise it
+                values = tuple([evaluated(arg, ctx) for arg in args.values()])
+                return ctx.allocate(node, lambda: chain(values), kind.read_only, values)
             return allocate
 
         # a typed local's chain has no arguments to evaluate: the checker
@@ -288,7 +296,9 @@ class Compiler:
             array = binding.array
             if len(array.descriptor.shape) != 1:
                 raise ctx.fault("use A[block][line] to address rows of a 2D array", node)
-            k, off = array.descriptor.locate((_integer(ctx, node, i),))
+            if i.__class__ is not int:
+                _integer(ctx, node, i)
+            k, off = array.descriptor.element(i)
             block = array.blocks[k]
             if ctx.performs(block.owner):
                 return _store(ctx, node, check, binding, block, off, value(ctx))
@@ -477,8 +487,13 @@ class Compiler:
                         _element(ctx, node, shape, i)
                     return array.replicas[ctx.rank][i]
                 return element
-            return lambda ctx: ctx.read_element(
-                ctx.env[name].array, _integer(ctx, node, index(ctx)))
+
+            def single_copy(ctx):
+                array, i = ctx.env[name].array, index(ctx)
+                if i.__class__ is not int:
+                    _integer(ctx, node, i)
+                return ctx.read_element(array, i)
+            return single_copy
         return lambda ctx: _index_value(ctx, node, base(ctx), index(ctx))
 
     def accessor(self, node):
@@ -538,7 +553,7 @@ class Compiler:
                 if b is None:
                     raise ctx.fault(f"{arg.name!r} is not declared", node)
                 bindings.append(b)
-            mark = ctx.enter()
+            mark = ctx.enter_call(node)
             for param, b in zip(params, bindings):
                 ctx.bind(param, b)
             exec_stmt = ctx.exec_stmt
@@ -546,5 +561,5 @@ class Compiler:
                 result = exec_stmt(s)
                 if result.__class__ is Generator:
                     yield from result
-            ctx.leave(mark)
+            ctx.leave_call(mark)
         return lambda ctx: _drive(call(ctx))

@@ -84,6 +84,12 @@ def compute_sins(n: int) -> list:
 # --- shared run state ---
 
 
+# User calls nest at most this deep. The limit keeps a recursive body's
+# Python frames (a few per statement, loop and proc level it nests) well
+# inside Python's default recursion limit of 1000.
+MAX_CALL_DEPTH = 64
+
+
 class RunState:
     def __init__(self, nprocs, seed=0, workdir=None, layout_only=False, overrides=None):
         self.nprocs = nprocs
@@ -93,7 +99,9 @@ class RunState:
         self.workdir = workdir or os.getcwd()
         self.layout_only = layout_only
         self.overrides = overrides or {}
-        self.arrays = {}  # (stmt id, instance) -> DistributedArray, in declaration order
+        # (stmt id, instance) -> (array, plan, type-argument values or None
+        # when others may not take the plan), in declaration order
+        self.allocations = {}
         self.channels = {}
         self.code = {}  # id(statement) -> closure, set by run
 
@@ -110,7 +118,7 @@ class RunState:
 class RunResult:
     def __init__(self, state, contexts):
         self.trace = state.trace
-        self.declared = [(array.name, array) for array in state.arrays.values()]
+        self.declared = [(array.name, array) for array, _, _ in state.allocations.values()]
         self.nprocs = state.nprocs
         self._arrays = {}
         self._locals = {}
@@ -168,6 +176,7 @@ class ProcessContext:
         self.depth = 0  # scopes open above the top level
         self.stmt = None  # the statement started last: the innermost running
         self.proc_depth = 0
+        self.calls = 0  # user calls running, innermost included
         self.alloc_counts = {}
 
     # scope handling
@@ -191,6 +200,19 @@ class ProcessContext:
             else:
                 env[name] = hidden
         self.depth -= 1
+
+    def enter_call(self, call):
+        """Open a user call's scope, unless calls already nest
+        MAX_CALL_DEPTH deep: then the call faults, whatever Python's
+        stack holds."""
+        if self.calls == MAX_CALL_DEPTH:
+            raise self.fault("calls nest too deeply", call)
+        self.calls += 1
+        return self.enter()
+
+    def leave_call(self, mark):
+        self.calls -= 1
+        self.leave(mark)
 
     def fault(self, message, node=None):
         return RuntimeFault(message, rank=self.rank,
@@ -223,41 +245,57 @@ class ProcessContext:
 
     # --- declarations ---
 
-    def allocate(self, stmt, chain, read_only):
+    def allocate(self, stmt, chain_of, read_only, values=None):
         """Generator: bind stmt's name to its array. Allocation is
-        collective: the first process here allocates, a later one that
-        evaluates another layout faults, and none goes on until all have
-        arrived."""
+        collective: the first process here plans and allocates, and none
+        goes on until all have arrived. A later process whose type
+        arguments evaluated to the same `values` takes that plan; any
+        other builds its chain with `chain_of()` and plans it, and faults
+        if it gets another layout. An arraydist plan is never taken: each
+        process snapshots its own map."""
         self.unguarded("allocation", stmt)
-        plan = chains.plan_of(chain)
+        instance = self.alloc_counts.get(id(stmt), 0)
+        self.alloc_counts[id(stmt)] = instance + 1
+        key = (id(stmt), instance)
+        allocation = self.state.allocations.get(key)
+        if values is not None and allocation is not None and allocation[2] == values:
+            array, plan, _ = allocation
+        else:
+            plan = chains.plan_of(chain_of())
+            array = self.allocate_plan(stmt, plan, allocation)
+            if allocation is None:
+                reusable = values is not None and plan.distribution[0] != "arraydist"
+                self.state.allocations[key] = (array, plan, values if reusable else None)
+        self.bind(stmt.name, Binding(stmt.name, "array", array=array,
+                                     comm=plan.comm, read_only=read_only))
+        yield from self.state.barrier.wait(
+            self.rank, Collective("allocate", f"var {stmt.name}", stmt))
+
+    def allocate_plan(self, stmt, plan, allocation):
+        """The array of a plan: new when no process has made the
+        `allocation` yet, else its array, whose layout the plan must give."""
         for end in plan.comm[1:3] if plan.comm is not None else ():
             if not 0 <= end < self.state.nprocs:
                 raise self.fault(f"channel endpoint {end} outside [0, {self.state.nprocs})", stmt)
-        key = (id(stmt), self.alloc_counts.get(id(stmt), 0))
-        self.alloc_counts[id(stmt)] = key[1] + 1
         dist_map = None
         if plan.distribution[0] == "arraydist":
             dist_map = self.snapshot_dist(plan.distribution[1], stmt)
         descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
-        array = self.state.arrays.get(key)
-        if array is not None:
+        if allocation is not None:
+            array = allocation[0]
             for field in ("shape", "elem", "ordering", "partition", "distribution"):
                 mine, allocated = getattr(descriptor, field), getattr(array.descriptor, field)
                 if mine != allocated:
                     raise self.fault(f"SPMD divergence: {stmt.name!r} has {field} {mine} here, "
                                      f"but {allocated} where it was allocated", stmt)
-        else:
-            base_array = None
-            if plan.share_base is not None:
-                base_binding = self.env.get(plan.share_base)
-                if base_binding is None or base_binding.kind != "array":
-                    raise self.fault(f"share base {plan.share_base!r} is not allocated", stmt)
-                base_array = base_binding.array
-            array = self.state.arrays[key] = runtime.allocate(stmt.name, descriptor, base=base_array)
-        self.bind(stmt.name, Binding(stmt.name, "array", array=array,
-                                     comm=plan.comm, read_only=read_only))
-        yield from self.state.barrier.wait(
-            self.rank, Collective("allocate", f"var {stmt.name}", stmt))
+            return array
+        base_array = None
+        if plan.share_base is not None:
+            base_binding = self.env.get(plan.share_base)
+            if base_binding is None or base_binding.kind != "array":
+                raise self.fault(f"share base {plan.share_base!r} is not allocated", stmt)
+            base_array = base_binding.array
+        return runtime.allocate(stmt.name, descriptor, base=base_array)
 
     def snapshot_dist(self, var, stmt):
         binding = self.env.get(var)
@@ -291,8 +329,8 @@ class ProcessContext:
     def fetch(self, owner, array, tag, count=1):
         """Record one onesided-get from owner's memory. A get completes
         where it is made: it is not a switch point."""
-        self.state.trace.record("onesided-get", src=owner, dst=self.rank,
-                                nbytes=count * array.element_bytes(), tag=tag)
+        self.state.trace.record("onesided-get", owner, self.rank,
+                                count * array.element_bytes(), tag)
 
     def put(self, owner, array, tag, count=1):
         """Generator: one onesided-put to owner; the caller then stores."""
@@ -313,12 +351,13 @@ class ProcessContext:
             self.fetch(block.owner, binding.array, binding.name)
         return block.buffer[0]
 
-    def read_element(self, array, index):
-        """Element of a non-replicated 1D array, by a onesided-get when remote."""
-        k, off = array.descriptor.locate((index,))
+    def read_element(self, array, i):
+        """Element i of a non-replicated 1D array, by a onesided-get when remote."""
+        k, off = array.descriptor.element(i)
         block = array.blocks[k]
         if block.owner != self.rank:
-            self.fetch(block.owner, array, array.name)
+            self.state.trace.record("onesided-get", block.owner, self.rank,
+                                    array.element_bytes(), array.name)
         return block.buffer[off]
 
     def read_line(self, line, index):

@@ -157,6 +157,17 @@ class ArrayDescriptor:
             k += r
         return k, t * line_len + free
 
+    def element(self, i: int) -> tuple:
+        """(block_id, offset) of index i of a 1D array: what locate((i,))
+        gives, by one interval-arithmetic step on the geometry."""
+        _, _, wide, split, r, q = self._geometry
+        if not 0 <= i < self.part_extent:
+            raise IndexOutOfBounds(f"index {(i,)} outside shape {self.shape}")
+        if i < split:
+            return divmod(i, wide)
+        k, t = divmod(i - split, q)
+        return k + r, t
+
     def block_of(self, along: int) -> int:
         """Block holding index `along` of the partitioned dimension."""
         _, _, wide, split, r, q = self._geometry

@@ -4,8 +4,9 @@
 as meshlite did before every form was compiled. It is that walk, kept
 here as a test oracle: `install` swaps it in for `interp.ProcessContext`,
 so `interp.run` drives it exactly as it drives the compiled code. Only
-what both share comes from `ProcessContext`: scopes, faults, allocation,
-channel transfers, `sync` (with its refusal inside `proc`), array
+what both share comes from `ProcessContext`: scopes, the call-depth
+limit, faults, allocation (which the walk has every rank plan for
+itself), channel transfers, `sync` (with its refusal inside `proc`), array
 redistribution and builtins. One-sided reads and writes, the ownership
 rule, the read-only and storable checks and type-argument evaluation are
 the walk's own, so a difference in them shows up as a difference in the run.
@@ -71,7 +72,7 @@ class WalkingContext(interp.ProcessContext):
             self.bind(stmt.name,
                       Binding(stmt.name, "local", value=value, read_only=kind.read_only))
             return
-        yield from self.allocate(stmt, chain, kind.read_only)
+        yield from self.allocate(stmt, lambda: chain, kind.read_only)
 
     def eval_extent(self, expr):
         """Declaration-time evaluation of type-chain arguments."""
@@ -426,10 +427,10 @@ class WalkingContext(interp.ProcessContext):
             if b is None:
                 raise self.fault(f"{arg.name!r} is not declared", expr)
             bindings.append(b)
-        mark = self.enter()
+        mark = self.enter_call(expr)
         for param, b in zip(fn.params, bindings):
             self.bind(param.name, b)
         for s in fn.body:
             yield from self.exec_stmt(s)
-        self.leave(mark)
+        self.leave_call(mark)
         return None

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+import ast_walk
 from meshlite.cli import main
 from meshlite.fixtures import corpus_source, generate_image
 
@@ -155,6 +156,22 @@ def test_dump_dist_shows_arraydist_placement(workdir, capsys):
     owners = [int(m.group(1)) for m in
               re.finditer(r"block \d+: owner (\d+)", out.split("B:")[0].split("A:")[1])]
     assert owners == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["fft2d.mesh", "fft2d_arraydist.mesh", "onesided.mesh",
+                                  "channel.mesh"])
+@pytest.mark.parametrize("procs", ["2", "4", "16"])
+def test_dump_dist_is_what_planning_on_every_rank_gives(workdir, capsys, name, procs):
+    """The layout when later ranks take the first one's plan is the layout
+    when every rank plans its own, as the AST walk does."""
+    seen = []
+    for walk in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if walk:
+                ast_walk.install(patch)
+            code = main(["dump-dist", name, "--procs", procs])
+        seen.append((code, capsys.readouterr()))
+    assert seen[0] == seen[1]
 
 
 def test_dump_dist_skips_computation(workdir):

@@ -8,6 +8,7 @@ the same statements.
 """
 
 import random
+import re
 from types import GeneratorType
 
 import pytest
@@ -18,7 +19,7 @@ from meshlite import check_program, compiler, parse, run, runtime
 from meshlite.checker import CheckedProgram
 from meshlite.errors import CheckError, RuntimeFault
 from meshlite.fixtures import generate_image
-from meshlite.interp import ProcessContext
+from meshlite.interp import MAX_CALL_DEPTH, ProcessContext
 
 N = 4  # replicated array length
 OPS = ("+", "-", "*", "/") * 3 + ("==", "!=", "<", "<=", ">", ">=")
@@ -595,16 +596,39 @@ def test_bounded_recursion_runs():
     assert result.local("n") == [n]
 
 
-def test_unbounded_recursion_faults_alike_on_both_run_paths():
-    checked = check_program(parse("function f() { f() };\nf();\n"))
-    for seed in (0, 3):
-        faults = []
-        for run_path in RUNS:
-            with pytest.raises(RuntimeFault) as info:
-                run_path(checked, 2, seed=seed)
-            faults.append(str(info.value))
-        assert faults[0] == faults[1]
-        assert faults[0].endswith(": calls nest too deeply at 1:16")
+def _under_frames(depth, thunk):
+    """thunk(), called under `depth` more Python frames."""
+    return thunk() if depth == 0 else _under_frames(depth - 1, thunk)
+
+
+@pytest.mark.parametrize("source, faults", [
+    ("function f() { f() };\nf();\n",
+     {0: "rank 1: calls nest too deeply at 1:16", 3: "rank 0: calls nest too deeply at 1:16"}),
+    ("var k := 0;\nfunction f() { k := k + 1; proc 0 { f() } };\nf();\n",
+     {0: "rank 0: calls nest too deeply at 2:37", 3: "rank 0: calls nest too deeply at 2:37"}),
+    ("function f() { sync; f() };\nf();\n",
+     {0: "rank 1: calls nest too deeply at 1:22", 3: "rank 0: calls nest too deeply at 1:22"}),
+])
+def test_unbounded_recursion_faults_alike_on_both_run_paths(source, faults):
+    """The call-depth limit, not Python's stack, decides where recursion
+    stops: the same call on the same rank on both run paths."""
+    checked = check_program(parse(source))
+    for seed, fault in faults.items():
+        for depth in (0, 7, 23, 40):
+            for run_path in RUNS:
+                with pytest.raises(RuntimeFault) as info:
+                    _under_frames(depth, lambda: run_path(checked, 2, seed=seed))
+                assert str(info.value) == fault, (seed, depth, run_path)
+
+
+def test_calls_nest_at_most_the_limit_deep():
+    body = "function f() { for i from 1 to n { n := n - 1; f() } };\nf();\n"
+    deepest = f"var n := {MAX_CALL_DEPTH - 1};\n" + body  # the top call and n nested ones
+    for run_path in RUNS:
+        run_path(check_program(parse(deepest)), 2)
+        with pytest.raises(RuntimeFault) as info:
+            run_path(check_program(parse(f"var n := {MAX_CALL_DEPTH};\n" + body)), 2)
+        assert str(info.value) == "rank 1: calls nest too deeply at 2:48"
 
 
 # --- communicating code ---
@@ -736,6 +760,50 @@ for i from 0 to 5 { X[i] := v };
             result = run_path(check_program(parse(source)), 2, seed=seed)
             assert result.logical("X") == [11, 11, 11, 1, 1, 1]
             assert result.trace.events == []
+
+
+def _element_outcome(checked, run_path):
+    """Trace, X, s per rank and the final store, or the fault."""
+    try:
+        result = run_path(checked, 3)
+    except RuntimeFault as fault:
+        return str(fault)
+    return result.trace.render(), result.logical("X"), result.local("s")
+
+
+@pytest.mark.parametrize("m", range(1, 18))
+def test_one_dimensional_elements_match_the_ast_walk(m):
+    """Every index of every 1D geometry, read and written, in range or not:
+    the compiled element path against the walk, which reads through locate."""
+    tails = ["", f"var y := X[{m}];", "var y := X[0 - 1];", f"X[{m}] := 1;", "X[0 - 1] := 1;",
+             "var y := X[1.5];", "X[0.5] := 1;", 'var y := X["a"];',
+             f"function h() {{ s := X[{m}] }};\nh();", f"function h() {{ X[{m}] := 1 }};\nh();"]
+    for blocks in range(1, min(m, 5) + 1):
+        for place in ("evendist[]", "on[1]"):
+            head = (f"var X : array[Int,{m}] :: allocated[row[] :: horizontal[{blocks}] :: "
+                    f"single[{place}]];\n"
+                    "var s := 0;\n"
+                    f"function g() {{ s := s + X[{m - 1}] }};\n"
+                    f"for i from 0 to {m - 1} {{ X[i] := i * 3 + 1 }};\n"
+                    "sync;\n"
+                    f"proc 0 {{ for i from 0 to {m - 1} {{ X[i] := X[i] + 100 }} }};\n"
+                    "sync;\n"
+                    f"for i from 0 to {m - 1} {{ s := s + X[i] }};\n"
+                    "g();\n")
+            for tail in tails:
+                checked = check_program(parse(head + tail + "\n"))
+                seen = [_element_outcome(checked, run_path) for run_path in RUNS]
+                assert seen[0] == seen[1], (blocks, place, tail)
+                if not tail:
+                    x = [i * 3 + 101 for i in range(m)]
+                    assert seen[0][1:] == (x, [sum(x) + x[-1]] * 3)
+                elif "0 - 1" in tail or f"[{m}]" in tail:
+                    index = -1 if "0 - 1" in tail else m
+                    assert re.fullmatch(rf"rank \d: index \({index},\) outside shape \({m},\) "
+                                        r"at (10|11):\d+", seen[0]), seen[0]
+                else:
+                    assert seen[0].endswith("array index must be an integer at 10:" +
+                                            ("1" if tail.startswith("X") else "11")), seen[0]
 
 
 ROW = "allocated[row[] :: horizontal[2] :: single[evendist[]]]"

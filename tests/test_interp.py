@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from conftest import checked_corpus
-from meshlite import check_program, parse, run
+from meshlite import chains, check_program, parse, run
 from meshlite.errors import DeadlockError, MeshError, RuntimeFault
 
 
@@ -431,6 +433,69 @@ def test_allocation_faults_keep_text_rank_and_location(src, nprocs, message):
     with pytest.raises(RuntimeFault) as err:
         run_src(src, nprocs)
     assert str(err.value) == message
+
+
+def test_rank_divergent_arraydist_maps_fault_under_every_schedule():
+    """Equal type arguments, different maps: an arraydist plan is never
+    taken from another rank, so the map that differs is seen."""
+    src = ("var d : array[Int,2] :: allocated[multiple[]];\nproc 2 { d[0] := 1 };\n"
+           "var A : array[Int,4] :: allocated[horizontal[2] :: single[arraydist[d]]];")
+    for seed in range(8):
+        with pytest.raises(RuntimeFault) as err:
+            run_src(src, 3, seed=seed)
+        assert re.fullmatch(r"rank [012]: SPMD divergence: 'A' has distribution "
+                            r"\('arraydist', \((0|1), 0\)\) here, but \('arraydist', "
+                            r"\((0|1), 0\)\) where it was allocated at 3:5", str(err.value))
+
+
+def test_a_loop_body_declaration_is_a_fresh_array_each_iteration():
+    src = """
+var s := 0;
+for t from 1 to 3 {
+  var A : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+  s := s + A[3];
+  sync;
+  proc 0 { A[3] := t };
+};
+"""
+    for seed in (0, 7919):
+        result = run_src(src, 2, seed=seed)
+        assert result.local("s") == [0, 0]
+        arrays = [array for _, array in result.declared]
+        assert [a.logical_get((3,)) for a in arrays] == [1, 2, 3]
+        assert len({id(b.buffer) for a in arrays for b in a.blocks}) == 6
+
+
+def test_type_arguments_read_from_a_remote_single_record_one_get_per_rank():
+    """A type argument names only locals (the checker rejects a single
+    there), so a remote value reaches it through one: one get per reading
+    rank and declaration, as before any rank took another's plan."""
+    src = """
+var q : Int :: allocated[single[on[1]]];
+proc 1 { q := 4 };
+sync;
+for t from 1 to 2 {
+  var n := q;
+  var A : array[Int,n] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+};
+"""
+    for seed in (0, 7919):
+        result = run_src(src, 3, seed=seed)
+        gets = [(e.src, e.dst, e.bytes, e.tag) for e in result.trace.events]
+        assert sorted(gets) == [(1, 0, 8, "q")] * 2 + [(1, 2, 8, "q")] * 2
+        assert [a.descriptor.shape for _, a in result.declared[1:]] == [(4,), (4,)]
+
+
+def test_each_allocation_is_planned_once_but_an_arraydist_one_by_every_rank(monkeypatch):
+    planned = []
+    original = chains.plan_of
+    monkeypatch.setattr(chains, "plan_of", lambda chain: planned.append(1) or original(chain))
+    src = ("var n := 8;\nvar d : array[Int,n] :: allocated[multiple[]];\n"
+           "var A : array[Int,n] :: allocated[row[] :: horizontal[n] :: single[evendist[]]];\n"
+           "var B : array[Int,n] :: allocated[row[] :: horizontal[n] :: single[arraydist[d]]];\n"
+           "for t from 1 to 2 { var c : Int :: allocated[single[on[t]]] };\n")
+    run_src(src, 8)
+    assert len(planned) == 1 + 1 + 8 + 2
 
 
 def test_fft2d_at_sixteen_ranks_cannot_split_its_blocks():

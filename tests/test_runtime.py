@@ -284,6 +284,25 @@ def test_locate_matches_partition_bounds_on_random_descriptors():
             "one per index", "extent 1"} <= kinds
 
 
+def test_one_dimensional_element_is_locate_without_the_tuple():
+    """element(i) against locate((i,)) for every 1D geometry up to 17
+    indices in 5 blocks, every index in range and several outside."""
+    for m in range(1, 18):
+        for parts in [None] + list(range(1, min(m, 5) + 1)):
+            partition = None if parts is None else ("horizontal", parts)
+            desc = make_descriptor((m,), elem="int", partition=partition,
+                                   distribution=("on", 0) if parts is None else ("even",))
+            for i in range(-3, m + 3):
+                try:
+                    expected = desc.locate((i,))
+                except IndexOutOfBounds as err:
+                    with pytest.raises(IndexOutOfBounds) as mine:
+                        desc.element(i)
+                    assert str(mine.value) == str(err) == f"index ({i},) outside shape ({m},)"
+                else:
+                    assert desc.element(i) == expected, (m, parts, i)
+
+
 def test_locate_rejects_bad_indices_with_their_messages():
     rng = random.Random(613)
     for _ in range(100):
