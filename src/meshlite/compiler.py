@@ -19,11 +19,16 @@ What a name reads and how a store communicates are decided here, once,
 from the declarations in scope (the Mesham types decide it before the
 program runs). Scoping is dynamic, so a name a function body takes from
 its caller, or a parameter, has no kind here: its closure branches on the
-binding's kind when it runs. The rules that hold whatever the kind live
-in ProcessContext: who performs an access (`performs`), that collectives
-cannot run inside `proc`, and the one-sided and channel transfers.
+binding's kind when it runs. The types also decide who stores: outside
+`proc` only X[i]'s owner stores `X[i] := e`, so a loop whose body is that
+one statement over a 1D single-copy array known here runs only the
+iterations the process owns (`owner_computes`). The rules that hold
+whatever the kind live in ProcessContext: who performs an access
+(`performs`), that collectives cannot run inside `proc`, and the one-sided
+and channel transfers.
 """
 
+import itertools
 from types import GeneratorType as Generator
 
 from . import ast, chains
@@ -32,15 +37,17 @@ from .runtime import ZEROES, DistributedArray
 from .values import OPERATORS, Binding, BlockRef, LineSlice, arith, owned_blocks, row_of
 
 
-_SCALARS = (ast.BinOp, ast.IntLit, ast.RealLit, ast.StrLit)  # never array values
+_LITERALS = (ast.IntLit, ast.RealLit, ast.StrLit)
+_SCALARS = (ast.BinOp, *_LITERALS)  # never array values
 _CLASSES = ("local", "array", "replica", "single")
 
 
-def compile_program(checked) -> dict:
+def compile_program(checked) -> tuple:
     """Closures for every statement of the program and of its functions.
 
-    Returns {id(statement): closure}; AST nodes compare structurally, so
-    the key is the node's identity.
+    Returns ({id(statement): closure}, nesting): AST nodes compare
+    structurally, so the key is the node's identity; nesting is the
+    deepest any loop or `proc` nests in another, or in a function body.
     """
     compiler = Compiler(checked.functions)
     for fn in checked.functions.values():
@@ -48,7 +55,7 @@ def compile_program(checked) -> dict:
         compiler.block(fn.body)
     compiler.scopes = [{}]
     compiler.block(checked.program.statements)
-    return compiler.code
+    return compiler.code, compiler.nesting
 
 
 def _class_of(binding):
@@ -84,6 +91,21 @@ def _drive(gen):
 def _resume(first, gen):
     yield first
     yield from gen
+
+
+def _owned(array, rank, lo, hi):
+    """The values v from lo to hi (lo <= hi) for which `X[v] := e` on the
+    1D single-copy array X does more than find the owner, on rank outside
+    `proc`: lo alone when it is negative, as the first iteration faults;
+    else the indices of rank's blocks in block order, then the first past
+    the end when hi is, which faults after the stores."""
+    if lo < 0:
+        return (lo,)
+    runs = [range(max(lo, b.low), min(hi, b.high) + 1) for b in array.blocks if b.owner == rank]
+    m = array.descriptor.shape[0]
+    if hi >= m:
+        runs.append((max(lo, m),))
+    return itertools.chain.from_iterable(runs)
 
 
 def _integer(ctx, node, i):
@@ -133,6 +155,13 @@ class Compiler:
         self.leaves = {}
         self.scopes = [{}]
         self.functions = functions
+        self.nesting = 0  # loops and `proc` blocks inside one another, at most
+
+    def open_scope(self):
+        """The scope of a loop or `proc` body."""
+        self.scopes.append({})
+        self.nesting = max(self.nesting, len(self.scopes) - 1)
+        return self.scopes[-1]
 
     def lookup(self, name):
         for scope in reversed(self.scopes):
@@ -278,6 +307,7 @@ class Compiler:
         """name[i] := value."""
         index, value = self.expr(node.target.index), self.expr(node.value)
         check = not isinstance(node.value, _SCALARS)
+        local = self.local(node.target.index)  # a known-local index, read inline
 
         def replica(ctx):
             """This process's replica."""
@@ -291,7 +321,7 @@ class Compiler:
 
         def distributed(ctx):
             """Element i of a single-copy array, stored by whoever performs it."""
-            i = index(ctx)
+            i = ctx.env[local].value if local is not None else index(ctx)
             binding = ctx.env[name]
             array = binding.array
             if len(array.descriptor.shape) != 1:
@@ -348,8 +378,9 @@ class Compiler:
 
     def loop(self, node):
         start, stop, var = self.expr(node.start), self.expr(node.stop), node.var
-        self.scopes.append({var: chains.LOCAL})
+        self.open_scope()[var] = chains.LOCAL
         stmts = self.block(node.body)
+        target = self.owner_computes(node)
         self.scopes.pop()
         # declarations in the body vanish at the end of every iteration
         scoped = any(type(s) is ast.VarDecl for s in stmts)
@@ -367,22 +398,50 @@ class Compiler:
                 binding = Binding(var, "local")
                 ctx.bind(var, binding)
             exec_stmt = ctx.exec_stmt
-            for binding.value in range(lo, hi + 1):
-                if scoped:
-                    inner = ctx.enter()
-                for s in stmts:
-                    result = exec_stmt(s)
-                    if result.__class__ is Generator:
-                        yield from result
-                if scoped:
-                    ctx.leave(inner)
+            if target is not None and ctx.proc_depth == 0 and lo <= hi:
+                # owner computes: run only the iterations that store on this
+                # rank (or fault); every other one would only find the owner.
+                # Local stores never wait.
+                (s,) = stmts
+                for binding.value in _owned(ctx.env[target].array, ctx.rank, lo, hi):
+                    exec_stmt(s)
+                binding.value = hi
+            else:
+                for binding.value in range(lo, hi + 1):
+                    if scoped:
+                        inner = ctx.enter()
+                    for s in stmts:
+                        result = exec_stmt(s)
+                        if result.__class__ is Generator:
+                            yield from result
+                    if scoped:
+                        ctx.leave(inner)
             if fresh:
                 ctx.leave(mark)
         return lambda ctx: _drive(iterate(ctx))
 
+    def owner_computes(self, node):
+        """X when the body of loop node is the one statement `X[v] := e`,
+        v the loop variable and X known here as a 1D single-copy writable
+        array: outside `proc` only X[v]'s owner runs more of it than the
+        index. Call it with the loop's scope open."""
+        if len(node.body) != 1:
+            return None
+        s = node.body[0]
+        if type(s) is not ast.Assign or type(s.target) is not ast.Index:
+            return None
+        base, index = s.target.base, s.target.index
+        if type(base) is not ast.Name or type(index) is not ast.Name or index.name != node.var:
+            return None
+        known = self.lookup(base.name)
+        if known is not None and known.distributed and known.ndim == 1 \
+                and not known.replicated and not known.read_only:
+            return base.name
+        return None
+
     def proc(self, node):
         rank = self.expr(node.rank)
-        self.scopes.append({})
+        self.open_scope()
         stmts = self.block(node.body)
         self.scopes.pop()
 
@@ -415,7 +474,7 @@ class Compiler:
             return self.binop(node)
         if kind is ast.Index:
             return self.index(node)
-        if kind in (ast.IntLit, ast.RealLit, ast.StrLit):
+        if kind in _LITERALS:
             return self.leaf(("const", type(node.value), node.value))
         if kind is ast.Accessor:
             return self.accessor(node)
@@ -458,17 +517,55 @@ class Compiler:
             return leaves[_class_of(binding)](ctx)
         return run
 
+    def local(self, node):
+        """node's name when it names a local known here, else None."""
+        if type(node) is ast.Name:
+            known = self.lookup(node.name)
+            if known is not None and not known.distributed:
+                return node.name
+        return None
+
     def binop(self, node):
         op = OPERATORS.get(node.op) or (lambda a, b: arith(node.op, a, b))
         left, right = self.expr(node.left), self.expr(node.right)
+        # a known local on the left, or a literal on the right, is read in
+        # the closure itself: one call fewer per operand
+        name = self.local(node.left)
+        literal = type(node.right) in _LITERALS
+        if name is not None and literal:
+            b = node.right.value
 
-        def run(ctx):
-            a = left(ctx)
-            b = right(ctx)
-            try:
-                return op(a, b)
-            except (TypeError, ZeroDivisionError) as exc:
-                raise ctx.fault(str(exc), node)
+            def run(ctx):
+                a = ctx.env[name].value
+                try:
+                    return op(a, b)
+                except (TypeError, ZeroDivisionError) as exc:
+                    raise ctx.fault(str(exc), node)
+        elif name is not None:
+            def run(ctx):
+                a = ctx.env[name].value
+                b = right(ctx)
+                try:
+                    return op(a, b)
+                except (TypeError, ZeroDivisionError) as exc:
+                    raise ctx.fault(str(exc), node)
+        elif literal:
+            b = node.right.value
+
+            def run(ctx):
+                a = left(ctx)
+                try:
+                    return op(a, b)
+                except (TypeError, ZeroDivisionError) as exc:
+                    raise ctx.fault(str(exc), node)
+        else:
+            def run(ctx):
+                a = left(ctx)
+                b = right(ctx)
+                try:
+                    return op(a, b)
+                except (TypeError, ZeroDivisionError) as exc:
+                    raise ctx.fault(str(exc), node)
         return run
 
     def index(self, node):
@@ -477,9 +574,11 @@ class Compiler:
         known = self.lookup(name) if name is not None else None
         if known is not None and known.distributed and known.ndim == 1:
             # an element of a 1D array, read straight from the binding
+            local = self.local(node.index)  # a known-local index, read inline
             if known.replicated:
                 def element(ctx):
-                    array, i = ctx.env[name].array, index(ctx)
+                    array = ctx.env[name].array
+                    i = ctx.env[local].value if local is not None else index(ctx)
                     shape = array.descriptor.shape
                     # _element's rule, inline on the commonest read: a call
                     # here costs interp-local-p4 about 3% of its run
@@ -489,7 +588,8 @@ class Compiler:
                 return element
 
             def single_copy(ctx):
-                array, i = ctx.env[name].array, index(ctx)
+                array = ctx.env[name].array
+                i = ctx.env[local].value if local is not None else index(ctx)
                 if i.__class__ is not int:
                     _integer(ctx, node, i)
                 return ctx.read_element(array, i)

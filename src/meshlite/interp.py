@@ -20,6 +20,7 @@ The dispatch for an assignment follows the resolved type attributes:
 import functools
 import math
 import os
+import sys
 from types import GeneratorType
 
 from . import chains, mshd, runtime
@@ -84,10 +85,16 @@ def compute_sins(n: int) -> list:
 # --- shared run state ---
 
 
-# User calls nest at most this deep. The limit keeps a recursive body's
-# Python frames (a few per statement, loop and proc level it nests) well
-# inside Python's default recursion limit of 1000.
+# User calls nest at most this deep. Each call level takes up to
+# FRAMES_PER_LEVEL Python frames for the call and for every loop and `proc`
+# level a body nests, so a run raises Python's recursion limit by that
+# many frames, MAX_CALL_DEPTH times, for the deepest nesting the program
+# has; by at most MAX_EXTRA_FRAMES, as beyond that the C stack may
+# overflow first. A program nesting deeper than that allows can still run
+# out of Python's stack before the call limit.
 MAX_CALL_DEPTH = 64
+FRAMES_PER_LEVEL = 5
+MAX_EXTRA_FRAMES = 10_000
 
 
 class RunState:
@@ -330,13 +337,13 @@ class ProcessContext:
         """Record one onesided-get from owner's memory. A get completes
         where it is made: it is not a switch point."""
         self.state.trace.record("onesided-get", owner, self.rank,
-                                count * array.element_bytes(), tag)
+                                count * array.esize, tag)
 
     def put(self, owner, array, tag, count=1):
         """Generator: one onesided-put to owner; the caller then stores."""
         yield PAUSE
         self.state.trace.record("onesided-put", src=self.rank, dst=owner,
-                                nbytes=count * array.element_bytes(), tag=tag)
+                                nbytes=count * array.esize, tag=tag)
 
     def store(self, binding, block, offset, value):
         """Generator: store one element, after a onesided-put when remote."""
@@ -357,7 +364,7 @@ class ProcessContext:
         block = array.blocks[k]
         if block.owner != self.rank:
             self.state.trace.record("onesided-get", block.owner, self.rank,
-                                    array.element_bytes(), array.name)
+                                    array.esize, array.name)
         return block.buffer[off]
 
     def read_line(self, line, index):
@@ -371,7 +378,7 @@ class ProcessContext:
         """Generator: point-to-point transfer over the declared link."""
         _, csrc, cdst, is_async = comm
         array = dst_binding.array
-        nbytes = array.element_bytes()
+        nbytes = array.esize
         slot = self.state.channel_slot(array, csrc, cdst)
         if self.rank == csrc:
             value = src_binding.array.blocks[0].buffer[0]
@@ -413,7 +420,7 @@ class ProcessContext:
             plan = runtime.plan_redistribution(
                 src.descriptor, dst.descriptor, same_storage=_share_storage(dst, src))
             runtime.copy_segments(plan, src, dst)
-            trace.record_plan(plan, dst.element_bytes(), dst.name)
+            trace.record_plan(plan, dst.esize, dst.name)
 
         collective = Collective("assign", f"{dst.name} := {src.name}", stmt, (dst, src))
         yield from self.state.barrier.wait(self.rank, collective, redistribute)
@@ -521,8 +528,14 @@ def run(program, nprocs, seed=0, workdir=None, overrides=None, layout_only=False
         checked = check_program(program)
     state = RunState(nprocs, seed=seed, workdir=workdir,
                      layout_only=layout_only, overrides=overrides)
-    state.code = compile_program(checked)
+    state.code, nesting = compile_program(checked)
     contexts = [ProcessContext(r, state, checked) for r in range(nprocs)]
-    state.scheduler.run([c.run_program() for c in contexts])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + min(MAX_CALL_DEPTH * FRAMES_PER_LEVEL * (nesting + 1),
+                                      MAX_EXTRA_FRAMES))
+    try:
+        state.scheduler.run([c.run_program() for c in contexts])
+    finally:
+        sys.setrecursionlimit(limit)
     return RunResult(state, contexts)
 

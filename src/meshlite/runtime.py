@@ -197,6 +197,7 @@ class DistributedArray:
         self.blocks = blocks or []
         self.replicas = replicas or []
         self.alias_of = alias_of
+        self.esize = ELEMENT_SIZES[descriptor.elem]  # bytes per element
 
     @property
     def replicated(self):
@@ -232,9 +233,6 @@ class DistributedArray:
             return
         k, off = self.descriptor.locate(index)
         self.blocks[k].buffer[off] = value
-
-    def element_bytes(self):
-        return ELEMENT_SIZES[self.descriptor.elem]
 
 
 def _dense_offset(descriptor, index):

@@ -175,7 +175,7 @@ class WalkingContext(interp.ProcessContext):
         value = array.blocks[0].buffer[0]
         if owner != self.rank:
             self.state.trace.record("onesided-get", src=owner, dst=self.rank,
-                                    nbytes=array.element_bytes(), tag=binding.name)
+                                    nbytes=array.esize, tag=binding.name)
         return value
 
     def put_scalar(self, binding, value):
@@ -184,7 +184,7 @@ class WalkingContext(interp.ProcessContext):
         if owner != self.rank:
             yield PAUSE
             self.state.trace.record("onesided-put", src=self.rank, dst=owner,
-                                    nbytes=array.element_bytes(), tag=binding.name)
+                                    nbytes=array.esize, tag=binding.name)
         array.blocks[0].buffer[0] = value
 
     def assign_element(self, stmt, target):
@@ -223,7 +223,7 @@ class WalkingContext(interp.ProcessContext):
         if owner != self.rank:
             yield PAUSE
             self.state.trace.record("onesided-put", src=self.rank, dst=owner,
-                                    nbytes=array.element_bytes(), tag=binding.name)
+                                    nbytes=array.esize, tag=binding.name)
         array.blocks[k].buffer[off] = value
 
     def assign_line(self, stmt, target):
@@ -246,13 +246,13 @@ class WalkingContext(interp.ProcessContext):
         if src_owner != self.rank:
             self.state.trace.record(
                 "onesided-get", src=src_owner, dst=self.rank,
-                nbytes=len(value) * binding.array.element_bytes(), tag=binding.name)
+                nbytes=len(value) * binding.array.esize, tag=binding.name)
         payload = value.values()
         if owner != self.rank:
             yield PAUSE
             self.state.trace.record(
                 "onesided-put", src=self.rank, dst=owner,
-                nbytes=len(payload) * binding.array.element_bytes(), tag=binding.name)
+                nbytes=len(payload) * binding.array.esize, tag=binding.name)
         dst.store(payload)
 
     def assign_whole_array(self, stmt, dst_binding):
@@ -366,7 +366,7 @@ class WalkingContext(interp.ProcessContext):
         value = block.buffer[off]
         if block.owner != self.rank:
             self.state.trace.record("onesided-get", src=block.owner, dst=self.rank,
-                                    nbytes=array.element_bytes(), tag=array.name)
+                                    nbytes=array.esize, tag=array.name)
         return value
 
     def get_line_element(self, line, index):
@@ -376,7 +376,7 @@ class WalkingContext(interp.ProcessContext):
         if owner != self.rank:
             array = line.array
             self.state.trace.record("onesided-get", src=owner, dst=self.rank,
-                                    nbytes=array.element_bytes(), tag=array.name)
+                                    nbytes=array.esize, tag=array.name)
         return value
 
     def eval_accessor(self, expr):

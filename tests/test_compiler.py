@@ -9,6 +9,7 @@ the same statements.
 
 import random
 import re
+import sys
 from types import GeneratorType
 
 import pytest
@@ -399,6 +400,42 @@ def test_faults_match_the_ast_walk(body, message):
         assert str(info.value).split(": ", 1)[1] == message
 
 
+@pytest.mark.parametrize("line, message", [
+    # a known local on the left and a literal on the right
+    ("y := s + 1;", 'can only concatenate str (not "int") to str at 7:8'),
+    ("y := z / 0;", "division by zero at 7:8"),
+    # a known local on the left
+    ("y := s - (z + 1);", "unsupported operand type(s) for -: 'str' and 'int' at 7:8"),
+    ("for i from 0 to 3 { y := y + 6 / (i - 2) };", "division by zero at 7:32"),
+    # a literal on the right
+    ("y := (z + 1) / 0;", "division by zero at 7:14"),
+    ('y := X[1] + "a";', "unsupported operand type(s) for +: 'int' and 'str' at 7:11"),
+    # an element whose index is a known local
+    ("y := X[z] / 0;", "division by zero at 7:11"),
+    ("y := a[z] - s;", "unsupported operand type(s) for -: 'int' and 'str' at 7:11"),
+    ("y := X[r];", "array index must be an integer at 7:7"),
+    ("y := a[s];", "array index must be an integer at 7:7"),
+    ("X[r] := 1;", "array index must be an integer at 7:1"),
+    ("for i from 0 to 4 { y := a[i] };", "index 4 outside shape (4,) at 7:27"),
+    ("for i from 0 to 4 { y := X[i] };", "index (4,) outside shape (4,) at 7:21"),
+])
+def test_inline_operands_fault_as_the_ast_walk(line, message):
+    """Operands a binary operator or an element read takes without a
+    closure call fault with the walk's message, rank and position."""
+    source = ("var a : array[Int,4];\n"
+              "var X : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+              'var s := "x";\nvar z := 0;\nvar r := 1.5;\nvar y := 0;\n' + line + "\n")
+    checked = check_program(parse(source))
+    for seed in (0, 3):
+        seen = []
+        for run_path in RUNS:
+            with pytest.raises(RuntimeFault) as info:
+                run_path(checked, 2, seed=seed)
+            seen.append(str(info.value))
+        assert seen[0] == seen[1]
+        assert seen[0].split(": ", 1)[1] == message
+
+
 ROWS = "var A : array[Int,4,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
 
 
@@ -631,6 +668,28 @@ def test_calls_nest_at_most_the_limit_deep():
         assert str(info.value) == "rank 1: calls nest too deeply at 2:48"
 
 
+@pytest.mark.parametrize("source, call", [
+    ("function f() { for i from 0 to 0 { for j from 0 to 0 { for k from 0 to 0 "
+     "{ proc 0 { f() } } } } };\nf();\n", "1:85"),
+    ("function f() { " + "".join(f"for i{k} from 0 to 0 {{ " for k in range(10))
+     + "proc 0 { f() } " + "} " * 10 + "};\nf();\n", "1:235"),
+], ids=["three loops", "ten loops"])
+def test_recursion_inside_nested_loops_stops_at_the_call_on_both_run_paths(source, call):
+    """However deep a recursive body nests loops and `proc`, the call-depth
+    limit stops it, at the call, before Python's stack runs out; the
+    recursion limit a run raises is put back after a fault and after a run."""
+    checked = check_program(parse(source))
+    limit = sys.getrecursionlimit()
+    for seed in (0, 3):
+        for run_path in RUNS:
+            with pytest.raises(RuntimeFault) as info:
+                run_path(checked, 2, seed=seed)
+            assert str(info.value) == f"rank 0: calls nest too deeply at {call}"
+            assert sys.getrecursionlimit() == limit
+    run(check_program(parse(source.replace("f();", "var x := 1;"))), 2)
+    assert sys.getrecursionlimit() == limit
+
+
 # --- communicating code ---
 
 
@@ -804,6 +863,98 @@ def test_one_dimensional_elements_match_the_ast_walk(m):
                 else:
                     assert seen[0].endswith("array index must be an integer at 10:" +
                                             ("1" if tail.startswith("X") else "11")), seen[0]
+
+
+def _number(v):
+    """v as meshlite source, which has no unary minus."""
+    return str(v) if v >= 0 else f"0 - {-v}"
+
+
+def _owner_loop_programs(nprocs, m, blocks, place, forms):
+    """Programs that fill a 1D single-copy X, then store into it with
+    `for i from lo to hi { X[i] := e }` written in each of `forms`, over
+    empty and out-of-range bounds, and values that read X, remote or not,
+    or divide by zero. `i` is declared, so its value after the loop shows."""
+    dist = ""
+    if place == "arraydist[d]":
+        dist = f"var d : array[Int,{blocks}];\n" + "".join(
+            f"d[{b}] := {(3 * b + 1) % nprocs};\n" for b in range(blocks))
+    head = (f"var m := {m};\nvar i := 50;\n{dist}"
+            f"var X : array[Int,m] :: allocated[row[] :: horizontal[{blocks}] :: "
+            f"single[{place}]];\n"
+            "for i from 0 to m - 1 { X[i] := i * 5 + 2 };\nsync;\n")
+    loops = {
+        "top": "for i from {lo} to {hi} {{ X[i] := {e} }};",
+        "fresh": "for j from {lo} to {hi} {{ X[j] := {ej} }};",
+        "proc": f"proc {nprocs - 1} {{{{ for i from {{lo}} to {{hi}} {{{{ X[i] := {{e}} }}}} }}}};",
+        "function": "function g() {{ for i from {lo} to {hi} {{ X[i] := {e} }} }};\ng();",
+    }
+    for lo, hi in [(0, m - 1), (1, m - 2), (2, 1), (m - 1, m - 1), (-3, -5), (m + 1, m),
+                   (-1, m - 1), (0, m), (m, m + 1), (m + 2, m + 3), (-2, 0)]:
+        for e in ("X[m - 1 - i] + i", f"60 / (i - {m // 2})"):
+            for form in forms:
+                loop = loops[form].format(lo=_number(lo), hi=_number(hi), e=e,
+                                          ej=e.replace("i", "j"))
+                yield head + loop + "\n"
+
+
+def _owner_loop_outcome(checked, nprocs, run_path, seed):
+    try:
+        result = run_path(checked, nprocs, seed=seed)
+    except RuntimeFault as fault:
+        return str(fault)
+    return result.trace.render(), result.logical("X"), result.local("i")
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 7])
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 4])
+def test_owner_computes_loops_match_the_ast_walk(nprocs, m):
+    """A loop whose body is `X[i] := e` runs only the owner's iterations
+    outside `proc`: the same state, trace, i after the loop, and fault
+    (message, rank, line:col) as the walk, which runs every iteration.
+    In `proc` and where X is a function body's free name the general loop
+    runs, and it must agree too. A fault-free run is the same under any
+    schedule, so only a fault is run under a second one."""
+    for blocks in range(1, min(m, 5) + 1):
+        for place in ("evendist[]", f"on[{nprocs - 1}]", "arraydist[d]"):
+            forms = ("top",)
+            if blocks == 2 and place == "evendist[]":
+                forms += ("fresh", "proc", "function")
+            for source in _owner_loop_programs(nprocs, m, blocks, place, forms):
+                checked = check_program(parse(source))
+                for seed in (0, 3):
+                    seen = [_owner_loop_outcome(checked, nprocs, run_path, seed)
+                            for run_path in RUNS]
+                    assert seen[0] == seen[1], source
+                    if not isinstance(seen[0], str) or nprocs == 1:
+                        break
+
+
+def test_owner_computes_loops_run_only_the_owned_iterations(monkeypatch):
+    """Outside `proc` each rank runs the stores it owns; in `proc`, or with
+    X a free name of a function body, every iteration runs."""
+    exec_stmt, stores = ProcessContext.exec_stmt, {}
+
+    def counted(self, stmt):
+        if type(stmt).__name__ == "Assign" and stmt.line == 3:
+            stores[self.rank] = stores.get(self.rank, 0) + 1
+        return exec_stmt(self, stmt)
+
+    monkeypatch.setattr(ProcessContext, "exec_stmt", counted)
+    head = ("var X : array[Int,10] :: allocated[row[] :: horizontal[5] :: single[evendist[]]];\n"
+            "var i := 0;\n")
+    for loop, want, last in [
+        ("for i from 0 to 9 { X[i] := i };", {0: 4, 1: 4, 2: 2}, [9, 9, 9]),
+        ("for i from 3 to 6 { X[i] := i };", {0: 1, 1: 1, 2: 2}, [6, 6, 6]),
+        ("proc 1 { for i from 0 to 9 { X[i] := i } };", {1: 10}, [0, 9, 0]),
+        ("function g() { for i from 0 to 9 { X[i] := i } };\ng();", {0: 10, 1: 10, 2: 10},
+         [9, 9, 9]),
+    ]:
+        stores.clear()
+        result = run(check_program(parse(head + loop + "\n")), 3)
+        assert stores == want, loop
+        assert result.logical("X")[3:7] == [3, 4, 5, 6]
+        assert result.local("i") == last
 
 
 ROW = "allocated[row[] :: horizontal[2] :: single[evendist[]]]"

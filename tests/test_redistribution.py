@@ -325,7 +325,7 @@ def test_planner_agrees_with_brute_force_oracle(seed):
         assert remote_bytes(plan) == remote_bytes(oracle), context
         if not src.replicated and not dst.replicated:
             assert remote_bytes(plan) == owner_changes_bytes(
-                src.descriptor, dst.descriptor, src.element_bytes()), context
+                src.descriptor, dst.descriptor, src.esize), context
 
         expected = logical_values(src)
         copy_segments(plan, src, dst)
@@ -423,8 +423,8 @@ def test_batched_trace_matches_per_event_oracle(seed):
         same = _share_storage(dst, src)
         plan = plan_redistribution(src.descriptor, dst.descriptor, same_storage=same)
         context = f"src={src.descriptor} dst={dst.descriptor} same={same}"
-        log.record_plan(plan, src.element_bytes(), dst.name)
-        reference.record_plan(plan, src.element_bytes(), dst.name)
+        log.record_plan(plan, src.esize, dst.name)
+        reference.record_plan(plan, src.esize, dst.name)
         assert_trace_matches_reference(log, reference, context)
 
 
