@@ -1,4 +1,4 @@
-"""AST node definitions and the canonical pretty-printer.
+"""AST node definitions, and how diagnostics print expressions and types.
 
 Position fields never participate in equality so that a pretty-print /
 re-parse round trip compares structurally equal.
@@ -6,6 +6,11 @@ re-parse round trip compares structurally equal.
 
 from dataclasses import dataclass, field
 from typing import Optional, Union
+
+# No source tree nests deeper than this (the parser refuses it), and no
+# process runs loops, `proc` bodies and calls nested deeper (interp.py):
+# either fits Python's default stack.
+MAX_DEPTH = 128
 
 
 @dataclass(frozen=True)
@@ -200,42 +205,3 @@ def _fmt_type_app(app):
 
 def format_type(te: TypeExpr) -> str:
     return " :: ".join(_fmt_type_app(a) for a in te.apps)
-
-
-def _fmt_stmt(s, indent):
-    pad = "    " * indent
-    if isinstance(s, VarDecl):
-        out = pad + "var " + s.name
-        if s.type_expr is not None:
-            out += " : " + format_type(s.type_expr)
-        if s.init is not None:
-            out += " := " + _fmt_expr(s.init)
-        return out + ";"
-    if isinstance(s, Assign):
-        return f"{pad}{_fmt_expr(s.target)} := {_fmt_expr(s.value)};"
-    if isinstance(s, For):
-        head = f"{pad}for {s.var} from {_fmt_expr(s.start)} to {_fmt_expr(s.stop)}"
-        if len(s.body) == 1 and not isinstance(s.body[0], (For, ProcBlock)):
-            return head + " " + _fmt_stmt(s.body[0], 0)
-        return head + " " + _fmt_block(s.body, indent) + ";"
-    if isinstance(s, ProcBlock):
-        return f"{pad}proc {_fmt_expr(s.rank)} " + _fmt_block(s.body, indent) + ";"
-    if isinstance(s, ExprStmt):
-        return f"{pad}{_fmt_expr(s.expr)};"
-    if isinstance(s, Sync):
-        return f"{pad}sync{' ' + s.var if s.var else ''};"
-    if isinstance(s, FuncDef):
-        params = ", ".join(f"{p.name} : {format_type(p.type_expr)}" for p in s.params)
-        return f"{pad}function {s.name}({params}) " + _fmt_block(s.body, indent)
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def _fmt_block(body, indent):
-    if not body:
-        return "{ }"
-    inner = "\n".join(_fmt_stmt(s, indent + 1) for s in body)
-    return "{\n" + inner + "\n" + "    " * indent + "}"
-
-
-def format_program(program: Program) -> str:
-    return "\n".join(_fmt_stmt(s, 0) for s in program.statements) + "\n"

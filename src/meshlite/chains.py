@@ -26,9 +26,7 @@ structurally; plan_of requires concrete values.
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .errors import IncompletePlan, InvalidCombination, UnknownAttribute
-
-ATTRIBUTES = ("mutability", "ordering", "partition", "distribution", "placement", "commMode")
+from .errors import IncompletePlan, InvalidCombination
 
 ELEMENT_SIZES = {"int": 8, "char": 1, "real": 8, "complex": 16}
 
@@ -276,14 +274,6 @@ def chain_of(*ctors) -> TypeChain:
     for c in ctors:
         chain = combine(chain, c)
     return chain
-
-
-def resolve_attribute(chain: TypeChain, attribute: str):
-    """Value of the rightmost constructor providing the attribute, or the
-    documented default."""
-    if attribute not in ATTRIBUTES:
-        raise UnknownAttribute(f"unknown attribute {attribute!r}")
-    return _attributes(chain)[attribute]
 
 
 def _attributes(chain: TypeChain) -> dict:

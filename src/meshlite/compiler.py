@@ -42,20 +42,17 @@ _SCALARS = (ast.BinOp, *_LITERALS)  # never array values
 _CLASSES = ("local", "array", "replica", "single")
 
 
-def compile_program(checked) -> tuple:
-    """Closures for every statement of the program and of its functions.
-
-    Returns ({id(statement): closure}, nesting): AST nodes compare
-    structurally, so the key is the node's identity; nesting is the
-    deepest any loop or `proc` nests in another, or in a function body.
-    """
+def compile_program(checked) -> dict:
+    """Closures for every statement of the program and of its functions,
+    by id(statement): AST nodes compare structurally, so the key is the
+    node's identity."""
     compiler = Compiler(checked.functions)
     for fn in checked.functions.values():
         compiler.scopes = [{}]  # a body's free names and parameters stay unknown
         compiler.block(fn.body)
     compiler.scopes = [{}]
     compiler.block(checked.program.statements)
-    return compiler.code, compiler.nesting
+    return compiler.code
 
 
 def _class_of(binding):
@@ -155,12 +152,10 @@ class Compiler:
         self.leaves = {}
         self.scopes = [{}]
         self.functions = functions
-        self.nesting = 0  # loops and `proc` blocks inside one another, at most
 
     def open_scope(self):
         """The scope of a loop or `proc` body."""
         self.scopes.append({})
-        self.nesting = max(self.nesting, len(self.scopes) - 1)
         return self.scopes[-1]
 
     def lookup(self, name):
@@ -392,13 +387,15 @@ class Compiler:
             binding = ctx.env.get(var)
             if binding is not None and binding.read_only:
                 raise ctx.fault(f"loop variable {var!r} is read-only", node)
-            fresh = binding is None or binding.kind != "local"
-            if fresh:
-                mark = ctx.enter()
+            if lo > hi:
+                return
+            mark = ctx.enter(node)
+            if binding is None or binding.kind != "local":
                 binding = Binding(var, "local")
                 ctx.bind(var, binding)
+            inner = len(ctx.shadow)
             exec_stmt = ctx.exec_stmt
-            if target is not None and ctx.proc_depth == 0 and lo <= hi:
+            if target is not None and ctx.proc_depth == 0:
                 # owner computes: run only the iterations that store on this
                 # rank (or fault); every other one would only find the owner.
                 # Local stores never wait.
@@ -408,16 +405,13 @@ class Compiler:
                 binding.value = hi
             else:
                 for binding.value in range(lo, hi + 1):
-                    if scoped:
-                        inner = ctx.enter()
                     for s in stmts:
                         result = exec_stmt(s)
                         if result.__class__ is Generator:
                             yield from result
                     if scoped:
-                        ctx.leave(inner)
-            if fresh:
-                ctx.leave(mark)
+                        ctx.restore(inner)
+            ctx.leave(mark)
         return lambda ctx: _drive(iterate(ctx))
 
     def owner_computes(self, node):
@@ -446,7 +440,7 @@ class Compiler:
         self.scopes.pop()
 
         def guarded(ctx):
-            mark = ctx.enter()
+            mark = ctx.enter(node)
             ctx.proc_depth += 1
             exec_stmt = ctx.exec_stmt
             for s in stmts:
@@ -653,7 +647,7 @@ class Compiler:
                 if b is None:
                     raise ctx.fault(f"{arg.name!r} is not declared", node)
                 bindings.append(b)
-            mark = ctx.enter_call(node)
+            mark = ctx.enter(node)
             for param, b in zip(params, bindings):
                 ctx.bind(param, b)
             exec_stmt = ctx.exec_stmt
@@ -661,5 +655,5 @@ class Compiler:
                 result = exec_stmt(s)
                 if result.__class__ is Generator:
                     yield from result
-            ctx.leave_call(mark)
+            ctx.leave(mark)
         return lambda ctx: _drive(call(ctx))

@@ -31,15 +31,6 @@ def generate_image(n: int, seed: int, path) -> None:
     write_mshd(path, "complex", (n, n), values)
 
 
-def oracle_dft1d(values):
-    """Direct O(n^2) unnormalized forward DFT."""
-    n = len(values)
-    return [
-        sum(values[j] * cmath.exp(-2j * cmath.pi * j * k / n) for j in range(n))
-        for k in range(n)
-    ]
-
-
 def oracle_dft2d(matrix):
     """Direct O(n^4) 2D DFT: X[k,l] = sum over (a,b) of x[a,b] w^(ak+bl).
 

@@ -20,10 +20,10 @@ The dispatch for an assignment follows the resolved type attributes:
 import functools
 import math
 import os
-import sys
 from types import GeneratorType
 
 from . import chains, mshd, runtime
+from .ast import MAX_DEPTH
 from .checker import CheckedProgram, check_program
 from .compiler import compile_program
 from .errors import (
@@ -83,18 +83,6 @@ def compute_sins(n: int) -> list:
 
 
 # --- shared run state ---
-
-
-# User calls nest at most this deep. Each call level takes up to
-# FRAMES_PER_LEVEL Python frames for the call and for every loop and `proc`
-# level a body nests, so a run raises Python's recursion limit by that
-# many frames, MAX_CALL_DEPTH times, for the deepest nesting the program
-# has; by at most MAX_EXTRA_FRAMES, as beyond that the C stack may
-# overflow first. A program nesting deeper than that allows can still run
-# out of Python's stack before the call limit.
-MAX_CALL_DEPTH = 64
-FRAMES_PER_LEVEL = 5
-MAX_EXTRA_FRAMES = 10_000
 
 
 class RunState:
@@ -183,7 +171,6 @@ class ProcessContext:
         self.depth = 0  # scopes open above the top level
         self.stmt = None  # the statement started last: the innermost running
         self.proc_depth = 0
-        self.calls = 0  # user calls running, innermost included
         self.alloc_counts = {}
 
     # scope handling
@@ -193,12 +180,18 @@ class ProcessContext:
             self.shadow.append((name, self.env.get(name)))
         self.env[name] = binding
 
-    def enter(self):
-        """Open a scope; returns the mark `leave` restores to."""
+    def enter(self, node):
+        """Open the scope of node, a loop, a `proc` body or a call; returns
+        the mark `leave` restores to. With MAX_DEPTH scopes open the node
+        faults instead, whatever Python's stack holds."""
+        if self.depth == MAX_DEPTH:
+            raise self.fault(f"loops, proc bodies and calls nest more than {MAX_DEPTH} deep",
+                             node)
         self.depth += 1
         return len(self.shadow)
 
-    def leave(self, mark):
+    def restore(self, mark):
+        """Drop the bindings made since mark, putting back what they hid."""
         env, shadow = self.env, self.shadow
         while len(shadow) > mark:
             name, hidden = shadow.pop()
@@ -206,20 +199,10 @@ class ProcessContext:
                 del env[name]
             else:
                 env[name] = hidden
+
+    def leave(self, mark):
+        self.restore(mark)
         self.depth -= 1
-
-    def enter_call(self, call):
-        """Open a user call's scope, unless calls already nest
-        MAX_CALL_DEPTH deep: then the call faults, whatever Python's
-        stack holds."""
-        if self.calls == MAX_CALL_DEPTH:
-            raise self.fault("calls nest too deeply", call)
-        self.calls += 1
-        return self.enter()
-
-    def leave_call(self, mark):
-        self.calls -= 1
-        self.leave(mark)
 
     def fault(self, message, node=None):
         return RuntimeFault(message, rank=self.rank,
@@ -243,6 +226,7 @@ class ProcessContext:
                 raise self.fault(str(exc), self.stmt) from exc
             except RecursionError as exc:
                 raise self.fault("calls nest too deeply", self.stmt) from exc
+        self.state.barrier.finish(self.rank)
 
     def exec_stmt(self, stmt):
         """Run one statement; a generator for the caller to drain with
@@ -528,14 +512,8 @@ def run(program, nprocs, seed=0, workdir=None, overrides=None, layout_only=False
         checked = check_program(program)
     state = RunState(nprocs, seed=seed, workdir=workdir,
                      layout_only=layout_only, overrides=overrides)
-    state.code, nesting = compile_program(checked)
+    state.code = compile_program(checked)
     contexts = [ProcessContext(r, state, checked) for r in range(nprocs)]
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + min(MAX_CALL_DEPTH * FRAMES_PER_LEVEL * (nesting + 1),
-                                      MAX_EXTRA_FRAMES))
-    try:
-        state.scheduler.run([c.run_program() for c in contexts])
-    finally:
-        sys.setrecursionlimit(limit)
+    state.scheduler.run([c.run_program() for c in contexts])
     return RunResult(state, contexts)
 

@@ -1,6 +1,13 @@
-"""Recursive-descent parser producing the meshlite AST."""
+"""Recursive-descent parser producing the meshlite AST.
+
+The parser builds no tree deeper than MAX_DEPTH, so that neither it nor
+the passes after it outgrow Python's stack: a block, a parenthesis, a
+call's arguments, a type's arguments, and each binary or postfix operator
+of a chain go one level deeper.
+"""
 
 from . import ast
+from .ast import MAX_DEPTH
 from .errors import ParseError
 from .lexer import END, Token, tokenize
 
@@ -16,6 +23,7 @@ class Parser:
         self.tokens = list(tokens)
         self.tokens.append(self.tokens[-1])
         self.pos = 0
+        self.depth = 0  # how deep the tree being built nests at this token
 
     # --- token plumbing ---
 
@@ -45,6 +53,12 @@ class Parser:
         wanted = what or (lexeme if lexeme else kind)
         got = tok.lexeme if tok.kind != END else "end of input"
         raise ParseError(f"expected {wanted}, got {got!r}", tok.line, tok.column)
+
+    def deeper(self, tok):
+        """Go one level deeper into the tree, at tok."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"source nests more than {MAX_DEPTH} deep", tok.line, tok.column)
 
     def expect_semi(self):
         """Statements end with `;`, omissible before a closing brace."""
@@ -131,7 +145,9 @@ class Parser:
             body = self.parse_block()
             self.match("punctuation", ";")
         else:
+            self.deeper(self.peek())
             body = tuple(self.parse_statement())
+            self.depth -= 1
         return ast.For(var, start, stop, body, line=kw.line, column=kw.column)
 
     def parse_proc(self) -> ast.ProcBlock:
@@ -168,7 +184,7 @@ class Parser:
         return ast.FuncDef(name, tuple(params), body, line=kw.line, column=kw.column)
 
     def parse_block(self) -> tuple:
-        self.expect("punctuation", "{")
+        self.deeper(self.expect("punctuation", "{"))
         stmts = []
         while not self.check("punctuation", "}"):
             if self.check(END):
@@ -176,6 +192,7 @@ class Parser:
                 raise ParseError("unterminated block", tok.line, tok.column)
             stmts.extend(self.parse_statement())
         self.expect("punctuation", "}")
+        self.depth -= 1
         return tuple(stmts)
 
     # --- type expressions ---
@@ -191,14 +208,16 @@ class Parser:
         name = self.expect("identifier", what="type constructor")
         args = []
         has_args = False
-        if self.match("punctuation", "["):
+        if self.check("punctuation", "["):
             has_args = True
+            self.deeper(self.advance())
             if not self.check("punctuation", "]"):
                 while True:
                     args.append(self.parse_type_arg())
                     if not self.match("punctuation", ","):
                         break
             self.expect("punctuation", "]")
+            self.depth -= 1
         return ast.TypeApp(name.lexeme, tuple(args), has_args,
                            line=name.line, column=name.column)
 
@@ -226,46 +245,62 @@ class Parser:
     def parse_comparison(self):
         left = self.parse_additive()
         op = self.tokens[self.pos]
+        n = 0  # operators: each goes one level deeper
         while op.kind == "operator" and op.lexeme in _COMPARISONS:
-            self.advance()
+            n += 1
+            self.deeper(self.advance())
             right = self.parse_additive()
             left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
             op = self.tokens[self.pos]
+        if n:
+            self.depth -= n
         return left
 
     def parse_additive(self):
         left = self.parse_multiplicative()
         op = self.tokens[self.pos]
+        n = 0  # operators: each goes one level deeper
         while op.kind == "operator" and op.lexeme in ("+", "-"):
-            self.advance()
+            n += 1
+            self.deeper(self.advance())
             right = self.parse_multiplicative()
             left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
             op = self.tokens[self.pos]
+        if n:
+            self.depth -= n
         return left
 
     def parse_multiplicative(self):
         left = self.parse_postfix()
         op = self.tokens[self.pos]
+        n = 0  # operators: each goes one level deeper
         while op.kind == "operator" and op.lexeme in ("*", "/"):
-            self.advance()
+            n += 1
+            self.deeper(self.advance())
             right = self.parse_postfix()
             left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
             op = self.tokens[self.pos]
+        if n:
+            self.depth -= n
         return left
 
     def parse_postfix(self):
         expr = self.parse_primary()
+        n = 0  # postfix operators: each goes one level deeper
         while True:
             tok = self.tokens[self.pos]
             if tok.kind != "punctuation":
-                return expr
+                break
             if tok.lexeme == "[":
-                self.advance()
+                n += 1
+                self.deeper(self.advance())
                 index = self.parse_expr()
                 self.expect("punctuation", "]")
                 expr = ast.Index(expr, index, line=tok.line, column=tok.column)
             elif tok.lexeme == ".":
                 dot = self.advance()
+                n += 1
+                self.deeper(dot)
                 member = self.expect("identifier", what="accessor name")
                 if member.lexeme not in ACCESSORS:
                     raise ParseError(
@@ -280,7 +315,10 @@ class Parser:
                 expr = ast.Accessor(expr, member.lexeme, arg,
                                     line=dot.line, column=dot.column)
             else:
-                return expr
+                break
+        if n:
+            self.depth -= n
+        return expr
 
     def parse_primary(self):
         tok = self.tokens[self.pos]
@@ -296,7 +334,7 @@ class Parser:
         if tok.kind == "identifier":
             name = self.advance()
             if self.check("punctuation", "("):
-                self.advance()
+                self.deeper(self.advance())
                 args = []
                 if not self.check("punctuation", ")"):
                     while True:
@@ -304,13 +342,15 @@ class Parser:
                         if not self.match("punctuation", ","):
                             break
                 self.expect("punctuation", ")")
+                self.depth -= 1
                 return ast.Call(name.lexeme, tuple(args),
                                 line=name.line, column=name.column)
             return ast.Name(name.lexeme, line=name.line, column=name.column)
         if tok.kind == "punctuation" and tok.lexeme == "(":
-            self.advance()
+            self.deeper(self.advance())
             inner = self.parse_expr()
             self.expect("punctuation", ")")
+            self.depth -= 1
             return inner
         got = tok.lexeme if tok.kind != END else "end of input"
         raise ParseError(f"expected an expression, got {got!r}", tok.line, tok.column)

@@ -223,17 +223,6 @@ class DistributedArray:
         k, off = self.descriptor.locate(index)
         return self.blocks[k].buffer[off]
 
-    def logical_set(self, index, value, rank=None):
-        if self.replicated:
-            d = self.descriptor
-            off = 0 if d.ndim == 0 else _dense_offset(d, index)
-            targets = [self.replicas[rank]] if rank is not None else self.replicas
-            for t in targets:
-                t[off] = value
-            return
-        k, off = self.descriptor.locate(index)
-        self.blocks[k].buffer[off] = value
-
 
 def _dense_offset(descriptor, index):
     """Offset into an unpartitioned/replicated buffer, ordering-major."""
@@ -312,11 +301,6 @@ class TraceEvent:
     tag: str
     repeat: int = 1
 
-    @property
-    def initiator(self) -> int:
-        """Rank whose logical clock stamped this event."""
-        return self.dst if self.kind in STAMPED_BY_DST else self.src
-
 
 class TraceLog:
     """Per-rank sequenced event log with a canonical rendering.
@@ -355,19 +339,6 @@ class TraceLog:
                 length, repeat = seg.runs()
                 self.record("block-transfer", seg.src_owner, seg.dst_owner, length * esize,
                             tag, repeat)
-
-    @property
-    def events(self) -> list:
-        """Every event in canonical order, runs expanded."""
-        out = []
-        for log in self._by_rank:
-            for e in log:
-                if e.repeat == 1:
-                    out.append(e)
-                else:
-                    out += [TraceEvent(e.kind, e.src, e.dst, e.bytes, s, e.tag)
-                            for s in range(e.seq, e.seq + e.repeat)]
-        return out
 
     def render(self) -> str:
         parts = []
@@ -559,7 +530,3 @@ def copy_segments(segments, src: DistributedArray, dst: DistributedArray) -> Non
                           sbuf[s : s + (length - 1) * ss + 1 : ss]))
     for buf, where, payload in moves:
         buf[where] = payload
-
-
-def remote_bytes(segments) -> int:
-    return sum(s.nbytes for s in segments if not s.local)

@@ -49,29 +49,52 @@ class Barrier:
 
     Each arrival names its collective. The last rank to arrive checks
     that every rank named the same one, runs the optional action on
-    behalf of all of them, and only then releases the others.
+    behalf of all of them, and only then releases the others. Once a
+    rank has finished the program no barrier can complete: an arrival
+    then faults, on the first rank waiting, at its collective.
     """
 
     def __init__(self, n):
         self.n = n
         self.arrivals = []  # (rank, Collective)
         self.generation = 0
+        self.finished = []  # ranks that ran the whole program
 
     def wait(self, rank, collective, action=None):
         gen = self.generation
         self.arrivals.append((rank, collective))
+        if self.finished:
+            self.stranded()
         if len(self.arrivals) == self.n:
             arrivals, self.arrivals = self.arrivals, []
-            _check_agreement(arrivals, rank, collective)
+            if any(not c.same_as(collective) for _, c in arrivals):
+                raise _mismatch(arrivals, rank, collective)
             if action is not None:
                 action()
             self.generation += 1
             return
         yield ("wait", lambda: self.generation != gen)
 
+    def finish(self, rank):
+        """Rank ran the whole program."""
+        self.finished.append(rank)
+        if self.arrivals:
+            self.stranded()
 
-def _check_agreement(arrivals, rank, collective):
-    """Raise a located fault unless every arrival names one collective."""
+    def stranded(self):
+        """Fault: ranks wait here, but others finished the program."""
+        rank, collective = self.arrivals[0]
+        raise _mismatch(self.arrivals, rank, collective,
+                        f"; {_ranks(self.finished)} finished the program")
+
+
+def _ranks(ranks):
+    return f"rank{'s' if len(ranks) > 1 else ''} {', '.join(map(str, sorted(ranks)))}"
+
+
+def _mismatch(arrivals, rank, collective, also=""):
+    """The fault on rank at collective: the arrivals name different
+    collectives, or `also` says what keeps them from completing."""
     groups = []  # (Collective, ranks) in order of first arrival
     for r, c in arrivals:
         for g, ranks in groups:
@@ -80,16 +103,11 @@ def _check_agreement(arrivals, rank, collective):
                 break
         else:
             groups.append((c, [r]))
-    if len(groups) == 1:
-        return
-    sides = "; ".join(
-        f"rank{'s' if len(ranks) > 1 else ''} {', '.join(map(str, sorted(ranks)))} "
-        f"reached {c.where()}"
-        for c, ranks in groups)
+    sides = "; ".join(f"{_ranks(ranks)} reached {c.where()}" for c, ranks in groups)
     node = collective.node
-    raise RuntimeFault(f"collective mismatch: {sides}", rank=rank,
-                       line=getattr(node, "line", None),
-                       column=getattr(node, "column", None))
+    return RuntimeFault(f"collective mismatch: {sides}{also}", rank=rank,
+                        line=getattr(node, "line", None),
+                        column=getattr(node, "column", None))
 
 
 class ChannelSlot:

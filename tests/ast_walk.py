@@ -4,7 +4,7 @@
 as meshlite did before every form was compiled. It is that walk, kept
 here as a test oracle: `install` swaps it in for `interp.ProcessContext`,
 so `interp.run` drives it exactly as it drives the compiled code. Only
-what both share comes from `ProcessContext`: scopes, the call-depth
+what both share comes from `ProcessContext`: scopes, the nesting
 limit, faults, allocation (which the walk has every rank plan for
 itself), channel transfers, `sync` (with its refusal inside `proc`), array
 redistribution and builtins. One-sided reads and writes, the ownership
@@ -277,7 +277,7 @@ class WalkingContext(interp.ProcessContext):
         if existing is not None and existing.read_only:
             raise self.fault(f"loop variable {stmt.var!r} is read-only", stmt)
         for v in range(start, stop + 1):
-            mark = self.enter()
+            mark = self.enter(stmt)
             if existing is not None and existing.kind == "local":
                 existing.value = v
             else:
@@ -292,7 +292,7 @@ class WalkingContext(interp.ProcessContext):
             raise self.fault(f"proc rank {rank} outside [0, {self.state.nprocs})", stmt)
         if rank != self.rank:
             return
-        mark = self.enter()
+        mark = self.enter(stmt)
         self.proc_depth += 1
         for s in stmt.body:
             yield from self.exec_stmt(s)
@@ -427,10 +427,10 @@ class WalkingContext(interp.ProcessContext):
             if b is None:
                 raise self.fault(f"{arg.name!r} is not declared", expr)
             bindings.append(b)
-        mark = self.enter_call(expr)
+        mark = self.enter(expr)
         for param, b in zip(fn.params, bindings):
             self.bind(param.name, b)
         for s in fn.body:
             yield from self.exec_stmt(s)
-        self.leave_call(mark)
+        self.leave(mark)
         return None

@@ -1,12 +1,13 @@
 """Shared helpers: corpus access, collective harness, brute-force oracles."""
 
+import cmath
 from dataclasses import dataclass, field
 
 import pytest
 
-from meshlite import check_program, parse
+from meshlite import ast, chains, check_program, parse
 from meshlite.fixtures import corpus_source
-from meshlite.errors import DeadlockError, LexError, ShapeMismatch
+from meshlite.errors import DeadlockError, LexError, ShapeMismatch, UnknownAttribute
 from meshlite.interp import ProcessContext, RunState
 from meshlite.lexer import END, KEYWORDS, OPERATORS, PUNCTUATION
 from meshlite.runtime import (
@@ -128,6 +129,11 @@ def iter_indices(shape):
                 yield (i, j)
 
 
+def under_frames(depth, thunk):
+    """thunk(), called under `depth` more Python frames."""
+    return thunk() if depth == 0 else under_frames(depth - 1, thunk)
+
+
 def checked_corpus(name):
     return check_program(parse(corpus_source(name)))
 
@@ -144,9 +150,9 @@ def fill_sequential(array):
     counter = 0
     for idx in iter_indices(array.descriptor.shape):
         if array.descriptor.elem == "complex":
-            array.logical_set(idx, complex(counter, -counter))
+            logical_set(array, idx, complex(counter, -counter))
         else:
-            array.logical_set(idx, counter)
+            logical_set(array, idx, counter)
         counter += 1
     return array
 
@@ -154,7 +160,7 @@ def fill_sequential(array):
 def brute_force_copy(dst, src):
     """Element-at-a-time logical copy; the redistribution oracle."""
     for idx in iter_indices(src.descriptor.shape):
-        dst.logical_set(idx, src.logical_get(idx))
+        logical_set(dst, idx, src.logical_get(idx))
 
 
 def brute_force_plan(src, dst, same_storage=False):
@@ -363,7 +369,7 @@ class TeeTraceLog(TraceLog):
 def assert_trace_matches_reference(log, reference, context=""):
     """render(), events and count(kind) agree with the per-event oracle."""
     assert log.render() == reference.render(), context
-    assert log.events == reference.events, context
+    assert events(log) == reference.events, context
     for kind in TRACE_KINDS:
         assert log.count(kind) == reference.count(kind), (context, kind)
 
@@ -437,3 +443,103 @@ def fft_workdir(tmp_path):
 
     generate_image(16, 1, tmp_path / "image.dat")
     return tmp_path
+
+
+# --- readings and oracles of the package's values that only tests need ---
+
+
+def initiator(event):
+    """Rank whose logical clock stamped a TraceEvent."""
+    return event.dst if event.kind in STAMPED_BY_DST else event.src
+
+
+def events(log):
+    """Every event of a TraceLog in canonical order, runs expanded."""
+    out = []
+    for records in log._by_rank:
+        for e in records:
+            if e.repeat == 1:
+                out.append(e)
+            else:
+                out += [TraceEvent(e.kind, e.src, e.dst, e.bytes, s, e.tag)
+                        for s in range(e.seq, e.seq + e.repeat)]
+    return out
+
+
+def logical_set(array, index, value, rank=None):
+    """Store value at a logical index of array: into rank's replica, or
+    every replica when rank is None, of a replicated array."""
+    if array.replicated:
+        d = array.descriptor
+        off = 0 if d.ndim == 0 else _dense_offset(d, index)
+        targets = [array.replicas[rank]] if rank is not None else array.replicas
+        for t in targets:
+            t[off] = value
+        return
+    k, off = array.descriptor.locate(index)
+    array.blocks[k].buffer[off] = value
+
+
+def remote_bytes(segments) -> int:
+    return sum(s.nbytes for s in segments if not s.local)
+
+
+def resolve_attribute(chain, attribute):
+    """Value of the rightmost constructor providing the attribute, or the
+    documented default."""
+    values = chains._attributes(chain)
+    if attribute not in values:
+        raise UnknownAttribute(f"unknown attribute {attribute!r}")
+    return values[attribute]
+
+
+def oracle_dft1d(values):
+    """Direct O(n^2) unnormalized forward DFT."""
+    n = len(values)
+    return [
+        sum(values[j] * cmath.exp(-2j * cmath.pi * j * k / n) for j in range(n))
+        for k in range(n)
+    ]
+
+
+# --- the canonical pretty-printer ---
+
+
+def _fmt_stmt(s, indent):
+    pad = "    " * indent
+    if isinstance(s, ast.VarDecl):
+        out = pad + "var " + s.name
+        if s.type_expr is not None:
+            out += " : " + ast.format_type(s.type_expr)
+        if s.init is not None:
+            out += " := " + ast._fmt_expr(s.init)
+        return out + ";"
+    if isinstance(s, ast.Assign):
+        return f"{pad}{ast._fmt_expr(s.target)} := {ast._fmt_expr(s.value)};"
+    if isinstance(s, ast.For):
+        head = f"{pad}for {s.var} from {ast._fmt_expr(s.start)} to {ast._fmt_expr(s.stop)}"
+        if len(s.body) == 1 and not isinstance(s.body[0], (ast.For, ast.ProcBlock)):
+            return head + " " + _fmt_stmt(s.body[0], 0)
+        return head + " " + _fmt_block(s.body, indent) + ";"
+    if isinstance(s, ast.ProcBlock):
+        return f"{pad}proc {ast._fmt_expr(s.rank)} " + _fmt_block(s.body, indent) + ";"
+    if isinstance(s, ast.ExprStmt):
+        return f"{pad}{ast._fmt_expr(s.expr)};"
+    if isinstance(s, ast.Sync):
+        return f"{pad}sync{' ' + s.var if s.var else ''};"
+    if isinstance(s, ast.FuncDef):
+        params = ", ".join(f"{p.name} : {ast.format_type(p.type_expr)}" for p in s.params)
+        return f"{pad}function {s.name}({params}) " + _fmt_block(s.body, indent)
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def _fmt_block(body, indent):
+    if not body:
+        return "{ }"
+    inner = "\n".join(_fmt_stmt(s, indent + 1) for s in body)
+    return "{\n" + inner + "\n" + "    " * indent + "}"
+
+
+def format_program(program: ast.Program) -> str:
+    """The canonical source of a program: parsing it gives the program back."""
+    return "\n".join(_fmt_stmt(s, 0) for s in program.statements) + "\n"

@@ -15,13 +15,15 @@ from conftest import (
     checked_corpus,
     fill_sequential,
     make_descriptor,
+    oracle_dft1d,
+    resolve_attribute,
     run_collective,
 )
 from meshlite import check_program, parse, run
-from meshlite.chains import chain_of, combine, plan_of, resolve_attribute
+from meshlite.chains import chain_of, combine, plan_of
 from meshlite.chains import Char, Col, Const, Horizontal, Int, Multiple, On, Row, Single, Vertical, ArrayOf, Complex
 from meshlite.errors import CheckError, InvalidCombination
-from meshlite.fixtures import CORPUS, corpus_source, generate_image, oracle_dft1d, oracle_dft2d
+from meshlite.fixtures import CORPUS, corpus_source, generate_image, oracle_dft2d
 from meshlite.interp import compute_sins, fft_inplace, LineSlice
 from meshlite.mshd import read_mshd
 from meshlite.runtime import allocate

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import resolve_attribute
 from meshlite import parse
 from meshlite.chains import (
     LOCAL,
@@ -29,7 +30,6 @@ from meshlite.chains import (
     kind_of,
     plan_of,
     plan_problems,
-    resolve_attribute,
     validate_append,
 )
 from meshlite.checker import type_argument

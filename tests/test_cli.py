@@ -86,7 +86,32 @@ def test_run_reports_unbounded_recursion_without_a_traceback(workdir, capsys, se
     (workdir / "recursive.mesh").write_text("function f() { f() };\nf();\n")
     args = ["run", "recursive.mesh", "--procs", "2", "--scheduler-seed", seed]
     assert main(args) == 1
-    assert capsys.readouterr().err == f"error: rank {rank}: calls nest too deeply at 1:16\n"
+    assert capsys.readouterr().err == (
+        f"error: rank {rank}: loops, proc bodies and calls nest more than 128 deep at 1:16\n")
+
+
+MISUSE = {
+    "300 parentheses": "var x := " + "(" * 300 + "1" + ")" * 300 + ";\n",
+    "1000 loops": "for i from 0 to 0 { " * 1000 + "}" * 1000 + "\n",
+    "900 terms": "var x := " + "+".join(["1"] * 900) + ";\n",
+    "3000 terms": "var x := " + "+".join(["1"] * 3000) + ";\n",
+    "a rank left at a barrier":
+        "var x := 0;\nfunction f() { sync };\nproc 0 { x := 1 };\nfor i from 0 to x { f() };\n",
+    "unbounded recursion": "function f() { f() }; f();\n",
+}
+
+
+@pytest.mark.parametrize("name", list(MISUSE))
+@pytest.mark.parametrize("walk", [False, True], ids=["compiled", "walked"])
+def test_misuse_fails_at_a_source_location(workdir, capsys, monkeypatch, name, walk):
+    """Exit status 1 and one located line, never a traceback."""
+    if walk:
+        ast_walk.install(monkeypatch)
+    (workdir / "misuse.mesh").write_text(MISUSE[name])
+    assert main(["run", "misuse.mesh", "--procs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"(error: rank \d: .* at \d+:\d+"
+                        r"|misuse\.mesh:\d+:\d+: ParseError: \d+:\d+: .*)\n", err), err
 
 
 def test_run_reports_rank_divergent_extents_at_the_declaration(workdir, capsys):

@@ -15,14 +15,23 @@ from types import GeneratorType
 import pytest
 
 import ast_walk
-from conftest import TeeTraceLog, assert_trace_matches_reference, checked_corpus
+from conftest import (
+    TeeTraceLog,
+    assert_trace_matches_reference,
+    checked_corpus,
+    events,
+    initiator,
+    under_frames,
+)
 from meshlite import check_program, compiler, parse, run, runtime
 from meshlite.checker import CheckedProgram
 from meshlite.errors import CheckError, RuntimeFault
 from meshlite.fixtures import generate_image
-from meshlite.interp import MAX_CALL_DEPTH, ProcessContext
+from meshlite.ast import MAX_DEPTH
+from meshlite.interp import ProcessContext
 
 N = 4  # replicated array length
+TOO_DEEP = f"loops, proc bodies and calls nest more than {MAX_DEPTH} deep"
 OPS = ("+", "-", "*", "/") * 3 + ("==", "!=", "<", "<=", ">", ">=")
 
 
@@ -385,7 +394,7 @@ for i from 0 to 3 {
     ("function g() { y := A[5] }; proc 1 { g() };", "index (5,) outside shape (4,) at 4:16"),
     ("for k from 0 to 1 { y := 1; y := A[5] };", "index (5,) outside shape (4,) at 4:29"),
     ("proc 0 { y := 1; y := A[5] };", "index (5,) outside shape (4,) at 4:18"),
-    ("function f() { f() }; f();", "calls nest too deeply at 4:16"),
+    ("function f() { f() }; f();", f"{TOO_DEEP} at 4:16"),
     ("for k from 0 to 0 { var z := 1; function g() { y := z }; }; g();",
      "'z' is not declared at 4:53"),
 ])
@@ -633,64 +642,180 @@ def test_bounded_recursion_runs():
     assert result.local("n") == [n]
 
 
-def _under_frames(depth, thunk):
-    """thunk(), called under `depth` more Python frames."""
-    return thunk() if depth == 0 else _under_frames(depth - 1, thunk)
-
-
 @pytest.mark.parametrize("source, faults", [
     ("function f() { f() };\nf();\n",
-     {0: "rank 1: calls nest too deeply at 1:16", 3: "rank 0: calls nest too deeply at 1:16"}),
+     {0: f"rank 1: {TOO_DEEP} at 1:16", 3: f"rank 0: {TOO_DEEP} at 1:16"}),
     ("var k := 0;\nfunction f() { k := k + 1; proc 0 { f() } };\nf();\n",
-     {0: "rank 0: calls nest too deeply at 2:37", 3: "rank 0: calls nest too deeply at 2:37"}),
+     {0: f"rank 0: {TOO_DEEP} at 2:37", 3: f"rank 0: {TOO_DEEP} at 2:37"}),
     ("function f() { sync; f() };\nf();\n",
-     {0: "rank 1: calls nest too deeply at 1:22", 3: "rank 0: calls nest too deeply at 1:22"}),
+     {0: f"rank 1: {TOO_DEEP} at 1:22", 3: f"rank 0: {TOO_DEEP} at 1:22"}),
 ])
 def test_unbounded_recursion_faults_alike_on_both_run_paths(source, faults):
-    """The call-depth limit, not Python's stack, decides where recursion
+    """The nesting limit, not Python's stack, decides where recursion
     stops: the same call on the same rank on both run paths."""
     checked = check_program(parse(source))
     for seed, fault in faults.items():
         for depth in (0, 7, 23, 40):
             for run_path in RUNS:
                 with pytest.raises(RuntimeFault) as info:
-                    _under_frames(depth, lambda: run_path(checked, 2, seed=seed))
+                    under_frames(depth, lambda: run_path(checked, 2, seed=seed))
                 assert str(info.value) == fault, (seed, depth, run_path)
 
 
-def test_calls_nest_at_most_the_limit_deep():
+def test_calls_with_one_loop_each_nest_half_the_limit_deep():
     body = "function f() { for i from 1 to n { n := n - 1; f() } };\nf();\n"
-    deepest = f"var n := {MAX_CALL_DEPTH - 1};\n" + body  # the top call and n nested ones
+    calls = MAX_DEPTH // 2  # each call opens its own scope and its loop's
+    deepest = f"var n := {calls - 1};\n" + body  # the top call and n nested ones
     for run_path in RUNS:
         run_path(check_program(parse(deepest)), 2)
         with pytest.raises(RuntimeFault) as info:
-            run_path(check_program(parse(f"var n := {MAX_CALL_DEPTH};\n" + body)), 2)
-        assert str(info.value) == "rank 1: calls nest too deeply at 2:48"
+            run_path(check_program(parse(f"var n := {calls};\n" + body)), 2)
+        assert str(info.value) == f"rank 1: {TOO_DEEP} at 2:48"
 
 
-@pytest.mark.parametrize("source, call", [
+@pytest.mark.parametrize("source, where", [
     ("function f() { for i from 0 to 0 { for j from 0 to 0 { for k from 0 to 0 "
-     "{ proc 0 { f() } } } } };\nf();\n", "1:85"),
+     "{ proc 0 { f() } } } } };\nf();\n", "1:56"),
     ("function f() { " + "".join(f"for i{k} from 0 to 0 {{ " for k in range(10))
-     + "proc 0 { f() } " + "} " * 10 + "};\nf();\n", "1:235"),
+     + "proc 0 { f() } " + "} " * 10 + "};\nf();\n", "1:163"),
 ], ids=["three loops", "ten loops"])
-def test_recursion_inside_nested_loops_stops_at_the_call_on_both_run_paths(source, call):
-    """However deep a recursive body nests loops and `proc`, the call-depth
-    limit stops it, at the call, before Python's stack runs out; the
-    recursion limit a run raises is put back after a fault and after a run."""
+def test_recursion_inside_nested_loops_stops_at_the_limit_on_both_run_paths(source, where):
+    """However deep a recursive body nests loops and `proc`, the nesting
+    limit stops it, at the scope that passes it (here a loop), before
+    Python's stack runs out."""
     checked = check_program(parse(source))
-    limit = sys.getrecursionlimit()
     for seed in (0, 3):
+        for depth in (0, 300):
+            for run_path in RUNS:
+                with pytest.raises(RuntimeFault) as info:
+                    under_frames(depth, lambda: run_path(checked, 2, seed=seed))
+                assert str(info.value) == f"rank 0: {TOO_DEEP} at {where}"
+
+
+def _loops(n, body, decls=False):
+    """n nested non-empty loops around body, each declaring a local when decls."""
+    head = "".join(f"for i{k} from 0 to 0 {{ " + (f"var v{k} := {k}; " if decls else "")
+                   for k in range(n))
+    return head + body + " }" * n
+
+
+def _procs(n, body):
+    return "proc 0 { " * n + body + " }" * n
+
+
+# Programs whose run would nest `levels` scopes (loops, `proc` bodies and
+# calls) at its deepest: about half at the top level, the rest in a function
+# body the innermost calls, as the parser refuses a block nested more than
+# MAX_DEPTH deep. The empty-range loop at the deepest level opens no scope.
+NESTS = {
+    "loops": lambda levels: (
+        f"function g() {{ {_loops(levels - 65, 'x := x + 1')} }};\n"
+        + _loops(64, "g()") + ";\n"),
+    "proc": lambda levels: (
+        f"function g() {{ {_procs(levels - 65, 'x := x + 1')} }};\n"
+        + _procs(64, "g()") + ";\n"),
+    "loops with declarations": lambda levels: (
+        f"function g() {{ {_loops(levels - 65, 'x := x + v0 + v1', decls=True)} }};\n"
+        + _loops(64, "g()", decls=True) + ";\n"),
+    "an empty-range loop past the limit": lambda levels: (
+        f"function g() {{ {_loops(levels - 66, 'for e from 1 to 0 { g() }')} }};\n"
+        + _loops(64, "g()") + ";\n"),
+    "procs, loops and a call": lambda levels: (
+        f"function g() {{ {_procs(levels - 65 - 30, _loops(30, 'x := x + 1'))} }};\n"
+        + _loops(32, _procs(32, "g()")) + ";\n"),
+    # each call opens its scope and its loop's, around a sync
+    "recursion with sync": lambda levels: (
+        f"var n := {(levels - 1) // 2};\n"
+        "function f() { for i from 1 to n { n := n - 1; sync; f() } };\n"
+        + ("for t from 0 to 0 { f() };\n" if levels % 2 == 0 else "f();\n")),
+}
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1])
+@pytest.mark.parametrize("shape", list(NESTS))
+def test_nests_at_the_limit_run_alike_on_both_run_paths(shape, levels):
+    """A run nesting MAX_DEPTH scopes finishes, one more faults, and both
+    run paths agree on the fault or on the final state, whatever the
+    schedule and however deep in Python's stack the run is called."""
+    checked = check_program(parse("var x := 0;\n" + NESTS[shape](levels)))
+    fails = levels > MAX_DEPTH and not shape.startswith("an empty-range")
+    for seed in (0, 3):
+        for depth in (0, 7, 23, 40):
+            outcomes = []
+            for run_path in RUNS:
+                try:
+                    result = under_frames(depth, lambda: run_path(checked, 2, seed=seed))
+                    outcomes.append(("state", result.local("x"), result.local("n")
+                                     if "n" in result.names() else None))
+                except RuntimeFault as exc:
+                    outcomes.append(("fault", str(exc)))
+            walked, compiled = outcomes[1], outcomes[0]
+            assert compiled == walked, (seed, depth)
+            assert (compiled[0] == "fault") == fails, compiled
+            if fails:
+                assert TOO_DEEP in compiled[1]
+
+
+@pytest.mark.parametrize("source", [
+    "var x := 0;\n" + _loops(MAX_DEPTH, "x := 1") + ";\n",
+    "var x := " + "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH + ";\n",
+    "var x := 1" + "+1" * MAX_DEPTH + ";\n",
+    "var a : array[Int,4];\na[1] := 1;\n"
+    "var x := " + "a[" * (MAX_DEPTH - 1) + "1" + "]" * (MAX_DEPTH - 1) + ";\n",
+], ids=["loops", "parentheses", "sum", "indexes"])
+def test_the_deepest_trees_run_alike_on_both_run_paths(source):
+    checked = check_program(parse(source))
+    results = [under_frames(40, lambda: run_path(checked, 2)).local("x") for run_path in RUNS]
+    assert results[0] == results[1] != [0, 0]
+
+
+def test_a_body_declaration_is_gone_before_the_next_iteration():
+    """A loop opens one scope, but what its body declares vanishes at the
+    end of every iteration, as in the walk's scope per iteration."""
+    source = ("var z := 1;\nvar s := 0;\nfunction g() { s := s * 10 + z };\n"
+              "for i from 0 to 2 { g(); var z := 5; g() };\n")
+    checked = check_program(parse(source))
+    for run_path in RUNS:
+        assert run_path(checked, 2).local("s") == [151515, 151515]
+
+
+def test_a_run_never_sets_the_recursion_limit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", lambda n: calls.append(n))
+    for source in ("function f() { f() };\nf();\n",
+                   "var x := 0;\n" + NESTS["loops"](MAX_DEPTH)):
+        checked = check_program(parse(source))
         for run_path in RUNS:
-            with pytest.raises(RuntimeFault) as info:
-                run_path(checked, 2, seed=seed)
-            assert str(info.value) == f"rank 0: calls nest too deeply at {call}"
-            assert sys.getrecursionlimit() == limit
-    run(check_program(parse(source.replace("f();", "var x := 1;"))), 2)
-    assert sys.getrecursionlimit() == limit
+            try:
+                run_path(checked, 2)
+            except RuntimeFault:
+                pass
+    assert calls == []
 
 
 # --- communicating code ---
+
+
+@pytest.mark.parametrize("source, fault", [
+    ("var x := 0;\nfunction f() { sync };\nproc 0 { x := 1 };\nfor i from 0 to x { f() };\n",
+     "rank 0: collective mismatch: rank 0 reached sync (2:16); rank 1 finished the program at 2:16"),
+    ("var x := 0;\nproc 1 { x := 2 };\n"
+     "for i from 1 to x { var A : array[Int,4] :: allocated[multiple[]] };\n",
+     "rank 1: collective mismatch: rank 1 reached var A (3:25); "
+     "rank 0 finished the program at 3:25"),
+])
+def test_a_rank_left_waiting_by_one_that_finished_faults_at_its_collective(source, fault):
+    """Whether the last rank finishes before or after the other arrives at
+    the barrier, the waiting rank faults at its collective on both paths."""
+    checked = check_program(parse(source))
+    raised_in = set()
+    for seed in range(8):
+        for run_path in RUNS:
+            with pytest.raises(RuntimeFault) as info:
+                run_path(checked, 2, seed=seed)
+            assert str(info.value) == fault, (seed, run_path)
+            raised_in.add(info.traceback[-2].name)
+    assert raised_in == {"wait", "finish"}
 
 
 def test_remote_line_element_read_is_a_onesided_get():
@@ -704,10 +829,10 @@ proc 0 { y := A[0][1][3] };
 """
     for run_path in RUNS:
         result = run_path(check_program(parse(source)), 2)
-        (event,) = result.trace.events
+        (event,) = events(result.trace)
         assert (event.kind, event.src, event.dst, event.bytes, event.tag) == (
             "onesided-get", 1, 0, 8, "A")
-        assert event.initiator == 0
+        assert initiator(event) == 0
         assert result.local("x") == [0, 0]
 
 
@@ -818,7 +943,7 @@ for i from 0 to 5 { X[i] := v };
         for seed in (0, 1, 2):
             result = run_path(check_program(parse(source)), 2, seed=seed)
             assert result.logical("X") == [11, 11, 11, 1, 1, 1]
-            assert result.trace.events == []
+            assert events(result.trace) == []
 
 
 def _element_outcome(checked, run_path):

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from conftest import checked_corpus, make_descriptor
+from conftest import checked_corpus, make_descriptor, oracle_dft1d
 from meshlite import check_program, parse, run
 from meshlite.errors import BadLength, NotPowerOfTwo
-from meshlite.fixtures import corpus_source, generate_image, oracle_dft1d, oracle_dft2d
+from meshlite.fixtures import corpus_source, generate_image, oracle_dft2d
 from meshlite.interp import bit_reversal, compute_sins, fft_inplace
 from meshlite.mshd import read_mshd
 from meshlite.runtime import allocate

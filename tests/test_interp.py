@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from conftest import checked_corpus
+from conftest import checked_corpus, events
 from meshlite import chains, check_program, parse, run
 from meshlite.errors import DeadlockError, MeshError, RuntimeFault
 
@@ -19,7 +19,7 @@ def test_onesided_assignment_copies_and_traces_once():
     assert result.logical("a") == result.logical("b") == 0
     assert result.trace.count("onesided-get") == 1
     assert result.trace.count("channel-send") == 0
-    (event,) = result.trace.events
+    (event,) = events(result.trace)
     assert (event.src, event.dst, event.bytes, event.tag) == (2, 0, 8, "b")
 
 
@@ -45,7 +45,7 @@ var b : Int :: allocated[single[on[1]]];
 a := b;
 """
     result = run_src(src, 2)
-    assert result.trace.events == []
+    assert events(result.trace) == []
 
 
 def test_guarded_remote_write_is_a_put():
@@ -55,7 +55,7 @@ proc 1 { x := 5 };
 """
     result = run_src(src, 2)
     assert result.logical("x") == 5
-    (event,) = result.trace.events
+    (event,) = events(result.trace)
     assert event.kind == "onesided-put"
     assert (event.src, event.dst) == (1, 0)
 
@@ -217,7 +217,7 @@ var x := A.localblockid[5];
 
 def test_empty_program():
     result = run_src("", 4)
-    assert result.trace.events == []
+    assert events(result.trace) == []
     assert result.names() == []
 
 
@@ -481,7 +481,7 @@ for t from 1 to 2 {
 """
     for seed in (0, 7919):
         result = run_src(src, 3, seed=seed)
-        gets = [(e.src, e.dst, e.bytes, e.tag) for e in result.trace.events]
+        gets = [(e.src, e.dst, e.bytes, e.tag) for e in events(result.trace)]
         assert sorted(gets) == [(1, 0, 8, "q")] * 2 + [(1, 2, 8, "q")] * 2
         assert [a.descriptor.shape for _, a in result.declared[1:]] == [(4,), (4,)]
 

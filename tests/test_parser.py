@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
-from conftest import reference_tokenize
-from meshlite import ast, parse
-from meshlite.ast import format_program
+from conftest import format_program, reference_tokenize, under_frames
+from meshlite import ast, check_program, parse
+from meshlite.ast import MAX_DEPTH
 from meshlite.errors import LexError, ParseError
 from meshlite.fixtures import CORPUS, corpus_source
 from meshlite.lexer import tokenize
@@ -194,3 +196,58 @@ def test_peek_past_the_end_of_input_reads_the_end_marker():
     with pytest.raises(ParseError) as err:
         parse("var A : array[int, n")
     assert str(err.value) == "1:21: expected ], got 'end of input'"
+
+
+# Sources nesting n levels deep, one line each, and a pattern whose k-th
+# match opens level k: the parser refuses the level that passes MAX_DEPTH.
+NESTED = {
+    "parentheses": (lambda n: "var x := " + "(" * n + "1" + ")" * n + ";", r"\("),
+    "blocks": (lambda n: "".join(f"for i{k} from 0 to 0 {{ " for k in range(n)) + "}" * n,
+               r"\{"),
+    "one-statement bodies": (
+        lambda n: "var x; " + "".join(f"for i{k} from 0 to 0 " for k in range(n)) + "x := 1;",
+        r"(?<=to 0 )\S"),
+    "indexes": (lambda n: "var a : array[Int,4]; var x := " + "a[" * n + "0" + "]" * n + ";",
+                r"(?<=a)\["),
+    "chained indexes": (lambda n: "var a : array[Int,4]; var x := a" + "[0]" * n + ";",
+                        r"\[0"),
+    "sum": (lambda n: "var x := 1" + "+1" * n + ";", r"\+"),
+    "product": (lambda n: "var x := 1" + "*1" * n + ";", r"\*"),
+    "comparisons": (lambda n: "var x := 1" + "<1" * n + ";", r"<"),
+    "call arguments": (lambda n: "processes(" * n + ")" * n + ";", r"\("),
+    "type arguments": (lambda n: "var a : " + "t[" * n + "]" * n + ";", r"\["),
+}
+
+
+@pytest.mark.parametrize("kind", list(NESTED))
+def test_a_tree_nests_at_most_max_depth_deep(kind):
+    """The deepest tree parses under 40 more frames, also twice in a row;
+    one level more is a ParseError at the token that opens it, not a
+    RecursionError."""
+    build, opener = NESTED[kind]
+    deepest = build(MAX_DEPTH)
+    under_frames(40, lambda: parse(deepest + "\n" + deepest))
+    source = build(MAX_DEPTH + 1)
+    with pytest.raises(ParseError) as err:
+        under_frames(40, lambda: parse(source))
+    column = list(re.finditer(opener, source))[MAX_DEPTH].start() + 1
+    assert str(err.value) == f"1:{column}: source nests more than {MAX_DEPTH} deep"
+
+
+@pytest.mark.parametrize("source, where", [
+    ("var x := " + "(" * 300 + "1" + ")" * 300 + ";\n", "1:138"),
+    ("".join(f"for i{k} from 0 to 0 {{ " for k in range(1000)) + "}" * 1000 + "\n", "1:2856"),
+    ("var x := " + "+".join(["1"] * 900) + ";\n", "1:267"),
+    ("var x := " + "+".join(["1"] * 3000) + ";\n", "1:267"),
+], ids=["300 parentheses", "1000 loops", "900 terms", "3000 terms"])
+def test_deep_source_fails_at_a_location(source, where):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == f"{where}: source nests more than {MAX_DEPTH} deep"
+
+
+@pytest.mark.parametrize("kind", ["parentheses", "blocks", "one-statement bodies", "indexes",
+                                  "chained indexes", "sum", "product", "comparisons"])
+def test_the_deepest_tree_checks(kind):
+    build, _ = NESTED[kind]
+    under_frames(40, lambda: check_program(parse(build(MAX_DEPTH))))

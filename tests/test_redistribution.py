@@ -11,11 +11,13 @@ from conftest import (
     brute_force_plan,
     buffers_of,
     checked_corpus,
+    events,
     expand_runs,
     fill_sequential,
     iter_indices,
     make_descriptor,
     owner_changes_bytes,
+    remote_bytes,
     run_collective,
     run_lengths,
 )
@@ -29,7 +31,6 @@ from meshlite.runtime import (
     allocate,
     copy_segments,
     plan_redistribution,
-    remote_bytes,
 )
 
 
@@ -151,10 +152,10 @@ def test_assign_traces_only_remote_segments():
     src = fill_sequential(allocate("S", src_desc))
     dst = allocate("A", dst_desc)
     state = assign(dst, src, nprocs)
-    events = [e for e in state.trace.events if e.kind == "block-transfer"]
-    assert len(events) == 3  # block 0 stays on rank 0
-    assert sum(e.bytes for e in events) == owner_changes_bytes(src_desc, dst_desc, 16)
-    assert all(e.src != e.dst for e in events)
+    transfers = [e for e in events(state.trace) if e.kind == "block-transfer"]
+    assert len(transfers) == 3  # block 0 stays on rank 0
+    assert sum(e.bytes for e in transfers) == owner_changes_bytes(src_desc, dst_desc, 16)
+    assert all(e.src != e.dst for e in transfers)
 
 
 def test_self_assignment_is_a_quiet_no_op():
@@ -165,7 +166,7 @@ def test_self_assignment_is_a_quiet_no_op():
     before = buffers_of(arr)
     state = assign(arr, arr, nprocs)
     assert buffers_of(arr) == before
-    assert state.trace.events == []
+    assert events(state.trace) == []
 
 
 def test_replicated_destination_receives_everywhere():
@@ -191,7 +192,7 @@ def test_replicated_source_is_read_locally():
     dst = allocate("D", dst_desc)
     state = assign(dst, src, nprocs)
     assert buffers_of(dst) == oracle_result(src, dst_desc)
-    assert state.trace.events == []  # replicas satisfy every block locally
+    assert events(state.trace) == []  # replicas satisfy every block locally
 
 
 def test_gather_after_scatter_restores_exact_content():
