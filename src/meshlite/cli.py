@@ -28,7 +28,8 @@ def _frontend(path):
         program = parse(source)
         return check_program(program, source_name=path)
     except (LexError, ParseError) as exc:
-        print(f"{path}:{exc.line}:{exc.column}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{path}:{exc.line}:{exc.column}: {type(exc).__name__}: {exc.reason}",
+              file=sys.stderr)
         raise SystemExit(1)
     except CheckError as exc:
         for diag in exc.diagnostics:

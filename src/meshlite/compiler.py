@@ -9,11 +9,11 @@ as statements); a statement's closure returns a generator then, which
 yields to the scheduler, and otherwise runs straight through. Callers
 drain a generator with `yield from`.
 
-A loop, a `proc` body and a function call are each one generator over
-their statements, which `_drive` runs at once up to its first wait. The
-closure returns None when the statements never waited, so loops and
-calls doing local work hand their caller no generator; otherwise it
-returns a generator that yields that wait and then the rest.
+A statement list compiles to (statement, closure) pairs, held by what
+runs it: the program, a loop, a `proc` body, a function. A loop's and a
+call's closure is a generator function, and a `proc` body's returns one
+on the rank it names, so each returns its own generator, which its
+caller drains: one Python frame per level of nesting.
 
 What a name reads and how a store communicates are decided here, once,
 from the declarations in scope (the Mesham types decide it before the
@@ -42,17 +42,15 @@ _SCALARS = (ast.BinOp, *_LITERALS)  # never array values
 _CLASSES = ("local", "array", "replica", "single")
 
 
-def compile_program(checked) -> dict:
-    """Closures for every statement of the program and of its functions,
-    by id(statement): AST nodes compare structurally, so the key is the
-    node's identity."""
+def compile_program(checked) -> list:
+    """The program's top-level statements as (statement, closure) pairs;
+    its functions' bodies are reached through their calls."""
     compiler = Compiler(checked.functions)
-    for fn in checked.functions.values():
+    for name, fn in checked.functions.items():
         compiler.scopes = [{}]  # a body's free names and parameters stay unknown
-        compiler.block(fn.body)
+        compiler.bodies[name] = compiler.block(fn.body)
     compiler.scopes = [{}]
-    compiler.block(checked.program.statements)
-    return compiler.code
+    return compiler.block(checked.program.statements)
 
 
 def _class_of(binding):
@@ -68,26 +66,10 @@ def _class_of(binding):
 # --- statements that may wait ---
 
 
-_DONE = object()
-
-
 def _fails(message, node):
     def fail(ctx):
         raise ctx.fault(message, node)
     return fail
-
-
-def _drive(gen):
-    """Run gen up to its first wait: None when it finished without one,
-    else a generator that yields that wait and then the rest of gen."""
-    first = next(gen, _DONE)
-    if first is not _DONE:
-        return _resume(first, gen)
-
-
-def _resume(first, gen):
-    yield first
-    yield from gen
 
 
 def _owned(array, rank, lo, hi):
@@ -148,7 +130,7 @@ def _index_value(ctx, node, base, i):
 
 class Compiler:
     def __init__(self, functions):
-        self.code = {}
+        self.bodies = {}  # function name -> its body's (statement, closure) pairs
         self.leaves = {}
         self.scopes = [{}]
         self.functions = functions
@@ -167,29 +149,25 @@ class Compiler:
     # --- statements ---
 
     def block(self, stmts):
-        for s in stmts:
-            self.stmt(s)
-        return stmts
+        return [(s, self.stmt(s)) for s in stmts]
 
     def stmt(self, node):
         kind = type(node)
         if kind is ast.Assign:
-            fn = self.assign(node)
-        elif kind is ast.VarDecl:
-            fn = self.decl(node)
-        elif kind is ast.For:
-            fn = self.loop(node)
-        elif kind is ast.ProcBlock:
-            fn = self.proc(node)
-        elif kind is ast.ExprStmt:
-            fn = self.call(node.expr) if type(node.expr) is ast.Call else self.expr(node.expr)
-        elif kind is ast.Sync:
-            fn = lambda ctx: ctx.sync(node)  # noqa: E731
-        elif kind is ast.FuncDef:
-            fn = lambda ctx: None  # noqa: E731  (registered by the checker)
-        else:
-            fn = _fails(f"unhandled statement {kind.__name__}", node)
-        self.code[id(node)] = fn
+            return self.assign(node)
+        if kind is ast.VarDecl:
+            return self.decl(node)
+        if kind is ast.For:
+            return self.loop(node)
+        if kind is ast.ProcBlock:
+            return self.proc(node)
+        if kind is ast.ExprStmt:
+            return self.call(node.expr) if type(node.expr) is ast.Call else self.expr(node.expr)
+        if kind is ast.Sync:
+            return lambda ctx: ctx.sync(node)
+        if kind is ast.FuncDef:
+            return lambda ctx: None  # registered by the checker
+        return _fails(f"unhandled statement {kind.__name__}", node)
 
     def decl(self, node):
         name, type_expr = node.name, node.type_expr
@@ -378,7 +356,7 @@ class Compiler:
         target = self.owner_computes(node)
         self.scopes.pop()
         # declarations in the body vanish at the end of every iteration
-        scoped = any(type(s) is ast.VarDecl for s in stmts)
+        scoped = any(type(s) is ast.VarDecl for s in node.body)
 
         def iterate(ctx):
             lo, hi = start(ctx), stop(ctx)
@@ -399,20 +377,20 @@ class Compiler:
                 # owner computes: run only the iterations that store on this
                 # rank (or fault); every other one would only find the owner.
                 # Local stores never wait.
-                (s,) = stmts
+                ((s, fn),) = stmts
                 for binding.value in _owned(ctx.env[target].array, ctx.rank, lo, hi):
-                    exec_stmt(s)
+                    exec_stmt(s, fn)
                 binding.value = hi
             else:
                 for binding.value in range(lo, hi + 1):
-                    for s in stmts:
-                        result = exec_stmt(s)
+                    for s, fn in stmts:
+                        result = exec_stmt(s, fn)
                         if result.__class__ is Generator:
                             yield from result
                     if scoped:
                         ctx.restore(inner)
             ctx.leave(mark)
-        return lambda ctx: _drive(iterate(ctx))
+        return iterate
 
     def owner_computes(self, node):
         """X when the body of loop node is the one statement `X[v] := e`,
@@ -443,8 +421,8 @@ class Compiler:
             mark = ctx.enter(node)
             ctx.proc_depth += 1
             exec_stmt = ctx.exec_stmt
-            for s in stmts:
-                result = exec_stmt(s)
+            for s, fn in stmts:
+                result = exec_stmt(s, fn)
                 if result.__class__ is Generator:
                     yield from result
             ctx.proc_depth -= 1
@@ -455,7 +433,7 @@ class Compiler:
             if not isinstance(r, int) or not 0 <= r < nprocs:
                 raise ctx.fault(f"proc rank {r} outside [0, {nprocs})", node)
             if r == ctx.rank:
-                return _drive(guarded(ctx))
+                return guarded(ctx)
         return run
 
     # --- expressions: each is one closure returning the value ---
@@ -633,10 +611,11 @@ class Compiler:
         return lambda ctx: ctx.builtin_file(node, array(ctx), path(ctx), write)
 
     def user_call(self, node):
-        fn = self.functions.get(node.func)
-        if fn is None:
+        func = self.functions.get(node.func)
+        if func is None:
             return _fails(f"unknown function {node.func!r}", node)
-        params, body = [p.name for p in fn.params], fn.body
+        # read as the call runs: a body may call a function compiled after it
+        name, params, bodies = node.func, [p.name for p in func.params], self.bodies
 
         def call(ctx):
             bindings = []
@@ -651,9 +630,9 @@ class Compiler:
             for param, b in zip(params, bindings):
                 ctx.bind(param, b)
             exec_stmt = ctx.exec_stmt
-            for s in body:
-                result = exec_stmt(s)
+            for s, fn in bodies[name]:
+                result = exec_stmt(s, fn)
                 if result.__class__ is Generator:
                     yield from result
             ctx.leave(mark)
-        return lambda ctx: _drive(call(ctx))
+        return call

@@ -10,6 +10,7 @@ class LexError(MeshError):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
+        self.reason = message
 
 
 class ParseError(MeshError):
@@ -17,6 +18,7 @@ class ParseError(MeshError):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
+        self.reason = message
 
 
 class InvalidCombination(MeshError):

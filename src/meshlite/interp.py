@@ -98,7 +98,7 @@ class RunState:
         # when others may not take the plan), in declaration order
         self.allocations = {}
         self.channels = {}
-        self.code = {}  # id(statement) -> closure, set by run
+        self.program = []  # top-level (statement, closure) pairs, set by run
 
     def channel_slot(self, array, src, dst):
         key = (id(array), src, dst)
@@ -165,7 +165,6 @@ class ProcessContext:
         self.rank = rank
         self.state = state
         self.checked = checked
-        self.code = state.code  # id(statement) -> closure
         self.env = {}
         self.shadow = []  # (name, hidden binding or None)
         self.depth = 0  # scopes open above the top level
@@ -214,10 +213,10 @@ class ProcessContext:
     def run_program(self):
         """Generator: run the top-level statements. A fault that no rule
         located is located at the innermost statement running."""
-        for stmt in self.checked.program.statements:
+        for stmt, fn in self.state.program:
             yield PAUSE
             try:
-                result = self.exec_stmt(stmt)
+                result = self.exec_stmt(stmt, fn)
                 if result.__class__ is GeneratorType:
                     yield from result
             except RuntimeFault:
@@ -228,11 +227,11 @@ class ProcessContext:
                 raise self.fault("calls nest too deeply", self.stmt) from exc
         self.state.barrier.finish(self.rank)
 
-    def exec_stmt(self, stmt):
-        """Run one statement; a generator for the caller to drain with
-        `yield from` when it must wait (any other result is ignored)."""
+    def exec_stmt(self, stmt, fn):
+        """Run stmt by its closure fn; a generator for the caller to drain
+        with `yield from` when it must wait (any other result is ignored)."""
         self.stmt = stmt
-        return self.code[id(stmt)](self)
+        return fn(self)
 
     # --- declarations ---
 
@@ -273,9 +272,10 @@ class ProcessContext:
             dist_map = self.snapshot_dist(plan.distribution[1], stmt)
         descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
         if allocation is not None:
-            array = allocation[0]
-            for field in ("shape", "elem", "ordering", "partition", "distribution"):
-                mine, allocated = getattr(descriptor, field), getattr(array.descriptor, field)
+            array, allocated_plan, _ = allocation
+            fields = [(field, getattr(descriptor, field), getattr(array.descriptor, field))
+                      for field in ("shape", "elem", "ordering", "partition", "distribution")]
+            for field, mine, allocated in fields + [("comm", plan.comm, allocated_plan.comm)]:
                 if mine != allocated:
                     raise self.fault(f"SPMD divergence: {stmt.name!r} has {field} {mine} here, "
                                      f"but {allocated} where it was allocated", stmt)
@@ -380,7 +380,6 @@ class ProcessContext:
                     PendingTransfer(dst_binding.name, deliver))
                 return
             yield from slot.send(value)
-            yield from slot.wait_consumed()
             return
         if self.rank == cdst and not is_async:
             value = yield from slot.recv()
@@ -413,10 +412,8 @@ class ProcessContext:
         """Generator: collective; all outstanding async transfers in scope complete."""
         self.unguarded("sync", stmt)
         collective = Collective("sync", f"sync {stmt.var}" if stmt.var else "sync", stmt)
-        yield from self.state.barrier.wait(self.rank, collective)
-        if self.rank == 0:
-            self.state.scheduler.drain_async(tag=stmt.var)
-        yield from self.state.barrier.wait(self.rank, collective)
+        drain = self.state.scheduler.drain_async
+        yield from self.state.barrier.wait(self.rank, collective, lambda: drain(tag=stmt.var))
 
     # --- builtins ---
 
@@ -512,7 +509,7 @@ def run(program, nprocs, seed=0, workdir=None, overrides=None, layout_only=False
         checked = check_program(program)
     state = RunState(nprocs, seed=seed, workdir=workdir,
                      layout_only=layout_only, overrides=overrides)
-    state.code = compile_program(checked)
+    state.program = compile_program(checked)
     contexts = [ProcessContext(r, state, checked) for r in range(nprocs)]
     state.scheduler.run([c.run_program() for c in contexts])
     return RunResult(state, contexts)

@@ -118,11 +118,10 @@ class ChannelSlot:
         self.value = None
 
     def send(self, value):
-        yield ("wait", lambda: not self.full)
+        """Fill the slot and wait until the value is taken. The slot is
+        empty here: the link's one sender waited for its last value."""
         self.value = value
         self.full = True
-
-    def wait_consumed(self):
         yield ("wait", lambda: not self.full)
 
     def recv(self):

@@ -23,7 +23,7 @@ def install(patch):
 
 
 class WalkingContext(interp.ProcessContext):
-    def exec_stmt(self, stmt):
+    def exec_stmt(self, stmt, fn=None):
         self.stmt = stmt
         return self.walk_stmt(stmt)
 

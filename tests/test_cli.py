@@ -37,6 +37,16 @@ def test_parse_error_exits_one(workdir):
     assert main(["typecheck", "broken.mesh"]) == 1
 
 
+@pytest.mark.parametrize("source, expected", [
+    ("var x := 1 @ 2;\n", "broken.mesh:1:12: LexError: unexpected character '@'\n"),
+    ("var := ;", "broken.mesh:1:5: ParseError: expected variable name, got ':='\n"),
+], ids=["lex", "parse"])
+def test_typecheck_reports_a_front_end_error_at_one_location(workdir, capsys, source, expected):
+    (workdir / "broken.mesh").write_text(source)
+    assert main(["typecheck", "broken.mesh"]) == 1
+    assert capsys.readouterr().err == expected
+
+
 @pytest.mark.parametrize("source,expected", [
     ("var d : array[Int,4] :: allocated[multiple[]];\nd[1.5] := 2;\n",
      "error: rank 1: array index must be an integer at 2:1\n"),
@@ -111,7 +121,7 @@ def test_misuse_fails_at_a_source_location(workdir, capsys, monkeypatch, name, w
     assert main(["run", "misuse.mesh", "--procs", "2"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"(error: rank \d: .* at \d+:\d+"
-                        r"|misuse\.mesh:\d+:\d+: ParseError: \d+:\d+: .*)\n", err), err
+                        r"|misuse\.mesh:\d+:\d+: ParseError: (?!.*\d+:\d+).*)\n", err), err
 
 
 def test_run_reports_rank_divergent_extents_at_the_declaration(workdir, capsys):
@@ -126,6 +136,34 @@ def test_run_reports_rank_divergent_extents_at_the_declaration(workdir, capsys):
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: rank ([01]): SPMD divergence: 'A' has shape \((4|8),\) "
                             r"here, but \((4|8),\) where it was allocated at 3:5\n", err), err
+
+
+DIVERGENT_CHANNELS = {
+    "async": "channel[a, 1] :: async",
+    "blocking": "channel[a, 1 - a]",
+}
+
+
+@pytest.mark.parametrize("channel", list(DIVERGENT_CHANNELS))
+@pytest.mark.parametrize("walk", [False, True], ids=["compiled", "walked"])
+def test_run_reports_rank_divergent_channel_endpoints_at_the_declaration(
+        workdir, capsys, monkeypatch, channel, walk):
+    """Ranks that evaluate one channel's endpoints differently fault at its
+    declaration, under every schedule, rather than move the value twice or
+    block for ever."""
+    if walk:
+        ast_walk.install(monkeypatch)
+    (workdir / "divergent.mesh").write_text(
+        f"var a := 0;\nproc 1 {{ a := 1 }};\n"
+        f"var c : Int :: allocated[single[on[1]]] :: {DIVERGENT_CHANNELS[channel]};\n"
+        "var q : Int :: allocated[single[on[0]]];\nproc 0 { q := 5 };\nc := q;\nsync;\n")
+    for seed in range(8):
+        args = ["run", "divergent.mesh", "--procs", "2", "--scheduler-seed", str(seed)]
+        assert main(args) == 1, seed
+        err = capsys.readouterr().err
+        comm = r"\('channel', [01], [01], (True|False)\)"
+        assert re.fullmatch(rf"error: rank [01]: SPMD divergence: 'c' has comm {comm} "
+                            rf"here, but {comm} where it was allocated at 3:5\n", err), err
 
 
 def test_run_onesided_trace_has_exactly_one_event(workdir):

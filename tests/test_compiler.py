@@ -692,6 +692,22 @@ def test_recursion_inside_nested_loops_stops_at_the_limit_on_both_run_paths(sour
                 assert str(info.value) == f"rank 0: {TOO_DEEP} at {where}"
 
 
+@pytest.mark.parametrize("source, where", [
+    ("function f() { f() };\nf();\n", "1:16"),
+    ("function f() { for i from 0 to 0 { for j from 0 to 0 { for k from 0 to 0 "
+     "{ proc 0 { f() } } } } };\nf();\n", "1:56"),
+], ids=["calls", "three loops"])
+def test_a_run_called_deep_in_the_stack_still_stops_at_the_limit(source, where):
+    """The compiled path spends about one Python frame per nesting level,
+    so a run started 500 frames deep still reaches the nesting limit
+    before Python's own."""
+    checked = check_program(parse(source))
+    for seed in (0, 3):
+        with pytest.raises(RuntimeFault) as info:
+            under_frames(500, lambda: run(checked, 2, seed=seed))
+        assert re.fullmatch(rf"rank [01]: {TOO_DEEP} at {where}", str(info.value)), seed
+
+
 def _loops(n, body, decls=False):
     """n nested non-empty loops around body, each declaring a local when decls."""
     head = "".join(f"for i{k} from 0 to 0 {{ " + (f"var v{k} := {k}; " if decls else "")
@@ -869,14 +885,20 @@ def test_no_expression_closure_returns_a_generator(tmp_path, monkeypatch):
         run(check_program(parse(communicating_program(seed, 3))), 3, workdir=str(tmp_path))
 
 
-def test_local_compound_statements_build_no_generator(monkeypatch):
-    """Loops, `proc` bodies and calls doing local work return None."""
+def test_compound_statements_return_their_own_generator(monkeypatch):
+    """Loops, a `proc` body on its own rank and calls return their own
+    generator for the caller to drain, even doing local work; a `proc` on
+    another rank and every simple local statement return None."""
     exec_stmt, kinds = ProcessContext.exec_stmt, set()
 
-    def checked_stmt(self, stmt):
-        result = exec_stmt(self, stmt)
-        assert result is None, stmt
-        kinds.add(type(stmt).__name__)
+    def checked_stmt(self, stmt, fn):
+        result = exec_stmt(self, stmt, fn)
+        kind = type(stmt).__name__
+        # every `proc` rank here is a literal, every expression statement a call
+        compound = stmt.rank.value == self.rank if kind == "ProcBlock" \
+            else kind in ("For", "ExprStmt")
+        assert result.__class__ is GeneratorType if compound else result is None, stmt
+        kinds.add((kind, compound))
         return result
 
     monkeypatch.setattr(ProcessContext, "exec_stmt", checked_stmt)
@@ -888,7 +910,8 @@ for i from 0 to 2 { for j from 0 to i { var u := j; s := s + u; h() }; proc 1 { 
 proc 2 { for i from 1 to 2 { h() } };
 """))
     result = run(checked, 3)
-    assert kinds == {"VarDecl", "FuncDef", "For", "ProcBlock", "ExprStmt", "Assign"}
+    assert kinds == {("VarDecl", False), ("FuncDef", False), ("Assign", False), ("For", True),
+                     ("ProcBlock", True), ("ProcBlock", False), ("ExprStmt", True)}
     assert result.local("s") == run_walked(checked, 3).local("s")
 
 
@@ -1060,10 +1083,10 @@ def test_owner_computes_loops_run_only_the_owned_iterations(monkeypatch):
     X a free name of a function body, every iteration runs."""
     exec_stmt, stores = ProcessContext.exec_stmt, {}
 
-    def counted(self, stmt):
+    def counted(self, stmt, fn):
         if type(stmt).__name__ == "Assign" and stmt.line == 3:
             stores[self.rank] = stores.get(self.rank, 0) + 1
-        return exec_stmt(self, stmt)
+        return exec_stmt(self, stmt, fn)
 
     monkeypatch.setattr(ProcessContext, "exec_stmt", counted)
     head = ("var X : array[Int,10] :: allocated[row[] :: horizontal[5] :: single[evendist[]]];\n"
