@@ -25,10 +25,6 @@ class InvalidCombination(MeshError):
     """Two type constructors cannot be combined in one chain."""
 
 
-class UnknownAttribute(MeshError):
-    pass
-
-
 class IncompletePlan(MeshError):
     """A chain cannot be turned into a complete allocation plan."""
 
@@ -56,6 +52,10 @@ class RuntimeFault(MeshError):
         self.reason = message
 
 
+class DeadlockError(RuntimeFault):
+    """Every unfinished process waits, and none can wake another."""
+
+
 class InvalidPartition(MeshError):
     pass
 
@@ -73,10 +73,6 @@ class ShapeMismatch(MeshError):
 
 
 class IndexOutOfBounds(MeshError):
-    pass
-
-
-class DeadlockError(MeshError):
     pass
 
 

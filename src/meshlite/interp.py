@@ -89,8 +89,8 @@ class RunState:
     def __init__(self, nprocs, seed=0, workdir=None, layout_only=False, overrides=None):
         self.nprocs = nprocs
         self.trace = runtime.TraceLog(nprocs)
-        self.barrier = Barrier(nprocs)
         self.scheduler = Scheduler(seed)
+        self.barrier = Barrier(nprocs, self.scheduler)
         self.workdir = workdir or os.getcwd()
         self.layout_only = layout_only
         self.overrides = overrides or {}
@@ -103,7 +103,7 @@ class RunState:
     def channel_slot(self, array, src, dst):
         key = (id(array), src, dst)
         if key not in self.channels:
-            self.channels[key] = ChannelSlot()
+            self.channels[key] = ChannelSlot(self.scheduler, array.name, src, dst)
         return self.channels[key]
 
     def path(self, name):
@@ -225,7 +225,6 @@ class ProcessContext:
                 raise self.fault(str(exc), self.stmt) from exc
             except RecursionError as exc:
                 raise self.fault("calls nest too deeply", self.stmt) from exc
-        self.state.barrier.finish(self.rank)
 
     def exec_stmt(self, stmt, fn):
         """Run stmt by its closure fn; a generator for the caller to drain
@@ -379,10 +378,10 @@ class ProcessContext:
                 self.state.scheduler.post_async(
                     PendingTransfer(dst_binding.name, deliver))
                 return
-            yield from slot.send(value)
+            yield from slot.send(value, stmt)
             return
         if self.rank == cdst and not is_async:
-            value = yield from slot.recv()
+            value = yield from slot.recv(stmt)
             self.state.trace.record("channel-recv", src=csrc, dst=cdst,
                                     nbytes=nbytes, tag=dst_binding.name)
             array.blocks[0].buffer[0] = value

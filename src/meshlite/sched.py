@@ -3,12 +3,14 @@
 Each logical process is a generator. It yields scheduling instructions:
 
     PAUSE               voluntary switch point
-    ("wait", predicate) block until predicate() becomes true
+    ("wait", what)      wait on what, a Barrier or a ChannelSlot, which
+                        parked the process (unless the wait is over) and wakes it
 
-The scheduler picks the next runnable process with a seeded RNG, so
-different seeds explore different interleavings while a fixed seed
-replays exactly. Pending asynchronous transfers make progress at seeded
-switch points and are all drained by an explicit sync.
+The scheduler picks the next process among those not parked with a seeded
+RNG, so different seeds explore different interleavings while a fixed seed
+replays exactly; once all are parked, the run faults where they wait.
+Pending asynchronous transfers make progress at seeded switch points and
+are all drained by an explicit sync.
 """
 
 import random
@@ -38,63 +40,54 @@ class Collective(NamedTuple):
                 and all(a is b for a, b in zip(self.operands, other.operands)))
 
     def where(self) -> str:
-        line = getattr(self.node, "line", None)
-        if line is None:
-            return self.label
-        return f"{self.label} ({line}:{self.node.column})"
+        return self.label + _at(self.node)
 
 
 class Barrier:
-    """Generation-counting barrier for all simulated processes.
-
-    Each arrival names its collective. The last rank to arrive checks
-    that every rank named the same one, runs the optional action on
-    behalf of all of them, and only then releases the others. Once a
-    rank has finished the program no barrier can complete: an arrival
-    then faults, on the first rank waiting, at its collective.
+    """Barrier for all simulated processes, where every arrival but the last
+    is parked. Each names its collective; the last checks that all named the
+    same one, runs the optional action on behalf of all, then wakes the rest.
     """
 
-    def __init__(self, n):
+    def __init__(self, n, scheduler):
         self.n = n
+        self.scheduler = scheduler
         self.arrivals = []  # (rank, Collective)
-        self.generation = 0
-        self.finished = []  # ranks that ran the whole program
 
     def wait(self, rank, collective, action=None):
-        gen = self.generation
         self.arrivals.append((rank, collective))
-        if self.finished:
-            self.stranded()
-        if len(self.arrivals) == self.n:
-            arrivals, self.arrivals = self.arrivals, []
-            if any(not c.same_as(collective) for _, c in arrivals):
-                raise _mismatch(arrivals, rank, collective)
-            if action is not None:
-                action()
-            self.generation += 1
+        if len(self.arrivals) < self.n:
+            self.scheduler.park(rank, self, collective.node)
+            yield ("wait", self)
             return
-        yield ("wait", lambda: self.generation != gen)
+        arrivals, self.arrivals = self.arrivals, []
+        if any(not c.same_as(collective) for _, c in arrivals):
+            raise _mismatch(arrivals, rank, collective)
+        if action is not None:
+            action()
+        for r, _ in arrivals[:-1]:
+            self.scheduler.wake(r)
 
-    def finish(self, rank):
-        """Rank ran the whole program."""
-        self.finished.append(rank)
-        if self.arrivals:
-            self.stranded()
+    def waits(self, rank):
+        return f"waits at {dict(self.arrivals)[rank].label}"
 
-    def stranded(self):
-        """Fault: ranks wait here, but others finished the program."""
-        rank, collective = self.arrivals[0]
-        raise _mismatch(self.arrivals, rank, collective,
-                        f"; {_ranks(self.finished)} finished the program")
+
+def _at(node):
+    line = getattr(node, "line", None)
+    return "" if line is None else f" ({line}:{node.column})"
 
 
 def _ranks(ranks):
     return f"rank{'s' if len(ranks) > 1 else ''} {', '.join(map(str, sorted(ranks)))}"
 
 
-def _mismatch(arrivals, rank, collective, also=""):
-    """The fault on rank at collective: the arrivals name different
-    collectives, or `also` says what keeps them from completing."""
+def _fault(cls, message, rank, node):
+    return cls(message, rank=rank, line=getattr(node, "line", None),
+               column=getattr(node, "column", None))
+
+
+def _mismatch(arrivals, rank, collective):
+    """The fault on rank at collective: the arrivals name different ones."""
     groups = []  # (Collective, ranks) in order of first arrival
     for r, c in arrivals:
         for g, ranks in groups:
@@ -104,32 +97,44 @@ def _mismatch(arrivals, rank, collective, also=""):
         else:
             groups.append((c, [r]))
     sides = "; ".join(f"{_ranks(ranks)} reached {c.where()}" for c, ranks in groups)
-    node = collective.node
-    return RuntimeFault(f"collective mismatch: {sides}{also}", rank=rank,
-                        line=getattr(node, "line", None),
-                        column=getattr(node, "column", None))
+    return _fault(RuntimeFault, f"collective mismatch: {sides}", rank, collective.node)
 
 
 class ChannelSlot:
-    """Rendezvous cell for one point-to-point link."""
+    """Rendezvous cell for the link src -> dst of the channel array `name`."""
 
-    def __init__(self):
+    def __init__(self, scheduler, name, src, dst):
+        self.scheduler = scheduler
+        self.name = name
+        self.src = src
+        self.dst = dst
         self.full = False
         self.value = None
 
-    def send(self, value):
-        """Fill the slot and wait until the value is taken. The slot is
-        empty here: the link's one sender waited for its last value."""
+    def send(self, value, node):
+        """Fill the slot (empty, as the link's one sender waited for its last
+        value), wake a receiver parked here and wait parked until it is taken."""
         self.value = value
         self.full = True
-        yield ("wait", lambda: not self.full)
+        if self.scheduler.waiting.get(self.dst, (None,))[0] is self:
+            self.scheduler.wake(self.dst)
+        self.scheduler.park(self.src, self, node)
+        yield ("wait", self)
 
-    def recv(self):
-        yield ("wait", lambda: self.full)
+    def recv(self, node):
+        """The value sent, parked until there is one; yields once even if it is there."""
+        if not self.full:
+            self.scheduler.park(self.dst, self, node)
+        yield ("wait", self)
         value = self.value
         self.value = None
         self.full = False
+        self.scheduler.wake(self.src)
         return value
+
+    def waits(self, rank):
+        verb = "sends" if rank == self.src else "receives"
+        return f"{verb} {self.name!r} over channel {self.src}->{self.dst}"
 
 
 class PendingTransfer:
@@ -144,6 +149,13 @@ class Scheduler:
     def __init__(self, seed=0):
         self.rng = random.Random(seed)
         self.pending = []
+        self.waiting = {}  # parked rank -> (what it waits for, statement)
+
+    def park(self, rank, what, node):
+        self.waiting[rank] = (what, node)
+
+    def wake(self, rank):
+        del self.waiting[rank]
 
     def post_async(self, transfer: PendingTransfer):
         self.pending.append(transfer)
@@ -159,50 +171,33 @@ class Scheduler:
         self.pending = keep
 
     def run(self, generators):
-        """Drive process generators to completion.
-
-        Raises the first process failure as-is and reports a deadlock if
-        every unfinished process is blocked with nothing left to deliver.
-        The live processes stay in rank order; while none is blocked they
-        are the runnable list as they stand, otherwise every waiting
-        predicate is polled once per step, in rank order.
-        """
-        live = [_Process(r, g) for r, g in enumerate(generators)]
-        blocked = 0  # live processes holding a wait predicate
+        """Drive process generators to completion, resuming one seeded choice
+        of the live ones not parked, in rank order, per step; what a step
+        yields is ignored. Raises the first process failure as-is."""
+        live = list(enumerate(generators))
+        waiting = self.waiting
         rng = self.rng
         while live:
-            if blocked:
-                runnable = [p for p in live if p.waiting is None or p.waiting()]
-                if not runnable:
-                    if self.pending:
-                        self.drain_async()
-                        continue
-                    ranks = ", ".join(str(p.rank) for p in live)
-                    raise DeadlockError(f"all processes blocked (ranks {ranks})")
-            else:
-                runnable = live
+            runnable = [p for p in live if p[0] not in waiting] if waiting else live
+            if not runnable:
+                raise self.deadlock(len(generators))
             proc = rng.choice(runnable)
-            if proc.waiting is not None:
-                proc.waiting = None
-                blocked -= 1
             try:
-                instr = next(proc.gen)
+                next(proc[1])
             except StopIteration:
                 live.remove(proc)
                 continue
-            if instr is not None and instr[0] == "wait":
-                proc.waiting = instr[1]
-                blocked += 1
             if self.pending and rng.random() < ASYNC_PROGRESS:
                 self.pending.pop(0).deliver()
 
-
-class _Process:
-    """One process generator as Scheduler.run tracks it."""
-
-    __slots__ = ("rank", "gen", "waiting")
-
-    def __init__(self, rank, gen):
-        self.rank = rank
-        self.gen = gen
-        self.waiting = None  # predicate the process is blocked on
+    def deadlock(self, nprocs):
+        """The fault when every live rank is parked, located at the first
+        parked on a channel, or else the first parked."""
+        parked = sorted(self.waiting.items())
+        sides = [f"rank {r} {what.waits(r)}{_at(node)}" for r, (what, node) in parked]
+        finished = [r for r in range(nprocs) if r not in self.waiting]
+        if finished:
+            sides.append(f"{_ranks(finished)} finished the program")
+        rank, (_, node) = next((p for p in parked if isinstance(p[1][0], ChannelSlot)),
+                               parked[0])
+        return _fault(DeadlockError, "all processes blocked: " + "; ".join(sides), rank, node)

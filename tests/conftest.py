@@ -7,7 +7,7 @@ import pytest
 
 from meshlite import ast, chains, check_program, parse
 from meshlite.fixtures import corpus_source
-from meshlite.errors import DeadlockError, LexError, ShapeMismatch, UnknownAttribute
+from meshlite.errors import LexError, MeshError, ShapeMismatch
 from meshlite.interp import ProcessContext, RunState
 from meshlite.lexer import END, KEYWORDS, OPERATORS, PUNCTUATION
 from meshlite.runtime import (
@@ -20,7 +20,7 @@ from meshlite.runtime import (
     _dense_offset,
     owner_of,
 )
-from meshlite.sched import ASYNC_PROGRESS
+from meshlite.sched import ASYNC_PROGRESS, Barrier
 
 
 @dataclass(frozen=True)
@@ -390,11 +390,12 @@ def owner_changes_bytes(src_desc, dst_desc, esize):
 def reference_schedule(scheduler, generators):
     """Drive process generators as Scheduler.run does; the oracle for it.
 
-    Rebuilds the live and the runnable list on every step, polling every
-    waiting predicate in rank order, and draws from the scheduler's RNG
-    exactly where Scheduler.run must: one choice per step, and one
-    progress draw per step that did not finish a process while transfers
-    are pending.
+    Rebuilds the live and the runnable list on every step, polling in rank
+    order whether each waiting process is ready from the public state of
+    what it waits for, never from the scheduler's parked ranks. Draws from
+    the scheduler's RNG exactly where Scheduler.run must: one choice per
+    step, and one progress draw per step that did not finish a process
+    while transfers are pending.
     """
     procs = [{"rank": r, "gen": g, "waiting": None, "done": False}
              for r, g in enumerate(generators)]
@@ -402,13 +403,9 @@ def reference_schedule(scheduler, generators):
         live = [p for p in procs if not p["done"]]
         if not live:
             break
-        runnable = [p for p in live if p["waiting"] is None or p["waiting"]()]
+        runnable = [p for p in live if p["waiting"] is None or ready(p["rank"], p["waiting"])]
         if not runnable:
-            if scheduler.pending:
-                scheduler.drain_async()
-                continue
-            blocked = ", ".join(str(p["rank"]) for p in live)
-            raise DeadlockError(f"all processes blocked (ranks {blocked})")
+            raise scheduler.deadlock(len(procs))
         proc = scheduler.rng.choice(runnable)
         proc["waiting"] = None
         try:
@@ -420,6 +417,15 @@ def reference_schedule(scheduler, generators):
             proc["waiting"] = instr[1]
         if scheduler.pending and scheduler.rng.random() < ASYNC_PROGRESS:
             scheduler.pending.pop(0).deliver()
+
+
+def ready(rank, what):
+    """Whether rank's wait on what is over: at a barrier once rank is no
+    longer among its arrivals, at a channel slot once the slot is full for
+    the receiver and empty for the sender."""
+    if isinstance(what, Barrier):
+        return all(r != rank for r, _ in what.arrivals)
+    return what.full if rank == what.dst else not what.full
 
 
 def run_collective(nprocs, make_gen, seed=0):
@@ -482,6 +488,10 @@ def logical_set(array, index, value, rank=None):
 
 def remote_bytes(segments) -> int:
     return sum(s.nbytes for s in segments if not s.local)
+
+
+class UnknownAttribute(MeshError):
+    """A chain provides no such attribute, and it has no default."""
 
 
 def resolve_attribute(chain, attribute):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import resolve_attribute
+from conftest import UnknownAttribute, resolve_attribute
 from meshlite import parse
 from meshlite.chains import (
     LOCAL,
@@ -33,7 +33,7 @@ from meshlite.chains import (
     validate_append,
 )
 from meshlite.checker import type_argument
-from meshlite.errors import IncompletePlan, InvalidCombination, MeshError, UnknownAttribute
+from meshlite.errors import IncompletePlan, InvalidCombination, MeshError
 
 
 def constant(arg):

@@ -100,6 +100,10 @@ def test_run_reports_unbounded_recursion_without_a_traceback(workdir, capsys, se
         f"error: rank {rank}: loops, proc bodies and calls nest more than 128 deep at 1:16\n")
 
 
+# A receive no rank sends to: rank 1 waits on link 0->1 for good.
+RECEIVER_LEFT_WAITING = ("var c : Int :: allocated[single[on[1]]] :: channel[0,1];\n"
+                         "var q : Int :: allocated[single[on[0]]];\nproc 1 { c := q };\n")
+
 MISUSE = {
     "300 parentheses": "var x := " + "(" * 300 + "1" + ")" * 300 + ";\n",
     "1000 loops": "for i from 0 to 0 { " * 1000 + "}" * 1000 + "\n",
@@ -108,7 +112,10 @@ MISUSE = {
     "a rank left at a barrier":
         "var x := 0;\nfunction f() { sync };\nproc 0 { x := 1 };\nfor i from 0 to x { f() };\n",
     "unbounded recursion": "function f() { f() }; f();\n",
+    "a receiver left waiting": RECEIVER_LEFT_WAITING,
+    "a receiver left waiting, the others at a barrier": RECEIVER_LEFT_WAITING + "sync;\n",
 }
+MISUSE_PROCS = {"a receiver left waiting, the others at a barrier": "3"}
 
 
 @pytest.mark.parametrize("name", list(MISUSE))
@@ -118,7 +125,7 @@ def test_misuse_fails_at_a_source_location(workdir, capsys, monkeypatch, name, w
     if walk:
         ast_walk.install(monkeypatch)
     (workdir / "misuse.mesh").write_text(MISUSE[name])
-    assert main(["run", "misuse.mesh", "--procs", "2"]) == 1
+    assert main(["run", "misuse.mesh", "--procs", MISUSE_PROCS.get(name, "2")]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"(error: rank \d: .* at \d+:\d+"
                         r"|misuse\.mesh:\d+:\d+: ParseError: (?!.*\d+:\d+).*)\n", err), err

@@ -267,8 +267,10 @@ var a : Int :: allocated[single[on[0]]] :: channel[2,0];
 var b : Int :: allocated[single[on[2]]];
 proc 0 { a := b };
 """
-    with pytest.raises((DeadlockError, RuntimeFault)):
+    with pytest.raises(DeadlockError) as err:
         run_src(src, 3)
+    assert str(err.value) == ("rank 0: all processes blocked: rank 0 receives 'a' over "
+                              "channel 2->0 (4:10); ranks 1, 2 finished the program at 4:10")
 
 
 def test_line_slice_assignment_between_blocks(fft_workdir):

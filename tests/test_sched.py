@@ -1,9 +1,9 @@
 """Scheduler.run against the reference scheduler loop in conftest.
 
 Both drive the same programs from the same seed. Every process generator
-is wrapped so that each resume logs its rank, each poll of a wait
-predicate logs the rank and the answer, and each asynchronous delivery
-logs its tag. The logs, the final state and any fault must be equal.
+is wrapped so that each resume logs its rank; each park and each wake
+logs the rank, and each asynchronous delivery logs its tag. The logs,
+the final state and any fault must be equal.
 """
 
 import pytest
@@ -19,7 +19,7 @@ PROCS = (1, 2, 3, 4, 16, 64)
 SEEDS = (0, 7919, 1, 42, 65537)
 
 # An async transfer posted before the ranks block for good: some schedules
-# leave it pending until the scheduler drains it to look for progress.
+# leave it pending when the run faults.
 ASYNC_THEN_DEADLOCK = """
 var a : Int :: allocated[single[on[0]]] :: channel[2,0] :: async;
 var c : Int :: allocated[single[on[0]]] :: channel[1,0];
@@ -68,24 +68,14 @@ PROGRAMS = {
 
 
 def _logged(log, rank, gen):
-    """gen as the scheduler sees it, logging resumes and predicate polls."""
+    """gen as the scheduler sees it, logging each resume."""
     while True:
         log.append(("step", rank))
         try:
             instr = next(gen)
         except StopIteration:
             return
-        if instr is not None and instr[0] == "wait":
-            instr = ("wait", _polled(log, rank, instr[1]))
         yield instr
-
-
-def _polled(log, rank, predicate):
-    def poll():
-        ready = predicate()
-        log.append(("poll", rank, ready))
-        return ready
-    return poll
 
 
 def schedule(checked, nprocs, seed, workdir, drive):
@@ -107,8 +97,20 @@ def schedule(checked, nprocs, seed, workdir, drive):
     out = workdir / "image.out.dat"
     if out.exists():
         out.unlink()
+    park, wake = Scheduler.park, Scheduler.wake
+
+    def park_logged(scheduler, rank, what, node):
+        log.append(("park", rank))
+        park(scheduler, rank, what, node)
+
+    def wake_logged(scheduler, rank):
+        log.append(("wake", rank))
+        wake(scheduler, rank)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Scheduler, "run", run)
+        patch.setattr(Scheduler, "park", park_logged)
+        patch.setattr(Scheduler, "wake", wake_logged)
         try:
             result = interp.run(checked, nprocs, seed=seed, workdir=str(workdir))
         except MeshError as err:
@@ -126,17 +128,6 @@ def final_state(result):
         except KeyError:
             state[name] = result.local(name)
     return state
-
-
-def drained_to_find_progress(log):
-    """Whether the last deliveries came from a drain with every rank blocked:
-    after polls, not inside a step."""
-    i = len(log)
-    while i and log[i - 1][0] != "deliver":
-        i -= 1
-    while i and log[i - 1][0] == "deliver":
-        i -= 1
-    return i > 0 and log[i - 1][0] == "poll"
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +158,7 @@ def test_reference_programs_block_wake_drain_and_deadlock(workdir):
         for nprocs in (3, 4):
             for seed in SEEDS:
                 log, outcome = schedule(checked, nprocs, seed, workdir, Scheduler.run)
-                seen.update(entry[0] if entry[0] != "poll" else ("poll", entry[2])
-                            for entry in log)
+                seen.update(entry[0] for entry in log)
                 if outcome[0] == "fault":
                     seen.add(outcome[1])
-                    if outcome[1] == "DeadlockError" and drained_to_find_progress(log):
-                        seen.add("drained before deadlock")
-    assert {("poll", False), ("poll", True), "deliver", "DeadlockError",
-            "drained before deadlock"} <= seen
+    assert {"park", "wake", "deliver", "DeadlockError"} <= seen
