@@ -268,14 +268,6 @@ def combine(left: TypeChain, right: Ctor) -> TypeChain:
     return left + (right,)
 
 
-def chain_of(*ctors) -> TypeChain:
-    """Build a chain constructor by constructor through combine."""
-    chain = ()
-    for c in ctors:
-        chain = combine(chain, c)
-    return chain
-
-
 def _attributes(chain: TypeChain) -> dict:
     """Every attribute's resolved value, in one pass over the chain."""
     values = dict(_DEFAULTS)
@@ -351,7 +343,6 @@ class AllocationPlan:
     distribution: tuple  # ("on", rank) | ("even",) | ("arraydist", var) | ("multiple",)
     share_base: Optional[str]
     comm: Optional[tuple]  # ("channel", src, dst, is_async)
-    read_only: bool
 
 
 def plan_problems(chain: TypeChain) -> list:
@@ -432,7 +423,6 @@ def plan_of(chain: TypeChain) -> AllocationPlan:
         distribution=attrs["distribution"],
         share_base=references(chain).get("share"),
         comm=None if attrs["commMode"] == ("one-sided",) else attrs["commMode"],
-        read_only=attrs["mutability"] == "read-only",
     )
 
 

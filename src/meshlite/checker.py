@@ -159,7 +159,8 @@ class Checker:
             if existing is not None and existing.kind.read_only:
                 self.report("ConstViolation", f"loop variable {stmt.var!r} is declared const", stmt)
             self.scopes.append({})
-            if self.lookup(stmt.var) is None:
+            # the run binds a fresh local unless the name already holds one
+            if existing is None or existing.kind.distributed:
                 self.scopes[-1][stmt.var] = VarInfo(stmt.var, None, chains.LOCAL)
             for s in stmt.body:
                 self.check_stmt(s, in_proc)
@@ -285,6 +286,7 @@ class Checker:
         if isinstance(expr, ast.Accessor):
             root = expr.base
             while isinstance(root, ast.Index):
+                self.check_expr(root.index)
                 root = root.base
             info = self.lookup(root.name) if isinstance(root, ast.Name) else None
             if info is None:

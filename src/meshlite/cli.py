@@ -9,6 +9,7 @@ import sys
 
 from . import fixtures, interp
 from .checker import check_program
+from .compiler import overridable
 from .errors import CheckError, LexError, MeshError, ParseError
 from .parser import parse
 
@@ -37,12 +38,18 @@ def _frontend(path):
         raise SystemExit(1)
 
 
-def _parse_defines(pairs):
+def _parse_defines(pairs, checked):
+    """The overrides of --define, each naming a top-level untyped var."""
+    names = overridable(checked.program)
     overrides = {}
     for item in pairs or []:
         name, sep, value = item.partition("=")
         if not sep or not name:
             print(f"error: bad --define {item!r}, expected NAME=INT", file=sys.stderr)
+            raise SystemExit(2)
+        if name not in names:
+            print(f"error: --define {name}: the program declares no top-level untyped var {name}",
+                  file=sys.stderr)
             raise SystemExit(2)
         try:
             overrides[name] = int(value)
@@ -61,7 +68,7 @@ def cmd_run(args):
     checked = _frontend(args.file)
     try:
         result = interp.run(checked, args.procs, seed=args.scheduler_seed,
-                            overrides=_parse_defines(args.define))
+                            overrides=_parse_defines(args.define, checked))
     except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -90,7 +97,7 @@ def cmd_dump_dist(args):
     checked = _frontend(args.file)
     try:
         result = interp.run(checked, args.procs, layout_only=True,
-                            overrides=_parse_defines(args.define))
+                            overrides=_parse_defines(args.define, checked))
     except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,9 @@ from .lexer import END, Token, tokenize
 
 ACCESSORS = {"localblocks", "localblockid", "low", "high"}
 
-_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+# Binary operators by precedence level, loosest first; each level is
+# left-associative, and the level past the last is a postfix expression.
+_LEVELS = (("==", "!=", "<", "<=", ">", ">="), ("+", "-"), ("*", "/"))
 
 
 class Parser:
@@ -239,49 +241,21 @@ class Parser:
 
     # --- expressions ---
 
-    def parse_expr(self):
-        return self.parse_comparison()
-
-    def parse_comparison(self):
-        left = self.parse_additive()
+    def parse_expr(self, level=0):
+        """A chain of _LEVELS[level]'s operators over the next level's operands."""
+        ops = _LEVELS[level]
+        level += 1
+        last = level == len(_LEVELS)
+        left = self.parse_postfix() if last else self.parse_expr(level)
         op = self.tokens[self.pos]
         n = 0  # operators: each goes one level deeper
-        while op.kind == "operator" and op.lexeme in _COMPARISONS:
+        while op.kind == "operator" and op.lexeme in ops:
             n += 1
             self.deeper(self.advance())
-            right = self.parse_additive()
+            right = self.parse_postfix() if last else self.parse_expr(level)
             left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
             op = self.tokens[self.pos]
-        if n:
-            self.depth -= n
-        return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        op = self.tokens[self.pos]
-        n = 0  # operators: each goes one level deeper
-        while op.kind == "operator" and op.lexeme in ("+", "-"):
-            n += 1
-            self.deeper(self.advance())
-            right = self.parse_multiplicative()
-            left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
-            op = self.tokens[self.pos]
-        if n:
-            self.depth -= n
-        return left
-
-    def parse_multiplicative(self):
-        left = self.parse_postfix()
-        op = self.tokens[self.pos]
-        n = 0  # operators: each goes one level deeper
-        while op.kind == "operator" and op.lexeme in ("*", "/"):
-            n += 1
-            self.deeper(self.advance())
-            right = self.parse_postfix()
-            left = ast.BinOp(op.lexeme, left, right, line=op.line, column=op.column)
-            op = self.tokens[self.pos]
-        if n:
-            self.depth -= n
+        self.depth -= n
         return left
 
     def parse_postfix(self):

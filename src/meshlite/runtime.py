@@ -159,7 +159,9 @@ class ArrayDescriptor:
 
     def element(self, i: int) -> tuple:
         """(block_id, offset) of index i of a 1D array: what locate((i,))
-        gives, by one interval-arithmetic step on the geometry."""
+        gives, by one interval-arithmetic step on the geometry. Of a 2D
+        array, the block and line holding index i of the partitioned
+        dimension."""
         _, _, wide, split, r, q = self._geometry
         if not 0 <= i < self.part_extent:
             raise IndexOutOfBounds(f"index {(i,)} outside shape {self.shape}")
@@ -167,13 +169,6 @@ class ArrayDescriptor:
             return divmod(i, wide)
         k, t = divmod(i - split, q)
         return k + r, t
-
-    def block_of(self, along: int) -> int:
-        """Block holding index `along` of the partitioned dimension."""
-        _, _, wide, split, r, q = self._geometry
-        if along < split:
-            return along // wide
-        return r + (along - split) // q
 
 
 @dataclass
@@ -183,9 +178,6 @@ class Block:
     low: int
     high: int
     buffer: list
-
-    def __len__(self):
-        return len(self.buffer)
 
 
 class DistributedArray:
@@ -214,23 +206,11 @@ class DistributedArray:
         return self.replicas[rank]
 
     def logical_get(self, index, rank=0):
-        if self.replicated:
-            d = self.descriptor
-            if d.ndim == 0:
-                return self.replicas[rank][0]
-            off = _dense_offset(d, index)
-            return self.replicas[rank][off]
+        """The element at a logical index; a replica is laid out as block 0."""
         k, off = self.descriptor.locate(index)
+        if self.replicated:
+            return self.replicas[rank][off]
         return self.blocks[k].buffer[off]
-
-
-def _dense_offset(descriptor, index):
-    """Offset into an unpartitioned/replicated buffer, ordering-major."""
-    if descriptor.ndim == 1:
-        return index[0]
-    if descriptor.ordering == "row":
-        return index[0] * descriptor.shape[1] + index[1]
-    return index[1] * descriptor.shape[0] + index[0]
 
 
 def descriptor_from_plan(plan: AllocationPlan, nprocs: int, dist_map=None) -> ArrayDescriptor:
@@ -466,7 +446,7 @@ def plan_redistribution(src: ArrayDescriptor, dst: ArrayDescriptor, same_storage
         if src_blocks is None:
             overlapping = [(0, dst_owner, None, 0, extents[sd] - 1)]
         else:
-            overlapping = src_blocks[src.block_of(lo) : src.block_of(hi) + 1]
+            overlapping = src_blocks[src.element(lo)[0] : src.element(hi)[0] + 1]
         for src_block, src_owner, _, slow, shigh in overlapping:
             start = [box[0][0], box[1][0]]
             end = [box[0][1], box[1][1]]

@@ -10,7 +10,7 @@ The scheduler picks the next process among those not parked with a seeded
 RNG, so different seeds explore different interleavings while a fixed seed
 replays exactly; once all are parked, the run faults where they wait.
 Pending asynchronous transfers make progress at seeded switch points and
-are all drained by an explicit sync.
+are all drained by an explicit sync, and by the end of the run.
 """
 
 import random
@@ -173,7 +173,8 @@ class Scheduler:
     def run(self, generators):
         """Drive process generators to completion, resuming one seeded choice
         of the live ones not parked, in rank order, per step; what a step
-        yields is ignored. Raises the first process failure as-is."""
+        yields is ignored. Once all have finished, delivers what is still
+        pending. Raises the first process failure as-is."""
         live = list(enumerate(generators))
         waiting = self.waiting
         rng = self.rng
@@ -189,6 +190,7 @@ class Scheduler:
                 continue
             if self.pending and rng.random() < ASYNC_PROGRESS:
                 self.pending.pop(0).deliver()
+        self.drain_async()
 
     def deadlock(self, nprocs):
         """The fault when every live rank is parked, located at the first

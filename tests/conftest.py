@@ -17,7 +17,6 @@ from meshlite.runtime import (
     Segment,
     TraceEvent,
     TraceLog,
-    _dense_offset,
     owner_of,
 )
 from meshlite.sched import ASYNC_PROGRESS, Barrier
@@ -395,7 +394,8 @@ def reference_schedule(scheduler, generators):
     what it waits for, never from the scheduler's parked ranks. Draws from
     the scheduler's RNG exactly where Scheduler.run must: one choice per
     step, and one progress draw per step that did not finish a process
-    while transfers are pending.
+    while transfers are pending. What is still pending when the last
+    process finishes is delivered then.
     """
     procs = [{"rank": r, "gen": g, "waiting": None, "done": False}
              for r, g in enumerate(generators)]
@@ -417,6 +417,7 @@ def reference_schedule(scheduler, generators):
             proc["waiting"] = instr[1]
         if scheduler.pending and scheduler.rng.random() < ASYNC_PROGRESS:
             scheduler.pending.pop(0).deliver()
+    scheduler.drain_async()
 
 
 def ready(rank, what):
@@ -472,6 +473,16 @@ def events(log):
     return out
 
 
+def _dense_offset(descriptor, index):
+    """Offset into an unpartitioned/replicated buffer, ordering-major:
+    written out here so logical_set and brute_force_plan stay independent of locate."""
+    if descriptor.ndim == 1:
+        return index[0]
+    if descriptor.ordering == "row":
+        return index[0] * descriptor.shape[1] + index[1]
+    return index[1] * descriptor.shape[0] + index[0]
+
+
 def logical_set(array, index, value, rank=None):
     """Store value at a logical index of array: into rank's replica, or
     every replica when rank is None, of a replicated array."""
@@ -488,6 +499,14 @@ def logical_set(array, index, value, rank=None):
 
 def remote_bytes(segments) -> int:
     return sum(s.nbytes for s in segments if not s.local)
+
+
+def chain_of(*ctors):
+    """Build a chain constructor by constructor through chains.combine."""
+    chain = ()
+    for c in ctors:
+        chain = chains.combine(chain, c)
+    return chain
 
 
 class UnknownAttribute(MeshError):

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     brute_force_copy,
     buffers_of,
+    chain_of,
     checked_corpus,
     fill_sequential,
     make_descriptor,
@@ -20,7 +21,7 @@ from conftest import (
     run_collective,
 )
 from meshlite import check_program, parse, run
-from meshlite.chains import chain_of, combine, plan_of
+from meshlite.chains import combine, plan_of
 from meshlite.chains import Char, Col, Const, Horizontal, Int, Multiple, On, Row, Single, Vertical, ArrayOf, Complex
 from meshlite.errors import CheckError, InvalidCombination
 from meshlite.fixtures import CORPUS, corpus_source, generate_image, oracle_dft2d

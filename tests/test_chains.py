@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import UnknownAttribute, resolve_attribute
+from conftest import UnknownAttribute, chain_of, resolve_attribute
 from meshlite import parse
 from meshlite.chains import (
     LOCAL,
@@ -24,7 +24,6 @@ from meshlite.chains import (
     Share,
     Single,
     Vertical,
-    chain_of,
     combine,
     from_type_expr,
     kind_of,
@@ -221,8 +220,7 @@ def test_plan_incomplete_without_distribution():
 
 
 def test_plan_const_marks_read_only():
-    plan = plan_of(chain_of(Char(), Const()))
-    assert plan.read_only
+    assert kind_of(chain_of(Char(), Const())).read_only
 
 
 # --- property tests over random chains ---
@@ -382,7 +380,7 @@ def test_plan_problems_and_kind_agree_with_plan_of():
         assert kind.ndim == len(plan.shape), chain
         assert kind.replicated == (plan.distribution[0] == "multiple"), chain
         assert kind.partitioned == (plan.partition is not None), chain
-        assert kind.read_only == plan.read_only, chain
+        assert kind.read_only == any(isinstance(c, Const) for c in chain), chain
         if not kind.distributed:  # a local names no distribution it would ignore
             assert not any(isinstance(c, (Single, Multiple)) for c in chain), chain
         if plan.partition is not None:

@@ -223,6 +223,19 @@ var y := {call};
     assert [(d.rule, d.line, d.column) for d in diagnostics] == [("NoValue", 7, 10)]
 
 
+@pytest.mark.parametrize("index, rule", [
+    ("nosuch()", "UnknownFunction"), ('writefile(B, "p")', "NoValue"), ("k", "UnknownVariable"),
+])
+def test_accessor_base_indices_are_checked(index, rule):
+    """A[e].low checks e like any other index."""
+    src = f"""
+var A : array[Int,4] :: allocated[horizontal[2] :: single[evendist[]]];
+var B : array[Int,4] :: allocated[single[on[0]]];
+var x := A[{index}].low;
+"""
+    assert [(d.rule, d.line, d.column) for d in diagnostics_of(src)] == [(rule, 4, 12)]
+
+
 def test_redeclaration_in_same_scope():
     assert "Redeclaration" in rules_of("var x;\nvar x;")
 

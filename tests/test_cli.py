@@ -192,6 +192,21 @@ def test_run_bad_define(workdir, capsys):
     assert main(["run", "fft2d.mesh", "--procs", "2", "--define", "n=lots"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "dump-dist"])
+@pytest.mark.parametrize("name", ["n", "typo", "S", "m"])
+def test_define_must_name_a_top_level_untyped_var(workdir, capsys, command, name):
+    """Only `n` may be defined: S is typed and m is not top level."""
+    (workdir / "defines.mesh").write_text(
+        "var n := 2;\nvar S : Int :: allocated[single[on[0]]];\nproc 0 { var m := 1 };\n")
+    status = main([command, "defines.mesh", "--procs", "2", "--define", f"{name}=3"])
+    err = capsys.readouterr().err
+    if name == "n":
+        assert (status, err) == (0, "")
+    else:
+        assert (status, err) == (
+            2, f"error: --define {name}: the program declares no top-level untyped var {name}\n")
+
+
 def test_scheduler_seed_does_not_change_blocking_output(workdir):
     blobs = set()
     for seed in ("0", "3", "11"):

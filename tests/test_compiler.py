@@ -1248,3 +1248,41 @@ def test_communicating_programs_cover_every_form(tmp_path):
     for call in ("fs()", "fq()", "fe()", "fr()", "fl()", "fz()", "fw(w)", "fy()", "fp(X)",
                  "fc()", "fa()", "fx(Y)", "fm()", "proc 0 { fio() }", "{ fs() }", "sync a;"):
         assert call in statements, call
+
+
+def test_an_async_transfer_pending_when_the_run_ends_is_delivered():
+    """The end of a program completes every pending transfer: the value
+    lands and the receive is traced, the same under every seed."""
+    checked = check_program(parse(
+        "var a : Int :: allocated[single[on[0]]] :: channel[1,0] :: async;\n"
+        "var b : Int :: allocated[single[on[1]]];\nproc 1 { b := 5 };\na := b;\n"))
+    traces = set()
+    for seed in range(8):
+        for run_path in RUNS:
+            result = run_path(checked, 2, seed=seed)
+            assert result.logical("a") == 5, (seed, run_path)
+            assert (result.trace.count("channel-send"), result.trace.count("channel-recv")) \
+                == (1, 1), (seed, run_path)
+            traces.add(result.trace.render())
+    assert len(traces) == 1
+
+
+LOOP_OVER_ARRAY_NAME = ("var i : array[Int,4] :: allocated[multiple[]];\nvar s := 0;\n"
+                        "for i from 0 to 3 { ")
+
+
+def test_a_loop_variable_shadowing_a_distributed_name_is_a_fresh_local():
+    """The checker scopes the loop variable as the run binds it: a fresh
+    local in place of the outer array, written and read as a local."""
+    checked = check_program(parse(LOOP_OVER_ARRAY_NAME + "s := s + i; i := 5 };\n"))
+    for run_path in RUNS:
+        assert run_path(checked, 2).local("s") == [6, 6], run_path
+
+
+def test_storing_a_loop_variable_into_an_array_is_refused_at_check_time():
+    source = LOOP_OVER_ARRAY_NAME + ("var A : array[Int,4] :: allocated[single[on[0]]]; "
+                                     "A := i };\n")
+    with pytest.raises(CheckError) as info:
+        check_program(parse(source), source_name="t.mesh")
+    assert str(info.value) == \
+        "t.mesh:3:71: ArrayAssignment: 'A' is an array; assign another array to it"

@@ -166,8 +166,7 @@ def test_share_owner_mismatch_rejected():
 
 def test_allocate_validates_the_placement_rank():
     plan = AllocationPlan(elem="int", shape=(), ordering="row", partition=None,
-                          distribution=("on", 2), share_base=None, comm=None,
-                          read_only=False)
+                          distribution=("on", 2), share_base=None, comm=None)
     descriptor = descriptor_from_plan(plan, nprocs=2)
     with pytest.raises(BadDistribution, match=r"placement rank 2 outside \[0, 2\)"):
         allocate("a", descriptor)
@@ -275,7 +274,7 @@ def test_locate_matches_partition_bounds_on_random_descriptors():
         if desc.shape:
             part_dim = desc.part_dim
             for idx, (k, _) in expected.items():
-                assert desc.block_of(idx[part_dim]) == k, desc
+                assert desc.element(idx[part_dim])[0] == k, desc
         p = desc.block_count
         seen.add((len(desc.shape), desc.ordering,
                   desc.partition[0] if desc.partition else None,

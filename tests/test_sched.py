@@ -51,6 +51,15 @@ sync;
 x := x + a + e;
 """
 
+# An async transfer still pending when every rank has finished: the end of
+# the run delivers it.
+ASYNC_AT_END = """
+var a : Int :: allocated[single[on[0]]] :: channel[1,0] :: async;
+var b : Int :: allocated[single[on[1]]];
+proc 1 { b := 5 };
+a := b;
+"""
+
 HALF_GUARDED = """
 var a : Int :: allocated[single[on[0]]] :: channel[2,0];
 var b : Int :: allocated[single[on[2]]];
@@ -62,6 +71,7 @@ PROGRAMS = {
                                "channel.mesh", "channel_async.mesh")},
     "async-then-deadlock": ASYNC_THEN_DEADLOCK,
     "async-syncs": ASYNC_SYNCS,
+    "async-at-end": ASYNC_AT_END,
     "half-guarded": HALF_GUARDED,
     **{f"communicating-{seed}": communicating_program(seed, 2) for seed in range(4)},
 }
