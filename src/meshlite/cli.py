@@ -10,7 +10,7 @@ import sys
 from . import fixtures, interp
 from .checker import check_program
 from .compiler import overridable
-from .errors import CheckError, LexError, MeshError, ParseError
+from .errors import CheckError, MeshError, SourceError
 from .parser import parse
 
 
@@ -28,7 +28,7 @@ def _frontend(path):
     try:
         program = parse(source)
         return check_program(program, source_name=path)
-    except (LexError, ParseError) as exc:
+    except SourceError as exc:
         print(f"{path}:{exc.line}:{exc.column}: {type(exc).__name__}: {exc.reason}",
               file=sys.stderr)
         raise SystemExit(1)
@@ -66,12 +66,8 @@ def cmd_typecheck(args):
 
 def cmd_run(args):
     checked = _frontend(args.file)
-    try:
-        result = interp.run(checked, args.procs, seed=args.scheduler_seed,
-                            overrides=_parse_defines(args.define, checked))
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = interp.run(checked, args.procs, seed=args.scheduler_seed,
+                        overrides=_parse_defines(args.define, checked))
     if args.trace:
         try:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -95,12 +91,8 @@ def _dist_text(descriptor):
 
 def cmd_dump_dist(args):
     checked = _frontend(args.file)
-    try:
-        result = interp.run(checked, args.procs, layout_only=True,
-                            overrides=_parse_defines(args.define, checked))
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = interp.run(checked, args.procs, layout_only=True,
+                        overrides=_parse_defines(args.define, checked))
     for name, array in result.declared:
         d = array.descriptor
         shape = "x".join(str(s) for s in d.shape) if d.shape else "scalar"

@@ -17,15 +17,16 @@ caller drains: one Python frame per level of nesting.
 
 What a name reads and how a store communicates are decided here, once,
 from the declarations in scope (the Mesham types decide it before the
-program runs). Scoping is dynamic, so a name a function body takes from
-its caller, or a parameter, has no kind here: its closure branches on the
-binding's kind when it runs. The types also decide who stores: outside
-`proc` only X[i]'s owner stores `X[i] := e`, so a loop whose body is that
-one statement over a 1D single-copy array known here runs only the
-iterations the process owns (`owner_computes`). The rules that hold
-whatever the kind live in ProcessContext: who performs an access
-(`performs`), that collectives cannot run inside `proc`, and the one-sided
-and channel transfers.
+program runs); no closure looks at a binding's kind. Scoping is dynamic,
+so a function body is compiled for each distinct scope it is called from
+(`Compiler.body`), where each name it sees has a kind. A name used where
+it is not declared, or stored as its kind refuses, compiles to a closure
+that faults. The types also decide who stores: outside `proc` only X[i]'s
+owner stores `X[i] := e`, so a loop whose body is that one statement over
+a 1D single-copy array runs only the iterations the process owns
+(`owner_computes`). The rules that hold whatever the kind live in
+ProcessContext: who performs an access (`performs`), that collectives
+cannot run inside `proc`, and the one-sided and channel transfers.
 """
 
 import itertools
@@ -39,7 +40,6 @@ from .values import OPERATORS, Binding, BlockRef, LineSlice, arith, owned_blocks
 
 _LITERALS = (ast.IntLit, ast.RealLit, ast.StrLit)
 _SCALARS = (ast.BinOp, *_LITERALS)  # never array values
-_CLASSES = ("local", "array", "replica", "single")
 
 
 def overridable(program) -> dict:
@@ -51,32 +51,29 @@ def overridable(program) -> dict:
 
 def compile_program(checked) -> list:
     """The program's top-level statements as (statement, closure) pairs;
-    its functions' bodies are reached through their calls."""
+    a function's body is compiled by its calls, for the scope of each."""
     compiler = Compiler(checked.functions, overridable(checked.program))
-    for name, fn in checked.functions.items():
-        compiler.scopes = [{}]  # a body's free names and parameters stay unknown
-        compiler.bodies[name] = compiler.block(fn.body)
-    compiler.scopes = [{}]
     return compiler.block(checked.program.statements)
 
 
-def _class_of(binding):
-    """How a binding is read and stored: one of _CLASSES."""
-    if binding.kind == "local":
+def _class(kind):
+    """How a name of chains.Kind kind is read and stored: a leaf's class."""
+    if not kind.distributed:
         return "local"
-    array = binding.array
-    if array.descriptor.ndim:
+    if kind.ndim:
         return "array"
-    return "replica" if array.replicated else "single"
+    return "replica" if kind.replicated else "single"
+
+
+def _fails(message, node, name=None):
+    """A closure that faults with message; with name, message formats the
+    name of name's binding (a caller's variable for a parameter)."""
+    def fail(ctx):
+        raise ctx.fault(message if name is None else message.format(ctx.env[name].name), node)
+    return fail
 
 
 # --- statements that may wait ---
-
-
-def _fails(message, node):
-    def fail(ctx):
-        raise ctx.fault(message, node)
-    return fail
 
 
 def _owned(array, rank, lo, hi):
@@ -117,7 +114,7 @@ def _store(ctx, node, check, binding, block, offset, value):
 
 
 def _index_value(ctx, node, base, i):
-    """base[i], whatever base turns out to be."""
+    """base[i] but for a 1D array's name (`index`): a row, a line or an element of one."""
     if not isinstance(base, (DistributedArray, BlockRef, LineSlice)):
         raise ctx.fault("value is not indexable", node)
     _integer(ctx, node, i)
@@ -125,19 +122,12 @@ def _index_value(ctx, node, base, i):
         return LineSlice(base.array, base.block, i)
     if isinstance(base, LineSlice):
         return ctx.read_line(base, i)
-    shape = base.descriptor.shape
-    if len(shape) == 1:
-        if base.replicated:
-            return base.replicas[ctx.rank][_element(ctx, node, shape, i)]
-        return ctx.read_element(base, i)
-    if len(shape) == 2:
-        return row_of(base, i)
-    raise ctx.fault("cannot index a scalar", node)
+    return row_of(base, i)
 
 
 class Compiler:
     def __init__(self, functions, overridable):
-        self.bodies = {}  # function name -> its body's (statement, closure) pairs
+        self.bodies = {}  # (function name, its scope) -> its body's (statement, closure) pairs
         self.leaves = {}
         self.scopes = [{}]
         self.functions = functions
@@ -184,9 +174,9 @@ class Compiler:
             # value, or a closure run with the declaration
             args = {}
 
-            def read(e):  # names are checked as the declaration runs: scoping is dynamic
-                args[id(e)] = type_argument(
-                    e, lambda name: chains.LOCAL, lambda rule, message, at: _fails(message, at))
+            def read(e):  # an undeclared name or a non-integer value faults as it runs
+                args[id(e)] = type_argument(e, lambda name: self.lookup(name) or chains.LOCAL,
+                                            lambda rule, message, at: _fails(message, at))
 
             kind = chains.kind_of(chains.from_type_expr(type_expr, read))  # whatever the values
         self.scopes[-1][name] = kind
@@ -228,38 +218,40 @@ class Compiler:
 
     def assign_name(self, node, name):
         value, known = self.expr(node.value), self.lookup(name)
+        if known is None:
+            return _fails(f"{name!r} is not declared", node)
+        if known.read_only:
+            return _fails(f"{name!r} is read-only", node)
         check = not isinstance(node.value, _SCALARS)
-
-        def local(ctx):  # the commonest statement, as one call
-            v = value(ctx)
-            ctx.env[name].value = ctx.storable(v, node) if check else v
-
-        if known is not None and not known.distributed and not known.read_only:
+        kind = _class(known)
+        if kind == "local":
+            def local(ctx):  # the commonest statement, as one call
+                v = value(ctx)
+                ctx.env[name].value = ctx.storable(v, node) if check else v
             return local
-
-        def replica(ctx):
-            v = value(ctx)
-            ctx.env[name].array.replicas[ctx.rank][0] = ctx.storable(v, node) if check else v
-
+        if kind == "replica":
+            def replica(ctx):
+                v = value(ctx)
+                ctx.env[name].array.replicas[ctx.rank][0] = ctx.storable(v, node) if check else v
+            return replica
         source = node.value.name if type(node.value) is ast.Name else None
-
-        def redistribute(ctx):
-            dst = ctx.env[name]
+        source_kind = _class(self.lookup(source) or chains.LOCAL)  # "local" when source is None
+        if kind == "array":
             if source is None:
-                raise ctx.fault(f"{dst.name!r} is an array; assign another array", node)
-            src = ctx.env.get(source)
-            if src is None or src.kind != "array":
-                raise ctx.fault(f"{source!r} is not an array", node)
-            ctx.unguarded("array assignment", node)
-            return ctx.assign_arrays(dst.array, src.array, node)
+                return _fails("{!r} is an array; assign another array", node, name)
+            if source_kind == "local":
+                return _fails(f"{source!r} is not an array", node)
 
-        def single(ctx):
-            """A single-copy scalar: over a matching channel, else one-sided."""
-            binding = ctx.env[name]
-            owner = binding.array.blocks[0].owner
-            src = ctx.env.get(source) if source is not None else None
-            if src is not None and _class_of(src) == "single":
-                src_owner = src.array.blocks[0].owner
+            def redistribute(ctx):
+                ctx.unguarded("array assignment", node)
+                return ctx.assign_arrays(ctx.env[name].array, ctx.env[source].array, node)
+            return redistribute
+
+        if source_kind == "single":
+            def transfer(ctx):
+                """From a single-copy scalar: over a matching channel, else one-sided."""
+                binding, src = ctx.env[name], ctx.env[source]
+                owner, src_owner = binding.array.blocks[0].owner, src.array.blocks[0].owner
                 comm = binding.comm
                 if comm is not None and (comm[1], comm[2]) == (src_owner, owner) \
                         and src_owner != owner:
@@ -267,34 +259,40 @@ class Compiler:
                 if ctx.performs(owner):
                     return _store(ctx, node, False, binding, binding.array.blocks[0], 0,
                                   ctx.read_remote_scalar(src))
-            elif ctx.performs(owner):
-                return _store(ctx, node, check, binding, binding.array.blocks[0], 0, value(ctx))
+            return transfer
 
-        stores = {"local": local, "array": redistribute, "replica": replica, "single": single}
-
-        def run(ctx):
-            binding = ctx.env.get(name)
-            if binding is None:
-                raise ctx.fault(f"{name!r} is not declared", node)
-            ctx.writable(binding, name, node)
-            return stores[_class_of(binding)](ctx)
-        return run
+        def single(ctx):
+            """A single-copy scalar from any other value, stored by whoever performs it."""
+            binding = ctx.env[name]
+            block = binding.array.blocks[0]
+            if ctx.performs(block.owner):
+                return _store(ctx, node, check, binding, block, 0, value(ctx))
+        return single
 
     def assign_element(self, node, name):
         """name[i] := value."""
+        known = self.lookup(name)
+        if known is None:
+            return _fails(f"{name!r} is not declared", node)
+        if known.read_only:
+            return _fails("{!r} is read-only", node, name)
+        if not known.distributed:
+            return _fails("{!r} is not an array", node, name)
         index, value = self.expr(node.target.index), self.expr(node.value)
         check = not isinstance(node.value, _SCALARS)
-        local = self.local(node.target.index)  # a known-local index, read inline
+        if known.replicated:
+            def replica(ctx):
+                """This process's replica."""
+                i, v = index(ctx), value(ctx)
+                array = ctx.env[name].array
+                shape = array.descriptor.shape
+                if len(shape) != 1:
+                    raise ctx.fault("element assignment needs a one-dimensional array", node)
+                array.replicas[ctx.rank][_element(ctx, node, shape, i)] = (
+                    ctx.storable(v, node) if check else v)
+            return replica
 
-        def replica(ctx):
-            """This process's replica."""
-            i, v = index(ctx), value(ctx)
-            array = ctx.env[name].array
-            shape = array.descriptor.shape
-            if len(shape) != 1:
-                raise ctx.fault("element assignment needs a one-dimensional array", node)
-            array.replicas[ctx.rank][_element(ctx, node, shape, i)] = (
-                ctx.storable(v, node) if check else v)
+        local = self.local(node.target.index)  # a known-local index, read inline
 
         def distributed(ctx):
             """Element i of a single-copy array, stored by whoever performs it."""
@@ -309,30 +307,19 @@ class Compiler:
             block = array.blocks[k]
             if ctx.performs(block.owner):
                 return _store(ctx, node, check, binding, block, off, value(ctx))
-
-        known = self.lookup(name)
-        if known is not None and known.distributed and not known.read_only:
-            return replica if known.replicated else distributed
-
-        def run(ctx):
-            binding = ctx.env.get(name)
-            if binding is None:
-                raise ctx.fault(f"{name!r} is not declared", node)
-            ctx.writable(binding, binding.name, node)
-            if binding.kind == "local":
-                raise ctx.fault(f"{binding.name!r} is not an array", node)
-            return (replica if binding.array.replicated else distributed)(ctx)
-        return run
+        return distributed
 
     def assign_line(self, node, name):
         """A[block][line] := other line: whole-line copy."""
+        known = self.lookup(name)
+        if known is None or not known.distributed:
+            return _fails("line assignment needs a distributed array", node)
+        if known.read_only:
+            return _fails("{!r} is read-only", node, name)
         line, value = self.expr(node.target), self.expr(node.value)
 
         def run(ctx):
-            binding = ctx.env.get(name)
-            if binding is None or binding.kind != "array":
-                raise ctx.fault("line assignment needs a distributed array", node)
-            ctx.writable(binding, binding.name, node)
+            binding = ctx.env[name]
             dst = line(ctx)
             if not isinstance(dst, LineSlice):
                 raise ctx.fault("line assignment needs a partitioned array", node)
@@ -355,6 +342,9 @@ class Compiler:
 
     def loop(self, node):
         start, stop, var = self.expr(node.start), self.expr(node.stop), node.var
+        existing = self.lookup(var)  # an existing local is the loop variable
+        reuse = existing is not None and not existing.distributed
+        read_only = existing is not None and existing.read_only
         self.open_scope()[var] = chains.LOCAL
         stmts = self.block(node.body)
         target = self.owner_computes(node)
@@ -366,13 +356,14 @@ class Compiler:
             lo, hi = start(ctx), stop(ctx)
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise ctx.fault("loop bounds must be integers", node)
-            binding = ctx.env.get(var)
-            if binding is not None and binding.read_only:
+            if read_only:
                 raise ctx.fault(f"loop variable {var!r} is read-only", node)
             if lo > hi:
                 return
             mark = ctx.enter(node)
-            if binding is None or binding.kind != "local":
+            if reuse:
+                binding = ctx.env[var]
+            else:
                 binding = Binding(var, "local")
                 ctx.bind(var, binding)
             inner = len(ctx.shadow)
@@ -398,9 +389,9 @@ class Compiler:
 
     def owner_computes(self, node):
         """X when the body of loop node is the one statement `X[v] := e`,
-        v the loop variable and X known here as a 1D single-copy writable
-        array: outside `proc` only X[v]'s owner runs more of it than the
-        index. Call it with the loop's scope open."""
+        v the loop variable and X a 1D single-copy writable array: outside
+        `proc` only X[v]'s owner runs more of it than the index. Call it
+        with the loop's scope open."""
         if len(node.body) != 1:
             return None
         s = node.body[0]
@@ -479,17 +470,10 @@ class Compiler:
         return fn
 
     def name(self, node):
-        name, known = node.name, self.lookup(node.name)
-        if known is not None and not (known.distributed and not known.ndim):
-            return self.leaf(("array" if known.distributed else "local", name))
-        leaves = {c: self.leaf((c, name)) for c in _CLASSES}
-
-        def run(ctx):
-            binding = ctx.env.get(name)
-            if binding is None:
-                raise ctx.fault(f"{name!r} is not declared", node)
-            return leaves[_class_of(binding)](ctx)
-        return run
+        known = self.lookup(node.name)
+        if known is None:
+            return _fails(f"{node.name!r} is not declared", node)
+        return self.leaf((_class(known), node.name))
 
     def local(self, node):
         """node's name when it names a local known here, else None."""
@@ -610,24 +594,39 @@ class Compiler:
         return lambda ctx: ctx.builtin_file(node, array(ctx), path(ctx), write)
 
     def user_call(self, node):
-        # read as the call runs: a body may call a function compiled after it
-        name, bodies = node.func, self.bodies
-        params = [p.name for p in self.functions[name].params]
+        func, scope = self.functions[node.func], {}
+        for names in self.scopes:  # what the body sees: the caller's names, then the parameters
+            scope.update(names)
+        for param, arg in zip(func.params, node.args):  # names: the checker refuses any other
+            known = self.lookup(arg.name)
+            if known is None:
+                return _fails(f"{arg.name!r} is not declared", node)
+            scope[param.name] = known
+        stmts = self.body(func, scope)
+        params, args = [p.name for p in func.params], [a.name for a in node.args]
 
         def call(ctx):
-            bindings = []
-            for arg in node.args:  # names: the checker refuses any other argument
-                b = ctx.env.get(arg.name)
-                if b is None:
-                    raise ctx.fault(f"{arg.name!r} is not declared", node)
-                bindings.append(b)
+            bindings = [ctx.env[a] for a in args]
             mark = ctx.enter(node)
             for param, b in zip(params, bindings):
                 ctx.bind(param, b)
             exec_stmt = ctx.exec_stmt
-            for s, fn in bodies[name]:
+            for s, fn in stmts:
                 result = exec_stmt(s, fn)
                 if result.__class__ is Generator:
                     yield from result
             ctx.leave(mark)
         return call
+
+    def body(self, func, scope):
+        """func's body as (statement, closure) pairs, compiled in scope, the
+        Kind of each name it sees: once for each distinct scope. A
+        recursive call takes the list before it is filled."""
+        key = (func.name, frozenset(scope.items()))
+        stmts = self.bodies.get(key)
+        if stmts is None:
+            stmts = self.bodies[key] = []
+            outer, self.scopes = self.scopes, [scope]
+            stmts += self.block(func.body)
+            self.scopes = outer
+        return stmts

@@ -5,7 +5,9 @@ class MeshError(Exception):
     """Base class for every error raised by meshlite."""
 
 
-class LexError(MeshError):
+class SourceError(MeshError):
+    """An error at a position in the source: its line, column and reason."""
+
     def __init__(self, message, line, column):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
@@ -13,12 +15,12 @@ class LexError(MeshError):
         self.reason = message
 
 
-class ParseError(MeshError):
-    def __init__(self, message, line, column):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
-        self.reason = message
+class LexError(SourceError):
+    """Source text that does not split into tokens."""
+
+
+class ParseError(SourceError):
+    """Tokens that do not form a program."""
 
 
 class InvalidCombination(MeshError):

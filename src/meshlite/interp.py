@@ -295,10 +295,6 @@ class ProcessContext:
 
     # --- rules of assignment ---
 
-    def writable(self, binding, name, node):
-        if binding.read_only:
-            raise self.fault(f"{name!r} is read-only", node)
-
     def storable(self, value, node):
         if isinstance(value, (runtime.DistributedArray, BlockRef, LineSlice)):
             raise self.fault("an array value cannot be stored into a scalar", node)

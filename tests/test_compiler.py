@@ -409,6 +409,75 @@ def test_faults_match_the_ast_walk(body, message):
         assert str(info.value).split(": ", 1)[1] == message
 
 
+@pytest.mark.parametrize("body, fault", [
+    # builtins given what the checker cannot see is wrong
+    ("computeSin(x);", "rank 1: computeSin needs a replicated 1D complex array at 6:1"),
+    ("FFT(x, s);", "rank 1: FFT needs a line like A[blockid][i] at 6:1"),
+    ("FFT(A[0][0], B);", "rank 1: FFT needs the replicated twiddle array at 6:1"),
+    ("FFT(I[0][0], s);", "rank 1: FFT transforms complex lines at 6:1"),
+    ("proc 0 { FFT(A[1][0], s) };", "rank 0: FFT must run on the process owning the block at 6:10"),
+    ('writefile(s, "out.dat");', "rank 1: file transfer needs a singly-allocated array at 6:1"),
+    ('writefile(A, "out.dat");', "rank 1: file transfer needs an unpartitioned array at 6:1"),
+    ("writefile(B, x);", "rank 1: file path must be a string at 6:1"),
+    ('proc 0 { writefile(B, "out.dat") };', "rank 0: rank 0 does not own B (owner 1) at 6:10"),
+    ("var d : array[Int,2] :: allocated[single[on[0]]];\n"
+     "var D : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[arraydist[d]]];",
+     "rank 0: distribution array 'd' must be a replicated integer array at 7:5"),
+    # names a function body takes from a caller that shadows them
+    ("function f() { x := 1 };\nfor i from 0 to 0 { var x : Int :: const := 2; f() };",
+     "rank 0: 'x' is read-only at 6:16"),
+    ("function f() { x[0] := 1 };\nfor i from 0 to 0 { var x : array[Int,4] :: const; f() };",
+     "rank 1: 'x' is read-only at 6:16"),
+    ("function f() { B[0] := 1 };\nfor i from 0 to 0 { var B := 2; f() };",
+     "rank 0: 'B' is not an array at 6:16"),
+    ("function f() { x := 1 };\nfor i from 0 to 0 { var x : array[Int,4]; f() };",
+     "rank 1: 'x' is an array; assign another array at 6:16"),
+    ("var C : array[Int,4] :: allocated[single[on[0]]];\n"
+     "function f() { B := C };\nfor i from 0 to 0 { var C := 2; f() };",
+     "rank 0: 'C' is not an array at 7:16"),
+    ("function f() { A[0][1] := A[1][0] };\nfor i from 0 to 0 { var A := 2; f() };",
+     "rank 0: line assignment needs a distributed array at 6:16"),
+    ("function f() { var D : array[Int,x] :: allocated[multiple[]] };\n"
+     "for i from 0 to 0 { var x : array[Int,4]; f() };",
+     "rank 1: type argument 'x' is not a local integer at 6:34"),
+    # names gone with the loop that declared them
+    ("for i from 0 to 0 { var z := 1; function g() { z := 2 } };\ng();",
+     "rank 0: 'z' is not declared at 6:48"),
+    ("for i from 0 to 0 { var z : array[Int,4]; function g() { z[0] := 2 } };\ng();",
+     "rank 0: 'z' is not declared at 6:58"),
+    ("for i from 0 to 0 { var z : array[Int,4,8]; function g() { z[0][1] := z[1][0] } };\ng();",
+     "rank 0: line assignment needs a distributed array at 6:60"),
+    ("function h(p : Int) { };\nfor i from 0 to 0 { var z : Int := 1; function g() { h(z) } };\ng();",
+     "rank 1: 'z' is not declared at 7:54"),
+    # a parameter bound to a scalar, then indexed: the fault names the caller's variable
+    ("function f(p : Int) { p[0] := 1 };\nvar w : Int := 0;\nf(w);",
+     "rank 1: 'w' is not an array at 6:23"),
+    ("function f(p : Int) { x := p[0] };\nvar w : Int := 0;\nf(w);",
+     "rank 1: value is not indexable at 6:29"),
+    # the one call with a value, as a statement: it runs and does nothing
+    ("processes();", None),
+])
+def test_faults_only_the_run_finds_match_the_ast_walk(tmp_path, body, fault):
+    """Builtin misuse and names whose kind at the call differs from where
+    the function was defined: the same fault (message, rank, line:col) on
+    both run paths, or none. The rank is the first one the seed-0 schedule
+    brings to the fault."""
+    source = ("var x := 0;\n"
+              "var s : array[complex,4] :: allocated[multiple[]];\n"
+              "var A : array[complex,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+              "var I : array[Int,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+              f"var B : array[Int,4] :: allocated[single[on[1]]];\n{body}\n")
+    checked = check_program(parse(source))
+    for run_path in RUNS:
+        try:
+            run_path(checked, 2, workdir=str(tmp_path))
+            seen = None
+        except RuntimeFault as exc:
+            seen = str(exc)
+        assert seen == fault, run_path
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("line, message", [
     # a known local on the left and a literal on the right
     ("y := s + 1;", 'can only concatenate str (not "int") to str at 7:8'),
@@ -1058,8 +1127,8 @@ def test_owner_computes_loops_match_the_ast_walk(nprocs, m):
     """A loop whose body is `X[i] := e` runs only the owner's iterations
     outside `proc`: the same state, trace, i after the loop, and fault
     (message, rank, line:col) as the walk, which runs every iteration.
-    In `proc` and where X is a function body's free name the general loop
-    runs, and it must agree too. A fault-free run is the same under any
+    In `proc` the general loop runs, and it must agree too, as must a loop
+    in a function body over its caller's X. A fault-free run is the same under any
     schedule, so only a fault is run under a second one."""
     for blocks in range(1, min(m, 5) + 1):
         for place in ("evendist[]", f"on[{nprocs - 1}]", "arraydist[d]"):
@@ -1077,8 +1146,8 @@ def test_owner_computes_loops_match_the_ast_walk(nprocs, m):
 
 
 def test_owner_computes_loops_run_only_the_owned_iterations(monkeypatch):
-    """Outside `proc` each rank runs the stores it owns; in `proc`, or with
-    X a free name of a function body, every iteration runs."""
+    """Outside `proc` each rank runs the stores it owns, in a function
+    body too, where X is its caller's; in `proc` every iteration runs."""
     exec_stmt, stores = ProcessContext.exec_stmt, {}
 
     def counted(self, stmt, fn):
@@ -1093,7 +1162,7 @@ def test_owner_computes_loops_run_only_the_owned_iterations(monkeypatch):
         ("for i from 0 to 9 { X[i] := i };", {0: 4, 1: 4, 2: 2}, [9, 9, 9]),
         ("for i from 3 to 6 { X[i] := i };", {0: 1, 1: 1, 2: 2}, [6, 6, 6]),
         ("proc 1 { for i from 0 to 9 { X[i] := i } };", {1: 10}, [0, 9, 0]),
-        ("function g() { for i from 0 to 9 { X[i] := i } };\ng();", {0: 10, 1: 10, 2: 10},
+        ("function g() { for i from 0 to 9 { X[i] := i } };\ng();", {0: 4, 1: 4, 2: 2},
          [9, 9, 9]),
     ]:
         stores.clear()
