@@ -19,17 +19,21 @@ What a name reads and how a store communicates are decided here, once,
 from the declarations in scope (the Mesham types decide it before the
 program runs); no closure looks at a binding's kind. Scoping is dynamic,
 so a function body is compiled for each distinct scope it is called from
-(`Compiler.body`), where each name it sees has a kind. A name used where
-it is not declared, or stored as its kind refuses, compiles to a closure
-that faults. The types also decide who stores: outside `proc` only X[i]'s
-owner stores `X[i] := e`, so a loop whose body is that one statement over
-a 1D single-copy array runs only the iterations the process owns
-(`owner_computes`). The rules that hold whatever the kind live in
-ProcessContext: who performs an access (`performs`), that collectives
-cannot run inside `proc`, and the one-sided and channel transfers.
+(`Compiler.body`), where each name it sees has a kind: once for each set
+of kinds of the names it and the functions it calls mention, after the
+body holding the call, so that compiling never recurses through calls.
+A name used where it is not declared, or stored as its kind refuses,
+compiles to a closure that faults. The types also decide who stores:
+outside `proc` only X[i]'s owner stores `X[i] := e`, so a loop whose body
+is that one statement over a 1D single-copy array runs only the
+iterations the process owns (`owner_computes`). The rules that hold
+whatever the kind live in ProcessContext: who performs an access
+(`performs`), that collectives cannot run inside `proc`, and the
+one-sided and channel transfers.
 """
 
 import itertools
+from dataclasses import fields, replace
 from types import GeneratorType as Generator
 
 from . import ast, chains
@@ -50,10 +54,8 @@ def overridable(program) -> dict:
 
 
 def compile_program(checked) -> list:
-    """The program's top-level statements as (statement, closure) pairs;
-    a function's body is compiled by its calls, for the scope of each."""
-    compiler = Compiler(checked.functions, overridable(checked.program))
-    return compiler.block(checked.program.statements)
+    """The program's top-level statements as (statement, closure) pairs."""
+    return Compiler(checked.functions, overridable(checked.program)).program(checked.program)
 
 
 def _class(kind):
@@ -65,10 +67,19 @@ def _class(kind):
     return "replica" if kind.replicated else "single"
 
 
-def _fails(message, node, name=None):
-    """A closure that faults with message; with name, message formats the
-    name of name's binding (a caller's variable for a parameter)."""
+def _observed(kind):
+    """kind as a compiled body reads it: an array's element type and
+    partitioning decide nothing there."""
+    return replace(kind, elem=None, partitioned=False) if kind.distributed else kind
+
+
+def _fails(message, node, name=None, reads=()):
+    """A closure that faults with message once it has run reads (what its
+    statement reads first); with name, message formats the name of name's
+    binding (a caller's variable for a parameter)."""
     def fail(ctx):
+        for read in reads:
+            read(ctx)
         raise ctx.fault(message if name is None else message.format(ctx.env[name].name), node)
     return fail
 
@@ -114,20 +125,20 @@ def _store(ctx, node, check, binding, block, offset, value):
 
 
 def _index_value(ctx, node, base, i):
-    """base[i] but for a 1D array's name (`index`): a row, a line or an element of one."""
-    if not isinstance(base, (DistributedArray, BlockRef, LineSlice)):
+    """base[i] but for an array's name (`index`): a line or an element of one."""
+    if not isinstance(base, (BlockRef, LineSlice)):
         raise ctx.fault("value is not indexable", node)
     _integer(ctx, node, i)
     if isinstance(base, BlockRef):
         return LineSlice(base.array, base.block, i)
-    if isinstance(base, LineSlice):
-        return ctx.read_line(base, i)
-    return row_of(base, i)
+    return ctx.read_line(base, i)
 
 
 class Compiler:
     def __init__(self, functions, overridable):
         self.bodies = {}  # (function name, its scope) -> its body's (statement, closure) pairs
+        self.pending = []  # (body, function, scopes) for each body not compiled yet
+        self.mentioned = {}  # function name -> every string in its body and its callees'
         self.leaves = {}
         self.scopes = [{}]
         self.functions = functions
@@ -145,6 +156,16 @@ class Compiler:
         return None
 
     # --- statements ---
+
+    def program(self, program):
+        """program's statements as (statement, closure) pairs. The function
+        bodies their calls need are compiled after them, one at a time, so
+        that compiling never recurses through a chain of calls."""
+        stmts = self.block(program.statements)
+        while self.pending:
+            body, func, self.scopes = self.pending.pop()
+            body += self.block(func.body)
+        return stmts
 
     def block(self, stmts):
         return [(s, self.stmt(s)) for s in stmts]
@@ -280,15 +301,17 @@ class Compiler:
             return _fails("{!r} is not an array", node, name)
         index, value = self.expr(node.target.index), self.expr(node.value)
         check = not isinstance(node.value, _SCALARS)
+        if known.ndim != 1 and known.replicated:
+            return _fails("element assignment needs a one-dimensional array", node,
+                          reads=(index, value))
+        if known.ndim != 1:
+            return _fails("use A[block][line] to address rows of a 2D array", node, reads=(index,))
         if known.replicated:
             def replica(ctx):
                 """This process's replica."""
                 i, v = index(ctx), value(ctx)
                 array = ctx.env[name].array
-                shape = array.descriptor.shape
-                if len(shape) != 1:
-                    raise ctx.fault("element assignment needs a one-dimensional array", node)
-                array.replicas[ctx.rank][_element(ctx, node, shape, i)] = (
+                array.replicas[ctx.rank][_element(ctx, node, array.descriptor.shape, i)] = (
                     ctx.storable(v, node) if check else v)
             return replica
 
@@ -299,8 +322,6 @@ class Compiler:
             i = ctx.env[local].value if local is not None else index(ctx)
             binding = ctx.env[name]
             array = binding.array
-            if len(array.descriptor.shape) != 1:
-                raise ctx.fault("use A[block][line] to address rows of a 2D array", node)
             if i.__class__ is not int:
                 _integer(ctx, node, i)
             k, off = array.descriptor.element(i)
@@ -552,6 +573,8 @@ class Compiler:
                     _integer(ctx, node, i)
                 return ctx.read_element(array, i)
             return single_copy
+        if known is not None and known.distributed and known.ndim:  # a row of a 2D array
+            return lambda ctx: row_of(ctx.env[name].array, _integer(ctx, node, index(ctx)))
         return lambda ctx: _index_value(ctx, node, base(ctx), index(ctx))
 
     def accessor(self, node):
@@ -602,7 +625,8 @@ class Compiler:
             if known is None:
                 return _fails(f"{arg.name!r} is not declared", node)
             scope[param.name] = known
-        stmts = self.body(func, scope)
+        seen = self.mentions(func.name)
+        stmts = self.body(func, {n: _observed(k) for n, k in scope.items() if n in seen})
         params, args = [p.name for p in func.params], [a.name for a in node.args]
 
         def call(ctx):
@@ -620,13 +644,32 @@ class Compiler:
 
     def body(self, func, scope):
         """func's body as (statement, closure) pairs, compiled in scope, the
-        Kind of each name it sees: once for each distinct scope. A
-        recursive call takes the list before it is filled."""
+        Kind of each name it may look up: once for each distinct scope. The
+        list is filled after the body calling func (`program`)."""
         key = (func.name, frozenset(scope.items()))
         stmts = self.bodies.get(key)
         if stmts is None:
             stmts = self.bodies[key] = []
-            outer, self.scopes = self.scopes, [scope]
-            stmts += self.block(func.body)
-            self.scopes = outer
+            self.pending.append((stmts, func, [scope]))
         return stmts
+
+    def mentions(self, name):
+        """Every string in the body of function name and of the functions it
+        calls: among them, every name its compiled body looks up."""
+        seen = self.mentioned.get(name)
+        if seen is None:
+            seen, walked, nodes = set(), {name}, list(self.functions[name].body)
+            while nodes:
+                node = nodes.pop()
+                for field in fields(node):  # not vars(node), which would give node a dict
+                    value = getattr(node, field.name)
+                    for v in value if type(value) is tuple else (value,):
+                        if isinstance(v, ast.Node):
+                            nodes.append(v)
+                        elif type(v) is str:
+                            seen.add(v)
+                            if v in self.functions and v not in walked:
+                                walked.add(v)
+                                nodes += self.functions[v].body
+            self.mentioned[name] = seen
+        return seen

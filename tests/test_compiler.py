@@ -454,6 +454,19 @@ def test_faults_match_the_ast_walk(body, message):
      "rank 1: 'w' is not an array at 6:23"),
     ("function f(p : Int) { x := p[0] };\nvar w : Int := 0;\nf(w);",
      "rank 1: value is not indexable at 6:29"),
+    # element stores into arrays not one-dimensional: what the store reads
+    # before its fault faults first
+    ("A[0] := 1;", "rank 1: use A[block][line] to address rows of a 2D array at 6:1"),
+    ("A[1 / 0] := 1;", "rank 1: division by zero at 6:5"),
+    ("function f() { A[0] := 1 };\nf();",
+     "rank 0: use A[block][line] to address rows of a 2D array at 6:16"),
+    ("var q : Int :: allocated[single[on[0]]];\nq[0] := 1;",
+     "rank 0: use A[block][line] to address rows of a 2D array at 7:1"),
+    ("var R : array[Int,4,8] :: allocated[multiple[]];\nR[0] := 1;",
+     "rank 0: element assignment needs a one-dimensional array at 7:1"),
+    ("var R : array[Int,4,8] :: allocated[multiple[]];\nR[0] := 1 / 0;",
+     "rank 0: division by zero at 7:11"),
+    ("x := I[9];", "rank 1: I has no block 9 (blocks: 2) at 6:1"),
     # the one call with a value, as a statement: it runs and does nothing
     ("processes();", None),
 ])
@@ -775,6 +788,49 @@ def test_a_run_called_deep_in_the_stack_still_stops_at_the_limit(source, where):
         with pytest.raises(RuntimeFault) as info:
             under_frames(500, lambda: run(checked, 2, seed=seed))
         assert re.fullmatch(rf"rank [01]: {TOO_DEEP} at {where}", str(info.value)), seed
+
+
+def _chain(n, body):
+    """Functions f1 to fn, each fk calling fk+1, fn running body; each
+    defined before its caller."""
+    return (f"function f{n}() {{ {body} }};\n"
+            + "".join(f"function f{k}() {{ f{k + 1}() }};\n" for k in range(n - 1, 0, -1)))
+
+
+def test_a_long_chain_of_calls_compiles_without_recursion():
+    """Compiling a body at each call recurses through no chain of calls:
+    a 200-function chain, as deep as no run may go, still compiles."""
+    checked = check_program(parse("var x := 0;\n" + _chain(200, "x := 1")
+                                  + "for i from 1 to 0 { f1() };\n"))
+    for run_path in RUNS:
+        assert under_frames(500, lambda: run_path(checked, 2)).local("x") == [0, 0]
+
+
+def test_a_chain_of_calls_runs_deep_in_the_stack():
+    checked = check_program(parse("var x := 0;\n" + _chain(100, "x := x + 1") + "f1();\n"))
+    for run_path in RUNS:
+        assert under_frames(500, lambda: run_path(checked, 2)).local("x") == [1, 1]
+
+
+def test_a_body_is_compiled_for_what_it_reads_of_the_callers_scope():
+    """Each fk calls fk+1 before and after declaring a name only it reads,
+    so every caller's scope differs; each body is still compiled once, as
+    is one reading arrays of different element types, and a body reading
+    a name declared between two calls twice."""
+    n = 16
+    source = (f"function f{n}() {{ }};\n"
+              + "".join(f"function f{k}() {{ f{k + 1}(); var a{k} := {k}; f{k + 1}(); a{k} := 0 }};\n"
+                        for k in range(n - 1, 0, -1))
+              + "var y := 0;\nfunction g() { y := y + 1 };\n"
+              "function h() { g(); var y : Int :: allocated[multiple[]]; g() };\n"
+              "var w : array[Int,4];\nfunction e() { w[0] := 1 };\n"
+              "for i from 1 to 0 { f1(); h(); e() };\n"
+              "for i from 1 to 0 { var w : array[real,4]; e() };\n")
+    checked = check_program(parse(source))
+    compiled = compiler.Compiler(checked.functions, {})
+    compiled.program(checked.program)
+    assert sorted(name for name, _ in compiled.bodies) == sorted(
+        [f"f{k}" for k in range(1, n + 1)] + ["e", "g", "g", "h"])
 
 
 def _loops(n, body, decls=False):
