@@ -256,12 +256,17 @@ class Checker:
                         f"cannot store array {stmt.value.name!r} into {info.name!r}", stmt)
 
     def check_funcdef(self, stmt: ast.FuncDef):
+        """A body sees its parameters, its own declarations and the
+        top-level names declared before it: scoping is lexical."""
+        if len(self.scopes) > 1:
+            self.report("NestedFunction", f"function {stmt.name!r} must be defined at top level",
+                        stmt)
         if stmt.name in self.functions or stmt.name in BUILTINS:
             self.report("Redeclaration", f"function {stmt.name!r} is already defined", stmt)
         self.functions[stmt.name] = stmt
         self.scopes.append({})
         for p in stmt.params:
-            self.scopes[-1][p.name] = VarInfo(p.name, p.type_expr, self.check_chain(p.type_expr, p))
+            self.declare(VarInfo(p.name, p.type_expr, self.check_chain(p.type_expr, p)), p)
         for s in stmt.body:
             self.check_stmt(s, in_proc=False)
         self.scopes.pop()

@@ -17,23 +17,22 @@ caller drains: one Python frame per level of nesting.
 
 What a name reads and how a store communicates are decided here, once,
 from the declarations in scope (the Mesham types decide it before the
-program runs); no closure looks at a binding's kind. Scoping is dynamic,
-so a function body is compiled for each distinct scope it is called from
-(`Compiler.body`), where each name it sees has a kind: once for each set
-of kinds of the names it and the functions it calls mention, after the
-body holding the call, so that compiling never recurses through calls.
-A name used where it is not declared, or stored as its kind refuses,
-compiles to a closure that faults. The types also decide who stores:
-outside `proc` only X[i]'s owner stores `X[i] := e`, so a loop whose body
-is that one statement over a 1D single-copy array runs only the
-iterations the process owns (`owner_computes`). The rules that hold
-whatever the kind live in ProcessContext: who performs an access
-(`performs`), that collectives cannot run inside `proc`, and the
+program runs); no closure looks at a binding's kind. Scoping is lexical,
+as the checker's: a function is defined at top level, and its body is
+compiled once, where it is defined (`funcdef`), seeing its parameters,
+each of its formal's kind, its own declarations and the top-level names
+declared before it. A call binds back to the top level each of those
+names its caller hides. A name used where it is not declared, or stored
+as its kind refuses, compiles to a closure that faults. The types also
+decide who stores: outside `proc` only X[i]'s owner stores `X[i] := e`,
+so a loop whose body is that one statement over a 1D single-copy array
+runs only the iterations the process owns (`owner_computes`). The rules
+that hold whatever the kind live in ProcessContext: who performs an
+access (`performs`), that collectives cannot run inside `proc`, and the
 one-sided and channel transfers.
 """
 
 import itertools
-from dataclasses import fields, replace
 from types import GeneratorType as Generator
 
 from . import ast, chains
@@ -55,7 +54,7 @@ def overridable(program) -> dict:
 
 def compile_program(checked) -> list:
     """The program's top-level statements as (statement, closure) pairs."""
-    return Compiler(checked.functions, overridable(checked.program)).program(checked.program)
+    return Compiler(overridable(checked.program)).block(checked.program.statements)
 
 
 def _class(kind):
@@ -65,12 +64,6 @@ def _class(kind):
     if kind.ndim:
         return "array"
     return "replica" if kind.replicated else "single"
-
-
-def _observed(kind):
-    """kind as a compiled body reads it: an array's element type and
-    partitioning decide nothing there."""
-    return replace(kind, elem=None, partitioned=False) if kind.distributed else kind
 
 
 def _fails(message, node, name=None, reads=()):
@@ -135,13 +128,13 @@ def _index_value(ctx, node, base, i):
 
 
 class Compiler:
-    def __init__(self, functions, overridable):
-        self.bodies = {}  # (function name, its scope) -> its body's (statement, closure) pairs
-        self.pending = []  # (body, function, scopes) for each body not compiled yet
-        self.mentioned = {}  # function name -> every string in its body and its callees'
+    def __init__(self, overridable):
+        # function name -> (its parameters' names, its body's (statement,
+        # closure) pairs, its free names), the lists filled as it compiles
+        self.bodies = {}
+        self.free = None  # the top-level names the body compiling looks up, if any
         self.leaves = {}
         self.scopes = [{}]
-        self.functions = functions
         self.overridable = overridable
 
     def open_scope(self):
@@ -150,22 +143,15 @@ class Compiler:
         return self.scopes[-1]
 
     def lookup(self, name):
+        """name's Kind here, None if it is not declared."""
         for scope in reversed(self.scopes):
             if name in scope:
+                if self.free is not None and scope is self.scopes[0]:
+                    self.free.add(name)
                 return scope[name]
         return None
 
     # --- statements ---
-
-    def program(self, program):
-        """program's statements as (statement, closure) pairs. The function
-        bodies their calls need are compiled after them, one at a time, so
-        that compiling never recurses through a chain of calls."""
-        stmts = self.block(program.statements)
-        while self.pending:
-            body, func, self.scopes = self.pending.pop()
-            body += self.block(func.body)
-        return stmts
 
     def block(self, stmts):
         return [(s, self.stmt(s)) for s in stmts]
@@ -184,7 +170,7 @@ class Compiler:
             return self.call(node.expr) if type(node.expr) is ast.Call else self.expr(node.expr)
         if kind is ast.Sync:
             return lambda ctx: ctx.sync(node)
-        return lambda ctx: None  # a FuncDef, registered by the checker
+        return self.funcdef(node)
 
     def decl(self, node):
         name, type_expr = node.name, node.type_expr
@@ -199,7 +185,10 @@ class Compiler:
                 args[id(e)] = type_argument(e, lambda name: self.lookup(name) or chains.LOCAL,
                                             lambda rule, message, at: _fails(message, at))
 
-            kind = chains.kind_of(chains.from_type_expr(type_expr, read))  # whatever the values
+            chain = chains.from_type_expr(type_expr, read)
+            for var in chains.references(chain).values():  # read when the declaration runs
+                self.lookup(var)
+            kind = chains.kind_of(chain)  # whatever the values
         self.scopes[-1][name] = kind
         if kind.distributed:
             def chain(values):
@@ -239,10 +228,6 @@ class Compiler:
 
     def assign_name(self, node, name):
         value, known = self.expr(node.value), self.lookup(name)
-        if known is None:
-            return _fails(f"{name!r} is not declared", node)
-        if known.read_only:
-            return _fails(f"{name!r} is read-only", node)
         check = not isinstance(node.value, _SCALARS)
         kind = _class(known)
         if kind == "local":
@@ -257,12 +242,7 @@ class Compiler:
             return replica
         source = node.value.name if type(node.value) is ast.Name else None
         source_kind = _class(self.lookup(source) or chains.LOCAL)  # "local" when source is None
-        if kind == "array":
-            if source is None:
-                return _fails("{!r} is an array; assign another array", node, name)
-            if source_kind == "local":
-                return _fails(f"{source!r} is not an array", node)
-
+        if kind == "array":  # the checker lets in only another array
             def redistribute(ctx):
                 ctx.unguarded("array assignment", node)
                 return ctx.assign_arrays(ctx.env[name].array, ctx.env[source].array, node)
@@ -293,10 +273,6 @@ class Compiler:
     def assign_element(self, node, name):
         """name[i] := value."""
         known = self.lookup(name)
-        if known is None:
-            return _fails(f"{name!r} is not declared", node)
-        if known.read_only:
-            return _fails("{!r} is read-only", node, name)
         if not known.distributed:
             return _fails("{!r} is not an array", node, name)
         index, value = self.expr(node.target.index), self.expr(node.value)
@@ -332,11 +308,8 @@ class Compiler:
 
     def assign_line(self, node, name):
         """A[block][line] := other line: whole-line copy."""
-        known = self.lookup(name)
-        if known is None or not known.distributed:
+        if not self.lookup(name).distributed:
             return _fails("line assignment needs a distributed array", node)
-        if known.read_only:
-            return _fails("{!r} is read-only", node, name)
         line, value = self.expr(node.target), self.expr(node.value)
 
         def run(ctx):
@@ -491,10 +464,7 @@ class Compiler:
         return fn
 
     def name(self, node):
-        known = self.lookup(node.name)
-        if known is None:
-            return _fails(f"{node.name!r} is not declared", node)
-        return self.leaf((_class(known), node.name))
+        return self.leaf((_class(self.lookup(node.name)), node.name))
 
     def local(self, node):
         """node's name when it names a local known here, else None."""
@@ -616,22 +586,36 @@ class Compiler:
         (array, path), write = parts, name == "writefile"
         return lambda ctx: ctx.builtin_file(node, array(ctx), path(ctx), write)
 
+    def funcdef(self, node):
+        """Compile node's body once, where it is defined, at top level. It
+        sees its parameters, each with its formal chain's kind, its own
+        declarations and the top-level names declared so far. The
+        top-level names it looks up are its free names: a call binds each
+        one its caller hides back to its top-level binding."""
+        params = {p.name: chains.kind_of(chains.from_type_expr(p.type_expr, lambda e: None))
+                  for p in node.params}
+        stmts, free = [], []
+        self.bodies[node.name] = (list(params), stmts, free)  # for its recursive calls
+        scopes = self.scopes
+        self.scopes, self.free = [scopes[0], params], set()
+        stmts += self.block(node.body)
+        free += self.free
+        self.scopes, self.free = scopes, None
+        return lambda ctx: None
+
     def user_call(self, node):
-        func, scope = self.functions[node.func], {}
-        for names in self.scopes:  # what the body sees: the caller's names, then the parameters
-            scope.update(names)
-        for param, arg in zip(func.params, node.args):  # names: the checker refuses any other
-            known = self.lookup(arg.name)
-            if known is None:
-                return _fails(f"{arg.name!r} is not declared", node)
-            scope[param.name] = known
-        seen = self.mentions(func.name)
-        stmts = self.body(func, {n: _observed(k) for n, k in scope.items() if n in seen})
-        params, args = [p.name for p in func.params], [a.name for a in node.args]
+        params, stmts, free = self.bodies[node.func]
+        args = [a.name for a in node.args]
+        for arg in args:  # names: the checker refuses any other
+            self.lookup(arg)  # a top-level one is a free name of the body holding the call
 
         def call(ctx):
-            bindings = [ctx.env[a] for a in args]
+            env, top = ctx.env, ctx.top
+            bindings = [env[a] for a in args]
             mark = ctx.enter(node)
+            for name in free:
+                if env[name] is not top[name]:
+                    ctx.bind(name, top[name])
             for param, b in zip(params, bindings):
                 ctx.bind(param, b)
             exec_stmt = ctx.exec_stmt
@@ -641,35 +625,3 @@ class Compiler:
                     yield from result
             ctx.leave(mark)
         return call
-
-    def body(self, func, scope):
-        """func's body as (statement, closure) pairs, compiled in scope, the
-        Kind of each name it may look up: once for each distinct scope. The
-        list is filled after the body calling func (`program`)."""
-        key = (func.name, frozenset(scope.items()))
-        stmts = self.bodies.get(key)
-        if stmts is None:
-            stmts = self.bodies[key] = []
-            self.pending.append((stmts, func, [scope]))
-        return stmts
-
-    def mentions(self, name):
-        """Every string in the body of function name and of the functions it
-        calls: among them, every name its compiled body looks up."""
-        seen = self.mentioned.get(name)
-        if seen is None:
-            seen, walked, nodes = set(), {name}, list(self.functions[name].body)
-            while nodes:
-                node = nodes.pop()
-                for field in fields(node):  # not vars(node), which would give node a dict
-                    value = getattr(node, field.name)
-                    for v in value if type(value) is tuple else (value,):
-                        if isinstance(v, ast.Node):
-                            nodes.append(v)
-                        elif type(v) is str:
-                            seen.add(v)
-                            if v in self.functions and v not in walked:
-                                walked.add(v)
-                                nodes += self.functions[v].body
-            self.mentioned[name] = seen
-        return seen

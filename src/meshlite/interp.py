@@ -158,7 +158,9 @@ class ProcessContext:
     Bindings live in one flat dict, `env`, holding the innermost visible
     binding of every name; a name bound inside a scope pushes the binding
     it hides (or None) on `shadow`, and leaving the scope puts those back.
-    Scoping is dynamic: a function body sees its caller's names.
+    Scoping is lexical: a function body sees the top-level names, kept in
+    `top`, not its caller's, so a call binds each name the body reads from
+    the top level back to its `top` binding where the caller hides it.
     """
 
     def __init__(self, rank, state, checked):
@@ -166,6 +168,7 @@ class ProcessContext:
         self.state = state
         self.checked = checked
         self.env = {}
+        self.top = {}  # the bindings made at top level
         self.shadow = []  # (name, hidden binding or None)
         self.depth = 0  # scopes open above the top level
         self.stmt = None  # the statement started last: the innermost running
@@ -177,6 +180,8 @@ class ProcessContext:
     def bind(self, name, binding):
         if self.depth:
             self.shadow.append((name, self.env.get(name)))
+        else:
+            self.top[name] = binding
         self.env[name] = binding
 
     def enter(self, node):

@@ -428,6 +428,9 @@ class WalkingContext(interp.ProcessContext):
                 raise self.fault(f"{arg.name!r} is not declared", expr)
             bindings.append(b)
         mark = self.enter(expr)
+        for name, b in self.top.items():  # the body sees the top-level names, not the caller's
+            if self.env[name] is not b:
+                self.bind(name, b)
         for param, b in zip(fn.params, bindings):
             self.bind(param.name, b)
         for s in fn.body:

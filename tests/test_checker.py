@@ -240,6 +240,29 @@ def test_redeclaration_in_same_scope():
     assert "Redeclaration" in rules_of("var x;\nvar x;")
 
 
+def test_a_repeated_parameter_is_a_redeclaration():
+    src = "var x : Int;\nvar y : Int;\nfunction f(a : Int, a : Int) { };\nf(x, y);"
+    assert [str(d) for d in diagnostics_of(src)] == [
+        "<source>:3:21: Redeclaration: 'a' is already declared in this scope"]
+
+
+@pytest.mark.parametrize("src, column", [
+    ("for i from 0 to 1 { function g() { } };", 21),
+    ("proc 0 { function g() { } };", 10),
+    ("function f() { function g() { } };", 16),
+])
+def test_functions_are_defined_at_top_level_only(src, column):
+    assert [str(d) for d in diagnostics_of(src)] == [
+        f"<source>:1:{column}: NestedFunction: function 'g' must be defined at top level"]
+
+
+def test_a_body_sees_only_the_top_level_names_declared_before_it():
+    src = ("var a := 1;\nfunction f(p : Int) { var b := a + p; c := b };\n"
+           "var c := 0;\nfor i from 0 to 0 { var d := 2; function g() { d := i } };")
+    assert [(d.rule, d.line, d.column) for d in diagnostics_of(src)] == [
+        ("UnknownVariable", 2, 39), ("NestedFunction", 4, 33)]
+
+
 def test_diagnostic_rendering_format():
     diags = diagnostics_of("x := y;", name="prog.mesh")
     line = str(diags[0])

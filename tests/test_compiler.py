@@ -144,7 +144,7 @@ class ProgramGen:
         top = {"names": self.locals + ["w", "c", "i"], "targets": self.locals + ["w"],
                "arrays": self.arrays, "loops": []}
         if rng.random() < 0.7:
-            # x and y are the parameters; the body also reads the caller's names
+            # x and y are the parameters; the body also reads top-level names
             fscope = {"names": ["x"] + self.locals, "targets": ["x"], "arrays": ["y"],
                       "loops": []}
             self.function = [("assign", "x", self.expr(fscope)),
@@ -377,7 +377,7 @@ for i from 0 to 3 {
     ("y := A.localblockid[3];", "local block index 3 outside [0, 1) at 4:7"),
     ("for k from 0 to 0 { var z := a; y := z };", "an array value cannot be stored into a scalar at 4:33"),
     ("y := 1 + A;", "unsupported operand type(s) for +: 'int' and 'DistributedArray' at 4:8"),
-    # names a function body takes from its caller
+    # in a function body, over top-level names
     ("function g() { sync }; proc 0 { g() };",
      "sync is collective and cannot run inside proc at 4:16"),
     ("function g() { A := a }; proc 1 { g() };",
@@ -395,8 +395,6 @@ for i from 0 to 3 {
     ("for k from 0 to 1 { y := 1; y := A[5] };", "index (5,) outside shape (4,) at 4:29"),
     ("proc 0 { y := 1; y := A[5] };", "index (5,) outside shape (4,) at 4:18"),
     ("function f() { f() }; f();", f"{TOO_DEEP} at 4:16"),
-    ("for k from 0 to 0 { var z := 1; function g() { y := z }; }; g();",
-     "'z' is not declared at 4:53"),
 ])
 def test_faults_match_the_ast_walk(body, message):
     source = ("var a : array[Int,4];\n"
@@ -407,6 +405,14 @@ def test_faults_match_the_ast_walk(body, message):
         with pytest.raises(RuntimeFault) as info:
             run_path(checked, 2)
         assert str(info.value).split(": ", 1)[1] == message
+
+
+FAULTS_ONLY_THE_RUN_FINDS = (
+    "var x := 0;\n"
+    "var s : array[complex,4] :: allocated[multiple[]];\n"
+    "var A : array[complex,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+    "var I : array[Int,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+    "var B : array[Int,4] :: allocated[single[on[1]]];\n")
 
 
 @pytest.mark.parametrize("body, fault", [
@@ -423,32 +429,6 @@ def test_faults_match_the_ast_walk(body, message):
     ("var d : array[Int,2] :: allocated[single[on[0]]];\n"
      "var D : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[arraydist[d]]];",
      "rank 0: distribution array 'd' must be a replicated integer array at 7:5"),
-    # names a function body takes from a caller that shadows them
-    ("function f() { x := 1 };\nfor i from 0 to 0 { var x : Int :: const := 2; f() };",
-     "rank 0: 'x' is read-only at 6:16"),
-    ("function f() { x[0] := 1 };\nfor i from 0 to 0 { var x : array[Int,4] :: const; f() };",
-     "rank 1: 'x' is read-only at 6:16"),
-    ("function f() { B[0] := 1 };\nfor i from 0 to 0 { var B := 2; f() };",
-     "rank 0: 'B' is not an array at 6:16"),
-    ("function f() { x := 1 };\nfor i from 0 to 0 { var x : array[Int,4]; f() };",
-     "rank 1: 'x' is an array; assign another array at 6:16"),
-    ("var C : array[Int,4] :: allocated[single[on[0]]];\n"
-     "function f() { B := C };\nfor i from 0 to 0 { var C := 2; f() };",
-     "rank 0: 'C' is not an array at 7:16"),
-    ("function f() { A[0][1] := A[1][0] };\nfor i from 0 to 0 { var A := 2; f() };",
-     "rank 0: line assignment needs a distributed array at 6:16"),
-    ("function f() { var D : array[Int,x] :: allocated[multiple[]] };\n"
-     "for i from 0 to 0 { var x : array[Int,4]; f() };",
-     "rank 1: type argument 'x' is not a local integer at 6:34"),
-    # names gone with the loop that declared them
-    ("for i from 0 to 0 { var z := 1; function g() { z := 2 } };\ng();",
-     "rank 0: 'z' is not declared at 6:48"),
-    ("for i from 0 to 0 { var z : array[Int,4]; function g() { z[0] := 2 } };\ng();",
-     "rank 0: 'z' is not declared at 6:58"),
-    ("for i from 0 to 0 { var z : array[Int,4,8]; function g() { z[0][1] := z[1][0] } };\ng();",
-     "rank 0: line assignment needs a distributed array at 6:60"),
-    ("function h(p : Int) { };\nfor i from 0 to 0 { var z : Int := 1; function g() { h(z) } };\ng();",
-     "rank 1: 'z' is not declared at 7:54"),
     # a parameter bound to a scalar, then indexed: the fault names the caller's variable
     ("function f(p : Int) { p[0] := 1 };\nvar w : Int := 0;\nf(w);",
      "rank 1: 'w' is not an array at 6:23"),
@@ -471,16 +451,10 @@ def test_faults_match_the_ast_walk(body, message):
     ("processes();", None),
 ])
 def test_faults_only_the_run_finds_match_the_ast_walk(tmp_path, body, fault):
-    """Builtin misuse and names whose kind at the call differs from where
-    the function was defined: the same fault (message, rank, line:col) on
-    both run paths, or none. The rank is the first one the seed-0 schedule
-    brings to the fault."""
-    source = ("var x := 0;\n"
-              "var s : array[complex,4] :: allocated[multiple[]];\n"
-              "var A : array[complex,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
-              "var I : array[Int,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
-              f"var B : array[Int,4] :: allocated[single[on[1]]];\n{body}\n")
-    checked = check_program(parse(source))
+    """Builtin misuse and what no declared type shows: the same fault
+    (message, rank, line:col) on both run paths, or none. The rank is the
+    first one the seed-0 schedule brings to the fault."""
+    checked = check_program(parse(FAULTS_ONLY_THE_RUN_FINDS + body + "\n"))
     for run_path in RUNS:
         try:
             run_path(checked, 2, workdir=str(tmp_path))
@@ -489,6 +463,78 @@ def test_faults_only_the_run_finds_match_the_ast_walk(tmp_path, body, fault):
             seen = str(exc)
         assert seen == fault, run_path
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("body, fault", [
+    ("function f() { x := 1 };\nfor i from 0 to 0 { var x : Int :: const := 2; f() };", None),
+    ("function f() { B[0] := 1 };\nfor i from 0 to 0 { var B := 2; f() };", None),
+    ("function f() { x := 1 };\nfor i from 0 to 0 { var x : array[Int,4]; f() };", None),
+    ("var C : array[Int,4] :: allocated[single[on[0]]];\n"
+     "function f() { B := C };\nfor i from 0 to 0 { var C := 2; f() };", None),
+    ("function f() { A[0][1] := A[1][0] };\nfor i from 0 to 0 { var A := 2; f() };", None),
+    ("function f() { var V : array[Int,4] :: allocated[single[on[1]]] :: share[B]; V[2] := 3 };\n"
+     "for i from 0 to 0 { var B := 2; f() };", None),
+    ("function g(p : array[Int,4] :: allocated[single[on[1]]]) { p[1] := 5 };\n"
+     "function f() { g(B) };\nfor i from 0 to 0 { var B := 2; f() };", None),
+    # what the top-level local `x` (0) cannot be: the checker passes an
+    # element store into a local, and only the run sees an extent of 0
+    ("function f() { x[0] := 1 };\nfor i from 0 to 0 { var x : array[Int,4] :: const; f() };",
+     "rank 1: 'x' is not an array at 6:16"),
+    ("function f() { var D : array[Int,x] :: allocated[multiple[]] };\n"
+     "for i from 0 to 0 { var x : array[Int,4]; f() };",
+     "rank 1: array extents must be positive at 6:20"),
+])
+def test_a_body_reads_the_names_where_it_is_defined(body, fault):
+    """A caller that declares, in another kind, a name the body reads
+    changes nothing: the body reads and stores the top-level names of the
+    definition (the local `x`, 0, and the arrays `A`, `B` and `C`), a
+    `share` base and a call's argument among them, and both run paths
+    give the same locals, arrays and trace, or the same fault."""
+    checked = check_program(parse(FAULTS_ONLY_THE_RUN_FINDS + body + "\n"))
+    seen = []
+    for run_path in RUNS:
+        try:
+            result = run_path(checked, 2)
+        except RuntimeFault as exc:
+            seen.append(str(exc))
+            continue
+        seen.append(({n: result.local(n) for n in result.names() if n not in result._arrays},
+                     {n: result.logical(n) for n in result._arrays}, result.trace.render()))
+    assert seen[0] == seen[1]
+    assert (seen[0] if isinstance(seen[0], str) else None) == fault
+
+
+@pytest.mark.parametrize("source, where", [
+    ("for i from 0 to 0 { var z := 1; function g() { z := 2 } };\ng();", "1:33"),
+    ("for i from 0 to 0 { var z : array[Int,4]; function g() { z[0] := 2 } };\ng();", "1:43"),
+    ("for i from 0 to 0 { var z : array[Int,4,8]; function g() { z[0][1] := z[1][0] } };\ng();",
+     "1:45"),
+    ("function h(p : Int) { };\nfor i from 0 to 0 { var z : Int := 1; function g() { h(z) } };\n"
+     "g();", "2:39"),
+    ("var y;\nfor k from 0 to 0 { var z := 1; function g() { y := z }; }; g();", "2:33"),
+])
+def test_a_function_defined_below_top_level_is_refused(source, where):
+    """A body could otherwise read names gone with the loop that declared them."""
+    with pytest.raises(CheckError) as info:
+        check_program(parse(source))
+    assert [str(d) for d in info.value.diagnostics] == [
+        f"<source>:{where}: NestedFunction: function 'g' must be defined at top level"]
+
+
+def test_a_callers_declarations_move_no_data():
+    """The body reads the top-level local `x`, not the caller's single-copy
+    `x` on rank 1, so no rank gets it; the store `x := 5` in a caller
+    hiding `x` behind a const stores the top-level `x`."""
+    reads = ("var x := 1; var out := 0; function f() { out := x };\n"
+             "for i from 0 to 0 { var x : Int :: allocated[single[on[1]]]; x := 7; f() };\n")
+    stores = ("var x := 1; var out := 0; function f() { x := 5 };\n"
+              "for i from 0 to 0 { var x : Int :: const; f() };\n")
+    for run_path in RUNS:
+        result = run_path(check_program(parse(reads)), 2)
+        assert (result.local("x"), result.local("out")) == ([1, 1], [1, 1])
+        assert "onesided-get" not in result.trace.render()
+        result = run_path(check_program(parse(stores)), 2)
+        assert (result.local("x"), result.local("out")) == ([5, 5], [0, 0])
 
 
 @pytest.mark.parametrize("line, message", [
@@ -687,7 +733,7 @@ f(w);
     assert result.local("w") == [6, 6]  # the parameter was w's binding
 
 
-def test_function_bodies_see_the_callers_names():
+def test_function_bodies_see_the_names_where_they_are_defined():
     result = both("""
 var k := 1;
 var out := 0;
@@ -696,7 +742,23 @@ g();
 for i from 0 to 1 { var k := 10; g() };
 proc 0 { var k := 100; g() };
 """)
-    assert result.local("out") == [121]
+    assert result.local("out") == [4]
+
+
+def test_a_parameter_hides_no_name_from_the_functions_it_calls():
+    """f's parameter `k` names the caller's `w`; g, called from f as it
+    recurses, still reads the top-level `k`."""
+    result = both("""
+var n := 2;
+var k := 100;
+var out := 0;
+var w : Int := 1;
+function g() { out := out + k };
+function f(k : Int) { k := k + 1; g(); for i from 1 to n { n := n - 1; f(k) } };
+f(w);
+""", nprocs=2)
+    assert result.local("w") == [5, 5]  # four calls
+    assert result.local("out") == [400, 400]
 
 
 def test_read_only_loop_variable_faults():
@@ -812,11 +874,29 @@ def test_a_chain_of_calls_runs_deep_in_the_stack():
         assert under_frames(500, lambda: run_path(checked, 2)).local("x") == [1, 1]
 
 
-def test_a_body_is_compiled_for_what_it_reads_of_the_callers_scope():
-    """Each fk calls fk+1 before and after declaring a name only it reads,
-    so every caller's scope differs; each body is still compiled once, as
-    is one reading arrays of different element types, and a body reading
-    a name declared between two calls twice."""
+def compiles(monkeypatch, source):
+    """How many times compiling source compiles each function's body, told
+    apart by identity; so at most one block of source may be empty, as
+    every empty block is the one object `()`."""
+    checked = check_program(parse(source))
+    names = {id(f.body): name for name, f in checked.functions.items()}
+    counts = dict.fromkeys(checked.functions, 0)
+    block = compiler.Compiler.block
+
+    def counted(self, stmts):
+        if id(stmts) in names:
+            counts[names[id(stmts)]] += 1
+        return block(self, stmts)
+    monkeypatch.setattr(compiler.Compiler, "block", counted)
+    compiler.compile_program(checked)
+    return counts
+
+
+def test_each_body_is_compiled_once(monkeypatch):
+    """Whatever its callers declare between and around their calls: each
+    fk calls fk+1 before and after declaring a name only it reads, h
+    declares one its callee reads, and e is called where its array has
+    another element type."""
     n = 16
     source = (f"function f{n}() {{ }};\n"
               + "".join(f"function f{k}() {{ f{k + 1}(); var a{k} := {k}; f{k + 1}(); a{k} := 0 }};\n"
@@ -826,11 +906,23 @@ def test_a_body_is_compiled_for_what_it_reads_of_the_callers_scope():
               "var w : array[Int,4];\nfunction e() { w[0] := 1 };\n"
               "for i from 1 to 0 { f1(); h(); e() };\n"
               "for i from 1 to 0 { var w : array[real,4]; e() };\n")
-    checked = check_program(parse(source))
-    compiled = compiler.Compiler(checked.functions, {})
-    compiled.program(checked.program)
-    assert sorted(name for name, _ in compiled.bodies) == sorted(
-        [f"f{k}" for k in range(1, n + 1)] + ["e", "g", "g", "h"])
+    counts = compiles(monkeypatch, source)
+    assert sorted(counts) == sorted([f"f{k}" for k in range(1, n + 1)] + ["e", "g", "h"])
+    assert set(counts.values()) == {1}
+
+
+def test_callers_declaring_what_their_callees_read_compile_each_body_once(monkeypatch):
+    """Each fk declares, between two calls of fk+1, a local hiding the
+    top-level array ak that f14 reads: under a per-caller compile its 2^13
+    combinations of kinds took seconds."""
+    n = 14
+    source = ("var x := 0;\n"
+              + "".join(f"var a{k} : Int :: allocated[multiple[]];\n" for k in range(1, n))
+              + f"function f{n}() {{ x := {' + '.join(f'a{k}' for k in range(1, n))} }};\n"
+              + "".join(f"function f{k}() {{ f{k + 1}(); var a{k} := 0; f{k + 1}() }};\n"
+                        for k in range(n - 1, 0, -1))
+              + "for i from 1 to 0 { f1() };\n")
+    assert compiles(monkeypatch, source) == {f"f{k}": 1 for k in range(1, n + 1)}
 
 
 def _loops(n, body, decls=False):
@@ -912,12 +1004,16 @@ def test_the_deepest_trees_run_alike_on_both_run_paths(source):
 
 def test_a_body_declaration_is_gone_before_the_next_iteration():
     """A loop opens one scope, but what its body declares vanishes at the
-    end of every iteration, as in the walk's scope per iteration."""
-    source = ("var z := 1;\nvar s := 0;\nfunction g() { s := s * 10 + z };\n"
+    end of every iteration, as in the walk's scope per iteration. A function
+    body called on either side of the declaration reads the top-level `z`."""
+    called = ("var z := 1;\nvar s := 0;\nfunction g() { s := s * 10 + z };\n"
               "for i from 0 to 2 { g(); var z := 5; g() };\n")
-    checked = check_program(parse(source))
-    for run_path in RUNS:
-        assert run_path(checked, 2).local("s") == [151515, 151515]
+    inline = ("var z := 1;\nvar s := 0;\n"
+              "for i from 0 to 2 { s := s * 10 + z; var z := 5; s := s * 10 + z };\n")
+    for source, s in ((called, 111111), (inline, 151515)):
+        checked = check_program(parse(source))
+        for run_path in RUNS:
+            assert run_path(checked, 2).local("s") == [s, s]
 
 
 def test_a_run_never_sets_the_recursion_limit(monkeypatch):
@@ -1184,8 +1280,8 @@ def test_owner_computes_loops_match_the_ast_walk(nprocs, m):
     outside `proc`: the same state, trace, i after the loop, and fault
     (message, rank, line:col) as the walk, which runs every iteration.
     In `proc` the general loop runs, and it must agree too, as must a loop
-    in a function body over its caller's X. A fault-free run is the same under any
-    schedule, so only a fault is run under a second one."""
+    in a function body over the top-level X. A fault-free run is the same
+    under any schedule, so only a fault is run under a second one."""
     for blocks in range(1, min(m, 5) + 1):
         for place in ("evendist[]", f"on[{nprocs - 1}]", "arraydist[d]"):
             forms = ("top",)
@@ -1203,7 +1299,7 @@ def test_owner_computes_loops_match_the_ast_walk(nprocs, m):
 
 def test_owner_computes_loops_run_only_the_owned_iterations(monkeypatch):
     """Outside `proc` each rank runs the stores it owns, in a function
-    body too, where X is its caller's; in `proc` every iteration runs."""
+    body over the top-level X too; in `proc` every iteration runs."""
     exec_stmt, stores = ProcessContext.exec_stmt, {}
 
     def counted(self, stmt, fn):
@@ -1235,8 +1331,8 @@ def communicating_program(seed, nprocs):
     """Random one-sided reads and writes, channels, collectives and calls.
 
     Function bodies take single scalars, some linked by a blocking or an
-    `async` channel, 1D and 2D arrays and locals from their caller, as free
-    names or as parameters, and read, assign and redistribute them. A call
+    `async` channel, 1D and 2D arrays and locals from the top level, as
+    free names or as parameters, and read, assign and redistribute them. A call
     that communicates through a channel or a collective runs at the top
     level; the others also run inside `proc`.
     """
