@@ -1,4 +1,5 @@
-"""Static checking: name resolution, chain validation, call signatures.
+"""Static checking: name resolution, chain validation, call signatures,
+and each expression's class, so that no value is used as its class forbids.
 
 Diagnostics render as `file:line:col: RULE: message`, one per line.
 Type arguments are read by one walk, `type_argument`, shared with the
@@ -14,12 +15,36 @@ from . import ast, chains
 from .errors import CheckError, MeshError
 from .values import arith
 
+# An expression's class, decided from the declared kinds alone, is what its
+# value is: a scalar (a number or a string), an array (a declared array's
+# name), a block (A[b] of a partitioned 2D array) or a line (A[b][i], or U[i]
+# of an unpartitioned 2D array). None is the class of an expression already
+# refused, so that one misuse gives one diagnostic.
+A_CLASS = {"scalar": "a scalar", "array": "an array", "block": "a block", "line": "a line"}
+
+
+def indexed(cls, kind):
+    """The class of v[i] for v of class cls (kind: the Kind of an array v)."""
+    if cls == "array":
+        return "scalar" if kind.ndim == 1 else "block" if kind.partitioned else "line"
+    return "line" if cls == "block" else "scalar"
+
+
+_FILE = [("array", lambda k: not (k.replicated or k.partitioned),
+          "file transfer needs a singly-allocated, unpartitioned array"),
+         ("scalar", None, "file path must be a string")]
+
+# Each builtin's arguments: the class each must have, what its array's Kind
+# must be, and the diagnostic otherwise.
 BUILTINS = {
-    "processes": 0,
-    "computeSin": 1,
-    "FFT": 2,
-    "readfile": 2,
-    "writefile": 2,
+    "processes": [],
+    "computeSin": [("array", lambda k: k.replicated and k.ndim == 1 and k.elem == "complex",
+                    "computeSin needs a replicated 1D complex array")],
+    "FFT": [("line", lambda k: k.elem == "complex",
+             "FFT needs a line like A[blockid][i] of a complex array"),
+            ("array", lambda k: k.replicated, "FFT needs the replicated twiddle array")],
+    "readfile": _FILE,
+    "writefile": _FILE,
 }
 
 
@@ -40,6 +65,7 @@ class VarInfo:
     name: str
     type_expr: Optional[ast.TypeExpr]
     kind: chains.Kind
+    refused: bool = False  # a local whose initializer was refused: its uses report nothing
 
 
 @dataclass
@@ -71,10 +97,10 @@ def type_argument(expr, kind_of, report):
             return report("TypeArgument", message, expr)
 
         def local(ctx):
-            binding = ctx.env.get(name)
-            if binding is None or binding.kind != "local" or not isinstance(binding.value, int):
+            value = ctx.env[name].value
+            if not isinstance(value, int):
                 raise ctx.fault(message, expr)
-            return binding.value
+            return value
         return local
     if kind is not ast.BinOp:
         return report("TypeArgument",
@@ -153,8 +179,8 @@ class Checker:
         elif isinstance(stmt, ast.Assign):
             self.check_assign(stmt, in_proc)
         elif isinstance(stmt, ast.For):
-            self.check_expr(stmt.start)
-            self.check_expr(stmt.stop)
+            self.check_scalar(stmt.start, "a loop bound")
+            self.check_scalar(stmt.stop, "a loop bound")
             existing = self.lookup(stmt.var)
             if existing is not None and existing.kind.read_only:
                 self.report("ConstViolation", f"loop variable {stmt.var!r} is declared const", stmt)
@@ -166,7 +192,7 @@ class Checker:
                 self.check_stmt(s, in_proc)
             self.scopes.pop()
         elif isinstance(stmt, ast.ProcBlock):
-            self.check_expr(stmt.rank)
+            self.check_scalar(stmt.rank, "a proc rank")
             self.scopes.append({})
             for s in stmt.body:
                 self.check_stmt(s, in_proc=True)
@@ -191,13 +217,18 @@ class Checker:
                 "GuardedAllocation",
                 f"{stmt.name!r} allocates global storage inside a proc block; "
                 "allocation is collective", stmt)
+        refused = False
         if stmt.init is not None:
-            self.check_expr(stmt.init)
+            cls = self.check_expr(stmt.init)
             if kind.distributed:
                 self.report(
                     "InitializerUnsupported",
                     f"{stmt.name!r} owns global storage and cannot take an initializer", stmt)
-        self.declare(VarInfo(stmt.name, stmt.type_expr, kind), stmt)
+            elif cls not in ("scalar", None):
+                refused = True
+                self.report("ArrayAssignment", f"{stmt.name!r} is a local, which holds only a "
+                            f"scalar: it cannot be initialized with {A_CLASS[cls]}", stmt)
+        self.declare(VarInfo(stmt.name, stmt.type_expr, kind, refused), stmt)
 
     def check_chain(self, type_expr, node):
         """The Kind of a declared or formal name; reports each rule its chain breaks."""
@@ -218,8 +249,10 @@ class Checker:
                 if target is None:
                     self.report("ArrayDistTarget",
                                 f"distribution array {var!r} is not declared", node)
-                elif not (target.kind.ndim and target.kind.elem == "int"):
-                    self.report("ArrayDistTarget", f"{var!r} is not an integer array", node)
+                elif not (target.kind.ndim and target.kind.elem == "int"
+                          and target.kind.replicated):
+                    self.report("ArrayDistTarget", f"{var!r} is not a replicated integer array",
+                                node)
             elif target is None:
                 self.report("ShareTarget", f"share base {var!r} is not declared", node)
             elif not target.kind.ndim:
@@ -227,33 +260,34 @@ class Checker:
         return chains.kind_of(chain)
 
     def check_assign(self, stmt: ast.Assign, in_proc):
-        target = stmt.target
-        base = target
-        depth = 0
-        while isinstance(base, ast.Index):
-            self.check_expr(base.index)
-            base = base.base
-            depth += 1
-        info = self.lookup(base.name) if isinstance(base, ast.Name) else None
-        if info is None:
-            self.report("UnknownVariable", f"assignment to undeclared {getattr(base, 'name', '?')!r}", stmt)
-            self.check_expr(stmt.value)
-            return
-        if info.kind.read_only:
+        """A store: what its target holds, read as an expression, must be
+        what the value is; x[i] must hold a scalar, x[i][j] a line."""
+        target = root = stmt.target
+        while isinstance(root, ast.Index):  # the parser admits only x, x[i] and x[i][j]
+            root = root.base
+        held, info = self.check_expr(target), self.lookup(root.name)
+        if info is not None and info.kind.read_only:
             self.report("ConstViolation", f"{info.name!r} is declared const", stmt)
-        self.check_expr(stmt.value)
-        vinfo = self.lookup(stmt.value.name) if isinstance(stmt.value, ast.Name) else None
-        if depth == 0 and info.kind.ndim:
-            if vinfo is None or not vinfo.kind.ndim:
-                self.report("ArrayAssignment",
-                            f"{info.name!r} is an array; assign another array to it", stmt)
-            elif in_proc:
-                self.report("GuardedCollective",
-                            "array assignment is collective and cannot run inside a proc block",
-                            stmt)
-        elif depth == 0 and vinfo is not None and vinfo.kind.ndim:
-            self.report("ArrayAssignment",
-                        f"cannot store array {stmt.value.name!r} into {info.name!r}", stmt)
+        cls = self.check_expr(stmt.value)
+        if held is None:
+            return
+        if target is not root and target.base is root and held != "scalar":
+            self.report("ElementAssignment", "element assignment needs a one-dimensional "
+                        f"array; {root.name!r} has two dimensions", stmt)
+        elif target is not root and target.base is not root and held != "line":
+            self.report("LineAssignment", "a line store needs A[block][line] of a partitioned "
+                        f"2D array; {root.name!r} is not one", stmt)
+        elif cls not in (held, None):
+            into = repr(root.name) if target is root else f"an element of {root.name!r}"
+            self.report(*{
+                "array": ("ArrayAssignment", f"{into} is an array; assign another array to it"),
+                "line": ("LineAssignment", f"a line of {root.name!r} takes a line, "
+                                           f"not {A_CLASS[cls]}"),
+                "scalar": ("ArrayAssignment", f"cannot store {A_CLASS[cls]} into {into}"),
+            }[held], stmt)
+        elif held == "array" and in_proc:
+            self.report("GuardedCollective",
+                        "array assignment is collective and cannot run inside a proc block", stmt)
 
     def check_funcdef(self, stmt: ast.FuncDef):
         """A body sees its parameters, its own declarations and the
@@ -274,62 +308,80 @@ class Checker:
     # --- expressions ---
 
     def check_expr(self, expr, statement=False):
-        if isinstance(expr, (ast.IntLit, ast.RealLit, ast.StrLit)):
-            return
-        if isinstance(expr, ast.Name):
-            if self.lookup(expr.name) is None:
-                self.report("UnknownVariable", f"{expr.name!r} is not declared", expr)
-            return
-        if isinstance(expr, ast.BinOp):
-            self.check_expr(expr.left)
-            self.check_expr(expr.right)
-            return
-        if isinstance(expr, ast.Index):
-            self.check_expr(expr.base)
-            self.check_expr(expr.index)
-            return
-        if isinstance(expr, ast.Accessor):
-            root = expr.base
-            while isinstance(root, ast.Index):
-                self.check_expr(root.index)
-                root = root.base
-            info = self.lookup(root.name) if isinstance(root, ast.Name) else None
+        """Report what expr breaks; returns its class (None once refused)."""
+        kind = type(expr)
+        if kind is ast.Name:
+            info = self.lookup(expr.name)
             if info is None:
-                self.report("UnknownVariable", "accessor on an undeclared variable", expr)
-            elif not info.kind.distributed:
-                self.report("AccessorMisuse",
-                            f"accessor .{expr.which} needs a distributed array", expr)
+                self.report("UnknownVariable", f"{expr.name!r} is not declared", expr)
+                return None
+            return None if info.refused else "array" if info.kind.ndim else "scalar"
+        if kind is ast.BinOp:
+            self.check_scalar(expr.left, "an operand")
+            self.check_scalar(expr.right, "an operand")
+            return "scalar"
+        if kind is ast.Index:
+            cls = self.check_expr(expr.base)
+            self.check_scalar(expr.index, "an index")
+            if cls == "array":  # only a name is an array
+                return indexed(cls, self.lookup(expr.base.name).kind)
+            if cls == "scalar":
+                what = f"{expr.base.name!r} is a scalar and" \
+                    if type(expr.base) is ast.Name else "a scalar"
+                self.report("NotIndexable", f"{what} cannot be indexed", expr)
+                return None
+            return cls and indexed(cls, None)
+        if kind is ast.Accessor:
+            cls = self.check_expr(expr.base)
+            want = "block" if expr.which in ("low", "high") else "array"
+            if cls not in (want, None):
+                needs = "a block like A[blockid]" if want == "block" else "a distributed array"
+                self.report("AccessorMisuse", f".{expr.which} needs {needs}, not {A_CLASS[cls]}",
+                            expr)
             if expr.arg is not None:
-                self.check_expr(expr.arg)
-            return
-        if isinstance(expr, ast.Call):
-            self.check_call(expr, statement)
-            return
-        raise TypeError(f"unhandled expression {expr!r}")
+                self.check_scalar(expr.arg, "a local block index")
+            return "scalar"
+        if kind is ast.Call:
+            return self.check_call(expr, statement)
+        return "scalar"  # a literal
+
+    def check_scalar(self, expr, role):
+        cls = self.check_expr(expr)
+        if cls != "scalar" and cls is not None:
+            self.report("NotAScalar", f"{role} must be a scalar, not {A_CLASS[cls]}", expr)
+
+    def array_kind(self, expr):
+        """The declared Kind of the array that expr, an array, block or line, is of."""
+        while type(expr) is ast.Index:
+            expr = expr.base
+        return self.lookup(expr.name).kind
 
     def check_call(self, expr: ast.Call, statement):
-        for a in expr.args:
-            self.check_expr(a)
-        fn = None
-        if expr.func in BUILTINS:
-            want = BUILTINS[expr.func]
-            if len(expr.args) != want:
-                self.report("BuiltinArity",
-                            f"{expr.func} takes {want} argument{'s' if want != 1 else ''}", expr)
-        else:
-            fn = self.functions.get(expr.func)
-            if fn is None:
-                self.report("UnknownFunction",
-                            f"{expr.func!r} is not a builtin or defined function", expr)
-                return
-        if not statement and expr.func != "processes":
+        """Report what the call breaks; returns its class: processes() alone has a value."""
+        classes = [self.check_expr(a) for a in expr.args]
+        want = BUILTINS.get(expr.func)
+        fn = None if want is not None else self.functions.get(expr.func)
+        if want is None and fn is None:
+            self.report("UnknownFunction",
+                        f"{expr.func!r} is not a builtin or defined function", expr)
+            return None
+        if want is not None and len(expr.args) != len(want):
+            self.report("BuiltinArity", f"{expr.func} takes {len(want)} "
+                        f"argument{'s' if len(want) != 1 else ''}", expr)
+        elif want is not None:
+            for arg, cls, (need, fits, message) in zip(expr.args, classes, want):
+                if cls not in (need, None) or cls and fits and not fits(self.array_kind(arg)):
+                    self.report("BuiltinArgument", message, arg)
+        if expr.func == "processes":
+            return "scalar"
+        if not statement:
             self.report("NoValue", f"function {expr.func!r} has no result and cannot be used in an expression", expr)
         if fn is None:
-            return
+            return None
         if len(expr.args) != len(fn.params):
             self.report("CallArity",
                         f"{expr.func} takes {len(fn.params)} arguments, got {len(expr.args)}", expr)
-            return
+            return None
         for arg, param in zip(expr.args, fn.params):
             if not isinstance(arg, ast.Name):
                 self.report("ArgumentChainMismatch",
@@ -345,6 +397,7 @@ class Checker:
                     f"{ast.format_type(info.type_expr) if info.type_expr else '<none>'} "
                     f"but {param.name!r} requires {ast.format_type(param.type_expr)}",
                     expr)
+        return None
 
 
 def check_program(program: ast.Program, source_name="<source>") -> CheckedProgram:

@@ -22,8 +22,11 @@ as the checker's: a function is defined at top level, and its body is
 compiled once, where it is defined (`funcdef`), seeing its parameters,
 each of its formal's kind, its own declarations and the top-level names
 declared before it. A call binds back to the top level each of those
-names its caller hides. A name used where it is not declared, or stored
-as its kind refuses, compiles to a closure that faults. The types also
+names its caller hides. The checker has refused every name used where it
+is not declared and every value used as its class forbids (checker.py),
+so the kinds alone pick each closure, none tests a value's class, and a
+closure faults only on what values alone show: an index's type and
+range, a loop bound, a `proc` rank, a line's length. The types also
 decide who stores: outside `proc` only X[i]'s owner stores `X[i] := e`,
 so a loop whose body is that one statement over a 1D single-copy array
 runs only the iterations the process owns (`owner_computes`). The rules
@@ -37,12 +40,11 @@ from types import GeneratorType as Generator
 
 from . import ast, chains
 from .checker import BUILTINS, evaluated, type_argument
-from .runtime import ZEROES, DistributedArray
-from .values import OPERATORS, Binding, BlockRef, LineSlice, arith, owned_blocks, row_of
+from .runtime import ZEROES
+from .values import OPERATORS, Binding, LineSlice, arith, owned_blocks, row_of
 
 
 _LITERALS = (ast.IntLit, ast.RealLit, ast.StrLit)
-_SCALARS = (ast.BinOp, *_LITERALS)  # never array values
 
 
 def overridable(program) -> dict:
@@ -64,17 +66,6 @@ def _class(kind):
     if kind.ndim:
         return "array"
     return "replica" if kind.replicated else "single"
-
-
-def _fails(message, node, name=None, reads=()):
-    """A closure that faults with message once it has run reads (what its
-    statement reads first); with name, message formats the name of name's
-    binding (a caller's variable for a parameter)."""
-    def fail(ctx):
-        for read in reads:
-            read(ctx)
-        raise ctx.fault(message if name is None else message.format(ctx.env[name].name), node)
-    return fail
 
 
 # --- statements that may wait ---
@@ -108,23 +99,11 @@ def _element(ctx, node, shape, i):
     return i
 
 
-def _store(ctx, node, check, binding, block, offset, value):
+def _store(ctx, binding, block, offset, value):
     """Store into one element of binding's array; may wait (a put when remote)."""
-    if check:
-        value = ctx.storable(value, node)
     if block.owner != ctx.rank:
         return ctx.store(binding, block, offset, value)
     block.buffer[offset] = value
-
-
-def _index_value(ctx, node, base, i):
-    """base[i] but for an array's name (`index`): a line or an element of one."""
-    if not isinstance(base, (BlockRef, LineSlice)):
-        raise ctx.fault("value is not indexable", node)
-    _integer(ctx, node, i)
-    if isinstance(base, BlockRef):
-        return LineSlice(base.array, base.block, i)
-    return ctx.read_line(base, i)
 
 
 class Compiler:
@@ -181,9 +160,8 @@ class Compiler:
             # value, or a closure run with the declaration
             args = {}
 
-            def read(e):  # an undeclared name or a non-integer value faults as it runs
-                args[id(e)] = type_argument(e, lambda name: self.lookup(name) or chains.LOCAL,
-                                            lambda rule, message, at: _fails(message, at))
+            def read(e):  # the checker refused every argument no values make an integer
+                args[id(e)] = type_argument(e, self.lookup, lambda *fault: None)
 
             chain = chains.from_type_expr(type_expr, read)
             for var in chains.references(chain).values():  # read when the declaration runs
@@ -227,18 +205,14 @@ class Compiler:
         return self.assign_line(node, target.base.base.name)
 
     def assign_name(self, node, name):
-        value, known = self.expr(node.value), self.lookup(name)
-        check = not isinstance(node.value, _SCALARS)
-        kind = _class(known)
+        value, kind = self.expr(node.value), _class(self.lookup(name))
         if kind == "local":
             def local(ctx):  # the commonest statement, as one call
-                v = value(ctx)
-                ctx.env[name].value = ctx.storable(v, node) if check else v
+                ctx.env[name].value = value(ctx)
             return local
         if kind == "replica":
             def replica(ctx):
-                v = value(ctx)
-                ctx.env[name].array.replicas[ctx.rank][0] = ctx.storable(v, node) if check else v
+                ctx.env[name].array.replicas[ctx.rank][0] = value(ctx)
             return replica
         source = node.value.name if type(node.value) is ast.Name else None
         source_kind = _class(self.lookup(source) or chains.LOCAL)  # "local" when source is None
@@ -258,7 +232,7 @@ class Compiler:
                         and src_owner != owner:
                     return ctx.channel_assign(node, binding, src, comm)
                 if ctx.performs(owner):
-                    return _store(ctx, node, False, binding, binding.array.blocks[0], 0,
+                    return _store(ctx, binding, binding.array.blocks[0], 0,
                                   ctx.read_remote_scalar(src))
             return transfer
 
@@ -267,28 +241,18 @@ class Compiler:
             binding = ctx.env[name]
             block = binding.array.blocks[0]
             if ctx.performs(block.owner):
-                return _store(ctx, node, check, binding, block, 0, value(ctx))
+                return _store(ctx, binding, block, 0, value(ctx))
         return single
 
     def assign_element(self, node, name):
-        """name[i] := value."""
-        known = self.lookup(name)
-        if not known.distributed:
-            return _fails("{!r} is not an array", node, name)
+        """name[i] := value, name a 1D array."""
         index, value = self.expr(node.target.index), self.expr(node.value)
-        check = not isinstance(node.value, _SCALARS)
-        if known.ndim != 1 and known.replicated:
-            return _fails("element assignment needs a one-dimensional array", node,
-                          reads=(index, value))
-        if known.ndim != 1:
-            return _fails("use A[block][line] to address rows of a 2D array", node, reads=(index,))
-        if known.replicated:
+        if self.lookup(name).replicated:
             def replica(ctx):
                 """This process's replica."""
                 i, v = index(ctx), value(ctx)
                 array = ctx.env[name].array
-                array.replicas[ctx.rank][_element(ctx, node, array.descriptor.shape, i)] = (
-                    ctx.storable(v, node) if check else v)
+                array.replicas[ctx.rank][_element(ctx, node, array.descriptor.shape, i)] = v
             return replica
 
         local = self.local(node.target.index)  # a known-local index, read inline
@@ -303,25 +267,21 @@ class Compiler:
             k, off = array.descriptor.element(i)
             block = array.blocks[k]
             if ctx.performs(block.owner):
-                return _store(ctx, node, check, binding, block, off, value(ctx))
+                return _store(ctx, binding, block, off, value(ctx))
         return distributed
 
     def assign_line(self, node, name):
         """A[block][line] := other line: whole-line copy."""
-        if not self.lookup(name).distributed:
-            return _fails("line assignment needs a distributed array", node)
         line, value = self.expr(node.target), self.expr(node.value)
 
         def run(ctx):
             binding = ctx.env[name]
             dst = line(ctx)
-            if not isinstance(dst, LineSlice):
-                raise ctx.fault("line assignment needs a partitioned array", node)
             owner = dst.block.owner
             if not ctx.performs(owner):
                 return
             src = value(ctx)
-            if not isinstance(src, LineSlice) or len(src) != len(dst):
+            if len(src) != len(dst):
                 raise ctx.fault("line assignment needs an equal-length line", node)
             array = binding.array
             if src.block.owner != ctx.rank:
@@ -338,7 +298,6 @@ class Compiler:
         start, stop, var = self.expr(node.start), self.expr(node.stop), node.var
         existing = self.lookup(var)  # an existing local is the loop variable
         reuse = existing is not None and not existing.distributed
-        read_only = existing is not None and existing.read_only
         self.open_scope()[var] = chains.LOCAL
         stmts = self.block(node.body)
         target = self.owner_computes(node)
@@ -350,8 +309,6 @@ class Compiler:
             lo, hi = start(ctx), stop(ctx)
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise ctx.fault("loop bounds must be integers", node)
-            if read_only:
-                raise ctx.fault(f"loop variable {var!r} is read-only", node)
             if lo > hi:
                 return
             mark = ctx.enter(node)
@@ -395,8 +352,7 @@ class Compiler:
         if type(base) is not ast.Name or type(index) is not ast.Name or index.name != node.var:
             return None
         known = self.lookup(base.name)
-        if known is not None and known.distributed and known.ndim == 1 \
-                and not known.replicated and not known.read_only:
+        if known.ndim == 1 and not known.replicated and not known.read_only:
             return base.name
         return None
 
@@ -467,11 +423,9 @@ class Compiler:
         return self.leaf((_class(self.lookup(node.name)), node.name))
 
     def local(self, node):
-        """node's name when it names a local known here, else None."""
-        if type(node) is ast.Name:
-            known = self.lookup(node.name)
-            if known is not None and not known.distributed:
-                return node.name
+        """node's name when it names a local, else None."""
+        if type(node) is ast.Name and not self.lookup(node.name).distributed:
+            return node.name
         return None
 
     def binop(self, node):
@@ -518,55 +472,60 @@ class Compiler:
         return run
 
     def index(self, node):
-        base, index = self.expr(node.base), self.expr(node.index)
-        name = node.base.name if type(node.base) is ast.Name else None
-        known = self.lookup(name) if name is not None else None
-        if known is not None and known.distributed and known.ndim == 1:
-            # an element of a 1D array, read straight from the binding
-            local = self.local(node.index)  # a known-local index, read inline
-            if known.replicated:
-                def element(ctx):
-                    array = ctx.env[name].array
-                    i = ctx.env[local].value if local is not None else index(ctx)
-                    shape = array.descriptor.shape
-                    # _element's rule, inline on the commonest read: a call
-                    # here costs interp-local-p4 about 3% of its run
-                    if i.__class__ is not int or not 0 <= i < shape[0]:
-                        _element(ctx, node, shape, i)
-                    return array.replicas[ctx.rank][i]
-                return element
-
-            def single_copy(ctx):
+        """base[i]: the kinds declared say which value base is, so which step
+        this is: an element of a 1D array, a row of a 2D one (`row_of`), a
+        line of a block or an element of a line."""
+        base, index = node.base, self.expr(node.index)
+        if type(base) is not ast.Name:  # a block or a line
+            row = self.expr(base)
+            if type(base.base) is ast.Name and self.lookup(base.base.name).partitioned:
+                def line(ctx):
+                    ref = row(ctx)
+                    return LineSlice(ref.array, ref.block, _integer(ctx, node, index(ctx)))
+                return line
+            return lambda ctx: ctx.read_line(row(ctx), _integer(ctx, node, index(ctx)))
+        name, known = base.name, self.lookup(base.name)
+        if known.ndim == 2:
+            return lambda ctx: row_of(ctx.env[name].array, _integer(ctx, node, index(ctx)))
+        # an element of a 1D array, read straight from the binding
+        local = self.local(node.index)  # a known-local index, read inline
+        if known.replicated:
+            def element(ctx):
                 array = ctx.env[name].array
                 i = ctx.env[local].value if local is not None else index(ctx)
-                if i.__class__ is not int:
-                    _integer(ctx, node, i)
-                return ctx.read_element(array, i)
-            return single_copy
-        if known is not None and known.distributed and known.ndim:  # a row of a 2D array
-            return lambda ctx: row_of(ctx.env[name].array, _integer(ctx, node, index(ctx)))
-        return lambda ctx: _index_value(ctx, node, base(ctx), index(ctx))
+                shape = array.descriptor.shape
+                # _element's rule, inline on the commonest read: a call
+                # here costs interp-local-p4 about 3% of its run
+                if i.__class__ is not int or not 0 <= i < shape[0]:
+                    _element(ctx, node, shape, i)
+                return array.replicas[ctx.rank][i]
+            return element
+
+        def single_copy(ctx):
+            array = ctx.env[name].array
+            i = ctx.env[local].value if local is not None else index(ctx)
+            if i.__class__ is not int:
+                _integer(ctx, node, i)
+            return ctx.read_element(array, i)
+        return single_copy
 
     def accessor(self, node):
         base, which = self.expr(node.base), node.which
-        arg = None if node.arg is None else self.expr(node.arg)
+        if which == "low":  # of a block
+            return lambda ctx: base(ctx).block.low
+        if which == "high":
+            return lambda ctx: base(ctx).block.high
+        if which == "localblocks":  # of an array
+            return lambda ctx: len(owned_blocks(base(ctx), ctx.rank))
+        arg = self.expr(node.arg)
 
-        def run(ctx):
-            value = base(ctx)
-            if which in ("low", "high"):
-                if not isinstance(value, BlockRef):
-                    raise ctx.fault(f".{which} needs a block reference like A[blockid]", node)
-                return value.block.low if which == "low" else value.block.high
-            if not isinstance(value, DistributedArray):
-                raise ctx.fault(f".{which} needs a distributed array", node)
-            owned = owned_blocks(value, ctx.rank)
-            if which == "localblocks":
-                return len(owned)
+        def localblockid(ctx):
+            owned = owned_blocks(base(ctx), ctx.rank)
             j = arg(ctx)
             if not isinstance(j, int) or not 0 <= j < len(owned):
                 raise ctx.fault(f"local block index {j} outside [0, {len(owned)})", node)
             return owned[j]
-        return run
+        return localblockid
 
     # --- call statements: a user function or a file builtin may wait ---
 

@@ -34,7 +34,7 @@ from .errors import (
     RuntimeFault,
 )
 from .sched import PAUSE, Barrier, ChannelSlot, Collective, PendingTransfer, Scheduler
-from .values import Binding, BlockRef, LineSlice
+from .values import Binding
 
 
 # --- FFT kernel ---
@@ -272,8 +272,8 @@ class ProcessContext:
             if not 0 <= end < self.state.nprocs:
                 raise self.fault(f"channel endpoint {end} outside [0, {self.state.nprocs})", stmt)
         dist_map = None
-        if plan.distribution[0] == "arraydist":
-            dist_map = self.snapshot_dist(plan.distribution[1], stmt)
+        if plan.distribution[0] == "arraydist":  # this process's copy of the map
+            dist_map = list(self.env[plan.distribution[1]].array.storage_for(self.rank))
         descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
         if allocation is not None:
             array, allocated_plan, _ = allocation
@@ -284,26 +284,10 @@ class ProcessContext:
                     raise self.fault(f"SPMD divergence: {stmt.name!r} has {field} {mine} here, "
                                      f"but {allocated} where it was allocated", stmt)
             return array
-        base_array = None
-        if plan.share_base is not None:
-            base_binding = self.env.get(plan.share_base)
-            if base_binding is None or base_binding.kind != "array":
-                raise self.fault(f"share base {plan.share_base!r} is not allocated", stmt)
-            base_array = base_binding.array
-        return runtime.allocate(stmt.name, descriptor, base=base_array)
-
-    def snapshot_dist(self, var, stmt):
-        binding = self.env.get(var)
-        if binding is None or binding.kind != "array" or not binding.array.replicated:
-            raise self.fault(f"distribution array {var!r} must be a replicated integer array", stmt)
-        return list(binding.array.storage_for(self.rank))
+        base = None if plan.share_base is None else self.env[plan.share_base].array
+        return runtime.allocate(stmt.name, descriptor, base=base)
 
     # --- rules of assignment ---
-
-    def storable(self, value, node):
-        if isinstance(value, (runtime.DistributedArray, BlockRef, LineSlice)):
-            raise self.fault("an array value cannot be stored into a scalar", node)
-        return value
 
     def performs(self, owner):
         """Whether this process accesses owner's single-copy data: outside
@@ -415,12 +399,9 @@ class ProcessContext:
         drain = self.state.scheduler.drain_async
         yield from self.state.barrier.wait(self.rank, collective, lambda: drain(tag=stmt.var))
 
-    # --- builtins ---
+    # --- builtins: the checker passes each only the classes and kinds it takes ---
 
     def compute_sin(self, expr, array):
-        if not isinstance(array, runtime.DistributedArray) or not array.replicated \
-                or array.descriptor.ndim != 1 or array.descriptor.elem != "complex":
-            raise self.fault("computeSin needs a replicated 1D complex array", expr)
         m = array.descriptor.shape[0]
         n = 2 * m
         if m < 1 or n & (n - 1):
@@ -428,12 +409,6 @@ class ProcessContext:
         array.storage_for(self.rank)[:] = compute_sins(n)
 
     def fft_line(self, expr, row, sins):
-        if not isinstance(row, LineSlice):
-            raise self.fault("FFT needs a line like A[blockid][i]", expr)
-        if not isinstance(sins, runtime.DistributedArray) or not sins.replicated:
-            raise self.fault("FFT needs the replicated twiddle array", expr)
-        if row.array.descriptor.elem != "complex":
-            raise self.fault("FFT transforms complex lines", expr)
         if self.state.layout_only:
             return
         if row.block.owner != self.rank:
@@ -447,10 +422,6 @@ class ProcessContext:
         waits, but runs as a generator drained by its call statement, as
         a collective does, so that a traced run times it the same way."""
         yield from ()
-        if not isinstance(array, runtime.DistributedArray) or array.replicated:
-            raise self.fault("file transfer needs a singly-allocated array", expr)
-        if array.descriptor.partition is not None:
-            raise self.fault("file transfer needs an unpartitioned array", expr)
         if not isinstance(path, str):
             raise self.fault("file path must be a string", expr)
         owner = array.blocks[0].owner
@@ -470,7 +441,7 @@ class ProcessContext:
                 n0, n1 = d.shape
                 for j in range(n1):
                     values[j::n1] = buf[j * n0 : (j + 1) * n0]
-            mshd.write_mshd(full, d.elem, d.shape, values)
+            mshd.write_mshd(full, d.elem, d.shape, values, array.name)
             return
         elem, shape, values = mshd.read_mshd(full)
         if elem != d.elem or tuple(shape) != d.shape:

@@ -32,8 +32,9 @@ CODECS = {
 }
 
 
-def write_mshd(path, elem: str, shape: tuple, values) -> None:
-    """Write values (row-major order) as an MSHD file."""
+def write_mshd(path, elem: str, shape: tuple, values, name="values") -> None:
+    """Write values (row-major order) as an MSHD file; a value that an
+    `elem` file cannot hold is a FormatError naming it as an element of name."""
     count = 1
     for d in shape:
         count *= d
@@ -41,7 +42,16 @@ def write_mshd(path, elem: str, shape: tuple, values) -> None:
     if len(values) != count:
         raise FormatError(f"{len(values)} values for shape {shape}")
     code, per, convert = CODECS[elem]
-    values = list(map(convert, values))
+    try:
+        values = list(map(convert, values))
+    except (TypeError, ValueError):
+        for i, v in enumerate(values):
+            try:
+                convert(v)
+            except (TypeError, ValueError):
+                index = divmod(i, shape[1]) if len(shape) == 2 else (i,)
+                raise FormatError(f"{name}{''.join(f'[{k}]' for k in index)} holds {v!r}, "
+                                  f"which MSHD cannot write as {elem}") from None
     if per == 2:
         values = [x for v in values for x in (v.real, v.imag)]
     out = struct.pack(f"<4sBB{len(shape)}Q{len(values)}{code}",

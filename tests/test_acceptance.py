@@ -25,7 +25,8 @@ from meshlite.chains import combine, plan_of
 from meshlite.chains import Char, Col, Const, Horizontal, Int, Multiple, On, Row, Single, Vertical, ArrayOf, Complex
 from meshlite.errors import CheckError, InvalidCombination
 from meshlite.fixtures import CORPUS, corpus_source, generate_image, oracle_dft2d
-from meshlite.interp import compute_sins, fft_inplace, LineSlice
+from meshlite.interp import compute_sins, fft_inplace
+from meshlite.values import LineSlice
 from meshlite.mshd import read_mshd
 from meshlite.runtime import allocate
 from test_chains import legal_by_documented_rules, random_sequence

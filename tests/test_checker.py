@@ -1,8 +1,13 @@
 import pytest
 
-from meshlite import check_program, parse, run
-from meshlite.errors import CheckError
-from meshlite.fixtures import CORPUS, corpus_source
+import ast_walk
+from meshlite import ast, check_program, interp, parse, run
+from meshlite.checker import CheckedProgram, Checker
+from meshlite.errors import CheckError, RuntimeFault
+from meshlite.fixtures import CORPUS, corpus_source, generate_image
+from meshlite.runtime import DistributedArray
+from meshlite.values import BlockRef, LineSlice
+from test_compiler import RUNS, communicating_program, generate, run_walked
 
 
 def diagnostics_of(src, name="<source>"):
@@ -125,6 +130,11 @@ def test_arraydist_target_must_be_integer_array():
         "var d : array[complex,2];\n"
         "var A : array[complex,4,4] :: allocated[horizontal[2] :: single[arraydist[d]]];")
     assert "ArrayDistTarget" in rules
+    # a single copy is no map each process reads its own copy of
+    assert [str(d) for d in diagnostics_of(
+        "var d : array[Int,2] :: allocated[single[on[0]]];\n"
+        "var D : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[arraydist[d]]];")] == [
+        "<source>:2:5: ArrayDistTarget: 'd' is not a replicated integer array"]
     # an integer-array parameter is a valid target, and the program runs
     src = """
 var d : array[Int,2];
@@ -229,7 +239,7 @@ var y := {call};
 def test_accessor_base_indices_are_checked(index, rule):
     """A[e].low checks e like any other index."""
     src = f"""
-var A : array[Int,4] :: allocated[horizontal[2] :: single[evendist[]]];
+var A : array[Int,4,4] :: allocated[horizontal[2] :: single[evendist[]]];
 var B : array[Int,4] :: allocated[single[on[0]]];
 var x := A[{index}].low;
 """
@@ -338,3 +348,270 @@ def test_type_expression_errors_are_located_at_the_name(decl, message):
     src = f"var d : array[Int,2] :: allocated[multiple[]];\n  var x : {decl};"
     (diag,) = diagnostics_of(src, name="prog.mesh")
     assert str(diag) == f"prog.mesh:2:7: InvalidCombination: {message}"
+
+
+def test_a_const_loop_variable_is_refused():
+    assert [str(d) for d in diagnostics_of("var c : Int :: const := 1;\nfor c from 0 to 2 { };")] \
+        == ["<source>:2:1: ConstViolation: loop variable 'c' is declared const"]
+
+
+# --- classes: what each expression's value is, from the declared kinds ---
+
+MISUSE_HEADER = (
+    "var x := 0;\n"
+    "var s : array[complex,4] :: allocated[multiple[]];\n"
+    "var A : array[complex,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+    "var U : array[complex,4,8] :: allocated[row[] :: single[0]];\n"
+    "var X : array[Int,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+    "var B : array[Int,4] :: allocated[single[on[0]]];\n")
+MISUSE = [(MISUSE_HEADER + body, diagnostic) for body, diagnostic in [
+    ("x[0] := 1;", "7:2: NotIndexable: 'x' is a scalar and cannot be indexed"),
+    ("var y := x[0];", "7:11: NotIndexable: 'x' is a scalar and cannot be indexed"),
+    ("x := A[0];", "7:1: ArrayAssignment: cannot store a block into 'x'"),
+    ("x := A[0][1];", "7:1: ArrayAssignment: cannot store a line into 'x'"),
+    ("X[0][1] := 2;", "7:5: NotIndexable: a scalar cannot be indexed"),
+    ("U[0][1] := 2;", "7:1: LineAssignment: a line store needs A[block][line] of a partitioned "
+                      "2D array; 'U' is not one"),
+    ("A[0][1] := 2;", "7:1: LineAssignment: a line of 'A' takes a line, not a scalar"),
+    ("A[0] := 1;", "7:1: ElementAssignment: element assignment needs a one-dimensional array; "
+                   "'A' has two dimensions"),
+    ("X[0] := A;", "7:1: ArrayAssignment: cannot store an array into an element of 'X'"),
+    ("var q := X.low;", "7:11: AccessorMisuse: .low needs a block like A[blockid], not an array"),
+    ("var q := A.low;", "7:11: AccessorMisuse: .low needs a block like A[blockid], not an array"),
+    ("var q := A[0].localblocks;",
+     "7:14: AccessorMisuse: .localblocks needs a distributed array, not a block"),
+    ("computeSin(x);", "7:12: BuiltinArgument: computeSin needs a replicated 1D complex array"),
+    ("FFT(x, s);", "7:5: BuiltinArgument: FFT needs a line like A[blockid][i] of a complex array"),
+    ('writefile(s, "o.dat");',
+     "7:11: BuiltinArgument: file transfer needs a singly-allocated, unpartitioned array"),
+    ('writefile(A, "o.dat");',
+     "7:11: BuiltinArgument: file transfer needs a singly-allocated, unpartitioned array"),
+    ("var d : array[Int,2] :: allocated[single[on[0]]];\n"
+     "var D : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[arraydist[d]]];",
+     "8:5: ArrayDistTarget: 'd' is not a replicated integer array"),
+    ("function f(p : Int) { p[0] := 1 };",
+     "7:24: NotIndexable: 'p' is a scalar and cannot be indexed"),
+    ("var z := A;", "7:5: ArrayAssignment: 'z' is a local, which holds only a scalar: "
+                    "it cannot be initialized with an array"),
+    # z is refused, so its uses report nothing more
+    ("var z := A[0]; var w := z[1];", "7:5: ArrayAssignment: 'z' is a local, which holds only "
+                                      "a scalar: it cannot be initialized with a block"),
+    ("var z := A[0][1];", "7:5: ArrayAssignment: 'z' is a local, which holds only a scalar: "
+                          "it cannot be initialized with a line"),
+    ("x := A;", "7:1: ArrayAssignment: cannot store an array into 'x'"),
+    ("var q := 1 + A[0];", "7:15: NotAScalar: an operand must be a scalar, not a block"),
+    ("for i from 0 to A { };", "7:17: NotAScalar: a loop bound must be a scalar, not an array"),
+    ("proc A[0][1] { };", "7:10: NotAScalar: a proc rank must be a scalar, not a line"),
+    ("var q := X[A];", "7:12: NotAScalar: an index must be a scalar, not an array"),
+    ("var q := A.localblockid[s];",
+     "7:25: NotAScalar: a local block index must be a scalar, not an array"),
+]]
+
+WALK_HEADER = ("var a : array[Int,4];\n"
+               "var A : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+               "var y;\n")
+RUN_HEADER = (
+    "var x := 0;\n"
+    "var s : array[complex,4] :: allocated[multiple[]];\n"
+    "var A : array[complex,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+    "var I : array[Int,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+    "var B : array[Int,4] :: allocated[single[on[1]]];\n")
+ROWS = "var A : array[Int,4,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+
+
+# Misuse that was a run-time fault before classes were checked.
+MOVED_FROM_THE_RUN = [
+    (WALK_HEADER + "y := y[0];", "4:7: NotIndexable: 'y' is a scalar and cannot be indexed"),
+    (WALK_HEADER + "for k from 0 to 0 { var z := a; y := z };",
+     "4:25: ArrayAssignment: 'z' is a local, which holds only a scalar: "
+     "it cannot be initialized with an array"),
+    (WALK_HEADER + "y := 1 + A;", "4:10: NotAScalar: an operand must be a scalar, not an array"),
+    (WALK_HEADER + "function g() { y := y[0] }; g();",
+     "4:22: NotIndexable: 'y' is a scalar and cannot be indexed"),
+    (WALK_HEADER + "function g() { A[1] := A }; g();",
+     "4:16: ArrayAssignment: cannot store an array into an element of 'A'"),
+    (RUN_HEADER + "computeSin(x);",
+     "6:12: BuiltinArgument: computeSin needs a replicated 1D complex array"),
+    (RUN_HEADER + "FFT(x, s);",
+     "6:5: BuiltinArgument: FFT needs a line like A[blockid][i] of a complex array"),
+    (RUN_HEADER + "FFT(A[0][0], B);",
+     "6:14: BuiltinArgument: FFT needs the replicated twiddle array"),
+    (RUN_HEADER + "FFT(I[0][0], s);",
+     "6:9: BuiltinArgument: FFT needs a line like A[blockid][i] of a complex array"),
+    (RUN_HEADER + 'writefile(s, "out.dat");',
+     "6:11: BuiltinArgument: file transfer needs a singly-allocated, unpartitioned array"),
+    (RUN_HEADER + 'writefile(A, "out.dat");',
+     "6:11: BuiltinArgument: file transfer needs a singly-allocated, unpartitioned array"),
+    (RUN_HEADER + "var d : array[Int,2] :: allocated[single[on[0]]];\n"
+     "var D : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[arraydist[d]]];",
+     "7:5: ArrayDistTarget: 'd' is not a replicated integer array"),
+    (RUN_HEADER + "function f(p : Int) { p[0] := 1 };\nvar w : Int := 0;\nf(w);",
+     "6:24: NotIndexable: 'p' is a scalar and cannot be indexed"),
+    (RUN_HEADER + "function f(p : Int) { x := p[0] };\nvar w : Int := 0;\nf(w);",
+     "6:29: NotIndexable: 'p' is a scalar and cannot be indexed"),
+    (RUN_HEADER + "A[0] := 1;", "6:1: ElementAssignment: element assignment needs a "
+                                "one-dimensional array; 'A' has two dimensions"),
+    (RUN_HEADER + "A[1 / 0] := 1;", "6:1: ElementAssignment: element assignment needs a "
+                                    "one-dimensional array; 'A' has two dimensions"),
+    (RUN_HEADER + "function f() { A[0] := 1 };\nf();", "6:16: ElementAssignment: element "
+     "assignment needs a one-dimensional array; 'A' has two dimensions"),
+    (RUN_HEADER + "var q : Int :: allocated[single[on[0]]];\nq[0] := 1;",
+     "7:2: NotIndexable: 'q' is a scalar and cannot be indexed"),
+    (RUN_HEADER + "var R : array[Int,4,8] :: allocated[multiple[]];\nR[0] := 1;",
+     "7:1: ElementAssignment: element assignment needs a one-dimensional array; "
+     "'R' has two dimensions"),
+    (RUN_HEADER + "var R : array[Int,4,8] :: allocated[multiple[]];\nR[0] := 1 / 0;",
+     "7:1: ElementAssignment: element assignment needs a one-dimensional array; "
+     "'R' has two dimensions"),
+    (RUN_HEADER + "x := I[9];", "6:1: ArrayAssignment: cannot store a block into 'x'"),
+    (RUN_HEADER + "function f() { x[0] := 1 };\n"
+     "for i from 0 to 0 { var x : array[Int,4] :: const; f() };",
+     "6:17: NotIndexable: 'x' is a scalar and cannot be indexed"),
+    (ROWS + "var x := A[0][1.5];", "2:5: ArrayAssignment: 'x' is a local, which holds only a "
+                                   "scalar: it cannot be initialized with a line"),
+]
+
+
+@pytest.mark.parametrize("source, diagnostic", MISUSE + MOVED_FROM_THE_RUN)
+def test_each_misuse_a_type_decides_is_one_diagnostic_at_its_node(source, diagnostic):
+    """Each of these but `x := A` passed `typecheck` before classes were
+    checked, and faulted on a rank or ran, leaving a local that aliases an
+    array, block or line."""
+    assert [str(d) for d in diagnostics_of(source + "\n")] == [f"<source>:{diagnostic}"]
+
+
+CLASSES = ("scalar", "array", "block", "line")
+# A value of each class over CLASS_HEADER.
+VALUES = {"scalar": "x", "array": "A", "block": "A[0]", "line": "A[0][1]"}
+CLASS_HEADER = (
+    "var x := 0;\nvar y := 0;\n"
+    "var q : Int :: allocated[single[on[0]]];\n"
+    "var s : array[complex,4] :: allocated[multiple[]];\n"
+    "var A : array[complex,4,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+    "var U : array[complex,4,8] :: allocated[row[] :: single[0]];\n"
+    "var X : array[Int,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n")
+# Each use site: its statement around {v}, the classes it takes, and its own
+# value of the class it takes, where that of VALUES has the wrong kind.
+USE_SITES = [
+    ("y := {v};", "scalar", None),
+    ("var z := {v};", "scalar", None),
+    ("q := {v};", "scalar", None),
+    ("X[0] := {v};", "scalar", None),
+    ("A[1][0] := {v};", "line", None),
+    ("A := {v};", "array", None),
+    ("{v}[0];", "array block line", None),
+    ("y := X[{v}];", "scalar", None),
+    ("y := {v}.low;", "block", None),
+    ("y := {v}.localblocks;", "array", None),
+    ("y := A.localblockid[{v}];", "scalar", None),
+    ("y := 1 + {v};", "scalar", None),
+    ("y := {v} < 1;", "scalar", None),
+    ("y := {v} == 1;", "scalar", None),
+    ("for k from 0 to {v} {{ }};", "scalar", None),
+    ("proc {v} {{ }};", "scalar", None),
+    ("computeSin({v});", "array", "s"),
+    ("proc 0 {{ FFT({v}, s) }};", "line", None),
+    ("proc 0 {{ FFT(A[0][1], {v}) }};", "array", "s"),
+    ('proc 0 {{ writefile({v}, "o.dat") }};', "array", "U"),
+    ("proc 0 {{ writefile(U, {v}) }};", "scalar", '"o.dat"'),
+    ('proc 0 {{ writefile(U, "o.dat"); readfile({v}, "o.dat") }};', "array", "U"),
+]
+# Uses that ran before, and are now refused: a local holds only a scalar,
+# and `==` compares scalars only (it compared an array by identity).
+NEWLY_REFUSED = ("var z := {v};", "y := {v} == 1;")
+
+
+def run_unchecked_walk(source, nprocs, workdir):
+    """Run source through the AST walk alone, unchecked and uncompiled; the
+    walk's class tests are those the run made before the checker's."""
+    program = parse(source)
+    with pytest.MonkeyPatch.context() as patch:
+        ast_walk.install(patch)
+        patch.setattr(interp, "compile_program",
+                      lambda checked: [(s, None) for s in checked.program.statements])
+        return run(CheckedProgram(program, {}, "<test>"), nprocs, workdir=str(workdir))
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("site, takes, own", USE_SITES)
+def test_the_checker_refuses_exactly_the_uses_that_faulted_at_run_time(
+        tmp_path, site, takes, own, cls):
+    """Every use site crossed with every class. The checker refuses a use
+    exactly when the run faulted on it, but for the stated changes of
+    NEWLY_REFUSED, which ran. The AST walk keeps the run's old class tests,
+    so it shows the fault; a builtin's tests are gone from the run, and
+    each builtin faulted on every class but the one it takes."""
+    value = own if own is not None and cls in takes.split() else VALUES[cls]
+    source = CLASS_HEADER + site.format(v=value) + "\n"
+    refused = cls not in takes.split()
+    if not refused:
+        checked = check_program(parse(source))
+        for run_path in RUNS:
+            run_path(checked, 2, workdir=str(tmp_path))
+        return
+    (diagnostic,) = diagnostics_of(source)
+    assert diagnostic.line == 8, diagnostic
+    if any(builtin in site for builtin in ("computeSin", "FFT", "file")):
+        return
+    if site in NEWLY_REFUSED:
+        run_unchecked_walk(source, 2, tmp_path)
+        return
+    with pytest.raises(RuntimeFault):
+        run_unchecked_walk(source, 2, tmp_path)
+
+
+def value_class(value):
+    return {DistributedArray: "array", BlockRef: "block", LineSlice: "line"}.get(
+        type(value), "scalar")
+
+
+def classes_agree(source, nprocs, workdir):
+    """Check source, recording the class check_expr gives each expression,
+    then run it through the AST walk, recording the class of each value;
+    asserts the two agree on every expression the walk evaluates, and
+    returns the classes seen."""
+    checker_classes, walked = {}, {}
+    check_expr, walk_eval = Checker.check_expr, ast_walk.WalkingContext.eval
+
+    def checking(self, expr, statement=False):
+        checker_classes[id(expr)] = check_expr(self, expr, statement)
+        return checker_classes[id(expr)]
+
+    def walking(self, expr):
+        value = yield from walk_eval(self, expr)
+        walked.setdefault(id(expr), (expr, set()))[1].add(value_class(value))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Checker, "check_expr", checking)
+        patch.setattr(ast_walk.WalkingContext, "eval", walking)
+        checked = check_program(parse(source))
+        try:
+            run_walked(checked, nprocs, workdir=str(workdir))
+        except RuntimeFault:
+            pass  # the classes of what ran before the fault still count
+    seen = set()
+    for key, (expr, classes) in walked.items():
+        if type(expr) is ast.Call and expr.func != "processes":
+            continue  # a call statement has no value
+        assert classes == {checker_classes[key]}, (expr, source)
+        seen |= classes
+    return seen
+
+
+def test_corpus_classes_match_the_values(tmp_path):
+    generate_image(16, 1, tmp_path / "image.dat")
+    seen = set()
+    for name in CORPUS:
+        seen |= classes_agree(corpus_source(name), 4, tmp_path)
+    assert seen == set(CLASSES)
+
+
+def test_generated_program_classes_match_the_values(tmp_path):
+    seen = set()
+    for seed in range(150):
+        nprocs, source, _ = generate(seed)
+        seen |= classes_agree(source, nprocs, tmp_path)
+    for seed in range(60):
+        seen |= classes_agree(communicating_program(seed, 3), 3, tmp_path)
+    assert seen == set(CLASSES)

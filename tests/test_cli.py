@@ -64,6 +64,25 @@ def test_run_reports_bad_indices_and_type_arguments_at_their_source(
     assert capsys.readouterr().err == expected
 
 
+@pytest.mark.parametrize("value, elem, expected", [
+    ('"a"', "Int", "X[1] holds 'a', which MSHD cannot write as int"),
+    ("c[1]", "Real", "X[1] holds (6.123233995736766e-17-1j), which MSHD cannot write as real"),
+])
+def test_writefile_of_an_element_its_file_cannot_hold_is_located(
+        workdir, capsys, value, elem, expected):
+    """Stores do not convert values, so writefile finds what the array's
+    element type cannot hold: a fault naming the element, and no file."""
+    (workdir / "bad.mesh").write_text(
+        "var c : array[complex,2] :: allocated[multiple[]];\ncomputeSin(c);\n"
+        f"var X : array[{elem},2] :: allocated[single[on[0]]];\n"
+        f"proc 0 {{ X[1] := {value} }};\nproc 0 {{ writefile(X, \"o.dat\") }};\n")
+    assert main(["run", "bad.mesh", "--procs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: rank 0: {expected} at 5:10\n"
+    assert "Traceback" not in err
+    assert not (workdir / "o.dat").exists()
+
+
 def test_run_writes_output_and_trace(workdir):
     assert main(["run", "fft2d.mesh", "--procs", "4", "--trace", "t.log"]) == 0
     assert (workdir / "image.out.dat").exists()

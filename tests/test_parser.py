@@ -5,7 +5,7 @@ import pytest
 from conftest import format_program, reference_tokenize, under_frames
 from meshlite import ast, check_program, parse
 from meshlite.ast import MAX_DEPTH
-from meshlite.errors import LexError, ParseError
+from meshlite.errors import CheckError, LexError, ParseError
 from meshlite.fixtures import CORPUS, corpus_source
 from meshlite.lexer import tokenize
 from meshlite.parser import Parser
@@ -249,5 +249,12 @@ def test_deep_source_fails_at_a_location(source, where):
 @pytest.mark.parametrize("kind", ["parentheses", "blocks", "one-statement bodies", "indexes",
                                   "chained indexes", "sum", "product", "comparisons"])
 def test_the_deepest_tree_checks(kind):
+    """Checking the deepest tree runs out of no stack. Past a 1D element,
+    chained indexes index a scalar: one diagnostic, at the first of them."""
     build, _ = NESTED[kind]
-    under_frames(40, lambda: check_program(parse(build(MAX_DEPTH))))
+    if kind != "chained indexes":
+        under_frames(40, lambda: check_program(parse(build(MAX_DEPTH))))
+        return
+    with pytest.raises(CheckError) as info:
+        under_frames(40, lambda: check_program(parse(build(MAX_DEPTH))))
+    assert str(info.value) == "<source>:1:36: NotIndexable: a scalar cannot be indexed"
