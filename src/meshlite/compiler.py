@@ -9,6 +9,11 @@ as statements); a statement's closure returns a generator then, which
 yields to the scheduler, and otherwise runs straight through. Callers
 drain a generator with `yield from`.
 
+A loop whose bounds and body touch nothing but locals and replicas
+(`local_only`) never waits, and outside `proc` a process whose inputs to
+it match another's bit for bit takes that one's outputs instead of
+running it (`ProcessContext.run_once`).
+
 A statement list compiles to (statement, closure) pairs, held by what
 runs it: the program, a loop, a `proc` body, a function. A loop's and a
 call's closure is a generator function, and a `proc` body's returns one
@@ -106,6 +111,20 @@ def _store(ctx, binding, block, offset, value):
     block.buffer[offset] = value
 
 
+class LocalOnly:
+    """A local-only loop (`Compiler.local_only`): the names declared outside
+    it that it reads or stores, split into locals and replicas (replicated
+    scalars and 1D arrays), the positions in each of those it stores, and
+    the statements of its body, nested ones included."""
+
+    def __init__(self, outer, statements):
+        self.locals = [name for name, (local, _) in outer.items() if local]
+        self.replicas = [name for name, (local, _) in outer.items() if not local]
+        self.stores = [k for k, name in enumerate(self.locals) if outer[name][1]]
+        self.fills = [k for k, name in enumerate(self.replicas) if outer[name][1]]
+        self.statements = statements
+
+
 class Compiler:
     def __init__(self, overridable):
         # function name -> (its parameters' names, its body's (statement,
@@ -115,6 +134,7 @@ class Compiler:
         self.leaves = {}
         self.scopes = [{}]
         self.overridable = overridable
+        self.within_once = False  # compiling the body of a local-only loop
 
     def open_scope(self):
         """The scope of a loop or `proc` body."""
@@ -298,10 +318,15 @@ class Compiler:
         start, stop, var = self.expr(node.start), self.expr(node.stop), node.var
         existing = self.lookup(var)  # an existing local is the loop variable
         reuse = existing is not None and not existing.distributed
+        # a loop nested in a local-only one runs with it, never on its own
+        within = self.within_once
+        once = None if within else self.local_only(node)
+        self.within_once = within or once is not None
         self.open_scope()[var] = chains.LOCAL
         stmts = self.block(node.body)
         target = self.owner_computes(node)
         self.scopes.pop()
+        self.within_once = within
         # declarations in the body vanish at the end of every iteration
         scoped = any(type(s) is ast.VarDecl for s in node.body)
 
@@ -311,6 +336,13 @@ class Compiler:
                 raise ctx.fault("loop bounds must be integers", node)
             if lo > hi:
                 return
+            if once is not None and not ctx.proc_depth and ctx.state.nprocs > 1:
+                # the iterations never yield: next() runs them to the end
+                ctx.run_once(once, hi - lo + 1, lambda: next(iterations(ctx, lo, hi), None))
+            else:
+                yield from iterations(ctx, lo, hi)
+
+        def iterations(ctx, lo, hi):
             mark = ctx.enter(node)
             if reuse:
                 binding = ctx.env[var]
@@ -337,6 +369,73 @@ class Compiler:
                         ctx.restore(inner)
             ctx.leave(mark)
         return iterate
+
+    def local_only(self, node):
+        """A LocalOnly for loop node when its bounds and body, nested loops
+        included, hold only literals, locals, replicated scalars, elements
+        of 1D replicated arrays, arithmetic, `processes()`, untyped `var`
+        declarations and stores to locals or replica elements; else None.
+        Call it before the loop's scope opens: it looks up the names the
+        loop does not declare."""
+        outer = {}  # name declared outside the loop -> (is it a local, is it stored)
+        statements = 0
+
+        def use(name, inner, ndim, store=False):
+            """Whether name, read or stored with ndim indices, is a local or
+            a replica."""
+            if name in inner:  # untyped: a local
+                return ndim == 0
+            kind = self.lookup(name)
+            local = not kind.distributed
+            if not (ndim == 0 if local else kind.replicated and kind.ndim == ndim):
+                return False
+            outer[name] = (local, store or outer.get(name, (local, False))[1])
+            return True
+
+        def expr(e, inner):
+            t = type(e)
+            if t is ast.Name:
+                return use(e.name, inner, 0)
+            if t is ast.BinOp:
+                return expr(e.left, inner) and expr(e.right, inner)
+            if t is ast.Index:
+                return type(e.base) is ast.Name and use(e.base.name, inner, 1) \
+                    and expr(e.index, inner)
+            return t in _LITERALS or (t is ast.Call and e.func == "processes")
+
+        def loop(s, inner):
+            nonlocal statements
+            if not (expr(s.start, inner) and expr(s.stop, inner)):
+                return False
+            if s.var not in inner:
+                known = self.lookup(s.var)
+                if known is not None and not known.distributed:  # reused: stored
+                    use(s.var, inner, 0, store=True)
+            inner = inner | {s.var}
+            for b in s.body:
+                statements += 1
+                t = type(b)
+                if t is ast.For:
+                    ok = loop(b, inner)
+                elif t is ast.VarDecl:
+                    ok = b.type_expr is None and (b.init is None or expr(b.init, inner))
+                    inner = inner | {b.name}
+                elif t is ast.Assign:
+                    target = b.target
+                    ok = expr(b.value, inner) and (
+                        use(target.name, inner, 0, store=True) if type(target) is ast.Name
+                        else type(target.base) is ast.Name
+                        and use(target.base.name, inner, 1, store=True)
+                        and expr(target.index, inner))
+                else:
+                    ok = False
+                if not ok:
+                    return False
+            return True
+
+        if not loop(node, frozenset()):
+            return None
+        return LocalOnly(outer, statements)
 
     def owner_computes(self, node):
         """X when the body of loop node is the one statement `X[v] := e`,

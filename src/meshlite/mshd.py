@@ -22,40 +22,53 @@ MAGIC = b"MSHD"
 KIND_CODES = {"int": 0, "char": 1, "real": 2, "complex": 3}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
-# kind: (struct code of one number, numbers per element, the element's
-#        value from any value or from its numbers)
+# kind: (struct code of one number, numbers per element, the types of value
+#        it holds, its own type: an element's value from its numbers)
 CODECS = {
-    "int": ("q", 1, int),
-    "char": ("B", 1, lambda v: int(v) & 0xFF),
-    "real": ("d", 1, float),
-    "complex": ("d", 2, complex),
+    "int": ("q", 1, {int}, int),
+    "char": ("B", 1, {int}, int),
+    "real": ("d", 1, {int, float}, float),
+    "complex": ("d", 2, {int, float, complex}, complex),
 }
 
 
 def write_mshd(path, elem: str, shape: tuple, values, name="values") -> None:
-    """Write values (row-major order) as an MSHD file; a value that an
-    `elem` file cannot hold is a FormatError naming it as an element of name."""
+    """Write values (row-major order) as an MSHD file. A value that an
+    `elem` file cannot hold is a FormatError naming it as an element of
+    name, and nothing is written: a string, a float or a complex as int or
+    char, a complex as real, and an integer outside the kind's range. An
+    integer as real or complex, or a float as complex, is converted."""
     count = 1
     for d in shape:
         count *= d
     values = list(values)
     if len(values) != count:
         raise FormatError(f"{len(values)} values for shape {shape}")
-    code, per, convert = CODECS[elem]
+    code, per, holds, own = CODECS[elem]
+    types = set(map(type, values))
     try:
-        values = list(map(convert, values))
-    except (TypeError, ValueError):
-        for i, v in enumerate(values):
+        if not types <= holds:
+            raise TypeError
+        if types != {own}:  # ints as floats, say
+            values = list(map(own, values))
+        if per == 2:
+            values = [x for v in values for x in (v.real, v.imag)]
+        out = struct.pack(f"<4sBB{len(shape)}Q{len(values)}{code}",
+                          MAGIC, KIND_CODES[elem], len(shape), *shape, *values)
+    except (TypeError, OverflowError, struct.error):
+        # values are as they came: a conversion that raises leaves them, and
+        # only an int or char file's values, never converted, can be out of range
+        for i, v in enumerate(values):  # the first value the file cannot hold
             try:
-                convert(v)
-            except (TypeError, ValueError):
+                if type(v) not in holds:
+                    raise TypeError
+                x = own(v)
+                struct.pack(f"<{per}{code}", *((x.real, x.imag) if per == 2 else (x,)))
+            except (TypeError, OverflowError, struct.error):
                 index = divmod(i, shape[1]) if len(shape) == 2 else (i,)
                 raise FormatError(f"{name}{''.join(f'[{k}]' for k in index)} holds {v!r}, "
                                   f"which MSHD cannot write as {elem}") from None
-    if per == 2:
-        values = [x for v in values for x in (v.real, v.imag)]
-    out = struct.pack(f"<4sBB{len(shape)}Q{len(values)}{code}",
-                      MAGIC, KIND_CODES[elem], len(shape), *shape, *values)
+        raise
     try:
         with open(path, "wb") as fh:
             fh.write(out)
@@ -83,7 +96,7 @@ def read_mshd(path):
     count = 1
     for d in shape:
         count *= d
-    code, per, convert = CODECS[elem]
+    code, per, _, convert = CODECS[elem]
     element = struct.Struct(f"<{per}{code}")
     # sized arithmetically: a declared count can be too large for any format
     if len(data) != pos + count * element.size:

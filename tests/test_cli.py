@@ -83,6 +83,29 @@ def test_writefile_of_an_element_its_file_cannot_hold_is_located(
     assert not (workdir / "o.dat").exists()
 
 
+@pytest.mark.parametrize("elem, first, second, expected", [
+    ("Int", '"5"', "2.75", "X[0] holds '5', which MSHD cannot write as int"),
+    ("Int", "5", "2.75", "X[1] holds 2.75, which MSHD cannot write as int"),
+    ("Char", "65", "66.0", "X[1] holds 66.0, which MSHD cannot write as char"),
+    ("Real", "1.5", '"2"', "X[1] holds '2', which MSHD cannot write as real"),
+    ("Int", "4611686018427387904 * 2", "1",
+     "X[0] holds 9223372036854775808, which MSHD cannot write as int"),
+    ("Char", "65", "300", "X[1] holds 300, which MSHD cannot write as char"),
+])
+def test_writefile_converts_no_value_into_the_files_type(
+        workdir, capsys, elem, first, second, expected):
+    """A string or a float in an Int file, say, is not written as the int
+    it converts to, nor an integer out of the kind's range wrapped into it:
+    the run faults at the writefile, and writes no file."""
+    (workdir / "bad.mesh").write_text(
+        f"var X : array[{elem},2] :: allocated[single[on[0]]];\n"
+        f"proc 0 {{ X[0] := {first}; X[1] := {second} }};\n"
+        "proc 0 { writefile(X, \"o.dat\") };\n")
+    assert main(["run", "bad.mesh", "--procs", "2"]) == 1
+    assert capsys.readouterr().err == f"error: rank 0: {expected} at 3:10\n"
+    assert not (workdir / "o.dat").exists()
+
+
 def test_run_writes_output_and_trace(workdir):
     assert main(["run", "fft2d.mesh", "--procs", "4", "--trace", "t.log"]) == 0
     assert (workdir / "image.out.dat").exists()

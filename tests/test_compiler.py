@@ -10,7 +10,7 @@ the same statements.
 import random
 import re
 import sys
-from types import GeneratorType
+from types import GeneratorType, SimpleNamespace
 
 import pytest
 
@@ -23,7 +23,7 @@ from conftest import (
     initiator,
     under_frames,
 )
-from meshlite import check_program, compiler, parse, run, runtime
+from meshlite import check_program, compiler, interp, parse, run, runtime
 from meshlite.errors import CheckError, RuntimeFault
 from meshlite.fixtures import generate_image
 from meshlite.ast import MAX_DEPTH
@@ -1464,3 +1464,284 @@ def test_storing_a_loop_variable_into_an_array_is_refused_at_check_time():
         check_program(parse(source), source_name="t.mesh")
     assert str(info.value) == \
         "t.mesh:3:71: ArrayAssignment: 'A' is an array; assign another array to it"
+
+
+# --- local-only loops run once per set of inputs ---
+
+
+MIXED_HEAD = """var p := processes();
+var D : array[Int,16] :: allocated[row[] :: horizontal[p] :: single[evendist[]]];
+var me := D.localblockid[0];
+var S : Int :: allocated[single[on[0]]];
+var R : array[Real,16] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+var a : array[Int,4];
+var r : Int :: allocated[multiple[]];
+var z := 0.0 * (0 - 1);
+"""
+MIXED_ARRAYS = ("D", "S", "R", "a", "r")
+
+
+class MixedGen:
+    """A random program of local-only loops over inputs that may differ by
+    rank: `proc` stores, `.localblockid` (`me` is the rank), single-copy
+    reads, an int against a float, 0.0 against -0.0 (`z`), and loops that
+    divide by zero or index past the end of `a` on some ranks only."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.locals = [f"v{k}" for k in range(4)]
+        self.counter = 0
+
+    def fresh(self, prefix):
+        self.counter += 1
+        return f"{prefix}{self.counter}"
+
+    def leaf(self, names):
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.2:
+            return rng.choice(("0", "1", "2", "3", "0.5", "0.0", "2.0", "z"))
+        if roll < 0.75:
+            return rng.choice(names)
+        if roll < 0.85:
+            return "r"
+        if roll < 0.95:
+            return f"a[{self.index(names)}]"
+        return "processes()"
+
+    def expr(self, names, depth=0):
+        rng = self.rng
+        if depth >= 2 or rng.random() < 0.35:
+            return self.leaf(names)
+        op = rng.choice(("+", "-", "*", "/", "+", "-", "<", "==", "!="))
+        left = self.expr(names, depth + 1)
+        if op == "*":  # keep magnitudes small
+            right = rng.choice(("0", "1", "2", "z", "0.5"))
+        elif op == "/" and rng.random() < 0.9:
+            right = rng.choice(("2", "3", "0.5"))
+        else:
+            right = self.expr(names, depth + 1)  # may be zero
+        return f"({left} {op} {right})"
+
+    def index(self, names):
+        loops = [n for n in names if n.startswith("i")]
+        roll = self.rng.random()
+        if loops and roll < 0.6:
+            return self.rng.choice(loops)
+        if roll < 0.96:
+            return str(self.rng.randrange(4))
+        return self.rng.choice(("4", "me", "me / 4"))  # past the end on some ranks
+
+    def bound(self):
+        return self.rng.choice(("1", "2", "3", "3", "p - 1") * 2 + ("v0", "me", "me / 4", "z"))
+
+    def loop(self, names, depth):
+        """A local-only loop, nested at most two deep."""
+        rng = self.rng
+        var = rng.choice((self.fresh("i"), "i0"))  # i0 is a top-level local
+        inner = names + [var]
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.4:
+                body.append(f"{rng.choice(self.locals)} := {self.expr(inner)}")
+            elif roll < 0.6:
+                body.append(f"a[{self.index(inner)}] := {self.expr(inner)}")
+            elif roll < 0.7:
+                body.append(f"r := {self.expr(inner)}")
+            elif roll < 0.85 and depth < 1:
+                body.append(self.loop(inner, depth + 1))
+            else:
+                name = self.fresh("t")
+                body.append(f"var {name} := {self.expr(inner)}")
+                inner = inner + [name]
+        lo = rng.choice(("0", "0", "0", "1", "1", "me / 8"))
+        return f"for {var} from {lo} to {self.bound()} {{ {'; '.join(body)} }}"
+
+    def stmt(self):
+        rng = self.rng
+        names = self.locals + ["i0"]
+        v = rng.choice(self.locals)
+        roll = rng.random()
+        if roll < 0.48:
+            return self.loop(names, 0)
+        if roll < 0.68:
+            rank = rng.choice(("0", "p - 1", "p / 2"))
+            # the same value as on the other ranks, of another type or sign, or another value
+            value = rng.choice((f"{v} * 1.0", f"{v} * z", "z", "0.0", "1.0", "me + 1"))
+            stmt = f"proc {rank} {{ {v} := {value} }}"
+            if rng.random() < 0.7:  # then a loop whose outputs show the difference
+                w, i = rng.choice(self.locals), self.fresh("i")
+                stmt += f"; for {i} from 0 to 2 {{ {w} := {w} + {v} / 2; a[{i}] := {v} * {i} }}"
+            return stmt
+        if roll < 0.72:
+            return f"{v} := {rng.choice(('me', 'me / 2', 'me * 0.5', '0.0 * (me - 1)', 'S'))}"
+        if roll < 0.76:
+            return f"S := {v}"
+        if roll < 0.8:
+            return f"a[{rng.randrange(4)}] := {rng.choice(('me', 'z', 'me + 0.5'))}"
+        if roll < 0.85:
+            return f"r := {rng.choice(('me', '1.0', 'z'))}"
+        if roll < 0.93:  # no loop here is local-only; the loops inside them may be
+            return f"for k from 0 to 1 {{ sync; {self.loop(names, 1)} }}"
+        return f"for k from 0 to 2 {{ {v} := {v} + S; {self.loop(names, 1)} }}"
+
+    def render(self):
+        rng = self.rng
+        lines = [MIXED_HEAD]
+        lines += [f"var {v} := {rng.choice(('0', '1', '2', '3', '1.0', '0.5', 'z'))};"
+                  for v in self.locals]
+        lines.append("var i0 := 0;")
+        lines += [self.stmt() + ";" for _ in range(rng.randint(3, 7))]
+        # every rank puts a result into the single-copy R
+        lines.append("for k from 0 to p - 1 { proc k { R[k] := v0 + v1 } };")
+        return "\n".join(lines) + "\n"
+
+
+def mixed_outcome(checked, nprocs, run_path, seed):
+    """The fault's text, or the locals and replicas per rank by repr (so
+    1 is not 1.0, nor 0.0 -0.0), R by repr and the rendered trace."""
+    try:
+        result = run_path(checked, nprocs, seed=seed)
+    except RuntimeFault as fault:
+        return ("fault", str(fault))
+    names = [n for n in result.names() if n not in MIXED_ARRAYS]
+    return ("done",
+            {n: [repr(v) for v in result.local(n)] for n in names},
+            {n: [repr(list(rep)) for rep in result.array(n).replicas] for n in ("a", "r")},
+            repr(result.logical("R")),
+            result.trace.render())
+
+
+def counted_run_once(monkeypatch):
+    """Counts, over what runs next, of the local-only loops a process took
+    from another and of those it ran itself."""
+    counts = {"taken": 0, "ran": 0}
+    run_once = ProcessContext.run_once
+
+    def counted(self, loop, trips, body):
+        ran = []
+        run_once(self, loop, trips, lambda: ran.append(body()))
+        counts["ran" if ran else "taken"] += 1
+
+    monkeypatch.setattr(ProcessContext, "run_once", counted)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_local_only_loops_run_once_match_the_ast_walk(seed):
+    """Whatever the ranks' inputs, a process that takes another's outputs
+    ends as the AST walk, where every process runs every loop, ends."""
+    source = MixedGen(seed).render()
+    checked = check_program(parse(source))
+    for nprocs in (1, 2, 3, 4, 16):
+        for sched_seed in (0, 7919, 3):
+            compiled = mixed_outcome(checked, nprocs, run, sched_seed)
+            assert compiled == mixed_outcome(checked, nprocs, run_walked, sched_seed), \
+                (nprocs, sched_seed, source)
+
+
+def test_mixed_programs_take_and_run_loops_and_fault(monkeypatch):
+    counts = counted_run_once(monkeypatch)
+    kinds = {"fault": 0, "done": 0}
+    for seed in range(40):
+        checked = check_program(parse(MixedGen(seed).render()))
+        kinds[mixed_outcome(checked, 4, run, 0)[0]] += 1
+    assert kinds["fault"] >= 3 and kinds["done"] >= 8, kinds
+    assert counts["taken"] >= 50 and counts["ran"] >= 50, counts
+
+
+COUNTER_EXAMPLE = ("var x := 1; var y := 0; proc 1 { x := 1.0 }; "
+                   "for i from 0 to 3 { y := y + x / 2 };\n")
+
+
+@pytest.mark.parametrize("source, want", [
+    (COUNTER_EXAMPLE, ["0", "2.0"]),
+    ("var x := 0.0; var y := 1; proc 1 { x := 0.0 * (0 - 1) }; "
+     "for i from 0 to 3 { y := x * i };\n", ["0.0", "-0.0"]),
+    ("var x := 2; var y := 0; proc 0 { x := 2.0 }; "
+     "for i from 0 to 3 { y := y + x / 4 };\n", ["2.0", "0"]),
+])
+def test_equal_inputs_of_other_types_or_signs_are_not_taken(source, want):
+    """1 == 1.0 and 0.0 == -0.0 in Python: a loop's inputs must match bit
+    for bit, not by ==, for one process to take another's outputs."""
+    checked = check_program(parse(source))
+    for run_path in RUNS:
+        for seed in (0, 1, 7919):
+            assert [repr(v) for v in run_path(checked, 2, seed=seed).local("y")] == want
+
+
+def test_a_loop_over_a_large_replica_with_few_statements_is_never_snapshotted(monkeypatch):
+    """Two statements against a snapshot of 100,000 elements: every rank
+    runs the loop, and no snapshot is taken."""
+    dumps = []
+    monkeypatch.setattr(interp, "marshal", SimpleNamespace(dumps=lambda *a: dumps.append(a)))
+    checked = check_program(parse(
+        "var big : array[Int,100000];\nvar s := 0;\n"
+        "for t from 1 to 3000 { sync; for k from 0 to 1 { big[k] := big[k] + t } };\n"))
+    result = run(checked, 2)
+    assert dumps == []
+    assert [rep[:3] for rep in result.array("big").replicas] == [[4501500] * 2 + [0]] * 2
+
+
+def test_a_loop_worth_its_snapshot_is_snapshotted(monkeypatch):
+    dumps = []
+    real = interp.marshal.dumps
+    monkeypatch.setattr(interp, "marshal",
+                        SimpleNamespace(dumps=lambda *a: dumps.append(a) or real(*a)))
+    result = run(check_program(parse(
+        "var small : array[Int,4];\n"
+        "for t from 1 to 3 { sync; for k from 0 to 3 { small[k] := small[k] + t } };\n")), 3)
+    assert len(dumps) == 9  # every rank at every arrival
+    assert [list(rep) for rep in result.array("small").replicas] == [[6] * 4] * 3
+
+
+def captured_states(monkeypatch):
+    states = []
+
+    class Captured(interp.RunState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(interp, "RunState", Captured)
+    return states
+
+
+@pytest.mark.parametrize("source, left", [
+    ("var y := 0;\nfor t from 0 to 5 { sync; for k from 0 to 3 { y := y + k * t } };\n", 0),
+    (COUNTER_EXAMPLE, 0),
+    # rank r reaches the inner loop r + 1 times: only rank 3 passes arrival 3
+    ("var D : array[Int,4] :: allocated[row[] :: horizontal[4] :: single[evendist[]]];\n"
+     "var me := D.localblockid[0];\nvar y := 0;\n"
+     "for t from 0 to me { for k from 0 to 3 { y := y + k } ; y := y + D[0] };\n", 3),
+])
+def test_an_entry_goes_once_every_process_has_passed_it(monkeypatch, source, left):
+    states = captured_states(monkeypatch)
+    run(check_program(parse(source)), 4)
+    (state,) = states
+    assert len(state.loops) == left
+    assert all(passed < state.nprocs for passed, _, _ in state.loops.values())
+
+
+@pytest.mark.parametrize("source, want", [
+    # in a function body called outside `proc`, and inside it
+    ("var y : Int := 0;\nvar w := 1;\nfunction f(x : Int) { for k from 0 to 3 { x := x + k * w } };\n"
+     "proc 1 { w := 2 };\nf(y);\nproc 0 { f(y) };\n", ["12", "12"]),
+    ("var y := 0;\nproc 1 { y := 1 };\nproc 0 { for k from 0 to 3 { y := y + k } };\n"
+     "proc 1 { for k from 0 to 3 { y := y + k } };\nfor k from 0 to 3 { y := y + k };\n",
+     ["12", "13"]),
+    # at arrival 1 the parameter is bound to the top-level name the body
+    # also stores on rank 0 only: the same values, other outputs
+    ("var y : Int := 1;\nvar u : Int := 1;\n"
+     "var D : array[Int,2] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+     "var me := D.localblockid[0];\n"
+     "function f(x : Int) { for k from 0 to 3 { x := x + 1; y := y + 1 } };\n"
+     "for t from 0 to me { f(u) };\nfor t from 0 to 1 - me { f(y) };\n", ["21", "17"]),
+])
+def test_loops_in_proc_and_function_bodies_run_as_the_ast_walk(monkeypatch, source, want):
+    checked = check_program(parse(source))
+    for seed in (0, 7919):
+        seen = [[repr(v) for v in run_path(checked, 2, seed=seed).local("y")]
+                for run_path in RUNS]
+        assert seen == [want, want], seed

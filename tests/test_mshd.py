@@ -1,11 +1,12 @@
 import math
+import re
 import struct
 
 import pytest
 
 from meshlite.errors import FormatError, IoError, NotPowerOfTwo
 from meshlite.fixtures import generate_image
-from meshlite.mshd import read_mshd, write_mshd
+from meshlite.mshd import CODECS, read_mshd, write_mshd
 
 
 def test_complex_round_trip_is_bit_exact(tmp_path):
@@ -90,8 +91,8 @@ def packed_element_by_element(elem, shape, values):
 @pytest.mark.parametrize("elem,values", [
     ("complex", [complex(-0.0, 0.0), complex(math.inf, -math.inf), 3, 2.5, 1e-310 - 7j]),
     ("real", [-0.0, math.inf, 7, 1e-310, 2.5]),
-    ("int", [-(2**63), 2**63 - 1, 2.9, -2.9, 0]),
-    ("char", [0, 255, 256, -1, 65.7]),
+    ("int", [-(2**63), 2**63 - 1, 2, -3, 0]),
+    ("char", [0, 255, 7, 128, 65]),
 ])
 def test_codec_matches_element_by_element_packing(tmp_path, elem, values):
     path = tmp_path / "m.dat"
@@ -99,6 +100,47 @@ def test_codec_matches_element_by_element_packing(tmp_path, elem, values):
     assert path.read_bytes() == packed_element_by_element(elem, (5,), values)
     _, _, back = read_mshd(path)
     assert packed_element_by_element(elem, (5,), back) == path.read_bytes()
+
+
+@pytest.mark.parametrize("elem, values, where", [
+    ("int", [1, 2, "5", 4], "X[2] holds '5'"),
+    ("int", [1, 2.75, 3, 4], "X[1] holds 2.75"),
+    ("int", [1, 2, 3, 2j], "X[3] holds 2j"),
+    ("char", [65, 66.0, 67, 68], "X[1] holds 66.0"),
+    ("char", ["A", 66, 67, 68], "X[0] holds 'A'"),
+    ("real", [1.5, 2, 3j, 4.0], "X[2] holds 3j"),
+    ("real", [1.5, 2, 3.0, "4"], "X[3] holds '4'"),
+    ("complex", [1j, 2, 3.0, "x"], "X[3] holds 'x'"),
+    ("int", [1, 2**63, 3, 4], f"X[1] holds {2**63}"),
+    ("int", [1, 2, -(2**63) - 1, 4], f"X[2] holds {-(2**63) - 1}"),
+    ("char", [1, 2, 3, 256], "X[3] holds 256"),
+    ("char", [-1, 2, 3, 4], "X[0] holds -1"),
+    ("real", [1.5, 10**400, 3, 4], f"X[1] holds {10**400}"),
+    ("complex", [1j, 2, 10**400, 4], f"X[2] holds {10**400}"),
+])
+def test_a_value_the_file_cannot_hold_is_refused(tmp_path, elem, values, where):
+    """No value is converted into one of another type or wrapped into the
+    kind's range: a string, a float or a complex as int or char, a complex
+    as real, an integer the kind cannot hold; nothing is written."""
+    path = tmp_path / "m.dat"
+    with pytest.raises(FormatError, match=re.escape(f"{where}, which MSHD cannot write as {elem}")):
+        write_mshd(path, elem, (4,), values, "X")
+    assert not path.exists()
+
+
+def test_a_refused_value_of_a_2d_array_is_named_by_row_and_column(tmp_path):
+    with pytest.raises(FormatError, match=re.escape("X[1][0] holds 0.5, which MSHD cannot")):
+        write_mshd(tmp_path / "m.dat", "int", (2, 2), [1, 2, 0.5, 4], "X")
+
+
+def test_values_of_the_files_own_type_are_written_unconverted(tmp_path):
+    """Ints in a real file and ints or floats in a complex one are
+    converted; values of the file's own type are packed as they are."""
+    for elem, values in (("real", [1, 2.5]), ("complex", [1, 2.5, 3j]), ("int", [7]),
+                         ("real", [0.5, -0.0]), ("complex", [1j, -0j])):
+        write_mshd(tmp_path / "m.dat", elem, (len(values),), values)
+        _, _, back = read_mshd(tmp_path / "m.dat")
+        assert [repr(v) for v in back] == [repr(CODECS[elem][3](v)) for v in values]
 
 
 def test_missing_file_is_io_error(tmp_path):
