@@ -2,13 +2,17 @@
 and each expression's class, so that no value is used as its class forbids.
 
 Diagnostics render as `file:line:col: RULE: message`, one per line.
-Type arguments are read by one walk, `type_argument`, shared with the
-compiler: a constant argument is checked here against every allocation
-rule, an argument over local integers is evaluated when its declaration
-runs, and any other argument is a diagnostic at the offending node.
+Scoping is lexical, and this is the one walk over the scopes: what it
+resolves goes to the compiler in the CheckedProgram (each name's Kind,
+each loop reusing a local, each function's free names and each
+allocation's type arguments). Type arguments are read by one walk,
+`type_argument`: a constant argument is checked here against every
+allocation rule, an argument over local integers becomes a closure run
+when its declaration runs, and any other argument is a diagnostic at the
+offending node.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ast, chains
@@ -70,9 +74,15 @@ class VarInfo:
 
 @dataclass
 class CheckedProgram:
+    """A checked program and what the check resolved, each keyed by the
+    id() of its node (the program holds every node while this lives)."""
     program: ast.Program
     functions: dict
     source_name: str
+    kinds: dict = field(default_factory=dict)  # of each Name, VarDecl and Param
+    reuses: set = field(default_factory=set)  # each For whose variable is an existing local
+    free: dict = field(default_factory=dict)  # function name -> the top-level names it reads
+    readers: dict = field(default_factory=dict)  # a distributed declaration -> type_argument()s
 
 
 def type_argument(expr, kind_of, report):
@@ -127,6 +137,13 @@ def evaluated(arg, ctx):
     return arg if arg.__class__ is int else arg(ctx)
 
 
+def chain_of(type_expr, values):
+    """type_expr's chain, its arguments' values given in the order it reads
+    them: as `CheckedProgram.readers` lists them."""
+    values = iter(values)
+    return chains.from_type_expr(type_expr, lambda arg: next(values))
+
+
 def fold_type(texpr: ast.TypeExpr) -> list:
     """The form call sites compare: each constant argument as its value."""
     def normal(arg):
@@ -144,6 +161,8 @@ class Checker:
         self.diagnostics = []
         self.functions = {}
         self.scopes = [{}]
+        self.resolved = CheckedProgram(program, self.functions, source_name)
+        self.free = None  # the top-level names the body being checked reads, if any
 
     # --- helpers ---
 
@@ -154,6 +173,8 @@ class Checker:
     def lookup(self, name) -> Optional[VarInfo]:
         for scope in reversed(self.scopes):
             if name in scope:
+                if self.free is not None and scope is self.scopes[0]:
+                    self.free[name] = None
                 return scope[name]
         return None
 
@@ -161,6 +182,7 @@ class Checker:
         if info.name in self.scopes[-1]:
             self.report("Redeclaration", f"{info.name!r} is already declared in this scope", node)
         self.scopes[-1][info.name] = info
+        self.resolved.kinds[id(node)] = info.kind
 
     # --- entry ---
 
@@ -169,7 +191,7 @@ class Checker:
             self.check_stmt(stmt, in_proc=False)
         if self.diagnostics:
             raise CheckError(self.diagnostics)
-        return CheckedProgram(self.program, self.functions, self.source_name)
+        return self.resolved
 
     # --- statements ---
 
@@ -188,6 +210,8 @@ class Checker:
             # the run binds a fresh local unless the name already holds one
             if existing is None or existing.kind.distributed:
                 self.scopes[-1][stmt.var] = VarInfo(stmt.var, None, chains.LOCAL)
+            else:
+                self.resolved.reuses.add(id(stmt))
             for s in stmt.body:
                 self.check_stmt(s, in_proc)
             self.scopes.pop()
@@ -231,10 +255,14 @@ class Checker:
         self.declare(VarInfo(stmt.name, stmt.type_expr, kind, refused), stmt)
 
     def check_chain(self, type_expr, node):
-        """The Kind of a declared or formal name; reports each rule its chain breaks."""
+        """The Kind of a declared or formal name; reports each rule its chain
+        breaks, and records a distributed one's type arguments as read."""
+        readers = []
+
         def evaluate(arg):
             value = type_argument(arg, lambda name: getattr(self.lookup(name), "kind", None),
                                   self.report)
+            readers.append(value)
             return value if value.__class__ is int else None
         try:
             chain = chains.from_type_expr(type_expr, evaluate)
@@ -257,7 +285,10 @@ class Checker:
                 self.report("ShareTarget", f"share base {var!r} is not declared", node)
             elif not target.kind.ndim:
                 self.report("ShareTarget", f"share base {var!r} is not a distributed array", node)
-        return chains.kind_of(chain)
+        kind = chains.kind_of(chain)
+        if kind.distributed:
+            self.resolved.readers[id(node)] = readers
+        return kind
 
     def check_assign(self, stmt: ast.Assign, in_proc):
         """A store: what its target holds, read as an expression, must be
@@ -301,9 +332,11 @@ class Checker:
         self.scopes.append({})
         for p in stmt.params:
             self.declare(VarInfo(p.name, p.type_expr, self.check_chain(p.type_expr, p)), p)
+        self.free = self.resolved.free[stmt.name] = {}  # a formal's chain is never run
         for s in stmt.body:
             self.check_stmt(s, in_proc=False)
         self.scopes.pop()
+        self.free = None
 
     # --- expressions ---
 
@@ -315,6 +348,7 @@ class Checker:
             if info is None:
                 self.report("UnknownVariable", f"{expr.name!r} is not declared", expr)
                 return None
+            self.resolved.kinds[id(expr)] = info.kind
             return None if info.refused else "array" if info.kind.ndim else "scalar"
         if kind is ast.BinOp:
             self.check_scalar(expr.left, "an operand")

@@ -21,17 +21,19 @@ on the rank it names, so each returns its own generator, which its
 caller drains: one Python frame per level of nesting.
 
 What a name reads and how a store communicates are decided here, once,
-from the declarations in scope (the Mesham types decide it before the
-program runs); no closure looks at a binding's kind. Scoping is lexical,
-as the checker's: a function is defined at top level, and its body is
-compiled once, where it is defined (`funcdef`), seeing its parameters,
-each of its formal's kind, its own declarations and the top-level names
-declared before it. A call binds back to the top level each of those
-names its caller hides. The checker has refused every name used where it
-is not declared and every value used as its class forbids (checker.py),
-so the kinds alone pick each closure, none tests a value's class, and a
-closure faults only on what values alone show: an index's type and
-range, a loop bound, a `proc` rank, a line's length. The types also
+from the Kind the checker resolved it to (the Mesham types decide it
+before the program runs); no closure looks at a binding's kind. The
+compiler keeps no scopes: it reads each name's Kind, each loop that
+reuses a local, each body's free names and each allocation's type
+arguments from the CheckedProgram (checker.py). A function is defined at
+top level, and its body is compiled once, where it is defined
+(`funcdef`); a call binds back to the top level each free name of the
+body (a top-level name it reads) that its caller hides. The checker has
+refused every name used where it is not declared and every value used
+as its class forbids, so the kinds alone pick each closure, none tests
+a value's class, and a closure faults only on what values alone show:
+an index's type and range, a loop bound, a `proc` rank, a line's
+length. The types also
 decide who stores: outside `proc` only X[i]'s owner stores `X[i] := e`,
 so a loop whose body is that one statement over a 1D single-copy array
 runs only the iterations the process owns (`owner_computes`). The rules
@@ -43,8 +45,8 @@ one-sided and channel transfers.
 import itertools
 from types import GeneratorType as Generator
 
-from . import ast, chains
-from .checker import BUILTINS, evaluated, type_argument
+from . import ast
+from .checker import BUILTINS, chain_of, evaluated
 from .runtime import ZEROES
 from .values import OPERATORS, Binding, LineSlice, arith, owned_blocks, row_of
 
@@ -61,7 +63,7 @@ def overridable(program) -> dict:
 
 def compile_program(checked) -> list:
     """The program's top-level statements as (statement, closure) pairs."""
-    return Compiler(overridable(checked.program)).block(checked.program.statements)
+    return Compiler(checked).block(checked.program.statements)
 
 
 def _class(kind):
@@ -126,29 +128,15 @@ class LocalOnly:
 
 
 class Compiler:
-    def __init__(self, overridable):
+    def __init__(self, checked):
         # function name -> (its parameters' names, its body's (statement,
-        # closure) pairs, its free names), the lists filled as it compiles
+        # closure) pairs, its free names), the body filled as it compiles
         self.bodies = {}
-        self.free = None  # the top-level names the body compiling looks up, if any
         self.leaves = {}
-        self.scopes = [{}]
-        self.overridable = overridable
+        self.checked = checked
+        self.kinds = checked.kinds  # what the checker resolved each Name to
+        self.overridable = overridable(checked.program)
         self.within_once = False  # compiling the body of a local-only loop
-
-    def open_scope(self):
-        """The scope of a loop or `proc` body."""
-        self.scopes.append({})
-        return self.scopes[-1]
-
-    def lookup(self, name):
-        """name's Kind here, None if it is not declared."""
-        for scope in reversed(self.scopes):
-            if name in scope:
-                if self.free is not None and scope is self.scopes[0]:
-                    self.free.add(name)
-                return scope[name]
-        return None
 
     # --- statements ---
 
@@ -172,32 +160,17 @@ class Compiler:
         return self.funcdef(node)
 
     def decl(self, node):
-        name, type_expr = node.name, node.type_expr
+        name, type_expr, kind = node.name, node.type_expr, self.kinds[id(node)]
         init = None if node.init is None else self.expr(node.init)
-        kind = chains.LOCAL
-        if type_expr is not None:
-            # each type argument, in the order the chain reads them: its
-            # value, or a closure run with the declaration
-            args = {}
-
-            def read(e):  # the checker refused every argument no values make an integer
-                args[id(e)] = type_argument(e, self.lookup, lambda *fault: None)
-
-            chain = chains.from_type_expr(type_expr, read)
-            for var in chains.references(chain).values():  # read when the declaration runs
-                self.lookup(var)
-            kind = chains.kind_of(chain)  # whatever the values
-        self.scopes[-1][name] = kind
         if kind.distributed:
-            def chain(values):
-                known = dict(zip(args, values))
-                return chains.from_type_expr(type_expr, lambda e: known[id(e)])
+            readers = self.checked.readers[id(node)]  # each type argument: value or closure
 
             def allocate(ctx):
                 # every argument in the order the chain reads them, so each
                 # fault comes where building the chain would raise it
-                values = tuple([evaluated(arg, ctx) for arg in args.values()])
-                return ctx.allocate(node, lambda: chain(values), kind.read_only, values)
+                values = tuple([evaluated(arg, ctx) for arg in readers])
+                return ctx.allocate(node, lambda: chain_of(type_expr, values), kind.read_only,
+                                    values)
             return allocate
 
         # a typed local's chain has no arguments to evaluate: the checker
@@ -218,14 +191,15 @@ class Compiler:
     def assign(self, node):
         target = node.target
         if type(target) is ast.Name:
-            return self.assign_name(node, target.name)
+            return self.assign_name(node, target)
         # the parser admits only x, x[i] and x[i][j]
         if type(target.base) is ast.Name:
-            return self.assign_element(node, target.base.name)
+            return self.assign_element(node, target.base)
         return self.assign_line(node, target.base.base.name)
 
-    def assign_name(self, node, name):
-        value, kind = self.expr(node.value), _class(self.lookup(name))
+    def assign_name(self, node, target):
+        name, kind = target.name, _class(self.kinds[id(target)])
+        value = self.expr(node.value)
         if kind == "local":
             def local(ctx):  # the commonest statement, as one call
                 ctx.env[name].value = value(ctx)
@@ -235,14 +209,13 @@ class Compiler:
                 ctx.env[name].array.replicas[ctx.rank][0] = value(ctx)
             return replica
         source = node.value.name if type(node.value) is ast.Name else None
-        source_kind = _class(self.lookup(source) or chains.LOCAL)  # "local" when source is None
         if kind == "array":  # the checker lets in only another array
             def redistribute(ctx):
                 ctx.unguarded("array assignment", node)
                 return ctx.assign_arrays(ctx.env[name].array, ctx.env[source].array, node)
             return redistribute
 
-        if source_kind == "single":
+        if source is not None and _class(self.kinds[id(node.value)]) == "single":
             def transfer(ctx):
                 """From a single-copy scalar: over a matching channel, else one-sided."""
                 binding, src = ctx.env[name], ctx.env[source]
@@ -264,10 +237,11 @@ class Compiler:
                 return _store(ctx, binding, block, 0, value(ctx))
         return single
 
-    def assign_element(self, node, name):
-        """name[i] := value, name a 1D array."""
+    def assign_element(self, node, base):
+        """base[i] := value, base naming a 1D array."""
+        name = base.name
         index, value = self.expr(node.target.index), self.expr(node.value)
-        if self.lookup(name).replicated:
+        if self.kinds[id(base)].replicated:
             def replica(ctx):
                 """This process's replica."""
                 i, v = index(ctx), value(ctx)
@@ -316,16 +290,13 @@ class Compiler:
 
     def loop(self, node):
         start, stop, var = self.expr(node.start), self.expr(node.stop), node.var
-        existing = self.lookup(var)  # an existing local is the loop variable
-        reuse = existing is not None and not existing.distributed
+        reuse = id(node) in self.checked.reuses  # an existing local is the loop variable
         # a loop nested in a local-only one runs with it, never on its own
         within = self.within_once
         once = None if within else self.local_only(node)
         self.within_once = within or once is not None
-        self.open_scope()[var] = chains.LOCAL
         stmts = self.block(node.body)
         target = self.owner_computes(node)
-        self.scopes.pop()
         self.within_once = within
         # declarations in the body vanish at the end of every iteration
         scoped = any(type(s) is ast.VarDecl for s in node.body)
@@ -374,18 +345,17 @@ class Compiler:
         """A LocalOnly for loop node when its bounds and body, nested loops
         included, hold only literals, locals, replicated scalars, elements
         of 1D replicated arrays, arithmetic, `processes()`, untyped `var`
-        declarations and stores to locals or replica elements; else None.
-        Call it before the loop's scope opens: it looks up the names the
-        loop does not declare."""
+        declarations and stores to locals or replica elements; else None."""
         outer = {}  # name declared outside the loop -> (is it a local, is it stored)
         statements = 0
 
-        def use(name, inner, ndim, store=False):
-            """Whether name, read or stored with ndim indices, is a local or
-            a replica."""
+        def use(e, inner, ndim, store=False):
+            """Whether the name e, read or stored with ndim indices, is a
+            local or a replica."""
+            name = e.name
             if name in inner:  # untyped: a local
                 return ndim == 0
-            kind = self.lookup(name)
+            kind = self.kinds[id(e)]
             local = not kind.distributed
             if not (ndim == 0 if local else kind.replicated and kind.ndim == ndim):
                 return False
@@ -395,11 +365,11 @@ class Compiler:
         def expr(e, inner):
             t = type(e)
             if t is ast.Name:
-                return use(e.name, inner, 0)
+                return use(e, inner, 0)
             if t is ast.BinOp:
                 return expr(e.left, inner) and expr(e.right, inner)
             if t is ast.Index:
-                return type(e.base) is ast.Name and use(e.base.name, inner, 1) \
+                return type(e.base) is ast.Name and use(e.base, inner, 1) \
                     and expr(e.index, inner)
             return t in _LITERALS or (t is ast.Call and e.func == "processes")
 
@@ -407,10 +377,8 @@ class Compiler:
             nonlocal statements
             if not (expr(s.start, inner) and expr(s.stop, inner)):
                 return False
-            if s.var not in inner:
-                known = self.lookup(s.var)
-                if known is not None and not known.distributed:  # reused: stored
-                    use(s.var, inner, 0, store=True)
+            if id(s) in self.checked.reuses and s.var not in inner:
+                outer[s.var] = (True, True)  # an outer local, reused: stored
             inner = inner | {s.var}
             for b in s.body:
                 statements += 1
@@ -423,9 +391,9 @@ class Compiler:
                 elif t is ast.Assign:
                     target = b.target
                     ok = expr(b.value, inner) and (
-                        use(target.name, inner, 0, store=True) if type(target) is ast.Name
+                        use(target, inner, 0, store=True) if type(target) is ast.Name
                         else type(target.base) is ast.Name
-                        and use(target.base.name, inner, 1, store=True)
+                        and use(target.base, inner, 1, store=True)
                         and expr(target.index, inner))
                 else:
                     ok = False
@@ -440,8 +408,7 @@ class Compiler:
     def owner_computes(self, node):
         """X when the body of loop node is the one statement `X[v] := e`,
         v the loop variable and X a 1D single-copy writable array: outside
-        `proc` only X[v]'s owner runs more of it than the index. Call it
-        with the loop's scope open."""
+        `proc` only X[v]'s owner runs more of it than the index."""
         if len(node.body) != 1:
             return None
         s = node.body[0]
@@ -450,16 +417,14 @@ class Compiler:
         base, index = s.target.base, s.target.index
         if type(base) is not ast.Name or type(index) is not ast.Name or index.name != node.var:
             return None
-        known = self.lookup(base.name)
+        known = self.kinds[id(base)]
         if known.ndim == 1 and not known.replicated and not known.read_only:
             return base.name
         return None
 
     def proc(self, node):
         rank = self.expr(node.rank)
-        self.open_scope()
         stmts = self.block(node.body)
-        self.scopes.pop()
 
         def guarded(ctx):
             mark = ctx.enter(node)
@@ -519,11 +484,11 @@ class Compiler:
         return fn
 
     def name(self, node):
-        return self.leaf((_class(self.lookup(node.name)), node.name))
+        return self.leaf((_class(self.kinds[id(node)]), node.name))
 
     def local(self, node):
         """node's name when it names a local, else None."""
-        if type(node) is ast.Name and not self.lookup(node.name).distributed:
+        if type(node) is ast.Name and not self.kinds[id(node)].distributed:
             return node.name
         return None
 
@@ -577,13 +542,13 @@ class Compiler:
         base, index = node.base, self.expr(node.index)
         if type(base) is not ast.Name:  # a block or a line
             row = self.expr(base)
-            if type(base.base) is ast.Name and self.lookup(base.base.name).partitioned:
+            if type(base.base) is ast.Name and self.kinds[id(base.base)].partitioned:
                 def line(ctx):
                     ref = row(ctx)
                     return LineSlice(ref.array, ref.block, _integer(ctx, node, index(ctx)))
                 return line
             return lambda ctx: ctx.read_line(row(ctx), _integer(ctx, node, index(ctx)))
-        name, known = base.name, self.lookup(base.name)
+        name, known = base.name, self.kinds[id(base)]
         if known.ndim == 2:
             return lambda ctx: row_of(ctx.env[name].array, _integer(ctx, node, index(ctx)))
         # an element of a 1D array, read straight from the binding
@@ -645,27 +610,18 @@ class Compiler:
         return lambda ctx: ctx.builtin_file(node, array(ctx), path(ctx), write)
 
     def funcdef(self, node):
-        """Compile node's body once, where it is defined, at top level. It
-        sees its parameters, each with its formal chain's kind, its own
-        declarations and the top-level names declared so far. The
-        top-level names it looks up are its free names: a call binds each
-        one its caller hides back to its top-level binding."""
-        params = {p.name: chains.kind_of(chains.from_type_expr(p.type_expr, lambda e: None))
-                  for p in node.params}
-        stmts, free = [], []
-        self.bodies[node.name] = (list(params), stmts, free)  # for its recursive calls
-        scopes = self.scopes
-        self.scopes, self.free = [scopes[0], params], set()
+        """Compile node's body once, where it is defined, at top level. The
+        top-level names it reads are its free names (the checker's): a
+        call binds each one its caller hides back to its top-level binding."""
+        stmts = []
+        self.bodies[node.name] = ([p.name for p in node.params], stmts,
+                                  list(self.checked.free[node.name]))  # for its recursive calls
         stmts += self.block(node.body)
-        free += self.free
-        self.scopes, self.free = scopes, None
         return lambda ctx: None
 
     def user_call(self, node):
         params, stmts, free = self.bodies[node.func]
-        args = [a.name for a in node.args]
-        for arg in args:  # names: the checker refuses any other
-            self.lookup(arg)  # a top-level one is a free name of the body holding the call
+        args = [a.name for a in node.args]  # names: the checker refuses any other
 
         def call(ctx):
             env, top = ctx.env, ctx.top

@@ -184,8 +184,7 @@ class ProcessContext:
         self.depth = 0  # scopes open above the top level
         self.stmt = None  # the statement started last: the innermost running
         self.proc_depth = 0
-        self.alloc_counts = {}
-        self.arrivals = {}  # compiler.LocalOnly -> times this process reached it
+        self.arrivals = {}  # point -> times this process reached it (`arrival`)
 
     # scope handling
 
@@ -219,6 +218,14 @@ class ProcessContext:
     def leave(self, mark):
         self.restore(mark)
         self.depth -= 1
+
+    def arrival(self, point):
+        """How many times this process reached point (an allocation's id()
+        or a LocalOnly) before now. Every process counts alike, so (point,
+        arrival) names one allocation, or one run of a loop, for all."""
+        k = self.arrivals.get(point, 0)
+        self.arrivals[point] = k + 1
+        return k
 
     def fault(self, message, node=None):
         return RuntimeFault(message, rank=self.rank,
@@ -260,9 +267,7 @@ class ProcessContext:
         if it gets another layout. An arraydist plan is never taken: each
         process snapshots its own map."""
         self.unguarded("allocation", stmt)
-        instance = self.alloc_counts.get(id(stmt), 0)
-        self.alloc_counts[id(stmt)] = instance + 1
-        key = (id(stmt), instance)
+        key = (id(stmt), self.arrival(id(stmt)))
         allocation = self.state.allocations.get(key)
         if values is not None and allocation is not None and allocation[2] == values:
             array, plan, _ = allocation
@@ -285,7 +290,7 @@ class ProcessContext:
                 raise self.fault(f"channel endpoint {end} outside [0, {self.state.nprocs})", stmt)
         dist_map = None
         if plan.distribution[0] == "arraydist":  # this process's copy of the map
-            dist_map = list(self.env[plan.distribution[1]].array.storage_for(self.rank))
+            dist_map = list(self.env[plan.distribution[1]].array.replicas[self.rank])
         descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
         if allocation is not None:
             array, allocated_plan, _ = allocation
@@ -314,9 +319,7 @@ class ProcessContext:
         never waits. Any other process runs it. A loop whose snapshot holds
         more than ELEMENTS_PER_STATEMENT elements per statement it runs is
         always run. The entry goes once every process has passed it."""
-        arrival = self.arrivals.get(loop, 0)
-        self.arrivals[loop] = arrival + 1
-        key = (loop, arrival)
+        key = (loop, self.arrival(loop))
         loops = self.state.loops
         entry = loops.get(key)
         if entry is None:
@@ -473,7 +476,7 @@ class ProcessContext:
         n = 2 * m
         if m < 1 or n & (n - 1):
             raise BadLength(f"twiddle array length {m} is not half a power of two")
-        array.storage_for(self.rank)[:] = compute_sins(n)
+        array.replicas[self.rank][:] = compute_sins(n)
 
     def fft_line(self, expr, row, sins):
         if self.state.layout_only:
@@ -481,7 +484,7 @@ class ProcessContext:
         if row.block.owner != self.rank:
             raise self.fault("FFT must run on the process owning the block", expr)
         values = row.values()
-        fft_inplace(values, sins.storage_for(self.rank))
+        fft_inplace(values, sins.replicas[self.rank])
         row.store(values)
 
     def builtin_file(self, expr, array, path, write):

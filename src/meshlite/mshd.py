@@ -36,7 +36,8 @@ def write_mshd(path, elem: str, shape: tuple, values, name="values") -> None:
     """Write values (row-major order) as an MSHD file. A value that an
     `elem` file cannot hold is a FormatError naming it as an element of
     name, and nothing is written: a string, a float or a complex as int or
-    char, a complex as real, and an integer outside the kind's range. An
+    char, a complex as real, an integer outside the kind's range, and an
+    integer as real or complex that a float cannot hold exactly. Any other
     integer as real or complex, or a float as complex, is converted."""
     count = 1
     for d in shape:
@@ -50,7 +51,11 @@ def write_mshd(path, elem: str, shape: tuple, values, name="values") -> None:
         if not types <= holds:
             raise TypeError
         if types != {own}:  # ints as floats, say
-            values = list(map(own, values))
+            converted = list(map(own, values))
+            if int in types and any(x != v for x, v in zip(converted, values)
+                                    if v.__class__ is int):
+                raise TypeError  # an integer a float cannot hold exactly
+            values = converted
         if per == 2:
             values = [x for v in values for x in (v.real, v.imag)]
         out = struct.pack(f"<4sBB{len(shape)}Q{len(values)}{code}",
@@ -63,6 +68,8 @@ def write_mshd(path, elem: str, shape: tuple, values, name="values") -> None:
                 if type(v) not in holds:
                     raise TypeError
                 x = own(v)
+                if x != v and v.__class__ is int:
+                    raise TypeError
                 struct.pack(f"<{per}{code}", *((x.real, x.imag) if per == 2 else (x,)))
             except (TypeError, OverflowError, struct.error):
                 index = divmod(i, shape[1]) if len(shape) == 2 else (i,)

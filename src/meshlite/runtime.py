@@ -201,10 +201,6 @@ class DistributedArray:
                 f"{self.name} has no block {block_id} (blocks: {len(self.blocks)})")
         return self.blocks[block_id]
 
-    def storage_for(self, rank) -> list:
-        """Replica buffer for one rank of a replicated array."""
-        return self.replicas[rank]
-
     def logical_get(self, index, rank=0):
         """The element at a logical index; a replica is laid out as block 0."""
         k, off = self.descriptor.locate(index)
@@ -498,11 +494,11 @@ def copy_segments(segments, src: DistributedArray, dst: DistributedArray) -> Non
         if seg.identity:
             continue
         if src.replicated:
-            sbuf = src.storage_for(seg.src_owner)
+            sbuf = src.replicas[seg.src_owner]
         else:
             sbuf = src.blocks[seg.src_block].buffer
         if dst.replicated:
-            dbuf = dst.storage_for(seg.dst_replica)
+            dbuf = dst.replicas[seg.dst_replica]
         else:
             dbuf = dst.blocks[seg.dst_block].buffer
         for s, d, length, ss, ds in seg.slices():

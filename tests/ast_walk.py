@@ -114,7 +114,7 @@ class WalkingContext(interp.ProcessContext):
                 return
             if array.replicated and array.descriptor.ndim == 0:
                 value = yield from self.eval(stmt.value)
-                array.storage_for(self.rank)[0] = self.check_storable(value, stmt)
+                array.replicas[self.rank][0] = self.check_storable(value, stmt)
                 return
             yield from self.assign_whole_array(stmt, binding)
             return
@@ -205,7 +205,7 @@ class WalkingContext(interp.ProcessContext):
                 raise self.fault("array index must be an integer", stmt)
             if not 0 <= index < array.descriptor.shape[0]:
                 raise self.fault(f"index {index} outside shape {array.descriptor.shape}", stmt)
-            array.storage_for(self.rank)[index] = self.check_storable(value, stmt)
+            array.replicas[self.rank][index] = self.check_storable(value, stmt)
             return
         if array.descriptor.ndim != 1:
             raise self.fault("use A[block][line] to address rows of a 2D array", stmt)
@@ -317,7 +317,7 @@ class WalkingContext(interp.ProcessContext):
             array = binding.array
             if array.descriptor.ndim == 0:
                 if array.replicated:
-                    return array.storage_for(self.rank)[0]
+                    return array.replicas[self.rank][0]
                 return self.get_scalar(binding)
             return array
         if isinstance(expr, ast.BinOp):
@@ -346,7 +346,7 @@ class WalkingContext(interp.ProcessContext):
                 if base.replicated:
                     if not 0 <= index < d.shape[0]:
                         raise self.fault(f"index {index} outside shape {d.shape}", expr)
-                    return base.storage_for(self.rank)[index]
+                    return base.replicas[self.rank][index]
                 return self.get_element(base, index)
             if d.ndim == 2:
                 return row_of(base, index)

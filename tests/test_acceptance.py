@@ -164,7 +164,7 @@ def test_criterion_6_retuning_by_type_change_only(tmp_path):
     assert even_out == dist_out
 
     d = result.array("d")
-    placement = list(d.storage_for(0))
+    placement = list(d.replicas[0])
     for array_name in ("A", "B", "C"):
         owners = [b.owner for b in result.array(array_name).blocks]
         assert owners == placement, f"{array_name} placement does not follow d"

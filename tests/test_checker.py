@@ -565,26 +565,57 @@ def value_class(value):
         type(value), "scalar")
 
 
+def binding_kind(binding):
+    """What a Kind says of a binding: (distributed, replicated, ndim)."""
+    if binding.kind == "local":
+        return (False, False, 0)
+    return (True, binding.array.replicated, binding.array.descriptor.ndim)
+
+
 def classes_agree(source, nprocs, workdir):
     """Check source, recording the class check_expr gives each expression,
-    then run it through the AST walk, recording the class of each value;
-    asserts the two agree on every expression the walk evaluates, and
-    returns the classes seen."""
-    checker_classes, walked = {}, {}
+    then run it through the AST walk, recording the class of each value
+    and the binding each name read or stored finds; asserts that the two
+    agree on every expression the walk evaluates, that the Kind the checker
+    resolved each of those names to is its binding's, and that a loop
+    counts in an existing local just where the checker says; returns the
+    classes seen."""
+    checker_classes, walked, bound, reused = {}, {}, {}, {}
     check_expr, walk_eval = Checker.check_expr, ast_walk.WalkingContext.eval
+    walk_assign, walk_for = (ast_walk.WalkingContext.exec_assign,
+                             ast_walk.WalkingContext.exec_for)
 
     def checking(self, expr, statement=False):
         checker_classes[id(expr)] = check_expr(self, expr, statement)
         return checker_classes[id(expr)]
 
+    def bind(ctx, name):
+        bound.setdefault(id(name), (name, set()))[1].add(binding_kind(ctx.lookup(name.name)))
+
     def walking(self, expr):
+        if type(expr) is ast.Name:
+            bind(self, expr)
         value = yield from walk_eval(self, expr)
         walked.setdefault(id(expr), (expr, set()))[1].add(value_class(value))
         return value
 
+    def assigning(self, stmt):
+        root = stmt.target
+        while type(root) is ast.Index:
+            root = root.base
+        bind(self, root)
+        return walk_assign(self, stmt)
+
+    def looping(self, stmt):
+        existing = self.lookup(stmt.var)
+        reused.setdefault(id(stmt), set()).add(existing is not None and existing.kind == "local")
+        return walk_for(self, stmt)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Checker, "check_expr", checking)
         patch.setattr(ast_walk.WalkingContext, "eval", walking)
+        patch.setattr(ast_walk.WalkingContext, "exec_assign", assigning)
+        patch.setattr(ast_walk.WalkingContext, "exec_for", looping)
         checked = check_program(parse(source))
         try:
             run_walked(checked, nprocs, workdir=str(workdir))
@@ -596,6 +627,13 @@ def classes_agree(source, nprocs, workdir):
             continue  # a call statement has no value
         assert classes == {checker_classes[key]}, (expr, source)
         seen |= classes
+    for key, (name, kinds) in bound.items():
+        kind = checked.kinds[key]
+        # a local's Kind may say replicated (its chain's default): it has no copies
+        expected = (kind.distributed, kind.distributed and kind.replicated, kind.ndim)
+        assert kinds == {expected}, (name, source)
+    for key, reuses in reused.items():
+        assert reuses == {key in checked.reuses}, source
     return seen
 
 

@@ -91,12 +91,17 @@ def test_writefile_of_an_element_its_file_cannot_hold_is_located(
     ("Int", "4611686018427387904 * 2", "1",
      "X[0] holds 9223372036854775808, which MSHD cannot write as int"),
     ("Char", "65", "300", "X[1] holds 300, which MSHD cannot write as char"),
+    ("Real", "9007199254740993", "1",
+     "X[0] holds 9007199254740993, which MSHD cannot write as real"),
+    ("Complex", "1", "0 - 9007199254740993",
+     "X[1] holds -9007199254740993, which MSHD cannot write as complex"),
 ])
 def test_writefile_converts_no_value_into_the_files_type(
         workdir, capsys, elem, first, second, expected):
     """A string or a float in an Int file, say, is not written as the int
-    it converts to, nor an integer out of the kind's range wrapped into it:
-    the run faults at the writefile, and writes no file."""
+    it converts to, nor an integer out of the kind's range wrapped into it,
+    nor one a float cannot hold rounded into a Real or Complex file: the
+    run faults at the writefile, and writes no file."""
     (workdir / "bad.mesh").write_text(
         f"var X : array[{elem},2] :: allocated[single[on[0]]];\n"
         f"proc 0 {{ X[0] := {first}; X[1] := {second} }};\n"

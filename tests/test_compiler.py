@@ -445,6 +445,14 @@ def test_faults_only_the_run_finds_match_the_ast_walk(tmp_path, body, fault):
      "for i from 0 to 0 { var B := 2; f() };", None),
     ("function g(p : array[Int,4] :: allocated[single[on[1]]]) { p[1] := 5 };\n"
      "function f() { g(B) };\nfor i from 0 to 0 { var B := 2; f() };", None),
+    # a loop counting in the top-level local `x`, which the caller hides with an array
+    ("function f() { for x from 1 to 3 { } };\n"
+     "for i from 0 to 0 { var x : array[Int,4]; f() };", None),
+    # an arraydist target, which the caller hides with a local
+    ("var d : array[Int,2] :: allocated[multiple[]];\nd[1] := 1;\nvar y := 0;\n"
+     "function f() { var V : array[Int,4] :: allocated[row[] :: horizontal[2] :: "
+     "single[arraydist[d]]]; V[2] := 3; y := V[2] };\n"
+     "for i from 0 to 0 { var d := 2; f() };", None),
     # what the top-level local `x` (0) cannot be: only the run sees an extent of 0
     ("function f() { var D : array[Int,x] :: allocated[multiple[]] };\n"
      "for i from 0 to 0 { var x : array[Int,4]; f() };",
@@ -454,8 +462,9 @@ def test_a_body_reads_the_names_where_it_is_defined(body, fault):
     """A caller that declares, in another kind, a name the body reads
     changes nothing: the body reads and stores the top-level names of the
     definition (the local `x`, 0, and the arrays `A`, `B` and `C`), a
-    `share` base and a call's argument among them, and both run paths
-    give the same locals, arrays and trace, or the same fault."""
+    `share` or `arraydist` target, a call's argument and a reused loop
+    variable among them, and both run paths give the same locals, arrays
+    and trace, or the same fault."""
     checked = check_program(parse(FAULTS_ONLY_THE_RUN_FINDS + body + "\n"))
     seen = []
     for run_path in RUNS:

@@ -117,11 +117,14 @@ def test_codec_matches_element_by_element_packing(tmp_path, elem, values):
     ("char", [-1, 2, 3, 4], "X[0] holds -1"),
     ("real", [1.5, 10**400, 3, 4], f"X[1] holds {10**400}"),
     ("complex", [1j, 2, 10**400, 4], f"X[2] holds {10**400}"),
+    ("real", [1.5, 2, 2**53 + 1, 4], f"X[2] holds {2**53 + 1}"),
+    ("complex", [1j, 2, 3.0, -(2**53) - 1], f"X[3] holds {-(2**53) - 1}"),
 ])
 def test_a_value_the_file_cannot_hold_is_refused(tmp_path, elem, values, where):
     """No value is converted into one of another type or wrapped into the
     kind's range: a string, a float or a complex as int or char, a complex
-    as real, an integer the kind cannot hold; nothing is written."""
+    as real, an integer the kind cannot hold, an integer as real or complex
+    that a float cannot hold exactly; nothing is written."""
     path = tmp_path / "m.dat"
     with pytest.raises(FormatError, match=re.escape(f"{where}, which MSHD cannot write as {elem}")):
         write_mshd(path, elem, (4,), values, "X")

@@ -179,7 +179,7 @@ def test_replicated_destination_receives_everywhere():
     dst = allocate("M", dst_desc)
     assign(dst, src, nprocs)
     for rank in range(nprocs):
-        assert dst.storage_for(rank) == list(range(12))
+        assert dst.replicas[rank] == list(range(12))
 
 
 def test_replicated_source_is_read_locally():
