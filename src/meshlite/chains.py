@@ -295,7 +295,7 @@ class Kind:
     elem: Optional[str] = None  # int | char | real | complex; None without a scalar base
     ndim: int = 0  # 0 for a scalar, else the array's dimensions
     distributed: bool = False  # owns PGAS storage: an array base or allocated[...]
-    replicated: bool = False  # distribution multiple: one copy per process
+    replicated: bool = False  # distributed, and multiple: one copy per process
     partitioned: bool = False
     read_only: bool = False
 
@@ -312,11 +312,12 @@ def kind_of(chain: TypeChain) -> Kind:
     if isinstance(base, ArrayOf):
         ndim, base = len(base.dims), _base_of(base.elem)
     attrs = _attributes(chain)
+    distributed = ndim > 0 or any(isinstance(c, Allocated) for c in chain)
     return Kind(
         elem=_ELEM_KINDS.get(type(base)),
         ndim=ndim,
-        distributed=ndim > 0 or any(isinstance(c, Allocated) for c in chain),
-        replicated=attrs["distribution"][0] == "multiple",
+        distributed=distributed,
+        replicated=distributed and attrs["distribution"][0] == "multiple",
         partitioned=attrs["partition"] is not None,
         read_only=attrs["mutability"] == "read-only",
     )

@@ -2,10 +2,12 @@
 and each expression's class, so that no value is used as its class forbids.
 
 Diagnostics render as `file:line:col: RULE: message`, one per line.
-Scoping is lexical, and this is the one walk over the scopes: what it
-resolves goes to the compiler in the CheckedProgram (each name's Kind,
-each loop reusing a local, each function's free names and each
-allocation's type arguments). Type arguments are read by one walk,
+Scoping is lexical, and this is the one walk over the scopes. Each
+declaration gets the next slot of its frame (the top level's, or a
+function's, which starts with the top-level slots its body sees), free
+again once its scope closes. The compiler gets what this resolves in the
+CheckedProgram, and the run finds every binding by its slot, never by
+its name. Type arguments are read by one walk,
 `type_argument`: a constant argument is checked here against every
 allocation rule, an argument over local integers becomes a closure run
 when its declaration runs, and any other argument is a diagnostic at the
@@ -17,7 +19,7 @@ from typing import Optional
 
 from . import ast, chains
 from .errors import CheckError, MeshError
-from .values import arith
+from .values import OPERATORS
 
 # An expression's class, decided from the declared kinds alone, is what its
 # value is: a scalar (a number or a string), an array (a declared array's
@@ -70,6 +72,8 @@ class VarInfo:
     type_expr: Optional[ast.TypeExpr]
     kind: chains.Kind
     refused: bool = False  # a local whose initializer was refused: its uses report nothing
+    node: object = None  # the VarDecl, Param or For declaring it
+    slot: int = 0  # its binding's index in its frame
 
 
 @dataclass
@@ -79,19 +83,22 @@ class CheckedProgram:
     program: ast.Program
     functions: dict
     source_name: str
-    kinds: dict = field(default_factory=dict)  # of each Name, VarDecl and Param
-    reuses: set = field(default_factory=set)  # each For whose variable is an existing local
-    free: dict = field(default_factory=dict)  # function name -> the top-level names it reads
-    readers: dict = field(default_factory=dict)  # a distributed declaration -> type_argument()s
+    names: dict = field(default_factory=dict)  # each Name's, VarDecl's, Param's, For's VarInfo
+    toplevel: dict = field(default_factory=dict)  # each top-level name -> its VarInfo
+    size: int = 0  # every frame's slots
+    seen: dict = field(default_factory=dict)  # function -> the top-level slots its body sees
+    # a distributed declaration -> (its type_argument()s, the VarInfo of
+    # each name its chain references, by role: "arraydist" or "share")
+    allocations: dict = field(default_factory=dict)
 
 
-def type_argument(expr, kind_of, report):
+def type_argument(expr, info_of, report):
     """Read a type argument: its value if constant, else a closure ctx -> int
     over process-local integers and `processes()`.
 
-    `kind_of(name)` is a name's declared chains.Kind, None if undeclared. An
-    argument that no values make an integer is what `report(rule, message,
-    node)` returns for the node at fault, or None if that returns None.
+    `info_of(name)` is a name's VarInfo, None if undeclared. An argument
+    that no values make an integer is what `report(rule, message, node)`
+    returns for the node at fault, or None if that returns None.
     """
     kind = type(expr)
     if kind is ast.IntLit:
@@ -99,15 +106,16 @@ def type_argument(expr, kind_of, report):
     if kind is ast.Call and expr.func == "processes" and not expr.args:
         return lambda ctx: ctx.state.nprocs
     if kind is ast.Name:
-        name, known = expr.name, kind_of(expr.name)
-        if known is None:
+        name, info = expr.name, info_of(expr.name)
+        if info is None:
             return report("UnknownVariable", f"{name!r} is not declared", expr)
         message = f"type argument {name!r} is not a local integer"
-        if known.distributed or known.elem in ("real", "complex"):
+        if info.kind.distributed or info.kind.elem in ("real", "complex"):
             return report("TypeArgument", message, expr)
+        slot = info.slot
 
         def local(ctx):
-            value = ctx.env[name].value
+            value = ctx.frame[slot].value
             if not isinstance(value, int):
                 raise ctx.fault(message, expr)
             return value
@@ -115,18 +123,18 @@ def type_argument(expr, kind_of, report):
     if kind is not ast.BinOp:
         return report("TypeArgument",
                       "type arguments must be integer expressions over local variables", expr)
-    left, right = (type_argument(e, kind_of, report) for e in (expr.left, expr.right))
+    left, right = (type_argument(e, info_of, report) for e in (expr.left, expr.right))
     if left is None or right is None:
         return None
     if left.__class__ is int and right.__class__ is int:
         try:
-            return arith(expr.op, left, right)
+            return OPERATORS[expr.op](left, right)
         except ZeroDivisionError as exc:
             return report("TypeArgument", str(exc), expr)
 
     def binop(ctx):
         try:
-            return arith(expr.op, evaluated(left, ctx), evaluated(right, ctx))
+            return OPERATORS[expr.op](evaluated(left, ctx), evaluated(right, ctx))
         except ZeroDivisionError as exc:
             raise ctx.fault(str(exc), expr)
     return binop
@@ -139,7 +147,7 @@ def evaluated(arg, ctx):
 
 def chain_of(type_expr, values):
     """type_expr's chain, its arguments' values given in the order it reads
-    them: as `CheckedProgram.readers` lists them."""
+    them: as `CheckedProgram.allocations` lists them."""
     values = iter(values)
     return chains.from_type_expr(type_expr, lambda arg: next(values))
 
@@ -149,7 +157,7 @@ def fold_type(texpr: ast.TypeExpr) -> list:
     def normal(arg):
         if isinstance(arg, ast.TypeExpr):
             return fold_type(arg)
-        value = type_argument(arg, lambda name: chains.LOCAL, lambda *fault: None)
+        value = type_argument(arg, lambda name: None, lambda *fault: None)
         return value if value.__class__ is int else arg
     return [(app.ctor, app.has_args, list(map(normal, app.args))) for app in texpr.apps]
 
@@ -161,8 +169,9 @@ class Checker:
         self.diagnostics = []
         self.functions = {}
         self.scopes = [{}]
-        self.resolved = CheckedProgram(program, self.functions, source_name)
-        self.free = None  # the top-level names the body being checked reads, if any
+        self.resolved = CheckedProgram(program, self.functions, source_name,
+                                       toplevel=self.scopes[0])
+        self.slots = 0  # the next free slot of the frame being checked
 
     # --- helpers ---
 
@@ -173,16 +182,29 @@ class Checker:
     def lookup(self, name) -> Optional[VarInfo]:
         for scope in reversed(self.scopes):
             if name in scope:
-                if self.free is not None and scope is self.scopes[0]:
-                    self.free[name] = None
                 return scope[name]
         return None
 
     def declare(self, info: VarInfo, node):
+        """Declare info's name in the innermost scope, at the next slot."""
         if info.name in self.scopes[-1]:
             self.report("Redeclaration", f"{info.name!r} is already declared in this scope", node)
-        self.scopes[-1][info.name] = info
-        self.resolved.kinds[id(node)] = info.kind
+        info.node, info.slot = node, self.slots
+        self.slots += 1
+        self.resolved.size = max(self.resolved.size, self.slots)
+        self.scopes[-1][info.name] = self.resolved.names[id(node)] = info
+
+    def scoped(self, stmts, in_proc, *declared):
+        """Check stmts in a new scope, which first declares each (VarInfo,
+        node) of declared; its slots are free again after it."""
+        slots = self.slots
+        self.scopes.append({})
+        for info, node in declared:
+            self.declare(info, node)
+        for s in stmts:
+            self.check_stmt(s, in_proc)
+        self.scopes.pop()
+        self.slots = slots
 
     # --- entry ---
 
@@ -206,21 +228,15 @@ class Checker:
             existing = self.lookup(stmt.var)
             if existing is not None and existing.kind.read_only:
                 self.report("ConstViolation", f"loop variable {stmt.var!r} is declared const", stmt)
-            self.scopes.append({})
             # the run binds a fresh local unless the name already holds one
             if existing is None or existing.kind.distributed:
-                self.scopes[-1][stmt.var] = VarInfo(stmt.var, None, chains.LOCAL)
+                self.scoped(stmt.body, in_proc, (VarInfo(stmt.var, None, chains.LOCAL), stmt))
             else:
-                self.resolved.reuses.add(id(stmt))
-            for s in stmt.body:
-                self.check_stmt(s, in_proc)
-            self.scopes.pop()
+                self.resolved.names[id(stmt)] = existing
+                self.scoped(stmt.body, in_proc)
         elif isinstance(stmt, ast.ProcBlock):
             self.check_scalar(stmt.rank, "a proc rank")
-            self.scopes.append({})
-            for s in stmt.body:
-                self.check_stmt(s, in_proc=True)
-            self.scopes.pop()
+            self.scoped(stmt.body, True)
         elif isinstance(stmt, ast.ExprStmt):
             self.check_expr(stmt.expr, statement=True)
         elif isinstance(stmt, ast.Sync):
@@ -260,8 +276,7 @@ class Checker:
         readers = []
 
         def evaluate(arg):
-            value = type_argument(arg, lambda name: getattr(self.lookup(name), "kind", None),
-                                  self.report)
+            value = type_argument(arg, self.lookup, self.report)
             readers.append(value)
             return value if value.__class__ is int else None
         try:
@@ -271,8 +286,9 @@ class Checker:
             return chains.LOCAL
         for problem in chains.plan_problems(chain):
             self.report("IncompletePlan", problem, node)
+        targets = {}
         for role, var in chains.references(chain).items():
-            target = self.lookup(var)
+            targets[role] = target = self.lookup(var)
             if role == "arraydist":
                 if target is None:
                     self.report("ArrayDistTarget",
@@ -287,7 +303,7 @@ class Checker:
                 self.report("ShareTarget", f"share base {var!r} is not a distributed array", node)
         kind = chains.kind_of(chain)
         if kind.distributed:
-            self.resolved.readers[id(node)] = readers
+            self.resolved.allocations[id(node)] = (readers, targets)
         return kind
 
     def check_assign(self, stmt: ast.Assign, in_proc):
@@ -329,14 +345,14 @@ class Checker:
         if stmt.name in self.functions or stmt.name in BUILTINS:
             self.report("Redeclaration", f"function {stmt.name!r} is already defined", stmt)
         self.functions[stmt.name] = stmt
+        self.resolved.seen[stmt.name] = self.slots  # its frame starts with these
         self.scopes.append({})
-        for p in stmt.params:
+        for p in stmt.params:  # a formal's chain is never run
             self.declare(VarInfo(p.name, p.type_expr, self.check_chain(p.type_expr, p)), p)
-        self.free = self.resolved.free[stmt.name] = {}  # a formal's chain is never run
         for s in stmt.body:
             self.check_stmt(s, in_proc=False)
         self.scopes.pop()
-        self.free = None
+        self.slots = self.resolved.seen[stmt.name]
 
     # --- expressions ---
 
@@ -348,7 +364,7 @@ class Checker:
             if info is None:
                 self.report("UnknownVariable", f"{expr.name!r} is not declared", expr)
                 return None
-            self.resolved.kinds[id(expr)] = info.kind
+            self.resolved.names[id(expr)] = info
             return None if info.refused else "array" if info.kind.ndim else "scalar"
         if kind is ast.BinOp:
             self.check_scalar(expr.left, "an operand")

@@ -9,7 +9,6 @@ import sys
 
 from . import fixtures, interp
 from .checker import check_program
-from .compiler import overridable
 from .errors import CheckError, MeshError, SourceError
 from .parser import parse
 
@@ -40,7 +39,7 @@ def _frontend(path):
 
 def _parse_defines(pairs, checked):
     """The overrides of --define, each naming a top-level untyped var."""
-    names = overridable(checked.program)
+    names = {name for name, info in checked.toplevel.items() if info.type_expr is None}
     overrides = {}
     for item in pairs or []:
         name, sep, value = item.partition("=")

@@ -22,19 +22,18 @@ caller drains: one Python frame per level of nesting.
 
 What a name reads and how a store communicates are decided here, once,
 from the Kind the checker resolved it to (the Mesham types decide it
-before the program runs); no closure looks at a binding's kind. The
-compiler keeps no scopes: it reads each name's Kind, each loop that
-reuses a local, each body's free names and each allocation's type
-arguments from the CheckedProgram (checker.py). A function is defined at
-top level, and its body is compiled once, where it is defined
-(`funcdef`); a call binds back to the top level each free name of the
-body (a top-level name it reads) that its caller hides. The checker has
-refused every name used where it is not declared and every value used
-as its class forbids, so the kinds alone pick each closure, none tests
-a value's class, and a closure faults only on what values alone show:
-an index's type and range, a loop bound, a `proc` rank, a line's
-length. The types also
-decide who stores: outside `proc` only X[i]'s owner stores `X[i] := e`,
+before the program runs); no closure looks at a binding's kind. No
+closure looks a name up either: each reads and stores the binding at
+the slot the checker gave its declaration, in `ctx.frame`. A function
+is defined at top level, and its body is compiled once, where it is
+defined (`funcdef`); a call's frame starts with the top-level slots the
+body sees, so the body reads the names where it is defined, whatever
+its caller hides. The checker has refused every name used where it is
+not declared and every value used as its class forbids, so the kinds
+alone pick each closure, none tests a value's class, and a closure
+faults only on what values alone show: an index's type and range, a
+loop bound, a `proc` rank, a line's length. The types also decide who
+stores: outside `proc` only X[i]'s owner stores `X[i] := e`,
 so a loop whose body is that one statement over a 1D single-copy array
 runs only the iterations the process owns (`owner_computes`). The rules
 that hold whatever the kind live in ProcessContext: who performs an
@@ -48,17 +47,10 @@ from types import GeneratorType as Generator
 from . import ast
 from .checker import BUILTINS, chain_of, evaluated
 from .runtime import ZEROES
-from .values import OPERATORS, Binding, LineSlice, arith, owned_blocks, row_of
+from .values import OPERATORS, Binding, LineSlice, owned_blocks, row_of
 
 
 _LITERALS = (ast.IntLit, ast.RealLit, ast.StrLit)
-
-
-def overridable(program) -> dict:
-    """The declarations a run's `overrides` set, by name: the program's
-    top-level `var`s without a type."""
-    return {s.name: s for s in program.statements
-            if type(s) is ast.VarDecl and s.type_expr is None}
 
 
 def compile_program(checked) -> list:
@@ -114,28 +106,26 @@ def _store(ctx, binding, block, offset, value):
 
 
 class LocalOnly:
-    """A local-only loop (`Compiler.local_only`): the names declared outside
-    it that it reads or stores, split into locals and replicas (replicated
-    scalars and 1D arrays), the positions in each of those it stores, and
-    the statements of its body, nested ones included."""
+    """A local-only loop (`Compiler.local_only`): the slots of the names
+    declared outside it that it reads or stores, split into locals and
+    replicas (replicated scalars and 1D arrays), the positions in each of
+    those it stores, and the statements of its body, nested ones included."""
 
     def __init__(self, outer, statements):
-        self.locals = [name for name, (local, _) in outer.items() if local]
-        self.replicas = [name for name, (local, _) in outer.items() if not local]
-        self.stores = [k for k, name in enumerate(self.locals) if outer[name][1]]
-        self.fills = [k for k, name in enumerate(self.replicas) if outer[name][1]]
+        self.locals = [slot for slot, (local, _) in outer.items() if local]
+        self.replicas = [slot for slot, (local, _) in outer.items() if not local]
+        self.stores = [k for k, slot in enumerate(self.locals) if outer[slot][1]]
+        self.fills = [k for k, slot in enumerate(self.replicas) if outer[slot][1]]
         self.statements = statements
 
 
 class Compiler:
     def __init__(self, checked):
-        # function name -> (its parameters' names, its body's (statement,
-        # closure) pairs, its free names), the body filled as it compiles
+        # function name -> its body's (statement, closure) pairs, filled as it compiles
         self.bodies = {}
         self.leaves = {}
         self.checked = checked
-        self.kinds = checked.kinds  # what the checker resolved each Name to
-        self.overridable = overridable(checked.program)
+        self.names = checked.names  # the VarInfo the checker resolved each name to
         self.within_once = False  # compiling the body of a local-only loop
 
     # --- statements ---
@@ -160,31 +150,36 @@ class Compiler:
         return self.funcdef(node)
 
     def decl(self, node):
-        name, type_expr, kind = node.name, node.type_expr, self.kinds[id(node)]
+        name, type_expr, info = node.name, node.type_expr, self.names[id(node)]
+        kind, slot = info.kind, info.slot
         init = None if node.init is None else self.expr(node.init)
         if kind.distributed:
-            readers = self.checked.readers[id(node)]  # each type argument: value or closure
+            # each type argument (value or closure), and the names the chain references
+            readers, targets = self.checked.allocations[id(node)]
 
             def allocate(ctx):
                 # every argument in the order the chain reads them, so each
                 # fault comes where building the chain would raise it
                 values = tuple([evaluated(arg, ctx) for arg in readers])
-                return ctx.allocate(node, lambda: chain_of(type_expr, values), kind.read_only,
-                                    values)
+                frame = ctx.frame
+                frame[slot] = yield from ctx.allocate(
+                    node, lambda: chain_of(type_expr, values), kind.read_only,
+                    {role: frame[t.slot] for role, t in targets.items()}, values)
             return allocate
 
         # a typed local's chain has no arguments to evaluate: the checker
         # rejects every constructor taking one outside an array or allocated[...]
         zero = 0 if type_expr is None else ZEROES[kind.elem]
-        override = self.overridable.get(name) is node
+        # a run's `overrides` set the top-level `var`s without a type
+        override = type_expr is None and self.checked.toplevel.get(name) is info
 
-        def bind(ctx):
+        def local(ctx):
             if override and name in ctx.state.overrides:
                 value = ctx.state.overrides[name]
             else:
                 value = zero if init is None else init(ctx)
-            ctx.bind(name, Binding(name, "local", value=value, read_only=kind.read_only))
-        return bind
+            ctx.frame[slot] = Binding(name, "local", value=value, read_only=kind.read_only)
+        return local
 
     # --- assignments ---
 
@@ -195,30 +190,32 @@ class Compiler:
         # the parser admits only x, x[i] and x[i][j]
         if type(target.base) is ast.Name:
             return self.assign_element(node, target.base)
-        return self.assign_line(node, target.base.base.name)
+        return self.assign_line(node, target.base.base)
 
     def assign_name(self, node, target):
-        name, kind = target.name, _class(self.kinds[id(target)])
+        info = self.names[id(target)]
+        kind, slot = _class(info.kind), info.slot
         value = self.expr(node.value)
         if kind == "local":
             def local(ctx):  # the commonest statement, as one call
-                ctx.env[name].value = value(ctx)
+                ctx.frame[slot].value = value(ctx)
             return local
         if kind == "replica":
             def replica(ctx):
-                ctx.env[name].array.replicas[ctx.rank][0] = value(ctx)
+                ctx.frame[slot].array.replicas[ctx.rank][0] = value(ctx)
             return replica
-        source = node.value.name if type(node.value) is ast.Name else None
+        source = self.names[id(node.value)] if type(node.value) is ast.Name else None
         if kind == "array":  # the checker lets in only another array
             def redistribute(ctx):
                 ctx.unguarded("array assignment", node)
-                return ctx.assign_arrays(ctx.env[name].array, ctx.env[source].array, node)
+                frame = ctx.frame
+                return ctx.assign_arrays(frame[slot].array, frame[source.slot].array, node)
             return redistribute
 
-        if source is not None and _class(self.kinds[id(node.value)]) == "single":
+        if source is not None and _class(source.kind) == "single":
             def transfer(ctx):
                 """From a single-copy scalar: over a matching channel, else one-sided."""
-                binding, src = ctx.env[name], ctx.env[source]
+                binding, src = ctx.frame[slot], ctx.frame[source.slot]
                 owner, src_owner = binding.array.blocks[0].owner, src.array.blocks[0].owner
                 comm = binding.comm
                 if comm is not None and (comm[1], comm[2]) == (src_owner, owner) \
@@ -231,7 +228,7 @@ class Compiler:
 
         def single(ctx):
             """A single-copy scalar from any other value, stored by whoever performs it."""
-            binding = ctx.env[name]
+            binding = ctx.frame[slot]
             block = binding.array.blocks[0]
             if ctx.performs(block.owner):
                 return _store(ctx, binding, block, 0, value(ctx))
@@ -239,13 +236,14 @@ class Compiler:
 
     def assign_element(self, node, base):
         """base[i] := value, base naming a 1D array."""
-        name = base.name
+        info = self.names[id(base)]
+        slot = info.slot
         index, value = self.expr(node.target.index), self.expr(node.value)
-        if self.kinds[id(base)].replicated:
+        if info.kind.replicated:
             def replica(ctx):
                 """This process's replica."""
                 i, v = index(ctx), value(ctx)
-                array = ctx.env[name].array
+                array = ctx.frame[slot].array
                 array.replicas[ctx.rank][_element(ctx, node, array.descriptor.shape, i)] = v
             return replica
 
@@ -253,8 +251,9 @@ class Compiler:
 
         def distributed(ctx):
             """Element i of a single-copy array, stored by whoever performs it."""
-            i = ctx.env[local].value if local is not None else index(ctx)
-            binding = ctx.env[name]
+            frame = ctx.frame
+            i = frame[local].value if local is not None else index(ctx)
+            binding = frame[slot]
             array = binding.array
             if i.__class__ is not int:
                 _integer(ctx, node, i)
@@ -264,12 +263,13 @@ class Compiler:
                 return _store(ctx, binding, block, off, value(ctx))
         return distributed
 
-    def assign_line(self, node, name):
+    def assign_line(self, node, base):
         """A[block][line] := other line: whole-line copy."""
         line, value = self.expr(node.target), self.expr(node.value)
+        slot = self.names[id(base)].slot
 
         def run(ctx):
-            binding = ctx.env[name]
+            binding = ctx.frame[slot]
             dst = line(ctx)
             owner = dst.block.owner
             if not ctx.performs(owner):
@@ -290,7 +290,8 @@ class Compiler:
 
     def loop(self, node):
         start, stop, var = self.expr(node.start), self.expr(node.stop), node.var
-        reuse = id(node) in self.checked.reuses  # an existing local is the loop variable
+        info = self.names[id(node)]
+        slot, reuse = info.slot, info.node is not node  # reuse: an existing local counts
         # a loop nested in a local-only one runs with it, never on its own
         within = self.within_once
         once = None if within else self.local_only(node)
@@ -298,8 +299,6 @@ class Compiler:
         stmts = self.block(node.body)
         target = self.owner_computes(node)
         self.within_once = within
-        # declarations in the body vanish at the end of every iteration
-        scoped = any(type(s) is ast.VarDecl for s in node.body)
 
         def iterate(ctx):
             lo, hi = start(ctx), stop(ctx)
@@ -314,20 +313,19 @@ class Compiler:
                 yield from iterations(ctx, lo, hi)
 
         def iterations(ctx, lo, hi):
-            mark = ctx.enter(node)
+            ctx.enter(node)
+            frame = ctx.frame
             if reuse:
-                binding = ctx.env[var]
+                binding = frame[slot]
             else:
-                binding = Binding(var, "local")
-                ctx.bind(var, binding)
-            inner = len(ctx.shadow)
+                binding = frame[slot] = Binding(var, "local")
             exec_stmt = ctx.exec_stmt
             if target is not None and ctx.proc_depth == 0:
                 # owner computes: run only the iterations that store on this
                 # rank (or fault); every other one would only find the owner.
                 # Local stores never wait.
                 ((s, fn),) = stmts
-                for binding.value in _owned(ctx.env[target].array, ctx.rank, lo, hi):
+                for binding.value in _owned(frame[target].array, ctx.rank, lo, hi):
                     exec_stmt(s, fn)
                 binding.value = hi
             else:
@@ -336,9 +334,7 @@ class Compiler:
                         result = exec_stmt(s, fn)
                         if result.__class__ is Generator:
                             yield from result
-                    if scoped:
-                        ctx.restore(inner)
-            ctx.leave(mark)
+            ctx.leave()
         return iterate
 
     def local_only(self, node):
@@ -346,20 +342,20 @@ class Compiler:
         included, hold only literals, locals, replicated scalars, elements
         of 1D replicated arrays, arithmetic, `processes()`, untyped `var`
         declarations and stores to locals or replica elements; else None."""
-        outer = {}  # name declared outside the loop -> (is it a local, is it stored)
+        outer = {}  # slot of a name declared outside the loop -> (is it a local, is it stored)
         statements = 0
 
         def use(e, inner, ndim, store=False):
             """Whether the name e, read or stored with ndim indices, is a
-            local or a replica."""
-            name = e.name
-            if name in inner:  # untyped: a local
+            local or a replica; inner holds the slots declared in the loop."""
+            info = self.names[id(e)]
+            slot, kind = info.slot, info.kind
+            if slot in inner:  # untyped: a local
                 return ndim == 0
-            kind = self.kinds[id(e)]
             local = not kind.distributed
             if not (ndim == 0 if local else kind.replicated and kind.ndim == ndim):
                 return False
-            outer[name] = (local, store or outer.get(name, (local, False))[1])
+            outer[slot] = (local, store or outer.get(slot, (local, False))[1])
             return True
 
         def expr(e, inner):
@@ -377,9 +373,10 @@ class Compiler:
             nonlocal statements
             if not (expr(s.start, inner) and expr(s.stop, inner)):
                 return False
-            if id(s) in self.checked.reuses and s.var not in inner:
-                outer[s.var] = (True, True)  # an outer local, reused: stored
-            inner = inner | {s.var}
+            var = self.names[id(s)]
+            if var.node is not s and var.slot not in inner:
+                outer[var.slot] = (True, True)  # an outer local, reused: stored
+            inner = inner | {var.slot}
             for b in s.body:
                 statements += 1
                 t = type(b)
@@ -387,7 +384,7 @@ class Compiler:
                     ok = loop(b, inner)
                 elif t is ast.VarDecl:
                     ok = b.type_expr is None and (b.init is None or expr(b.init, inner))
-                    inner = inner | {b.name}
+                    inner = inner | {self.names[id(b)].slot}
                 elif t is ast.Assign:
                     target = b.target
                     ok = expr(b.value, inner) and (
@@ -406,7 +403,7 @@ class Compiler:
         return LocalOnly(outer, statements)
 
     def owner_computes(self, node):
-        """X when the body of loop node is the one statement `X[v] := e`,
+        """X's slot when the body of loop node is the one statement `X[v] := e`,
         v the loop variable and X a 1D single-copy writable array: outside
         `proc` only X[v]'s owner runs more of it than the index."""
         if len(node.body) != 1:
@@ -417,9 +414,10 @@ class Compiler:
         base, index = s.target.base, s.target.index
         if type(base) is not ast.Name or type(index) is not ast.Name or index.name != node.var:
             return None
-        known = self.kinds[id(base)]
+        info = self.names[id(base)]
+        known = info.kind
         if known.ndim == 1 and not known.replicated and not known.read_only:
-            return base.name
+            return info.slot
         return None
 
     def proc(self, node):
@@ -427,7 +425,7 @@ class Compiler:
         stmts = self.block(node.body)
 
         def guarded(ctx):
-            mark = ctx.enter(node)
+            ctx.enter(node)
             ctx.proc_depth += 1
             exec_stmt = ctx.exec_stmt
             for s, fn in stmts:
@@ -435,7 +433,7 @@ class Compiler:
                 if result.__class__ is Generator:
                     yield from result
             ctx.proc_depth -= 1
-            ctx.leave(mark)
+            ctx.leave()
 
         def run(ctx):  # other ranks skip the body without building a generator
             r, nprocs = rank(ctx), ctx.state.nprocs
@@ -469,48 +467,51 @@ class Compiler:
         """
         fn = self.leaves.get(key)
         if fn is None:
-            kind, name = key[0], key[-1]
+            kind, arg = key[0], key[-1]  # a constant's value, or a name's slot
             if kind == "const":
-                fn = lambda ctx: name  # noqa: E731  (here `name` is the value)
+                fn = lambda ctx: arg  # noqa: E731
             elif kind == "local":
-                fn = lambda ctx: ctx.env[name].value  # noqa: E731
+                fn = lambda ctx: ctx.frame[arg].value  # noqa: E731
             elif kind == "array":
-                fn = lambda ctx: ctx.env[name].array  # noqa: E731
+                fn = lambda ctx: ctx.frame[arg].array  # noqa: E731
             elif kind == "replica":
-                fn = lambda ctx: ctx.env[name].array.replicas[ctx.rank][0]  # noqa: E731
+                fn = lambda ctx: ctx.frame[arg].array.replicas[ctx.rank][0]  # noqa: E731
             else:
-                fn = lambda ctx: ctx.read_remote_scalar(ctx.env[name])  # noqa: E731
+                fn = lambda ctx: ctx.read_remote_scalar(ctx.frame[arg])  # noqa: E731
             self.leaves[key] = fn
         return fn
 
     def name(self, node):
-        return self.leaf((_class(self.kinds[id(node)]), node.name))
+        info = self.names[id(node)]
+        return self.leaf((_class(info.kind), info.slot))
 
     def local(self, node):
-        """node's name when it names a local, else None."""
-        if type(node) is ast.Name and not self.kinds[id(node)].distributed:
-            return node.name
+        """The slot of the local node names, else None."""
+        if type(node) is ast.Name:
+            info = self.names[id(node)]
+            if not info.kind.distributed:
+                return info.slot
         return None
 
     def binop(self, node):
-        op = OPERATORS.get(node.op) or (lambda a, b: arith(node.op, a, b))
+        op = OPERATORS[node.op]
         left, right = self.expr(node.left), self.expr(node.right)
         # a known local on the left, or a literal on the right, is read in
         # the closure itself: one call fewer per operand
-        name = self.local(node.left)
+        local = self.local(node.left)
         literal = type(node.right) in _LITERALS
-        if name is not None and literal:
+        if local is not None and literal:
             b = node.right.value
 
             def run(ctx):
-                a = ctx.env[name].value
+                a = ctx.frame[local].value
                 try:
                     return op(a, b)
                 except (TypeError, ZeroDivisionError) as exc:
                     raise ctx.fault(str(exc), node)
-        elif name is not None:
+        elif local is not None:
             def run(ctx):
-                a = ctx.env[name].value
+                a = ctx.frame[local].value
                 b = right(ctx)
                 try:
                     return op(a, b)
@@ -542,21 +543,23 @@ class Compiler:
         base, index = node.base, self.expr(node.index)
         if type(base) is not ast.Name:  # a block or a line
             row = self.expr(base)
-            if type(base.base) is ast.Name and self.kinds[id(base.base)].partitioned:
+            if type(base.base) is ast.Name and self.names[id(base.base)].kind.partitioned:
                 def line(ctx):
                     ref = row(ctx)
                     return LineSlice(ref.array, ref.block, _integer(ctx, node, index(ctx)))
                 return line
             return lambda ctx: ctx.read_line(row(ctx), _integer(ctx, node, index(ctx)))
-        name, known = base.name, self.kinds[id(base)]
+        info = self.names[id(base)]
+        slot, known = info.slot, info.kind
         if known.ndim == 2:
-            return lambda ctx: row_of(ctx.env[name].array, _integer(ctx, node, index(ctx)))
+            return lambda ctx: row_of(ctx.frame[slot].array, _integer(ctx, node, index(ctx)))
         # an element of a 1D array, read straight from the binding
         local = self.local(node.index)  # a known-local index, read inline
         if known.replicated:
             def element(ctx):
-                array = ctx.env[name].array
-                i = ctx.env[local].value if local is not None else index(ctx)
+                frame = ctx.frame
+                array = frame[slot].array
+                i = frame[local].value if local is not None else index(ctx)
                 shape = array.descriptor.shape
                 # _element's rule, inline on the commonest read: a call
                 # here costs interp-local-p4 about 3% of its run
@@ -566,8 +569,9 @@ class Compiler:
             return element
 
         def single_copy(ctx):
-            array = ctx.env[name].array
-            i = ctx.env[local].value if local is not None else index(ctx)
+            frame = ctx.frame
+            array = frame[slot].array
+            i = frame[local].value if local is not None else index(ctx)
             if i.__class__ is not int:
                 _integer(ctx, node, i)
             return ctx.read_element(array, i)
@@ -610,32 +614,29 @@ class Compiler:
         return lambda ctx: ctx.builtin_file(node, array(ctx), path(ctx), write)
 
     def funcdef(self, node):
-        """Compile node's body once, where it is defined, at top level. The
-        top-level names it reads are its free names (the checker's): a
-        call binds each one its caller hides back to its top-level binding."""
-        stmts = []
-        self.bodies[node.name] = ([p.name for p in node.params], stmts,
-                                  list(self.checked.free[node.name]))  # for its recursive calls
+        """Compile node's body once, where it is defined, at top level."""
+        stmts = self.bodies[node.name] = []  # for its recursive calls
         stmts += self.block(node.body)
         return lambda ctx: None
 
     def user_call(self, node):
-        params, stmts, free = self.bodies[node.func]
-        args = [a.name for a in node.args]  # names: the checker refuses any other
+        """A call: its frame holds the top-level slots the body sees, then
+        the arguments' bindings for the parameters, then the body's own."""
+        stmts = self.bodies[node.func]
+        seen = self.checked.seen[node.func]
+        args = [self.names[id(a)].slot for a in node.args]  # names: the checker refuses any other
+        rest = [None] * (self.checked.size - seen - len(args))
 
         def call(ctx):
-            env, top = ctx.env, ctx.top
-            bindings = [env[a] for a in args]
-            mark = ctx.enter(node)
-            for name in free:
-                if env[name] is not top[name]:
-                    ctx.bind(name, top[name])
-            for param, b in zip(params, bindings):
-                ctx.bind(param, b)
+            caller = ctx.frame
+            frame = ctx.top[:seen] + [caller[a] for a in args] + rest
+            ctx.enter(node)
+            ctx.frame = frame
             exec_stmt = ctx.exec_stmt
             for s, fn in stmts:
                 result = exec_stmt(s, fn)
                 if result.__class__ is Generator:
                     yield from result
-            ctx.leave(mark)
+            ctx.frame = caller
+            ctx.leave()
         return call

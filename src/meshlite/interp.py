@@ -128,11 +128,12 @@ class RunResult:
         self.nprocs = state.nprocs
         self._arrays = {}
         self._locals = {}
-        for name, binding in contexts[0].env.items():
+        tops = [c.toplevel() for c in contexts]
+        for name, binding in tops[0].items():
             if binding.kind == "array":
                 self._arrays[name] = binding.array
             else:
-                self._locals[name] = [c.env[name].value for c in contexts]
+                self._locals[name] = [top[name].value for top in tops]
 
     def array(self, name) -> runtime.DistributedArray:
         return self._arrays[name]
@@ -166,21 +167,16 @@ class ProcessContext:
     at once, a one-sided get included; a helper that waits (a put, a
     channel transfer, a collective) is a generator.
 
-    Bindings live in one flat dict, `env`, holding the innermost visible
-    binding of every name; a name bound inside a scope pushes the binding
-    it hides (or None) on `shadow`, and leaving the scope puts those back.
-    Scoping is lexical: a function body sees the top-level names, kept in
-    `top`, not its caller's, so a call binds each name the body reads from
-    the top level back to its `top` binding where the caller hides it.
+    A binding lives in a frame, a list, at the slot the checker gave its
+    declaration: `top` is the top level's frame and `frame` that of the
+    code running. A scope keeps nothing here but the count of those open.
     """
 
     def __init__(self, rank, state, checked):
         self.rank = rank
         self.state = state
         self.checked = checked
-        self.env = {}
-        self.top = {}  # the bindings made at top level
-        self.shadow = []  # (name, hidden binding or None)
+        self.top = self.frame = [None] * checked.size if checked else []
         self.depth = 0  # scopes open above the top level
         self.stmt = None  # the statement started last: the innermost running
         self.proc_depth = 0
@@ -188,36 +184,21 @@ class ProcessContext:
 
     # scope handling
 
-    def bind(self, name, binding):
-        if self.depth:
-            self.shadow.append((name, self.env.get(name)))
-        else:
-            self.top[name] = binding
-        self.env[name] = binding
-
     def enter(self, node):
-        """Open the scope of node, a loop, a `proc` body or a call; returns
-        the mark `leave` restores to. With MAX_DEPTH scopes open the node
-        faults instead, whatever Python's stack holds."""
+        """Open the scope of node, a loop, a `proc` body or a call. With
+        MAX_DEPTH scopes open the node faults instead, whatever Python's
+        stack holds."""
         if self.depth == MAX_DEPTH:
             raise self.fault(f"loops, proc bodies and calls nest more than {MAX_DEPTH} deep",
                              node)
         self.depth += 1
-        return len(self.shadow)
 
-    def restore(self, mark):
-        """Drop the bindings made since mark, putting back what they hid."""
-        env, shadow = self.env, self.shadow
-        while len(shadow) > mark:
-            name, hidden = shadow.pop()
-            if hidden is None:
-                del env[name]
-            else:
-                env[name] = hidden
-
-    def leave(self, mark):
-        self.restore(mark)
+    def leave(self):
         self.depth -= 1
+
+    def toplevel(self):
+        """The top-level bindings by name, once the program has run."""
+        return {name: self.top[info.slot] for name, info in self.checked.toplevel.items()}
 
     def arrival(self, point):
         """How many times this process reached point (an allocation's id()
@@ -258,14 +239,15 @@ class ProcessContext:
 
     # --- declarations ---
 
-    def allocate(self, stmt, chain_of, read_only, values=None):
-        """Generator: bind stmt's name to its array. Allocation is
-        collective: the first process here plans and allocates, and none
-        goes on until all have arrived. A later process whose type
+    def allocate(self, stmt, chain_of, read_only, targets, values=None):
+        """Generator: returns the binding of stmt's new array. Allocation
+        is collective: the first process here plans and allocates, and
+        none goes on until all have arrived. A later process whose type
         arguments evaluated to the same `values` takes that plan; any
         other builds its chain with `chain_of()` and plans it, and faults
         if it gets another layout. An arraydist plan is never taken: each
-        process snapshots its own map."""
+        process snapshots its own map. `targets` holds the bindings the
+        chain names, by role ("arraydist", "share")."""
         self.unguarded("allocation", stmt)
         key = (id(stmt), self.arrival(id(stmt)))
         allocation = self.state.allocations.get(key)
@@ -273,16 +255,16 @@ class ProcessContext:
             array, plan, _ = allocation
         else:
             plan = chains.plan_of(chain_of())
-            array = self.allocate_plan(stmt, plan, allocation)
+            array = self.allocate_plan(stmt, plan, allocation, targets)
             if allocation is None:
                 reusable = values is not None and plan.distribution[0] != "arraydist"
                 self.state.allocations[key] = (array, plan, values if reusable else None)
-        self.bind(stmt.name, Binding(stmt.name, "array", array=array,
-                                     comm=plan.comm, read_only=read_only))
+        binding = Binding(stmt.name, "array", array=array, comm=plan.comm, read_only=read_only)
         yield from self.state.barrier.wait(
             self.rank, Collective("allocate", f"var {stmt.name}", stmt))
+        return binding
 
-    def allocate_plan(self, stmt, plan, allocation):
+    def allocate_plan(self, stmt, plan, allocation, targets):
         """The array of a plan: new when no process has made the
         `allocation` yet, else its array, whose layout the plan must give."""
         for end in plan.comm[1:3] if plan.comm is not None else ():
@@ -290,7 +272,7 @@ class ProcessContext:
                 raise self.fault(f"channel endpoint {end} outside [0, {self.state.nprocs})", stmt)
         dist_map = None
         if plan.distribution[0] == "arraydist":  # this process's copy of the map
-            dist_map = list(self.env[plan.distribution[1]].array.replicas[self.rank])
+            dist_map = list(targets["arraydist"].array.replicas[self.rank])
         descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
         if allocation is not None:
             array, allocated_plan, _ = allocation
@@ -301,7 +283,7 @@ class ProcessContext:
                     raise self.fault(f"SPMD divergence: {stmt.name!r} has {field} {mine} here, "
                                      f"but {allocated} where it was allocated", stmt)
             return array
-        base = None if plan.share_base is None else self.env[plan.share_base].array
+        base = None if plan.share_base is None else targets["share"].array
         return runtime.allocate(stmt.name, descriptor, base=base)
 
     # --- local-only loops ---
@@ -324,9 +306,9 @@ class ProcessContext:
         entry = loops.get(key)
         if entry is None:
             entry = loops[key] = [0, None, None]
-        env, rank = self.env, self.rank
-        bindings = [env[name] for name in loop.locals]
-        replicas = [env[name].array.replicas[rank] for name in loop.replicas]
+        frame, rank = self.frame, self.rank
+        bindings = [frame[slot] for slot in loop.locals]
+        replicas = [frame[slot].array.replicas[rank] for slot in loop.replicas]
         if trips * loop.statements * ELEMENTS_PER_STATEMENT \
                 < len(bindings) + sum(map(len, replicas)):
             run()

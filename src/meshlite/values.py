@@ -79,13 +79,6 @@ OPERATORS = {
 }
 
 
-def arith(op, left, right):
-    fn = OPERATORS.get(op)
-    if fn is None:
-        raise TypeError(f"unknown operator {op!r}")
-    return fn(left, right)
-
-
 def row_of(array, index):
     """A[index] of a 2D array: a block reference, or a line if unpartitioned."""
     if array.descriptor.partition is None:

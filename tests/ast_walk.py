@@ -4,17 +4,20 @@
 as meshlite did before every form was compiled. It is that walk, kept
 here as a test oracle: `install` swaps it in for `interp.ProcessContext`,
 so `interp.run` drives it exactly as it drives the compiled code. Only
-what both share comes from `ProcessContext`: scopes, the nesting
-limit, faults, allocation (which the walk has every rank plan for
-itself), channel transfers, `sync` (with its refusal inside `proc`), array
-redistribution and builtins. One-sided reads and writes, the ownership
+what both share comes from `ProcessContext`: the nesting limit, faults,
+allocation (which the walk has every rank plan for itself), channel
+transfers, `sync` (with its refusal inside `proc`), array redistribution
+and builtins. Name resolution, one-sided reads and writes, the ownership
 rule, the read-only and storable checks and type-argument evaluation are
-the walk's own, so a difference in them shows up as a difference in the run.
+the walk's own, so a difference in them shows up as a difference in the
+run. The walk finds each name by its string, in one flat environment per
+process plus a stack of the bindings each scope hides; the compiled run
+uses the slots the checker gave, and never the names.
 """
 
 from meshlite import ast, chains, interp, runtime
 from meshlite.sched import PAUSE
-from meshlite.values import Binding, BlockRef, LineSlice, arith, owned_blocks, row_of
+from meshlite.values import OPERATORS, Binding, BlockRef, LineSlice, owned_blocks, row_of
 
 
 def install(patch):
@@ -23,12 +26,47 @@ def install(patch):
 
 
 class WalkingContext(interp.ProcessContext):
+    def __init__(self, rank, state, checked):
+        super().__init__(rank, state, checked)
+        self.env = {}  # the innermost visible binding of every name
+        self.globals = {}  # the bindings made at top level
+        self.shadow = []  # (name, hidden binding or None)
+        self.defined = {}  # function name -> the top-level bindings where it is defined
+
     def exec_stmt(self, stmt, fn=None):
         self.stmt = stmt
         return self.walk_stmt(stmt)
 
+    # --- scopes, by name ---
+
     def lookup(self, name):
         return self.env.get(name)
+
+    def bind(self, name, binding):
+        if self.depth:
+            self.shadow.append((name, self.env.get(name)))
+        else:
+            self.globals[name] = binding
+        self.env[name] = binding
+
+    def enter(self, node):
+        """Open node's scope; returns the mark `leave` restores to."""
+        super().enter(node)
+        return len(self.shadow)
+
+    def leave(self, mark):
+        """Drop the bindings made since mark, putting back what they hid."""
+        env, shadow = self.env, self.shadow
+        while len(shadow) > mark:
+            name, hidden = shadow.pop()
+            if hidden is None:
+                del env[name]
+            else:
+                env[name] = hidden
+        super().leave()
+
+    def toplevel(self):
+        return self.globals
 
     def walk_stmt(self, stmt):
         if isinstance(stmt, ast.VarDecl):
@@ -44,7 +82,7 @@ class WalkingContext(interp.ProcessContext):
         elif isinstance(stmt, ast.Sync):
             yield from self.sync(stmt)
         elif isinstance(stmt, ast.FuncDef):
-            pass  # registered by the checker
+            self.defined[stmt.name] = dict(self.globals)
         else:
             raise self.fault(f"unhandled statement {type(stmt).__name__}", stmt)
 
@@ -72,7 +110,9 @@ class WalkingContext(interp.ProcessContext):
             self.bind(stmt.name,
                       Binding(stmt.name, "local", value=value, read_only=kind.read_only))
             return
-        yield from self.allocate(stmt, lambda: chain, kind.read_only)
+        targets = {role: self.lookup(var) for role, var in chains.references(chain).items()}
+        binding = yield from self.allocate(stmt, lambda: chain, kind.read_only, targets)
+        self.bind(stmt.name, binding)
 
     def eval_extent(self, expr):
         """Declaration-time evaluation of type-chain arguments."""
@@ -87,7 +127,7 @@ class WalkingContext(interp.ProcessContext):
             left = self.eval_extent(expr.left)
             right = self.eval_extent(expr.right)
             try:
-                return arith(expr.op, left, right)
+                return OPERATORS[expr.op](left, right)
             except ZeroDivisionError as exc:
                 raise self.fault(str(exc), expr)
         if isinstance(expr, ast.Call) and expr.func == "processes" and not expr.args:
@@ -324,7 +364,7 @@ class WalkingContext(interp.ProcessContext):
             left = yield from self.eval(expr.left)
             right = yield from self.eval(expr.right)
             try:
-                return arith(expr.op, left, right)
+                return OPERATORS[expr.op](left, right)
             except (TypeError, ZeroDivisionError) as exc:
                 raise self.fault(str(exc), expr)
         if isinstance(expr, ast.Index):
@@ -428,12 +468,12 @@ class WalkingContext(interp.ProcessContext):
                 raise self.fault(f"{arg.name!r} is not declared", expr)
             bindings.append(b)
         mark = self.enter(expr)
-        for name, b in self.top.items():  # the body sees the top-level names, not the caller's
-            if self.env[name] is not b:
-                self.bind(name, b)
+        # the body sees the top-level names declared before it, none of its caller's
+        caller, self.env = self.env, dict(self.defined[name])
         for param, b in zip(fn.params, bindings):
             self.bind(param.name, b)
         for s in fn.body:
             yield from self.exec_stmt(s)
         self.leave(mark)
+        self.env = caller
         return None

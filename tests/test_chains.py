@@ -5,7 +5,6 @@ import pytest
 from conftest import UnknownAttribute, chain_of, resolve_attribute
 from meshlite import parse
 from meshlite.chains import (
-    LOCAL,
     Allocated,
     ArrayOf,
     Async,
@@ -37,7 +36,7 @@ from meshlite.errors import IncompletePlan, InvalidCombination, MeshError
 
 def constant(arg):
     """A type argument's value if it is constant, else None."""
-    value = type_argument(arg, lambda name: LOCAL, lambda *fault: None)
+    value = type_argument(arg, lambda name: None, lambda *fault: None)
     return value if isinstance(value, int) else None
 
 
@@ -249,6 +248,13 @@ BASE_POOL = [
 ]
 
 
+def test_a_typed_local_is_not_replicated():
+    """Only a distributed name has copies: `var n : Int` is one plain local."""
+    kind = kind_of(chain_of(Int()))
+    assert (kind.distributed, kind.replicated) == (False, False)
+    assert kind_of(chain_from_source("Int :: allocated[multiple[]]")).replicated
+
+
 def random_sequence(rng):
     ctors = []
     if rng.random() < 0.9:
@@ -378,7 +384,9 @@ def test_plan_problems_and_kind_agree_with_plan_of():
         kind = kind_of(chain)
         assert kind.elem == plan.elem, chain
         assert kind.ndim == len(plan.shape), chain
-        assert kind.replicated == (plan.distribution[0] == "multiple"), chain
+        # a local has no copies, whatever distribution the plan defaults to
+        assert kind.replicated == (kind.distributed and plan.distribution[0] == "multiple"), \
+            chain
         assert kind.partitioned == (plan.partition is not None), chain
         assert kind.read_only == any(isinstance(c, Const) for c in chain), chain
         if not kind.distributed:  # a local names no distribution it would ignore

@@ -608,7 +608,8 @@ def classes_agree(source, nprocs, workdir):
 
     def looping(self, stmt):
         existing = self.lookup(stmt.var)
-        reused.setdefault(id(stmt), set()).add(existing is not None and existing.kind == "local")
+        reused.setdefault(id(stmt), (stmt, set()))[1].add(
+            existing is not None and existing.kind == "local")
         return walk_for(self, stmt)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -628,12 +629,10 @@ def classes_agree(source, nprocs, workdir):
         assert classes == {checker_classes[key]}, (expr, source)
         seen |= classes
     for key, (name, kinds) in bound.items():
-        kind = checked.kinds[key]
-        # a local's Kind may say replicated (its chain's default): it has no copies
-        expected = (kind.distributed, kind.distributed and kind.replicated, kind.ndim)
-        assert kinds == {expected}, (name, source)
-    for key, reuses in reused.items():
-        assert reuses == {key in checked.reuses}, source
+        kind = checked.names[key].kind
+        assert kinds == {(kind.distributed, kind.replicated, kind.ndim)}, (name, source)
+    for key, (stmt, reuses) in reused.items():
+        assert reuses == {checked.names[key].node is not stmt}, source
     return seen
 
 

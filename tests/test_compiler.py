@@ -1754,3 +1754,163 @@ def test_loops_in_proc_and_function_bodies_run_as_the_ast_walk(monkeypatch, sour
         seen = [[repr(v) for v in run_path(checked, 2, seed=seed).local("y")]
                 for run_path in RUNS]
         assert seen == [want, want], seed
+
+
+# --- scoping: the compiled run's frame slots against the walk's names ---
+
+
+SCOPE_HEAD = """var p := processes();
+var x := 1;
+var y := 2;
+var d := 0;
+var u : Int := 3;
+var a : array[Int,4];
+var S : Int :: allocated[single[on[0]]];
+function f(v : Int) { v := v + x; y := y + v * 2 };
+function g() { y := y + x; var x := 10; y := y + x; S := y };
+function rec(v : Int) { v := v + x; for i from 1 to d { d := d - 1; y := y + i; rec(v) } };
+"""
+# the top-level names the bodies of f, g and rec read
+SCOPE_FREE = ("x", "y", "d")
+
+
+class ScopeGen:
+    """A random program of nested scopes, run by the compiled closures
+    through the checker's frame slots and by the AST walk through its
+    names. It holds four shapes, each noted in `shapes` when made:
+    - "redeclare": a `for` or `proc` body that redeclares an outer name,
+      typed or untyped (`typed` notes a typed one);
+    - "around": a read of that name before and after the redeclaration in
+      one loop body, so across iterations;
+    - "hidden call": a call from a scope hiding a top-level name the body
+      reads, passing the hiding name as its argument;
+    - "recursion": a call of `rec`, which calls itself `d` levels deep.
+    `d` is only ever set to a constant below 4, so recursion stays shallow;
+    `a[...]` may index past the end, a fault both runs must report alike."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.shapes = set()
+
+    def expr(self, names):
+        rng = self.rng
+        roll = rng.random()
+        name = rng.choice(sorted(names))
+        if roll < 0.5:
+            return name
+        if roll < 0.8:
+            return f"{name} {rng.choice('+-')} {rng.choice(sorted(names) + ['1', '2', 'p'])}"
+        if roll < 0.93:
+            return "S"
+        return f"a[{name}]"  # past the end unless name is 0 to 3
+
+    def call(self, names, typed):
+        """A call statement; names maps each visible name to whether this
+        scope or one inside the top level declares it."""
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.25:
+            if any(names[n] for n in SCOPE_FREE):
+                self.shapes.add("hidden call")
+            return "g()"
+        arg = rng.choice(sorted(typed))
+        if names[arg] and arg in SCOPE_FREE:
+            self.shapes.add("hidden call")
+        if roll < 0.6:
+            return f"f({arg})"
+        self.shapes.add("recursion")
+        stmt = f"rec({arg})"
+        if not names["d"]:  # d names the top-level counter rec reads
+            stmt = f"d := {rng.randrange(4)}; " + stmt
+        return stmt
+
+    def body(self, names, typed, depth, loop):
+        """Statements in a new scope; names and typed are the enclosing ones'."""
+        rng = self.rng
+        names = {n: names[n] or False for n in names}
+        stmts = []
+        for _ in range(rng.randint(2, 5)):
+            roll = rng.random()
+            if roll < 0.25:
+                target = rng.choice(sorted(n for n in names if n != "d"))
+                stmts.append(f"{target} := {self.expr(names)}")
+            elif roll < 0.45:
+                name = rng.choice(("x", "y", "u", "d"))
+                if names.get(name) is True:  # already declared in this scope
+                    continue
+                if loop and rng.random() < 0.5:  # the outer one, on every iteration
+                    stmts.append(f"y := y - {name}")
+                    self.shapes.add("around")
+                value = self.expr(names)
+                if rng.random() < 0.5:
+                    stmts.append(f"var {name} : Int := {value}")
+                    typed = typed | {name}
+                    self.shapes.add("typed")
+                else:
+                    stmts.append(f"var {name} := {value}")
+                    typed = typed - {name}
+                self.shapes.add("redeclare")
+                names[name] = True
+                stmts.append(f"{rng.choice(('y', 'x'))} := {name} + 1")
+            elif roll < 0.6 and depth < 2:
+                stmts.append(self.block(names, typed, depth + 1))
+            elif roll < 0.85 and typed:
+                stmts.append(self.call(names, typed))
+            else:
+                stmts.append(f"S := {self.expr(names)}")
+        return "; ".join(stmts)
+
+    def block(self, names, typed, depth):
+        rng = self.rng
+        if rng.random() < 0.35:
+            return f"proc {rng.choice(('0', 'p - 1'))} {{ {self.body(names, typed, depth, False)} }}"
+        var = rng.choice(("i", "i", "x"))  # x: an existing local counts, unless hidden typed
+        inner = dict(names)
+        if var == "i":
+            inner["i"] = True
+        return f"for {var} from 0 to {rng.choice(('1', '2'))} {{ " \
+               f"{self.body(inner, typed, depth, True)} }}"
+
+    def render(self):
+        names = {n: False for n in ("x", "y", "d", "u")}
+        lines = [SCOPE_HEAD]
+        lines += [self.block(names, {"u"}, 0) + ";" for _ in range(self.rng.randint(2, 4))]
+        return "".join(lines[:1]) + "\n".join(lines[1:]) + "\n"
+
+
+def scope_outcome(checked, nprocs, run_path, seed):
+    """The fault's text, or the locals per rank, the arrays and the rendered trace."""
+    try:
+        result = run_path(checked, nprocs, seed=seed)
+    except RuntimeFault as fault:
+        return ("fault", str(fault))
+    return ("done",
+            {n: result.local(n) for n in result.names() if n not in result._arrays},
+            {n: repr(result.logical(n)) for n in ("S",)},
+            [list(rep) for rep in result.array("a").replicas],
+            result.trace.render())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scopes_match_the_ast_walk(seed):
+    """Names the compiled run finds by the checker's slots are those the
+    walk finds by name, in one flat environment and a stack of what each
+    scope hides."""
+    source = ScopeGen(seed).render()
+    checked = check_program(parse(source))
+    for nprocs in (1, 2, 3):
+        for sched_seed in (0, 7919):
+            compiled = scope_outcome(checked, nprocs, run, sched_seed)
+            assert compiled == scope_outcome(checked, nprocs, run_walked, sched_seed), \
+                (nprocs, sched_seed, source)
+
+
+def test_scope_programs_cover_every_shape():
+    shapes, kinds = set(), {"fault": 0, "done": 0}
+    for seed in range(40):
+        gen = ScopeGen(seed)
+        checked = check_program(parse(gen.render()))
+        shapes |= gen.shapes
+        kinds[scope_outcome(checked, 2, run, 0)[0]] += 1
+    assert shapes == {"redeclare", "typed", "around", "hidden call", "recursion"}
+    assert kinds["fault"] >= 2 and kinds["done"] >= 20, kinds
