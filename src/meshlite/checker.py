@@ -6,8 +6,8 @@ Scoping is lexical, and this is the one walk over the scopes. Each
 declaration gets the next slot of its frame (the top level's, or a
 function's, which starts with the top-level slots its body sees), free
 again once its scope closes. The compiler gets what this resolves in the
-CheckedProgram, and the run finds every binding by its slot, never by
-its name. Type arguments are read by one walk,
+CheckedProgram, and the run finds every array and local by its slot,
+never by its name. Type arguments are read by one walk,
 `type_argument`: a constant argument is checked here against every
 allocation rule, an argument over local integers becomes a closure run
 when its declaration runs, and any other argument is a diagnostic at the
@@ -73,7 +73,7 @@ class VarInfo:
     kind: chains.Kind
     refused: bool = False  # a local whose initializer was refused: its uses report nothing
     node: object = None  # the VarDecl, Param or For declaring it
-    slot: int = 0  # its binding's index in its frame
+    slot: int = 0  # the index of its array or Local in its frame
 
 
 @dataclass

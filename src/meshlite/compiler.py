@@ -22,9 +22,10 @@ caller drains: one Python frame per level of nesting.
 
 What a name reads and how a store communicates are decided here, once,
 from the Kind the checker resolved it to (the Mesham types decide it
-before the program runs); no closure looks at a binding's kind. No
-closure looks a name up either: each reads and stores the binding at
-the slot the checker gave its declaration, in `ctx.frame`. A function
+before the program runs); no closure looks at a kind. No closure looks
+a name up either: each reads and stores the slot the checker gave its
+declaration, in `ctx.frame`, which holds a distributed name's array
+itself, or a local's `values.Local` cell. A function
 is defined at top level, and its body is compiled once, where it is
 defined (`funcdef`); a call's frame starts with the top-level slots the
 body sees, so the body reads the names where it is defined, whatever
@@ -47,7 +48,7 @@ from types import GeneratorType as Generator
 from . import ast
 from .checker import BUILTINS, chain_of, evaluated
 from .runtime import ZEROES
-from .values import OPERATORS, Binding, LineSlice, owned_blocks, row_of
+from .values import OPERATORS, LineSlice, Local, owned_blocks, row_of
 
 
 _LITERALS = (ast.IntLit, ast.RealLit, ast.StrLit)
@@ -98,10 +99,10 @@ def _element(ctx, node, shape, i):
     return i
 
 
-def _store(ctx, binding, block, offset, value):
-    """Store into one element of binding's array; may wait (a put when remote)."""
+def _store(ctx, array, block, offset, value):
+    """Store into one element of array; may wait (a put when remote)."""
     if block.owner != ctx.rank:
-        return ctx.store(binding, block, offset, value)
+        return ctx.store(array, block, offset, value)
     block.buffer[offset] = value
 
 
@@ -163,7 +164,7 @@ class Compiler:
                 values = tuple([evaluated(arg, ctx) for arg in readers])
                 frame = ctx.frame
                 frame[slot] = yield from ctx.allocate(
-                    node, lambda: chain_of(type_expr, values), kind.read_only,
+                    node, lambda: chain_of(type_expr, values),
                     {role: frame[t.slot] for role, t in targets.items()}, values)
             return allocate
 
@@ -178,7 +179,7 @@ class Compiler:
                 value = ctx.state.overrides[name]
             else:
                 value = zero if init is None else init(ctx)
-            ctx.frame[slot] = Binding(name, "local", value=value, read_only=kind.read_only)
+            ctx.frame[slot] = Local(value)
         return local
 
     # --- assignments ---
@@ -202,36 +203,35 @@ class Compiler:
             return local
         if kind == "replica":
             def replica(ctx):
-                ctx.frame[slot].array.replicas[ctx.rank][0] = value(ctx)
+                ctx.frame[slot].replicas[ctx.rank][0] = value(ctx)
             return replica
         source = self.names[id(node.value)] if type(node.value) is ast.Name else None
         if kind == "array":  # the checker lets in only another array
             def redistribute(ctx):
                 ctx.unguarded("array assignment", node)
                 frame = ctx.frame
-                return ctx.assign_arrays(frame[slot].array, frame[source.slot].array, node)
+                return ctx.assign_arrays(frame[slot], frame[source.slot], node)
             return redistribute
 
         if source is not None and _class(source.kind) == "single":
             def transfer(ctx):
                 """From a single-copy scalar: over a matching channel, else one-sided."""
-                binding, src = ctx.frame[slot], ctx.frame[source.slot]
-                owner, src_owner = binding.array.blocks[0].owner, src.array.blocks[0].owner
-                comm = binding.comm
+                array, src = ctx.frame[slot], ctx.frame[source.slot]
+                owner, src_owner = array.blocks[0].owner, src.blocks[0].owner
+                comm = array.descriptor.comm
                 if comm is not None and (comm[1], comm[2]) == (src_owner, owner) \
                         and src_owner != owner:
-                    return ctx.channel_assign(node, binding, src, comm)
+                    return ctx.channel_assign(node, array, src)
                 if ctx.performs(owner):
-                    return _store(ctx, binding, binding.array.blocks[0], 0,
-                                  ctx.read_remote_scalar(src))
+                    return _store(ctx, array, array.blocks[0], 0, ctx.read_remote_scalar(src))
             return transfer
 
         def single(ctx):
             """A single-copy scalar from any other value, stored by whoever performs it."""
-            binding = ctx.frame[slot]
-            block = binding.array.blocks[0]
+            array = ctx.frame[slot]
+            block = array.blocks[0]
             if ctx.performs(block.owner):
-                return _store(ctx, binding, block, 0, value(ctx))
+                return _store(ctx, array, block, 0, value(ctx))
         return single
 
     def assign_element(self, node, base):
@@ -243,7 +243,7 @@ class Compiler:
             def replica(ctx):
                 """This process's replica."""
                 i, v = index(ctx), value(ctx)
-                array = ctx.frame[slot].array
+                array = ctx.frame[slot]
                 array.replicas[ctx.rank][_element(ctx, node, array.descriptor.shape, i)] = v
             return replica
 
@@ -253,14 +253,13 @@ class Compiler:
             """Element i of a single-copy array, stored by whoever performs it."""
             frame = ctx.frame
             i = frame[local].value if local is not None else index(ctx)
-            binding = frame[slot]
-            array = binding.array
+            array = frame[slot]
             if i.__class__ is not int:
                 _integer(ctx, node, i)
             k, off = array.descriptor.element(i)
             block = array.blocks[k]
             if ctx.performs(block.owner):
-                return _store(ctx, binding, block, off, value(ctx))
+                return _store(ctx, array, block, off, value(ctx))
         return distributed
 
     def assign_line(self, node, base):
@@ -269,7 +268,7 @@ class Compiler:
         slot = self.names[id(base)].slot
 
         def run(ctx):
-            binding = ctx.frame[slot]
+            array = ctx.frame[slot]
             dst = line(ctx)
             owner = dst.block.owner
             if not ctx.performs(owner):
@@ -277,12 +276,11 @@ class Compiler:
             src = value(ctx)
             if len(src) != len(dst):
                 raise ctx.fault("line assignment needs an equal-length line", node)
-            array = binding.array
             if src.block.owner != ctx.rank:
-                ctx.fetch(src.block.owner, array, binding.name, len(src))
+                ctx.fetch(src.block.owner, array, array.name, len(src))
             payload = src.values()
             if owner != ctx.rank:
-                yield from ctx.put(owner, array, binding.name, len(payload))
+                yield from ctx.put(owner, array, array.name, len(payload))
             dst.store(payload)
         return run
 
@@ -316,20 +314,20 @@ class Compiler:
             ctx.enter(node)
             frame = ctx.frame
             if reuse:
-                binding = frame[slot]
+                counter = frame[slot]
             else:
-                binding = frame[slot] = Binding(var, "local")
+                counter = frame[slot] = Local()
             exec_stmt = ctx.exec_stmt
             if target is not None and ctx.proc_depth == 0:
                 # owner computes: run only the iterations that store on this
                 # rank (or fault); every other one would only find the owner.
                 # Local stores never wait.
                 ((s, fn),) = stmts
-                for binding.value in _owned(frame[target].array, ctx.rank, lo, hi):
+                for counter.value in _owned(frame[target], ctx.rank, lo, hi):
                     exec_stmt(s, fn)
-                binding.value = hi
+                counter.value = hi
             else:
-                for binding.value in range(lo, hi + 1):
+                for counter.value in range(lo, hi + 1):
                     for s, fn in stmts:
                         result = exec_stmt(s, fn)
                         if result.__class__ is Generator:
@@ -473,9 +471,9 @@ class Compiler:
             elif kind == "local":
                 fn = lambda ctx: ctx.frame[arg].value  # noqa: E731
             elif kind == "array":
-                fn = lambda ctx: ctx.frame[arg].array  # noqa: E731
+                fn = lambda ctx: ctx.frame[arg]  # noqa: E731
             elif kind == "replica":
-                fn = lambda ctx: ctx.frame[arg].array.replicas[ctx.rank][0]  # noqa: E731
+                fn = lambda ctx: ctx.frame[arg].replicas[ctx.rank][0]  # noqa: E731
             else:
                 fn = lambda ctx: ctx.read_remote_scalar(ctx.frame[arg])  # noqa: E731
             self.leaves[key] = fn
@@ -552,13 +550,13 @@ class Compiler:
         info = self.names[id(base)]
         slot, known = info.slot, info.kind
         if known.ndim == 2:
-            return lambda ctx: row_of(ctx.frame[slot].array, _integer(ctx, node, index(ctx)))
-        # an element of a 1D array, read straight from the binding
+            return lambda ctx: row_of(ctx.frame[slot], _integer(ctx, node, index(ctx)))
+        # an element of a 1D array, read straight from the array
         local = self.local(node.index)  # a known-local index, read inline
         if known.replicated:
             def element(ctx):
                 frame = ctx.frame
-                array = frame[slot].array
+                array = frame[slot]
                 i = frame[local].value if local is not None else index(ctx)
                 shape = array.descriptor.shape
                 # _element's rule, inline on the commonest read: a call
@@ -570,7 +568,7 @@ class Compiler:
 
         def single_copy(ctx):
             frame = ctx.frame
-            array = frame[slot].array
+            array = frame[slot]
             i = frame[local].value if local is not None else index(ctx)
             if i.__class__ is not int:
                 _integer(ctx, node, i)
@@ -621,7 +619,8 @@ class Compiler:
 
     def user_call(self, node):
         """A call: its frame holds the top-level slots the body sees, then
-        the arguments' bindings for the parameters, then the body's own."""
+        the arguments' arrays and Local cells for the parameters, then the
+        body's own."""
         stmts = self.bodies[node.func]
         seen = self.checked.seen[node.func]
         args = [self.names[id(a)].slot for a in node.args]  # names: the checker refuses any other

@@ -5,6 +5,8 @@ compiles the program once into closures (compiler.py), and every
 statement runs as its closure: local work and one-sided gets run
 straight through; puts, channel transfers and collectives yield. The
 closures share the rules and the data movement of ProcessContext below.
+A process's frames hold only data: a distributed name's array, whose
+descriptor carries its channel mode, or a local's values.Local cell.
 The dispatch for an assignment follows the resolved type attributes:
 
   local variable          plain per-process store
@@ -35,7 +37,6 @@ from .errors import (
     RuntimeFault,
 )
 from .sched import PAUSE, Barrier, ChannelSlot, Collective, PendingTransfer, Scheduler
-from .values import Binding
 
 
 # --- FFT kernel ---
@@ -102,8 +103,8 @@ class RunState:
         self.workdir = workdir or os.getcwd()
         self.layout_only = layout_only
         self.overrides = overrides or {}
-        # (stmt id, instance) -> (array, plan, type-argument values or None
-        # when others may not take the plan), in declaration order
+        # (stmt id, instance) -> (array, type-argument values or None when
+        # others may not take its plan), in declaration order
         self.allocations = {}
         # (compiler.LocalOnly, arrival) -> [ranks past it, the inputs of the
         # first rank to snapshot them, the outputs it got]; see run_once
@@ -124,14 +125,14 @@ class RunState:
 class RunResult:
     def __init__(self, state, contexts):
         self.trace = state.trace
-        self.declared = [(array.name, array) for array, _, _ in state.allocations.values()]
+        self.declared = [(array.name, array) for array, _ in state.allocations.values()]
         self.nprocs = state.nprocs
         self._arrays = {}
         self._locals = {}
         tops = [c.toplevel() for c in contexts]
-        for name, binding in tops[0].items():
-            if binding.kind == "array":
-                self._arrays[name] = binding.array
+        for name, info in contexts[0].checked.toplevel.items():
+            if info.kind.distributed:
+                self._arrays[name] = tops[0][name]
             else:
                 self._locals[name] = [top[name].value for top in tops]
 
@@ -161,15 +162,16 @@ class RunResult:
 
 
 class ProcessContext:
-    """One simulated process: its bindings, and what its compiled
+    """One simulated process: its frames, and what its compiled
     statements share (compiler.py): the rules of access, one-sided and
     channel transfers, collectives and builtins. Reads return their value
     at once, a one-sided get included; a helper that waits (a put, a
     channel transfer, a collective) is a generator.
 
-    A binding lives in a frame, a list, at the slot the checker gave its
-    declaration: `top` is the top level's frame and `frame` that of the
-    code running. A scope keeps nothing here but the count of those open.
+    A frame is a list; the slot the checker gave a declaration holds its
+    array, for a distributed name, or else its values.Local cell. `top`
+    is the top level's frame and `frame` that of the code running. A
+    scope keeps nothing here but the count of those open.
     """
 
     def __init__(self, rank, state, checked):
@@ -197,7 +199,7 @@ class ProcessContext:
         self.depth -= 1
 
     def toplevel(self):
-        """The top-level bindings by name, once the program has run."""
+        """Each top-level name's array or Local, once the program has run."""
         return {name: self.top[info.slot] for name, info in self.checked.toplevel.items()}
 
     def arrival(self, point):
@@ -239,30 +241,29 @@ class ProcessContext:
 
     # --- declarations ---
 
-    def allocate(self, stmt, chain_of, read_only, targets, values=None):
-        """Generator: returns the binding of stmt's new array. Allocation
-        is collective: the first process here plans and allocates, and
-        none goes on until all have arrived. A later process whose type
-        arguments evaluated to the same `values` takes that plan; any
-        other builds its chain with `chain_of()` and plans it, and faults
-        if it gets another layout. An arraydist plan is never taken: each
-        process snapshots its own map. `targets` holds the bindings the
-        chain names, by role ("arraydist", "share")."""
+    def allocate(self, stmt, chain_of, targets, values=None):
+        """Generator: returns stmt's new array. Allocation is collective:
+        the first process here plans and allocates, and none goes on until
+        all have arrived. A later process whose type arguments evaluated
+        to the same `values` takes that array; any other builds its chain
+        with `chain_of()` and plans it, and faults if it gets another
+        layout. An arraydist plan is never taken: each process snapshots
+        its own map. `targets` holds the arrays the chain names, by role
+        ("arraydist", "share")."""
         self.unguarded("allocation", stmt)
         key = (id(stmt), self.arrival(id(stmt)))
         allocation = self.state.allocations.get(key)
-        if values is not None and allocation is not None and allocation[2] == values:
-            array, plan, _ = allocation
+        if values is not None and allocation is not None and allocation[1] == values:
+            array = allocation[0]
         else:
             plan = chains.plan_of(chain_of())
             array = self.allocate_plan(stmt, plan, allocation, targets)
             if allocation is None:
                 reusable = values is not None and plan.distribution[0] != "arraydist"
-                self.state.allocations[key] = (array, plan, values if reusable else None)
-        binding = Binding(stmt.name, "array", array=array, comm=plan.comm, read_only=read_only)
+                self.state.allocations[key] = (array, values if reusable else None)
         yield from self.state.barrier.wait(
             self.rank, Collective("allocate", f"var {stmt.name}", stmt))
-        return binding
+        return array
 
     def allocate_plan(self, stmt, plan, allocation, targets):
         """The array of a plan: new when no process has made the
@@ -272,18 +273,17 @@ class ProcessContext:
                 raise self.fault(f"channel endpoint {end} outside [0, {self.state.nprocs})", stmt)
         dist_map = None
         if plan.distribution[0] == "arraydist":  # this process's copy of the map
-            dist_map = list(targets["arraydist"].array.replicas[self.rank])
+            dist_map = list(targets["arraydist"].replicas[self.rank])
         descriptor = runtime.descriptor_from_plan(plan, self.state.nprocs, dist_map)
         if allocation is not None:
-            array, allocated_plan, _ = allocation
-            fields = [(field, getattr(descriptor, field), getattr(array.descriptor, field))
-                      for field in ("shape", "elem", "ordering", "partition", "distribution")]
-            for field, mine, allocated in fields + [("comm", plan.comm, allocated_plan.comm)]:
+            array = allocation[0]
+            for field in ("shape", "elem", "ordering", "partition", "distribution", "comm"):
+                mine, allocated = getattr(descriptor, field), getattr(array.descriptor, field)
                 if mine != allocated:
                     raise self.fault(f"SPMD divergence: {stmt.name!r} has {field} {mine} here, "
                                      f"but {allocated} where it was allocated", stmt)
             return array
-        base = None if plan.share_base is None else targets["share"].array
+        base = None if plan.share_base is None else targets["share"]
         return runtime.allocate(stmt.name, descriptor, base=base)
 
     # --- local-only loops ---
@@ -307,13 +307,13 @@ class ProcessContext:
         if entry is None:
             entry = loops[key] = [0, None, None]
         frame, rank = self.frame, self.rank
-        bindings = [frame[slot] for slot in loop.locals]
-        replicas = [frame[slot].array.replicas[rank] for slot in loop.replicas]
+        cells = [frame[slot] for slot in loop.locals]
+        replicas = [frame[slot].replicas[rank] for slot in loop.replicas]
         if trips * loop.statements * ELEMENTS_PER_STATEMENT \
-                < len(bindings) + sum(map(len, replicas)):
+                < len(cells) + sum(map(len, replicas)):
             run()
         else:
-            objects = bindings + replicas
+            objects = cells + replicas
             aliases = None
             if len(set(map(id, objects))) < len(objects):  # a name bound to another's
                 first = {}
@@ -322,18 +322,18 @@ class ProcessContext:
             # version 2 writes no back-references, so equal values give equal
             # bytes whichever objects hold them
             inputs = marshal.dumps(
-                (self.depth, aliases, [b.value for b in bindings], replicas), 2)
+                (self.depth, aliases, [c.value for c in cells], replicas), 2)
             if inputs == entry[1]:
                 values, contents, self.stmt = entry[2]
                 for k, value in zip(loop.stores, values):
-                    bindings[k].value = value
+                    cells[k].value = value
                 for k, content in zip(loop.fills, contents):
                     replicas[k][:] = content
             else:
                 run()
                 if entry[1] is None:
                     entry[1] = inputs
-                    entry[2] = ([bindings[k].value for k in loop.stores],
+                    entry[2] = ([cells[k].value for k in loop.stores],
                                 [list(replicas[k]) for k in loop.fills], self.stmt)
         entry[0] += 1
         if entry[0] == self.state.nprocs:
@@ -365,17 +365,17 @@ class ProcessContext:
         self.state.trace.record("onesided-put", src=self.rank, dst=owner,
                                 nbytes=count * array.esize, tag=tag)
 
-    def store(self, binding, block, offset, value):
+    def store(self, array, block, offset, value):
         """Generator: store one element, after a onesided-put when remote."""
         if block.owner != self.rank:
-            yield from self.put(block.owner, binding.array, binding.name)
+            yield from self.put(block.owner, array, array.name)
         block.buffer[offset] = value
 
-    def read_remote_scalar(self, binding):
+    def read_remote_scalar(self, array):
         """A single scalar's value, by a onesided-get when remote."""
-        block = binding.array.blocks[0]
+        block = array.blocks[0]
         if block.owner != self.rank:
-            self.fetch(block.owner, binding.array, binding.name)
+            self.fetch(block.owner, array, array.name)
         return block.buffer[0]
 
     def read_element(self, array, i):
@@ -394,33 +394,32 @@ class ProcessContext:
             self.fetch(line.block.owner, line.array, line.array.name)
         return value
 
-    def channel_assign(self, stmt, dst_binding, src_binding, comm):
-        """Generator: point-to-point transfer over the declared link."""
-        _, csrc, cdst, is_async = comm
-        array = dst_binding.array
-        nbytes = array.esize
+    def channel_assign(self, stmt, array, src):
+        """Generator: point-to-point transfer into array from the scalar
+        src, over array's declared link."""
+        _, csrc, cdst, is_async = array.descriptor.comm
+        nbytes, tag = array.esize, array.name
         slot = self.state.channel_slot(array, csrc, cdst)
         if self.rank == csrc:
-            value = src_binding.array.blocks[0].buffer[0]
+            value = src.blocks[0].buffer[0]
             self.state.trace.record("channel-send", src=csrc, dst=cdst,
-                                    nbytes=nbytes, tag=dst_binding.name)
+                                    nbytes=nbytes, tag=tag)
             if is_async:
                 state = self.state
 
                 def deliver(value=value):
                     array.blocks[0].buffer[0] = value
                     state.trace.record("channel-recv", src=csrc, dst=cdst,
-                                       nbytes=nbytes, tag=dst_binding.name)
+                                       nbytes=nbytes, tag=tag)
 
-                self.state.scheduler.post_async(
-                    PendingTransfer(dst_binding.name, deliver))
+                self.state.scheduler.post_async(PendingTransfer(tag, deliver))
                 return
             yield from slot.send(value, stmt)
             return
         if self.rank == cdst and not is_async:
             value = yield from slot.recv(stmt)
             self.state.trace.record("channel-recv", src=csrc, dst=cdst,
-                                    nbytes=nbytes, tag=dst_binding.name)
+                                    nbytes=nbytes, tag=tag)
             array.blocks[0].buffer[0] = value
 
     # --- collectives ---

@@ -80,6 +80,7 @@ class ArrayDescriptor:
     partition: Optional[tuple]  # ("horizontal"|"vertical", p)
     distribution: tuple  # ("on", r) | ("even",) | ("arraydist", (ranks...)) | ("multiple",)
     nprocs: int
+    comm: Optional[tuple] = None  # ("channel", src, dst, is_async), or None for one-sided
 
     @property
     def ndim(self) -> int:
@@ -210,12 +211,14 @@ class DistributedArray:
 
 
 def descriptor_from_plan(plan: AllocationPlan, nprocs: int, dist_map=None) -> ArrayDescriptor:
-    """The descriptor of a plan; an arraydist plan takes its map's values."""
+    """The descriptor of a plan, its channel mode included; an arraydist
+    plan takes its map's values."""
     dist = plan.distribution
     if dist[0] == "arraydist":
         dist = ("arraydist", tuple(int(v) for v in dist_map))
     return ArrayDescriptor(shape=plan.shape, elem=plan.elem, ordering=plan.ordering,
-                           partition=plan.partition, distribution=dist, nprocs=nprocs)
+                           partition=plan.partition, distribution=dist, nprocs=nprocs,
+                           comm=plan.comm)
 
 
 def allocate(name: str, descriptor: ArrayDescriptor, base: Optional[DistributedArray] = None) -> DistributedArray:

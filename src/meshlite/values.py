@@ -43,16 +43,13 @@ class LineSlice:
         self.block.buffer[self.start : self.start + self.length] = values
 
 
-class Binding:
-    __slots__ = ("name", "kind", "value", "array", "comm", "read_only")
+class Local:
+    """A process-local variable's frame slot. A call's frame and a run-once
+    loop share the cell itself, so a store through one is seen by all."""
+    __slots__ = ("value",)
 
-    def __init__(self, name, kind, value=None, array=None, comm=None, read_only=False):
-        self.name = name
-        self.kind = kind  # "local" | "array"
+    def __init__(self, value=None):
         self.value = value
-        self.array = array
-        self.comm = comm  # ("channel", src, dst, is_async) or None for one-sided
-        self.read_only = read_only
 
 
 def _divide(left, right):

@@ -17,12 +17,25 @@ uses the slots the checker gave, and never the names.
 
 from meshlite import ast, chains, interp, runtime
 from meshlite.sched import PAUSE
-from meshlite.values import OPERATORS, Binding, BlockRef, LineSlice, owned_blocks, row_of
+from meshlite.values import OPERATORS, BlockRef, LineSlice, owned_blocks, row_of
 
 
 def install(patch):
     """Make `interp.run` walk the AST; `patch` is a pytest MonkeyPatch."""
     patch.setattr(interp, "ProcessContext", WalkingContext)
+
+
+class Binding:
+    """What a name finds in the walk's environment: a local's value, or
+    an array, and whether a store into it faults."""
+    __slots__ = ("name", "kind", "value", "array", "read_only")
+
+    def __init__(self, name, kind, value=None, array=None, read_only=False):
+        self.name = name
+        self.kind = kind  # "local" | "array"
+        self.value = value
+        self.array = array
+        self.read_only = read_only
 
 
 class WalkingContext(interp.ProcessContext):
@@ -66,7 +79,7 @@ class WalkingContext(interp.ProcessContext):
         super().leave()
 
     def toplevel(self):
-        return self.globals
+        return {name: b.array if b.kind == "array" else b for name, b in self.globals.items()}
 
     def walk_stmt(self, stmt):
         if isinstance(stmt, ast.VarDecl):
@@ -110,9 +123,11 @@ class WalkingContext(interp.ProcessContext):
             self.bind(stmt.name,
                       Binding(stmt.name, "local", value=value, read_only=kind.read_only))
             return
-        targets = {role: self.lookup(var) for role, var in chains.references(chain).items()}
-        binding = yield from self.allocate(stmt, lambda: chain, kind.read_only, targets)
-        self.bind(stmt.name, binding)
+        targets = {role: self.lookup(var).array
+                   for role, var in chains.references(chain).items()}
+        array = yield from self.allocate(stmt, lambda: chain, targets)
+        self.bind(stmt.name,
+                  Binding(stmt.name, "array", array=array, read_only=kind.read_only))
 
     def eval_extent(self, expr):
         """Declaration-time evaluation of type-chain arguments."""
@@ -171,7 +186,7 @@ class WalkingContext(interp.ProcessContext):
         """Single-copy scalar destination: channel, one-sided or local."""
         array = binding.array
         dst_owner = array.blocks[0].owner
-        comm = binding.comm
+        comm = array.descriptor.comm
 
         src_binding = None
         if isinstance(stmt.value, ast.Name):
@@ -184,7 +199,7 @@ class WalkingContext(interp.ProcessContext):
             src_owner = src_binding.array.blocks[0].owner
             if comm is not None and (comm[1], comm[2]) == (src_owner, dst_owner) \
                     and src_owner != dst_owner:
-                yield from self.channel_assign(stmt, binding, src_binding, comm)
+                yield from self.channel_assign(stmt, array, src_binding.array)
                 return
             if self.proc_depth == 0:
                 # destination owner pulls the value; everybody else skips

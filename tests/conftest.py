@@ -531,6 +531,27 @@ def oracle_dft1d(values):
     ]
 
 
+def oracle_dft2d(matrix):
+    """Direct O(n^4) 2D DFT: X[k,l] = sum over (a,b) of x[a,b] w^(ak+bl).
+
+    Uses a precomputed root table; still a plain double sum so it stays
+    independent of the fast transform it checks.
+    """
+    n = len(matrix)
+    roots = [cmath.exp(-2j * cmath.pi * t / n) for t in range(n)]
+    out = [[0j] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(n):
+            acc = 0j
+            for a in range(n):
+                row = matrix[a]
+                ak = a * k
+                for b in range(n):
+                    acc += row[b] * roots[(ak + b * l) % n]
+            out[k][l] = acc
+    return out
+
+
 # --- the canonical pretty-printer ---
 
 

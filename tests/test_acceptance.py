@@ -17,6 +17,7 @@ from conftest import (
     fill_sequential,
     make_descriptor,
     oracle_dft1d,
+    oracle_dft2d,
     resolve_attribute,
     run_collective,
 )
@@ -24,7 +25,7 @@ from meshlite import check_program, parse, run
 from meshlite.chains import combine, plan_of
 from meshlite.chains import Char, Col, Const, Horizontal, Int, Multiple, On, Row, Single, Vertical, ArrayOf, Complex
 from meshlite.errors import CheckError, InvalidCombination
-from meshlite.fixtures import CORPUS, corpus_source, generate_image, oracle_dft2d
+from meshlite.fixtures import CORPUS, corpus_source, generate_image
 from meshlite.interp import compute_sins, fft_inplace
 from meshlite.values import LineSlice
 from meshlite.mshd import read_mshd

@@ -705,7 +705,7 @@ f(w);
 """, nprocs=2)
     assert result.local("x") == [1, 1]
     assert result.local("y") == [12, 11]
-    assert result.local("w") == [6, 6]  # the parameter was w's binding
+    assert result.local("w") == [6, 6]  # the parameter was w's cell
 
 
 def test_function_bodies_see_the_names_where_they_are_defined():
@@ -1117,6 +1117,39 @@ def test_waiting_compound_statements_match_the_ast_walk(source):
         seen = [run_path(checked, 3, seed=seed) for run_path in RUNS]
         assert seen[0].trace.render() == seen[1].trace.render()
         assert seen[0].local("t") == seen[1].local("t")
+
+
+PARAMETER_TRANSFERS = """var X : array[Int,4] :: allocated[single[on[0]]];
+var Y : array[Int,4] :: allocated[single[on[0]]];
+var k : Int :: allocated[single[on[1]]] :: channel[0,1];
+var q : Int :: allocated[single[on[0]]];
+function poke(A : array[Int,4] :: allocated[single[on[0]]]) { proc 1 { A[1] := A[0] + 5 } };
+function pass(c : Int :: allocated[single[on[1]]] :: channel[0,1]) { c := q };
+proc 0 { X[0] := 10; Y[0] := 20; q := 7 };
+sync;
+poke(X);
+poke(Y);
+pass(k);
+sync;
+"""
+
+
+@pytest.mark.parametrize("nprocs", [2, 3])
+def test_transfers_through_a_parameter_take_the_arguments_tag_and_link(nprocs):
+    """A get and a put through an array parameter are tagged with each
+    argument's own array, and a store into a channel parameter goes over
+    its argument's link, as on the AST walk."""
+    checked = check_program(parse(PARAMETER_TRANSFERS))
+    for seed in (0, 7919):
+        seen = [run_path(checked, nprocs, seed=seed) for run_path in RUNS]
+        rows = [line.split("\t") for line in seen[0].trace.render().splitlines()]
+        assert sorted((kind, src, dst, tag) for kind, src, dst, _, _, tag in rows) == [
+            ("channel-recv", "0", "1", "k"), ("channel-send", "0", "1", "k"),
+            ("onesided-get", "0", "1", "X"), ("onesided-get", "0", "1", "Y"),
+            ("onesided-put", "1", "0", "X"), ("onesided-put", "1", "0", "Y")]
+        assert seen[0].trace.render() == seen[1].trace.render()
+        for result in seen:
+            assert [result.logical(n) for n in "XYk"] == [[10, 15, 0, 0], [20, 25, 0, 0], 7]
 
 
 @pytest.mark.parametrize("name", ["fft2d.mesh", "fft2d_arraydist.mesh", "onesided.mesh",

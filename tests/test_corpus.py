@@ -2,9 +2,9 @@
 
 import pytest
 
-from conftest import TeeTraceLog, assert_trace_matches_reference, checked_corpus
+from conftest import TeeTraceLog, assert_trace_matches_reference, checked_corpus, oracle_dft2d
 from meshlite import check_program, parse, run, runtime
-from meshlite.fixtures import CORPUS, corpus_source, generate_image, oracle_dft2d
+from meshlite.fixtures import CORPUS, corpus_source, generate_image
 from meshlite.mshd import read_mshd
 
 FFT_PROGRAMS = ["fft2d.mesh", "fft2d_arraydist.mesh"]

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from conftest import checked_corpus, make_descriptor, oracle_dft1d
+from conftest import checked_corpus, make_descriptor, oracle_dft1d, oracle_dft2d
 from meshlite import check_program, parse, run
 from meshlite.errors import BadLength, NotPowerOfTwo
-from meshlite.fixtures import corpus_source, generate_image, oracle_dft2d
+from meshlite.fixtures import corpus_source, dft2d, generate_image
 from meshlite.interp import bit_reversal, compute_sins, fft_inplace
 from meshlite.mshd import read_mshd
 from meshlite.runtime import allocate
@@ -143,6 +143,17 @@ def test_oracle_2d_separability():
     cols = [oracle_dft1d([rows[i][j] for i in range(n)]) for j in range(n)]
     composed = [[cols[j][i] for j in range(n)] for i in range(n)]
     assert max(abs(direct[i][j] - composed[i][j]) for i in range(n) for j in range(n)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_fixture_dft_matches_the_double_sum(n):
+    """make-fixtures' separable direct DFT equals the O(n^4) double sum."""
+    rng = random.Random(n)
+    matrix = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+              for _ in range(n)]
+    direct, separable = oracle_dft2d(matrix), dft2d(matrix)
+    assert len(separable) == n and all(len(row) == n for row in separable)
+    assert max(abs(direct[i][j] - separable[i][j]) for i in range(n) for j in range(n)) < 1e-9
 
 
 # --- pipeline and share view ---
