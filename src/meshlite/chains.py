@@ -1,7 +1,9 @@
 """Type chains: constructor combination rules, attribute resolution and
-allocation planning. This is the only module that reads a chain: the
-checker, the compiler and the interpreter take what a declaration makes
-of its name from kind_of, and its plan rules from plan_problems.
+allocation planning. This is the only module that reads a chain, and
+layout_of reads it once into a Layout: what a declaration makes of its
+name, where its data lives and every plan rule it breaks. The checker
+records it as each name's kind, and plan_of is that Layout once its
+arguments are evaluated.
 
 A chain is an ordered tuple of constructors. Attributes (mutability,
 ordering, partition, distribution, placement, commMode) are resolved with
@@ -23,7 +25,7 @@ Integer arguments may be None while a program is only being validated
 structurally; plan_of requires concrete values.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .errors import IncompletePlan, InvalidCombination
@@ -289,107 +291,102 @@ def _attributes(chain: TypeChain) -> dict:
 
 
 @dataclass(frozen=True)
-class Kind:
-    """What a declaration makes of its name, whatever its extents' values."""
+class Layout:
+    """What a chain makes of its name and where its data lives, whatever
+    its extents' values: the one reading of a chain."""
 
     elem: Optional[str] = None  # int | char | real | complex; None without a scalar base
-    ndim: int = 0  # 0 for a scalar, else the array's dimensions
+    shape: tuple = ()  # () scalar, (n,) 1D, (d0, d1) 2D; None for an extent not yet evaluated
+    ordering: str = "row"  # row | col
+    partition: Optional[tuple] = None  # ("horizontal"|"vertical", parts)
+    distribution: tuple = ("multiple",)  # ("on", rank) | ("even",) | ("arraydist", var)
+    comm: Optional[tuple] = None  # ("channel", src, dst, is_async); None for one-sided
+    references: tuple = ()  # each (role, name) the chain names: "arraydist" or "share"
     distributed: bool = False  # owns PGAS storage: an array base or allocated[...]
-    replicated: bool = False  # distributed, and multiple: one copy per process
-    partitioned: bool = False
     read_only: bool = False
+    problems: tuple = ()  # every plan rule the chain breaks, in the order plan_of reports them
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def replicated(self) -> bool:
+        """Distributed, and multiple: one copy per process."""
+        return self.distributed and self.distribution[0] == "multiple"
+
+    @property
+    def partitioned(self) -> bool:
+        return self.partition is not None
 
 
-LOCAL = Kind()  # an untyped local
+LOCAL = Layout()  # an untyped local
 
 _ELEM_KINDS = {Int: "int", Char: "char", Real: "real", Complex: "complex"}
 
 
-def kind_of(chain: TypeChain) -> Kind:
-    """The Kind of a formed chain; its arguments may be unevaluated."""
+def layout_of(chain: TypeChain) -> Layout:
+    """The Layout of a formed chain; its arguments may be unevaluated."""
     base = _base_of(chain)
-    ndim = 0
-    if isinstance(base, ArrayOf):
-        ndim, base = len(base.dims), _base_of(base.elem)
+    array = base if isinstance(base, ArrayOf) else None
+    if array is not None:
+        base = _base_of(array.elem)
     attrs = _attributes(chain)
-    distributed = ndim > 0 or any(isinstance(c, Allocated) for c in chain)
-    return Kind(
+    flat = list(_flatten(chain))
+    references = tuple(("share", c.var) if isinstance(c, Share) else ("arraydist", c.placement.var)
+                       for c in flat if isinstance(c, Share)
+                       or isinstance(c, Single) and isinstance(c.placement, ArrayDist))
+    layout = Layout(
         elem=_ELEM_KINDS.get(type(base)),
-        ndim=ndim,
-        distributed=distributed,
-        replicated=distributed and attrs["distribution"][0] == "multiple",
-        partitioned=attrs["partition"] is not None,
+        shape=() if array is None else array.dims,
+        ordering=attrs["ordering"],
+        partition=attrs["partition"],
+        distribution=attrs["distribution"],
+        comm=None if attrs["commMode"] == ("one-sided",) else attrs["commMode"],
+        references=references,
+        distributed=array is not None or any(isinstance(c, Allocated) for c in flat),
         read_only=attrs["mutability"] == "read-only",
     )
+    return replace(layout, problems=tuple(_problems(layout, array, flat)))
 
 
-def references(chain: TypeChain) -> dict:
-    """The variables a chain names, in chain order: {"arraydist": d, "share": B},
-    each key present only if the chain has that constructor."""
-    named = {}
-    for c in _flatten(chain):
-        if isinstance(c, Single) and isinstance(c.placement, ArrayDist):
-            named["arraydist"] = c.placement.var
-        elif isinstance(c, Share):
-            named["share"] = c.var
-    return named
-
-
-@dataclass(frozen=True)
-class AllocationPlan:
-    elem: str  # int | char | real | complex
-    shape: tuple  # () scalar, (n,) 1D, (d0, d1) 2D
-    ordering: str  # row | col
-    partition: Optional[tuple]  # ("horizontal"|"vertical", parts)
-    distribution: tuple  # ("on", rank) | ("even",) | ("arraydist", var) | ("multiple",)
-    share_base: Optional[str]
-    comm: Optional[tuple]  # ("channel", src, dst, is_async)
-
-
-def plan_problems(chain: TypeChain) -> list:
-    """Every plan rule a formed chain breaks, whatever values its
-    unevaluated arguments take, in the order plan_of reports them."""
-    problems = []
-    base = _base_of(chain)
-    if base is None:
-        problems.append("chain has no base element type")
-    elif isinstance(base, ArrayOf):
-        if type(_base_of(base.elem)) not in _ELEM_KINDS:
-            problems.append("array element type must be a scalar base type")
-        if not 1 <= len(base.dims) <= 2:
-            problems.append("arrays are one- or two-dimensional")
-        if any(d is not None and d <= 0 for d in base.dims):
-            problems.append("array extents must be positive")
-    attrs = _attributes(chain)
-    distribution = attrs["distribution"]
-    if attrs["partition"] is not None:
-        if not any(isinstance(c, (Single, Multiple)) for c in _flatten(chain)):
-            problems.append("a partitioned array lacks a distribution")
+def _problems(layout, array, flat):
+    """Every plan rule a layout breaks; array is its chain's ArrayOf, if
+    any, and flat its chain's constructors."""
+    shape, distribution, partition = layout.shape, layout.distribution, layout.partition
+    if layout.elem is None:
+        yield ("array element type must be a scalar base type" if array is not None
+               else "chain has no base element type")
+    if array is not None and not 1 <= len(shape) <= 2:
+        yield "arrays are one- or two-dimensional"
+    if any(d is not None and d <= 0 for d in shape):
+        yield "array extents must be positive"
+    if partition is not None:
+        if not any(isinstance(c, (Single, Multiple)) for c in flat):
+            yield "a partitioned array lacks a distribution"
     elif distribution[0] in ("even", "arraydist"):
-        problems.append(f"{distribution[0]} distribution requires a partitioned array")
+        yield f"{distribution[0]} distribution requires a partitioned array"
     if distribution[0] == "on" and distribution[1] is not None and distribution[1] < 0:
-        problems.append(f"placement rank {distribution[1]} is negative")
-    problems.extend(f"channel endpoint {end} is negative"
-                    for end in attrs["commMode"][1:3] if end is not None and end < 0)
-    if "share" in references(chain) and distribution[0] == "multiple":
-        problems.append("a share view needs a single-copy allocation to alias")
-    if base is not None and not isinstance(base, ArrayOf) and not any(
-            isinstance(c, Allocated) for c in chain):
-        for c in chain:
+        yield f"placement rank {distribution[1]} is negative"
+    for end in layout.comm[1:3] if layout.comm else ():
+        if end is not None and end < 0:
+            yield f"channel endpoint {end} is negative"
+    if "share" in dict(layout.references) and distribution[0] == "multiple":
+        yield "a share view needs a single-copy allocation to alias"
+    if layout.elem is not None and not layout.distributed:  # no allocated[...]: flat is the chain
+        for c in flat:
             if isinstance(c, (Single, Multiple)):
                 written = "single[...]" if isinstance(c, Single) else "multiple[]"
-                problems.append(f"{written} outside allocated[...] gives a scalar no "
-                                f"global storage; write allocated[{written}]")
-    partition = attrs["partition"]
+                yield (f"{written} outside allocated[...] gives a scalar no "
+                       f"global storage; write allocated[{written}]")
     count = partition[1] if partition is not None else None
-    if count is not None and isinstance(base, ArrayOf) and 1 <= len(base.dims) <= 2:
-        extent = base.dims[partitioned_dim(len(base.dims), attrs["ordering"], partition)]
+    if count is not None and array is not None and 1 <= len(shape) <= 2:
+        extent = shape[partitioned_dim(len(shape), layout.ordering, partition)]
         if extent is not None and extent > 0:
             if not 0 < count <= extent:
-                problems.append(f"cannot split extent {extent} into {count} blocks")
+                yield f"cannot split extent {extent} into {count} blocks"
         elif count <= 0:
-            problems.append(f"cannot split an array into {count} blocks")
-    return problems
+            yield f"cannot split an array into {count} blocks"
 
 
 def partitioned_dim(ndim: int, ordering: str, partition: Optional[tuple]) -> int:
@@ -403,28 +400,15 @@ def partitioned_dim(ndim: int, ordering: str, partition: Optional[tuple]) -> int
     return major
 
 
-def plan_of(chain: TypeChain) -> AllocationPlan:
-    """Flatten a formed chain, its arguments evaluated, into an
-    allocation plan.
+def plan_of(chain: TypeChain) -> Layout:
+    """The Layout of a formed chain whose arguments are evaluated.
 
-    Raises IncompletePlan with the first of plan_problems.
+    Raises IncompletePlan with the first of its problems.
     """
-    problems = plan_problems(chain)
-    if problems:
-        raise IncompletePlan(problems[0])
-    base, shape = _base_of(chain), ()
-    if isinstance(base, ArrayOf):
-        base, shape = _base_of(base.elem), tuple(base.dims)
-    attrs = _attributes(chain)
-    return AllocationPlan(
-        elem=_ELEM_KINDS[type(base)],
-        shape=shape,
-        ordering=attrs["ordering"],
-        partition=attrs["partition"],
-        distribution=attrs["distribution"],
-        share_base=references(chain).get("share"),
-        comm=None if attrs["commMode"] == ("one-sided",) else attrs["commMode"],
-    )
+    layout = layout_of(chain)
+    if layout.problems:
+        raise IncompletePlan(layout.problems[0])
+    return layout
 
 
 # --- building chains from parsed type expressions ---

@@ -30,7 +30,7 @@ A_CLASS = {"scalar": "a scalar", "array": "an array", "block": "a block", "line"
 
 
 def indexed(cls, kind):
-    """The class of v[i] for v of class cls (kind: the Kind of an array v)."""
+    """The class of v[i] for v of class cls (kind: the Layout of an array v)."""
     if cls == "array":
         return "scalar" if kind.ndim == 1 else "block" if kind.partitioned else "line"
     return "line" if cls == "block" else "scalar"
@@ -40,7 +40,7 @@ _FILE = [("array", lambda k: not (k.replicated or k.partitioned),
           "file transfer needs a singly-allocated, unpartitioned array"),
          ("scalar", None, "file path must be a string")]
 
-# Each builtin's arguments: the class each must have, what its array's Kind
+# Each builtin's arguments: the class each must have, what its array's Layout
 # must be, and the diagnostic otherwise.
 BUILTINS = {
     "processes": [],
@@ -70,7 +70,7 @@ class Diagnostic:
 class VarInfo:
     name: str
     type_expr: Optional[ast.TypeExpr]
-    kind: chains.Kind
+    kind: chains.Layout
     refused: bool = False  # a local whose initializer was refused: its uses report nothing
     node: object = None  # the VarDecl, Param or For declaring it
     slot: int = 0  # the index of its array or Local in its frame
@@ -271,8 +271,8 @@ class Checker:
         self.declare(VarInfo(stmt.name, stmt.type_expr, kind, refused), stmt)
 
     def check_chain(self, type_expr, node):
-        """The Kind of a declared or formal name; reports each rule its chain
-        breaks, and records a distributed one's type arguments as read."""
+        """The Layout of a declared or formal name; reports each rule its
+        chain breaks, and records a distributed one's type arguments as read."""
         readers = []
 
         def evaluate(arg):
@@ -284,10 +284,11 @@ class Checker:
         except MeshError as exc:
             self.report("InvalidCombination", str(exc), node)
             return chains.LOCAL
-        for problem in chains.plan_problems(chain):
+        layout = chains.layout_of(chain)
+        for problem in layout.problems:
             self.report("IncompletePlan", problem, node)
         targets = {}
-        for role, var in chains.references(chain).items():
+        for role, var in layout.references:
             targets[role] = target = self.lookup(var)
             if role == "arraydist":
                 if target is None:
@@ -297,14 +298,19 @@ class Checker:
                           and target.kind.replicated):
                     self.report("ArrayDistTarget", f"{var!r} is not a replicated integer array",
                                 node)
+                elif target.kind.ndim != 1:
+                    self.report("ArrayDistTarget", f"distribution array {var!r} has "
+                                f"{target.kind.ndim} dimensions; a block map has one", node)
             elif target is None:
                 self.report("ShareTarget", f"share base {var!r} is not declared", node)
             elif not target.kind.ndim:
                 self.report("ShareTarget", f"share base {var!r} is not a distributed array", node)
-        kind = chains.kind_of(chain)
-        if kind.distributed:
+            elif target.kind.replicated:
+                self.report("ShareTarget", f"share base {var!r} is replicated; a share view "
+                            "aliases a single-copy array", node)
+        if layout.distributed:
             self.resolved.allocations[id(node)] = (readers, targets)
-        return kind
+        return layout
 
     def check_assign(self, stmt: ast.Assign, in_proc):
         """A store: what its target holds, read as an expression, must be
@@ -401,7 +407,7 @@ class Checker:
             self.report("NotAScalar", f"{role} must be a scalar, not {A_CLASS[cls]}", expr)
 
     def array_kind(self, expr):
-        """The declared Kind of the array that expr, an array, block or line, is of."""
+        """The declared Layout of the array that expr, an array, block or line, is of."""
         while type(expr) is ast.Index:
             expr = expr.base
         return self.lookup(expr.name).kind

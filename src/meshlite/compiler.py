@@ -21,7 +21,7 @@ on the rank it names, so each returns its own generator, which its
 caller drains: one Python frame per level of nesting.
 
 What a name reads and how a store communicates are decided here, once,
-from the Kind the checker resolved it to (the Mesham types decide it
+from the Layout the checker resolved it to (the Mesham types decide it
 before the program runs); no closure looks at a kind. No closure looks
 a name up either: each reads and stores the slot the checker gave its
 declaration, in `ctx.frame`, which holds a distributed name's array
@@ -60,7 +60,7 @@ def compile_program(checked) -> list:
 
 
 def _class(kind):
-    """How a name of chains.Kind kind is read and stored: a leaf's class."""
+    """How a name of chains.Layout kind is read and stored: a leaf's class."""
     if not kind.distributed:
         return "local"
     if kind.ndim:

@@ -283,8 +283,7 @@ class ProcessContext:
                     raise self.fault(f"SPMD divergence: {stmt.name!r} has {field} {mine} here, "
                                      f"but {allocated} where it was allocated", stmt)
             return array
-        base = None if plan.share_base is None else targets["share"]
-        return runtime.allocate(stmt.name, descriptor, base=base)
+        return runtime.allocate(stmt.name, descriptor, base=targets.get("share"))
 
     # --- local-only loops ---
 

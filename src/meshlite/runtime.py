@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .chains import ELEMENT_SIZES, AllocationPlan, partitioned_dim
+from .chains import ELEMENT_SIZES, Layout, partitioned_dim
 from .errors import (
     BadDistribution,
     IndexOutOfBounds,
@@ -210,7 +210,7 @@ class DistributedArray:
         return self.blocks[k].buffer[off]
 
 
-def descriptor_from_plan(plan: AllocationPlan, nprocs: int, dist_map=None) -> ArrayDescriptor:
+def descriptor_from_plan(plan: Layout, nprocs: int, dist_map=None) -> ArrayDescriptor:
     """The descriptor of a plan, its channel mode included; an arraydist
     plan takes its map's values."""
     dist = plan.distribution

@@ -113,7 +113,7 @@ class WalkingContext(interp.ProcessContext):
             return
 
         chain = chains.from_type_expr(stmt.type_expr, self.eval_extent)
-        kind = chains.kind_of(chain)
+        kind = chains.layout_of(chain)
 
         if not kind.distributed:
             if stmt.init is not None:
@@ -123,8 +123,7 @@ class WalkingContext(interp.ProcessContext):
             self.bind(stmt.name,
                       Binding(stmt.name, "local", value=value, read_only=kind.read_only))
             return
-        targets = {role: self.lookup(var).array
-                   for role, var in chains.references(chain).items()}
+        targets = {role: self.lookup(var).array for role, var in kind.references}
         array = yield from self.allocate(stmt, lambda: chain, targets)
         self.bind(stmt.name,
                   Binding(stmt.name, "array", array=array, read_only=kind.read_only))

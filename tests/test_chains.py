@@ -25,9 +25,8 @@ from meshlite.chains import (
     Vertical,
     combine,
     from_type_expr,
-    kind_of,
+    layout_of,
     plan_of,
-    plan_problems,
     validate_append,
 )
 from meshlite.checker import type_argument
@@ -208,7 +207,7 @@ def test_plan_single_accepts_bare_rank():
 def test_plan_share_and_channel_fields():
     plan = plan_of(chain_from_source(
         "array[complex,4,4] :: allocated[col[] :: horizontal[2] :: single[evendist[]]] :: share[B]"))
-    assert plan.share_base == "B"
+    assert plan.references == (("share", "B"),)
     plan = plan_of(chain_from_source("Int :: allocated[single[on[0]]] :: channel[2,0] :: async"))
     assert plan.comm == ("channel", 2, 0, True)
 
@@ -219,7 +218,7 @@ def test_plan_incomplete_without_distribution():
 
 
 def test_plan_const_marks_read_only():
-    assert kind_of(chain_of(Char(), Const())).read_only
+    assert layout_of(chain_of(Char(), Const())).read_only
 
 
 # --- property tests over random chains ---
@@ -250,9 +249,9 @@ BASE_POOL = [
 
 def test_a_typed_local_is_not_replicated():
     """Only a distributed name has copies: `var n : Int` is one plain local."""
-    kind = kind_of(chain_of(Int()))
+    kind = layout_of(chain_of(Int()))
     assert (kind.distributed, kind.replicated) == (False, False)
-    assert kind_of(chain_from_source("Int :: allocated[multiple[]]")).replicated
+    assert layout_of(chain_from_source("Int :: allocated[multiple[]]")).replicated
 
 
 def random_sequence(rng):
@@ -362,8 +361,8 @@ def test_plan_of_never_crashes_on_validated_chains():
     assert produced >= 200
 
 
-def test_plan_problems_and_kind_agree_with_plan_of():
-    """plan_problems lists what plan_of raises, and kind_of reads the chain as the plan does."""
+def test_layout_problems_are_what_plan_of_raises():
+    """A Layout's problems are what plan_of raises; without any, plan_of is that Layout."""
     rng = random.Random(31)
     planned = refused = split = 0
     for _ in range(1500):
@@ -373,23 +372,17 @@ def test_plan_problems_and_kind_agree_with_plan_of():
                 chain = combine(chain, c)
         except InvalidCombination:
             continue
-        problems = plan_problems(chain)
+        layout = layout_of(chain)
+        problems = list(layout.problems)
         try:
             plan = plan_of(chain)
         except IncompletePlan as exc:
             assert problems and problems[0] == str(exc), chain
             refused += 1
             continue
-        assert problems == [], chain
-        kind = kind_of(chain)
-        assert kind.elem == plan.elem, chain
-        assert kind.ndim == len(plan.shape), chain
-        # a local has no copies, whatever distribution the plan defaults to
-        assert kind.replicated == (kind.distributed and plan.distribution[0] == "multiple"), \
-            chain
-        assert kind.partitioned == (plan.partition is not None), chain
-        assert kind.read_only == any(isinstance(c, Const) for c in chain), chain
-        if not kind.distributed:  # a local names no distribution it would ignore
+        assert problems == [] and plan == layout, chain
+        assert plan.read_only == any(isinstance(c, Const) for c in chain), chain
+        if not plan.distributed:  # a local names no distribution it would ignore
             assert not any(isinstance(c, (Single, Multiple)) for c in chain), chain
         if plan.partition is not None:
             extent = plan.shape[partitioned_extent_dim(plan)]
@@ -397,7 +390,7 @@ def test_plan_problems_and_kind_agree_with_plan_of():
             for parts in (0, extent + 1, -1):
                 bad = with_parts(chain, parts)
                 message = f"cannot split extent {extent} into {parts} blocks"
-                assert message in plan_problems(bad), bad
+                assert message in layout_of(bad).problems, bad
                 with pytest.raises(IncompletePlan):
                     plan_of(bad)
                 split += 1

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import ast_walk
@@ -389,6 +392,10 @@ MISUSE = [(MISUSE_HEADER + body, diagnostic) for body, diagnostic in [
     ("var d : array[Int,2] :: allocated[single[on[0]]];\n"
      "var D : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[arraydist[d]]];",
      "8:5: ArrayDistTarget: 'd' is not a replicated integer array"),
+    # this one ran, its map the flattened rows of d: all zeros, as no store reaches them
+    ("var d : array[Int,2,2] :: allocated[multiple[]];\n"
+     "var D : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[arraydist[d]]];",
+     "8:5: ArrayDistTarget: distribution array 'd' has 2 dimensions; a block map has one"),
     ("function f(p : Int) { p[0] := 1 };",
      "7:24: NotIndexable: 'p' is a scalar and cannot be indexed"),
     ("var z := A;", "7:5: ArrayAssignment: 'z' is a local, which holds only a scalar: "
@@ -445,6 +452,9 @@ MOVED_FROM_THE_RUN = [
     (RUN_HEADER + "var d : array[Int,2] :: allocated[single[on[0]]];\n"
      "var D : array[Int,4] :: allocated[row[] :: horizontal[2] :: single[arraydist[d]]];",
      "7:5: ArrayDistTarget: 'd' is not a replicated integer array"),
+    (RUN_HEADER + "var C : array[complex,4] :: allocated[horizontal[2] :: single[evendist[]]] "
+     ":: share[s];",
+     "6:5: ShareTarget: share base 's' is replicated; a share view aliases a single-copy array"),
     (RUN_HEADER + "function f(p : Int) { p[0] := 1 };\nvar w : Int := 0;\nf(w);",
      "6:24: NotIndexable: 'p' is a scalar and cannot be indexed"),
     (RUN_HEADER + "function f(p : Int) { x := p[0] };\nvar w : Int := 0;\nf(w);",
@@ -566,7 +576,7 @@ def value_class(value):
 
 
 def binding_kind(binding):
-    """What a Kind says of a binding: (distributed, replicated, ndim)."""
+    """What a Layout says of a binding: (distributed, replicated, ndim)."""
     if binding.kind == "local":
         return (False, False, 0)
     return (True, binding.array.replicated, binding.array.descriptor.ndim)
@@ -576,7 +586,7 @@ def classes_agree(source, nprocs, workdir):
     """Check source, recording the class check_expr gives each expression,
     then run it through the AST walk, recording the class of each value
     and the binding each name read or stored finds; asserts that the two
-    agree on every expression the walk evaluates, that the Kind the checker
+    agree on every expression the walk evaluates, that the Layout the checker
     resolved each of those names to is its binding's, and that a loop
     counts in an existing local just where the checker says; returns the
     classes seen."""
@@ -652,3 +662,31 @@ def test_generated_program_classes_match_the_values(tmp_path):
     for seed in range(60):
         seen |= classes_agree(communicating_program(seed, 3), 3, tmp_path)
     assert seen == set(CLASSES)
+
+
+def diagnostics_table():
+    """README.md's Diagnostics section: the prelude its examples assume, and
+    each (rule, example) of its table. A row's examples are the code spans
+    after the last text of its second cell that ends in ": "."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Diagnostics\n", 1)[1].split("\n## ", 1)[0]
+    intro, table = section.split("\n| rule |", 1)
+    prelude = re.findall(r"`([^`]*)`", re.split(r"The\s+examples\s+assume", intro)[1])
+    examples = []
+    for line in table.splitlines()[2:]:
+        if not line.startswith("| `"):
+            break
+        rule, refuses = (cell.strip() for cell in line.split("|")[1:3])
+        spans = refuses.split("`")  # text, code, text, code, ...
+        last = max(k for k in range(0, len(spans), 2) if spans[k].endswith(": "))
+        assert spans[last + 1::2], line
+        examples += [(rule.strip("`"), example) for example in spans[last + 1::2]]
+    return "\n".join(prelude), examples
+
+
+PRELUDE, DIAGNOSTICS_TABLE = diagnostics_table()
+
+
+@pytest.mark.parametrize("rule, example", DIAGNOSTICS_TABLE)
+def test_each_readme_diagnostics_example_gives_its_rule(rule, example):
+    assert {d.rule for d in diagnostics_of(f"{PRELUDE}\n{example}\n")} == {rule}

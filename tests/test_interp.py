@@ -3,8 +3,10 @@ import re
 import pytest
 
 from conftest import checked_corpus, events
-from meshlite import chains, check_program, parse, run
+from meshlite import chains, check_program, interp, parse, run
+from meshlite.checker import chain_of
 from meshlite.errors import DeadlockError, MeshError, RuntimeFault
+from meshlite.fixtures import corpus_source
 
 
 def run_src(src, nprocs, **kw):
@@ -498,6 +500,51 @@ def test_each_allocation_is_planned_once_but_an_arraydist_one_by_every_rank(monk
            "for t from 1 to 2 { var c : Int :: allocated[single[on[t]]] };\n")
     run_src(src, 8)
     assert len(planned) == 1 + 1 + 8 + 2
+
+
+# Declarations whose type arguments are all literals, one of each layout a
+# chain can give: ordering, partition, each distribution, channel, share.
+LITERAL_LAYOUTS = """var d : array[Int,2] :: allocated[multiple[]];
+d[0] := 1;
+var S : array[complex,4,4] :: allocated[row[] :: single[0]];
+var A : array[complex,4,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+var B : array[complex,4,4] :: allocated[col[] :: horizontal[2] :: single[arraydist[d]]];
+var C : array[complex,4,4] :: allocated[row[] :: vertical[2] :: single[arraydist[d]]] :: share[B];
+var s : array[complex,2] :: allocated[multiple[]] :: const;
+var a : Int :: allocated[single[on[0]]] :: channel[2,0] :: async;
+var b : Char :: allocated[single[on[2]]] :: channel[0,2];
+var r : Real :: allocated[multiple[]];
+"""
+
+
+@pytest.mark.parametrize("src", [LITERAL_LAYOUTS, corpus_source("onesided.mesh"),
+                                 corpus_source("channel_async.mesh")],
+                         ids=["literal", "onesided", "channel_async"])
+def test_the_checked_layout_is_the_plan_run_and_the_array_allocated(monkeypatch, src):
+    """What the checker records of a declaration with literal type arguments
+    is what the run plans from the chain it rebuilds, and the array it
+    allocates has that layout; an arraydist one takes its map's values."""
+    checked = check_program(parse(src))
+    allocated = []
+    allocate_plan = interp.ProcessContext.allocate_plan
+
+    def recording(self, stmt, plan, allocation, targets):
+        array = allocate_plan(self, stmt, plan, allocation, targets)
+        allocated.append((stmt, plan, array.descriptor))
+        return array
+    monkeypatch.setattr(interp.ProcessContext, "allocate_plan", recording)
+    run(checked, 3)
+    assert {stmt.name for stmt, _, _ in allocated} == {
+        info.name for info in checked.toplevel.values() if info.kind.distributed}
+    for stmt, plan, descriptor in allocated:
+        layout = checked.names[id(stmt)].kind
+        readers, _ = checked.allocations[id(stmt)]
+        assert layout == plan == chains.plan_of(chain_of(stmt.type_expr, readers)), stmt.name
+        for field in ("shape", "elem", "ordering", "partition", "comm"):
+            assert getattr(descriptor, field) == getattr(layout, field), (stmt.name, field)
+        want = ("arraydist", (1, 0)) if layout.distribution[0] == "arraydist" \
+            else layout.distribution
+        assert descriptor.distribution == want, stmt.name
 
 
 def test_fft2d_at_sixteen_ranks_cannot_split_its_blocks():

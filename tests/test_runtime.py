@@ -13,7 +13,7 @@ from conftest import (
     make_descriptor,
 )
 from conftest import events as all_events
-from meshlite.chains import AllocationPlan, partitioned_dim
+from meshlite.chains import Layout, partitioned_dim
 from meshlite.errors import (
     BadDistribution,
     IndexOutOfBounds,
@@ -165,8 +165,7 @@ def test_share_owner_mismatch_rejected():
 
 
 def test_allocate_validates_the_placement_rank():
-    plan = AllocationPlan(elem="int", shape=(), ordering="row", partition=None,
-                          distribution=("on", 2), share_base=None, comm=None)
+    plan = Layout(elem="int", distribution=("on", 2), distributed=True)
     descriptor = descriptor_from_plan(plan, nprocs=2)
     with pytest.raises(BadDistribution, match=r"placement rank 2 outside \[0, 2\)"):
         allocate("a", descriptor)
