@@ -36,7 +36,12 @@ faults only on what values alone show: an index's type and range, a
 loop bound, a `proc` rank, a line's length. The types also decide who
 stores: outside `proc` only X[i]'s owner stores `X[i] := e`,
 so a loop whose body is that one statement over a 1D single-copy array
-runs only the iterations the process owns (`owner_computes`). The rules
+runs only the iterations the process owns (`owner_computes`). The
+geometry decides the reads too: a loop whose body would be local-only
+but for reads X[v] of one 1D single-copy X, v the loop variable, never
+waits, so it runs one block of X at a time, reading the block's buffer,
+and records a remote block's gets as one record of that many
+(`LocalOnly.gathers`); the trace, values and faults are unchanged. The rules
 that hold whatever the kind live in ProcessContext: who performs an
 access (`performs`), that collectives cannot run inside `proc`, and the
 one-sided and channel transfers.
@@ -71,6 +76,15 @@ def _class(kind):
 # --- statements that may wait ---
 
 
+def _runs(array, lo, hi):
+    """(block, range) for each block of the 1D single-copy array that holds
+    indices from lo to hi, in block order, with those it holds."""
+    for b in array.blocks:
+        run = range(max(lo, b.low), min(hi, b.high) + 1)
+        if run:
+            yield b, run
+
+
 def _owned(array, rank, lo, hi):
     """The values v from lo to hi (lo <= hi) for which `X[v] := e` on the
     1D single-copy array X does more than find the owner, on rank outside
@@ -79,7 +93,7 @@ def _owned(array, rank, lo, hi):
     the end when hi is, which faults after the stores."""
     if lo < 0:
         return (lo,)
-    runs = [range(max(lo, b.low), min(hi, b.high) + 1) for b in array.blocks if b.owner == rank]
+    runs = [run for b, run in _runs(array, lo, hi) if b.owner == rank]
     m = array.descriptor.shape[0]
     if hi >= m:
         runs.append((max(lo, m),))
@@ -110,14 +124,17 @@ class LocalOnly:
     """A local-only loop (`Compiler.local_only`): the slots of the names
     declared outside it that it reads or stores, split into locals and
     replicas (replicated scalars and 1D arrays), the positions in each of
-    those it stores, and the statements of its body, nested ones included."""
+    those it stores, and the statements of its body, nested ones included.
+    `gathers` is the slot of the one 1D single-copy array X it also reads,
+    as X[v] only, or None."""
 
-    def __init__(self, outer, statements):
+    def __init__(self, outer, statements, gathers):
         self.locals = [slot for slot, (local, _) in outer.items() if local]
         self.replicas = [slot for slot, (local, _) in outer.items() if not local]
         self.stores = [k for k, slot in enumerate(self.locals) if outer[slot][1]]
         self.fills = [k for k, slot in enumerate(self.replicas) if outer[slot][1]]
         self.statements = statements
+        self.gathers = gathers
 
 
 class Compiler:
@@ -128,6 +145,7 @@ class Compiler:
         self.checked = checked
         self.names = checked.names  # the VarInfo the checker resolved each name to
         self.within_once = False  # compiling the body of a local-only loop
+        self.gathering = None  # (X's slot, v's slot, window) in a gathered loop's body
 
     # --- statements ---
 
@@ -291,12 +309,18 @@ class Compiler:
         info = self.names[id(node)]
         slot, reuse = info.slot, info.node is not node  # reuse: an existing local counts
         # a loop nested in a local-only one runs with it, never on its own
-        within = self.within_once
+        within, gathering = self.within_once, self.gathering
         once = None if within else self.local_only(node)
+        gather = None if once is None else once.gathers
+        if gather is not None:
+            # the block a run reads: its buffer (None between runs), its
+            # first index, and the reads of it made so far
+            window = [None, 0, 0]
+            self.gathering, once = (gather, slot, window), None
         self.within_once = within or once is not None
         stmts = self.block(node.body)
         target = self.owner_computes(node)
-        self.within_once = within
+        self.within_once, self.gathering = within, gathering
 
         def iterate(ctx):
             lo, hi = start(ctx), stop(ctx)
@@ -326,6 +350,23 @@ class Compiler:
                 for counter.value in _owned(frame[target], ctx.rank, lo, hi):
                     exec_stmt(s, fn)
                 counter.value = hi
+            elif gather is not None:
+                # gathered reads: the body never waits, so nothing runs and
+                # nothing lands in X between the iterations of a block's run,
+                # and X[v] reads the block's buffer. A remote run's gets are
+                # one record, made in full even when an iteration faults.
+                # Indices outside X take the body's usual reads and faults.
+                array = frame[gather]
+                through(ctx, counter, range(lo, min(hi, -1) + 1))
+                for block, run in _runs(array, lo, hi):
+                    window[:] = block.buffer, block.low, 0
+                    try:
+                        through(ctx, counter, run)
+                    finally:
+                        window[0] = None
+                        if block.owner != ctx.rank and window[2]:
+                            ctx.fetch(block.owner, array, array.name, repeat=window[2])
+                through(ctx, counter, range(max(lo, array.descriptor.shape[0]), hi + 1))
             else:
                 for counter.value in range(lo, hi + 1):
                     for s, fn in stmts:
@@ -333,21 +374,37 @@ class Compiler:
                         if result.__class__ is Generator:
                             yield from result
             ctx.leave()
+
+        def through(ctx, counter, values):
+            """Run the body, which never waits, for each v in values."""
+            exec_stmt = ctx.exec_stmt
+            for counter.value in values:
+                for s, fn in stmts:
+                    result = exec_stmt(s, fn)
+                    if result.__class__ is Generator:  # a nested loop
+                        next(result, None)
         return iterate
 
     def local_only(self, node):
         """A LocalOnly for loop node when its bounds and body, nested loops
         included, hold only literals, locals, replicated scalars, elements
         of 1D replicated arrays, arithmetic, `processes()`, untyped `var`
-        declarations and stores to locals or replica elements; else None."""
+        declarations and stores to locals or replica elements; else None.
+        Besides, the body may read one 1D single-copy array X as X[v], v
+        the loop variable, if it stores nothing into v (`LocalOnly.gathers`)."""
         outer = {}  # slot of a name declared outside the loop -> (is it a local, is it stored)
         statements = 0
+        v = self.names[id(node)].slot
+        gathers = set()  # the slots of the arrays X read as X[v]
+        moved = False  # whether the body stores v or a nested loop counts in it
 
         def use(e, inner, ndim, store=False):
             """Whether the name e, read or stored with ndim indices, is a
             local or a replica; inner holds the slots declared in the loop."""
+            nonlocal moved
             info = self.names[id(e)]
             slot, kind = info.slot, info.kind
+            moved = moved or store and slot == v
             if slot in inner:  # untyped: a local
                 return ndim == 0
             local = not kind.distributed
@@ -363,15 +420,24 @@ class Compiler:
             if t is ast.BinOp:
                 return expr(e.left, inner) and expr(e.right, inner)
             if t is ast.Index:
-                return type(e.base) is ast.Name and use(e.base, inner, 1) \
-                    and expr(e.index, inner)
+                if type(e.base) is not ast.Name:
+                    return False
+                if use(e.base, inner, 1):
+                    return expr(e.index, inner)
+                x, i = self.names[id(e.base)], e.index
+                if x.kind.ndim == 1 and x.kind.distributed and type(i) is ast.Name \
+                        and v in inner and self.names[id(i)].slot == v:
+                    gathers.add(x.slot)  # not replicated, as use() refused it
+                    return True
+                return False
             return t in _LITERALS or (t is ast.Call and e.func == "processes")
 
         def loop(s, inner):
-            nonlocal statements
+            nonlocal statements, moved
             if not (expr(s.start, inner) and expr(s.stop, inner)):
                 return False
             var = self.names[id(s)]
+            moved = moved or s is not node and var.slot == v
             if var.node is not s and var.slot not in inner:
                 outer[var.slot] = (True, True)  # an outer local, reused: stored
             inner = inner | {var.slot}
@@ -396,9 +462,9 @@ class Compiler:
                     return False
             return True
 
-        if not loop(node, frozenset()):
+        if not loop(node, frozenset()) or gathers and (moved or len(gathers) > 1):
             return None
-        return LocalOnly(outer, statements)
+        return LocalOnly(outer, statements, gathers.pop() if gathers else None)
 
     def owner_computes(self, node):
         """X's slot when the body of loop node is the one statement `X[v] := e`,
@@ -573,7 +639,18 @@ class Compiler:
             if i.__class__ is not int:
                 _integer(ctx, node, i)
             return ctx.read_element(array, i)
-        return single_copy
+        if self.gathering is None or self.gathering[:2] != (slot, local):
+            return single_copy
+        window = self.gathering[2]
+
+        def gathered(ctx):
+            """X[v] in a gathered loop: from the block a run reads, if one is open."""
+            buffer = window[0]
+            if buffer is None:
+                return single_copy(ctx)
+            window[2] += 1
+            return buffer[ctx.frame[local].value - window[1]]
+        return gathered
 
     def accessor(self, node):
         base, which = self.expr(node.base), node.which

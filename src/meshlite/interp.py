@@ -352,11 +352,11 @@ class ProcessContext:
 
     # --- one-sided access ---
 
-    def fetch(self, owner, array, tag, count=1):
-        """Record one onesided-get from owner's memory. A get completes
-        where it is made: it is not a switch point."""
+    def fetch(self, owner, array, tag, count=1, repeat=1):
+        """Record `repeat` onesided-gets of count elements each from owner's
+        memory. A get completes where it is made: it is not a switch point."""
         self.state.trace.record("onesided-get", owner, self.rank,
-                                count * array.esize, tag)
+                                count * array.esize, tag, repeat)
 
     def put(self, owner, array, tag, count=1):
         """Generator: one onesided-put to owner; the caller then stores."""

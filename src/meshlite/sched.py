@@ -14,6 +14,7 @@ are all drained by an explicit sync, and by the end of the run.
 """
 
 import random
+from bisect import bisect_left, insort
 from typing import NamedTuple
 
 from .errors import DeadlockError, RuntimeFault
@@ -150,12 +151,17 @@ class Scheduler:
         self.rng = random.Random(seed)
         self.pending = []
         self.waiting = {}  # parked rank -> (what it waits for, statement)
+        self.runnable = None  # while `run` drives them, the ranks not parked, in order
 
     def park(self, rank, what, node):
         self.waiting[rank] = (what, node)
+        if self.runnable is not None:
+            del self.runnable[bisect_left(self.runnable, rank)]
 
     def wake(self, rank):
         del self.waiting[rank]
+        if self.runnable is not None:
+            insort(self.runnable, rank)
 
     def post_async(self, transfer: PendingTransfer):
         self.pending.append(transfer)
@@ -175,21 +181,19 @@ class Scheduler:
         of the live ones not parked, in rank order, per step; what a step
         yields is ignored. Once all have finished, delivers what is still
         pending. Raises the first process failure as-is."""
-        live = list(enumerate(generators))
-        waiting = self.waiting
+        runnable = self.runnable = list(range(len(generators)))
         rng = self.rng
-        while live:
-            runnable = [p for p in live if p[0] not in waiting] if waiting else live
-            if not runnable:
-                raise self.deadlock(len(generators))
-            proc = rng.choice(runnable)
+        while runnable:
+            rank = rng.choice(runnable)
             try:
-                next(proc[1])
+                next(generators[rank])
             except StopIteration:
-                live.remove(proc)
+                runnable.remove(rank)
                 continue
             if self.pending and rng.random() < ASYNC_PROGRESS:
                 self.pending.pop(0).deliver()
+        if self.waiting:  # the live ranks, all parked
+            raise self.deadlock(len(generators))
         self.drain_async()
 
     def deadlock(self, nprocs):

@@ -18,6 +18,7 @@ import ast_walk
 from conftest import (
     TeeTraceLog,
     assert_trace_matches_reference,
+    buffers_of,
     checked_corpus,
     events,
     initiator,
@@ -1236,32 +1237,40 @@ def _number(v):
     return str(v) if v >= 0 else f"0 - {-v}"
 
 
-def _owner_loop_programs(nprocs, m, blocks, place, forms):
-    """Programs that fill a 1D single-copy X, then store into it with
-    `for i from lo to hi { X[i] := e }` written in each of `forms`, over
-    empty and out-of-range bounds, and values that read X, remote or not,
-    or divide by zero. `i` is declared, so its value after the loop shows."""
+def _x_loop_programs(nprocs, m, blocks, place, decls, loops, values):
+    """Programs that declare m, `i := 50` and decls, fill a 1D single-copy
+    X of m elements in `blocks` blocks placed by `place`, then run each of
+    `loops` over empty, negative, past-the-end and block-crossing bounds,
+    with e each of `values`. A loop is a template over lo, hi, e and ej
+    (e with j for i). `i` is declared, so its value after the loop shows."""
     dist = ""
     if place == "arraydist[d]":
         dist = f"var d : array[Int,{blocks}];\n" + "".join(
             f"d[{b}] := {(3 * b + 1) % nprocs};\n" for b in range(blocks))
-    head = (f"var m := {m};\nvar i := 50;\n{dist}"
+    head = (f"var m := {m};\nvar i := 50;\n{decls}{dist}"
             f"var X : array[Int,m] :: allocated[row[] :: horizontal[{blocks}] :: "
             f"single[{place}]];\n"
             "for i from 0 to m - 1 { X[i] := i * 5 + 2 };\nsync;\n")
+    for lo, hi in [(0, m - 1), (1, m - 2), (2, 1), (m - 1, m - 1), (-3, -5), (m + 1, m),
+                   (-1, m - 1), (0, m), (m, m + 1), (m + 2, m + 3), (-2, 0)]:
+        for e in values:
+            for loop in loops:
+                loop = loop.format(lo=_number(lo), hi=_number(hi), e=e, ej=e.replace("i", "j"))
+                yield head + loop + "\n"
+
+
+def _owner_loop_programs(nprocs, m, blocks, place, forms):
+    """Programs that store into X with `for i from lo to hi { X[i] := e }`
+    written in each of `forms`, values e that read X, remote or not, or
+    divide by zero (`_x_loop_programs`)."""
     loops = {
         "top": "for i from {lo} to {hi} {{ X[i] := {e} }};",
         "fresh": "for j from {lo} to {hi} {{ X[j] := {ej} }};",
         "proc": f"proc {nprocs - 1} {{{{ for i from {{lo}} to {{hi}} {{{{ X[i] := {{e}} }}}} }}}};",
         "function": "function g() {{ for i from {lo} to {hi} {{ X[i] := {e} }} }};\ng();",
     }
-    for lo, hi in [(0, m - 1), (1, m - 2), (2, 1), (m - 1, m - 1), (-3, -5), (m + 1, m),
-                   (-1, m - 1), (0, m), (m, m + 1), (m + 2, m + 3), (-2, 0)]:
-        for e in ("X[m - 1 - i] + i", f"60 / (i - {m // 2})"):
-            for form in forms:
-                loop = loops[form].format(lo=_number(lo), hi=_number(hi), e=e,
-                                          ej=e.replace("i", "j"))
-                yield head + loop + "\n"
+    return _x_loop_programs(nprocs, m, blocks, place, "", [loops[f] for f in forms],
+                            ("X[m - 1 - i] + i", f"60 / (i - {m // 2})"))
 
 
 def _owner_loop_outcome(checked, nprocs, run_path, seed):
@@ -1323,7 +1332,106 @@ def test_owner_computes_loops_run_only_the_owned_iterations(monkeypatch):
         assert result.local("i") == last
 
 
-ROW = "allocated[row[] :: horizontal[2] :: single[evendist[]]]"
+def _gather_loop_programs(nprocs, m, blocks, place, forms):
+    """Programs whose loop, written in each of `forms`, reads X[i] (or
+    X[j] for a fresh j) and stores only locals and a replica, with a term
+    that divides by zero partway through, and a nested loop that runs zero
+    times for i <= 0 and i times after (`_x_loop_programs`)."""
+    loops = {
+        "top": "for i from {lo} to {hi} {{ s := s + X[i] * {e}; t := t + i }};",
+        "nested": "for i from {lo} to {hi} {{ t := t + i; "
+                  "for j from 0 to i - 1 {{ s := s + X[i] * {e} + j }} }};",
+        "replica": "for i from {lo} to {hi} {{ R[1] := X[i] * {e}; R[0] := R[0] + R[1] + X[i] }};",
+        "fresh": "for j from {lo} to {hi} {{ s := s * 2 + X[j] * {ej} }};",
+        "proc": f"proc {nprocs - 1} {{{{ for i from {{lo}} to {{hi}} {{{{ s := s + X[i] * {{e}} }}}} }}}};",
+        "function": "function g() {{ for i from {lo} to {hi} {{ s := s + X[i] * {e} }} }};\ng();",
+    }
+    return _x_loop_programs(nprocs, m, blocks, place,
+                            "var s := 0;\nvar t := 0;\nvar R : array[Int,2];\n",
+                            [loops[f] for f in forms], ("(i + 1)", f"(60 / (i - {m // 2}))"))
+
+
+def _gather_loop_outcome(checked, nprocs, context, seed):
+    """What interp.run gives, driven by hand so that a fault leaves the
+    trace up to it: the fault and that trace, or the trace, X, the replica
+    R and i, s and t on each rank."""
+    state = interp.RunState(nprocs, seed=seed)
+    state.program = compiler.compile_program(checked)
+    contexts = [context(r, state, checked) for r in range(nprocs)]
+    try:
+        state.scheduler.run([c.run_program() for c in contexts])
+    except RuntimeFault as fault:
+        return str(fault), state.trace.render()
+    result = interp.RunResult(state, contexts)
+    return (result.trace.render(), result.logical("X"), buffers_of(result.array("R")),
+            [result.local(name) for name in "ist"])
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 7])
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 4])
+def test_gathered_loops_match_the_ast_walk(nprocs, m):
+    """A loop that reads X[i] runs one block's iterations at a time,
+    reading the block's buffer, and records each remote run's gets at
+    once: the same trace, state, i after the loop and fault (message,
+    rank, line:col) as the walk, which reads element by element. A fault
+    partway through a run leaves the same trace too. Only a fault is run
+    under a second schedule."""
+    for blocks in range(1, min(m, 5) + 1):
+        for place in ("evendist[]", f"on[{nprocs - 1}]", "arraydist[d]"):
+            forms = ("top", "nested")
+            if blocks == 2 and place == "evendist[]":
+                forms += ("replica", "fresh", "proc", "function")
+            for source in _gather_loop_programs(nprocs, m, blocks, place, forms):
+                checked = check_program(parse(source))
+                for seed in (0, 3):
+                    seen = [_gather_loop_outcome(checked, nprocs, context, seed)
+                            for context in (ProcessContext, ast_walk.WalkingContext)]
+                    assert seen[0] == seen[1], source
+                    if len(seen[0]) != 2 or nprocs == 1:
+                        break
+
+
+def test_gathered_loops_read_blocks_not_elements(monkeypatch):
+    """A loop whose body reads X[i] and stores only locals reads no
+    element through `read_element` and makes one get record per remote
+    block it reads; a body that stores i, reads X at another index, reads
+    other single-copy data or waits reads every element as before."""
+    calls = {"read_element": 0, "record": 0}
+    read_element, record = ProcessContext.read_element, runtime.TraceLog.record
+
+    def counted_read(self, array, i):
+        calls["read_element"] += 1
+        return read_element(self, array, i)
+
+    def counted_record(self, kind, *args, **kwargs):
+        calls["record"] += kind == "onesided-get"
+        return record(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessContext, "read_element", counted_read)
+    monkeypatch.setattr(runtime.TraceLog, "record", counted_record)
+    # at P=3 blocks 0-4 lie on ranks 0, 1, 2, 0, 1: the ranks read 3, 3
+    # and 4 blocks they do not own, and 6, 6 and 8 elements
+    head = ("var X : array[Int,10] :: allocated[row[] :: horizontal[5] :: single[evendist[]]];\n"
+            "var Y : array[Int,10] :: allocated[row[] :: horizontal[5] :: single[evendist[]]];\n"
+            "var i := 0;\nvar s := 0;\nfor i from 0 to 9 { X[i] := i };\nsync;\n")
+    for loop, reads, records, gets in [
+        ("for i from 0 to 9 { s := s + X[i] };", 0, 10, 20),
+        ("for i from 0 to 9 { for j from 0 to 1 { s := s + X[i] } };", 0, 10, 40),
+        ("function g() { for i from 0 to 9 { s := s + X[i] } };\ng();", 0, 10, 20),
+        ("proc 2 { for i from 0 to 9 { s := s + X[i] } };", 0, 4, 8),
+        # the outer loop's i moves, so only the inner loop, over X[0], gathers
+        ("for i from 0 to 9 { for i from 0 to 0 { s := s + X[i] } };", 0, 20, 20),
+        ("for i from 0 to 9 { s := s + X[i]; i := i };", 30, 20, 20),
+        ("for i from 0 to 9 { s := s + X[i + 0] };", 30, 20, 20),
+        ("for i from 0 to 9 { s := s + X[i] + Y[i] };", 60, 40, 40),
+        ("for i from 0 to 9 { s := s + X[i]; sync };", 30, 20, 20),
+    ]:
+        calls.update(read_element=0, record=0)
+        result = run(check_program(parse(head + loop + "\n")), 3)
+        assert (calls["read_element"], calls["record"]) == (reads, records), loop
+        assert result.trace.count("onesided-get") == gets, loop
+
+ROW ="allocated[row[] :: horizontal[2] :: single[evendist[]]]"
 
 
 def communicating_program(seed, nprocs):
