@@ -223,7 +223,7 @@ def validate_append(chain: TypeChain, ctor: Ctor) -> None:
 
         contrib = _contribution(nc)
         if contrib is not None:
-            attr, value = contrib
+            attr = contrib[0]
             for old in flat:
                 oc = _contribution(old)
                 if oc is not None and oc[0] == attr:

@@ -41,13 +41,15 @@ geometry decides the reads too: a loop whose body would be local-only
 but for reads X[v] of one 1D single-copy X, v the loop variable, never
 waits, so it runs one block of X at a time, reading the block's buffer,
 and records a remote block's gets as one record of that many
-(`LocalOnly.gathers`); the trace, values and faults are unchanged. The rules
+(`LocalOnly.gathers`); the trace, values and faults are unchanged. Both
+run through the one loop every loop has, over (block, indices) pieces: a
+plain loop is the single piece of its whole range, and these two walk
+X's blocks (`_pieces`). The rules
 that hold whatever the kind live in ProcessContext: who performs an
 access (`performs`), that collectives cannot run inside `proc`, and the
 one-sided and channel transfers.
 """
 
-import itertools
 from types import GeneratorType as Generator
 
 from . import ast
@@ -76,28 +78,17 @@ def _class(kind):
 # --- statements that may wait ---
 
 
-def _runs(array, lo, hi):
-    """(block, range) for each block of the 1D single-copy array that holds
-    indices from lo to hi, in block order, with those it holds."""
+def _pieces(array, lo, hi, rank):
+    """The (block, indices) pieces of a blockwise loop from lo to hi over the
+    1D single-copy array, in order: the indices below 0, with no block; each
+    block's run, only rank's blocks unless rank is None; the indices past
+    the end, with no block. Those outside the array take the body's usual
+    reads and stores, and fault where those do."""
+    yield None, range(lo, min(hi, -1) + 1)
     for b in array.blocks:
-        run = range(max(lo, b.low), min(hi, b.high) + 1)
-        if run:
-            yield b, run
-
-
-def _owned(array, rank, lo, hi):
-    """The values v from lo to hi (lo <= hi) for which `X[v] := e` on the
-    1D single-copy array X does more than find the owner, on rank outside
-    `proc`: lo alone when it is negative, as the first iteration faults;
-    else the indices of rank's blocks in block order, then the first past
-    the end when hi is, which faults after the stores."""
-    if lo < 0:
-        return (lo,)
-    runs = [run for b, run in _runs(array, lo, hi) if b.owner == rank]
-    m = array.descriptor.shape[0]
-    if hi >= m:
-        runs.append((max(lo, m),))
-    return itertools.chain.from_iterable(runs)
+        if rank is None or b.owner == rank:
+            yield b, range(max(lo, b.low), min(hi, b.high) + 1)
+    yield None, range(max(lo, array.descriptor.shape[0]), hi + 1)
 
 
 def _integer(ctx, node, i):
@@ -305,7 +296,7 @@ class Compiler:
     # --- control flow ---
 
     def loop(self, node):
-        start, stop, var = self.expr(node.start), self.expr(node.stop), node.var
+        start, stop = self.expr(node.start), self.expr(node.stop)
         info = self.names[id(node)]
         slot, reuse = info.slot, info.node is not node  # reuse: an existing local counts
         # a loop nested in a local-only one runs with it, never on its own
@@ -341,48 +332,36 @@ class Compiler:
                 counter = frame[slot]
             else:
                 counter = frame[slot] = Local()
+            # a plain loop is one piece; a blockwise one walks X's blocks:
+            # owner computes outside `proc` only this rank's (any other
+            # iteration would only find the owner, and local stores never
+            # wait), gathered reads every one (the body never waits, so
+            # nothing lands in X while a run reads its block's buffer)
+            blockwise = target if gather is None and not ctx.proc_depth else gather
+            if blockwise is None:
+                pieces = ((None, range(lo, hi + 1)),)
+            else:
+                array = frame[blockwise]
+                pieces = _pieces(array, lo, hi, None if gather is not None else ctx.rank)
             exec_stmt = ctx.exec_stmt
-            if target is not None and ctx.proc_depth == 0:
-                # owner computes: run only the iterations that store on this
-                # rank (or fault); every other one would only find the owner.
-                # Local stores never wait.
-                ((s, fn),) = stmts
-                for counter.value in _owned(frame[target], ctx.rank, lo, hi):
-                    exec_stmt(s, fn)
-                counter.value = hi
-            elif gather is not None:
-                # gathered reads: the body never waits, so nothing runs and
-                # nothing lands in X between the iterations of a block's run,
-                # and X[v] reads the block's buffer. A remote run's gets are
-                # one record, made in full even when an iteration faults.
-                # Indices outside X take the body's usual reads and faults.
-                array = frame[gather]
-                through(ctx, counter, range(lo, min(hi, -1) + 1))
-                for block, run in _runs(array, lo, hi):
+            for block, indices in pieces:
+                opened = gather is not None and block is not None
+                if opened:
                     window[:] = block.buffer, block.low, 0
-                    try:
-                        through(ctx, counter, run)
-                    finally:
+                try:
+                    for counter.value in indices:
+                        for s, fn in stmts:
+                            result = exec_stmt(s, fn)
+                            if result.__class__ is Generator:
+                                yield from result
+                finally:  # a remote run's gets: one record, even when an iteration faults
+                    if opened:
                         window[0] = None
                         if block.owner != ctx.rank and window[2]:
                             ctx.fetch(block.owner, array, array.name, repeat=window[2])
-                through(ctx, counter, range(max(lo, array.descriptor.shape[0]), hi + 1))
-            else:
-                for counter.value in range(lo, hi + 1):
-                    for s, fn in stmts:
-                        result = exec_stmt(s, fn)
-                        if result.__class__ is Generator:
-                            yield from result
+            if blockwise is not None:  # a plain loop's body may store its variable
+                counter.value = hi
             ctx.leave()
-
-        def through(ctx, counter, values):
-            """Run the body, which never waits, for each v in values."""
-            exec_stmt = ctx.exec_stmt
-            for counter.value in values:
-                for s, fn in stmts:
-                    result = exec_stmt(s, fn)
-                    if result.__class__ is Generator:  # a nested loop
-                        next(result, None)
         return iterate
 
     def local_only(self, node):

@@ -120,7 +120,7 @@ class Parser:
                 expr.line, expr.column)
 
     def parse_var_decl(self) -> list:
-        kw = self.expect("keyword", "var")
+        self.expect("keyword", "var")
         names = [self.expect("identifier", what="variable name")]
         while self.match("punctuation", ","):
             names.append(self.expect("identifier", what="variable name"))

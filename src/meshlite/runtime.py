@@ -108,7 +108,7 @@ class ArrayDescriptor:
 
     @cached_property
     def _geometry(self) -> tuple:
-        """(part_dim, line_len, wide, split, r, q), computed once.
+        """(wide, split, r, q), computed once.
 
         With n indices in p blocks and q, r = divmod(n, p), blocks 0..r-1
         hold `wide` = q + 1 indices and the first `split` = r * wide
@@ -116,7 +116,7 @@ class ArrayDescriptor:
         block.
         """
         q, r = divmod(self.part_extent, self.block_count)
-        return self.part_dim, self.line_len, q + 1, r * (q + 1), r, q
+        return q + 1, r * (q + 1), r, q
 
     @property
     def block_count(self) -> int:
@@ -140,30 +140,22 @@ class ArrayDescriptor:
         shape = self.shape
         if len(index) != len(shape):
             raise IndexOutOfBounds(f"index {index} into shape {shape}")
-        part_dim, line_len, wide, split, r, q = self._geometry
-        if len(shape) == 1:
-            along, free = index[0], 0
-            inside = 0 <= along < shape[0]
-        elif shape:
-            along, free = index[part_dim], index[1 - part_dim]
-            inside = 0 <= index[0] < shape[0] and 0 <= index[1] < shape[1]
-        else:
+        if not shape:
             return 0, 0
-        if not inside:
+        if not all(0 <= i < n for i, n in zip(index, shape)):
             raise IndexOutOfBounds(f"index {index} outside shape {shape}")
-        if along < split:
-            k, t = divmod(along, wide)
-        else:
-            k, t = divmod(along - split, q)
-            k += r
-        return k, t * line_len + free
+        part_dim = self.part_dim
+        k, t = self.element(index[part_dim])
+        if len(shape) == 1:
+            return k, t
+        return k, t * self.line_len + index[1 - part_dim]
 
     def element(self, i: int) -> tuple:
         """(block_id, offset) of index i of a 1D array: what locate((i,))
         gives, by one interval-arithmetic step on the geometry. Of a 2D
         array, the block and line holding index i of the partitioned
         dimension."""
-        _, _, wide, split, r, q = self._geometry
+        wide, split, r, q = self._geometry
         if not 0 <= i < self.part_extent:
             raise IndexOutOfBounds(f"index {(i,)} outside shape {self.shape}")
         if i < split:

@@ -1237,20 +1237,21 @@ def _number(v):
     return str(v) if v >= 0 else f"0 - {-v}"
 
 
-def _x_loop_programs(nprocs, m, blocks, place, decls, loops, values):
+def _x_loop_programs(nprocs, m, blocks, place, decls, loops, values, first=False):
     """Programs that declare m, `i := 50` and decls, fill a 1D single-copy
     X of m elements in `blocks` blocks placed by `place`, then run each of
     `loops` over empty, negative, past-the-end and block-crossing bounds,
     with e each of `values`. A loop is a template over lo, hi, e and ej
-    (e with j for i). `i` is declared, so its value after the loop shows."""
+    (e with j for i). `i` is declared, so its value after the loop shows.
+    With `first`, X is declared before all else, so its slot is 0."""
     dist = ""
     if place == "arraydist[d]":
         dist = f"var d : array[Int,{blocks}];\n" + "".join(
             f"d[{b}] := {(3 * b + 1) % nprocs};\n" for b in range(blocks))
-    head = (f"var m := {m};\nvar i := 50;\n{decls}{dist}"
-            f"var X : array[Int,m] :: allocated[row[] :: horizontal[{blocks}] :: "
-            f"single[{place}]];\n"
-            "for i from 0 to m - 1 { X[i] := i * 5 + 2 };\nsync;\n")
+    x = (f"var X : array[Int,{m if first else 'm'}] :: allocated[row[] :: horizontal[{blocks}] :: "
+         f"single[{place}]];\n")
+    head = ((x if first else "") + f"var m := {m};\nvar i := 50;\n{decls}{dist}"
+            + ("" if first else x) + "for i from 0 to m - 1 { X[i] := i * 5 + 2 };\nsync;\n")
     for lo, hi in [(0, m - 1), (1, m - 2), (2, 1), (m - 1, m - 1), (-3, -5), (m + 1, m),
                    (-1, m - 1), (0, m), (m, m + 1), (m + 2, m + 3), (-2, 0)]:
         for e in values:
@@ -1259,7 +1260,7 @@ def _x_loop_programs(nprocs, m, blocks, place, decls, loops, values):
                 yield head + loop + "\n"
 
 
-def _owner_loop_programs(nprocs, m, blocks, place, forms):
+def _owner_loop_programs(nprocs, m, blocks, place, forms, first=False):
     """Programs that store into X with `for i from lo to hi { X[i] := e }`
     written in each of `forms`, values e that read X, remote or not, or
     divide by zero (`_x_loop_programs`)."""
@@ -1270,7 +1271,7 @@ def _owner_loop_programs(nprocs, m, blocks, place, forms):
         "function": "function g() {{ for i from {lo} to {hi} {{ X[i] := {e} }} }};\ng();",
     }
     return _x_loop_programs(nprocs, m, blocks, place, "", [loops[f] for f in forms],
-                            ("X[m - 1 - i] + i", f"60 / (i - {m // 2})"))
+                            ("X[m - 1 - i] + i", f"60 / (i - {m // 2})"), first)
 
 
 def _owner_loop_outcome(checked, nprocs, run_path, seed):
@@ -1288,14 +1289,18 @@ def test_owner_computes_loops_match_the_ast_walk(nprocs, m):
     outside `proc`: the same state, trace, i after the loop, and fault
     (message, rank, line:col) as the walk, which runs every iteration.
     In `proc` the general loop runs, and it must agree too, as must a loop
-    in a function body over the top-level X. A fault-free run is the same
-    under any schedule, so only a fault is run under a second one."""
+    in a function body over the top-level X, and one over an X in slot 0.
+    A fault-free run is the same under any schedule, so only a fault is
+    run under a second one."""
     for blocks in range(1, min(m, 5) + 1):
         for place in ("evendist[]", f"on[{nprocs - 1}]", "arraydist[d]"):
             forms = ("top",)
             if blocks == 2 and place == "evendist[]":
                 forms += ("fresh", "proc", "function")
-            for source in _owner_loop_programs(nprocs, m, blocks, place, forms):
+            sources = list(_owner_loop_programs(nprocs, m, blocks, place, forms))
+            if blocks == 2 and place == "evendist[]":
+                sources += _owner_loop_programs(nprocs, m, blocks, place, ("top",), first=True)
+            for source in sources:
                 checked = check_program(parse(source))
                 for seed in (0, 3):
                     seen = [_owner_loop_outcome(checked, nprocs, run_path, seed)
@@ -1332,7 +1337,7 @@ def test_owner_computes_loops_run_only_the_owned_iterations(monkeypatch):
         assert result.local("i") == last
 
 
-def _gather_loop_programs(nprocs, m, blocks, place, forms):
+def _gather_loop_programs(nprocs, m, blocks, place, forms, first=False):
     """Programs whose loop, written in each of `forms`, reads X[i] (or
     X[j] for a fresh j) and stores only locals and a replica, with a term
     that divides by zero partway through, and a nested loop that runs zero
@@ -1348,7 +1353,8 @@ def _gather_loop_programs(nprocs, m, blocks, place, forms):
     }
     return _x_loop_programs(nprocs, m, blocks, place,
                             "var s := 0;\nvar t := 0;\nvar R : array[Int,2];\n",
-                            [loops[f] for f in forms], ("(i + 1)", f"(60 / (i - {m // 2}))"))
+                            [loops[f] for f in forms], ("(i + 1)", f"(60 / (i - {m // 2}))"),
+                            first)
 
 
 def _gather_loop_outcome(checked, nprocs, context, seed):
@@ -1374,14 +1380,17 @@ def test_gathered_loops_match_the_ast_walk(nprocs, m):
     reading the block's buffer, and records each remote run's gets at
     once: the same trace, state, i after the loop and fault (message,
     rank, line:col) as the walk, which reads element by element. A fault
-    partway through a run leaves the same trace too. Only a fault is run
-    under a second schedule."""
+    partway through a run leaves the same trace too, and an X in slot 0
+    gathers as any other. Only a fault is run under a second schedule."""
     for blocks in range(1, min(m, 5) + 1):
         for place in ("evendist[]", f"on[{nprocs - 1}]", "arraydist[d]"):
             forms = ("top", "nested")
             if blocks == 2 and place == "evendist[]":
                 forms += ("replica", "fresh", "proc", "function")
-            for source in _gather_loop_programs(nprocs, m, blocks, place, forms):
+            sources = list(_gather_loop_programs(nprocs, m, blocks, place, forms))
+            if blocks == 2 and place == "evendist[]":
+                sources += _gather_loop_programs(nprocs, m, blocks, place, ("top",), first=True)
+            for source in sources:
                 checked = check_program(parse(source))
                 for seed in (0, 3):
                     seen = [_gather_loop_outcome(checked, nprocs, context, seed)
