@@ -47,7 +47,8 @@ plain loop is the single piece of its whole range, and these two walk
 X's blocks (`_pieces`). The rules
 that hold whatever the kind live in ProcessContext: who performs an
 access (`performs`), that collectives cannot run inside `proc`, and the
-one-sided and channel transfers.
+transfers. A closure hands a one-sided `get` or `put` only the array and
+block it moves, and never an owner, a size or a tag.
 """
 
 from types import GeneratorType as Generator
@@ -200,7 +201,7 @@ class Compiler:
         # the parser admits only x, x[i] and x[i][j]
         if type(target.base) is ast.Name:
             return self.assign_element(node, target.base)
-        return self.assign_line(node, target.base.base)
+        return self.assign_line(node)
 
     def assign_name(self, node, target):
         info = self.names[id(target)]
@@ -232,7 +233,7 @@ class Compiler:
                         and src_owner != owner:
                     return ctx.channel_assign(node, array, src)
                 if ctx.performs(owner):
-                    return _store(ctx, array, array.blocks[0], 0, ctx.read_remote_scalar(src))
+                    return _store(ctx, array, array.blocks[0], 0, ctx.read_element(src, 0))
             return transfer
 
         def single(ctx):
@@ -271,25 +272,20 @@ class Compiler:
                 return _store(ctx, array, block, off, value(ctx))
         return distributed
 
-    def assign_line(self, node, base):
+    def assign_line(self, node):
         """A[block][line] := other line: whole-line copy."""
         line, value = self.expr(node.target), self.expr(node.value)
-        slot = self.names[id(base)].slot
 
         def run(ctx):
-            array = ctx.frame[slot]
             dst = line(ctx)
-            owner = dst.block.owner
-            if not ctx.performs(owner):
+            if not ctx.performs(dst.block.owner):
                 return
             src = value(ctx)
             if len(src) != len(dst):
                 raise ctx.fault("line assignment needs an equal-length line", node)
-            if src.block.owner != ctx.rank:
-                ctx.fetch(src.block.owner, array, array.name, len(src))
+            ctx.get(src.array, src.block, len(src))
             payload = src.values()
-            if owner != ctx.rank:
-                yield from ctx.put(owner, array, array.name, len(payload))
+            yield from ctx.put(dst.array, dst.block, len(payload))
             dst.store(payload)
         return run
 
@@ -357,8 +353,8 @@ class Compiler:
                 finally:  # a remote run's gets: one record, even when an iteration faults
                     if opened:
                         window[0] = None
-                        if block.owner != ctx.rank and window[2]:
-                            ctx.fetch(block.owner, array, array.name, repeat=window[2])
+                        if window[2]:
+                            ctx.get(array, block, repeat=window[2])
             if blockwise is not None:  # a plain loop's body may store its variable
                 counter.value = hi
             ctx.leave()
@@ -520,7 +516,7 @@ class Compiler:
             elif kind == "replica":
                 fn = lambda ctx: ctx.frame[arg].replicas[ctx.rank][0]  # noqa: E731
             else:
-                fn = lambda ctx: ctx.read_remote_scalar(ctx.frame[arg])  # noqa: E731
+                fn = lambda ctx: ctx.read_element(ctx.frame[arg], 0)  # noqa: E731
             self.leaves[key] = fn
         return fn
 

@@ -112,11 +112,13 @@ class RunState:
         self.channels = {}
         self.program = []  # top-level (statement, closure) pairs, set by run
 
-    def channel_slot(self, array, src, dst):
-        key = (id(array), src, dst)
-        if key not in self.channels:
-            self.channels[key] = ChannelSlot(self.scheduler, array.name, src, dst)
-        return self.channels[key]
+    def channel_slot(self, array):
+        """The rendezvous slot of array's declared link."""
+        slot = self.channels.get(array)
+        if slot is None:
+            _, src, dst, _ = array.descriptor.comm
+            slot = self.channels[array] = ChannelSlot(self.scheduler, array.name, src, dst)
+        return slot
 
     def path(self, name):
         return name if os.path.isabs(name) else os.path.join(self.workdir, name)
@@ -166,7 +168,8 @@ class ProcessContext:
     statements share (compiler.py): the rules of access, one-sided and
     channel transfers, collectives and builtins. Reads return their value
     at once, a one-sided get included; a helper that waits (a put, a
-    channel transfer, a collective) is a generator.
+    channel transfer, a collective) is a generator. `get` and `put` alone
+    record one-sided events, from the block moved and its array.
 
     A frame is a list; the slot the checker gave a declaration holds its
     array, for a distributed name, or else its values.Local cell. `top`
@@ -350,47 +353,41 @@ class ProcessContext:
         if self.proc_depth > 0:
             raise self.fault(f"{what} is collective and cannot run inside proc", node)
 
-    # --- one-sided access ---
+    # --- one-sided access: each event takes its bytes and tag from the array ---
 
-    def fetch(self, owner, array, tag, count=1, repeat=1):
-        """Record `repeat` onesided-gets of count elements each from owner's
-        memory. A get completes where it is made: it is not a switch point."""
-        self.state.trace.record("onesided-get", owner, self.rank,
-                                count * array.esize, tag, repeat)
+    def get(self, array, block, count=1, repeat=1):
+        """Record `repeat` onesided-gets of count elements each of array from
+        block, when another rank owns it. A get completes where it is made:
+        it is not a switch point."""
+        if block.owner != self.rank:
+            self.state.trace.record("onesided-get", block.owner, self.rank,
+                                    count * array.esize, array.name, repeat)
 
-    def put(self, owner, array, tag, count=1):
-        """Generator: one onesided-put to owner; the caller then stores."""
-        yield PAUSE
-        self.state.trace.record("onesided-put", src=self.rank, dst=owner,
-                                nbytes=count * array.esize, tag=tag)
+    def put(self, array, block, count=1):
+        """Generator: one onesided-put of count elements of array into block,
+        when another rank owns it; the caller then stores."""
+        if block.owner != self.rank:
+            yield PAUSE
+            self.state.trace.record("onesided-put", src=self.rank, dst=block.owner,
+                                    nbytes=count * array.esize, tag=array.name)
 
     def store(self, array, block, offset, value):
         """Generator: store one element, after a onesided-put when remote."""
-        if block.owner != self.rank:
-            yield from self.put(block.owner, array, array.name)
+        yield from self.put(array, block)
         block.buffer[offset] = value
 
-    def read_remote_scalar(self, array):
-        """A single scalar's value, by a onesided-get when remote."""
-        block = array.blocks[0]
-        if block.owner != self.rank:
-            self.fetch(block.owner, array, array.name)
-        return block.buffer[0]
-
     def read_element(self, array, i):
-        """Element i of a non-replicated 1D array, by a onesided-get when remote."""
+        """Element i of a non-replicated 1D array, or 0 of a single scalar,
+        by a onesided-get when remote."""
         k, off = array.descriptor.element(i)
         block = array.blocks[k]
-        if block.owner != self.rank:
-            self.state.trace.record("onesided-get", block.owner, self.rank,
-                                    array.esize, array.name)
+        self.get(array, block)
         return block.buffer[off]
 
     def read_line(self, line, index):
         """Element of a block line, by a onesided-get when remote."""
         value = line.get(index)
-        if line.block.owner != self.rank:
-            self.fetch(line.block.owner, line.array, line.array.name)
+        self.get(line.array, line.block)
         return value
 
     def channel_assign(self, stmt, array, src):
@@ -398,7 +395,7 @@ class ProcessContext:
         src, over array's declared link."""
         _, csrc, cdst, is_async = array.descriptor.comm
         nbytes, tag = array.esize, array.name
-        slot = self.state.channel_slot(array, csrc, cdst)
+        slot = self.state.channel_slot(array)
         if self.rank == csrc:
             value = src.blocks[0].buffer[0]
             self.state.trace.record("channel-send", src=csrc, dst=cdst,

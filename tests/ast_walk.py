@@ -300,7 +300,7 @@ class WalkingContext(interp.ProcessContext):
         if src_owner != self.rank:
             self.state.trace.record(
                 "onesided-get", src=src_owner, dst=self.rank,
-                nbytes=len(value) * binding.array.esize, tag=binding.name)
+                nbytes=len(value) * value.array.esize, tag=value.array.name)
         payload = value.values()
         if owner != self.rank:
             yield PAUSE

@@ -1038,6 +1038,25 @@ proc 0 { y := A[0][1][3] };
         assert result.local("x") == [0, 0]
 
 
+LINE_COPY = """var A : array[complex,4,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+var B : array[real,4,4] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];
+proc {rank} {{ A[0][0] := B[1][1] }};
+"""
+
+
+@pytest.mark.parametrize("nprocs", [2, 3])
+@pytest.mark.parametrize("rank, row", [(0, "onesided-get\t1\t0\t32\t0\tB"),
+                                       (1, "onesided-put\t1\t0\t64\t0\tA")],
+                         ids=["get", "put"])
+def test_a_line_copy_between_arrays_traces_each_side_as_its_own_array(nprocs, rank, row):
+    """A line copied from a real array into a complex one: the get takes
+    its bytes and tag from the array read, the put from the array written."""
+    checked = check_program(parse(LINE_COPY.format(rank=rank)))
+    for seed in (0, 7919):
+        for run_path in RUNS:
+            assert run_path(checked, nprocs, seed=seed).trace.render().splitlines() == [row]
+
+
 def test_racy_put_and_get_show_both_outcomes():
     """A get is not a switch point, yet an unsynchronised put by rank 1 and
     a get by rank 2 of one single scalar still race: across seeds the get
@@ -1444,7 +1463,8 @@ ROW ="allocated[row[] :: horizontal[2] :: single[evendist[]]]"
 
 
 def communicating_program(seed, nprocs):
-    """Random one-sided reads and writes, channels, collectives and calls.
+    """Random one-sided reads and writes, channels, collectives and calls,
+    and line copies from a `Char` array into an `Int` one.
 
     Function bodies take single scalars, some linked by a blocking or an
     `async` channel, 1D and 2D arrays and locals from the top level, as
@@ -1458,6 +1478,7 @@ def communicating_program(seed, nprocs):
         f"var X : array[Int,6] :: {ROW};",
         "var Y : array[Int,6] :: allocated[row[] :: horizontal[3] :: single[evendist[]]];",
         f"var L : array[Int,4,3] :: {ROW};",
+        f"var C : array[Char,4,3] :: {ROW};",
         "var M : array[Int,4,3] :: allocated[col[] :: horizontal[2] :: single[evendist[]]];",
         "var F : array[Int,4] :: allocated[single[on[0]]];",
         "var R : array[Int,3];",
@@ -1520,6 +1541,9 @@ def communicating_program(seed, nprocs):
             lines.append(f"F[{rng.randrange(4)}] := {read()};")
         elif roll < 0.65:
             lines.append("proc 0 { fio() };")
+        elif roll < 0.7:
+            lines.append(f"proc {r} {{ L[{rng.randrange(2)}][{rng.randrange(2)}] := "
+                         f"C[{rng.randrange(2)}][{rng.randrange(2)}] }};")
         else:
             call = rng.choice(list(calls))
             if calls[call][1] and rng.random() < 0.5:
@@ -1583,7 +1607,8 @@ def test_communicating_programs_cover_every_form(tmp_path):
                      "block-transfer"}
     assert mixed, "no rank's log holds both single and run records"
     for call in ("fs()", "fq()", "fe()", "fr()", "fl()", "fz()", "fw(w)", "fy()", "fp(X)",
-                 "fc()", "fa()", "fx(Y)", "fm()", "proc 0 { fio() }", "{ fs() }", "sync a;"):
+                 "fc()", "fa()", "fx(Y)", "fm()", "proc 0 { fio() }", "{ fs() }", "sync a;",
+                 ":= C["):
         assert call in statements, call
 
 
