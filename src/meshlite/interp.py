@@ -45,9 +45,9 @@ from .sched import PAUSE, Barrier, ChannelSlot, Collective, PendingTransfer, Sch
 def fft_inplace(values: list, sins: list) -> None:
     """Unnormalized forward DFT, iterative radix-2 with bit reversal.
 
-    `sins` holds e^(-2*pi*i*k/n) for k < n/2; stage twiddles index into it
-    with stride n/L. Butterflies run in a fixed order so repeated runs are
-    bit-identical.
+    `sins` holds e^(-2*pi*i*k/n) for k < n/2 and is read on every call;
+    the butterflies run in the fixed order of butterflies(n), so repeated
+    runs are bit-identical.
     """
     n = len(values)
     if n == 0 or n & (n - 1):
@@ -55,18 +55,11 @@ def fft_inplace(values: list, sins: list) -> None:
     if len(sins) * 2 != n:
         raise BadLength(f"need {n // 2} twiddle factors for length {n}, got {len(sins)}")
     values[:] = [values[j] for j in bit_reversal(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        stride = n // size
-        for base in range(0, n, size):
-            for j in range(half):
-                w = sins[j * stride]
-                a = values[base + j]
-                b = values[base + j + half] * w
-                values[base + j] = a + b
-                values[base + j + half] = a - b
-        size *= 2
+    for i, k, t in butterflies(n):
+        a = values[i]
+        b = values[k] * sins[t]
+        values[i] = a + b
+        values[k] = a - b
 
 
 @functools.lru_cache(maxsize=16)
@@ -77,6 +70,22 @@ def bit_reversal(n: int) -> tuple:
     for i in range(1, n):
         rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
     return tuple(rev)
+
+
+@functools.lru_cache(maxsize=16)
+def butterflies(n: int) -> tuple:
+    """The (i, k, t) of every butterfly of a length-n transform, stage by
+    stage: v[i], v[k] := v[i] + v[k] * sins[t], v[i] - v[k] * sins[t]. A
+    stage of size L pairs i with k = i + L/2 at twiddle stride n/L."""
+    schedule = []
+    size = 2
+    while size <= n:
+        half = size // 2
+        stride = n // size
+        for base in range(0, n, size):
+            schedule.extend((base + j, base + j + half, j * stride) for j in range(half))
+        size *= 2
+    return tuple(schedule)
 
 
 def compute_sins(n: int) -> list:

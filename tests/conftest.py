@@ -7,8 +7,8 @@ import pytest
 
 from meshlite import ast, chains, check_program, parse
 from meshlite.fixtures import corpus_source
-from meshlite.errors import LexError, MeshError, ShapeMismatch
-from meshlite.interp import ProcessContext, RunState
+from meshlite.errors import BadLength, LexError, MeshError, NotPowerOfTwo, ShapeMismatch
+from meshlite.interp import ProcessContext, RunState, bit_reversal
 from meshlite.lexer import END, KEYWORDS, OPERATORS, PUNCTUATION
 from meshlite.runtime import (
     ELEMENT_SIZES,
@@ -520,6 +520,30 @@ def resolve_attribute(chain, attribute):
     if attribute not in values:
         raise UnknownAttribute(f"unknown attribute {attribute!r}")
     return values[attribute]
+
+
+def reference_fft(values: list, sins: list) -> None:
+    """The stage-loop kernel that `fft_inplace` replaced: the same
+    butterflies in the same order, with each index and twiddle position
+    computed as it runs. `fft_inplace` must match it bit for bit."""
+    n = len(values)
+    if n == 0 or n & (n - 1):
+        raise NotPowerOfTwo(f"transform length {n} is not a power of two")
+    if len(sins) * 2 != n:
+        raise BadLength(f"need {n // 2} twiddle factors for length {n}, got {len(sins)}")
+    values[:] = [values[j] for j in bit_reversal(n)]
+    size = 2
+    while size <= n:
+        half = size // 2
+        stride = n // size
+        for base in range(0, n, size):
+            for j in range(half):
+                w = sins[j * stride]
+                a = values[base + j]
+                b = values[base + j + half] * w
+                values[base + j] = a + b
+                values[base + j + half] = a - b
+        size *= 2
 
 
 def oracle_dft1d(values):

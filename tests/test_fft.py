@@ -5,11 +5,17 @@ import random
 
 import pytest
 
-from conftest import checked_corpus, make_descriptor, oracle_dft1d, oracle_dft2d
+from conftest import (
+    checked_corpus,
+    make_descriptor,
+    oracle_dft1d,
+    oracle_dft2d,
+    reference_fft,
+)
 from meshlite import check_program, parse, run
 from meshlite.errors import BadLength, NotPowerOfTwo
 from meshlite.fixtures import corpus_source, dft2d, generate_image
-from meshlite.interp import bit_reversal, compute_sins, fft_inplace
+from meshlite.interp import bit_reversal, butterflies, compute_sins, fft_inplace
 from meshlite.mshd import read_mshd
 from meshlite.runtime import allocate
 
@@ -113,6 +119,81 @@ def test_fft_is_deterministic():
     fft_inplace(a, compute_sins(16))
     fft_inplace(b, compute_sins(16))
     assert a == b
+
+
+# --- the cached schedule against the stage loop it replaced ---
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.0]
+
+
+def random_line(rng, n, parts=None):
+    def part():
+        return rng.choice(parts) if parts else rng.uniform(-1, 1)
+    return [complex(part(), part()) for _ in range(n)]
+
+
+def assert_same_as_reference(values, sins):
+    got, want = list(values), list(values)
+    fft_inplace(got, sins)
+    reference_fft(want, sins)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [2 ** e for e in range(1, 11)])
+def test_fft_matches_the_stage_loop_on_random_lines(n):
+    rng = random.Random(n)
+    sins = compute_sins(n)
+    for _ in range(4):
+        assert_same_as_reference(random_line(rng, n), sins)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_fft_matches_the_stage_loop_on_signed_zeros_infinities_and_nans(n):
+    rng = random.Random(200 + n)
+    for sins in (compute_sins(n), random_line(rng, n // 2, SPECIAL)):
+        for _ in range(8):
+            assert_same_as_reference(random_line(rng, n, SPECIAL), sins)
+        assert_same_as_reference([complex(-0.0, -0.0)] * n, sins)
+
+
+@pytest.mark.parametrize("n", [2, 16, 256])
+def test_fft_reads_arbitrary_twiddles_and_no_cached_ones(n):
+    """Two unrelated tables back to back at one length: the schedule is
+    cached per n, so it must hold positions in `sins`, not their values."""
+    rng = random.Random(300 + n)
+    line = random_line(rng, n)
+    for sins in (random_line(rng, n // 2), [complex(3, -7)] * (n // 2), compute_sins(n)):
+        assert_same_as_reference(line, [complex(w.real * 5, w.imag - 2) for w in sins])
+        assert_same_as_reference(line, sins)
+
+
+@pytest.mark.parametrize("n,sins", [(0, []), (3, [1j]), (6, [1j] * 3), (8, [1j] * 3)])
+def test_fft_raises_what_the_stage_loop_raises_and_leaves_values_alone(n, sins):
+    values = [complex(k, -k) for k in range(n)]
+    raised = []
+    for kernel in (fft_inplace, reference_fft):
+        line = list(values)
+        with pytest.raises((NotPowerOfTwo, BadLength)) as info:
+            kernel(line, list(sins))
+        assert line == values
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def test_butterflies_pair_every_index_once_per_stage():
+    n = 1
+    while n <= 4096:
+        schedule = butterflies(n)
+        stages = n.bit_length() - 1
+        assert len(schedule) == n // 2 * stages
+        for stage in range(stages):
+            half = 1 << stage
+            pairs = schedule[stage * n // 2:(stage + 1) * n // 2]
+            assert all(k - i == half for i, k, _ in pairs)
+            assert sorted(x for i, k, _ in pairs for x in (i, k)) == list(range(n))
+        assert all(t < n // 2 for _, _, t in schedule)
+        n *= 2
 
 
 # --- 2D oracle self-checks ---

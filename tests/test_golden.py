@@ -5,6 +5,7 @@ Each corpus program runs through the command line on `make-fixtures` data
 seeds 0 and 7919. The rendered trace, stdout and the MSHD file written
 must hash to the values pinned here, which were taken from the per-event
 trace log; a change to how the trace is stored must leave every byte alone.
+The FFT programs' output is also pinned at full size, n = 256.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import hashlib
 import pytest
 
 from meshlite.cli import main
-from meshlite.fixtures import CORPUS, write_fixtures
+from meshlite.fixtures import CORPUS, corpus_source, generate_image, write_fixtures
 
 PROCS = (1, 2, 3, 4, 16)
 SEEDS = (0, 7919)
@@ -21,6 +22,8 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 FFT_OUT = "294a3438c0a99dc7d8918c48f6e187ba9f5c46d0f6df68cc1b36cb0eec801198"
 ONE_GET = "01f825e1f1b87499ed451e4bc99f8294bacc7625351316204fe60e6c02051c52"
 SEND_RECV = "67c0c47306a81bc891b080480098e065a840e451b8c138f0d989a5f4308c1778"
+# the 256 x 256 spectrum of generate_image(256, 1), whatever the distribution
+FFT_OUT_256 = "bfa97a1b0b201947a9af7bf35121da10096c0a760abd8f52c199344ea635782f"
 
 # (program, P) -> sha256 of (trace, MSHD output); a missing pair exits 1
 GOLDEN = {
@@ -82,3 +85,12 @@ def test_corpus_run_matches_golden_hashes(fixtures_dir, monkeypatch, capsys, nam
             continue
         assert code == 0, context
         assert (digest(trace), digest(out)) == GOLDEN[name, nprocs], context
+
+
+@pytest.mark.parametrize("name,nprocs", [("fft2d.mesh", 4), ("fft2d_arraydist.mesh", 2)])
+def test_full_size_fft_output_matches_its_pinned_hash(tmp_path, monkeypatch, name, nprocs):
+    monkeypatch.chdir(tmp_path)
+    generate_image(256, 1, tmp_path / "image.dat")
+    (tmp_path / name).write_text(corpus_source(name))
+    assert main(["run", name, "--procs", str(nprocs), "--define", "n=256"]) == 0
+    assert digest(tmp_path / "image.out.dat") == FFT_OUT_256
