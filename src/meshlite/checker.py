@@ -12,6 +12,9 @@ never by its name. Type arguments are read by one walk,
 allocation rule, an argument over local integers becomes a closure run
 when its declaration runs, and any other argument is a diagnostic at the
 offending node.
+
+The walk also settles each loop's class (`LocalOnly`), which the compiler
+reads as it reads slots (`CheckedProgram.loops` and `owners`).
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +79,30 @@ class VarInfo:
     slot: int = 0  # the index of its array or Local in its frame
 
 
+class LocalOnly:
+    """A loop's record, filled as the checker walks its bounds and body,
+    nested loops included (`Checker.close`). The loop is local-only when
+    they hold only literals, locals, replicated scalars, elements of 1D
+    replicated arrays, arithmetic, `processes()`, untyped `var`
+    declarations and stores to locals or replica elements, and reads X[v]
+    of one 1D single-copy X, v the loop variable, in its body only, if that
+    stores nothing into v and no nested loop counts in v. Then `locals` and
+    `replicas` are the slots of the names declared outside it that it uses,
+    `stores` and `fills` the positions in each of those it stores, and
+    `gathers` X's slot, or None."""
+
+    def __init__(self, first):
+        self.first = first  # the loop's first slot: those from it on are declared in it
+        self.outer = {}  # slot of a name declared outside -> (is it a local, is it stored)
+        self.written = set()  # the slots it stores as names, and its nested loops' variables
+        self.reads = set()  # (X's slot, n's slot) of each X[n], X a 1D single-copy array
+        self.statements = 0  # of its body, nested ones included
+        self.local = True  # False once it holds what no loop around it may hold either
+
+    def note(self, slot, local, stored):
+        self.outer[slot] = (local, stored or self.outer.get(slot, (local, False))[1])
+
+
 @dataclass
 class CheckedProgram:
     """A checked program and what the check resolved, each keyed by the
@@ -90,6 +117,10 @@ class CheckedProgram:
     # a distributed declaration -> (its type_argument()s, the VarInfo of
     # each name its chain references, by role: "arraydist" or "share")
     allocations: dict = field(default_factory=dict)
+    loops: dict = field(default_factory=dict)  # each local-only For -> its LocalOnly
+    # each For whose body is `X[v] := e` alone, v its variable and X a 1D
+    # single-copy writable array -> X's slot: outside `proc` only owners store
+    owners: dict = field(default_factory=dict)
 
 
 def type_argument(expr, info_of, report):
@@ -172,6 +203,7 @@ class Checker:
         self.resolved = CheckedProgram(program, self.functions, source_name,
                                        toplevel=self.scopes[0])
         self.slots = 0  # the next free slot of the frame being checked
+        self.loops = []  # the LocalOnly of each loop being checked, innermost last
 
     # --- helpers ---
 
@@ -218,13 +250,22 @@ class Checker:
     # --- statements ---
 
     def check_stmt(self, stmt, in_proc):
+        if self.loops:  # a statement of the innermost loop's body
+            loop, kind = self.loops[-1], type(stmt)
+            loop.statements += 1
+            if not (kind is ast.Assign or kind is ast.For
+                    or kind is ast.VarDecl and stmt.type_expr is None):
+                loop.local = False
         if isinstance(stmt, ast.VarDecl):
             self.check_decl(stmt, in_proc)
         elif isinstance(stmt, ast.Assign):
             self.check_assign(stmt, in_proc)
         elif isinstance(stmt, ast.For):
+            loop = LocalOnly(self.slots)
+            self.loops.append(loop)
             self.check_scalar(stmt.start, "a loop bound")
             self.check_scalar(stmt.stop, "a loop bound")
+            bounded = bool(loop.reads)  # an X[n] in its own bounds: it gathers nothing
             existing = self.lookup(stmt.var)
             if existing is not None and existing.kind.read_only:
                 self.report("ConstViolation", f"loop variable {stmt.var!r} is declared const", stmt)
@@ -233,7 +274,9 @@ class Checker:
                 self.scoped(stmt.body, in_proc, (VarInfo(stmt.var, None, chains.LOCAL), stmt))
             else:
                 self.resolved.names[id(stmt)] = existing
+                loop.note(existing.slot, True, True)  # an outer local, counted in: stored
                 self.scoped(stmt.body, in_proc)
+            self.close(stmt, bounded)
         elif isinstance(stmt, ast.ProcBlock):
             self.check_scalar(stmt.rank, "a proc rank")
             self.scoped(stmt.body, True)
@@ -249,6 +292,49 @@ class Checker:
             self.check_funcdef(stmt)
         else:
             raise TypeError(f"unhandled statement {stmt!r}")
+
+    def close(self, stmt, bounded):
+        """Settle the class of loop stmt, the innermost, and hand what it
+        holds to the loop around it; bounded: its own bounds read an X[n]."""
+        loop, names = self.loops.pop(), self.resolved.names
+        v = names[id(stmt)].slot
+        gathers = {x for x, _ in loop.reads}
+        if loop.local and not bounded and all(n == v for _, n in loop.reads) \
+                and len(gathers) < 2 and not (gathers and v in loop.written):
+            outer = loop.outer
+            loop.locals = [slot for slot, (local, _) in outer.items() if local]
+            loop.replicas = [slot for slot, (local, _) in outer.items() if not local]
+            loop.stores = [k for k, slot in enumerate(loop.locals) if outer[slot][1]]
+            loop.fills = [k for k, slot in enumerate(loop.replicas) if outer[slot][1]]
+            loop.gathers = gathers.pop() if gathers else None
+            self.resolved.loops[id(stmt)] = loop
+        if self.loops:
+            around = self.loops[-1]
+            around.local = around.local and loop.local
+            around.statements += loop.statements
+            around.reads |= loop.reads
+            around.written |= loop.written | {v}
+            for slot, (local, stored) in loop.outer.items():
+                if slot < around.first:
+                    around.note(slot, local, stored)
+        s = stmt.body[0] if len(stmt.body) == 1 else None
+        x = type(s) is ast.Assign and type(s.target) is ast.Index and names.get(id(s.target.base))
+        if x and type(s.target.index) is ast.Name and s.target.index.name == stmt.var \
+                and x.kind.ndim == 1 and not (x.kind.replicated or x.kind.read_only):
+            self.resolved.owners[id(stmt)] = x.slot
+
+    def used(self, info, ndim, stored=False):
+        """Note in the innermost loop a read, or a store, of info's name with
+        ndim indices: from outside, a loop may use only locals and replicas."""
+        loop, slot, kind = self.loops[-1], info.slot, info.kind
+        if stored:
+            loop.written.add(slot)
+        if slot < loop.first:  # else declared in the loop: an untyped local
+            local = not kind.distributed
+            if ndim == 0 if local else kind.replicated and kind.ndim == ndim:
+                loop.note(slot, local, stored)
+            else:
+                loop.local = False
 
     def check_decl(self, stmt: ast.VarDecl, in_proc):
         kind = chains.LOCAL if stmt.type_expr is None else self.check_chain(stmt.type_expr, stmt)
@@ -322,6 +408,8 @@ class Checker:
         if info is not None and info.kind.read_only:
             self.report("ConstViolation", f"{info.name!r} is declared const", stmt)
         cls = self.check_expr(stmt.value)
+        if self.loops and info is not None:
+            self.used(info, 0 if target is root else 1, stored=True)
         if held is None:
             return
         if target is not root and target.base is root and held != "scalar":
@@ -371,6 +459,8 @@ class Checker:
                 self.report("UnknownVariable", f"{expr.name!r} is not declared", expr)
                 return None
             self.resolved.names[id(expr)] = info
+            if self.loops and not info.kind.ndim:  # an array is noted where it is indexed
+                self.used(info, 0)
             return None if info.refused else "array" if info.kind.ndim else "scalar"
         if kind is ast.BinOp:
             self.check_scalar(expr.left, "an operand")
@@ -379,6 +469,8 @@ class Checker:
         if kind is ast.Index:
             cls = self.check_expr(expr.base)
             self.check_scalar(expr.index, "an index")
+            if self.loops:
+                self.element(expr, cls)
             if cls == "array":  # only a name is an array
                 return indexed(cls, self.lookup(expr.base.name).kind)
             if cls == "scalar":
@@ -388,6 +480,8 @@ class Checker:
                 return None
             return cls and indexed(cls, None)
         if kind is ast.Accessor:
+            if self.loops:
+                self.loops[-1].local = False
             cls = self.check_expr(expr.base)
             want = "block" if expr.which in ("low", "high") else "array"
             if cls not in (want, None):
@@ -400,6 +494,21 @@ class Checker:
         if kind is ast.Call:
             return self.check_call(expr, statement)
         return "scalar"  # a literal
+
+    def element(self, expr, cls):
+        """Note in the innermost loop the read expr, base[i] of base's class
+        cls: an element of a 1D replicated array, or of a 1D single-copy X
+        read as X[n], which may gather for the loop counting in n."""
+        loop = self.loops[-1]
+        if cls == "array":  # only a name is an array
+            info = self.lookup(expr.base.name)
+            kind = info.kind
+            if kind.replicated or not kind.distributed or kind.ndim != 1:
+                return self.used(info, 1)
+            n = self.resolved.names.get(id(expr.index))  # None unless a Name
+            if n is not None:
+                return loop.reads.add((info.slot, n.slot))
+        loop.local = False
 
     def check_scalar(self, expr, role):
         cls = self.check_expr(expr)

@@ -9,10 +9,10 @@ as statements); a statement's closure returns a generator then, which
 yields to the scheduler, and otherwise runs straight through. Callers
 drain a generator with `yield from`.
 
-A loop whose bounds and body touch nothing but locals and replicas
-(`local_only`) never waits, and outside `proc` a process whose inputs to
-it match another's bit for bit takes that one's outputs instead of
-running it (`ProcessContext.run_once`).
+A loop whose bounds and body touch nothing but locals and replicas (the
+checker's `CheckedProgram.loops`) never waits, and outside `proc` a
+process whose inputs to it match another's bit for bit takes that one's
+outputs instead of running it (`ProcessContext.run_once`).
 
 A statement list compiles to (statement, closure) pairs, held by what
 runs it: the program, a loop, a `proc` body, a function. A loop's and a
@@ -36,7 +36,7 @@ faults only on what values alone show: an index's type and range, a
 loop bound, a `proc` rank, a line's length. The types also decide who
 stores: outside `proc` only X[i]'s owner stores `X[i] := e`,
 so a loop whose body is that one statement over a 1D single-copy array
-runs only the iterations the process owns (`owner_computes`). The
+runs only the iterations the process owns (`CheckedProgram.owners`). The
 geometry decides the reads too: a loop whose body would be local-only
 but for reads X[v] of one 1D single-copy X, v the loop variable, never
 waits, so it runs one block of X at a time, reading the block's buffer,
@@ -110,23 +110,6 @@ def _store(ctx, array, block, offset, value):
     if block.owner != ctx.rank:
         return ctx.store(array, block, offset, value)
     block.buffer[offset] = value
-
-
-class LocalOnly:
-    """A local-only loop (`Compiler.local_only`): the slots of the names
-    declared outside it that it reads or stores, split into locals and
-    replicas (replicated scalars and 1D arrays), the positions in each of
-    those it stores, and the statements of its body, nested ones included.
-    `gathers` is the slot of the one 1D single-copy array X it also reads,
-    as X[v] only, or None."""
-
-    def __init__(self, outer, statements, gathers):
-        self.locals = [slot for slot, (local, _) in outer.items() if local]
-        self.replicas = [slot for slot, (local, _) in outer.items() if not local]
-        self.stores = [k for k, slot in enumerate(self.locals) if outer[slot][1]]
-        self.fills = [k for k, slot in enumerate(self.replicas) if outer[slot][1]]
-        self.statements = statements
-        self.gathers = gathers
 
 
 class Compiler:
@@ -297,16 +280,17 @@ class Compiler:
         slot, reuse = info.slot, info.node is not node  # reuse: an existing local counts
         # a loop nested in a local-only one runs with it, never on its own
         within, gathering = self.within_once, self.gathering
-        once = None if within else self.local_only(node)
+        once = None if within else self.checked.loops.get(id(node))
         gather = None if once is None else once.gathers
         if gather is not None:
-            # the block a run reads: its buffer (None between runs), its
-            # first index, and the reads of it made so far
+            # the block a run reads, per compile (a checked program may serve
+            # many runs): its buffer (None between runs), its first index,
+            # and the reads of it made so far
             window = [None, 0, 0]
             self.gathering, once = (gather, slot, window), None
         self.within_once = within or once is not None
         stmts = self.block(node.body)
-        target = self.owner_computes(node)
+        target = self.checked.owners.get(id(node))
         self.within_once, self.gathering = within, gathering
 
         def iterate(ctx):
@@ -359,105 +343,6 @@ class Compiler:
                 counter.value = hi
             ctx.leave()
         return iterate
-
-    def local_only(self, node):
-        """A LocalOnly for loop node when its bounds and body, nested loops
-        included, hold only literals, locals, replicated scalars, elements
-        of 1D replicated arrays, arithmetic, `processes()`, untyped `var`
-        declarations and stores to locals or replica elements; else None.
-        Besides, the body may read one 1D single-copy array X as X[v], v
-        the loop variable, if it stores nothing into v (`LocalOnly.gathers`)."""
-        outer = {}  # slot of a name declared outside the loop -> (is it a local, is it stored)
-        statements = 0
-        v = self.names[id(node)].slot
-        gathers = set()  # the slots of the arrays X read as X[v]
-        moved = False  # whether the body stores v or a nested loop counts in it
-
-        def use(e, inner, ndim, store=False):
-            """Whether the name e, read or stored with ndim indices, is a
-            local or a replica; inner holds the slots declared in the loop."""
-            nonlocal moved
-            info = self.names[id(e)]
-            slot, kind = info.slot, info.kind
-            moved = moved or store and slot == v
-            if slot in inner:  # untyped: a local
-                return ndim == 0
-            local = not kind.distributed
-            if not (ndim == 0 if local else kind.replicated and kind.ndim == ndim):
-                return False
-            outer[slot] = (local, store or outer.get(slot, (local, False))[1])
-            return True
-
-        def expr(e, inner):
-            t = type(e)
-            if t is ast.Name:
-                return use(e, inner, 0)
-            if t is ast.BinOp:
-                return expr(e.left, inner) and expr(e.right, inner)
-            if t is ast.Index:
-                if type(e.base) is not ast.Name:
-                    return False
-                if use(e.base, inner, 1):
-                    return expr(e.index, inner)
-                x, i = self.names[id(e.base)], e.index
-                if x.kind.ndim == 1 and x.kind.distributed and type(i) is ast.Name \
-                        and v in inner and self.names[id(i)].slot == v:
-                    gathers.add(x.slot)  # not replicated, as use() refused it
-                    return True
-                return False
-            return t in _LITERALS or (t is ast.Call and e.func == "processes")
-
-        def loop(s, inner):
-            nonlocal statements, moved
-            if not (expr(s.start, inner) and expr(s.stop, inner)):
-                return False
-            var = self.names[id(s)]
-            moved = moved or s is not node and var.slot == v
-            if var.node is not s and var.slot not in inner:
-                outer[var.slot] = (True, True)  # an outer local, reused: stored
-            inner = inner | {var.slot}
-            for b in s.body:
-                statements += 1
-                t = type(b)
-                if t is ast.For:
-                    ok = loop(b, inner)
-                elif t is ast.VarDecl:
-                    ok = b.type_expr is None and (b.init is None or expr(b.init, inner))
-                    inner = inner | {self.names[id(b)].slot}
-                elif t is ast.Assign:
-                    target = b.target
-                    ok = expr(b.value, inner) and (
-                        use(target, inner, 0, store=True) if type(target) is ast.Name
-                        else type(target.base) is ast.Name
-                        and use(target.base, inner, 1, store=True)
-                        and expr(target.index, inner))
-                else:
-                    ok = False
-                if not ok:
-                    return False
-            return True
-
-        if not loop(node, frozenset()) or gathers and (moved or len(gathers) > 1):
-            return None
-        return LocalOnly(outer, statements, gathers.pop() if gathers else None)
-
-    def owner_computes(self, node):
-        """X's slot when the body of loop node is the one statement `X[v] := e`,
-        v the loop variable and X a 1D single-copy writable array: outside
-        `proc` only X[v]'s owner runs more of it than the index."""
-        if len(node.body) != 1:
-            return None
-        s = node.body[0]
-        if type(s) is not ast.Assign or type(s.target) is not ast.Index:
-            return None
-        base, index = s.target.base, s.target.index
-        if type(base) is not ast.Name or type(index) is not ast.Name or index.name != node.var:
-            return None
-        info = self.names[id(base)]
-        known = info.kind
-        if known.ndim == 1 and not known.replicated and not known.read_only:
-            return info.slot
-        return None
 
     def proc(self, node):
         rank = self.expr(node.rank)

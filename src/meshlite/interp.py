@@ -115,7 +115,7 @@ class RunState:
         # (stmt id, instance) -> (array, type-argument values or None when
         # others may not take its plan), in declaration order
         self.allocations = {}
-        # (compiler.LocalOnly, arrival) -> [ranks past it, the inputs of the
+        # (checker.LocalOnly, arrival) -> [ranks past it, the inputs of the
         # first rank to snapshot them, the outputs it got]; see run_once
         self.loops = {}
         self.channels = {}
@@ -216,8 +216,8 @@ class ProcessContext:
 
     def arrival(self, point):
         """How many times this process reached point (an allocation's id()
-        or a LocalOnly) before now. Every process counts alike, so (point,
-        arrival) names one allocation, or one run of a loop, for all."""
+        or a checker.LocalOnly) before now. Every process counts alike, so
+        (point, arrival) names one allocation, or one run of a loop, for all."""
         k = self.arrivals.get(point, 0)
         self.arrivals[point] = k + 1
         return k
@@ -300,7 +300,7 @@ class ProcessContext:
     # --- local-only loops ---
 
     def run_once(self, loop, trips, run):
-        """Run the local-only loop of compiler.LocalOnly `loop`, of trips
+        """Run the local-only loop of checker.LocalOnly `loop`, of trips
         iterations, by calling run, or take its outputs from another
         process. Outside `proc`, every process reaches the loop's k-th
         arrival; the first whose inputs are snapshotted there (the scope

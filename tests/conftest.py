@@ -617,3 +617,129 @@ def _fmt_block(body, indent):
 def format_program(program: ast.Program) -> str:
     """The canonical source of a program: parsing it gives the program back."""
     return "\n".join(_fmt_stmt(s, 0) for s in program.statements) + "\n"
+
+
+# --- the compile-time loop walk the checker's record replaced: the oracle ---
+# `checker.Checker` settles each loop's class in its one walk; these are the
+# second walk over every loop that the compiler used to make, kept verbatim
+# but for reading `checked.names`. The classes must agree on every loop.
+
+_LITERALS = (ast.IntLit, ast.RealLit, ast.StrLit)
+
+
+class ReferenceLocalOnly:
+    """A local-only loop (`reference_local_only`): the slots of the names
+    declared outside it that it reads or stores, split into locals and
+    replicas (replicated scalars and 1D arrays), the positions in each of
+    those it stores, and the statements of its body, nested ones included.
+    `gathers` is the slot of the one 1D single-copy array X it also reads,
+    as X[v] only, or None."""
+
+    def __init__(self, outer, statements, gathers):
+        self.locals = [slot for slot, (local, _) in outer.items() if local]
+        self.replicas = [slot for slot, (local, _) in outer.items() if not local]
+        self.stores = [k for k, slot in enumerate(self.locals) if outer[slot][1]]
+        self.fills = [k for k, slot in enumerate(self.replicas) if outer[slot][1]]
+        self.statements = statements
+        self.gathers = gathers
+
+
+def reference_local_only(checked, node):
+    """A ReferenceLocalOnly for loop node when its bounds and body, nested loops
+    included, hold only literals, locals, replicated scalars, elements
+    of 1D replicated arrays, arithmetic, `processes()`, untyped `var`
+    declarations and stores to locals or replica elements; else None.
+    Besides, the body may read one 1D single-copy array X as X[v], v
+    the loop variable, if it stores nothing into v (`gathers`)."""
+    outer = {}  # slot of a name declared outside the loop -> (is it a local, is it stored)
+    statements = 0
+    v = checked.names[id(node)].slot
+    gathers = set()  # the slots of the arrays X read as X[v]
+    moved = False  # whether the body stores v or a nested loop counts in it
+
+    def use(e, inner, ndim, store=False):
+        """Whether the name e, read or stored with ndim indices, is a
+        local or a replica; inner holds the slots declared in the loop."""
+        nonlocal moved
+        info = checked.names[id(e)]
+        slot, kind = info.slot, info.kind
+        moved = moved or store and slot == v
+        if slot in inner:  # untyped: a local
+            return ndim == 0
+        local = not kind.distributed
+        if not (ndim == 0 if local else kind.replicated and kind.ndim == ndim):
+            return False
+        outer[slot] = (local, store or outer.get(slot, (local, False))[1])
+        return True
+
+    def expr(e, inner):
+        t = type(e)
+        if t is ast.Name:
+            return use(e, inner, 0)
+        if t is ast.BinOp:
+            return expr(e.left, inner) and expr(e.right, inner)
+        if t is ast.Index:
+            if type(e.base) is not ast.Name:
+                return False
+            if use(e.base, inner, 1):
+                return expr(e.index, inner)
+            x, i = checked.names[id(e.base)], e.index
+            if x.kind.ndim == 1 and x.kind.distributed and type(i) is ast.Name \
+                    and v in inner and checked.names[id(i)].slot == v:
+                gathers.add(x.slot)  # not replicated, as use() refused it
+                return True
+            return False
+        return t in _LITERALS or (t is ast.Call and e.func == "processes")
+
+    def loop(s, inner):
+        nonlocal statements, moved
+        if not (expr(s.start, inner) and expr(s.stop, inner)):
+            return False
+        var = checked.names[id(s)]
+        moved = moved or s is not node and var.slot == v
+        if var.node is not s and var.slot not in inner:
+            outer[var.slot] = (True, True)  # an outer local, reused: stored
+        inner = inner | {var.slot}
+        for b in s.body:
+            statements += 1
+            t = type(b)
+            if t is ast.For:
+                ok = loop(b, inner)
+            elif t is ast.VarDecl:
+                ok = b.type_expr is None and (b.init is None or expr(b.init, inner))
+                inner = inner | {checked.names[id(b)].slot}
+            elif t is ast.Assign:
+                target = b.target
+                ok = expr(b.value, inner) and (
+                    use(target, inner, 0, store=True) if type(target) is ast.Name
+                    else type(target.base) is ast.Name
+                    and use(target.base, inner, 1, store=True)
+                    and expr(target.index, inner))
+            else:
+                ok = False
+            if not ok:
+                return False
+        return True
+
+    if not loop(node, frozenset()) or gathers and (moved or len(gathers) > 1):
+        return None
+    return ReferenceLocalOnly(outer, statements, gathers.pop() if gathers else None)
+
+
+def reference_owner_computes(checked, node):
+    """X's slot when the body of loop node is the one statement `X[v] := e`,
+    v the loop variable and X a 1D single-copy writable array: outside
+    `proc` only X[v]'s owner runs more of it than the index."""
+    if len(node.body) != 1:
+        return None
+    s = node.body[0]
+    if type(s) is not ast.Assign or type(s.target) is not ast.Index:
+        return None
+    base, index = s.target.base, s.target.index
+    if type(base) is not ast.Name or type(index) is not ast.Name or index.name != node.var:
+        return None
+    info = checked.names[id(base)]
+    known = info.kind
+    if known.ndim == 1 and not known.replicated and not known.read_only:
+        return info.slot
+    return None

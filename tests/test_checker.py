@@ -10,7 +10,17 @@ from meshlite.errors import CheckError, RuntimeFault
 from meshlite.fixtures import CORPUS, corpus_source, generate_image
 from meshlite.runtime import DistributedArray
 from meshlite.values import BlockRef, LineSlice
-from test_compiler import RUNS, communicating_program, generate, run_walked
+from conftest import reference_local_only, reference_owner_computes
+from test_compiler import (
+    RUNS,
+    MixedGen,
+    ScopeGen,
+    _gather_loop_programs,
+    _owner_loop_programs,
+    communicating_program,
+    generate,
+    run_walked,
+)
 
 
 def diagnostics_of(src, name="<source>"):
@@ -690,3 +700,157 @@ PRELUDE, DIAGNOSTICS_TABLE = diagnostics_table()
 @pytest.mark.parametrize("rule, example", DIAGNOSTICS_TABLE)
 def test_each_readme_diagnostics_example_gives_its_rule(rule, example):
     assert {d.rule for d in diagnostics_of(f"{PRELUDE}\n{example}\n")} == {rule}
+
+
+# --- loop classes: settled in the checker's one walk ---
+
+
+def loops_of(stmts):
+    """Every For in stmts, with those nested in loops, proc and function bodies."""
+    for s in stmts:
+        if type(s) is ast.For:
+            yield s
+        if type(s) in (ast.For, ast.ProcBlock, ast.FuncDef):
+            yield from loops_of(s.body)
+
+
+def loop_class(once, owner):
+    """A local-only loop's facts, or None, and its owner-computes slot. The
+    slots are sorted: their order is the order a walk meets them in, which
+    only the byte order of `run_once`'s snapshot follows, on every rank alike."""
+    if once is None:
+        return None, owner
+    return (sorted(once.locals), sorted(once.replicas),
+            sorted(once.locals[k] for k in once.stores),
+            sorted(once.replicas[k] for k in once.fills),
+            once.statements, once.gathers), owner
+
+
+def classes_match_the_reference(source):
+    """Check source; assert each For's class is the reference walk's, and
+    return the classes."""
+    checked = check_program(parse(source))
+    loops = list(loops_of(checked.program.statements))
+    classes = []
+    for node in loops:
+        got = loop_class(checked.loops.get(id(node)), checked.owners.get(id(node)))
+        want = loop_class(reference_local_only(checked, node),
+                          reference_owner_computes(checked, node))
+        assert got == want, (node.line, node.column, source)
+        classes.append(got)
+    assert set(checked.loops) | set(checked.owners) <= {id(node) for node in loops}
+    return classes
+
+
+LOOP_CLASS_EDGES = [
+    # a gathered read in the loop's own bound; then in a nested loop's bound
+    "var i := 2;\nfor i from 0 to X[i] { s := s + X[i] };\n",
+    "for i from 0 to 3 { for j from 0 to X[i] - 5 { s := s + j } };\n",
+    # a reused loop variable read in its own bound, gathered or not
+    "var k := 2;\nfor k from k to 5 { s := s + k };\nfor k from k - 3 to 7 { s := s + X[k] };\n",
+    # a nested loop counting in the loop's variable, or storing it
+    "for i from 4 to 7 { for i from 0 to 1 { t := t + 1 }; s := s + X[i] };\n",
+    "for i from 4 to 7 { s := s + X[i]; for j from 0 to 1 { i := i + 0 } };\n",
+    # top-level names read from a function body, whose slots lie below `seen`
+    "function f() { var b := 2; for i from 0 to 3 { R[i / 2] := s + b; t := X[i] } };\nf();\n",
+    # loops inside proc; local-only loops nested in loops holding sync or proc
+    "proc 1 { for i from 0 to 3 { s := s + X[i] } };\n",
+    "for k from 0 to 1 { sync; for i from 0 to 2 { s := s + i } };\n",
+    "for k from 0 to 1 { proc 0 { t := 1 }; for i from 0 to 2 { R[0] := R[1] + i } };\n",
+    # owner computes: X[v] := e alone, X written by its owner
+    "for i from 0 to 7 { X[i] := i };\nfor j from 0 to 1 { R[j] := j };\n",
+]
+LOOP_CLASS_HEAD = ("var s := 0;\nvar t := 0;\nvar R : array[Int,2];\n"
+                   "var X : array[Int,8] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n")
+
+
+def test_loop_classes_match_the_compile_time_walk():
+    """The class the checker settles for each For, from its one walk, is
+    the one the compiler's second walk over the loop found (the reference,
+    in conftest): whether it is local-only, its locals and replicas, those
+    it stores, its statements, the array it gathers, and the array it fills
+    owner computes. Over the corpus, random programs of each generator,
+    the gathered and owner-computes loop programs and the edge cases."""
+    sources = [corpus_source(name) for name in CORPUS]
+    sources += [LOOP_CLASS_HEAD + edge for edge in LOOP_CLASS_EDGES]
+    for seed in range(100):
+        sources += [generate(seed)[1], MixedGen(seed).render(), ScopeGen(seed).render()]
+    for nprocs, m in ((2, 5), (3, 7)):
+        for blocks in (1, 2):
+            for place in ("evendist[]", "arraydist[d]"):
+                forms = ("top", "fresh", "proc", "function")
+                sources += _owner_loop_programs(nprocs, m, blocks, place, forms)
+                sources += _gather_loop_programs(nprocs, m, blocks, place,
+                                                 forms + ("nested", "replica"))
+    classes = [c for source in sources for c in classes_match_the_reference(source)]
+    local = [once for once, _ in classes if once is not None]
+    gathered = sum(once[-1] is not None for once in local)
+    owners = sum(owner is not None for _, owner in classes)
+    assert len(classes) > 4000 and len(local) > 1000, (len(classes), len(local))
+    assert gathered > 300 and owners > 300, (gathered, owners)
+
+
+def classes_of(body):
+    """body after LOOP_CLASS_HEAD: the checked program, and its loops in
+    source order, each (node, its LocalOnly or None, its owner slot)."""
+    checked = check_program(parse(LOOP_CLASS_HEAD + body))
+    return checked, [(node, checked.loops.get(id(node)), checked.owners.get(id(node)))
+                     for node in loops_of(checked.program.statements)]
+
+
+def slot(checked, name):
+    return checked.toplevel[name].slot
+
+
+def test_a_gathered_read_in_a_loops_own_bound_refuses_it():
+    _, [(_, once, _)] = classes_of(LOOP_CLASS_EDGES[0])
+    assert once is None
+
+
+def test_a_gathered_read_in_a_nested_loops_bound_gathers_for_the_outer_loop():
+    checked, [(_, outer, _), (_, inner, _)] = classes_of(LOOP_CLASS_EDGES[1])
+    assert outer.gathers == slot(checked, "X") and inner is None
+    assert (outer.locals, outer.stores, outer.statements) == ([slot(checked, "s")], [0], 2)
+
+
+def test_a_reused_loop_variable_read_in_its_own_bound_is_an_input_it_stores():
+    checked, [(_, plain, _), (_, gathered, _)] = classes_of(LOOP_CLASS_EDGES[2])
+    k, s = slot(checked, "k"), slot(checked, "s")
+    for once in (plain, gathered):
+        assert (sorted(once.locals), len(once.stores)) == (sorted([k, s]), 2)
+    assert (plain.gathers, gathered.gathers) == (None, slot(checked, "X"))
+
+
+def test_a_loop_whose_variable_moves_gathers_nothing():
+    for edge in LOOP_CLASS_EDGES[3:5]:
+        checked, [(_, outer, _), (_, inner, _)] = classes_of(edge)
+        assert outer is None and inner is not None and inner.gathers is None, edge
+
+
+def test_a_loop_in_a_function_body_takes_top_level_names_as_inputs():
+    """The body's frame starts with the top-level slots it sees, below
+    `seen`, so those names are declared outside the loop, as b is."""
+    checked, [(node, once, _)] = classes_of(LOOP_CLASS_EDGES[5])
+    b = checked.names[id(node.body[0].value.right)].slot
+    assert slot(checked, "t") < checked.seen["f"] <= b
+    assert sorted(once.locals) == sorted([slot(checked, n) for n in "st"] + [b])
+    assert [once.locals[k] for k in once.stores] == [slot(checked, "t")]
+    assert (once.replicas, once.fills, once.gathers) == ([slot(checked, "R")], [0],
+                                                         slot(checked, "X"))
+
+
+def test_loops_in_proc_and_around_sync_or_proc_are_classed_on_their_own():
+    """A loop inside `proc` is local-only (the run never runs it once for
+    all there); a loop holding `sync` or `proc` is not, but a loop inside
+    it may be."""
+    checked, [(_, once, _)] = classes_of(LOOP_CLASS_EDGES[6])
+    assert once.gathers == slot(checked, "X")
+    for edge in LOOP_CLASS_EDGES[7:9]:
+        checked, [(_, outer, _), (_, inner, _)] = classes_of(edge)
+        assert outer is None and inner is not None and inner.statements == 1, edge
+
+
+def test_owner_computes_loops_store_into_a_single_copy_array():
+    checked, [(_, filled, x), (_, replica, none)] = classes_of(LOOP_CLASS_EDGES[9])
+    assert (x, none) == (slot(checked, "X"), None)
+    assert filled is None and replica is not None

@@ -1459,6 +1459,28 @@ def test_gathered_loops_read_blocks_not_elements(monkeypatch):
         assert (calls["read_element"], calls["record"]) == (reads, records), loop
         assert result.trace.count("onesided-get") == gets, loop
 
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+@pytest.mark.parametrize("loop, want", [
+    # the nested loop leaves i at 1, so each iteration reads X[1]: were the
+    # loop gathered, the window would be indexed with the moved i (s = 108)
+    ("for i from 4 to 7 { for i from 0 to 1 { t := t + 1 }; s := s + X[i] };",
+     {"s": 28, "t": 8}),
+    # gathered for the outer loop, from a nested loop's bound
+    ("for i from 0 to 3 { for j from 0 to X[i] - 5 { s := s + j } };", {"s": 109}),
+    # a reused loop variable, read in its own bound, gathered
+    ("var k := 2; for k from k to 5 { s := s + X[k] * k };", {"s": 298, "k": 5}),
+])
+def test_loops_whose_variable_moves_or_is_read_in_a_bound_match_the_ast_walk(nprocs, loop, want):
+    source = ("var m := 8; var s := 0; var t := 0; var X : array[Int,8] :: "
+              "allocated[row[] :: horizontal[2] :: single[evendist[]]]; "
+              "for i from 0 to m - 1 { X[i] := i * 5 + 2 }; sync; " + loop + "\n")
+    checked = check_program(parse(source))
+    compiled, walked = (run_path(checked, nprocs) for run_path in RUNS)
+    for name, value in want.items():
+        assert compiled.local(name) == walked.local(name) == [value] * nprocs, name
+    assert compiled.trace.render() == walked.trace.render()
+
+
 ROW ="allocated[row[] :: horizontal[2] :: single[evendist[]]]"
 
 
