@@ -12,7 +12,11 @@ drain a generator with `yield from`.
 A loop whose bounds and body touch nothing but locals and replicas (the
 checker's `CheckedProgram.loops`) never waits, and outside `proc` a
 process whose inputs to it match another's bit for bit takes that one's
-outputs instead of running it (`ProcessContext.run_once`).
+outputs instead of running it (`ProcessContext.run_once`). Once such a
+loop, or a gathered one (below), has run HOT_STATEMENTS statements in a
+run, it runs as one Python function generated for it and shared by every
+rank (`generate`); its closures stay the path of a cold loop and what a
+fault in the function runs again.
 
 A statement list compiles to (statement, closure) pairs, held by what
 runs it: the program, a loop, a `proc` body, a function. A loop's and a
@@ -54,12 +58,23 @@ block it moves, and never an owner, a size or a tag.
 from types import GeneratorType as Generator
 
 from . import ast
+from .ast import MAX_DEPTH
 from .checker import BUILTINS, chain_of, evaluated
 from .runtime import ZEROES
 from .values import OPERATORS, LineSlice, Local, owned_blocks, row_of
 
 
 _LITERALS = (ast.IntLit, ast.RealLit, ast.StrLit)
+
+# A local-only or gathered loop runs as one generated Python function (see
+# `generate`) once the statements it has run in this run, over all ranks,
+# reach this many, counted as trips x LocalOnly.statements per arrival that
+# runs it. Generating `pgas-fine-p64`'s one-statement gathered body took
+# 0.28-0.35 ms (best of 30), and the function runs a statement 0.36-0.44 us
+# faster than the closures do (CPython 3.11, 2 cores): 650-950 statements
+# repay it. So a loop that turns hot and never runs again loses what about
+# a third of the statements it has already run would save.
+HOT_STATEMENTS = 2000
 
 
 def compile_program(checked) -> list:
@@ -280,8 +295,8 @@ class Compiler:
         slot, reuse = info.slot, info.node is not node  # reuse: an existing local counts
         # a loop nested in a local-only one runs with it, never on its own
         within, gathering = self.within_once, self.gathering
-        once = None if within else self.checked.loops.get(id(node))
-        gather = None if once is None else once.gathers
+        facts = once = None if within else self.checked.loops.get(id(node))
+        gather = window = None if once is None else once.gathers
         if gather is not None:
             # the block a run reads, per compile (a checked program may serve
             # many runs): its buffer (None between runs), its first index,
@@ -292,6 +307,8 @@ class Compiler:
         stmts = self.block(node.body)
         target = self.checked.owners.get(id(node))
         self.within_once, self.gathering = within, gathering
+        hot = [0, None]  # statements run, then the generated function (False: none)
+        names, loops = self.names, self.checked.loops
 
         def iterate(ctx):
             lo, hi = start(ctx), stop(ctx)
@@ -300,10 +317,33 @@ class Compiler:
             if lo > hi:
                 return
             if once is not None and not ctx.proc_depth and ctx.state.nprocs > 1:
-                # the iterations never yield: next() runs them to the end
-                ctx.run_once(once, hi - lo + 1, lambda: next(iterations(ctx, lo, hi), None))
+                ctx.run_once(once, hi - lo + 1, lambda: run(ctx, lo, hi))
+            elif facts is not None:
+                run(ctx, lo, hi)
             else:
                 yield from iterations(ctx, lo, hi)
+        iterate.body = stmts  # what a hot loop around this one generates from
+
+        def run(ctx, lo, hi):
+            """The iterations of a local-only or gathered loop, which never
+            yield: by the generated function once the loop is hot and no
+            nested loop would pass MAX_DEPTH, else by the closures."""
+            code = hot[1]
+            if code is None:
+                hot[0] += (hi - lo + 1) * facts.statements
+                if hot[0] >= HOT_STATEMENTS:
+                    code = hot[1] = generate(names, loops, node, stmts, facts, window) or False
+            frame = ctx.frame
+            # a call's frame may bind two names to one Local, which the
+            # generated function would hold as two Python locals
+            if code and ctx.depth + code.nest <= MAX_DEPTH and (
+                    frame is ctx.top or len({id(frame[s]) for s in facts.locals})
+                    == len(facts.locals)):
+                ctx.enter(node)
+                code(ctx, frame, lo, hi)
+                ctx.leave()
+            else:
+                next(iterations(ctx, lo, hi), None)
 
         def iterations(ctx, lo, hi):
             ctx.enter(node)
@@ -576,3 +616,211 @@ class Compiler:
             ctx.frame = caller
             ctx.leave()
         return call
+
+
+# --- hot loops: one generated Python function per loop body ---
+
+
+def _index(i, n):
+    """i, when the closures accept it as an index into a replica of n
+    elements; otherwise an error, and the closure, run again, faults."""
+    if isinstance(i, int) and 0 <= i < n:
+        return i
+    raise IndexError(i)
+
+
+class _Source:
+    """A hot loop's body as the lines of a Python function: a local of slot
+    k is the Python local Lk, a replica's copy on this process the list Rk
+    (of Nk elements), X[v] in a gathered loop `buf[Lv - low]`, and each
+    operator and literal a name bound to the object itself, never its text.
+    Each statement is one line, a loop two (its bounds, then its `for`),
+    and `at` maps each to the statement, its closure and the loops around
+    it in the body."""
+
+    def __init__(self, names, loops, gather, v):
+        self.names, self.loops, self.gather, self.v = names, loops, gather, v
+        self.lines = []
+        self.at = {}
+        self.fors = {}  # id of each loop in the body -> n, which names its lo<n> and hi<n>
+        self.bound = {}  # id of a bound object -> (its name, the object)
+        self.slots = set()  # the slots of the locals held as Python locals
+        self.replicas = {}  # slot -> whether it is indexed
+        self.nprocs = False
+        self.deepest = 0  # loops nested in the body, at the deepest
+        self.covered = True  # False once it holds a loop that runs once per set of inputs
+        self.reads = 0  # gathered reads in the statement being written
+
+    def bind(self, obj):
+        return self.bound.setdefault(id(obj), (f"_{len(self.bound)}", obj))[0]
+
+    def local(self, slot):
+        self.slots.add(slot)
+        return f"L{slot}"
+
+    def replica(self, slot, indexed=False):
+        self.replicas[slot] = indexed or self.replicas.get(slot, False)
+        return f"R{slot}"
+
+    def expr(self, e):
+        kind = type(e)
+        if kind is ast.BinOp:
+            return f"{self.bind(OPERATORS[e.op])}({self.expr(e.left)}, {self.expr(e.right)})"
+        if kind in _LITERALS:
+            return self.bind(e.value)
+        if kind is ast.Call:  # processes(), the one call a local-only loop holds
+            self.nprocs = True
+            return "nprocs"
+        if kind is ast.Name:
+            info = self.names[id(e)]
+            if info.kind.distributed:  # a replicated scalar
+                return f"{self.replica(info.slot)}[0]"
+            return self.local(info.slot)
+        slot = self.names[id(e.base)].slot  # an element of a 1D array
+        if slot == self.gather:
+            self.reads += 1
+            return f"buf[{self.local(self.v)} - low]"
+        return (f"{self.replica(slot, True)}[_t if (_t := {self.expr(e.index)}).__class__ is int"
+                f" and 0 <= _t < N{slot} else _index(_t, N{slot})]")
+
+    def line(self, text, pad, at=None):
+        self.lines.append("    " * pad + text)
+        if at is not None:
+            self.at[len(self.lines)] = at
+
+    def body(self, pairs, level, pad):
+        """The lines of pairs, (statement, closure), inside `level` loops of the body."""
+        self.deepest = max(self.deepest, level)
+        if not pairs:
+            self.line("pass", pad)
+        for s, fn in pairs:
+            self.reads, kind = 0, type(s)
+            if kind is ast.For:
+                self.covered &= self.gather is None or id(s) not in self.loops
+                n = self.fors[id(s)] = len(self.lines) + 1
+                text = (f"lo{n} = {self.expr(s.start)}; hi{n} = {self.expr(s.stop)}; "
+                        f"r{n} = range(lo{n}, hi{n} + 1)")
+            elif kind is ast.VarDecl:  # untyped: the checker lets in no other
+                text = f"{self.local(self.names[id(s)].slot)} = " \
+                    + ("0" if s.init is None else self.expr(s.init))
+            elif type(s.target) is ast.Name:
+                info = self.names[id(s.target)]
+                store = f"{self.replica(info.slot)}[0]" if info.kind.distributed \
+                    else self.local(info.slot)
+                text = f"{store} = {self.expr(s.value)}"
+            else:  # a replica element: index, then value, as the closure reads them
+                slot = self.names[id(s.target.base)].slot
+                text = (f"_i = {self.expr(s.target.index)}; _v = {self.expr(s.value)}; "
+                        f"{self.replica(slot, True)}[_i if _i.__class__ is int and "
+                        f"0 <= _i < N{slot} else _index(_i, N{slot})] = _v")
+            # the reads count once the statement is done: a fault in it
+            # leaves them to its closure, run again
+            self.line(text + (f"; g += {self.reads}" if self.reads else ""), pad, (s, fn, level))
+            if kind is ast.For:
+                self.line(f"for {self.local(self.names[id(s)].slot)} in r{n}:", pad, (s, fn, level))
+                self.body(fn.body, level + 1, pad + 1)
+
+    def last(self, pairs):
+        """The statement the closures start last in a run of pairs."""
+        s, fn = pairs[-1]
+        if type(s) is not ast.For or not fn.body:
+            return self.bind(s)
+        n = self.fors[id(s)]
+        return f"({self.last(fn.body)} if hi{n} >= lo{n} else {self.bind(s)})"
+
+
+def generate(names, loops, node, stmts, facts, window):
+    """The iterations of the hot loop node as one Python function of (ctx,
+    frame, lo, hi), shared by every rank, or None for a body it does not
+    cover. The function holds the body's locals as Python locals, loaded
+    from their Local cells and stored back at the end, and runs the pieces
+    a gathered loop runs, recording each remote block's gets as one record.
+    On any error it stores back what it holds and re-runs the faulting
+    statement's closure, so the fault, its location and what it leaves are
+    the closures' (`redo`). `facts` is the loop's LocalOnly, `stmts` its
+    body's (statement, closure) pairs, `window` a gathered loop's."""
+    v = names[id(node)].slot
+    src = _Source(names, loops, facts.gathers, v)
+    gathered = facts.gathers is not None
+    src.body(stmts, 0, 4 if gathered else 3)
+    if not src.covered:
+        return None
+    head = []
+    if src.replicas:
+        head.append("rank = ctx.rank")
+    if src.nprocs:
+        head.append("nprocs = ctx.state.nprocs")
+    for slot, indexed in src.replicas.items():
+        head.append(f"R{slot} = frame[{slot}].replicas[rank]")
+        if indexed:
+            head.append(f"N{slot} = frame[{slot}].descriptor.shape[0]")
+    for slot in facts.locals:
+        head.append(f"C{slot} = frame[{slot}]; L{slot} = C{slot}.value")
+    if gathered:
+        head += [f"array = frame[{facts.gathers}]",
+                 "for block, indices in pieces(array, lo, hi, None):",
+                 "    buf, low = (None, 0) if block is None else (block.buffer, block.low)",
+                 "    g = 0",
+                 "    try:",
+                 f"        for L{v} in indices:"]
+        tail = ["    except Exception as exc:",
+                "        redo(exc, locals())",
+                "    if g:",
+                "        ctx.get(array, block, repeat=g)",
+                f"L{v} = hi"]
+    else:
+        head += ["try:", f"    for L{v} in range(lo, hi + 1):"]
+        tail = ["except Exception as exc:", "    redo(exc, locals())"]
+    tail += [f"C{facts.locals[k]}.value = L{facts.locals[k]}" for k in facts.stores]
+    if stmts:
+        tail.append(f"ctx.stmt = {src.last(stmts)}")
+    bound = dict(src.bound.values())
+    defaults = "".join(f", {name}={name}" for name in bound)
+    text = "\n".join([f"def loop(ctx, frame, lo, hi, *, redo=redo, pieces=pieces{defaults}):"]
+                     + ["    " + line for line in head] + src.lines
+                     + ["    " + line for line in tail]) + "\n"
+    skip = 1 + len(head)  # the lines above the body's
+    at = {n + skip: entry for n, entry in src.at.items()}
+    slots, first = sorted(src.slots), facts.first
+
+    def redo(exc, held):
+        """At an exception in the function, whose locals are held: store them
+        back, as cells for the slots the body declares; open the window as
+        the closures had it; set the scope depth and ctx.stmt; then run the
+        faulting statement's closure, which raises the fault the closures
+        raise, and record a remote block's gets, the run's included."""
+        ctx, frame, block = held["ctx"], held["frame"], held.get("block")
+        for slot in slots:
+            name = f"L{slot}"
+            if name in held:
+                if slot < first:
+                    frame[slot].value = held[name]
+                else:
+                    frame[slot] = Local(held[name])
+        entry = at.get(exc.__traceback__.tb_lineno)
+        if entry is None:
+            raise exc
+        stmt, fn, level = entry
+        ctx.depth += level
+        ctx.stmt = stmt
+        if block is not None:
+            window[:] = block.buffer, block.low, held["g"]
+        try:
+            result = fn(ctx)
+            if result.__class__ is Generator:
+                next(result, None)
+        finally:
+            if block is not None:
+                window[0] = None
+                if window[2]:
+                    ctx.get(held["array"], block, repeat=window[2])
+        raise exc
+
+    scope = dict(bound, redo=redo, pieces=_pieces, _index=_index)
+    try:
+        exec(compile(text, f"<loop at {node.line}:{node.column}>", "exec"), scope)
+    except (SyntaxError, RecursionError, MemoryError):  # nested past what CPython compiles
+        return None
+    code = scope["loop"]
+    code.nest = src.deepest + 1
+    return code

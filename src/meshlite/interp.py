@@ -2,8 +2,9 @@
 
 Each process is a generator driven by the cooperative scheduler. A run
 compiles the program once into closures (compiler.py), and every
-statement runs as its closure: local work and one-sided gets run
-straight through; puts, channel transfers and collectives yield. The
+statement runs as its closure, or in a hot local-only loop as the Python
+generated for the loop: local work and one-sided gets run straight
+through; puts, channel transfers and collectives yield. The
 closures share the rules and the data movement of ProcessContext below.
 A process's frames hold only data: a distributed name's array, whose
 descriptor carries its channel mode, or a local's values.Local cell.

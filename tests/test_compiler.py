@@ -7,6 +7,7 @@ faults (message, rank, line and column) as a direct Python evaluation of
 the same statements.
 """
 
+import math
 import random
 import re
 import sys
@@ -24,11 +25,13 @@ from conftest import (
     initiator,
     under_frames,
 )
-from meshlite import check_program, compiler, interp, parse, run, runtime
+from meshlite import ast, check_program, compiler, interp, parse, run, runtime
 from meshlite.errors import CheckError, RuntimeFault
 from meshlite.fixtures import generate_image
 from meshlite.ast import MAX_DEPTH
 from meshlite.interp import ProcessContext
+from meshlite.sched import Scheduler
+from meshlite.values import Local
 
 N = 4  # replicated array length
 TOO_DEEP = f"loops, proc bodies and calls nest more than {MAX_DEPTH} deep"
@@ -43,6 +46,33 @@ def run_walked(checked, nprocs, **kwargs):
 
 
 RUNS = (run, run_walked)
+
+
+@pytest.fixture(params=[0, math.inf], ids=["generated", "closures"])
+def hot(request, monkeypatch):
+    """Hot loops run as generated Python from their first arrival, or never."""
+    monkeypatch.setattr(compiler, "HOT_STATEMENTS", request.param)
+    return request.param
+
+
+def stepping(processes, steps):
+    """The process generators, each step counted into steps[0]."""
+    def each(process):
+        for item in process:
+            steps[0] += 1
+            yield item
+    return [each(p) for p in processes]
+
+
+def stepped(run_path, *args, **kwargs):
+    """(run_path's result or fault, the scheduler steps it took)."""
+    steps, real = [0], Scheduler.run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Scheduler, "run", lambda self, ps: real(self, stepping(ps, steps)))
+        try:
+            return run_path(*args, **kwargs), steps[0]
+        except RuntimeFault as fault:
+            return fault, steps[0]
 
 
 class Fault(Exception):
@@ -1379,28 +1409,31 @@ def _gather_loop_programs(nprocs, m, blocks, place, forms, first=False):
 def _gather_loop_outcome(checked, nprocs, context, seed):
     """What interp.run gives, driven by hand so that a fault leaves the
     trace up to it: the fault and that trace, or the trace, X, the replica
-    R and i, s and t on each rank."""
+    R and i, s and t on each rank; and the scheduler steps either took."""
     state = interp.RunState(nprocs, seed=seed)
     state.program = compiler.compile_program(checked)
     contexts = [context(r, state, checked) for r in range(nprocs)]
+    steps = [0]
     try:
-        state.scheduler.run([c.run_program() for c in contexts])
+        state.scheduler.run(stepping([c.run_program() for c in contexts], steps))
     except RuntimeFault as fault:
-        return str(fault), state.trace.render()
+        return "fault", str(fault), state.trace.render(), steps[0]
     result = interp.RunResult(state, contexts)
     return (result.trace.render(), result.logical("X"), buffers_of(result.array("R")),
-            [result.local(name) for name in "ist"])
+            [result.local(name) for name in "ist"], steps[0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 7])
 @pytest.mark.parametrize("nprocs", [1, 2, 3, 4])
-def test_gathered_loops_match_the_ast_walk(nprocs, m):
+def test_gathered_loops_match_the_ast_walk(nprocs, m, hot):
     """A loop that reads X[i] runs one block's iterations at a time,
     reading the block's buffer, and records each remote run's gets at
-    once: the same trace, state, i after the loop and fault (message,
-    rank, line:col) as the walk, which reads element by element. A fault
-    partway through a run leaves the same trace too, and an X in slot 0
-    gathers as any other. Only a fault is run under a second schedule."""
+    once: the same trace, state, i after the loop, fault (message, rank,
+    line:col) and scheduler steps as the walk, which reads element by
+    element, whether the loop runs as its closures or as the Python
+    generated for it (`hot`). A fault partway through a run leaves the
+    same trace too, and an X in slot 0 gathers as any other. Only a fault
+    is run under a second schedule."""
     for blocks in range(1, min(m, 5) + 1):
         for place in ("evendist[]", f"on[{nprocs - 1}]", "arraydist[d]"):
             forms = ("top", "nested")
@@ -1415,7 +1448,7 @@ def test_gathered_loops_match_the_ast_walk(nprocs, m):
                     seen = [_gather_loop_outcome(checked, nprocs, context, seed)
                             for context in (ProcessContext, ast_walk.WalkingContext)]
                     assert seen[0] == seen[1], source
-                    if len(seen[0]) != 2 or nprocs == 1:
+                    if seen[0][0] != "fault" or nprocs == 1:
                         break
 
 
@@ -1479,6 +1512,166 @@ def test_loops_whose_variable_moves_or_is_read_in_a_bound_match_the_ast_walk(npr
     for name, value in want.items():
         assert compiled.local(name) == walked.local(name) == [value] * nprocs, name
     assert compiled.trace.render() == walked.trace.render()
+
+
+# --- hot loops: the generated Python against the closures and the walk ---
+
+
+# X's 4 blocks hold indices 0-5, 6-11, 12-17 and 18-23, on ranks b % P; the
+# replica a holds 0, 2.5, "x" and 0 on every rank
+HOT_HEAD = (
+    "var m := 24;\nvar s := 0;\nvar t := 0;\nvar i := 50;\nvar a : array[Int,4];\n"
+    "var X : array[Int,m] :: allocated[row[] :: horizontal[4] :: single[evendist[]]];\n"
+    "for i from 0 to m - 1 { X[i] := i * 5 + 2 };\na[1] := 2.5;\na[2] := \"x\";\nsync;\n")
+
+
+def _deep(levels):
+    """HOT_HEAD, then a gathered loop with a nested loop, in g, called
+    under `levels` scopes: at 126 its nested loop opens scope 128, the
+    limit; at 127 it would open one more."""
+    return (HOT_HEAD + "function g() { for i from 0 to m - 1 { for j from 0 to 0 { "
+            "s := s + X[i] } } };\n" + f"function h() {{ {_loops(levels - 66, 'g()')} }};\n"
+            + _loops(64, "h()") + ";\n")
+
+
+HOT_FAULTS = {
+    # partway through block 1, after its read of X[9]
+    "division": "for i from 0 to m - 1 { t := t + i; s := s + X[i] * (60 / (i - 9)) };",
+    # a[a[1]] is a[2.5]
+    "real index": "for i from 0 to m - 1 { t := t + X[i]; s := s + a[a[i / 9]] };",
+    "int and string": "for i from 0 to m - 1 { t := t + X[i]; s := s + a[i / 9 * 2] * 1 };",
+    "replica index": "for i from 0 to m - 1 { s := s + X[i] + a[i / 3] };",
+    "replica store": "for i from 0 to m - 1 { a[i / 3] := X[i] };",
+    "nested loop": "for i from 0 to m - 1 { t := t + X[i]; "
+                   "for j from 0 to 1 { s := s + X[i] * (60 / (i + j - 9)) } };",
+    # X[i] is read in the nested loop's bound before the fault in it
+    "nested bound": "for i from 0 to m - 1 { for j from X[i] - 40 to 60 / (i - 9) { s := s + j } };",
+    "local-only": "for k from 0 to 30 { t := t + k; var u := t * 2; a[k / 7] := u };",
+    "past MAX_DEPTH": None,
+}
+
+
+def _slot(cell):
+    if isinstance(cell, Local):
+        return repr(cell.value)
+    return None if cell is None else repr(buffers_of(cell))
+
+
+def _halted(checked, nprocs, seed, context=ProcessContext):
+    """A run driven by hand to its fault: the fault, the trace up to it,
+    and each process's scope depth, last statement, top-level frame and
+    frame (every slot, by repr), and the processes."""
+    state = interp.RunState(nprocs, seed=seed)
+    state.program = compiler.compile_program(checked)
+    contexts = [context(r, state, checked) for r in range(nprocs)]
+    with pytest.raises(RuntimeFault) as fault:
+        state.scheduler.run([c.run_program() for c in contexts])
+    states = [(c.depth, c.stmt and (c.stmt.line, c.stmt.column),
+               [_slot(x) for x in c.top], [_slot(x) for x in c.frame]) for c in contexts]
+    return str(fault.value), state.trace.render(), states, contexts
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", list(HOT_FAULTS))
+def test_a_hot_loop_faults_as_its_closures_fault(monkeypatch, case, nprocs):
+    """Generated from its first arrival, a hot loop that faults partway
+    through a block leaves what its closures leave: the fault (message,
+    rank, line:col), the gets recorded before it, every slot of every
+    frame, the scope depth and the last statement started, on every
+    process. The walk gives the same fault and trace."""
+    source = _deep(127) if case == "past MAX_DEPTH" else HOT_HEAD + HOT_FAULTS[case] + "\n"
+    checked = check_program(parse(source))
+    for seed in (0, 3):
+        seen = []
+        for threshold in (0, math.inf):
+            monkeypatch.setattr(compiler, "HOT_STATEMENTS", threshold)
+            seen.append(_halted(checked, nprocs, seed)[:3])
+        assert seen[0] == seen[1], (case, seed)
+        walked = _halted(checked, nprocs, seed, ast_walk.WalkingContext)
+        assert walked[:2] == seen[0][:2]
+        fault, trace, _ = seen[0]
+        assert (TOO_DEEP if case == "past MAX_DEPTH" else "rank ") in fault
+        if nprocs > 1 and case not in ("local-only", "past MAX_DEPTH"):
+            assert "onesided-get" in trace
+
+
+def test_a_hot_loop_at_the_nesting_limit_runs_generated(monkeypatch):
+    """A hot loop whose nested loop opens the last scope allowed runs as
+    generated Python: of g's statements only the loop itself starts
+    through exec_stmt. One scope deeper it runs as its closures, which
+    fault (above)."""
+    monkeypatch.setattr(compiler, "HOT_STATEMENTS", 0)
+    starts = []
+    exec_stmt = ProcessContext.exec_stmt
+    monkeypatch.setattr(ProcessContext, "exec_stmt",
+                        lambda self, stmt, fn: starts.append(stmt) or exec_stmt(self, stmt, fn))
+    line = HOT_HEAD.count("\n") + 1  # g's
+    for levels, loops in ((126, 1), (127, 2)):
+        starts.clear()
+        checked = check_program(parse(_deep(levels)))
+        outcome = stepped(run, checked, 2)[0]
+        # at the limit g's outer loop alone starts through exec_stmt; past
+        # it the nested loop starts too, and faults
+        assert len({s.column for s in starts if s.line == line and type(s) is ast.For}) == loops
+        if levels == 126:
+            assert outcome.local("s") == run_walked(checked, 2).local("s")
+        else:
+            assert TOO_DEEP in str(outcome)
+
+
+@pytest.mark.parametrize("nprocs", [2, 3, 4])
+@pytest.mark.parametrize("loop, last", [
+    # the nested loop's last run is empty: the closures start it last
+    ("for i from 0 to m - 1 { s := s + X[i]; for j from 0 to 20 - i { t := t + j } };", "for j"),
+    ("for i from 0 to m - 1 { for j from 0 to i { t := t + X[i] * j } };", "t := t + X"),
+    ("for k from 0 to 30 { for j from 0 to k - 30 { t := t + j }; s := s + k };", "s := s + k"),
+    ("for k from 0 to 30 { s := s + k; for j from 0 to 1 { for q from j to 0 { t := t + q } } };",
+     "for q"),
+])
+def test_a_hot_loop_ends_where_its_closures_end(loop, last, nprocs, hot):
+    """Rank 0 runs a hot loop last while the others wait at `sync`: the
+    deadlock fault is the walk's, and rank 0's last statement started is
+    the one the closures start last."""
+    source = HOT_HEAD + "var me := X.localblockid[0];\nfor r from 1 to me { sync };\n" + loop + "\n"
+    checked = check_program(parse(source))
+    for seed in (0, 3):
+        fault, trace, _, contexts = _halted(checked, nprocs, seed)
+        walked = _halted(checked, nprocs, seed, ast_walk.WalkingContext)
+        assert (fault, trace) == walked[:2]
+        assert "rank 0 finished the program" in fault
+        stmt = contexts[0].stmt
+        assert (stmt.line, stmt.column) == (source.count("\n"), loop.index(last) + 1)
+        assert contexts[0].depth == walked[3][0].depth == 0
+
+
+def test_a_hot_loop_is_generated_once_per_run_whatever_the_ranks(monkeypatch):
+    """Each loop node is generated at most once per run, at the arrival
+    whose statements, over all ranks, reach HOT_STATEMENTS, and every rank
+    then runs that one function: a run-once loop in a function body called
+    twice (rank 0 runs it, the others take its outputs), and a gathered
+    loop under an outer loop that syncs, but not a loop `proc` runs once."""
+    made = []
+    generate = compiler.generate
+    monkeypatch.setattr(compiler, "generate", lambda *args: made.append(args[2]) or generate(*args))
+    n = compiler.HOT_STATEMENTS // 2  # each loop below holds one statement
+    source = (f"var n := {n};\nvar s := 0;\nvar t := 0;\nvar u := 0;\n"
+              "var X : array[Int,n] :: allocated[row[] :: horizontal[4] :: single[evendist[]]];\n"
+              "for i from 0 to n - 1 { X[i] := i };\nsync;\n"
+              "function f() { for k from 1 to n { s := s + k } };\nf();\nf();\n"
+              "for r from 0 to 1 { sync; for k from 0 to n - 1 { t := t + X[k] } };\n"
+              "proc 0 { for k from 0 to n - 1 { u := u + X[k] } };\n")
+    checked = check_program(parse(source))
+    for nprocs in (1, 2, 3, 4, 16):
+        made.clear()
+        result = run(checked, nprocs)
+        assert sorted(loop.line for loop in made) == [8, 11], nprocs
+        walked = run_walked(checked, nprocs)
+        assert [result.local(x) for x in "stu"] == [walked.local(x) for x in "stu"]
+    monkeypatch.setattr(compiler, "HOT_STATEMENTS", 0)
+    for nprocs in (1, 2, 16):
+        made.clear()
+        run(checked, nprocs)
+        assert sorted(loop.line for loop in made) == [8, 11, 12], nprocs
 
 
 ROW ="allocated[row[] :: horizontal[2] :: single[evendist[]]]"
@@ -1806,17 +1999,17 @@ class MixedGen:
 
 def mixed_outcome(checked, nprocs, run_path, seed):
     """The fault's text, or the locals and replicas per rank by repr (so
-    1 is not 1.0, nor 0.0 -0.0), R by repr and the rendered trace."""
-    try:
-        result = run_path(checked, nprocs, seed=seed)
-    except RuntimeFault as fault:
-        return ("fault", str(fault))
+    1 is not 1.0, nor 0.0 -0.0), R by repr and the rendered trace; and the
+    scheduler steps either took."""
+    result, steps = stepped(run_path, checked, nprocs, seed=seed)
+    if isinstance(result, RuntimeFault):
+        return ("fault", str(result), steps)
     names = [n for n in result.names() if n not in MIXED_ARRAYS]
     return ("done",
             {n: [repr(v) for v in result.local(n)] for n in names},
             {n: [repr(list(rep)) for rep in result.array(n).replicas] for n in ("a", "r")},
             repr(result.logical("R")),
-            result.trace.render())
+            result.trace.render(), steps)
 
 
 def counted_run_once(monkeypatch):
@@ -1835,19 +2028,23 @@ def counted_run_once(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_local_only_loops_run_once_match_the_ast_walk(seed):
+def test_local_only_loops_run_once_match_the_ast_walk(seed, hot):
     """Whatever the ranks' inputs, a process that takes another's outputs
-    ends as the AST walk, where every process runs every loop, ends."""
+    ends as the AST walk, where every process runs every loop, ends, in
+    the same scheduler steps, whether a loop that runs runs as its
+    closures or as generated Python (`hot`); the closures, the oracle,
+    also at P=16 and under a third schedule."""
     source = MixedGen(seed).render()
     checked = check_program(parse(source))
-    for nprocs in (1, 2, 3, 4, 16):
-        for sched_seed in (0, 7919, 3):
+    closures = hot == math.inf
+    for nprocs in (1, 2, 3, 4) + ((16,) if closures else ()):
+        for sched_seed in (0, 3) + ((7919,) if closures else ()):
             compiled = mixed_outcome(checked, nprocs, run, sched_seed)
             assert compiled == mixed_outcome(checked, nprocs, run_walked, sched_seed), \
                 (nprocs, sched_seed, source)
 
 
-def test_mixed_programs_take_and_run_loops_and_fault(monkeypatch):
+def test_mixed_programs_take_and_run_loops_and_fault(monkeypatch, hot):
     counts = counted_run_once(monkeypatch)
     kinds = {"fault": 0, "done": 0}
     for seed in range(40):
@@ -1945,7 +2142,10 @@ def test_an_entry_goes_once_every_process_has_passed_it(monkeypatch, source, lef
      "function f(x : Int) { for k from 0 to 3 { x := x + 1; y := y + 1 } };\n"
      "for t from 0 to me { f(u) };\nfor t from 0 to 1 - me { f(y) };\n", ["21", "17"]),
 ])
-def test_loops_in_proc_and_function_bodies_run_as_the_ast_walk(monkeypatch, source, want):
+def test_loops_in_proc_and_function_bodies_run_as_the_ast_walk(monkeypatch, source, want, hot):
+    """Also as generated Python (`hot`): the third program binds f's
+    parameter to the top-level name its loop also stores, so that call
+    runs its closures."""
     checked = check_program(parse(source))
     for seed in (0, 7919):
         seen = [[repr(v) for v in run_path(checked, 2, seed=seed).local("y")]
