@@ -1,7 +1,12 @@
 """AST node definitions, and how diagnostics print expressions and types.
 
-Position fields never participate in equality so that a pretty-print /
-re-parse round trip compares structurally equal.
+Nodes are slotted dataclasses, compared and hashed by field. Position
+fields never participate in equality so that a pretty-print / re-parse
+round trip compares structurally equal. Nodes are not frozen, because a
+frozen dataclass sets each field through object.__setattr__ and that
+would be most of the parser's cost; but no pass may mutate a node after
+parsing: the checker keys its facts by id(node) and the compiled closures
+hold nodes.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +18,7 @@ from typing import Optional, Union
 MAX_DEPTH = 128
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Node:
     line: int = field(compare=False, repr=False, kw_only=True, default=0)
     column: int = field(compare=False, repr=False, kw_only=True, default=0)
@@ -22,40 +27,40 @@ class Node:
 # --- expressions ---
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class IntLit(Node):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RealLit(Node):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class StrLit(Node):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Name(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BinOp(Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Index(Node):
     base: "Expr"
     index: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Accessor(Node):
     """A.localblocks, A.localblockid[j], A[bid].low, A[bid].high"""
 
@@ -64,7 +69,7 @@ class Accessor(Node):
     arg: Optional["Expr"]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Call(Node):
     func: str
     args: tuple
@@ -76,7 +81,7 @@ Expr = Union[IntLit, RealLit, StrLit, Name, BinOp, Index, Accessor, Call]
 # --- type expressions ---
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class TypeApp(Node):
     """One constructor application: name plus bracketed arguments.
 
@@ -89,7 +94,7 @@ class TypeApp(Node):
     has_args: bool
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class TypeExpr(Node):
     """A `::`-joined sequence of constructor applications, left to right."""
 
@@ -99,20 +104,20 @@ class TypeExpr(Node):
 # --- statements ---
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class VarDecl(Node):
     name: str
     type_expr: Optional[TypeExpr]
     init: Optional[Expr]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Assign(Node):
     target: Expr  # Name or Index chains; validated by the checker
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class For(Node):
     var: str
     start: Expr
@@ -120,29 +125,29 @@ class For(Node):
     body: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ProcBlock(Node):
     rank: Expr
     body: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ExprStmt(Node):
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Sync(Node):
     var: Optional[str]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Param(Node):
     name: str
     type_expr: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FuncDef(Node):
     name: str
     params: tuple
@@ -152,7 +157,7 @@ class FuncDef(Node):
 Stmt = Union[VarDecl, Assign, For, ProcBlock, ExprStmt, Sync, FuncDef]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Program(Node):
     statements: tuple
 

@@ -37,16 +37,18 @@ class Token:
         return f"Token({self.kind}, {self.lexeme!r}, {self.line}:{self.column})"
 
 
-# Whitespace and comments that may precede a token. The quantifier is
+# The pattern scans one line at a time. Whitespace, and a comment running
+# to the end of the line, may precede a token. The quantifiers are
 # possessive: backtracking into a comment would lex its text as tokens.
-_SKIP = r"(?:[ \t\r\n]+|//[^\n]*)*+"
+_SKIP = r"[ \t\r]*+(?://[^\n]*)?+"
 
 # Each token kind and its pattern, tried in this order; the number of the
 # group that matched indexes _KINDS. `\d` is exactly str.isdecimal() and
 # `\w` exactly str.isalnum() or '_'. An identifier's first character is
 # checked in tokenize, because `[^\W\d]` also admits numeric characters
-# such as '½' that str.isalpha() rejects. Any other character matches the
-# last pattern, so the scan never stops short of the end marker.
+# such as '½' that str.isalpha() rejects. The end of the line matches END
+# and any other character the last pattern, so every position of a line
+# starts a match and the scan never skips text.
 _PATTERNS = (
     ("punctuation", "[" + re.escape("".join(sorted(PUNCTUATION))) + "]"),
     ("operator", "|".join(re.escape(op) for op in OPERATORS)),
@@ -55,7 +57,7 @@ _PATTERNS = (
     ("integer-literal", r"\d+"),
     ("string-literal", r'"[^"\n]*"'),
     (END, r"\Z"),
-    (None, r"(?s:.)"),
+    (None, r"."),
 )
 _TOKEN = re.compile(_SKIP + "(?:" + "|".join(f"({p})" for _, p in _PATTERNS) + ")")
 _KINDS = (None, *(kind for kind, _ in _PATTERNS))
@@ -64,32 +66,30 @@ _KINDS = (None, *(kind for kind, _ in _PATTERNS))
 def tokenize(source: str) -> list[Token]:
     """Split source into tokens, terminated by an end marker.
 
+    Scans one line at a time: no token, string or comment spans a line, so
+    a token's line is its line's number and its column its offset there.
     Comments run from `//` to end of line. Raises LexError with the
     offending position for any character outside the language.
     """
     tokens = []
-    line, line_start, pos = 1, 0, 0
-    for m in _TOKEN.finditer(source):
-        group = m.lastindex
-        start = m.start(group)
-        if start != pos:
-            newlines = source.count("\n", pos, start)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", pos, start) + 1
-        pos = m.end()
-        kind = _KINDS[group]
-        lexeme = source[start:pos]
-        column = start - line_start + 1
-        if kind == "identifier":
-            if lexeme in KEYWORDS:
-                kind = "keyword"
-            elif not (lexeme[0].isalpha() or lexeme[0] == "_"):
-                raise LexError(f"unexpected character {lexeme[0]!r}", line, column)
-        elif kind is None:
-            if lexeme == '"':
-                raise LexError("unterminated string literal", line, column)
-            raise LexError(f"unexpected character {lexeme!r}", line, column)
-        tokens.append(Token(kind, lexeme, line, column))
-        if kind == END:
-            return tokens
+    for line, text in enumerate(source.split("\n"), 1):
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            kind = _KINDS[group]
+            if kind == END:
+                break
+            start = m.start(group)
+            lexeme = m[group]
+            column = start + 1
+            if kind == "identifier":
+                if lexeme in KEYWORDS:
+                    kind = "keyword"
+                elif not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                    raise LexError(f"unexpected character {lexeme[0]!r}", line, column)
+            elif kind is None:
+                if lexeme == '"':
+                    raise LexError("unterminated string literal", line, column)
+                raise LexError(f"unexpected character {lexeme!r}", line, column)
+            tokens.append(Token(kind, lexeme, line, column))
+    tokens.append(Token(END, "", line, len(text) + 1))
+    return tokens

@@ -27,6 +27,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GATHERED = ["tests/test_compiler.py", "-k", "gathered_loops_match"]
 HOT_FAULTS = ["tests/test_compiler.py", "-k", "hot_loop_faults"]
+RUN_ONCE = ["tests/test_compiler.py", "-k",
+            "run_once_match or other_types_or_signs or loops_in_proc_and_function_bodies "
+            "or reaches_deeper"]
+LEXER = ["tests/test_lexer.py"]
 
 MUTANTS = [
     # the generated path of hot loops (compiler.generate)
@@ -82,6 +86,34 @@ MUTANTS = [
      "opened = gather is not None and block is not None",
      "opened = gather and block is not None",
      ["tests/test_compiler.py", "-k", "gathered_loops_read_blocks_not_elements"]),
+    # run-once loops (interp.ProcessContext.run_once)
+    ("run-once: snapshots compared by == on their values, not by marshal bytes", "interp.py",
+     "            inputs = marshal.dumps(\n"
+     "                (self.depth, aliases, [c.value for c in cells], replicas), 2)\n",
+     "            inputs = (self.depth, aliases, [c.value for c in cells], "
+     "[list(r) for r in replicas])\n",
+     RUN_ONCE),
+    ("run-once: no alias check", "interp.py",
+     "if len(set(map(id, objects))) < len(objects):",
+     "if False:",
+     RUN_ONCE),
+    ("run-once: the depth not in the snapshot", "interp.py",
+     "(self.depth, aliases, [c.value for c in cells], replicas)",
+     "(aliases, [c.value for c in cells], replicas)",
+     RUN_ONCE),
+    # the tokenizer's line-at-a-time scan (lexer.tokenize)
+    ("lexer: a column off by one", "lexer.py",
+     "            column = start + 1\n",
+     "            column = start\n",
+     LEXER),
+    ("lexer: a carriage return not skipped", "lexer.py",
+     r'_SKIP = r"[ \t\r]*+',
+     r'_SKIP = r"[ \t]*+',
+     LEXER),
+    ("lexer: the end marker's column the line's length", "lexer.py",
+     'tokens.append(Token(END, "", line, len(text) + 1))',
+     'tokens.append(Token(END, "", line, len(text)))',
+     LEXER),
 ]
 
 

@@ -2074,6 +2074,26 @@ def test_equal_inputs_of_other_types_or_signs_are_not_taken(source, want):
             assert [repr(v) for v in run_path(checked, 2, seed=seed).local("y")] == want
 
 
+def test_a_loop_a_rank_reaches_deeper_is_not_taken(hot):
+    """The scope depth is one of a loop's inputs: with the same values,
+    rank 0 runs f's 64 nested loops from one loop deep, and then rank 1,
+    100 loops deep, passes the nesting limit in them rather than take rank
+    0's outputs."""
+    source = (
+        "var D : array[Int,2] :: allocated[row[] :: horizontal[2] :: single[evendist[]]];\n"
+        "var me := D.localblockid[0];\nvar y := 0;\n"
+        "function f() { " + "".join(f"for a{k} from 0 to 0 {{ " for k in range(64))
+        + "y := y + 1" + " }" * 64 + " };\n"
+        "for t from me to 0 { f() };\nsync;\n"
+        + "".join(f"for t{k} from 1 to me {{ " for k in range(100)) + "f()" + " }" * 100 + ";\n")
+    checked = check_program(parse(source))
+    for run_path in RUNS:
+        for seed in (0, 7919):
+            with pytest.raises(RuntimeFault) as info:
+                run_path(checked, 2, seed=seed)
+            assert str(info.value) == f"rank 1: {TOO_DEEP} at 4:600"
+
+
 def test_a_loop_over_a_large_replica_with_few_statements_is_never_snapshotted(monkeypatch):
     """Two statements against a snapshot of 100,000 elements: every rank
     runs the loop, and no snapshot is taken."""

@@ -1,14 +1,16 @@
+import dataclasses
 import re
 
 import pytest
 
 from conftest import format_program, reference_tokenize, under_frames
-from meshlite import ast, check_program, parse
+from meshlite import ast, check_program, compiler, parse, run
 from meshlite.ast import MAX_DEPTH
-from meshlite.errors import CheckError, LexError, ParseError
-from meshlite.fixtures import CORPUS, corpus_source
+from meshlite.errors import CheckError, LexError, ParseError, RuntimeFault
+from meshlite.fixtures import CORPUS, corpus_source, generate_image
 from meshlite.lexer import tokenize
 from meshlite.parser import Parser
+from test_compiler import MixedGen
 
 ONESIDED = corpus_source("onesided.mesh")
 
@@ -258,3 +260,43 @@ def test_the_deepest_tree_checks(kind):
     with pytest.raises(CheckError) as info:
         under_frames(40, lambda: check_program(parse(build(MAX_DEPTH))))
     assert str(info.value) == "<source>:1:36: NotIndexable: a scalar cannot be indexed"
+
+
+# --- nodes are slotted, so mutable: no pass after the parser changes them ---
+
+
+def snapshot(node):
+    """A deep structural repr of a tree, positions included."""
+    if isinstance(node, ast.Node):
+        fields = ", ".join(f"{f.name}={snapshot(getattr(node, f.name))}"
+                           for f in dataclasses.fields(node))
+        return f"{type(node).__name__}({fields})"
+    if isinstance(node, tuple):
+        return "(" + ", ".join(map(snapshot, node)) + ",)"
+    return repr(node)
+
+
+UNTOUCHED = ([(name, corpus_source(name)) for name in CORPUS]
+             + [(f"MixedGen({seed})", MixedGen(seed).render()) for seed in range(3)])
+
+
+@pytest.mark.parametrize("name, source", UNTOUCHED, ids=[name for name, _ in UNTOUCHED])
+@pytest.mark.parametrize("threshold", [compiler.HOT_STATEMENTS, 0], ids=["cold", "hot"])
+def test_checking_compiling_and_running_leave_the_tree_as_parsed(
+        tmp_path, monkeypatch, name, source, threshold):
+    """At the default threshold, and hot: every loop the generator takes
+    runs as generated Python. The reference lexer's tokens build the same
+    tree, positions included."""
+    monkeypatch.setattr(compiler, "HOT_STATEMENTS", threshold)
+    generate_image(16, 1, tmp_path / "image.dat")
+    program = parse(source)
+    before = snapshot(program)
+    assert "line=0" not in before
+    assert before == snapshot(parse(reference_tokenize(source)))
+    checked = check_program(program)
+    try:
+        run(checked, 3, workdir=str(tmp_path))
+    except RuntimeFault:
+        assert name.startswith("MixedGen")  # its loops may divide by zero on some ranks
+    assert snapshot(program) == before
+    assert not hasattr(program.statements[0], "__dict__")
