@@ -15,7 +15,7 @@ from .parser import parse
 
 def _load(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

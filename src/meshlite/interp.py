@@ -443,7 +443,7 @@ class ProcessContext:
         def redistribute():
             plan = runtime.plan_redistribution(
                 src.descriptor, dst.descriptor, same_storage=_share_storage(dst, src))
-            runtime.copy_segments(plan, src, dst)
+            runtime.copy_array(plan, src, dst)
             trace.record_plan(plan, dst.esize, dst.name)
 
         collective = Collective("assign", f"{dst.name} := {src.name}", stmt, (dst, src))

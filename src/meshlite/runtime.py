@@ -18,6 +18,7 @@ block.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from .chains import ELEMENT_SIZES, Layout, partitioned_dim
@@ -330,7 +331,7 @@ class TraceLog:
 # --- redistribution ---
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Segment:
     """A rectangle of elements copied from one block to another.
 
@@ -371,20 +372,6 @@ class Segment:
         if w == 1 or (self.src_stride == 1 and self.dst_stride == 1):
             return w, n
         return 1, n * w
-
-    def slices(self) -> list:
-        """(src_start, dst_start, length, src_step, dst_step), one per slice.
-
-        The rectangle is cut along whichever axis gives fewer slices.
-        """
-        n = self.lines
-        w = self.count // n
-        ss, ds = self.src_stride, self.dst_stride
-        sl, dl = self.src_line_stride, self.dst_line_stride
-        if n > w:
-            n, w, ss, ds, sl, dl = w, n, sl, dl, ss, ds
-        return [(self.src_offset + t * sl, self.dst_offset + t * dl, w, ss, ds)
-                for t in range(n)]
 
 
 def _as_2d(desc):
@@ -465,39 +452,40 @@ def _segment(src_owner, dst_owner, src_block, dst_block, replica, src_offset,
         sl = dl = 0
     local = src_owner == dst_owner
     count = lines * width
-    return Segment(
-        src_owner=src_owner, dst_owner=dst_owner,
-        src_block=src_block, src_offset=src_offset,
-        dst_block=dst_block, dst_offset=dst_offset,
-        count=count, nbytes=count * esize, local=local,
-        identity=(same_storage and local and src_block == dst_block
-                  and src_offset == dst_offset and ss == ds and sl == dl),
-        dst_replica=replica, lines=lines,
-        src_stride=ss, dst_stride=ds,
-        src_line_stride=sl, dst_line_stride=dl,
-    )
+    identity = (same_storage and local and src_block == dst_block
+                and src_offset == dst_offset and ss == ds and sl == dl)
+    return Segment(src_owner, dst_owner, src_block, src_offset, dst_block, dst_offset,
+                   count, count * esize, local, identity, replica, lines, ss, ds, sl, dl)
 
 
-def copy_segments(segments, src: DistributedArray, dst: DistributedArray) -> None:
-    """Apply a plan with extended-slice copies, skipping identities.
+def copy_array(plan, src: DistributedArray, dst: DistributedArray) -> None:
+    """Make dst logically equal to src from the two layouts; a plan whose
+    segments are all identities copies nothing.
 
-    Every payload is read before any is written, because views sharing
-    storage can overlap.
+    Every block stores whole lines along its partitioned dimension, so
+    src's blocks in block order are one list with that dimension major,
+    built before any buffer is written, because views sharing storage can
+    overlap. A replicated source is instead the replica of the rank that
+    owns the destination buffer. Each destination buffer is then one slice
+    of that list when both arrays partition the same dimension, else each
+    of its lines is one strided slice.
     """
-    moves = []
-    for seg in segments:
-        if seg.identity:
-            continue
+    if all(seg.identity for seg in plan):
+        return
+    _, dd, line = _as_2d(dst.descriptor)
+    _, sd, src_line = _as_2d(src.descriptor)
+    if dst.replicated:
+        high = dst.descriptor.part_extent - 1
+        targets = [(buf, rank, 0, high) for rank, buf in enumerate(dst.replicas)]
+    else:
+        targets = [(b.buffer, b.owner, b.low, b.high) for b in dst.blocks]
+    if not src.replicated:
+        flat = list(chain.from_iterable(b.buffer for b in src.blocks))
+    for buf, owner, low, high in targets:
         if src.replicated:
-            sbuf = src.replicas[seg.src_owner]
+            flat = src.replicas[owner]
+        if sd == dd:
+            buf[:] = flat[low * line : (high + 1) * line]
         else:
-            sbuf = src.blocks[seg.src_block].buffer
-        if dst.replicated:
-            dbuf = dst.replicas[seg.dst_replica]
-        else:
-            dbuf = dst.blocks[seg.dst_block].buffer
-        for s, d, length, ss, ds in seg.slices():
-            moves.append((dbuf, slice(d, d + (length - 1) * ds + 1, ds),
-                          sbuf[s : s + (length - 1) * ss + 1 : ss]))
-    for buf, where, payload in moves:
-        buf[where] = payload
+            for t, j in enumerate(range(low, high + 1)):
+                buf[t * line : (t + 1) * line] = flat[j::src_line]

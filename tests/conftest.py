@@ -162,6 +162,49 @@ def brute_force_copy(dst, src):
         logical_set(dst, idx, src.logical_get(idx))
 
 
+def reference_slices(seg) -> list:
+    """(src_start, dst_start, length, src_step, dst_step), one per slice.
+
+    The rectangle is cut along whichever axis gives fewer slices.
+    """
+    n = seg.lines
+    w = seg.count // n
+    ss, ds = seg.src_stride, seg.dst_stride
+    sl, dl = seg.src_line_stride, seg.dst_line_stride
+    if n > w:
+        n, w, ss, ds, sl, dl = w, n, sl, dl, ss, ds
+    return [(seg.src_offset + t * sl, seg.dst_offset + t * dl, w, ss, ds)
+            for t in range(n)]
+
+
+def reference_copy(segments, src, dst) -> None:
+    """Apply a plan with extended-slice copies, skipping identities; the
+    oracle for runtime.copy_array.
+
+    The copy before it was made from the two layouts: one slice per line
+    of every segment, unchanged except that `Segment.slices` is
+    `reference_slices`. Every payload is read before any is written,
+    because views sharing storage can overlap.
+    """
+    moves = []
+    for seg in segments:
+        if seg.identity:
+            continue
+        if src.replicated:
+            sbuf = src.replicas[seg.src_owner]
+        else:
+            sbuf = src.blocks[seg.src_block].buffer
+        if dst.replicated:
+            dbuf = dst.replicas[seg.dst_replica]
+        else:
+            dbuf = dst.blocks[seg.dst_block].buffer
+        for s, d, length, ss, ds in reference_slices(seg):
+            moves.append((dbuf, slice(d, d + (length - 1) * ds + 1, ds),
+                          sbuf[s : s + (length - 1) * ss + 1 : ss]))
+    for buf, where, payload in moves:
+        buf[where] = payload
+
+
 def brute_force_plan(src, dst, same_storage=False):
     """Element-at-a-time planner; the oracle for plan_redistribution.
 

@@ -31,6 +31,8 @@ RUN_ONCE = ["tests/test_compiler.py", "-k",
             "run_once_match or other_types_or_signs or loops_in_proc_and_function_bodies "
             "or reaches_deeper"]
 LEXER = ["tests/test_lexer.py"]
+COPY = ["tests/test_redistribution.py", "-k",
+        "copy_matches or replicated_source_is_read or copies_as_the_per_segment"]
 
 MUTANTS = [
     # the generated path of hot loops (compiler.generate)
@@ -114,6 +116,23 @@ MUTANTS = [
      'tokens.append(Token(END, "", line, len(text) + 1))',
      'tokens.append(Token(END, "", line, len(text)))',
      LEXER),
+    # the collective copy from the two layouts (runtime.copy_array) and its plan
+    ("copy: a same-dimension slice ending at high, not high + 1", "runtime.py",
+     "buf[:] = flat[low * line : (high + 1) * line]",
+     "buf[:] = flat[low * line : high * line]",
+     COPY),
+    ("copy: a transposed line stepping by the destination's line length", "runtime.py",
+     "flat[j::src_line]",
+     "flat[j::line]",
+     COPY),
+    ("copy: a replicated source read from replica 0", "runtime.py",
+     "flat = src.replicas[owner]",
+     "flat = src.replicas[0]",
+     COPY),
+    ("plan: the overlapping source blocks without the last", "runtime.py",
+     "src_blocks[src.element(lo)[0] : src.element(hi)[0] + 1]",
+     "src_blocks[src.element(lo)[0] : src.element(hi)[0]]",
+     ["tests/test_redistribution.py", "-k", "planner_agrees"]),
 ]
 
 

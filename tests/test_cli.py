@@ -47,6 +47,14 @@ def test_typecheck_reports_a_front_end_error_at_one_location(workdir, capsys, so
     assert capsys.readouterr().err == expected
 
 
+def test_a_lone_carriage_return_is_whitespace_through_the_cli(workdir, capsys):
+    """The CLI lexes the file's characters as they are, as parse(text) does:
+    a lone carriage return separates tokens and breaks no line."""
+    (workdir / "cr.mesh").write_bytes(b"var x := 1;\r$;\n")
+    assert main(["typecheck", "cr.mesh"]) == 1
+    assert capsys.readouterr().err == "cr.mesh:1:13: LexError: unexpected character '$'\n"
+
+
 @pytest.mark.parametrize("source,expected", [
     ("var d : array[Int,4] :: allocated[multiple[]];\nd[1.5] := 2;\n",
      "error: rank 1: array index must be an integer at 2:1\n"),

@@ -17,11 +17,12 @@ from conftest import (
     iter_indices,
     make_descriptor,
     owner_changes_bytes,
+    reference_copy,
     remote_bytes,
     run_collective,
     run_lengths,
 )
-from meshlite import ast, run
+from meshlite import ast, run, runtime
 from meshlite.errors import MeshError, ShapeMismatch
 from meshlite.fixtures import generate_image
 from meshlite.interp import _share_storage
@@ -29,7 +30,7 @@ from meshlite.runtime import (
     Segment,
     TraceLog,
     allocate,
-    copy_segments,
+    copy_array,
     plan_redistribution,
 )
 
@@ -329,8 +330,60 @@ def test_planner_agrees_with_brute_force_oracle(seed):
                 src.descriptor, dst.descriptor, src.esize), context
 
         expected = logical_values(src)
-        copy_segments(plan, src, dst)
+        copy_array(plan, src, dst)
         assert logical_values(dst) == expected, context
+
+
+def distinct_pairs(count, seed):
+    """random_pairs with every buffer holding values of its own, so that
+    each replica of a replicated array differs from the others and a
+    destination that shares no storage with its source differs from it."""
+    pairs = random_pairs(count, seed)
+    for n, (src, dst) in enumerate(pairs):
+        for role, array in enumerate((src,) if _share_storage(dst, src) else (src, dst)):
+            for k, buf in enumerate(array.replicas or [b.buffer for b in array.blocks]):
+                buf[:] = [complex(n * 10 + role, k * 1000 + i) for i in range(len(buf))]
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_copy_matches_the_per_segment_oracle(seed):
+    """copy_array leaves every block buffer and every replica of both
+    sides as the per-segment copy does, share views included."""
+    ours, theirs = distinct_pairs(80, seed), distinct_pairs(80, seed)
+    for (src, dst), (ref_src, ref_dst) in zip(ours, theirs):
+        same = _share_storage(dst, src)
+        plan = plan_redistribution(src.descriptor, dst.descriptor, same_storage=same)
+        context = f"src={src.descriptor} dst={dst.descriptor} same={same}"
+        copy_array(plan, src, dst)
+        reference_copy(plan, ref_src, ref_dst)
+        assert buffers_of(dst) == buffers_of(ref_dst), context
+        assert buffers_of(src) == buffers_of(ref_src), context
+
+
+@pytest.mark.parametrize("ordering", ["row", "col"])
+@pytest.mark.parametrize("replicated_dst", [False, True])
+def test_a_replicated_source_is_read_from_the_destination_owners_replica(
+        ordering, replicated_dst):
+    nprocs, shape = 3, (3, 4)
+    src = allocate("S", make_descriptor(shape, distribution=("multiple",), nprocs=nprocs))
+    for rank, replica in enumerate(src.replicas):
+        replica[:] = [complex(rank, i) for i in range(len(replica))]
+    if replicated_dst:
+        desc = make_descriptor(shape, ordering=ordering, distribution=("multiple",),
+                               nprocs=nprocs)
+    else:
+        desc = make_descriptor(shape, ordering=ordering, partition=("horizontal", nprocs),
+                               distribution=("even",), nprocs=nprocs)
+    dst = allocate("D", desc)
+    copy_array(plan_redistribution(src.descriptor, desc), src, dst)
+    for idx in iter_indices(shape):
+        if replicated_dst:
+            for rank in range(nprocs):
+                assert dst.logical_get(idx, rank) == src.logical_get(idx, rank), idx
+        else:
+            owner = dst.blocks[desc.locate(idx)[0]].owner
+            assert dst.logical_get(idx) == src.logical_get(idx, owner), idx
 
 
 def test_shape_mismatch_names_destination_first():
@@ -466,3 +519,23 @@ def test_corpus_trace_equals_oracle_render(tmp_path, name, blocks_per_rank, n):
         result = run(checked, nprocs, workdir=str(tmp_path), overrides={"n": n})
         assert result.trace.render() == oracle_render(checked.program, result), (
             f"{name} n={n} P={nprocs}")
+
+
+@pytest.mark.parametrize("name,blocks_per_rank", [
+    ("fft2d.mesh", 2),
+    ("fft2d_arraydist.mesh", 1),
+])
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 16, 64])
+def test_corpus_fft_copies_as_the_per_segment_oracle(tmp_path, monkeypatch, name,
+                                                     blocks_per_rank, nprocs):
+    """The corpus FFTs write the same bytes and trace with copy_array as with
+    reference_copy; n is 64, or 128 where 64 lines are fewer than the blocks."""
+    n = max(64, nprocs * blocks_per_rank)
+    generate_image(n, 1, tmp_path / "image.dat")
+    checked = checked_corpus(name)
+    outputs = []
+    for copy in (runtime.copy_array, reference_copy):
+        monkeypatch.setattr(runtime, "copy_array", copy)
+        result = run(checked, nprocs, workdir=str(tmp_path), overrides={"n": n})
+        outputs.append((result.trace.render(), (tmp_path / "image.out.dat").read_bytes()))
+    assert outputs[0] == outputs[1]
