@@ -629,11 +629,17 @@ def _index(i, n):
     raise IndexError(i)
 
 
+# The operators a generated body writes infix: `/` and the comparisons are
+# calls, since their meaning differs from Python's operators.
+_INFIX = ("+", "-", "*")
+
+
 class _Source:
     """A hot loop's body as the lines of a Python function: a local of slot
     k is the Python local Lk, a replica's copy on this process the list Rk
-    (of Nk elements), X[v] in a gathered loop `buf[Lv - low]`, and each
-    operator and literal a name bound to the object itself, never its text.
+    (of Nk elements), X[v] in a gathered loop `buf[Lv - low]`, `+`, `-`
+    and `*` infix, and each other operator and literal a name bound to the
+    object itself, never its text.
     Each statement is one line, a loop two (its bounds, then its `for`),
     and `at` maps each to the statement, its closure and the loops around
     it in the body."""
@@ -665,6 +671,8 @@ class _Source:
     def expr(self, e):
         kind = type(e)
         if kind is ast.BinOp:
+            if e.op in _INFIX:  # raise what operator.add, sub and mul raise
+                return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"
             return f"{self.bind(OPERATORS[e.op])}({self.expr(e.left)}, {self.expr(e.right)})"
         if kind in _LITERALS:
             return self.bind(e.value)

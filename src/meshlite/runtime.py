@@ -274,6 +274,25 @@ class TraceEvent:
     repeat: int = 1
 
 
+# Rows numbered below this render from one list of seq strings per render.
+SEQ_STRINGS = 4000
+
+_DIGITS = [f"{d:02d}" for d in range(100)]
+
+
+def _hundreds(head, tail, lo, hi):
+    """Rows lo..hi-1 of one record, 100 <= lo < hi, as one string per
+    hundred: rows 100g to 100g+99 are str(g) followed by two digits, so
+    str(g) is the separator of one join over pieces built once."""
+    pieces = [head, *[d + tail + head for d in _DIGITS[:99]], _DIGITS[99] + tail]
+    out = []
+    for g in range(lo // 100, (hi - 1) // 100 + 1):
+        d0, d1 = max(lo - 100 * g, 0), min(hi - 100 * g, 100)
+        out.append(str(g).join(pieces if d1 - d0 == 100
+                               else [head, *pieces[d0 + 1:d1], _DIGITS[d1 - 1] + tail]))
+    return out
+
+
 class TraceLog:
     """Per-rank sequenced event log with a canonical rendering.
 
@@ -313,15 +332,22 @@ class TraceLog:
                             tag, repeat)
 
     def render(self) -> str:
+        """Every rank numbers its rows 0, 1, 2, ... with no gaps, so one list
+        of seq strings, made once, serves every record; rows past it are
+        joined a hundred at a time (`_hundreds`)."""
+        rows = max((log[-1].seq + log[-1].repeat for log in self._by_rank if log), default=0)
+        seqs = list(map(str, range(min(rows, SEQ_STRINGS))))
+        cap = len(seqs)
         parts = []
         for log in self._by_rank:
             for e in log:
-                if e.repeat == 1:
-                    parts.append(f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}\n")
-                else:
-                    head, tail = f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t", f"\t{e.tag}\n"
-                    seqs = map(str, range(e.seq, e.seq + e.repeat))
-                    parts += (head, (tail + head).join(seqs), tail)
+                head, tail = f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t", f"\t{e.tag}\n"
+                seq, end = e.seq, e.seq + e.repeat
+                if seq < cap:
+                    parts += (head, (tail + head).join(seqs[seq:end]), tail)
+                if end > cap:
+                    parts += _hundreds(head, tail, max(seq, cap), end)
+        del seqs  # not held while the join builds the text
         return "".join(parts)
 
     def count(self, kind) -> int:

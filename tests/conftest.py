@@ -408,9 +408,38 @@ class TeeTraceLog(TraceLog):
             self.planning = False
 
 
+def reference_render(log) -> str:
+    """A TraceLog's rendering with each row's seq made into text on its own:
+    TraceLog.render before one list of seq strings served every record;
+    the oracle for that list and for the rows rendered a hundred at a time."""
+    parts = []
+    for records in log._by_rank:
+        for e in records:
+            if e.repeat == 1:
+                parts.append(f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t{e.seq}\t{e.tag}\n")
+            else:
+                head, tail = f"{e.kind}\t{e.src}\t{e.dst}\t{e.bytes}\t", f"\t{e.tag}\n"
+                seqs = map(str, range(e.seq, e.seq + e.repeat))
+                parts += (head, (tail + head).join(seqs), tail)
+    return "".join(parts)
+
+
+def assert_same_text(got, want, context=""):
+    """got == want, or a failure naming the first line that differs (a
+    plain assert would diff two traces of 10**5 lines)."""
+    if got != want:
+        g, w = got.split("\n"), want.split("\n")
+        i = next(i for i, (a, b) in enumerate(zip(g + [None], w + [None])) if a != b)
+        pytest.fail(f"{context}: line {i + 1} of {len(g)} and {len(w)} differs: "
+                    f"{g[i:i + 1]} != {w[i:i + 1]}")
+
+
 def assert_trace_matches_reference(log, reference, context=""):
-    """render(), events and count(kind) agree with the per-event oracle."""
-    assert log.render() == reference.render(), context
+    """render(), events and count(kind) agree with the per-event oracle, and
+    render() with reference_render."""
+    text = log.render()
+    assert_same_text(text, reference.render(), context)
+    assert_same_text(text, reference_render(log), context)
     assert events(log) == reference.events, context
     for kind in TRACE_KINDS:
         assert log.count(kind) == reference.count(kind), (context, kind)

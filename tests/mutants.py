@@ -33,6 +33,7 @@ RUN_ONCE = ["tests/test_compiler.py", "-k",
 LEXER = ["tests/test_lexer.py"]
 COPY = ["tests/test_redistribution.py", "-k",
         "copy_matches or replicated_source_is_read or copies_as_the_per_segment"]
+RENDER = ["tests/test_runtime.py", "-k", "per_row_oracles"]
 
 MUTANTS = [
     # the generated path of hot loops (compiler.generate)
@@ -51,6 +52,10 @@ MUTANTS = [
      "(f'; g += {self.pending}' if s is pairs[-1][0] and self.pending else ''), pad, "
      "(s, fn, level)); self.pending = 0 if s is pairs[-1][0] else self.pending\n",
      HOT_FAULTS),
+    ("generated: + written as -", "compiler.py",
+     'return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"',
+     'return f"({self.expr(e.left)} {\'-\' if e.op == \'+\' else e.op} {self.expr(e.right)})"',
+     GATHERED),
     ("generated: ctx.stmt not set at the end", "compiler.py",
      'tail.append(f"ctx.stmt = {src.last(stmts)}")',
      'tail.append("pass")',
@@ -129,6 +134,19 @@ MUTANTS = [
      "flat = src.replicas[owner]",
      "flat = src.replicas[0]",
      COPY),
+    # the trace's rendering per record (runtime.TraceLog.render)
+    ("render: a hundred's leading digits one too high", "runtime.py",
+     "out.append(str(g).join(",
+     "out.append(str(g + 1).join(",
+     RENDER),
+    ("render: a record starting at the cap taken from the seq strings too", "runtime.py",
+     "if seq < cap:",
+     "if seq <= cap:",
+     RENDER),
+    ("render: a partial hundred's rows from one digit too far", "runtime.py",
+     "[head, *pieces[d0 + 1:d1]",
+     "[head, *pieces[d0 + 2:d1 + 1]",
+     RENDER),
     ("plan: the overlapping source blocks without the last", "runtime.py",
      "src_blocks[src.element(lo)[0] : src.element(hi)[0] + 1]",
      "src_blocks[src.element(lo)[0] : src.element(hi)[0]]",

@@ -2,7 +2,14 @@
 
 import pytest
 
-from conftest import TeeTraceLog, assert_trace_matches_reference, checked_corpus, oracle_dft2d
+from conftest import (
+    TeeTraceLog,
+    assert_same_text,
+    assert_trace_matches_reference,
+    checked_corpus,
+    oracle_dft2d,
+    reference_render,
+)
 from meshlite import check_program, parse, run, runtime
 from meshlite.fixtures import CORPUS, corpus_source, generate_image
 from meshlite.mshd import read_mshd
@@ -111,3 +118,16 @@ def test_trace_matches_per_event_oracle(tmp_path, monkeypatch, name, nprocs):
         result = run(checked_corpus(name), nprocs, seed=seed, workdir=str(tmp_path))
         assert_trace_matches_reference(result.trace, result.trace.reference,
                                        f"{name} P={nprocs} seed={seed}")
+
+
+@pytest.mark.parametrize("name,n,nprocs", [
+    ("fft2d.mesh", 64, 16),  # too few lines at n=16
+    ("fft2d_arraydist.mesh", 256, 2),  # 49,152 rows on rank 0, past the seq-string list
+    ("fft2d.mesh", 256, 128),
+])
+def test_large_fft_traces_render_as_the_per_row_oracle(tmp_path, name, n, nprocs):
+    """With test_trace_matches_per_event_oracle (n=16), every corpus program
+    at each P in {1, 2, 3, 4, 16} it runs at renders as reference_render."""
+    generate_image(n, 1, tmp_path / "image.dat")
+    result = run(checked_corpus(name), nprocs, workdir=str(tmp_path), overrides={"n": n})
+    assert_same_text(result.trace.render(), reference_render(result.trace))

@@ -5,12 +5,14 @@ import pytest
 from conftest import (
     TRACE_KINDS,
     TeeTraceLog,
+    assert_same_text,
     assert_trace_matches_reference,
     fill_sequential,
     initiator,
     iter_indices,
     logical_set,
     make_descriptor,
+    reference_render,
 )
 from conftest import events as all_events
 from meshlite.chains import Layout, partitioned_dim
@@ -21,6 +23,7 @@ from meshlite.errors import (
     ShareFootprintMismatch,
 )
 from meshlite.runtime import (
+    SEQ_STRINGS,
     STAMPED_BY_DST,
     ArrayDescriptor,
     TraceLog,
@@ -414,6 +417,46 @@ def test_trace_render_matches_the_sorted_rendering(nprocs):
                 for e in all_events(log)] == expected.splitlines()
         for kind in kinds:
             assert log.count(kind) == sum(r[0] == kind for r in records)
+
+
+# seq numbers a record of the render tests starts or ends at (cut) or runs
+# across (not cut): each decimal boundary, the seq-string list's cap, 10**5
+MARKS = {b + d for b in (10, 100, 1000, SEQ_STRINGS, 10**5) for d in (-1, 0, 1)}
+
+
+def long_log(rng, nprocs, cut):
+    """A TeeTraceLog whose rank 0 runs past 10**5 rows and whose other
+    ranks stop short, at or past the cap. Besides MARKS (when cut), a
+    rank's records are cut at random, into a run of single rows and around
+    an unaligned run over several hundreds."""
+    log = TeeTraceLog(nprocs)
+    spans = (SEQ_STRINGS + 237, SEQ_STRINGS + 1137)  # bounds of one unaligned run over ten hundreds
+    for rank in range(nprocs):
+        rows = 10**5 + 250 if rank == 0 else rng.choice((0, 1, 37, 150, 1001, SEQ_STRINGS + 350))
+        cuts = {rng.randrange(1, rows) for _ in range(rows // 500 + 3)} if rows > 1 else set()
+        cuts = {c for c in cuts if not spans[0] < c < spans[1]} - MARKS
+        if cut:
+            cuts |= {m for m in MARKS if m < rows}
+        cuts |= {s for s in (*range(50, 56), *spans) if s < rows}
+        bounds = sorted({0, rows} | cuts)
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            kind, other = rng.choice(TRACE_KINDS), rng.randrange(nprocs)
+            src, dst = (other, rank) if kind in STAMPED_BY_DST else (rank, other)
+            # tags alternate, so no record extends the one before it
+            log.record(kind, src, dst, rng.choice((1, 8, 16, 4096)), "AB"[i % 2] + rng.choice("xy"),
+                       repeat=hi - lo)
+    return log
+
+
+@pytest.mark.parametrize("cut", [True, False])
+@pytest.mark.parametrize("nprocs", [1, 3, 64])
+def test_trace_render_matches_the_per_row_oracles_past_every_boundary(nprocs, cut):
+    log = long_log(random.Random(nprocs), nprocs, cut)
+    starts = {e.seq for e in log._by_rank[0]}
+    assert starts >= MARKS if cut else not starts & MARKS
+    text = log.render()
+    assert_same_text(text, reference_render(log), "reference_render")
+    assert_same_text(text, log.reference.render(), "ReferenceTraceLog")
 
 
 def random_plan(rng, nprocs):
