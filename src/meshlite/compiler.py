@@ -15,8 +15,12 @@ process whose inputs to it match another's bit for bit takes that one's
 outputs instead of running it (`ProcessContext.run_once`). Once such a
 loop, or a gathered one (below), has run HOT_STATEMENTS statements in a
 run, it runs as one Python function generated for it and shared by every
-rank (`generate`); its closures stay the path of a cold loop and what a
-fault in the function runs again.
+rank (`generate`), nested loops included; its closures stay the path of
+a cold loop, what a fault in the function runs again, and the plain
+reference the function is tested against. A local-only loop nested in a
+gathered one runs with it, but for an arrival long enough that sharing
+it between ranks repays a snapshot (ELEMENTS_PER_STATEMENT): that runs
+on its own (`Compiler.loop`).
 
 A statement list compiles to (statement, closure) pairs, held by what
 runs it: the program, a loop, a `proc` body, a function. A loop's and a
@@ -40,15 +44,15 @@ faults only on what values alone show: an index's type and range, a
 loop bound, a `proc` rank, a line's length. The types also decide who
 stores: outside `proc` only X[i]'s owner stores `X[i] := e`,
 so a loop whose body is that one statement over a 1D single-copy array
-runs only the iterations the process owns (`CheckedProgram.owners`). The
-geometry decides the reads too: a loop whose body would be local-only
-but for reads X[v] of one 1D single-copy X, v the loop variable, never
-waits, so it runs one block of X at a time, reading the block's buffer,
-and records a remote block's gets as one record of that many
-(`LocalOnly.gathers`); the trace, values and faults are unchanged. Both
-run through the one loop every loop has, over (block, indices) pieces: a
-plain loop is the single piece of its whole range, and these two walk
-X's blocks (`_pieces`). The rules
+runs only the iterations the process owns (`CheckedProgram.owners`),
+walking X's blocks (`_pieces`); any other loop is the single piece of
+its whole range. The geometry decides the reads too: a loop whose body
+would be local-only but for reads X[v] of one 1D single-copy X, v the
+loop variable, never waits (`LocalOnly.gathers`). Its closures read
+element by element; once hot, its generated function reads one block of
+X at a time from the block's buffer and records a remote block's gets
+as one record of that many. The trace, values and faults are the same
+either way. The rules
 that hold whatever the kind live in ProcessContext: who performs an
 access (`performs`), that collectives cannot run inside `proc`, and the
 transfers. A closure hands a one-sided `get` or `put` only the array and
@@ -69,12 +73,26 @@ _LITERALS = (ast.IntLit, ast.RealLit, ast.StrLit)
 # A local-only or gathered loop runs as one generated Python function (see
 # `generate`) once the statements it has run in this run, over all ranks,
 # reach this many, counted as trips x LocalOnly.statements per arrival that
-# runs it. Generating `pgas-fine-p64`'s one-statement gathered body took
-# 0.28-0.35 ms (best of 30), and the function runs a statement 0.36-0.44 us
-# faster than the closures do (CPython 3.11, 2 cores): 650-950 statements
-# repay it. So a loop that turns hot and never runs again loses what about
-# a third of the statements it has already run would save.
-HOT_STATEMENTS = 2000
+# runs it. Generating a one-statement body took 0.14-0.23 ms (best of 30),
+# and the function runs a statement 0.35-0.40 us faster than the closures
+# in a local-only loop and 1.0-1.1 us faster in a gathered one, whose
+# closures read element by element (CPython 3.11, 2 cores, P=8): 200-450
+# statements repay it. So a loop that turns hot and never runs again loses
+# what a fifth to a half of the statements it has run would save, and
+# `pgas-fine-p64`'s gathered loop, of 1,024 statements an arrival, runs
+# generated from its first.
+HOT_STATEMENTS = 1000
+
+# A local-only loop runs once per set of inputs only when its iterations
+# run at least one statement per this many elements of its snapshot: a
+# statement costs about 1.4 us, and snapshotting, recording and taking an
+# element about 25 ns (CPython 3.11, 2 cores). A local-only loop nested in
+# a gathered one runs on its own only at an arrival of at least this many
+# statements, and with the gathered loop below it: a snapshot, its take
+# and the call cost each rank 3-4 us, as much as 130-170 statements of a
+# generated body (P=4 and 16), so a shorter arrival is cheaper run on
+# every rank, and one from here to there costs what a snapshot costs.
+ELEMENTS_PER_STATEMENT = 32
 
 
 def compile_program(checked) -> list:
@@ -135,7 +153,7 @@ class Compiler:
         self.checked = checked
         self.names = checked.names  # the VarInfo the checker resolved each name to
         self.within_once = False  # compiling the body of a local-only loop
-        self.gathering = None  # (X's slot, v's slot, window) in a gathered loop's body
+        self.around = None  # the hot count of the gathered loop whose body this is
 
     # --- statements ---
 
@@ -293,22 +311,20 @@ class Compiler:
         start, stop = self.expr(node.start), self.expr(node.stop)
         info = self.names[id(node)]
         slot, reuse = info.slot, info.node is not node  # reuse: an existing local counts
-        # a loop nested in a local-only one runs with it, never on its own
-        within, gathering = self.within_once, self.gathering
-        facts = once = None if within else self.checked.loops.get(id(node))
-        gather = window = None if once is None else once.gathers
-        if gather is not None:
-            # the block a run reads, per compile (a checked program may serve
-            # many runs): its buffer (None between runs), its first index,
-            # and the reads of it made so far
-            window = [None, 0, 0]
-            self.gathering, once = (gather, slot, window), None
-        self.within_once = within or once is not None
-        stmts = self.block(node.body)
-        target = self.checked.owners.get(id(node))
-        self.within_once, self.gathering = within, gathering
+        # a loop nested in a local-only one runs with it, never on its own;
+        # a local-only one nested in a gathered one runs with that one too,
+        # but for an arrival long enough that sharing it repays a snapshot
+        within, around = self.within_once, self.around
+        facts = None if within else self.checked.loops.get(id(node))
+        once = None if facts is None or facts.gathers is not None else facts
         hot = [0, None]  # statements run, then the generated function (False: none)
-        names, loops = self.names, self.checked.loops
+        self.within_once = within or once is not None
+        self.around = hot if facts is not None and once is None else around
+        stmts = self.block(node.body)
+        self.within_once, self.around = within, around
+        around = None if once is None else around
+        target = self.checked.owners.get(id(node))
+        names = self.names
 
         def iterate(ctx):
             lo, hi = start(ctx), stop(ctx)
@@ -316,13 +332,17 @@ class Compiler:
                 raise ctx.fault("loop bounds must be integers", node)
             if lo > hi:
                 return
-            if once is not None and not ctx.proc_depth and ctx.state.nprocs > 1:
+            if around is not None and (hi - lo + 1) * once.statements < ELEMENTS_PER_STATEMENT:
+                around[0] += (hi - lo + 1) * once.statements  # what the gathered loop runs
+                run(ctx, lo, hi)
+            elif once is not None and not ctx.proc_depth and ctx.state.nprocs > 1:
                 ctx.run_once(once, hi - lo + 1, lambda: run(ctx, lo, hi))
             elif facts is not None:
                 run(ctx, lo, hi)
             else:
                 yield from iterations(ctx, lo, hi)
         iterate.body = stmts  # what a hot loop around this one generates from
+        iterate.own = None if around is None else once  # may run on its own: its LocalOnly
 
         def run(ctx, lo, hi):
             """The iterations of a local-only or gathered loop, which never
@@ -332,7 +352,7 @@ class Compiler:
             if code is None:
                 hot[0] += (hi - lo + 1) * facts.statements
                 if hot[0] >= HOT_STATEMENTS:
-                    code = hot[1] = generate(names, loops, node, stmts, facts, window) or False
+                    code = hot[1] = generate(names, node, stmts, facts) or False
             frame = ctx.frame
             # a call's frame may bind two names to one Local, which the
             # generated function would hold as two Python locals
@@ -352,33 +372,21 @@ class Compiler:
                 counter = frame[slot]
             else:
                 counter = frame[slot] = Local()
-            # a plain loop is one piece; a blockwise one walks X's blocks:
-            # owner computes outside `proc` only this rank's (any other
-            # iteration would only find the owner, and local stores never
-            # wait), gathered reads every one (the body never waits, so
-            # nothing lands in X while a run reads its block's buffer)
-            blockwise = target if gather is None and not ctx.proc_depth else gather
+            # a plain loop is one piece; owner computes outside `proc` walk
+            # only this rank's blocks of X (any other iteration would only
+            # find the owner, and local stores never wait)
+            blockwise = None if ctx.proc_depth else target
             if blockwise is None:
                 pieces = ((None, range(lo, hi + 1)),)
             else:
-                array = frame[blockwise]
-                pieces = _pieces(array, lo, hi, None if gather is not None else ctx.rank)
+                pieces = _pieces(frame[blockwise], lo, hi, ctx.rank)
             exec_stmt = ctx.exec_stmt
-            for block, indices in pieces:
-                opened = gather is not None and block is not None
-                if opened:
-                    window[:] = block.buffer, block.low, 0
-                try:
-                    for counter.value in indices:
-                        for s, fn in stmts:
-                            result = exec_stmt(s, fn)
-                            if result.__class__ is Generator:
-                                yield from result
-                finally:  # a remote run's gets: one record, even when an iteration faults
-                    if opened:
-                        window[0] = None
-                        if window[2]:
-                            ctx.get(array, block, repeat=window[2])
+            for _, indices in pieces:
+                for counter.value in indices:
+                    for s, fn in stmts:
+                        result = exec_stmt(s, fn)
+                        if result.__class__ is Generator:
+                            yield from result
             if blockwise is not None:  # a plain loop's body may store its variable
                 counter.value = hi
             ctx.leave()
@@ -460,44 +468,14 @@ class Compiler:
     def binop(self, node):
         op = OPERATORS[node.op]
         left, right = self.expr(node.left), self.expr(node.right)
-        # a known local on the left, or a literal on the right, is read in
-        # the closure itself: one call fewer per operand
-        local = self.local(node.left)
-        literal = type(node.right) in _LITERALS
-        if local is not None and literal:
-            b = node.right.value
 
-            def run(ctx):
-                a = ctx.frame[local].value
-                try:
-                    return op(a, b)
-                except (TypeError, ZeroDivisionError) as exc:
-                    raise ctx.fault(str(exc), node)
-        elif local is not None:
-            def run(ctx):
-                a = ctx.frame[local].value
-                b = right(ctx)
-                try:
-                    return op(a, b)
-                except (TypeError, ZeroDivisionError) as exc:
-                    raise ctx.fault(str(exc), node)
-        elif literal:
-            b = node.right.value
-
-            def run(ctx):
-                a = left(ctx)
-                try:
-                    return op(a, b)
-                except (TypeError, ZeroDivisionError) as exc:
-                    raise ctx.fault(str(exc), node)
-        else:
-            def run(ctx):
-                a = left(ctx)
-                b = right(ctx)
-                try:
-                    return op(a, b)
-                except (TypeError, ZeroDivisionError) as exc:
-                    raise ctx.fault(str(exc), node)
+        def run(ctx):
+            a = left(ctx)
+            b = right(ctx)
+            try:
+                return op(a, b)
+            except (TypeError, ZeroDivisionError) as exc:
+                raise ctx.fault(str(exc), node)
         return run
 
     def index(self, node):
@@ -539,18 +517,7 @@ class Compiler:
             if i.__class__ is not int:
                 _integer(ctx, node, i)
             return ctx.read_element(array, i)
-        if self.gathering is None or self.gathering[:2] != (slot, local):
-            return single_copy
-        window = self.gathering[2]
-
-        def gathered(ctx):
-            """X[v] in a gathered loop: from the block a run reads, if one is open."""
-            buffer = window[0]
-            if buffer is None:
-                return single_copy(ctx)
-            window[2] += 1
-            return buffer[ctx.frame[local].value - window[1]]
-        return gathered
+        return single_copy
 
     def accessor(self, node):
         base, which = self.expr(node.base), node.which
@@ -642,10 +609,12 @@ class _Source:
     object itself, never its text.
     Each statement is one line, a loop two (its bounds, then its `for`),
     and `at` maps each to the statement, its closure and the loops around
-    it in the body."""
+    it in the body. A loop that may run on its own has its `for` under an
+    `if` that runs it by its closure, on a line `at` maps to the
+    statement, None and the slots of the locals it uses."""
 
-    def __init__(self, names, loops, gather, v):
-        self.names, self.loops, self.gather, self.v = names, loops, gather, v
+    def __init__(self, names, gather, v, first):
+        self.names, self.gather, self.v, self.first = names, gather, v, first
         self.lines = []
         self.at = {}
         self.fors = {}  # id of each loop in the body -> n, which names its lo<n> and hi<n>
@@ -654,7 +623,6 @@ class _Source:
         self.replicas = {}  # slot -> whether it is indexed
         self.nprocs = False
         self.deepest = 0  # loops nested in the body, at the deepest
-        self.covered = True  # False once it holds a loop that runs once per set of inputs
         self.reads = 0  # gathered reads in the statement being written
 
     def bind(self, obj):
@@ -704,7 +672,6 @@ class _Source:
         for s, fn in pairs:
             self.reads, kind = 0, type(s)
             if kind is ast.For:
-                self.covered &= self.gather is None or id(s) not in self.loops
                 n = self.fors[id(s)] = len(self.lines) + 1
                 text = (f"lo{n} = {self.expr(s.start)}; hi{n} = {self.expr(s.stop)}; "
                         f"r{n} = range(lo{n}, hi{n} + 1)")
@@ -725,6 +692,20 @@ class _Source:
             # leaves them to its closure, run again
             self.line(text + (f"; g += {self.reads}" if self.reads else ""), pad, (s, fn, level))
             if kind is ast.For:
+                own = fn.own
+                if own is not None:  # on its own, as `iterate` decides: by its closure
+                    self.line(f"if (hi{n} - lo{n} + 1) * {own.statements} >= "
+                              f"{ELEMENTS_PER_STATEMENT}:", pad)
+                    for k in own.locals:  # stored to the cells it reads
+                        self.line(f"    frame[{k}] = {self.bind(Local)}({self.local(k)})"
+                                  if k >= self.first else f"    frame[{k}].value = L{k}", pad)
+                    self.line(f"    ctx.stmt = {self.bind(s)}; ctx.depth += {level}; "
+                              f"next({self.bind(fn)}(ctx), None); ctx.depth -= {level}",
+                              pad, (s, None, own.locals))
+                    for k in (own.locals[i] for i in own.stores):
+                        self.line(f"    L{k} = frame[{k}].value", pad)
+                    self.line("else:", pad)
+                    pad += 1
                 self.line(f"for {self.local(self.names[id(s)].slot)} in r{n}:", pad, (s, fn, level))
                 self.body(fn.body, level + 1, pad + 1)
 
@@ -737,22 +718,23 @@ class _Source:
         return f"({self.last(fn.body)} if hi{n} >= lo{n} else {self.bind(s)})"
 
 
-def generate(names, loops, node, stmts, facts, window):
-    """The iterations of the hot loop node as one Python function of (ctx,
-    frame, lo, hi), shared by every rank, or None for a body it does not
-    cover. The function holds the body's locals as Python locals, loaded
-    from their Local cells and stored back at the end, and runs the pieces
-    a gathered loop runs, recording each remote block's gets as one record.
-    On any error it stores back what it holds and re-runs the faulting
-    statement's closure, so the fault, its location and what it leaves are
-    the closures' (`redo`). `facts` is the loop's LocalOnly, `stmts` its
-    body's (statement, closure) pairs, `window` a gathered loop's."""
+def generate(names, node, stmts, facts):
+    """The iterations of the hot loop node, nested loops included, as one
+    Python function of (ctx, frame, lo, hi), shared by every rank, or None
+    for a body nested deeper than CPython compiles. The function holds the
+    body's locals as Python locals, loaded from their Local cells and
+    stored back at the end; a gathered loop's walks X's blocks (`_pieces`),
+    reads each block's buffer and records a remote block's gets as one
+    record, and runs an arrival of a nested loop that its closure would run
+    on its own through that closure. On any error it stores back
+    what it holds and re-runs the faulting statement's closure, so the
+    fault, its location and what it leaves are the closures' (`redo`).
+    `facts` is the loop's LocalOnly, `stmts` its body's (statement,
+    closure) pairs."""
     v = names[id(node)].slot
-    src = _Source(names, loops, facts.gathers, v)
+    src = _Source(names, facts.gathers, v, facts.first)
     gathered = facts.gathers is not None
     src.body(stmts, 0, 4 if gathered else 3)
-    if not src.covered:
-        return None
     head = []
     if src.replicas:
         head.append("rank = ctx.rank")
@@ -793,35 +775,34 @@ def generate(names, loops, node, stmts, facts, window):
 
     def redo(exc, held):
         """At an exception in the function, whose locals are held: store them
-        back, as cells for the slots the body declares; open the window as
-        the closures had it; set the scope depth and ctx.stmt; then run the
-        faulting statement's closure, which raises the fault the closures
-        raise, and record a remote block's gets, the run's included."""
+        back, as cells for the slots the body declares, but for those of a
+        nested loop that faulted running on its own, whose cells hold them;
+        record the gets the statements done in the open block made; set the
+        scope depth and ctx.stmt; then run the faulting statement's closure,
+        which reads element by element and raises the fault the closures
+        raise."""
         ctx, frame, block = held["ctx"], held["frame"], held.get("block")
+        entry = at.get(exc.__traceback__.tb_lineno)
+        kept = entry[2] if entry is not None and entry[1] is None else ()
         for slot in slots:
             name = f"L{slot}"
-            if name in held:
+            if name in held and slot not in kept:
                 if slot < first:
                     frame[slot].value = held[name]
                 else:
                     frame[slot] = Local(held[name])
-        entry = at.get(exc.__traceback__.tb_lineno)
         if entry is None:
             raise exc
         stmt, fn, level = entry
+        if block is not None and held["g"]:
+            ctx.get(held["array"], block, repeat=held["g"])
+        if fn is None:
+            raise exc
         ctx.depth += level
         ctx.stmt = stmt
-        if block is not None:
-            window[:] = block.buffer, block.low, held["g"]
-        try:
-            result = fn(ctx)
-            if result.__class__ is Generator:
-                next(result, None)
-        finally:
-            if block is not None:
-                window[0] = None
-                if window[2]:
-                    ctx.get(held["array"], block, repeat=window[2])
+        result = fn(ctx)
+        if result.__class__ is Generator:
+            next(result, None)
         raise exc
 
     scope = dict(bound, redo=redo, pieces=_pieces, _index=_index)

@@ -29,7 +29,7 @@ from types import GeneratorType
 from . import chains, mshd, runtime
 from .ast import MAX_DEPTH
 from .checker import CheckedProgram, check_program
-from .compiler import compile_program
+from .compiler import ELEMENTS_PER_STATEMENT, compile_program
 from .errors import (
     BadLength,
     FormatError,
@@ -95,13 +95,6 @@ def compute_sins(n: int) -> list:
 
 
 # --- shared run state ---
-
-
-# A local-only loop runs once per set of inputs only when its iterations
-# run at least one statement per this many elements of its snapshot: a
-# statement costs about 1.4 us, and snapshotting, recording and taking an
-# element about 25 ns (CPython 3.11, 2 cores).
-ELEMENTS_PER_STATEMENT = 32
 
 
 class RunState:

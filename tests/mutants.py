@@ -38,7 +38,7 @@ RENDER = ["tests/test_runtime.py", "-k", "per_row_oracles"]
 MUTANTS = [
     # the generated path of hot loops (compiler.generate)
     ("generated: no write-back on a fault", "compiler.py",
-     "            if name in held:\n",
+     "            if name in held and slot not in kept:\n",
      "            if False:\n",
      HOT_FAULTS),
     ("generated: X[v] read at v - low off by one", "compiler.py",
@@ -68,31 +68,45 @@ MUTANTS = [
      "if code and ctx.depth + code.nest <= MAX_DEPTH and (",
      "if code and (",
      HOT_FAULTS),
-    # gathered reads and the one loop path, on the closures
-    ("gathered: gets recorded only when no iteration faults (no finally)", "compiler.py",
-     "                finally:  # a remote run's gets: one record, even when an iteration faults\n",
-     "                except GeneratorExit:\n                    raise\n                else:\n",
-     GATHERED),
-    ("gathered: a run's gets counted per iteration, not per read", "compiler.py",
-     "ctx.get(array, block, repeat=window[2])",
-     "ctx.get(array, block, repeat=len(indices))",
-     GATHERED),
+    ("generated: a fault's block gets before the faulting statement not recorded",
+     "compiler.py",
+     '        if block is not None and held["g"]:\n',
+     "        if False:\n",
+     HOT_FAULTS),
+    ("generated: a nested loop's long arrivals run with the gathered loop", "compiler.py",
+     'self.line(f"if (hi{n} - lo{n} + 1) * {own.statements} >= "',
+     'self.line(f"if False and (hi{n} - lo{n} + 1) * {own.statements} >= "',
+     ["tests/test_compiler.py", "-k", "nested_loops_itself"]),
+    ("generated: the locals of a nested loop run on its own stored back at a fault",
+     "compiler.py",
+     "kept = entry[2] if entry is not None and entry[1] is None else ()",
+     "kept = ()",
+     HOT_FAULTS),
     ("gathered: no piece below 0", "compiler.py",
      "    yield None, range(lo, min(hi, -1) + 1)\n",
      "",
      GATHERED),
-    ("gathered: an X in slot 0 taken for owner computes", "compiler.py",
-     "None if gather is not None else ctx.rank",
-     "None if gather else ctx.rank",
-     GATHERED),
+    # the closures' one loop path
+    ("one loop path: a gathered body's nested loops run on their own", "compiler.py",
+     "self.around = hot if facts is not None and once is None else around",
+     "self.around = around",
+     ["tests/test_compiler.py", "-k", "nested_loops_itself"]),
+    ("one loop path: a gathered body's nested loops never run on their own", "compiler.py",
+     "once.statements < ELEMENTS_PER_STATEMENT:",
+     "once.statements < ELEMENTS_PER_STATEMENT or True:",
+     ["tests/test_compiler.py", "-k", "nested_loops_itself"]),
+    ("one loop path: what a nested loop runs not counted for the gathered loop", "compiler.py",
+     "around[0] += (hi - lo + 1) * once.statements  # what the gathered loop runs",
+     "pass",
+     ["tests/test_compiler.py", "-k", "nested_loops_itself"]),
+    ("one loop path: owner computes walk every rank's blocks", "compiler.py",
+     "if rank is None or b.owner == rank:",
+     "if True:",
+     ["tests/test_compiler.py", "-k", "owner_computes"]),
     ("one loop path: the variable set to hi after every loop", "compiler.py",
      "            if blockwise is not None:  # a plain loop's body may store its variable\n",
      "            if True:\n",
      ["tests/test_compiler.py", "-k", "compiled_matches_the_ast_walk_and_python"]),
-    ("one loop path: the window opened by the truth of X's slot", "compiler.py",
-     "opened = gather is not None and block is not None",
-     "opened = gather and block is not None",
-     ["tests/test_compiler.py", "-k", "gathered_loops_read_blocks_not_elements"]),
     # run-once loops (interp.ProcessContext.run_once)
     ("run-once: snapshots compared by == on their values, not by marshal bytes", "interp.py",
      "            inputs = marshal.dumps(\n"
@@ -108,6 +122,10 @@ MUTANTS = [
      "(self.depth, aliases, [c.value for c in cells], replicas)",
      "(aliases, [c.value for c in cells], replicas)",
      RUN_ONCE),
+    ("run-once: a loop over a large snapshot with few statements snapshotted", "interp.py",
+     "< len(cells) + sum(map(len, replicas)):",
+     "< 0:",
+     ["tests/test_compiler.py", "-k", "snapshotted"]),
     # the tokenizer's line-at-a-time scan (lexer.tokenize)
     ("lexer: a column off by one", "lexer.py",
      "            column = start + 1\n",

@@ -1389,12 +1389,18 @@ def test_owner_computes_loops_run_only_the_owned_iterations(monkeypatch):
 def _gather_loop_programs(nprocs, m, blocks, place, forms, first=False):
     """Programs whose loop, written in each of `forms`, reads X[i] (or
     X[j] for a fresh j) and stores only locals and a replica, with a term
-    that divides by zero partway through, and a nested loop that runs zero
-    times for i <= 0 and i times after (`_x_loop_programs`)."""
+    that divides by zero partway through, a nested loop that runs zero
+    times for i <= 0 and i times after, and nested loops that would be
+    local-only on their own, one of 4 trips and one of 8i + 1, whose body
+    holds the term (`_x_loop_programs`)."""
     loops = {
         "top": "for i from {lo} to {hi} {{ s := s + X[i] * {e}; t := t + i }};",
         "nested": "for i from {lo} to {hi} {{ t := t + i; "
                   "for j from 0 to i - 1 {{ s := s + X[i] * {e} + j }} }};",
+        "local-only": "for i from {lo} to {hi} {{ s := s + X[i] * {e}; "
+                      "for j from 0 to 3 {{ t := t + j }} }};",
+        "long-inner": "for i from {lo} to {hi} {{ s := s + X[i]; "
+                      "for j from 0 to i * 8 {{ t := t + j * {e} }} }};",
         "replica": "for i from {lo} to {hi} {{ R[1] := X[i] * {e}; R[0] := R[0] + R[1] + X[i] }};",
         "fresh": "for j from {lo} to {hi} {{ s := s * 2 + X[j] * {ej} }};",
         "proc": f"proc {nprocs - 1} {{{{ for i from {{lo}} to {{hi}} {{{{ s := s + X[i] * {{e}} }}}} }}}};",
@@ -1426,17 +1432,18 @@ def _gather_loop_outcome(checked, nprocs, context, seed):
 @pytest.mark.parametrize("m", [1, 2, 5, 7])
 @pytest.mark.parametrize("nprocs", [1, 2, 3, 4])
 def test_gathered_loops_match_the_ast_walk(nprocs, m, hot):
-    """A loop that reads X[i] runs one block's iterations at a time,
-    reading the block's buffer, and records each remote run's gets at
-    once: the same trace, state, i after the loop, fault (message, rank,
-    line:col) and scheduler steps as the walk, which reads element by
-    element, whether the loop runs as its closures or as the Python
-    generated for it (`hot`). A fault partway through a run leaves the
-    same trace too, and an X in slot 0 gathers as any other. Only a fault
-    is run under a second schedule."""
+    """A loop that reads X[i] gives the same trace, state, i after the
+    loop, fault (message, rank, line:col) and scheduler steps as the walk,
+    whether it runs as its closures, which read element by element, or as
+    the Python generated for it (`hot`), which reads one block's buffer at
+    a time and records each remote run's gets at once. A fault partway
+    through a run leaves the same trace too, a nested loop runs with the
+    loop around it, or on its own for a local-only one's arrivals of 32
+    statements or more (from i = 4), and an X in slot 0 gathers as any
+    other. Only a fault is run under a second schedule."""
     for blocks in range(1, min(m, 5) + 1):
         for place in ("evendist[]", f"on[{nprocs - 1}]", "arraydist[d]"):
-            forms = ("top", "nested")
+            forms = ("top", "nested", "local-only", "long-inner")
             if blocks == 2 and place == "evendist[]":
                 forms += ("replica", "fresh", "proc", "function")
             sources = list(_gather_loop_programs(nprocs, m, blocks, place, forms))
@@ -1453,10 +1460,11 @@ def test_gathered_loops_match_the_ast_walk(nprocs, m, hot):
 
 
 def test_gathered_loops_read_blocks_not_elements(monkeypatch):
-    """A loop whose body reads X[i] and stores only locals reads no
-    element through `read_element` and makes one get record per remote
+    """Generated, a loop whose body reads X[i] and stores only locals reads
+    no element through `read_element` and makes one get record per remote
     block it reads; a body that stores i, reads X at another index, reads
-    other single-copy data or waits reads every element as before."""
+    other single-copy data or waits reads every element as before. Its
+    closures read element by element, and the trace is the same."""
     calls = {"read_element": 0, "record": 0}
     read_element, record = ProcessContext.read_element, runtime.TraceLog.record
 
@@ -1487,15 +1495,85 @@ def test_gathered_loops_read_blocks_not_elements(monkeypatch):
         ("for i from 0 to 9 { s := s + X[i] + Y[i] };", 60, 40, 40),
         ("for i from 0 to 9 { s := s + X[i]; sync };", 30, 20, 20),
     ]:
-        calls.update(read_element=0, record=0)
-        result = run(check_program(parse(head + loop + "\n")), 3)
-        assert (calls["read_element"], calls["record"]) == (reads, records), loop
-        assert result.trace.count("onesided-get") == gets, loop
+        checked = check_program(parse(head + loop + "\n"))
+        for threshold in (0, math.inf):
+            monkeypatch.setattr(compiler, "HOT_STATEMENTS", threshold)
+            calls.update(read_element=0, record=0)
+            result = run(checked, 3)
+            if threshold == 0:
+                assert (calls["read_element"], calls["record"]) == (reads, records), loop
+            assert result.trace.count("onesided-get") == gets, loop
+
+
+class _Entries(dict):
+    """A RunState's `loops`, keeping every key ever set."""
+
+    def __init__(self):
+        super().__init__()
+        self.set = []
+
+    def __setitem__(self, key, value):
+        self.set.append(key)
+        super().__setitem__(key, value)
+
+
+def test_a_gathered_loop_runs_its_nested_loops_itself(monkeypatch):
+    """A loop nested in a gathered loop's body that would be local-only on
+    its own runs with the loop around it at an arrival of fewer than
+    ELEMENTS_PER_STATEMENT statements: no process snapshots its inputs
+    (`run_once`) or keeps an entry for it, what it runs counts toward the
+    gathered loop's turning hot, and the gathered loop, once hot, is
+    generated with it. A longer arrival runs on its own, from the closures
+    or the generated function alike: the first process runs it and the
+    others take its outputs. The outcome is the walk's."""
+    head = ("var s := 0;\nvar t := 0;\n"
+            "var X : array[Int,400] :: allocated[row[] :: horizontal[4] :: single[evendist[]]];\n"
+            "for i from 0 to 399 { X[i] := i };\nsync;\n")
+    short = "for i from 0 to 399 { s := s + X[i]; for j from 0 to 3 { t := t + j } };\n"
+    # 4 x 3 statements an arrival, and 4 x 31 more run with it
+    mid = "for i from 0 to 3 { s := s + X[i]; for j from 1 to 31 { t := t + j } };\n"
+    long = "for i from 0 to 3 { s := s + X[i]; for j from 0 to 31 { t := t + j } };\n"
+    dumps, made = [], []
+    real, generate = interp.marshal.dumps, compiler.generate
+    monkeypatch.setattr(interp.marshal, "dumps", lambda *args: dumps.append(1) or real(*args))
+
+    def generated(*args):
+        code = generate(*args)
+        made.append((args[1].column, code is not None))
+        return code
+    monkeypatch.setattr(compiler, "generate", generated)
+    for loop, nprocs, threshold, snapshots, entries, want in [
+        (short, 2, compiler.HOT_STATEMENTS, 0, 0, [(1, True)]),
+        (short, 2, 0, 0, 0, [(1, True)]),
+        (short, 2, math.inf, 0, 0, []),
+        # hot after rank 0's arrival, counting the nested loop's, which
+        # turned hot on its own first
+        (mid, 2, 100, 0, 0, [(36, True), (1, True)]),
+        # each arrival is taken by the other ranks
+        (long, 4, 0, 16, 4, [(1, True), (36, True)]),
+        (long, 4, math.inf, 16, 4, []),
+    ]:
+        checked = check_program(parse(head + loop))
+        walked = run_walked(checked, nprocs)
+        monkeypatch.setattr(compiler, "HOT_STATEMENTS", threshold)
+        dumps.clear()
+        made.clear()
+        state = interp.RunState(nprocs)
+        state.loops = _Entries()
+        state.program = compiler.compile_program(checked)
+        contexts = [ProcessContext(r, state, checked) for r in range(nprocs)]
+        state.scheduler.run([c.run_program() for c in contexts])
+        result = interp.RunResult(state, contexts)
+        assert (len(dumps), len(state.loops.set), made) == (snapshots, entries, want), \
+            (loop, threshold)
+        assert [result.local(x) for x in "st"] == [walked.local(x) for x in "st"]
+        assert result.trace.render() == walked.trace.render()
+
 
 @pytest.mark.parametrize("nprocs", [1, 2, 3])
 @pytest.mark.parametrize("loop, want", [
     # the nested loop leaves i at 1, so each iteration reads X[1]: were the
-    # loop gathered, the window would be indexed with the moved i (s = 108)
+    # loop gathered, the block would be indexed with the moved i (s = 108)
     ("for i from 4 to 7 { for i from 0 to 1 { t := t + 1 }; s := s + X[i] };",
      {"s": 28, "t": 8}),
     # gathered for the outer loop, from a nested loop's bound
@@ -1547,6 +1625,10 @@ HOT_FAULTS = {
     # X[i] is read in the nested loop's bound before the fault in it
     "nested bound": "for i from 0 to m - 1 { for j from X[i] - 40 to 60 / (i - 9) { s := s + j } };",
     "local-only": "for k from 0 to 30 { t := t + k; var u := t * 2; a[k / 7] := u };",
+    # the nested loop runs on its own (32 statements an arrival): t has
+    # moved when it faults, at i = 9 and j = 15
+    "nested local-only": "for i from 0 to m - 1 { s := s + X[i]; var u := i; "
+                         "for j from 0 to 15 { t := t + 1; u := u + 60 / (i + j - 24) } };",
     "past MAX_DEPTH": None,
 }
 
@@ -1652,7 +1734,7 @@ def test_a_hot_loop_is_generated_once_per_run_whatever_the_ranks(monkeypatch):
     loop under an outer loop that syncs, but not a loop `proc` runs once."""
     made = []
     generate = compiler.generate
-    monkeypatch.setattr(compiler, "generate", lambda *args: made.append(args[2]) or generate(*args))
+    monkeypatch.setattr(compiler, "generate", lambda *args: made.append(args[1]) or generate(*args))
     n = compiler.HOT_STATEMENTS // 2  # each loop below holds one statement
     source = (f"var n := {n};\nvar s := 0;\nvar t := 0;\nvar u := 0;\n"
               "var X : array[Int,n] :: allocated[row[] :: horizontal[4] :: single[evendist[]]];\n"
